@@ -10,12 +10,6 @@
 # path regression (losing fast-forward coverage, reintroducing
 # per-token allocation) blows well past it.
 #
-# When the newest report_quick measurement also records a
-# jobs_1_intra_4 wall-clock, the same run is repeated with
-# --intra-jobs 4 under the same 2x budget, guarding the worker-pool
-# dispatch path (barrier overhead, oversubscription handling) the
-# serial run never enters.
-#
 # On hosts that cannot produce a reference number — no python3, or a
 # BENCH_sweep.json without a report_quick benchmark — the check skips
 # (exit 77, ctest's SKIP_RETURN_CODE) instead of failing the suite:
@@ -37,9 +31,8 @@ command -v python3 >/dev/null 2>&1 ||
 [ -f "$repo_root/BENCH_sweep.json" ] ||
     skip "BENCH_sweep.json not found"
 
-# Prints "<jobs_1> <jobs_1_intra_4-or-empty>" from the newest
-# report_quick measurement.
-refs=$(python3 - "$repo_root/BENCH_sweep.json" <<'EOF'
+# Prints the jobs_1 wall-clock of the newest report_quick measurement.
+ref_ms=$(python3 - "$repo_root/BENCH_sweep.json" <<'EOF'
 import json
 import sys
 
@@ -50,49 +43,26 @@ except (OSError, ValueError):
 for bench in doc.get("benchmarks", []):
     if bench.get("benchmark", "").startswith("report_quick"):
         try:
-            wall = bench["measurements"][-1]["wall_ms"]
-            line = str(int(wall["jobs_1"]))
+            print(int(bench["measurements"][-1]["wall_ms"]["jobs_1"]))
         except (KeyError, IndexError, TypeError, ValueError):
-            break
-        try:
-            line += " " + str(int(wall["jobs_1_intra_4"]))
-        except (KeyError, TypeError, ValueError):
             pass
-        print(line)
         break
 EOF
 )
-ref_ms=$(echo "$refs" | awk '{print $1}')
-ref_intra_ms=$(echo "$refs" | awk '{print $2}')
 [ -n "$ref_ms" ] ||
     skip "BENCH_sweep.json has no usable report_quick reference"
 
-# time_quick <label> <ref_ms> [extra flags...]: run the quick report
-# and fail on a >2x regression against the recorded reference.
-time_quick() {
-    local label="$1" ref="$2"
-    shift 2
-    local start_ns end_ns ms budget_ms
-    start_ns=$(date +%s%N)
-    "$build_dir/capstan-report" --all --preset quick --check --jobs 1 \
-        --reference "$repo_root/data/paper_reference.json" \
-        --markdown none --json none "$@" >/dev/null
-    end_ns=$(date +%s%N)
-    ms=$(((end_ns - start_ns) / 1000000))
-    budget_ms=$((ref * 2))
-    echo "perf_smoke: ${label}: ${ms} ms (reference ${ref} ms," \
-         "budget ${budget_ms} ms)"
-    if [ "$ms" -gt "$budget_ms" ]; then
-        echo "perf_smoke: FAIL — ${label} quick report wall-clock" \
-             "regressed >2x against BENCH_sweep.json" >&2
-        exit 1
-    fi
-}
-
-time_quick "serial" "$ref_ms"
-if [ -n "$ref_intra_ms" ]; then
-    time_quick "intra-jobs 4" "$ref_intra_ms" --intra-jobs 4
-else
-    echo "perf_smoke: no jobs_1_intra_4 reference recorded;" \
-         "skipping the intra-parallel timing"
+start_ns=$(date +%s%N)
+"$build_dir/capstan-report" --all --preset quick --check --jobs 1 \
+    --reference "$repo_root/data/paper_reference.json" \
+    --markdown none --json none >/dev/null
+end_ns=$(date +%s%N)
+ms=$(((end_ns - start_ns) / 1000000))
+budget_ms=$((ref_ms * 2))
+echo "perf_smoke: serial: ${ms} ms (reference ${ref_ms} ms," \
+     "budget ${budget_ms} ms)"
+if [ "$ms" -gt "$budget_ms" ]; then
+    echo "perf_smoke: FAIL — quick report wall-clock regressed >2x" \
+         "against BENCH_sweep.json" >&2
+    exit 1
 fi

@@ -78,7 +78,7 @@ bicgstabReference(const MatrixView &m, const DenseVector &b,
 
 BicgstabResult
 runBicgstab(const MatrixView &m, const DenseVector &b, int iterations,
-            const CapstanConfig &cfg, int tiles, int intra_jobs)
+            const CapstanConfig &cfg, int tiles)
 {
     BicgstabResult res;
     auto [x, resid] = bicgstabSolve(m, b, iterations);
@@ -86,7 +86,7 @@ runBicgstab(const MatrixView &m, const DenseVector &b, int iterations,
     res.residual_norm = resid;
     res.iterations_run = iterations;
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(m.columnStream(), 0.5));

@@ -38,8 +38,7 @@ DenseVector bicgstabReference(const MatrixView &m, const DenseVector &b,
 /** Fused BiCGStab on Capstan. */
 BicgstabResult runBicgstab(const MatrixView &m, const DenseVector &b,
                            int iterations, const CapstanConfig &cfg,
-                           int tiles = kDefaultTiles,
-                           int intra_jobs = 1);
+                           int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

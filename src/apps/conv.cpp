@@ -39,8 +39,7 @@ convReference(const ConvLayer &layer)
 }
 
 ConvResult
-runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles,
-        int intra_jobs)
+runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
 {
     ConvResult res;
     res.out = convReference(layer);
@@ -67,7 +66,7 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles,
         }
     }
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
 
     // Phase 0: broadcast the pruned kernel on-chip (8 B per stored
     // weight, split across tiles by the multicast network).

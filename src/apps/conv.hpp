@@ -32,8 +32,7 @@ sparse::DenseTensor3 convReference(const ConvLayer &layer);
 
 /** Sparse convolution on Capstan. */
 ConvResult runConv(const ConvLayer &layer, const CapstanConfig &cfg,
-                   int tiles = kDefaultTiles,
-                   int intra_jobs = 1);
+                   int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

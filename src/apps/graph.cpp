@@ -143,13 +143,13 @@ ssspReference(const MatrixView &graph, Index source)
 
 BfsResult
 runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
-       int tiles, bool write_pointers, int intra_jobs)
+       int tiles, bool write_pointers)
 {
     BfsResult res;
     res.level.assign(graph.rows(), -1);
     res.parent.assign(graph.rows(), -1);
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(graph.columnStream(), 0.5));
@@ -202,14 +202,14 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
 
 SsspResult
 runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
-        int tiles, bool write_pointers, int intra_jobs)
+        int tiles, bool write_pointers)
 {
     constexpr Value inf = std::numeric_limits<Value>::infinity();
     SsspResult res;
     res.dist.assign(graph.rows(), inf);
     res.parent.assign(graph.rows(), -1);
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(graph.columnStream(), 0.5));

@@ -52,14 +52,12 @@ std::vector<Value> ssspReference(const MatrixView &graph, Index source);
  */
 BfsResult runBfs(const MatrixView &graph, Index source,
                  const CapstanConfig &cfg, int tiles = kDefaultTiles,
-                 bool write_pointers = true,
-                 int intra_jobs = 1);
+                 bool write_pointers = true);
 
 /** Frontier-based SSSP (Bellman-Ford style) on Capstan. */
 SsspResult runSssp(const MatrixView &graph, Index source,
                    const CapstanConfig &cfg, int tiles = kDefaultTiles,
-                   bool write_pointers = true,
-                 int intra_jobs = 1);
+                   bool write_pointers = true);
 
 } // namespace capstan::apps
 

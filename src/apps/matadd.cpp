@@ -39,13 +39,12 @@ matAddReference(const MatrixView &a, const MatrixView &b)
 
 MatAddResult
 runMatAdd(const MatrixView &a, const MatrixView &b,
-          const CapstanConfig &cfg, int tiles, bool use_bittree,
-          int intra_jobs)
+          const CapstanConfig &cfg, int tiles, bool use_bittree)
 {
     MatAddResult res;
     res.sum = matAddReference(a, b);
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     Tiling tiling = Tiling::roundRobin(a.rows(), tiles);
     int window_bits = std::max(1, cfg.scanner.window_bits);
     const Index leaf_bits = 256;

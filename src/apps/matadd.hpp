@@ -40,8 +40,7 @@ CsrMatrix matAddReference(const MatrixView &a, const MatrixView &b);
 MatAddResult runMatAdd(const MatrixView &a, const MatrixView &b,
                        const CapstanConfig &cfg,
                        int tiles = kDefaultTiles,
-                       bool use_bittree = true,
-                       int intra_jobs = 1);
+                       bool use_bittree = true);
 
 } // namespace capstan::apps
 

@@ -32,7 +32,7 @@ pageRankReference(const MatrixView &graph, int iterations, Value damping)
 
 PageRankResult
 runPageRankPull(const MatrixView &graph, int iterations,
-                const CapstanConfig &cfg, int tiles, int intra_jobs)
+                const CapstanConfig &cfg, int tiles)
 {
     PageRankResult res;
     res.ranks = pageRankReference(graph, iterations);
@@ -41,7 +41,7 @@ runPageRankPull(const MatrixView &graph, int iterations,
     // preparation, as the paper's tiling step does).
     sparse::CsrMatrix in_csr = graph.transposed();
     MatrixView in_edges(in_csr);
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(in_edges.columnStream(), 1.0));
@@ -100,12 +100,12 @@ runPageRankPull(const MatrixView &graph, int iterations,
 
 PageRankResult
 runPageRankEdge(const MatrixView &graph, int iterations,
-                const CapstanConfig &cfg, int tiles, int intra_jobs)
+                const CapstanConfig &cfg, int tiles)
 {
     PageRankResult res;
     res.ranks = pageRankReference(graph, iterations);
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression) {
         // Both stream words are pointers; the source side repeats for
         // every out-edge, which is why PR-Edge compresses best.

@@ -36,14 +36,12 @@ DenseVector pageRankReference(const MatrixView &graph, int iterations,
 /** Pull-based PageRank on Capstan. */
 PageRankResult runPageRankPull(const MatrixView &graph, int iterations,
                                const CapstanConfig &cfg,
-                               int tiles = kDefaultTiles,
-                               int intra_jobs = 1);
+                               int tiles = kDefaultTiles);
 
 /** Edge-streaming PageRank on Capstan. */
 PageRankResult runPageRankEdge(const MatrixView &graph, int iterations,
                                const CapstanConfig &cfg,
-                               int tiles = kDefaultTiles,
-                               int intra_jobs = 1);
+                               int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

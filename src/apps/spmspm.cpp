@@ -45,12 +45,12 @@ spmspmReference(const MatrixView &a, const MatrixView &b)
 
 SpmspmResult
 runSpmspm(const MatrixView &a, const MatrixView &b,
-          const CapstanConfig &cfg, int tiles, int intra_jobs)
+          const CapstanConfig &cfg, int tiles)
 {
     SpmspmResult res;
     res.product = spmspmReference(a, b);
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(b.columnStream(), 0.5));

@@ -34,8 +34,7 @@ CsrMatrix spmspmReference(const MatrixView &a, const MatrixView &b);
 /** SpMSpM on Capstan. */
 SpmspmResult runSpmspm(const MatrixView &a, const MatrixView &b,
                        const CapstanConfig &cfg,
-                       int tiles = kDefaultTiles,
-                       int intra_jobs = 1);
+                       int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

@@ -25,12 +25,12 @@ spmvReference(const MatrixView &m, const DenseVector &v)
 
 SpmvResult
 runSpmvCsr(const MatrixView &m, const DenseVector &v,
-           const CapstanConfig &cfg, int tiles, int intra_jobs)
+           const CapstanConfig &cfg, int tiles)
 {
     SpmvResult res;
     res.out = spmvReference(m, v); // Functional execution.
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(m.columnStream(), 0.5));
@@ -80,12 +80,12 @@ runSpmvCsr(const MatrixView &m, const DenseVector &v,
 
 SpmvResult
 runSpmvCoo(const MatrixView &m, const DenseVector &v,
-           const CapstanConfig &cfg, int tiles, int intra_jobs)
+           const CapstanConfig &cfg, int tiles)
 {
     SpmvResult res;
     res.out = spmvReference(m, v);
 
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     // Non-zeros round-robin across tiles; output rows block-partitioned
     // so accumulations may land on any tile (cross-tile RMW).
     Index rows_per_tile = (m.rows() + tiles - 1) / tiles;
@@ -154,13 +154,13 @@ runSpmvCoo(const MatrixView &m, const DenseVector &v,
 
 SpmvResult
 runSpmvCsc(const MatrixView &m, const DenseVector &v,
-           const CapstanConfig &cfg, int tiles, int intra_jobs)
+           const CapstanConfig &cfg, int tiles)
 {
     SpmvResult res;
     res.out = spmvReference(m, v);
 
     CscMatrix csc = CscMatrix::adoptTranspose(m.transposed());
-    Machine mach(cfg, tiles, intra_jobs);
+    Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
             streamCompressionRatio(csc.rowIdx(), 0.5));

@@ -40,14 +40,12 @@ DenseVector spmvReference(const MatrixView &m, const DenseVector &v);
 /** CSR SpMV on Capstan. */
 SpmvResult runSpmvCsr(const MatrixView &m, const DenseVector &v,
                       const CapstanConfig &cfg,
-                      int tiles = kDefaultTiles,
-                      int intra_jobs = 1);
+                      int tiles = kDefaultTiles);
 
 /** COO SpMV on Capstan (matrix streamed in coordinate form). */
 SpmvResult runSpmvCoo(const MatrixView &m, const DenseVector &v,
                       const CapstanConfig &cfg,
-                      int tiles = kDefaultTiles,
-                      int intra_jobs = 1);
+                      int tiles = kDefaultTiles);
 
 /**
  * CSC SpMV on Capstan; @p v is expected to be sparse (the paper uses a
@@ -55,8 +53,7 @@ SpmvResult runSpmvCoo(const MatrixView &m, const DenseVector &v,
  */
 SpmvResult runSpmvCsc(const MatrixView &m, const DenseVector &v,
                       const CapstanConfig &cfg,
-                      int tiles = kDefaultTiles,
-                      int intra_jobs = 1);
+                      int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

@@ -55,7 +55,6 @@ struct ReportArgs
     int tiles = 0;
     int iterations = 0;
     int jobs = 0;
-    int intra_jobs = 1; //!< Threads inside one simulation; 0 = all.
     capstan::sparse::StoreKind matrix_store =
         capstan::sparse::StoreKind::Csr;
     bool check = false;
@@ -88,10 +87,6 @@ const char *kUsage =
     "  --tiles N          override the preset's tile count\n"
     "  --iterations N     override the preset's PR/BiCGStab iterations\n"
     "  --jobs N           sweep worker threads (default: all cores)\n"
-    "  --intra-jobs N     host threads stepping each simulation\n"
-    "                     (default 1; 0 = all cores / sweep jobs).\n"
-    "                     Purely a wall-clock knob: reports are\n"
-    "                     byte-identical at every value\n"
     "  --matrix-store S   csr|compressed matrix dataset backing\n"
     "                     (default: csr). Purely a host-memory\n"
     "                     representation choice: reports are\n"
@@ -174,12 +169,6 @@ parseReportArgs(const std::vector<std::string> &args)
             if (!value(v) || !capstan::driver::parseInt(v, a.jobs) ||
                 a.jobs < 0)
                 return fail("--jobs requires a non-negative integer");
-        } else if (arg == "--intra-jobs") {
-            if (!value(v) ||
-                !capstan::driver::parseInt(v, a.intra_jobs) ||
-                a.intra_jobs < 0)
-                return fail(
-                    "--intra-jobs requires a non-negative integer");
         } else if (arg == "--matrix-store") {
             if (!value(v) ||
                 !capstan::sparse::parseStoreKind(v, a.matrix_store))
@@ -316,7 +305,6 @@ main(int argc, char **argv)
 
     engine::EngineConfig cfg;
     cfg.jobs = args.jobs;
-    cfg.intra_jobs = args.intra_jobs;
     cfg.dataset_dir = args.dataset_dir;
     cfg.matrix_store = args.matrix_store;
     cfg.reference = args.reference;

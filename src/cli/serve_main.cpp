@@ -34,8 +34,6 @@ const char *const kUsage =
     "  --socket PATH           Unix socket to listen on (required)\n"
     "  --jobs N                sweep worker threads (0 = all cores;\n"
     "                          default: all cores)\n"
-    "  --intra-jobs N          threads inside one simulation\n"
-    "                          (default: 1; 0 = all cores / jobs)\n"
     "  --queue-capacity N      max waiting jobs before submissions\n"
     "                          are rejected (default: 8)\n"
     "  --dataset-dir DIR       real dataset directory (as capstan-run)\n"
@@ -85,11 +83,6 @@ main(int argc, char **argv)
             if (!value(v) || !driver::parseInt(v, ecfg.jobs) ||
                 ecfg.jobs < 0)
                 return usageError("--jobs requires an integer >= 0");
-        } else if (a == "--intra-jobs") {
-            if (!value(v) || !driver::parseInt(v, ecfg.intra_jobs) ||
-                ecfg.intra_jobs < 0)
-                return usageError(
-                    "--intra-jobs requires an integer >= 0");
         } else if (a == "--queue-capacity") {
             if (!value(v) ||
                 !driver::parseInt(v, scfg.queue_capacity) ||

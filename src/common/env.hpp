@@ -29,11 +29,4 @@ namespace capstan::common::env {
  */
 inline constexpr const char *kNoFastForward = "CAPSTAN_NO_FF";
 
-/**
- * CAPSTAN_NO_INTRA=1 disables the intra-run worker pool so the
- * machine takes the exact serial stepping path regardless of
- * `--intra-jobs` (docs/ARCHITECTURE.md, "Threading model").
- */
-inline constexpr const char *kNoIntra = "CAPSTAN_NO_INTRA";
-
 } // namespace capstan::common::env

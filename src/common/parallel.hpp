@@ -1,39 +1,28 @@
 /**
  * @file
- * Deterministic worker pool for intra-run parallelism.
+ * Persistent worker pool behind the sweep engine (`--jobs`).
  *
  * `WorkerPool` owns `workers - 1` persistent host threads; the caller
  * participates as worker 0, so a pool of N uses exactly N cores while
  * a dispatch is in flight. `run(n, fn)` partitions the index range
  * [0, n) into `workers` *contiguous, statically sized* chunks — chunk
  * boundaries depend only on (n, workers, w), never on timing — and
- * blocks until every chunk has been processed.
+ * blocks until every chunk has been processed. `driver::runSweep`
+ * dispatches one slot per sweep worker, and each slot drains a shared
+ * point-claim counter; the engine keeps one pool alive across jobs so
+ * a daemon does not respawn threads per sweep.
  *
  * Determinism contract (docs/ARCHITECTURE.md "Threading model"):
+ * workers may only write per-worker or per-index state, and any
+ * reduction happens after `run` returns, on the calling thread.
  *
- *  - Workers may only write per-worker or per-index state. Reductions
- *    happen *after* `run` returns, by merging per-worker accumulators
- *    in worker-index order on the calling thread. Atomics are used
- *    for synchronization only, never as a reduction device — an
- *    atomic sum would be bit-stable for integers but would still hide
- *    ordering bugs that break the byte-identical-JSON contract.
- *  - `chunk()` is the single source of truth for the partition, so
- *    tests and callers can reason about exactly which worker touched
- *    which index.
- *
- * The dispatch barrier is spin-then-yield-then-wait: workers burn a
- * short spin, yield for a while, then park on a condition variable.
- * On hosts with fewer cores than workers the spin phase is skipped
- * entirely — a spinner would burn the timeslice the working thread
- * needs (this tunes wall-clock only; results are identical).
- * All cross-thread handoff is acquire/release on `epoch_`/`pending_`,
- * which both TSan and the memory model understand; the mutex is only
- * taken on the slow (parked) path and at dispatch to publish the job.
+ * Dispatches are coarse (one per sweep or study), so helpers and the
+ * caller simply wait on condition variables; all job state is guarded
+ * by one mutex.
  */
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -66,7 +55,7 @@ public:
      * Run `fn(begin, end, worker)` over the static partition of
      * [0, n). The calling thread executes chunk 0; helpers execute
      * the rest. Returns once all chunks are done, with every worker
-     * write visible to the caller (acquire/release pairing).
+     * write visible to the caller.
      */
     template <typename Fn>
     void run(int n, Fn &&fn)
@@ -88,15 +77,15 @@ private:
     void workerMain(int w);
 
     int workers_;
-    /** Spin budget before yielding; 0 on oversubscribed hosts. */
-    int spin_iters_ = 0;
     std::vector<std::thread> threads_;
 
+    // Everything below is guarded by m_.
     std::mutex m_;
-    std::condition_variable cv_;
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<int> pending_{0};
-    std::atomic<bool> stop_{false};
+    std::condition_variable job_cv_;  //!< A job was published, or stop.
+    std::condition_variable done_cv_; //!< pending_ reached zero.
+    std::uint64_t epoch_ = 0;
+    int pending_ = 0;
+    bool stop_ = false;
 
     Thunk job_fn_ = nullptr;
     void *job_ctx_ = nullptr;

@@ -13,8 +13,8 @@
  * the shim is portable to any C++20 target).
  *
  * Everything here is purely functional over its inputs: results are
- * independent of thread count and call ordering, which keeps these
- * helpers safe inside WorkerPool chunks (see common/parallel.hpp).
+ * independent of call ordering, so vectorization is invisible to the
+ * stats.
  */
 
 #pragma once

@@ -342,12 +342,6 @@ parseArgs(const std::vector<std::string> &args)
         } else if (a == "--jobs") {
             if (!value(v) || !parseInt(v, o.jobs) || o.jobs < 0)
                 return fail("--jobs requires a non-negative integer");
-        } else if (a == "--intra-jobs") {
-            if (!value(v) || !parseInt(v, o.intra_jobs) ||
-                o.intra_jobs < 0) {
-                return fail(
-                    "--intra-jobs requires a non-negative integer");
-            }
         } else if (a == "--csv") {
             if (!value(v))
                 return fail("--csv requires a path");
@@ -453,9 +447,6 @@ usageText()
         "  --iterations N     PR/BiCGStab iterations (default: 2)\n"
         "\n"
         "Host execution (stats are identical at every setting):\n"
-        "  --intra-jobs N     host threads stepping each simulation\n"
-        "                     (default: 1; 0 = all cores, divided by\n"
-        "                     the sweep pool's --jobs)\n"
         "  --matrix-store S   csr|compressed matrix dataset backing\n"
         "                     (default: csr); compressed keeps the\n"
         "                     delta+varint form in host memory\n"

@@ -77,17 +77,6 @@ struct DriverOptions
      */
     sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
 
-    /**
-     * Worker threads stepping *inside* one simulation (--intra-jobs);
-     * 0 = all cores. Composes with the sweep pool under a shared core
-     * budget: with J sweep jobs the default intra budget is
-     * cores / J (see resolveIntraJobs in runner.hpp). Stats are
-     * byte-identical at every value (docs/ARCHITECTURE.md, "Threading
-     * model"), so this is purely a wall-clock knob — which is why it
-     * is not a sweep axis key.
-     */
-    int intra_jobs = 1;
-
     // Sweep mode (src/driver/sweep.hpp). The single-run fields above
     // become the base point every sweep axis varies around.
     std::string sweep_file;       //!< JSON SweepSpec path (--sweep).

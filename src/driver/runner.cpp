@@ -8,7 +8,6 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 #include "apps/bicgstab.hpp"
@@ -184,18 +183,6 @@ effectiveScale(const std::string &dataset, const RunKnobs &knobs)
     return defaultScale(dataset) * knobs.scale_mult;
 }
 
-int
-resolveIntraJobs(int intra_jobs, int sweep_jobs)
-{
-    if (intra_jobs > 0)
-        return intra_jobs;
-    int cores =
-        static_cast<int>(std::thread::hardware_concurrency());
-    if (cores < 1)
-        cores = 1;
-    return std::max(1, cores / std::max(1, sweep_jobs));
-}
-
 AppTiming
 runApp(const std::string &app, const std::string &dataset,
        const CapstanConfig &cfg, const RunKnobs &knobs)
@@ -203,8 +190,7 @@ runApp(const std::string &app, const std::string &dataset,
     double scale = effectiveScale(dataset, knobs);
     if (app == "Conv") {
         const ConvDataset &d = cachedConv(dataset, scale);
-        return runConv(d.layer, cfg, knobs.tiles, knobs.intra_jobs)
-            .timing;
+        return runConv(d.layer, cfg, knobs.tiles).timing;
     }
     const MatrixDataset &d =
         cachedMatrix(dataset, scale, knobs.dataset_dir,
@@ -225,35 +211,22 @@ runApp(const std::string &app, const std::string &dataset,
             std::to_string(m.cols()));
     }
     if (app == "CSR")
-        return runSpmvCsr(m, denseInput(m.cols()), cfg, knobs.tiles,
-                          knobs.intra_jobs)
-            .timing;
+        return runSpmvCsr(m, denseInput(m.cols()), cfg, knobs.tiles).timing;
     if (app == "COO")
-        return runSpmvCoo(m, denseInput(m.cols()), cfg, knobs.tiles,
-                          knobs.intra_jobs)
-            .timing;
+        return runSpmvCoo(m, denseInput(m.cols()), cfg, knobs.tiles).timing;
     if (app == "CSC") {
         // The paper uses a 30%-dense input vector for CSC SpMV.
         auto v = sparseVector(m.cols(), 0.30, 0xCEC);
-        return runSpmvCsc(m, v, cfg, knobs.tiles, knobs.intra_jobs)
-            .timing;
+        return runSpmvCsc(m, v, cfg, knobs.tiles).timing;
     }
     if (app == "PR-Pull")
-        return runPageRankPull(m, knobs.iterations, cfg, knobs.tiles,
-                               knobs.intra_jobs)
-            .timing;
+        return runPageRankPull(m, knobs.iterations, cfg, knobs.tiles).timing;
     if (app == "PR-Edge")
-        return runPageRankEdge(m, knobs.iterations, cfg, knobs.tiles,
-                               knobs.intra_jobs)
-            .timing;
+        return runPageRankEdge(m, knobs.iterations, cfg, knobs.tiles).timing;
     if (app == "BFS")
-        return runBfs(m, 0, cfg, knobs.tiles, knobs.write_pointers,
-                      knobs.intra_jobs)
-            .timing;
+        return runBfs(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
     if (app == "SSSP")
-        return runSssp(m, 0, cfg, knobs.tiles, knobs.write_pointers,
-                       knobs.intra_jobs)
-            .timing;
+        return runSssp(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
     if (app == "M+M") {
         // Add the dataset to its transpose: same dimensions and
         // density, different (but correlated) occupancy. The
@@ -267,17 +240,13 @@ runApp(const std::string &app, const std::string &dataset,
                 return sparse::MatrixStore::build(knobs.matrix_store,
                                                   m.transpose());
             });
-        return runMatAdd(m, mt, cfg, knobs.tiles, knobs.use_bittree,
-                         knobs.intra_jobs)
-            .timing;
+        return runMatAdd(m, mt, cfg, knobs.tiles, knobs.use_bittree).timing;
     }
     if (app == "SpMSpM")
-        return runSpmspm(m, m, cfg, knobs.tiles, knobs.intra_jobs)
-            .timing;
+        return runSpmspm(m, m, cfg, knobs.tiles).timing;
     if (app == "BiCGStab")
         return runBicgstab(m, denseInput(m.rows()), knobs.iterations,
-                           cfg, knobs.tiles, knobs.intra_jobs)
-            .timing;
+                           cfg, knobs.tiles).timing;
     throw std::invalid_argument("unknown app: " + app);
 }
 
@@ -302,10 +271,6 @@ runDriver(const DriverOptions &opts)
     knobs.iterations = opts.iterations;
     knobs.scale_mult = opts.scale;
     knobs.dataset_dir = opts.dataset_dir;
-    // Entry points resolve the CLI's 0 = all cores before runDriver
-    // (main.cpp, capstan-report); re-resolving here keeps direct API
-    // callers (tests, bench) on the same >= 1 contract.
-    knobs.intra_jobs = resolveIntraJobs(opts.intra_jobs, 1);
     knobs.matrix_store = opts.matrix_store;
     r.scale = effectiveScale(r.dataset, knobs);
     r.timing = runApp(r.app, r.dataset, r.config, knobs);

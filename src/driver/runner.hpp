@@ -44,28 +44,12 @@ struct RunKnobs
      */
     std::string dataset_dir;
     /**
-     * Host threads stepping this one simulation (lang::Machine worker
-     * pool). Must be >= 1 here: the CLI's 0 = all cores is resolved by
-     * resolveIntraJobs before the knobs are built. Results are byte-
-     * identical at every value.
-     */
-    int intra_jobs = 1;
-    /**
      * Backing store for matrix datasets (--matrix-store). Purely a
      * host-memory representation choice: stats are byte-identical
      * under either kind (tests/test_compressed.cpp).
      */
     sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
 };
-
-/**
- * Resolve the --intra-jobs value against the sweep pool's size:
- * explicit values pass through (clamped to >= 1); 0 ("all cores")
- * becomes hardware_concurrency / sweep_jobs (at least 1), so
- * `--jobs J --intra-jobs 0` keeps the total core budget at roughly
- * the machine size instead of J * cores.
- */
-int resolveIntraJobs(int intra_jobs, int sweep_jobs);
 
 /**
  * Default generation scale for a dataset in bench runs (relative to the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -283,22 +284,23 @@ runSweep(const std::vector<DriverOptions> &points,
 
     if (workers == 1) {
         work(); // Keep single-job sweeps debuggable: no threads at all.
-    } else if (exec.pool) {
+    } else {
+        // Without a caller's persistent pool, run on a local one.
+        std::unique_ptr<common::WorkerPool> local;
+        common::WorkerPool *pool = exec.pool;
+        if (!pool) {
+            local = std::make_unique<common::WorkerPool>(
+                static_cast<int>(workers));
+            pool = local.get();
+        }
         // One dispatch slot per worker; each slot drains the shared
         // claim counter. All writes are per-index (claimed[i],
         // results[i]), per the pool's determinism contract.
-        exec.pool->run(static_cast<int>(workers),
-                       [&](int begin, int end, int) {
-                           for (int s = begin; s < end; ++s)
-                               work();
-                       });
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t t = 0; t < workers; ++t)
-            threads.emplace_back(work);
-        for (auto &t : threads)
-            t.join();
+        pool->run(static_cast<int>(workers),
+                  [&](int begin, int end, int) {
+                      for (int s = begin; s < end; ++s)
+                          work();
+                  });
     }
 
     for (std::size_t i = 0; i < points.size(); ++i) {

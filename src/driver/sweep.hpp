@@ -133,11 +133,10 @@ struct SweepExec
     /** Worker threads (resolveJobs contract; 0 = all cores). */
     int jobs = 0;
     /**
-     * Persistent worker pool to dispatch on instead of spawning
-     * threads per call (the engine's pool, shared across jobs so a
-     * daemon does not churn threads). The effective worker count is
-     * clamped to the pool's size; results are byte-identical either
-     * way.
+     * Persistent worker pool to dispatch on instead of a pool local to
+     * the call (the engine's pool, shared across jobs so a daemon does
+     * not churn threads). The effective worker count is clamped to the
+     * pool's size; results are byte-identical either way.
      */
     common::WorkerPool *pool = nullptr;
     /**

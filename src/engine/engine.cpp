@@ -178,7 +178,6 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
     // Host knobs come from the engine's environment, never the wire.
     req.options.dataset_dir = defaults.dataset_dir;
     req.options.matrix_store = defaults.matrix_store;
-    req.options.intra_jobs = defaults.intra_jobs;
 
     auto allow = [&](std::initializer_list<const char *> keys) {
         for (const auto &[key, value] : doc.members()) {
@@ -333,8 +332,6 @@ Engine::studyKnobs(const JobRequest &req) const
         knobs.iterations = *req.iterations;
     knobs.dataset_dir = cfg_.dataset_dir;
     knobs.matrix_store = cfg_.matrix_store;
-    knobs.intra_jobs = driver::resolveIntraJobs(
-        cfg_.intra_jobs, effectiveJobs(req.jobs));
     return knobs;
 }
 
@@ -390,14 +387,8 @@ Engine::executeLocked(const JobRequest &req, const ExecHooks &hooks)
             if (points.empty())
                 throw std::invalid_argument(
                     "sweep expands to zero points");
-            int sweep_jobs = effectiveJobs(req.jobs);
-            // 0 = all cores shares the budget with the sweep pool
-            // (same contract as the CLI front-ends).
-            for (driver::DriverOptions &p : points)
-                p.intra_jobs =
-                    driver::resolveIntraJobs(p.intra_jobs, sweep_jobs);
             driver::SweepExec exec;
-            exec.jobs = sweep_jobs;
+            exec.jobs = effectiveJobs(req.jobs);
             exec.pool = pool_.get();
             exec.cancel = hooks.cancel;
             exec.progress = hooks.progress;

@@ -56,8 +56,6 @@ struct EngineConfig
 {
     /** Sweep worker threads (resolveJobs contract; 0 = all cores). */
     int jobs = 0;
-    /** Threads inside one simulation (resolveIntraJobs contract). */
-    int intra_jobs = 1;
     /** Real-dataset directory; empty keeps datasets synthetic. */
     std::string dataset_dir;
     /** Matrix backing store; byte-identical stats under either. */
@@ -108,7 +106,7 @@ struct JobRequest
      *   {"type": "sweep", "options": {...}, "axes": {"app": [...]},
      *    "jobs": 2}
      *   {"type": "study", "study": "table10", "preset": "quick"}
-     * Host knobs (dataset dir, store, intra threads) come from
+     * Host knobs (dataset dir, matrix store) come from
      * @p defaults — the daemon's environment — never from the wire.
      * Throws std::invalid_argument with a diagnostic on any unknown
      * member, unknown option key, or invalid value.

@@ -29,12 +29,16 @@ shuffleConfigFor(const CapstanConfig &cfg, int tiles)
 
 } // namespace
 
-Machine::Machine(const CapstanConfig &cfg, int tiles, int intra_jobs)
+Machine::Machine(const CapstanConfig &cfg, int tiles)
     : cfg_(cfg),
       dram_(cfg.dram, cfg.clock_ghz),
       shuffle_(shuffleConfigFor(cfg, tiles)),
       scanner_(cfg.scanner),
-      eject_hold_(portCount(tiles))
+      eject_hold_(portCount(tiles)),
+      // Bisecting switch: results must be identical either way. Read
+      // per construction, not cached, so a test can flip it between
+      // in-process runs.
+      dense_stepping_(std::getenv(common::env::kNoFastForward) != nullptr)
 {
     CAPSTAN_CHECK(tiles > 0);
     tiles_.resize(tiles);
@@ -51,16 +55,6 @@ Machine::Machine(const CapstanConfig &cfg, int tiles, int intra_jobs)
         ags_.push_back(
             std::make_unique<sim::AddressGenerator>(dram_, ag_entries));
     }
-    // More workers than tiles would only idle; CAPSTAN_NO_INTRA=1 is
-    // the bisecting switch (checked per construction, not cached, so a
-    // test can flip it between in-process runs). With no pool the
-    // machine takes the exact serial stepping path.
-    int workers = std::min(intra_jobs, tiles);
-    if (workers > 1 && std::getenv(common::env::kNoIntra) == nullptr)
-        pool_ = std::make_unique<common::WorkerPool>(workers);
-    step_ctx_.resize(pool_ ? pool_->workers() : 1);
-    dram_staged_.resize(tiles);
-    completed_scratch_.resize(tiles);
 }
 
 int
@@ -70,8 +64,6 @@ Machine::addStage(int tile, const StageSpec &spec)
     Stage st;
     st.spec = spec;
     any_reduce_ = any_reduce_ || spec.kind == StageKind::Reduce;
-    tiles_[tile].has_cross =
-        tiles_[tile].has_cross || spec.kind == StageKind::SpmuCross;
     tiles_[tile].stages.push_back(std::move(st));
     return static_cast<int>(tiles_[tile].stages.size()) - 1;
 }
@@ -127,10 +119,9 @@ std::uint64_t
 Machine::makeUid(int tile)
 {
     // Per-tile uid streams: a tile's sequence depends only on its own
-    // firing history, never on how tile steps interleave across
-    // workers, so uids are identical at every intra-jobs count. The
-    // tile tag starts at 1, keeping the whole space disjoint from the
-    // serial next_vec_id_ counter used for shuffle-ejected vectors.
+    // firing history. The tile tag starts at 1, keeping the whole space
+    // disjoint from the next_vec_id_ counter used for shuffle-ejected
+    // vectors.
     return (static_cast<std::uint64_t>(tile + 1) << 40) |
            tiles_[static_cast<std::size_t>(tile)].next_uid_seq++;
 }
@@ -145,19 +136,18 @@ Machine::stageHasRoom(int t, int s) const
 }
 
 void
-Machine::advance(int t, int s, Token token, Cycle extra_latency,
-                 StepCtx &ctx)
+Machine::advance(int t, int s, Token token, Cycle extra_latency)
 {
     Tile &tile = tiles_[t];
     tile.last_active = now_;
-    ctx.progress = true;
+    cycle_progress_ = true;
     token.ready_at = now_ + extra_latency + cfg_.network_hop_latency;
     if (s + 1 < static_cast<int>(tile.stages.size()))
         tile.stages[s + 1].in.push_back(token);
 }
 
 void
-Machine::deliverPending(std::uint64_t uid, StepCtx &ctx)
+Machine::deliverPending(std::uint64_t uid)
 {
     auto it = pending_.find(uid);
     if (it == pending_.end())
@@ -167,12 +157,12 @@ Machine::deliverPending(std::uint64_t uid, StepCtx &ctx)
     Pending p = std::move(it->second);
     pending_.erase(it);
     Cycle extra = p.ready_floor > now_ ? p.ready_floor - now_ : 0;
-    advance(p.tile, p.stage, p.token, extra, ctx);
+    advance(p.tile, p.stage, p.token, extra);
     ++tiles_[p.tile].stages[p.stage].tokens_out;
 }
 
 void
-Machine::fireDramStage(int t, int s, const Token &tok, StepCtx &ctx)
+Machine::fireDramStage(int t, int s, const Token &tok)
 {
     Stage &st = tiles_[t].stages[s];
     if (st.spec.kind == StageKind::DramStream) {
@@ -183,14 +173,10 @@ Machine::fireDramStage(int t, int s, const Token &tok, StepCtx &ctx)
                 bytes = std::max<std::uint64_t>(
                     1, static_cast<std::uint64_t>(
                            bytes / stream_compression_));
-            // capstan-audit: allow(thread-escape) -- fireDramStage is
-            // never reached from the parallel walk: deferred tiles
-            // stage into dram_staged_[t] and break first, and
-            // commitStagedDram replays the call in serial tile order.
             Cycle done = dram_.streamAccess(bytes, now_);
             extra += done - now_;
         }
-        advance(t, s, tok, extra, ctx);
+        advance(t, s, tok, extra);
         ++st.tokens_out;
         return;
     }
@@ -203,50 +189,8 @@ Machine::fireDramStage(int t, int s, const Token &tok, StepCtx &ctx)
                             4);
     }
     Cycle done = addrs.empty() ? now_ : ags_[t]->atomicVector(addrs, now_);
-    advance(t, s, tok, done - now_, ctx);
+    advance(t, s, tok, done - now_);
     ++st.tokens_out;
-}
-
-void
-Machine::commitStagedDram(int t, StepCtx &ctx)
-{
-    // Entries were staged in the tile's sink->source walk order, which
-    // is exactly the order the serial walk would have issued them.
-    for (const DramStaged &e : dram_staged_[t])
-        fireDramStage(t, e.stage, e.token, ctx);
-    dram_staged_[t].clear();
-}
-
-void
-Machine::commitStagedPending()
-{
-    // Worker index order; pending_ is keyed by uid, so insertion order
-    // is immaterial to behavior — the fixed order is for hygiene.
-    for (StepCtx &ctx : step_ctx_) {
-        for (auto &[uid, p] : ctx.staged_pending)
-            pending_.emplace(uid, std::move(p));
-        ctx.staged_pending.clear();
-    }
-}
-
-void
-Machine::mergeStepCtxs()
-{
-    // Merge per-worker deltas in worker index order. Every quantity is
-    // an integer-valued count, so the double sums are exact and the
-    // result is independent of how tiles were partitioned.
-    for (StepCtx &ctx : step_ctx_) {
-        totals_.active_lane_cycles += ctx.delta.active_lane_cycles;
-        totals_.vector_idle_lane_cycles +=
-            ctx.delta.vector_idle_lane_cycles;
-        totals_.scan_empty_cycles += ctx.delta.scan_empty_cycles;
-        totals_.imbalance_lane_cycles += ctx.delta.imbalance_lane_cycles;
-        totals_.tokens += ctx.delta.tokens;
-        totals_.cycles += ctx.delta.cycles;
-        cycle_progress_ = cycle_progress_ || ctx.progress;
-        ctx.delta = RunTotals{};
-        ctx.progress = false;
-    }
 }
 
 int
@@ -267,14 +211,11 @@ Machine::laneCountStage(int t)
 }
 
 void
-Machine::stepTile(int t, StepCtx &ctx, bool deferred)
+Machine::stepTile(int t)
 {
     Tile &tile = tiles_[t];
     int n = static_cast<int>(tile.stages.size());
     // Walk sink -> source so a token advances at most one stage/cycle.
-    // In deferred mode (parallel walk) the only shared state touched
-    // is the per-worker ctx: DRAM firings and pending_ insertions are
-    // staged for the serial commit pass.
     for (int s = n - 1; s >= 0; --s) {
         Stage &st = tile.stages[s];
         switch (st.spec.kind) {
@@ -284,15 +225,15 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             Token tok = st.in.front();
             st.in.pop_front();
             tile.last_active = now_;
-            ctx.progress = true;
+            cycle_progress_ = true;
             ++st.tokens_out;
-            ++ctx.delta.tokens;
+            ++totals_.tokens;
             // Lane-occupancy stats are taken at the loop body (the
             // first Map stage); chains without one count here.
             if (s == laneCountStage(t)) {
                 int lanes = tok.validLanes();
-                ctx.delta.active_lane_cycles += lanes;
-                ctx.delta.vector_idle_lane_cycles +=
+                totals_.active_lane_cycles += lanes;
+                totals_.vector_idle_lane_cycles +=
                     cfg_.spmu.lanes - lanes;
             }
             break;
@@ -306,11 +247,11 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             st.in.pop_front();
             if (s == laneCountStage(t)) {
                 int lanes = tok.validLanes();
-                ctx.delta.active_lane_cycles += lanes;
-                ctx.delta.vector_idle_lane_cycles +=
+                totals_.active_lane_cycles += lanes;
+                totals_.vector_idle_lane_cycles +=
                     cfg_.spmu.lanes - lanes;
             }
-            advance(t, s, tok, st.spec.latency, ctx);
+            advance(t, s, tok, st.spec.latency);
             ++st.tokens_out;
             break;
           }
@@ -320,13 +261,13 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
                 // Traversing all-zero windows: one scanner cycle each,
                 // charged to the Scan stall class.
                 --st.scan_skip_remaining;
-                ctx.delta.scan_empty_cycles += 1;
+                totals_.scan_empty_cycles += 1;
                 tile.last_active = now_;
                 // Finishing the burn is an event: next cycle this stage
                 // can consume again (or unblock a reduction flush), so
                 // the fast-forward engine must not jump over it.
                 if (st.scan_skip_remaining == 0 && st.scan_occupied == 0)
-                    ctx.progress = true;
+                    cycle_progress_ = true;
                 break;
             }
             if (st.scan_occupied > 0) {
@@ -335,7 +276,7 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
                 --st.scan_occupied;
                 tile.last_active = now_;
                 if (st.scan_occupied == 0)
-                    ctx.progress = true;
+                    cycle_progress_ = true;
                 break;
             }
             if (st.in.empty() || st.in.front().ready_at > now_ ||
@@ -344,7 +285,7 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             }
             Token tok = st.in.front();
             st.in.pop_front();
-            ctx.progress = true;
+            cycle_progress_ = true;
             // Empty windows preceding this token cost a cycle each.
             if (tok.scan_skip > 0)
                 st.scan_skip_remaining += tok.scan_skip;
@@ -366,7 +307,7 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
                 st.scan_occupied += static_cast<std::int64_t>(
                     occupancy - 1);
             if (tok.validLanes() > 0) {
-                advance(t, s, tok, st.spec.latency, ctx);
+                advance(t, s, tok, st.spec.latency);
                 ++st.tokens_out;
             } else {
                 tile.last_active = now_;
@@ -388,23 +329,13 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             }
             if (!spmus_[t]->tryEnqueue(av))
                 break;
-            if (deferred)
-                ctx.staged_pending.emplace_back(av.id,
-                                                Pending{t, s, tok, 1, 0});
-            else
-                pending_[av.id] = Pending{t, s, tok, 1};
+            pending_[av.id] = Pending{t, s, tok, 1};
             st.in.pop_front();
             tile.last_active = now_;
-            ctx.progress = true;
+            cycle_progress_ = true;
             break;
           }
           case StageKind::SpmuCross: {
-            // Cross-tile chains touch the shuffle network, the AG/DRAM
-            // path, and cross_lanes_ — all shared — so they only ever
-            // step on the serial path (tile.has_cross routes them
-            // there).
-            CAPSTAN_DCHECK(!deferred,
-                           "SpmuCross stepped inside the parallel walk");
             if (st.in.empty() || st.in.front().ready_at > now_)
                 break;
             const Token &tok = st.in.front();
@@ -447,7 +378,7 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
                 pending_[av.id] = Pending{t, s, tok, parts, 0};
                 st.in.pop_front();
                 tile.last_active = now_;
-                ctx.progress = true;
+                cycle_progress_ = true;
                 break;
             }
             if (cfg_.shuffle.mode == sim::MergeMode::None) {
@@ -496,11 +427,11 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
                     pending_[av.id] = p;
                     st.in.pop_front();
                     tile.last_active = now_;
-                    ctx.progress = true;
+                    cycle_progress_ = true;
                 } else {
                     Token moved = tok;
                     st.in.pop_front();
-                    advance(t, s, moved, done - now_, ctx);
+                    advance(t, s, moved, done - now_);
                     ++st.tokens_out;
                 }
                 break;
@@ -525,19 +456,15 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             if (valid == 0) {
                 Token moved = tok;
                 st.in.pop_front();
-                advance(t, s, moved, 0, ctx);
+                advance(t, s, moved, 0);
                 break;
             }
-            // capstan-audit: allow(thread-escape) -- SpmuCross stages
-            // never step inside the parallel walk: has_cross tiles are
-            // skipped by the worker lambda and replayed serially, and
-            // the DCHECK above this case enforces !deferred.
             if (!shuffle_.tryInject(t, sv))
                 break;
             pending_[uid] = Pending{t, s, tok, valid};
             st.in.pop_front();
             tile.last_active = now_;
-            ctx.progress = true;
+            cycle_progress_ = true;
             break;
           }
           case StageKind::DramStream:
@@ -548,17 +475,7 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             }
             Token tok = st.in.front();
             st.in.pop_front();
-            if (deferred) {
-                // The fire/no-fire decision above is tile-local; the
-                // shared DRAM/AG call is replayed by commitStagedDram
-                // in global tile order, exactly where the serial walk
-                // would have made it. Deferring the advance() is safe:
-                // the sink->source walk has already visited stages
-                // > s, and only they receive this stage's output.
-                dram_staged_[t].push_back(DramStaged{s, tok});
-                break;
-            }
-            fireDramStage(t, s, tok, ctx);
+            fireDramStage(t, s, tok);
             break;
           }
           case StageKind::Reduce: {
@@ -569,13 +486,13 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
             Token tok = st.in.front();
             st.in.pop_front();
             tile.last_active = now_;
-            ctx.progress = true;
+            cycle_progress_ = true;
             if (tok.end_group)
                 ++st.reduce_groups;
             if (st.reduce_groups >= cfg_.spmu.lanes) {
                 Token out = Token::compute(st.reduce_groups);
                 st.reduce_groups = 0;
-                advance(t, s, out, st.spec.latency, ctx);
+                advance(t, s, out, st.spec.latency);
                 ++st.tokens_out;
             }
             break;
@@ -587,11 +504,6 @@ Machine::stepTile(int t, StepCtx &ctx, bool deferred)
 PhaseStats
 Machine::runPhase(Cycle max_cycles)
 {
-    // Debugging escape hatch: CAPSTAN_NO_FF=1 forces dense one-cycle
-    // stepping. Results must be identical either way (the golden tests
-    // pin this); the env var exists to bisect any future divergence.
-    static const bool kDenseStepping =
-        std::getenv(common::env::kNoFastForward) != nullptr;
     Cycle start = now_;
     auto workRemains = [&]() -> bool {
         if (!pending_.empty() || !shuffle_.empty())
@@ -631,37 +543,11 @@ Machine::runPhase(Cycle max_cycles)
         // delivers nothing (scanner burns and latency waits only) lets
         // the machine fast-forward to the next event horizon below.
         cycle_progress_ = false;
-        if (pool_) {
-            // Parallel tile walk. Workers step only their own tiles
-            // (cross-tile chains are skipped — they run serially
-            // below) and write nothing shared but their StepCtx;
-            // stall_base_[t] depends only on spmus_[t], so capturing
-            // it just before the owning worker steps the tile matches
-            // the serial capture loop exactly.
-            pool_->run(tiles(), [this](int begin, int end, int w) {
-                StepCtx &ctx = step_ctx_[w];
-                for (int t = begin; t < end; ++t) {
-                    stall_base_[t] = spmus_[t]->stats().enqueue_stalls;
-                    if (!tiles_[t].has_cross)
-                        stepTile(t, ctx, /*deferred=*/true);
-                }
-            });
-            commitStagedPending();
-            // Serial commit pass in global tile order: cross-tile
-            // chains take their full serial step at their position;
-            // everyone else replays staged DRAM firings. This
-            // reproduces the serial walk's shared-state call order.
-            for (int t = 0; t < tiles(); ++t) {
-                if (tiles_[t].has_cross)
-                    stepTile(t, step_ctx_[0], /*deferred=*/false);
-                else
-                    commitStagedDram(t, step_ctx_[0]);
-            }
-        } else {
-            for (int t = 0; t < tiles(); ++t)
-                stall_base_[t] = spmus_[t]->stats().enqueue_stalls;
-            for (int t = 0; t < tiles(); ++t)
-                stepTile(t, step_ctx_[0], /*deferred=*/false);
+        // stall_base_[t] depends only on spmus_[t], which only tile t's
+        // own step touches, so it is captured just before that step.
+        for (int t = 0; t < tiles(); ++t) {
+            stall_base_[t] = spmus_[t]->stats().enqueue_stalls;
+            stepTile(t);
         }
 
         // Shuffle network: move vectors a stage, then hand ejected
@@ -699,60 +585,23 @@ Machine::runPhase(Cycle max_cycles)
             }
         }
 
-        // SpMUs: advance and resolve completions. Stepping and
-        // draining a SpMU is tile-local, so it parallelizes; the
-        // deliveries mutate pending_ and origin-tile stages, so they
-        // merge serially in tile order (the drain order the serial
-        // loop produces — delivery never feeds back into a SpMU
-        // within the same cycle).
-        if (pool_) {
-            pool_->run(tiles(), [this](int begin, int end, int w) {
-                StepCtx &ctx = step_ctx_[w];
-                for (int t = begin; t < end; ++t) {
-                    sim::SparseMemoryUnit &spmu = *spmus_[t];
-                    std::uint64_t grants_before = spmu.stats().grants;
-                    if (!spmu.empty())
-                        spmu.step();
-                    if (spmu.stats().grants != grants_before)
-                        ctx.progress = true;
-                    while (auto cv = spmu.tryDequeue()) {
-                        ctx.progress = true;
-                        completed_scratch_[t].push_back(std::move(*cv));
-                    }
-                }
-            });
-            for (int t = 0; t < tiles(); ++t) {
-                for (const sim::CompletedVector &cv :
-                     completed_scratch_[t]) {
-                    auto cl = cross_lanes_.find(cv.id);
-                    if (cl != cross_lanes_.end()) {
-                        for (std::uint64_t uid : cl->second)
-                            deliverPending(uid, step_ctx_[0]);
-                        cross_lanes_.erase(cl);
-                    } else {
-                        deliverPending(cv.id, step_ctx_[0]);
-                    }
-                }
-                completed_scratch_[t].clear();
-            }
-        } else {
-            for (int t = 0; t < tiles(); ++t) {
-                sim::SparseMemoryUnit &spmu = *spmus_[t];
-                std::uint64_t grants_before = spmu.stats().grants;
-                if (!spmu.empty())
-                    spmu.step();
-                if (spmu.stats().grants != grants_before)
-                    cycle_progress_ = true;
-                while (auto cv = spmu.tryDequeue()) {
-                    cycle_progress_ = true;
-                    auto cl = cross_lanes_.find(cv->id);
-                    if (cl != cross_lanes_.end()) {
-                        for (std::uint64_t uid : cl->second)
-                            deliverPending(uid, step_ctx_[0]);
-                        cross_lanes_.erase(cl);
-                    } else {
-                        deliverPending(cv->id, step_ctx_[0]);
-                    }
+        // SpMUs: advance and resolve completions.
+        for (int t = 0; t < tiles(); ++t) {
+            sim::SparseMemoryUnit &spmu = *spmus_[t];
+            std::uint64_t grants_before = spmu.stats().grants;
+            if (!spmu.empty())
+                spmu.step();
+            if (spmu.stats().grants != grants_before)
+                cycle_progress_ = true;
+            while (auto cv = spmu.tryDequeue()) {
+                cycle_progress_ = true;
+                auto cl = cross_lanes_.find(cv->id);
+                if (cl != cross_lanes_.end()) {
+                    for (std::uint64_t uid : cl->second)
+                        deliverPending(uid);
+                    cross_lanes_.erase(cl);
+                } else {
+                    deliverPending(cv->id);
                 }
             }
         }
@@ -786,19 +635,16 @@ Machine::runPhase(Cycle max_cycles)
                 if (upstream_empty && stageHasRoom(t, s)) {
                     Token out = Token::compute(st.reduce_groups);
                     st.reduce_groups = 0;
-                    advance(t, s, out, st.spec.latency, step_ctx_[0]);
+                    advance(t, s, out, st.spec.latency);
                     ++st.tokens_out;
                 }
             }
         }
 
-        // Fold per-worker deltas into totals_ and cycle_progress_
-        // before the fast-forward decision reads them.
-        mergeStepCtxs();
-
         ++now_;
+        ++stepped_cycles_;
 
-        if (!cycle_progress_ && !kDenseStepping) {
+        if (!cycle_progress_ && !dense_stepping_) {
             // Nothing observable happened: every cycle from here to the
             // horizon would be identical. Jump straight to it (capped so
             // the watchdog still fires at the same simulated cycle).
@@ -943,7 +789,6 @@ Machine::resetChains()
         tile.stages.clear();
         tile.next_uid_seq = 0;
         tile.lane_count_stage = -1;
-        tile.has_cross = false;
     }
     any_reduce_ = false;
 }

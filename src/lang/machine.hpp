@@ -18,15 +18,8 @@
  * loop would have (see docs/ARCHITECTURE.md, "Stepping engine"). Results
  * and statistics are bit-identical to one-cycle-at-a-time stepping.
  *
- * With intra_jobs > 1 the per-cycle tile walk and the SpMU stepping are
- * partitioned across a WorkerPool (docs/ARCHITECTURE.md, "Threading
- * model"). Workers touch only tile-local state plus per-worker StepCtx
- * accumulators; everything shared — DRAM, the shuffle network, the
- * pending map, stall/stat reductions — is committed serially in fixed
- * tile/worker index order, so results and statistics stay byte-
- * identical at every thread count. CAPSTAN_NO_INTRA=1 disables the
- * pool (mirroring CAPSTAN_NO_FF=1 for the fast-forward engine); it is
- * read at construction, not cached, so tests can bisect in-process.
+ * CAPSTAN_NO_FF=1 forces dense one-cycle stepping; it is read at
+ * construction, not cached, so tests can bisect in-process.
  *
  * This mirrors the paper's methodology: a custom cycle-level simulator at
  * vector granularity with a loosely-timed network (Section 4).
@@ -38,10 +31,8 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "lang/ring.hpp"
 #include "lang/token.hpp"
 #include "sim/config.hpp"
@@ -113,18 +104,10 @@ struct RunTotals
 class Machine
 {
   public:
-    /**
-     * @param intra_jobs Worker threads stepping this one simulation
-     *        (clamped to the tile count; <= 1, or CAPSTAN_NO_INTRA=1
-     *        in the environment, runs the exact serial path).
-     */
-    Machine(const CapstanConfig &cfg, int tiles, int intra_jobs = 1);
+    Machine(const CapstanConfig &cfg, int tiles);
 
     int tiles() const { return static_cast<int>(tiles_.size()); }
     const CapstanConfig &config() const { return cfg_; }
-
-    /** Host threads stepping this machine (1 when serial). */
-    int intraWorkers() const { return pool_ ? pool_->workers() : 1; }
 
     /** Append a stage to @p tile's chain; returns the stage index. */
     int addStage(int tile, const StageSpec &spec);
@@ -160,6 +143,14 @@ class Machine
 
     const RunTotals &totals() const { return totals_; }
 
+    /**
+     * Cycles runPhase() stepped one at a time; the remaining phase
+     * cycles were fast-forwarded. It differs under CAPSTAN_NO_FF=1
+     * (where it equals the phase cycles), so it is a host-side counter
+     * and never part of the stats.
+     */
+    std::uint64_t steppedCycles() const { return stepped_cycles_; }
+
     sim::DramModel &dram() { return dram_; }
     sim::SparseMemoryUnit &spmu(int tile) { return *spmus_[tile]; }
     sim::ShuffleNetwork &shuffle() { return shuffle_; }
@@ -188,12 +179,6 @@ class Machine
         std::uint64_t next_uid_seq = 0;
         /** Stage where lane occupancy is counted (first Map or sink). */
         int lane_count_stage = -1;
-        /**
-         * Chain contains a SpmuCross stage: the tile touches the
-         * shuffle network and cross-tile maps, so it steps serially
-         * in tile order instead of inside the parallel walk.
-         */
-        bool has_cross = false;
     };
 
     /** Resolve (and cache) the lane-accounting stage for tile @p t. */
@@ -210,44 +195,11 @@ class Machine
         Cycle ready_floor = 0;
     };
 
-    /**
-     * Per-worker accumulator: the only machine state a WorkerPool
-     * chunk may write besides its own tiles. Deltas are merged into
-     * totals_/cycle_progress_ in worker index order once per cycle;
-     * every accumulated quantity is an integer-valued count, so the
-     * merged sums are exact and independent of the partition.
-     * Cache-line aligned so adjacent workers do not false-share.
-     */
-    struct alignas(64) StepCtx
-    {
-        RunTotals delta;
-        bool progress = false;
-        /** pending_ insertions staged during the parallel walk. */
-        std::vector<std::pair<std::uint64_t, Pending>> staged_pending;
-    };
-
-    /**
-     * A DramStream/DramAtomic firing decided during the parallel walk
-     * (head token ripe, downstream room — both tile-local facts). The
-     * shared DRAM model call is replayed serially in tile order by
-     * commitStagedDram, reproducing the serial walk's global DRAM
-     * call order exactly.
-     */
-    struct DramStaged
-    {
-        int stage = 0;
-        Token token;
-    };
-
-    void stepTile(int t, StepCtx &ctx, bool deferred);
-    void fireDramStage(int t, int s, const Token &tok, StepCtx &ctx);
+    void stepTile(int t);
+    void fireDramStage(int t, int s, const Token &tok);
     bool stageHasRoom(int t, int s) const;
-    void advance(int t, int s, Token token, Cycle extra_latency,
-                 StepCtx &ctx);
-    void deliverPending(std::uint64_t uid, StepCtx &ctx);
-    void commitStagedDram(int t, StepCtx &ctx);
-    void commitStagedPending();
-    void mergeStepCtxs();
+    void advance(int t, int s, Token token, Cycle extra_latency);
+    void deliverPending(std::uint64_t uid);
     std::uint64_t makeUid(int tile);
 
     /**
@@ -287,22 +239,17 @@ class Machine
     std::vector<RingQueue<sim::ShuffleVector>> eject_hold_;
     /** Per-tile SpMU enqueue-stall count at the start of the cycle. */
     std::vector<std::uint64_t> stall_base_;
-    /** Worker pool for intra-run parallel stepping (null = serial). */
-    std::unique_ptr<common::WorkerPool> pool_;
-    /** Per-worker accumulators (size 1 when serial). */
-    std::vector<StepCtx> step_ctx_;
-    /** Per-tile DRAM firings staged by the parallel walk. */
-    std::vector<std::vector<DramStaged>> dram_staged_;
-    /** Per-tile SpMU completions drained by the parallel SpMU phase. */
-    std::vector<std::vector<sim::CompletedVector>> completed_scratch_;
     /** Any chain has a Reduce stage (gates the per-cycle flush scan). */
     bool any_reduce_ = false;
     /** Whether the current cycle did observable work (gates jumps). */
     bool cycle_progress_ = false;
+    /** CAPSTAN_NO_FF=1 at construction: never fast-forward. */
+    bool dense_stepping_ = false;
     Cycle now_ = 0;
     std::uint64_t next_vec_id_ = 1;
     double stream_compression_ = 1.0;
     RunTotals totals_;
+    std::uint64_t stepped_cycles_ = 0;
 };
 
 } // namespace capstan::lang

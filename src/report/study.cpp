@@ -52,7 +52,6 @@ StudyContext::base(const std::string &app,
     base.scale = knobs.scale_mult;
     base.tiles = knobs.tiles;
     base.iterations = knobs.iterations;
-    base.intra_jobs = knobs.intra_jobs;
     return base;
 }
 

@@ -4,9 +4,9 @@
  * codec (sparse/compressed.hpp), the MatrixStore/MatrixView seam, and
  * the differential contract that --matrix-store only changes host
  * memory layout. A 12-point app x config matrix runs through the real
- * driver dispatch under both backings — including --intra-jobs 2 and
- * the CAPSTAN_NO_FF / CAPSTAN_NO_INTRA kill switches — and every JSON
- * stats document must match byte for byte.
+ * driver dispatch under both backings — including under the
+ * CAPSTAN_NO_FF kill switch — and every JSON stats document must match
+ * byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -261,10 +261,9 @@ struct MatrixPoint
 };
 
 /**
- * 6 apps x 2 design points = 12 points, the same coverage set the
- * intra-parallel harness uses: every iteration structure that reads
- * the dataset matrix goes through MatrixView, so every one must be
- * bit-invariant to the backing.
+ * 6 apps x 2 design points = 12 points: every iteration structure
+ * that reads the dataset matrix goes through MatrixView, so every one
+ * must be bit-invariant to the backing.
  */
 const MatrixPoint kMatrix[] = {
     {"spmv", ConfigPoint::Capstan},
@@ -282,7 +281,7 @@ const MatrixPoint kMatrix[] = {
 };
 
 std::string
-runPoint(const MatrixPoint &p, StoreKind store, int intra_jobs = 1)
+runPoint(const MatrixPoint &p, StoreKind store)
 {
     DriverOptions opts;
     opts.app = p.app;
@@ -290,7 +289,6 @@ runPoint(const MatrixPoint &p, StoreKind store, int intra_jobs = 1)
     opts.scale = 0.02; // The report's quick-preset scale.
     opts.tiles = 4;
     opts.iterations = 1;
-    opts.intra_jobs = intra_jobs;
     opts.matrix_store = store;
     return statsToJson(runDriver(opts)).dump(2);
 }
@@ -306,29 +304,17 @@ TEST(StoreDifferential, TwelvePointMatrixIsByteIdenticalAcrossStores)
     }
 }
 
-TEST(StoreDifferential, HoldsUnderIntraParallelismAndKillSwitches)
+TEST(StoreDifferential, HoldsUnderTheFastForwardKillSwitch)
 {
-    // The backing must stay invisible when the other host-side knobs
-    // move too: worker-parallel stepping and the bisect switches that
-    // disable fast-forward and intra-run parallelism.
+    // The backing must stay invisible when dense stepping replaces the
+    // fast-forward engine too.
     for (const MatrixPoint &p : {kMatrix[0], kMatrix[6], kMatrix[10]}) {
-        std::string plain = runPoint(p, StoreKind::Csr, 2);
-        EXPECT_EQ(plain, runPoint(p, StoreKind::Compressed, 2))
-            << p.app << " diverged at --intra-jobs 2";
-
         ::setenv("CAPSTAN_NO_FF", "1", 1);
         std::string plain_noff = runPoint(p, StoreKind::Csr);
         std::string packed_noff = runPoint(p, StoreKind::Compressed);
         ::unsetenv("CAPSTAN_NO_FF");
         EXPECT_EQ(plain_noff, packed_noff)
             << p.app << " diverged under CAPSTAN_NO_FF=1";
-
-        ::setenv("CAPSTAN_NO_INTRA", "1", 1);
-        std::string plain_killed = runPoint(p, StoreKind::Csr, 8);
-        std::string packed_killed = runPoint(p, StoreKind::Compressed, 8);
-        ::unsetenv("CAPSTAN_NO_INTRA");
-        EXPECT_EQ(plain_killed, packed_killed)
-            << p.app << " diverged under CAPSTAN_NO_INTRA=1";
     }
 }
 

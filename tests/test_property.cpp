@@ -5,7 +5,7 @@
  * under random operation streams), the SpMU's event-horizon
  * contract (random traffic stepped densely vs. fast-forwarded with
  * random skip lengths must agree exactly — the property the cycle
- * fast-forward engine and the intra-run parallel walk both rely on),
+ * fast-forward engine relies on),
  * and the compressed sparse codec (random round trips plus
  * truncation/bit-flip fuzz of the encoded buffers and the v2 .cbin
  * cache, which must reject corruption with a clean error, never crash

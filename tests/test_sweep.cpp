@@ -4,17 +4,20 @@
  * construction from JSON and CLI axes, cartesian expansion (count,
  * ordering, deduplication, rejection of unknown axes/values), the
  * thread-pool runner (deterministic report ordering, per-point error
- * capture, single-run equivalence), and the generate-once dataset
- * cache under concurrency (exercised by the TSan CI job).
+ * capture, single-run equivalence), the WorkerPool it runs on, and the
+ * generate-once dataset cache under concurrency (exercised by the TSan
+ * CI job).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
@@ -300,6 +303,94 @@ TEST(SweepRun, CsvHasHeaderAndOneRowPerPoint)
     EXPECT_EQ(csv.rfind("app,dataset,scale", 0), 0u);
     EXPECT_NE(csv.find("CSR,"), std::string::npos);
     EXPECT_NE(csv.find("SpMSpM,"), std::string::npos);
+}
+
+TEST(SweepRun, CallerPoolMatchesALocalPool)
+{
+    // A persistent pool passed in (the engine's) and the pool runSweep
+    // builds for itself must produce the same report.
+    SweepSpec spec;
+    spec.base = tinyBase();
+    spec.set("app", {"spmv", "bfs", "spmspm"});
+    spec.set("tiles", {"2", "4"});
+    std::vector<DriverOptions> points = expandSweep(spec);
+    common::WorkerPool pool(3);
+    SweepExec exec;
+    exec.jobs = 3;
+    exec.pool = &pool;
+    EXPECT_EQ(sweepReportToJson(spec, runSweep(points, exec)).dump(2),
+              sweepReportToJson(spec, runSweep(points, 3)).dump(2));
+}
+
+// ---------------------------------------------------------------------------
+// WorkerPool: the static partition and reuse the sweep executor uses.
+// ---------------------------------------------------------------------------
+
+TEST(WorkerPool, ChunkPartitionsExactlyAndInOrder)
+{
+    // chunk() is the single source of truth for which worker owns
+    // which indices: static, contiguous, and balanced.
+    for (int n : {1, 2, 3, 7, 16, 31, 64}) {
+        for (int workers : {1, 2, 3, 4, 8}) {
+            int covered = 0;
+            int prev_end = 0;
+            for (int w = 0; w < workers; ++w) {
+                auto [begin, end] = common::WorkerPool::chunk(
+                    n, workers, w);
+                EXPECT_EQ(begin, prev_end)
+                    << "gap/overlap at n=" << n << " w=" << w;
+                EXPECT_LE(begin, end);
+                // Balanced: chunk sizes differ by at most one.
+                EXPECT_LE(end - begin, n / workers + (n % workers ? 1 : 0));
+                covered += end - begin;
+                prev_end = end;
+            }
+            EXPECT_EQ(covered, n);
+            EXPECT_EQ(prev_end, n);
+        }
+    }
+}
+
+TEST(WorkerPool, RunVisitsEveryIndexExactlyOnce)
+{
+    common::WorkerPool pool(4);
+    EXPECT_EQ(pool.workers(), 4);
+    std::vector<int> hits(97, 0);
+    std::vector<int> owner(97, -1);
+    pool.run(97, [&](int begin, int end, int w) {
+        for (int i = begin; i < end; ++i) {
+            ++hits[static_cast<std::size_t>(i)];
+            owner[static_cast<std::size_t>(i)] = w;
+        }
+    });
+    for (int i = 0; i < 97; ++i) {
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << "index " << i;
+        auto [begin, end] = common::WorkerPool::chunk(97, 4,
+            owner[static_cast<std::size_t>(i)]);
+        EXPECT_TRUE(begin <= i && i < end)
+            << "index " << i << " ran outside its owner's chunk";
+    }
+}
+
+TEST(WorkerPool, ReusableAcrossManyDispatches)
+{
+    // The engine keeps one pool alive across every job a daemon
+    // serves, so the pool must survive many dispatches.
+    common::WorkerPool pool(3);
+    long total = 0;
+    for (int round = 0; round < 2000; ++round) {
+        std::array<long, 3> partial{};
+        pool.run(11, [&](int begin, int end, int w) {
+            long s = 0;
+            for (int i = begin; i < end; ++i)
+                s += i;
+            partial[static_cast<std::size_t>(w)] = s;
+        });
+        // Reduce after run() returns, in worker index order.
+        for (long p : partial)
+            total += p;
+    }
+    EXPECT_EQ(total, 2000L * (11 * 10 / 2));
 }
 
 // ---------------------------------------------------------------------------

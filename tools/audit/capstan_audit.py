@@ -35,10 +35,10 @@ env-registry     Every getenv() in src/ must name its variable through
                  literals at call sites), every registry constant must
                  be read somewhere, and every variable documented in
                  README.md or docs/.
-thread-escape    The cross-function deepening of capstan-lint's
-                 worker-shared-state: inside a lambda dispatched on a
-                 common::WorkerPool, (a) writes to reference-captured
-                 locals, (b) unsubscripted writes to underscore members
+thread-escape    Inside a lambda dispatched on a common::WorkerPool
+                 (the sweep executor's worker slots), (a) writes to
+                 reference-captured locals, (b) unsubscripted writes to
+                 underscore members
                  — including through member functions the lambda calls,
                  transitively — and (c) non-const method calls on
                  unsubscripted member objects (constness resolved from

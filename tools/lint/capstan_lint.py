@@ -39,16 +39,6 @@ schema-sync      Every JSON stat key emitted by the driver/report
                  registered in src/report/study.cpp. With
                  --report-json, additionally: every tolerance-checked
                  reference metric was actually produced by a study.
-worker-shared-state
-                 A lambda dispatched on a common::WorkerPool writing a
-                 member (`name_ = / += / ++`) without a `[index]`
-                 subscript. Worker lambdas may only write per-worker /
-                 per-tile slots (step_ctx_[w], stall_base_[t], ...);
-                 a direct member write is a data race that TSan may
-                 miss on lightly-contended runs and that silently
-                 breaks the byte-identical-stats contract. Route the
-                 value through the worker's StepCtx accumulator and
-                 merge it in index order instead.
 raw-csr          A raw CSR row accessor (.rowIndices/.rowValues/
                  .rowPtr/.rowLength/.colIdx) outside src/sparse/.
                  Matrix consumers must read through the
@@ -89,7 +79,6 @@ LINT_CLASSES = (
     "pragma-once",
     "using-namespace",
     "schema-sync",
-    "worker-shared-state",
     "raw-csr",
     "bad-suppression",
 )
@@ -141,17 +130,6 @@ RAW_PARSE_RE = re.compile(
 
 UNORDERED_DECL_RE = re.compile(r"std\s*::\s*unordered_(?:map|set)\s*<")
 
-# A WorkerPool dispatch: `pool_->run(`, `pool.run(`, `pool->run(`.
-WORKER_RUN_RE = re.compile(r"\b[A-Za-z_]*pool_?\s*(?:->|\.)\s*run\s*\(")
-# An unsubscripted write to an underscore-suffixed member inside a
-# worker lambda: assignment, compound assignment, or in/decrement.
-# Subscripted slots (`name_[t] = ...`) never match: the identifier is
-# followed by `[`, not an operator.
-WORKER_WRITE_RE = re.compile(
-    r"(?:\bthis\s*->\s*|(?<![\w.>]))([A-Za-z_]\w*_)\s*"
-    r"(?:=(?!=)|[+\-*/%|&^]=|<<=|>>=|\+\+|--)")
-WORKER_PREFIX_WRITE_RE = re.compile(
-    r"(?:\+\+|--)\s*(?:this\s*->\s*)?([A-Za-z_]\w*_)\b(?!\s*\[)")
 ALLOW_RE = re.compile(
     r"capstan-lint:\s*allow\(([a-z-]+)\)\s*(?:--\s*(.*))?")
 SET_KEY_RE = re.compile(r'\.\s*set\(\s*"([^"]+)"')
@@ -264,38 +242,6 @@ def unordered_names(text):
         if dm:
             names.add(dm.group(1))
     return names
-
-
-def worker_lambda_regions(code):
-    """(first_line, body_text) of each lambda inside a WorkerPool
-    run() dispatch. The body is located by brace-matching from the
-    first `{` inside the call's parentheses (the lambda body; capture
-    lists are `[...]` and cannot contain braces)."""
-    regions = []
-    for m in WORKER_RUN_RE.finditer(code):
-        i, n = m.end(), len(code)
-        depth = 1  # Inside run('s parentheses.
-        while i < n and depth > 0:
-            c = code[i]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            elif c == "{":
-                j, braces = i, 0
-                while j < n:
-                    if code[j] == "{":
-                        braces += 1
-                    elif code[j] == "}":
-                        braces -= 1
-                        if braces == 0:
-                            break
-                    j += 1
-                regions.append((code.count("\n", 0, i) + 1,
-                                code[i:j + 1]))
-                i = j
-            i += 1
-    return regions
 
 
 # The determinism trio also runs over tests/ and tools/: goldens and
@@ -417,19 +363,6 @@ def lint_source(relpath, text, sibling_text="", classes=None,
                     f"raw CSR accessor .{m.group(1)}() outside "
                     f"src/sparse/; read through sparse::MatrixView so "
                     f"both --matrix-store backings work")
-
-    # worker-shared-state ----------------------------------------------
-    for first_line, body in worker_lambda_regions(code):
-        for off, line in enumerate(body.splitlines()):
-            for rx in (WORKER_WRITE_RE, WORKER_PREFIX_WRITE_RE):
-                wm = rx.search(line)
-                if wm:
-                    add(first_line + off, "worker-shared-state",
-                        f"worker lambda writes shared member "
-                        f"'{wm.group(1)}' without a per-worker/"
-                        f"per-tile subscript; accumulate in the "
-                        f"worker's StepCtx and merge in index order")
-                    break
 
     return findings
 
