@@ -1,69 +1,53 @@
 #include "bench_util.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
 
+#include "driver/options.hpp"
 #include "report/reference.hpp"
 #include "report/render.hpp"
 #include "report/study.hpp"
 
 namespace capstan::bench {
 
-CapstanConfig
-weakScaled(CapstanConfig cfg, int tiles)
-{
-    if (cfg.dram.tech == sim::MemTech::Ideal)
-        return cfg;
-    double fraction =
-        std::min(1.0, static_cast<double>(tiles) /
-                          cfg.grid_compute_units);
-    double base = cfg.dram.bandwidth_override_gbps > 0
-                      ? cfg.dram.bandwidth_override_gbps
-                      : sim::memTechBandwidth(cfg.dram.tech);
-    cfg.dram.bandwidth_override_gbps = base * fraction;
-    return cfg;
-}
-
-RunOptions
-parseArgs(int argc, char **argv)
-{
-    RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-            opts.scale_mult = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--tiles") == 0 && i + 1 < argc)
-            opts.tiles = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--iterations") == 0 &&
-                 i + 1 < argc)
-            opts.iterations = std::atoi(argv[++i]);
-    }
-    return opts;
-}
-
-int
-parseJobs(int argc, char **argv)
+bool
+parseArgs(int argc, char **argv, RunOptions &knobs, int &jobs)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            char *end = nullptr;
-            long jobs = std::strtol(argv[i + 1], &end, 10);
-            if (end == argv[i + 1] || *end != '\0' || jobs < 0 ||
-                jobs > 4096) {
-                std::fprintf(stderr,
-                             "--jobs requires a non-negative "
-                             "integer, got '%s'\n",
-                             argv[i + 1]);
-                std::exit(2);
-            }
-            return static_cast<int>(jobs);
+        const std::string flag = argv[i];
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s requires a value\n", flag.c_str());
+            return false;
+        }
+        const std::string value = argv[++i];
+        bool ok = false;
+        if (flag == "--scale")
+            ok = driver::parseNumber(value, knobs.scale_mult) &&
+                 knobs.scale_mult > 0;
+        else if (flag == "--tiles")
+            ok = driver::parseInt(value, knobs.tiles) && knobs.tiles > 0;
+        else if (flag == "--iterations")
+            ok = driver::parseInt(value, knobs.iterations) &&
+                 knobs.iterations > 0;
+        else if (flag == "--jobs")
+            ok = driver::parseInt(value, jobs) && jobs >= 0 &&
+                 jobs <= 4096;
+        else {
+            std::fprintf(stderr,
+                         "unknown flag '%s' (expected --scale, --tiles, "
+                         "--iterations or --jobs)\n",
+                         flag.c_str());
+            return false;
+        }
+        if (!ok) {
+            std::fprintf(stderr, "%s: invalid value '%s'\n",
+                         flag.c_str(), value.c_str());
+            return false;
         }
     }
-    return 0; // All cores.
+    return true;
 }
 
 driver::SweepProgress
@@ -92,8 +76,9 @@ benchMain(const std::string &study_name, int argc, char **argv)
     }
 
     report::StudyContext ctx;
-    ctx.knobs = parseArgs(argc, argv);
-    ctx.jobs = parseJobs(argc, argv);
+    ctx.jobs = 0; // All cores.
+    if (!parseArgs(argc, argv, ctx.knobs, ctx.jobs))
+        return 2;
     ctx.progress = benchProgress();
 
     // Best-effort "ours / paper" cells: the reference lives at the

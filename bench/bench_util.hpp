@@ -58,18 +58,14 @@ using RunOptions = driver::RunKnobs;
 using driver::runApp;
 
 /**
- * Weak-scale the DRAM system to the simulated chip slice: a run with
- * @p tiles tiles models tiles/200 of the full 200-unit chip, receiving
- * the same fraction of the configured memory bandwidth. Not applied by
- * default; available for scaling experiments.
+ * Parse `--scale <f>`, `--tiles <n>`, `--iterations <n>` and `--jobs
+ * <n>` (sweep worker threads; 0 = all cores) from argv into @p knobs
+ * and @p jobs. Values go through the drivers' strict parsers
+ * (driver::parseNumber / driver::parseInt). Returns false, after
+ * printing the offending flag, on a missing or malformed value or an
+ * unknown flag.
  */
-CapstanConfig weakScaled(CapstanConfig cfg, int tiles);
-
-/** Parse `--scale <f>` (and `--tiles <n>`) from argv. */
-RunOptions parseArgs(int argc, char **argv);
-
-/** Parse `--jobs <n>` (sweep worker threads; 0 = all cores). */
-int parseJobs(int argc, char **argv);
+bool parseArgs(int argc, char **argv, RunOptions &knobs, int &jobs);
 
 /** Progress printer ("  [3/77] CSR / ckt11752_dc_1") for stderr. */
 driver::SweepProgress benchProgress();

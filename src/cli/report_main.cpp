@@ -55,8 +55,6 @@ struct ReportArgs
     int tiles = 0;
     int iterations = 0;
     int jobs = 0;
-    capstan::sparse::StoreKind matrix_store =
-        capstan::sparse::StoreKind::Csr;
     bool check = false;
     bool list = false;
     bool help = false;
@@ -87,10 +85,6 @@ const char *kUsage =
     "  --tiles N          override the preset's tile count\n"
     "  --iterations N     override the preset's PR/BiCGStab iterations\n"
     "  --jobs N           sweep worker threads (default: all cores)\n"
-    "  --matrix-store S   csr|compressed matrix dataset backing\n"
-    "                     (default: csr). Purely a host-memory\n"
-    "                     representation choice: reports are\n"
-    "                     byte-identical under either store\n"
     "  --dataset-dir DIR  resolve Table 6 names to real dataset files\n"
     "                     (DIR/<name>.mtx|.el|.txt) when present;\n"
     "                     absent names fall back to the synthetic\n"
@@ -169,10 +163,6 @@ parseReportArgs(const std::vector<std::string> &args)
             if (!value(v) || !capstan::driver::parseInt(v, a.jobs) ||
                 a.jobs < 0)
                 return fail("--jobs requires a non-negative integer");
-        } else if (arg == "--matrix-store") {
-            if (!value(v) ||
-                !capstan::sparse::parseStoreKind(v, a.matrix_store))
-                return fail("--matrix-store requires csr|compressed");
         } else if (arg == "--dataset-dir") {
             if (!value(v))
                 return fail("--dataset-dir requires a directory");
@@ -306,7 +296,6 @@ main(int argc, char **argv)
     engine::EngineConfig cfg;
     cfg.jobs = args.jobs;
     cfg.dataset_dir = args.dataset_dir;
-    cfg.matrix_store = args.matrix_store;
     cfg.reference = args.reference;
     engine::Engine eng(cfg);
 

@@ -8,8 +8,6 @@
  * SIGINT/SIGTERM or a `shutdown` op, then drains the queue and exits 0.
  */
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -37,7 +35,6 @@ const char *const kUsage =
     "  --queue-capacity N      max waiting jobs before submissions\n"
     "                          are rejected (default: 8)\n"
     "  --dataset-dir DIR       real dataset directory (as capstan-run)\n"
-    "  --matrix-store S        csr|compressed dataset backing\n"
     "  --reference PATH        paper reference for study --check\n"
     "  --max-request-bytes N   wire limit per request line\n"
     "                          (default: 1048576)\n"
@@ -94,20 +91,6 @@ main(int argc, char **argv)
                 return usageError(
                     "--dataset-dir requires a directory");
             ecfg.dataset_dir = v;
-        } else if (a == "--matrix-store") {
-            std::string lowered;
-            if (value(v)) {
-                lowered = v;
-                std::transform(lowered.begin(), lowered.end(),
-                               lowered.begin(), [](unsigned char c) {
-                                   return static_cast<char>(
-                                       std::tolower(c));
-                               });
-            }
-            if (lowered.empty() ||
-                !sparse::parseStoreKind(lowered, ecfg.matrix_store))
-                return usageError(
-                    "--matrix-store requires csr|compressed");
         } else if (a == "--reference") {
             if (!value(v))
                 return usageError("--reference requires a path");

@@ -318,10 +318,6 @@ parseArgs(const std::vector<std::string> &args)
             if (!value(v))
                 return fail("--dataset-dir requires a directory");
             o.dataset_dir = v;
-        } else if (a == "--matrix-store") {
-            if (!value(v) ||
-                !sparse::parseStoreKind(lower(v), o.matrix_store))
-                return fail("--matrix-store requires csr|compressed");
         } else if (a == "--output") {
             if (!value(v))
                 return fail("--output requires a path");
@@ -445,11 +441,6 @@ usageText()
         "                     synthetic generation only)\n"
         "  --tiles N          outer-parallel tiles (default: 16)\n"
         "  --iterations N     PR/BiCGStab iterations (default: 2)\n"
-        "\n"
-        "Host execution (stats are identical at every setting):\n"
-        "  --matrix-store S   csr|compressed matrix dataset backing\n"
-        "                     (default: csr); compressed keeps the\n"
-        "                     delta+varint form in host memory\n"
         "\n"
         "Machine configuration:\n"
         "  --config NAME      capstan|plasticine|ideal\n"

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sim/config.hpp"
-#include "sparse/compressed.hpp"
 
 namespace capstan::driver {
 
@@ -67,15 +66,6 @@ struct DriverOptions
     bool json = false;            //!< Emit JSON stats instead of text.
     int json_indent = 2;          //!< 0 = compact.
     std::string output;           //!< Write stats here; empty = stdout.
-
-    /**
-     * Backing store for matrix datasets (--matrix-store csr |
-     * compressed). Purely a host-memory representation choice served
-     * through the same read interface: stats are byte-identical under
-     * either store (tests/test_compressed.cpp), so this is not a sweep
-     * axis key. Sweep points inherit it from the base.
-     */
-    sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
 
     // Sweep mode (src/driver/sweep.hpp). The single-run fields above
     // become the base point every sweep axis varies around.

@@ -70,23 +70,19 @@ struct DatasetKey
 };
 
 /**
- * Cache key spanning name, generation scale, dataset dir, and backing
- * store kind. Names that resolve to a real file collapse the scale
- * component: scale only applies to synthetic generation, so without
- * this a scale sweep over a real dataset would re-load and hold one
- * identical multi-hundred-MB matrix per scale value. The store kind
- * is part of the key so csr and compressed runs in one process (the
- * differential tests, mixed sweeps) each get their own backing.
+ * Cache key spanning name, generation scale, and dataset dir. Names
+ * that resolve to a real file collapse the scale component: scale only
+ * applies to synthetic generation, so without this a scale sweep over
+ * a real dataset would re-load and hold one identical multi-hundred-MB
+ * matrix per scale value.
  */
 DatasetKey
 datasetKey(const std::string &name, double scale,
-           const std::string &dataset_dir, sparse::StoreKind kind)
+           const std::string &dataset_dir)
 {
     if (realDatasetPath(name, dataset_dir))
         scale = 1.0;
-    return {dataset_dir + '\x1f' + name + '\x1f' +
-                sparse::storeKindName(kind),
-            std::lround(scale * 1000)};
+    return {dataset_dir + '\x1f' + name, std::lround(scale * 1000)};
 }
 
 /**
@@ -137,14 +133,12 @@ template <typename T> class GenerateOnceCache
 
 const MatrixDataset &
 cachedMatrix(const std::string &name, double scale,
-             const std::string &dataset_dir, sparse::StoreKind kind)
+             const std::string &dataset_dir)
 {
     static GenerateOnceCache<MatrixDataset> cache;
-    return cache.get(
-        datasetKey(name, scale, dataset_dir, kind), [&] {
-            return resolveMatrixDataset(name, scale, dataset_dir,
-                                        CacheMode::Auto, kind);
-        });
+    return cache.get(datasetKey(name, scale, dataset_dir), [&] {
+        return resolveMatrixDataset(name, scale, dataset_dir);
+    });
 }
 
 const ConvDataset &
@@ -193,11 +187,7 @@ runApp(const std::string &app, const std::string &dataset,
         return runConv(d.layer, cfg, knobs.tiles).timing;
     }
     const MatrixDataset &d =
-        cachedMatrix(dataset, scale, knobs.dataset_dir,
-                     knobs.matrix_store);
-    // Each runner argument below converts d.matrix to its own
-    // MatrixView, so two-matrix apps (SpMSpM's A x A) read through two
-    // independent cursors instead of sharing one decode scratch.
+        cachedMatrix(dataset, scale, knobs.dataset_dir);
     const sparse::MatrixStore &m = d.matrix;
     // Graph traversals, M+M (A + A^T), SpMSpM (A x A), and BiCGStab
     // index one dimension with the other's indices, so a rectangular
@@ -229,17 +219,11 @@ runApp(const std::string &app, const std::string &dataset,
         return runSssp(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
     if (app == "M+M") {
         // Add the dataset to its transpose: same dimensions and
-        // density, different (but correlated) occupancy. The
-        // transpose is stored at the same kind as the dataset so both
-        // operands exercise the selected backing.
+        // density, different (but correlated) occupancy.
         static GenerateOnceCache<sparse::MatrixStore> tcache;
-        const sparse::MatrixStore &mt = tcache.get(
-            datasetKey(dataset, scale, knobs.dataset_dir,
-                       knobs.matrix_store),
-            [&] {
-                return sparse::MatrixStore::build(knobs.matrix_store,
-                                                  m.transpose());
-            });
+        const sparse::MatrixStore &mt =
+            tcache.get(datasetKey(dataset, scale, knobs.dataset_dir),
+                       [&] { return sparse::MatrixStore(m.transpose()); });
         return runMatAdd(m, mt, cfg, knobs.tiles, knobs.use_bittree).timing;
     }
     if (app == "SpMSpM")
@@ -271,7 +255,6 @@ runDriver(const DriverOptions &opts)
     knobs.iterations = opts.iterations;
     knobs.scale_mult = opts.scale;
     knobs.dataset_dir = opts.dataset_dir;
-    knobs.matrix_store = opts.matrix_store;
     r.scale = effectiveScale(r.dataset, knobs);
     r.timing = runApp(r.app, r.dataset, r.config, knobs);
 
@@ -282,8 +265,7 @@ runDriver(const DriverOptions &opts)
         r.info.nnz = -1;
     } else {
         const MatrixDataset &d =
-            cachedMatrix(r.dataset, r.scale, knobs.dataset_dir,
-                         knobs.matrix_store);
+            cachedMatrix(r.dataset, r.scale, knobs.dataset_dir);
         r.info.rows = d.matrix.rows();
         r.info.cols = d.matrix.cols();
         r.info.nnz = d.matrix.nnz();
@@ -315,9 +297,7 @@ statsToJson(const RunResult &r)
     if (!r.info.source.empty())
         dataset.set("source", r.info.source);
     // Matrix datasets carry both storage footprints (conv layers have
-    // neither). The values are measured properties of the matrix, not
-    // of the selected --matrix-store, so the whole document stays
-    // byte-identical across stores.
+    // neither): measured properties of the matrix itself.
     if (r.info.nnz >= 0) {
         dataset.set("csr_bytes",
                     static_cast<std::uint64_t>(r.info.csr_bytes));

@@ -8,9 +8,9 @@
  * lifetime of the process, so parameter sweeps only pay generation
  * once; the cache is thread-safe with generate-once semantics, so the
  * sweep engine's workers (driver/sweep.hpp) can run points
- * concurrently and share workloads. The bench binaries (`bench/`)
- * delegate here, which keeps a single dispatch table for the whole
- * repo.
+ * concurrently and share workloads. The report studies
+ * (report/study.hpp) delegate here, which keeps a single dispatch
+ * table for the whole repo.
  */
 
 #pragma once
@@ -30,7 +30,7 @@ using common::JsonParseError;
 using common::JsonValue;
 using sim::CapstanConfig;
 
-/** Per-run knobs shared by the CLI and the bench harness. */
+/** Per-run knobs shared by the CLI and the report studies. */
 struct RunKnobs
 {
     int tiles = 16;
@@ -43,12 +43,6 @@ struct RunKnobs
      * every dataset synthetic. See workloads::resolveMatrixDataset.
      */
     std::string dataset_dir;
-    /**
-     * Backing store for matrix datasets (--matrix-store). Purely a
-     * host-memory representation choice: stats are byte-identical
-     * under either kind (tests/test_compressed.cpp).
-     */
-    sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
 };
 
 /**
@@ -74,11 +68,9 @@ struct DatasetInfo
     /** Source file of a real dataset; empty for synthetic. */
     std::string source;
     /**
-     * Storage footprints of the two matrix backings, measured on the
-     * loaded dataset (0 for conv layers): plain CSR bytes and the
-     * delta + group-varint encoded bytes. Identical whichever
-     * --matrix-store kind the run used, so the stats stay
-     * byte-identical across stores.
+     * Host storage footprints measured on the loaded dataset (0 for
+     * conv layers): plain CSR bytes and the delta + group-varint
+     * encoded bytes.
      */
     std::uint64_t csr_bytes = 0;
     std::uint64_t encoded_bytes = 0;

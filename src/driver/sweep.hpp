@@ -1,7 +1,7 @@
 /**
  * @file
- * The parallel sweep engine behind `capstan-run --sweep` and the bench
- * harness.
+ * The parallel sweep engine behind `capstan-run --sweep` and the report
+ * studies.
  *
  * Every result in the paper is a sweep: Figure 5 sweeps DRAM bandwidth
  * per application, Table 9 sweeps SpMU allocator strength, Table 12
@@ -19,8 +19,8 @@
  * Axis keys are exactly the driver's option keys (options.hpp:
  * optionKeys()), so a sweep can vary precisely what a single run can
  * set. Specs come from a JSON file (`--sweep spec.json`), from repeated
- * `--axis key=v1,v2` flags, or are built programmatically by the bench
- * binaries (fig5_sensitivity, table9_spmu_sensitivity).
+ * `--axis key=v1,v2` flags, or are built programmatically by the report
+ * studies (src/report/studies_perf.cpp).
  */
 
 #pragma once

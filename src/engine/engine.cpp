@@ -177,7 +177,6 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
     JobRequest req;
     // Host knobs come from the engine's environment, never the wire.
     req.options.dataset_dir = defaults.dataset_dir;
-    req.options.matrix_store = defaults.matrix_store;
 
     auto allow = [&](std::initializer_list<const char *> keys) {
         for (const auto &[key, value] : doc.members()) {
@@ -331,7 +330,6 @@ Engine::studyKnobs(const JobRequest &req) const
     if (req.iterations)
         knobs.iterations = *req.iterations;
     knobs.dataset_dir = cfg_.dataset_dir;
-    knobs.matrix_store = cfg_.matrix_store;
     return knobs;
 }
 

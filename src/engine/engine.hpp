@@ -58,8 +58,6 @@ struct EngineConfig
     int jobs = 0;
     /** Real-dataset directory; empty keeps datasets synthetic. */
     std::string dataset_dir;
-    /** Matrix backing store; byte-identical stats under either. */
-    sparse::StoreKind matrix_store = sparse::StoreKind::Csr;
     /**
      * Paper reference path for study checks. Empty = search the
      * default locations (data/paper_reference.json, then
@@ -106,7 +104,7 @@ struct JobRequest
      *   {"type": "sweep", "options": {...}, "axes": {"app": [...]},
      *    "jobs": 2}
      *   {"type": "study", "study": "table10", "preset": "quick"}
-     * Host knobs (dataset dir, matrix store) come from
+     * The host knob (the dataset dir) comes from
      * @p defaults — the daemon's environment — never from the wire.
      * Throws std::invalid_argument with a diagnostic on any unknown
      * member, unknown option key, or invalid value.

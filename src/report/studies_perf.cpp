@@ -359,10 +359,7 @@ runTable12(const StudyContext &ctx)
                         : profileConvSparseCpu(layer);
             } else {
                 auto m =
-                    resolveMatrixDataset(ds, scale,
-                                         ctx.knobs.dataset_dir,
-                                         CacheMode::Auto,
-                                         ctx.knobs.matrix_store)
+                    resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
                         .matrix;
                 if (app == "CSR")
                     p = profileSpmvCsr(m);
@@ -486,10 +483,7 @@ runTable13(const StudyContext &ctx)
     {
         std::string ds = "ckt11752_dc_1";
         double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto m = resolveMatrixDataset(ds, scale,
-                                      ctx.knobs.dataset_dir,
-                                      CacheMode::Auto,
-                                      ctx.knobs.matrix_store)
+        auto m = resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
                      .matrix;
         double cap = seconds(driver::runApp(
             "CSC", ds, CapstanConfig::ideal(), ctx.knobs));
@@ -522,10 +516,7 @@ runTable13(const StudyContext &ctx)
             double scale =
                 driver::defaultScale(ds) * ctx.knobs.scale_mult;
             auto g =
-                resolveMatrixDataset(ds, scale,
-                                     ctx.knobs.dataset_dir,
-                                     CacheMode::Auto,
-                                     ctx.knobs.matrix_store)
+                resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
                     .matrix;
             driver::RunKnobs knobs = ctx.knobs;
             knobs.write_pointers = false;
@@ -548,10 +539,7 @@ runTable13(const StudyContext &ctx)
     {
         std::string ds = "qc324";
         double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto m = resolveMatrixDataset(ds, scale,
-                                      ctx.knobs.dataset_dir,
-                                      CacheMode::Auto,
-                                      ctx.knobs.matrix_store)
+        auto m = resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
                      .matrix;
         sparse::MatrixView mv(m);
         double mults = 0;

@@ -1,7 +1,6 @@
 /**
  * @file
- * The paper-artifact study registry behind `capstan-report` and the
- * bench harness.
+ * The paper-artifact study registry behind `capstan-report`.
  *
  * Every figure and table the paper publishes is registered here as a
  * named *study*: a function that declares the runs it needs (app-level
@@ -10,9 +9,8 @@
  * directly), derives its rows, and returns them together with a flat
  * metric list. The `capstan-report` CLI renders every study to
  * Markdown + CSV + JSON and checks the metrics against
- * `data/paper_reference.json` (report/reference.hpp); the `bench/`
- * binaries are thin shims that run one study each and print its
- * tables as text.
+ * `data/paper_reference.json` (report/reference.hpp); `--study NAME`
+ * runs one.
  *
  * Study results are deterministic: simulated cycles depend only on the
  * preset knobs, never on the host, thread count, or wall-clock, so

@@ -319,103 +319,10 @@ CompressedCsrMatrix::measureEncodedBytes(const CsrMatrix &m)
     return bytes;
 }
 
-std::string
-storeKindName(StoreKind k)
-{
-    return k == StoreKind::Compressed ? "compressed" : "csr";
-}
-
-bool
-parseStoreKind(const std::string &v, StoreKind &out)
-{
-    if (v == "csr")
-        out = StoreKind::Csr;
-    else if (v == "compressed")
-        out = StoreKind::Compressed;
-    else
-        return false;
-    return true;
-}
-
 MatrixStore::MatrixStore(CsrMatrix m)
-    : kind_(StoreKind::Csr), csr_(std::move(m)),
+    : csr_(std::move(m)),
       encoded_bytes_(CompressedCsrMatrix::measureEncodedBytes(csr_))
 {
-}
-
-MatrixStore::MatrixStore(CompressedCsrMatrix m)
-    : kind_(StoreKind::Compressed), comp_(std::move(m)),
-      encoded_bytes_(comp_.encodedBytes())
-{
-}
-
-MatrixStore
-MatrixStore::build(StoreKind kind, CsrMatrix m)
-{
-    if (kind == StoreKind::Compressed)
-        return MatrixStore(CompressedCsrMatrix::fromCsr(m));
-    return MatrixStore(std::move(m));
-}
-
-MatrixStore
-MatrixStore::withKind(StoreKind kind) const
-{
-    if (kind == kind_)
-        return *this;
-    return build(kind, toCsr());
-}
-
-Index
-MatrixStore::rows() const
-{
-    return kind_ == StoreKind::Csr ? csr_.rows() : comp_.rows();
-}
-
-Index
-MatrixStore::cols() const
-{
-    return kind_ == StoreKind::Csr ? csr_.cols() : comp_.cols();
-}
-
-Index
-MatrixStore::nnz() const
-{
-    return kind_ == StoreKind::Csr ? csr_.nnz() : comp_.nnz();
-}
-
-Value
-MatrixStore::at(Index r, Index c) const
-{
-    return kind_ == StoreKind::Csr ? csr_.at(r, c) : comp_.at(r, c);
-}
-
-CsrMatrix
-MatrixStore::toCsr() const
-{
-    return kind_ == StoreKind::Csr ? csr_ : comp_.toCsr();
-}
-
-CsrMatrix
-MatrixStore::transpose() const
-{
-    return kind_ == StoreKind::Csr ? csr_.transpose()
-                                   : comp_.toCsr().transpose();
-}
-
-const CsrMatrix &
-MatrixStore::csr() const
-{
-    if (kind_ != StoreKind::Csr)
-        throw std::logic_error("MatrixStore: not a CSR store");
-    return csr_;
-}
-
-const CompressedCsrMatrix &
-MatrixStore::compressed() const
-{
-    if (kind_ != StoreKind::Compressed)
-        throw std::logic_error("MatrixStore: not a compressed store");
-    return comp_;
 }
 
 std::uint64_t
@@ -423,14 +330,6 @@ MatrixStore::csrBytes() const
 {
     return std::uint64_t{4} * (static_cast<std::uint64_t>(rows()) + 1) +
            std::uint64_t{8} * static_cast<std::uint64_t>(nnz());
-}
-
-MatrixView::MatrixView(const MatrixStore &s)
-{
-    if (s.kind() == StoreKind::Csr)
-        csr_ = &s.csr();
-    else
-        comp_ = &s.compressed();
 }
 
 Index

@@ -1,6 +1,6 @@
 /**
  * @file
- * Delta + group-varint compressed CSR storage and the store seam.
+ * Delta + group-varint compressed CSR storage and the read seam.
  *
  * CompressedCsrMatrix keeps the column indices of each row
  * delta-encoded (posting-list style, the RediSearch qint scheme is the
@@ -11,20 +11,20 @@
  * entries additionally carry skip points so at() stays logarithmic.
  * Values are kept as a flat array, exactly as CSR stores them.
  *
- * MatrixStore owns either backing behind a StoreKind tag; MatrixView
- * is the common read interface the applications, baselines, and
- * tiling iterate, so no caller outside src/sparse/ ever touches raw
- * CSR arrays (capstan-lint class "raw-csr" enforces this). The store
- * only changes host memory layout — a run's modeled cycle, stall, and
- * traffic output is byte-identical under either backing
- * (tests/test_compressed.cpp proves it differentially).
+ * CompressedCsrMatrix is the body codec of the v2 `.cbin` cache
+ * (workloads/io.hpp). Datasets live in a MatrixStore, which holds
+ * plain CSR. MatrixView is the read interface the applications,
+ * baselines, and tiling iterate; it serves either representation with
+ * identical results (tests/test_compressed.cpp proves it
+ * differentially). The paper's pointer compression (§3.4) is modeled
+ * separately by sim::compressStream, whatever host layout holds the
+ * matrix.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sparse/matrix.hpp"
@@ -110,8 +110,7 @@ class CompressedCsrMatrix
     /**
      * Bytes fromCsr(m).encodedBytes() would report, computed
      * arithmetically without building anything. This is the single
-     * definition behind the dataset.encoded_bytes stat, so the number
-     * is byte-identical whichever backing a run used.
+     * definition behind the dataset.encoded_bytes stat.
      */
     static std::uint64_t measureEncodedBytes(const CsrMatrix &m);
 
@@ -127,63 +126,35 @@ class CompressedCsrMatrix
     std::vector<Value> values_;
 };
 
-/** Host-side backing store selectable with --matrix-store. */
-enum class StoreKind {
-    Csr,        //!< Plain CSR arrays (the default).
-    Compressed, //!< Delta + group-varint CompressedCsrMatrix.
-};
-
-/** "csr" / "compressed"; the CLIs print these in usage and stats. */
-std::string storeKindName(StoreKind k);
-
-/** Parse a --matrix-store value (case-sensitive, like other knobs). */
-bool parseStoreKind(const std::string &v, StoreKind &out);
-
 /**
- * Owning matrix dataset storage: exactly one backing, tagged by kind.
- * Immutable after construction, so sweeps can share one store across
- * worker threads; each thread reads through its own MatrixView.
+ * Owning matrix dataset storage: a plain CSR matrix plus its measured
+ * compressed size. Immutable after construction, so sweeps can share
+ * one store across worker threads; each thread reads through its own
+ * MatrixView.
  */
 class MatrixStore
 {
   public:
-    MatrixStore() : encoded_bytes_(CompressedCsrMatrix::measureEncodedBytes({})) {}
+    MatrixStore() : MatrixStore(CsrMatrix{}) {}
     /*implicit*/ MatrixStore(CsrMatrix m);
-    /*implicit*/ MatrixStore(CompressedCsrMatrix m);
 
-    /** Build a store of the requested kind from CSR input. */
-    static MatrixStore build(StoreKind kind, CsrMatrix m);
+    Index rows() const { return csr_.rows(); }
+    Index cols() const { return csr_.cols(); }
+    Index nnz() const { return csr_.nnz(); }
+    Value at(Index r, Index c) const { return csr_.at(r, c); }
+    CsrMatrix transpose() const { return csr_.transpose(); }
 
-    /** This store re-encoded (or decoded) to another kind. */
-    MatrixStore withKind(StoreKind kind) const;
-
-    StoreKind kind() const { return kind_; }
-    Index rows() const;
-    Index cols() const;
-    Index nnz() const;
-    Value at(Index r, Index c) const;
-
-    /** Plain-CSR copy (decodes when compressed). */
-    CsrMatrix toCsr() const;
-    /** Transpose as plain CSR (both kinds). */
-    CsrMatrix transpose() const;
-
-    /** The CSR backing; throws std::logic_error when kind mismatch. */
-    const CsrMatrix &csr() const;
-    /** The compressed backing; throws std::logic_error on mismatch. */
-    const CompressedCsrMatrix &compressed() const;
+    const CsrMatrix &csr() const { return csr_; }
 
     /** Bytes of the plain-CSR representation: 4*(rows+1) + 8*nnz. */
     std::uint64_t csrBytes() const;
-    /** Measured bytes of the compressed representation (see
-     *  CompressedCsrMatrix::measureEncodedBytes); identical under
-     *  either kind, cached at construction. */
+    /** Bytes of the delta + group-varint form of this matrix (see
+     *  CompressedCsrMatrix::measureEncodedBytes), cached at
+     *  construction. */
     std::uint64_t encodedBytes() const { return encoded_bytes_; }
 
   private:
-    StoreKind kind_ = StoreKind::Csr;
     CsrMatrix csr_;
-    CompressedCsrMatrix comp_;
     std::uint64_t encoded_bytes_ = 0;
 };
 
@@ -191,7 +162,7 @@ class MatrixStore
  * Read cursor over either backing — the seam every consumer outside
  * src/sparse/ iterates. Constructed implicitly from a CsrMatrix,
  * a CompressedCsrMatrix, or a MatrixStore, so call sites simply pass
- * the store where they used to pass a CsrMatrix.
+ * the store.
  *
  * Spans returned by indices() point into a per-view scratch buffer
  * when the backing is compressed: a span stays valid until the next
@@ -207,7 +178,7 @@ class MatrixView
   public:
     /*implicit*/ MatrixView(const CsrMatrix &m) : csr_(&m) {}
     /*implicit*/ MatrixView(const CompressedCsrMatrix &m) : comp_(&m) {}
-    /*implicit*/ MatrixView(const MatrixStore &s);
+    /*implicit*/ MatrixView(const MatrixStore &s) : csr_(&s.csr()) {}
 
     Index rows() const;
     Index cols() const;

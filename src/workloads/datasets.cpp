@@ -204,8 +204,7 @@ realDatasetPath(const std::string &name,
 
 MatrixDataset
 resolveMatrixDataset(const std::string &name, double scale,
-                     const std::string &dataset_dir, CacheMode cache,
-                     sparse::StoreKind kind)
+                     const std::string &dataset_dir, CacheMode cache)
 {
     validateScale(scale);
     bool is_scheme = name.starts_with("file:") ||
@@ -221,7 +220,7 @@ resolveMatrixDataset(const std::string &name, double scale,
                          "': scale does not apply to real dataset "
                          "files; using '" +
                          *path + "' as-is");
-        return {name, loadRealStore(*path, cache, kind), *path};
+        return {name, loadRealStore(*path, cache), *path};
     }
     if (name.starts_with("file:")) {
         std::string path = name.substr(5);
@@ -253,8 +252,6 @@ resolveMatrixDataset(const std::string &name, double scale,
                  "note: dataset '" + name + "': no real file under '" +
                      dataset_dir +
                      "'; using the synthetic stand-in");
-    if (kind != sparse::StoreKind::Csr)
-        d.matrix = d.matrix.withKind(kind);
     return d;
 }
 

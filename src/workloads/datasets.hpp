@@ -23,9 +23,8 @@ namespace capstan::workloads {
 
 /**
  * A named sparse-matrix dataset (linear algebra or graph). The matrix
- * lives in a MatrixStore so a run can keep it in plain CSR or in the
- * delta + group-varint compressed form (`--matrix-store`); either
- * backing serves the apps through the same MatrixView read interface.
+ * lives in a MatrixStore (plain CSR plus its measured compressed size)
+ * and serves the apps through the MatrixView read interface.
  */
 struct MatrixDataset
 {
@@ -73,17 +72,14 @@ MatrixDataset loadMatrixDataset(const std::string &name,
  *    (dir, name) so study output records the substitution.
  *
  * @p scale only applies to synthetic generation; a note is logged
- * when a non-unit scale is ignored for a real file. @p kind selects
- * the backing store of the returned dataset (plain CSR or the
- * compressed form — the choice never changes any simulated result).
- * Throws DatasetError for unknown names, missing files, malformed
- * files, and invalid scales.
+ * when a non-unit scale is ignored for a real file. Throws
+ * DatasetError for unknown names, missing files, malformed files, and
+ * invalid scales.
  */
 MatrixDataset
 resolveMatrixDataset(const std::string &name, double scale = 1.0,
                      const std::string &dataset_dir = "",
-                     CacheMode cache = CacheMode::Auto,
-                     sparse::StoreKind kind = sparse::StoreKind::Csr);
+                     CacheMode cache = CacheMode::Auto);
 
 /**
  * The real file resolveMatrixDataset would load for @p name (probing

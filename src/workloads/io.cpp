@@ -301,26 +301,6 @@ readEdgeList(std::istream &in, const std::string &what)
 
 namespace {
 
-/**
- * Cache file layout: header, then row_ptr (rows + 1 Index), col_idx
- * (nnz Index), values (nnz Value), all host-endian (the cache is a
- * local memoization, not an interchange format). The magic embeds the
- * version: bump the trailing digit on any layout change and old
- * caches are rebuilt instead of misread.
- */
-struct CacheHeader
-{
-    char magic[8];
-    std::uint64_t src_size = 0;
-    std::int64_t src_mtime = 0;
-    std::int32_t rows = 0;
-    std::int32_t cols = 0;
-    std::uint64_t nnz = 0;
-};
-
-constexpr char kCacheMagic[8] = {'C', 'A', 'P', 'C',
-                                 'S', 'R', 'v', '1'};
-
 /** Size + mtime identity of the source file the cache memoizes. */
 bool
 sourceStamp(const std::string &path, std::uint64_t &size,
@@ -339,74 +319,16 @@ sourceStamp(const std::string &path, std::uint64_t &size,
     return true;
 }
 
-/** Read a fresh, structurally valid cache; false = parse the text. */
-bool
-readCache(const std::string &cache_path, std::uint64_t src_size,
-          std::int64_t src_mtime, CsrMatrix &out)
-{
-    std::ifstream in(cache_path, std::ios::binary);
-    if (!in)
-        return false;
-    CacheHeader h;
-    if (!in.read(reinterpret_cast<char *>(&h), sizeof(h)))
-        return false;
-    if (std::memcmp(h.magic, kCacheMagic, sizeof(kCacheMagic)) != 0 ||
-        h.src_size != src_size || h.src_mtime != src_mtime)
-        return false;
-    if (h.rows < 0 || h.cols < 0 ||
-        h.nnz > static_cast<std::uint64_t>(
-                    std::numeric_limits<Index>::max()))
-        return false;
-    // The header's counts are untrusted until they match the cache
-    // file's actual size; checking first keeps a bit-flipped header
-    // from triggering multi-GB allocations instead of a re-parse.
-    std::error_code ec;
-    auto cache_size = fs::file_size(cache_path, ec);
-    std::uint64_t expected =
-        sizeof(CacheHeader) +
-        sizeof(Index) * (static_cast<std::uint64_t>(h.rows) + 1) +
-        (sizeof(Index) + sizeof(Value)) * h.nnz;
-    if (ec || static_cast<std::uint64_t>(cache_size) != expected)
-        return false;
-    std::vector<Index> row_ptr(static_cast<std::size_t>(h.rows) + 1);
-    std::vector<Index> col_idx(static_cast<std::size_t>(h.nnz));
-    std::vector<Value> values(static_cast<std::size_t>(h.nnz));
-    auto readVec = [&](auto &vec) {
-        return static_cast<bool>(in.read(
-            reinterpret_cast<char *>(vec.data()),
-            static_cast<std::streamsize>(vec.size() *
-                                         sizeof(vec[0]))));
-    };
-    if (!readVec(row_ptr) || !readVec(col_idx) || !readVec(values))
-        return false;
-    if (in.get() != std::ifstream::traits_type::eof())
-        return false; // Trailing bytes: not our file.
-    try {
-        out = CsrMatrix::fromParts(h.rows, h.cols, std::move(row_ptr),
-                                   std::move(col_idx),
-                                   std::move(values));
-    } catch (const std::invalid_argument &) {
-        return false; // Corrupt cache: rebuild from the text.
-    }
-    // Everything above treats the header as untrusted input (a bad
-    // cache re-parses the text); past this point a mismatch between
-    // the accepted header and the built matrix is our bug, not the
-    // file's.
-    CAPSTAN_CHECK(out.rows() == h.rows && out.cols() == h.cols &&
-                      static_cast<std::uint64_t>(out.nnz()) == h.nnz,
-                  "cache header accepted but mismatches the matrix");
-    return true;
-}
-
-// ---- v2: the compressed form, content-hashed --------------------------
-
 /**
- * v2 layout: header, then entry_offsets (rows + 1 Index), the encoded
- * column payload (payload_bytes), and values (nnz Value), host-endian.
- * src_hash folds the *content* of the source file into the cache key
- * (v1 trusted size + mtime alone); body_hash checksums the three
- * array regions so a bit flip anywhere in the body is detected even
- * when it would decode cleanly.
+ * Cache layout (v2): header, then entry_offsets (rows + 1 Index), the
+ * encoded column payload (payload_bytes), and values (nnz Value),
+ * host-endian (the cache is a local memoization, not an interchange
+ * format). src_hash folds the *content* of the source file into the
+ * cache key (size + mtime alone miss a same-size rewrite); body_hash
+ * checksums the three array regions so a bit flip anywhere in the body
+ * is detected even when it would decode cleanly. Any other magic,
+ * including the retired v1 plain-CSR layout, is a miss: the text is
+ * re-parsed and the cache rewritten.
  */
 struct CacheHeaderV2
 {
@@ -453,7 +375,7 @@ bodyHash(const sparse::CompressedCsrMatrix &m)
 
 /**
  * Fresh-v2 read: magic + size/mtime stamp, then the source content
- * hash, then the strict structural read. false = try v1 / re-parse.
+ * hash, then the strict structural read. false = re-parse the text.
  */
 bool
 readCacheV2(const std::string &cache_path, const std::string &path,
@@ -655,9 +577,6 @@ loadRealMatrix(const std::string &path, CacheMode mode)
         sparse::CompressedCsrMatrix comp;
         if (readCacheV2(cache_path, path, src_size, src_mtime, comp))
             return comp.toCsr();
-        CsrMatrix cached;
-        if (readCache(cache_path, src_size, src_mtime, cached))
-            return cached;
     }
 
     CsrMatrix m = parseRealFile(path);
@@ -669,34 +588,9 @@ loadRealMatrix(const std::string &path, CacheMode mode)
 }
 
 sparse::MatrixStore
-loadRealStore(const std::string &path, CacheMode mode,
-              sparse::StoreKind kind)
+loadRealStore(const std::string &path, CacheMode mode)
 {
-    if (kind == sparse::StoreKind::Csr)
-        return sparse::MatrixStore(loadRealMatrix(path, mode));
-
-    std::uint64_t src_size = 0;
-    std::int64_t src_mtime = 0;
-    if (!sourceStamp(path, src_size, src_mtime))
-        throw DatasetError("cannot open dataset file '" + path + "'");
-
-    std::string cache_path = matrixCachePath(path);
-    if (mode != CacheMode::Off) {
-        sparse::CompressedCsrMatrix comp;
-        if (readCacheV2(cache_path, path, src_size, src_mtime, comp))
-            return sparse::MatrixStore(std::move(comp));
-        CsrMatrix cached;
-        if (readCache(cache_path, src_size, src_mtime, cached))
-            return sparse::MatrixStore(
-                sparse::CompressedCsrMatrix::fromCsr(cached));
-    }
-
-    auto comp =
-        sparse::CompressedCsrMatrix::fromCsr(parseRealFile(path));
-    if (shouldWriteCache(mode, src_size))
-        writeCacheV2(cache_path, src_size, src_mtime,
-                     hashFileContents(path), comp);
-    return sparse::MatrixStore(std::move(comp));
+    return loadRealMatrix(path, mode);
 }
 
 } // namespace capstan::workloads

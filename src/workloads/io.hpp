@@ -23,10 +23,10 @@
  * versioned binary cache (`<path>.cbin`). The current v2 format
  * stores the delta + group-varint compressed form directly
  * (sparse/compressed.hpp) and is keyed on the source's size, mtime,
- * *and* an FNV-1a content hash — closing the v1 gap where a
- * same-size, same-mtime, different-content file could hit a stale
- * cache. Legacy v1 (plain CSR) caches still load; all new writes are
- * v2. A stale or corrupt cache is ignored and rebuilt, never trusted.
+ * *and* an FNV-1a content hash, so a same-size, same-mtime,
+ * different-content file cannot hit a stale cache. A stale, corrupt,
+ * or legacy v1 (plain CSR) cache is never trusted: it is a miss, the
+ * text is re-parsed, and a mode that writes caches rewrites it as v2.
  */
 
 #pragma once
@@ -92,16 +92,9 @@ std::string matrixCachePath(const std::string &path);
 sparse::CsrMatrix loadRealMatrix(const std::string &path,
                                  CacheMode mode = CacheMode::Auto);
 
-/**
- * Load a dataset file into a MatrixStore of the requested kind (see
- * loadRealMatrix for cache behaviour). A v2 cache hit hands the
- * compressed form straight to a StoreKind::Compressed store with no
- * decode; other combinations convert after loading. Throws
- * DatasetError when the file is missing or malformed.
- */
+/** loadRealMatrix wrapped in a MatrixStore. */
 sparse::MatrixStore
-loadRealStore(const std::string &path, CacheMode mode = CacheMode::Auto,
-              sparse::StoreKind kind = sparse::StoreKind::Csr);
+loadRealStore(const std::string &path, CacheMode mode = CacheMode::Auto);
 
 /**
  * Strictly read a v2 `.cbin` cache file. Every structural property is
@@ -111,7 +104,7 @@ loadRealStore(const std::string &path, CacheMode mode = CacheMode::Auto,
  * file is rejected with DatasetError instead of crashing or
  * overreading (tests/test_property.cpp fuzzes exactly this entry
  * point). Freshness against the source file is the caller's concern;
- * loadRealStore layers the size/mtime/content-hash check on top.
+ * loadRealMatrix layers the size/mtime/content-hash check on top.
  */
 sparse::CompressedCsrMatrix
 readCompressedCache(const std::string &cache_path);

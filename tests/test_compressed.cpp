@@ -1,17 +1,12 @@
 /**
  * @file
- * The compressed-store equivalence layer: the delta + group-varint
- * codec (sparse/compressed.hpp), the MatrixStore/MatrixView seam, and
- * the differential contract that --matrix-store only changes host
- * memory layout. A 12-point app x config matrix runs through the real
- * driver dispatch under both backings — including under the
- * CAPSTAN_NO_FF kill switch — and every JSON stats document must match
- * byte for byte.
+ * The delta + group-varint codec (sparse/compressed.hpp), the
+ * MatrixStore that holds every dataset, and the MatrixView read seam,
+ * which must serve a CSR matrix and its compressed form identically.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -31,7 +26,6 @@ using sparse::CompressedCsrMatrix;
 using sparse::CsrMatrix;
 using sparse::MatrixStore;
 using sparse::MatrixView;
-using sparse::StoreKind;
 using sparse::Triplet;
 
 /** Random matrix with a mix of empty, short, and long rows. */
@@ -106,7 +100,7 @@ TEST(CompressedCodec, MeasuredBytesMatchTheBuiltEncoding)
 {
     // measureEncodedBytes is the single definition behind the
     // dataset.encoded_bytes stat; it must equal what an actual build
-    // reports, or the stat would depend on the backing in use.
+    // reports.
     for (std::uint32_t seed : {3u, 11u, 99u}) {
         CsrMatrix m = randomMatrix(seed, 30, 4000, 90);
         CompressedCsrMatrix c = CompressedCsrMatrix::fromCsr(m);
@@ -129,68 +123,49 @@ TEST(CompressedCodec, BeatsCsrOnTheCheckedInFixture)
     }
     if (path.empty())
         GTEST_SKIP() << "fixture tiny.mtx not found";
-    MatrixStore s = workloads::loadRealStore(path, workloads::CacheMode::Off,
-                                             StoreKind::Compressed);
+    MatrixStore s = workloads::loadRealStore(path, workloads::CacheMode::Off);
     EXPECT_LT(s.encodedBytes(), s.csrBytes());
 }
 
 // ---------------------------------------------------------------------------
-// MatrixStore: the owning seam.
+// MatrixStore: CSR plus its measured sizes.
 // ---------------------------------------------------------------------------
 
-TEST(MatrixStoreSeam, BuildWithKindAndAccessorsAgree)
+TEST(MatrixStore, ForwardsToItsCsrAndMeasuresBothForms)
 {
     CsrMatrix m = randomMatrix(5, 24, 96, 10);
-    MatrixStore plain = MatrixStore::build(StoreKind::Csr, m);
-    MatrixStore packed = MatrixStore::build(StoreKind::Compressed, m);
+    MatrixStore s(m);
 
-    EXPECT_EQ(plain.kind(), StoreKind::Csr);
-    EXPECT_EQ(packed.kind(), StoreKind::Compressed);
-    EXPECT_EQ(plain.rows(), packed.rows());
-    EXPECT_EQ(plain.nnz(), packed.nnz());
-    EXPECT_EQ(plain.csrBytes(), packed.csrBytes());
-    EXPECT_EQ(plain.encodedBytes(), packed.encodedBytes());
-    expectSameMatrix(plain.toCsr(), packed.toCsr());
-    expectSameMatrix(plain.transpose(), packed.transpose());
+    EXPECT_EQ(s.rows(), m.rows());
+    EXPECT_EQ(s.cols(), m.cols());
+    EXPECT_EQ(s.nnz(), m.nnz());
+    expectSameMatrix(s.csr(), m);
+    expectSameMatrix(s.transpose(), m.transpose());
     for (Index r = 0; r < m.rows(); r += 3)
-        EXPECT_EQ(plain.at(r, r % m.cols()), packed.at(r, r % m.cols()));
+        EXPECT_EQ(s.at(r, r % m.cols()), m.at(r, r % m.cols()));
 
-    // Round trips through withKind land on the original bytes.
-    expectSameMatrix(packed.withKind(StoreKind::Csr).toCsr(), m);
-    expectSameMatrix(plain.withKind(StoreKind::Compressed).toCsr(), m);
-
-    // Kind-mismatched backing accessors are hard logic errors.
-    EXPECT_NO_THROW(plain.csr());
-    EXPECT_NO_THROW(packed.compressed());
-    EXPECT_THROW(plain.compressed(), std::logic_error);
-    EXPECT_THROW(packed.csr(), std::logic_error);
+    EXPECT_EQ(s.csrBytes(), 4u * (static_cast<std::uint64_t>(m.rows()) + 1) +
+                                8u * static_cast<std::uint64_t>(m.nnz()));
+    EXPECT_EQ(s.encodedBytes(),
+              CompressedCsrMatrix::fromCsr(m).encodedBytes());
+    EXPECT_EQ(MatrixStore().encodedBytes(),
+              CompressedCsrMatrix::fromCsr({}).encodedBytes());
 }
 
-TEST(MatrixStoreSeam, KindNamesParseBothWays)
+TEST(MatrixStore, RunStatsReportTheDatasetSizes)
 {
-    StoreKind k = StoreKind::Csr;
-    EXPECT_TRUE(sparse::parseStoreKind("compressed", k));
-    EXPECT_EQ(k, StoreKind::Compressed);
-    EXPECT_EQ(sparse::storeKindName(k), "compressed");
-    EXPECT_TRUE(sparse::parseStoreKind("csr", k));
-    EXPECT_EQ(k, StoreKind::Csr);
-    EXPECT_EQ(sparse::storeKindName(k), "csr");
-    EXPECT_FALSE(sparse::parseStoreKind("", k));
-    EXPECT_FALSE(sparse::parseStoreKind("dcsr", k));
-    EXPECT_EQ(k, StoreKind::Csr); // Unparsed input leaves out alone.
-}
-
-TEST(MatrixStoreSeam, DatasetResolutionCarriesTheKind)
-{
-    using namespace capstan::workloads;
-    auto plain = resolveMatrixDataset("Trefethen_20000", 0.05, "",
-                                      CacheMode::Auto, StoreKind::Csr);
-    auto packed = resolveMatrixDataset("Trefethen_20000", 0.05, "",
-                                       CacheMode::Auto,
-                                       StoreKind::Compressed);
-    EXPECT_EQ(plain.matrix.kind(), StoreKind::Csr);
-    EXPECT_EQ(packed.matrix.kind(), StoreKind::Compressed);
-    expectSameMatrix(plain.matrix.toCsr(), packed.matrix.toCsr());
+    // dataset.csr_bytes / encoded_bytes are measured properties of the
+    // dataset a run used.
+    DriverOptions opts;
+    opts.app = "spmv";
+    opts.scale = 0.05;
+    opts.tiles = 4;
+    const RunResult r = runDriver(opts);
+    auto d = workloads::resolveMatrixDataset(r.dataset, r.scale);
+    EXPECT_EQ(r.info.csr_bytes, d.matrix.csrBytes());
+    EXPECT_EQ(r.info.encoded_bytes,
+              CompressedCsrMatrix::fromCsr(d.matrix.csr()).encodedBytes());
+    EXPECT_LT(r.info.encoded_bytes, r.info.csr_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,93 +223,6 @@ TEST(MatrixViewSeam, TwoViewsHoldTwoRowsAtOnce)
         ASSERT_TRUE(std::equal(a.begin(), a.end(), ea.begin(), ea.end()));
         ASSERT_TRUE(std::equal(b.begin(), b.end(), eb.begin(), eb.end()));
     }
-}
-
-// ---------------------------------------------------------------------------
-// The differential matrix: byte-identical stats under either backing.
-// ---------------------------------------------------------------------------
-
-struct MatrixPoint
-{
-    const char *app;
-    ConfigPoint config;
-};
-
-/**
- * 6 apps x 2 design points = 12 points: every iteration structure
- * that reads the dataset matrix goes through MatrixView, so every one
- * must be bit-invariant to the backing.
- */
-const MatrixPoint kMatrix[] = {
-    {"spmv", ConfigPoint::Capstan},
-    {"spmv", ConfigPoint::Plasticine},
-    {"spmv-csc", ConfigPoint::Capstan},
-    {"spmv-csc", ConfigPoint::Plasticine},
-    {"pagerank", ConfigPoint::Capstan},
-    {"pagerank", ConfigPoint::Plasticine},
-    {"bfs", ConfigPoint::Capstan},
-    {"bfs", ConfigPoint::Plasticine},
-    {"matadd", ConfigPoint::Capstan},
-    {"matadd", ConfigPoint::Plasticine},
-    {"spmspm", ConfigPoint::Capstan},
-    {"spmspm", ConfigPoint::Plasticine},
-};
-
-std::string
-runPoint(const MatrixPoint &p, StoreKind store)
-{
-    DriverOptions opts;
-    opts.app = p.app;
-    opts.config = p.config;
-    opts.scale = 0.02; // The report's quick-preset scale.
-    opts.tiles = 4;
-    opts.iterations = 1;
-    opts.matrix_store = store;
-    return statsToJson(runDriver(opts)).dump(2);
-}
-
-TEST(StoreDifferential, TwelvePointMatrixIsByteIdenticalAcrossStores)
-{
-    for (const MatrixPoint &p : kMatrix) {
-        std::string plain = runPoint(p, StoreKind::Csr);
-        EXPECT_FALSE(plain.empty());
-        EXPECT_EQ(plain, runPoint(p, StoreKind::Compressed))
-            << p.app << "/" << configPointName(p.config)
-            << " diverged under --matrix-store compressed";
-    }
-}
-
-TEST(StoreDifferential, HoldsUnderTheFastForwardKillSwitch)
-{
-    // The backing must stay invisible when dense stepping replaces the
-    // fast-forward engine too.
-    for (const MatrixPoint &p : {kMatrix[0], kMatrix[6], kMatrix[10]}) {
-        ::setenv("CAPSTAN_NO_FF", "1", 1);
-        std::string plain_noff = runPoint(p, StoreKind::Csr);
-        std::string packed_noff = runPoint(p, StoreKind::Compressed);
-        ::unsetenv("CAPSTAN_NO_FF");
-        EXPECT_EQ(plain_noff, packed_noff)
-            << p.app << " diverged under CAPSTAN_NO_FF=1";
-    }
-}
-
-TEST(StoreDifferential, StatsReportTheSameSizesUnderEitherStore)
-{
-    // dataset.csr_bytes / encoded_bytes / compression_ratio describe
-    // the dataset, not the backing in use — they are part of the
-    // byte-identity contract, so both runs must report them equal.
-    DriverOptions opts;
-    opts.app = "spmv";
-    opts.scale = 0.05;
-    opts.tiles = 4;
-    const RunResult plain = runDriver(opts);
-    opts.matrix_store = StoreKind::Compressed;
-    const RunResult packed = runDriver(opts);
-    EXPECT_GT(plain.info.csr_bytes, 0u);
-    EXPECT_GT(plain.info.encoded_bytes, 0u);
-    EXPECT_EQ(plain.info.csr_bytes, packed.info.csr_bytes);
-    EXPECT_EQ(plain.info.encoded_bytes, packed.info.encoded_bytes);
-    EXPECT_EQ(statsToJson(plain).dump(2), statsToJson(packed).dump(2));
 }
 
 } // namespace

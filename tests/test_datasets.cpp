@@ -332,8 +332,8 @@ TEST(Cache, RoundTripsThroughTheV2Binary)
 
 TEST(Cache, ContentHashMissesOnSameStampDifferentContent)
 {
-    // The v1 gap this format closes: a rewrite that lands on the same
-    // size and mtime must still miss, because the v2 key includes a
+    // The gap a size + mtime key leaves: a rewrite that lands on the
+    // same size and mtime must still miss, because the v2 key includes a
     // content hash. The rewrite here differs from kTinyGeneral in one
     // byte (the last value, 0.5 -> 0.75 would change the size; use
     // 0.7), so size is identical and the mtime is restored manually.
@@ -362,17 +362,18 @@ TEST(Cache, ContentHashMissesOnSameStampDifferentContent)
                  DatasetError);
 }
 
-TEST(Cache, LegacyV1CachesStillHitOnSizeAndMtime)
+TEST(Cache, LegacyV1CachesMissAndAreRewrittenAsV2)
 {
-    // v1 caches (plain CSR, keyed on size + mtime only) must keep
-    // loading. The cache here deliberately holds a *different* matrix
-    // than the source text, which doubles as proof that a v1 hit
-    // skips re-parsing entirely.
+    // A v1 cache (plain CSR, keyed on size + mtime only) with a fresh
+    // stamp is no longer trusted. The planted cache deliberately holds
+    // a *different* matrix than the source text, so serving it would
+    // be visible.
     fs::path dir = scratchDir("capstan_cache_v1");
     fs::path mtx = dir / "m.mtx";
     writeFile(mtx, kTinyGeneral);
+    std::string cache = matrixCachePath(mtx.string());
 
-    std::ofstream out(matrixCachePath(mtx.string()), std::ios::binary);
+    std::ofstream out(cache, std::ios::binary);
     const char magic[8] = {'C', 'A', 'P', 'C', 'S', 'R', 'v', '1'};
     std::uint64_t src_size = fs::file_size(mtx);
     std::int64_t src_mtime = static_cast<std::int64_t>(
@@ -396,17 +397,22 @@ TEST(Cache, LegacyV1CachesStillHitOnSizeAndMtime)
     put(col_idx, sizeof(col_idx));
     put(values, sizeof(values));
     out.close();
+    EXPECT_THROW(readCompressedCache(cache), DatasetError);
 
-    auto m = loadRealMatrix(mtx.string(), CacheMode::Auto);
-    EXPECT_EQ(m.rows(), 2);
-    EXPECT_EQ(m.nnz(), 1);
-    EXPECT_FLOAT_EQ(m.at(0, 0), 42.0f);
+    // The v1 cache is ignored: the text's matrix comes back.
+    auto text = mtxFromText(kTinyGeneral);
+    for (CacheMode mode : {CacheMode::Auto, CacheMode::Force}) {
+        auto m = loadRealMatrix(mtx.string(), mode);
+        EXPECT_EQ(m.rows(), 3);
+        EXPECT_EQ(m.colIdx(), text.colIdx());
+        EXPECT_EQ(m.values(), text.values());
+    }
 
-    // The same v1 cache also feeds the compressed store path.
-    auto s = loadRealStore(mtx.string(), CacheMode::Auto,
-                           sparse::StoreKind::Compressed);
-    EXPECT_EQ(s.kind(), sparse::StoreKind::Compressed);
-    EXPECT_FLOAT_EQ(s.at(0, 0), 42.0f);
+    // The re-parse rewrote the cache as v2 over the same matrix.
+    auto cached = readCompressedCache(cache).toCsr();
+    EXPECT_EQ(cached.rowPtr(), text.rowPtr());
+    EXPECT_EQ(cached.colIdx(), text.colIdx());
+    EXPECT_EQ(cached.values(), text.values());
 }
 
 TEST(Cache, InvalidatesWhenTheSourceChanges)

@@ -526,18 +526,26 @@ TEST(ParseHelpers, JobsContractIsSharedAcrossEntryPoints)
     EXPECT_GE(resolveJobs(-7), 1); // Defensive: clamps like 0.
 }
 
-TEST(ParseHelpers, RetiredIntraRunThreadKnobIsAnUnknownFlag)
+TEST(ParseHelpers, RetiredKnobsAreUnknownFlags)
 {
-    // --jobs is the only host-parallelism knob. The removed intra-run
-    // thread knob is now an unknown flag (a usage error, exit 2 at the
-    // CLI) and still not an option key. Its name is assembled so no
-    // live source spells the retired knob.
-    const std::string key = std::string("intra") + "-jobs";
-    EXPECT_FALSE(parseArgs({"--" + key, "4"}).ok());
-    DriverOptions o;
-    EXPECT_NE(applyOption(o, key, "4"), "");
-    for (const auto &k : optionKeys())
-        EXPECT_NE(k, key);
+    // Each retired knob is now an unknown flag (a usage error, exit 2
+    // at the CLI) and not an option key: the intra-run thread count
+    // (--jobs is the only host-parallelism knob) and the dataset
+    // backing store (datasets are always CSR). Names are assembled so
+    // no live source spells a retired knob.
+    const std::string retired[] = {
+        std::string("intra") + "-jobs",
+        std::string("matrix") + "-store",
+    };
+    for (const std::string &key : retired) {
+        SCOPED_TRACE(key);
+        EXPECT_FALSE(parseArgs({"--" + key, "csr"}).ok());
+        EXPECT_FALSE(parseArgs({"--" + key, "4"}).ok());
+        DriverOptions o;
+        EXPECT_NE(applyOption(o, key, "4"), "");
+        for (const auto &k : optionKeys())
+            EXPECT_NE(k, key);
+    }
 }
 
 } // namespace

@@ -156,13 +156,10 @@ TEST(EngineRequest, HostKnobsComeFromTheEngineNotTheWire)
 {
     engine::EngineConfig cfg;
     cfg.dataset_dir = "/nonexistent/datasets";
-    cfg.matrix_store = sparse::StoreKind::Compressed;
     engine::JobRequest req = engine::JobRequest::fromJson(
         JsonValue::parse("{\"type\": \"run\"}"), cfg);
     EXPECT_EQ(req.options.dataset_dir, cfg.dataset_dir);
-    EXPECT_EQ(req.options.matrix_store,
-              sparse::StoreKind::Compressed);
-    // And the wire cannot override them: they are not option keys the
+    // And the wire cannot override it: it is not an option key the
     // request accepts.
     EXPECT_THROW(engine::JobRequest::fromJson(
                      JsonValue::parse(

@@ -39,15 +39,6 @@ schema-sync      Every JSON stat key emitted by the driver/report
                  registered in src/report/study.cpp. With
                  --report-json, additionally: every tolerance-checked
                  reference metric was actually produced by a study.
-raw-csr          A raw CSR row accessor (.rowIndices/.rowValues/
-                 .rowPtr/.rowLength/.colIdx) outside src/sparse/.
-                 Matrix consumers must read through the
-                 sparse::MatrixView seam so every app works with both
-                 the plain-CSR and the compressed backing store
-                 (--matrix-store); a direct CSR access silently pins
-                 the code to one backing. Locally built CSR results
-                 (an app's own product matrix) can wrap a local
-                 MatrixView or suppress with a justification.
 bad-suppression  A capstan-lint allow-comment without a justification.
 
 Suppressing a finding
@@ -79,20 +70,12 @@ LINT_CLASSES = (
     "pragma-once",
     "using-namespace",
     "schema-sync",
-    "raw-csr",
     "bad-suppression",
 )
 
 # The one place raw numeric parsing is allowed: the validated parse
 # helpers every CLI funnels through.
 RAW_PARSE_ALLOWED = {os.path.join("src", "driver", "options.cpp")}
-
-# The sparse layer itself implements the backings and may touch raw
-# CSR arrays; everything else must go through sparse::MatrixView.
-RAW_CSR_ALLOWED_PREFIX = os.path.join("src", "sparse") + os.sep
-RAW_CSR_RE = re.compile(
-    r"(?:\.|->)\s*(rowIndices|rowValues|rowPtr|rowLength|colIdx)"
-    r"\s*\(")
 
 # JSON writers whose .set("key") literals define the output schema.
 SCHEMA_EMITTERS = (
@@ -352,17 +335,6 @@ def lint_source(relpath, text, sibling_text="", classes=None,
                 add(idx, "raw-parse",
                     f"raw {m.group(1)}() outside the validated parse "
                     f"helpers in src/driver/options.cpp")
-
-    # raw-csr ----------------------------------------------------------
-    if not relpath.replace("\\", "/").startswith(
-            RAW_CSR_ALLOWED_PREFIX.replace("\\", "/")):
-        for idx, line in enumerate(code_lines, start=1):
-            m = RAW_CSR_RE.search(line)
-            if m:
-                add(idx, "raw-csr",
-                    f"raw CSR accessor .{m.group(1)}() outside "
-                    f"src/sparse/; read through sparse::MatrixView so "
-                    f"both --matrix-store backings work")
 
     return findings
 
