@@ -101,14 +101,14 @@ benchMain(const std::string &study_name, int argc, char **argv)
 
     std::printf("%s: %s\n\n", study->artifact.c_str(),
                 study->title.c_str());
-    try {
-        report::StudyResult result = study->run(ctx);
-        std::cout << report::renderText(result);
-    } catch (const std::exception &e) {
+    report::StudyRun run =
+        report::runPlan(report::planStudies({study}, ctx), ctx).front();
+    if (!run.ok) {
         std::fprintf(stderr, "%s failed: %s\n", study_name.c_str(),
-                     e.what());
+                     run.error.c_str());
         return 1;
     }
+    std::cout << report::renderText(run.result);
     return 0;
 }
 

@@ -9,13 +9,14 @@
  * data/paper_reference.json, exiting non-zero iff any artifact
  * deviates beyond its tolerance.
  *
- * Front-end only: each selected study becomes an engine::JobRequest
- * executed on the shared engine layer (src/engine/) — the same path a
- * `capstan-serve` study job takes, with the same presets
- * (engine::presetKnobs) and the same warm dataset cache across
- * studies. SIGINT/SIGTERM stop the study loop cooperatively: the
- * in-flight sweep point finishes, the partial report is flushed with
- * `"interrupted": true`, and the process exits 130.
+ * Front-end only: the whole selection executes as one
+ * Engine::executeStudies call on the shared engine layer
+ * (src/engine/) — every study's points in one deduplicated sweep, the
+ * path a `capstan-serve` study job takes for one study, with the same
+ * presets (engine::presetKnobs). SIGINT/SIGTERM cancel cooperatively:
+ * in-flight points finish, unclaimed ones are skipped, every study
+ * whose points all ran still derives, the partial report is flushed
+ * with `"interrupted": true`, and the process exits 130.
  *
  *   capstan-report --all --preset quick --check
  *   capstan-report --study table12 --study fig5 --jobs 8
@@ -221,13 +222,12 @@ writeFile(const std::string &path, const std::string &content)
     return true;
 }
 
-/** The engine request one selected study resolves to. */
+/** The study knobs and jobs the selection runs under. */
 engine::JobRequest
-studyRequest(const ReportArgs &args, const std::string &study)
+studyRequest(const ReportArgs &args)
 {
     engine::JobRequest req;
     req.kind = engine::JobRequest::Kind::Study;
-    req.study = study;
     req.preset = args.preset;
     if (args.scale > 0)
         req.scale = args.scale;
@@ -315,46 +315,33 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Every selected study resolves to the same knobs; take them from
-    // the first request (they feed ReportMeta, not execution).
+    // The request carries the knobs every selected study runs under.
+    engine::JobRequest request = studyRequest(args);
     ReportMeta meta;
     meta.preset = args.preset;
     meta.checked = args.check;
-    meta.knobs =
-        eng.studyKnobs(studyRequest(args, selected.empty()
-                                              ? std::string()
-                                              : selected[0]->name));
+    meta.knobs = eng.studyKnobs(request);
 
     capstan::common::installInterruptHandlers();
 
-    std::vector<StudyRun> runs;
+    engine::ExecHooks hooks;
+    hooks.cancel = &capstan::common::interruptFlag();
+    hooks.planned = [](const ReportPlan &plan) {
+        std::fprintf(stderr,
+                     "capstan-report: %zu studies, %zu planned points, "
+                     "%zu distinct\n",
+                     plan.studies.size(), plan.planned(),
+                     plan.distinct.size());
+    };
+    std::vector<StudyRun> runs =
+        eng.executeStudies(selected, request, hooks);
     bool dataset_usage_error = false;
     bool interrupted = false;
-    for (const Study *study : selected) {
-        if (capstan::common::interruptRequested()) {
-            interrupted = true;
-            break; // Unstarted studies are simply not in the report.
-        }
-        std::fprintf(stderr, "capstan-report: running %s (%s)...\n",
-                     study->name.c_str(), study->artifact.c_str());
-        engine::ExecHooks hooks;
-        hooks.cancel = &capstan::common::interruptFlag();
-        engine::JobResult res =
-            eng.execute(studyRequest(args, study->name), hooks);
-        StudyRun run;
-        if (res.study_run) {
-            run = *res.study_run;
-        } else {
-            run.study = study;
-            run.error = res.error;
-        }
-        dataset_usage_error |= res.usage_error;
-        interrupted |= res.interrupted;
+    for (const auto &run : runs) {
+        dataset_usage_error |= run.usage_error;
+        interrupted |= run.interrupted;
         std::fprintf(stderr, "capstan-report:   %s: %s\n",
-                     study->name.c_str(), run.verdict().c_str());
-        runs.push_back(std::move(run));
-        if (interrupted)
-            break;
+                     run.study->name.c_str(), run.verdict().c_str());
     }
 
     bool wrote = true;

@@ -177,18 +177,27 @@ effectiveScale(const std::string &dataset, const RunKnobs &knobs)
     return defaultScale(dataset) * knobs.scale_mult;
 }
 
+Workload
+workload(const std::string &app, const std::string &dataset,
+         const RunKnobs &knobs)
+{
+    double scale = effectiveScale(dataset, knobs);
+    Workload w;
+    if (app == "Conv")
+        w.layer = &cachedConv(dataset, scale).layer;
+    else
+        w.matrix = &cachedMatrix(dataset, scale, knobs.dataset_dir);
+    return w;
+}
+
 AppTiming
 runApp(const std::string &app, const std::string &dataset,
        const CapstanConfig &cfg, const RunKnobs &knobs)
 {
-    double scale = effectiveScale(dataset, knobs);
-    if (app == "Conv") {
-        const ConvDataset &d = cachedConv(dataset, scale);
-        return runConv(d.layer, cfg, knobs.tiles).timing;
-    }
-    const MatrixDataset &d =
-        cachedMatrix(dataset, scale, knobs.dataset_dir);
-    const sparse::MatrixStore &m = d.matrix;
+    Workload w = workload(app, dataset, knobs);
+    if (w.layer)
+        return runConv(*w.layer, cfg, knobs.tiles).timing;
+    const sparse::MatrixStore &m = w.matrix->matrix;
     // Graph traversals, M+M (A + A^T), SpMSpM (A x A), and BiCGStab
     // index one dimension with the other's indices, so a rectangular
     // matrix would read/write out of bounds. Every synthetic
@@ -221,9 +230,10 @@ runApp(const std::string &app, const std::string &dataset,
         // Add the dataset to its transpose: same dimensions and
         // density, different (but correlated) occupancy.
         static GenerateOnceCache<sparse::MatrixStore> tcache;
-        const sparse::MatrixStore &mt =
-            tcache.get(datasetKey(dataset, scale, knobs.dataset_dir),
-                       [&] { return sparse::MatrixStore(m.transpose()); });
+        const sparse::MatrixStore &mt = tcache.get(
+            datasetKey(dataset, effectiveScale(dataset, knobs),
+                       knobs.dataset_dir),
+            [&] { return sparse::MatrixStore(m.transpose()); });
         return runMatAdd(m, mt, cfg, knobs.tiles, knobs.use_bittree).timing;
     }
     if (app == "SpMSpM")
@@ -258,14 +268,13 @@ runDriver(const DriverOptions &opts)
     r.scale = effectiveScale(r.dataset, knobs);
     r.timing = runApp(r.app, r.dataset, r.config, knobs);
 
-    if (r.app == "Conv") {
-        const ConvLayer &layer = cachedConv(r.dataset, r.scale).layer;
-        r.info.rows = layer.dim;
-        r.info.cols = layer.dim;
+    Workload w = workload(r.app, r.dataset, knobs);
+    if (w.layer) {
+        r.info.rows = w.layer->dim;
+        r.info.cols = w.layer->dim;
         r.info.nnz = -1;
     } else {
-        const MatrixDataset &d =
-            cachedMatrix(r.dataset, r.scale, knobs.dataset_dir);
+        const MatrixDataset &d = *w.matrix;
         r.info.rows = d.matrix.rows();
         r.info.cols = d.matrix.cols();
         r.info.nnz = d.matrix.nnz();
@@ -274,6 +283,21 @@ runDriver(const DriverOptions &opts)
         r.info.encoded_bytes = d.matrix.encodedBytes();
     }
     return r;
+}
+
+SimulationKey
+simulationKey(const DriverOptions &opts)
+{
+    SimulationKey key;
+    key.app = canonicalApp(opts.app).value_or(opts.app);
+    key.dataset =
+        opts.dataset.empty() ? defaultDataset(key.app) : opts.dataset;
+    key.dataset_dir = opts.dataset_dir;
+    key.scale = opts.scale;
+    key.tiles = opts.tiles;
+    key.iterations = opts.iterations;
+    key.config = buildConfig(opts);
+    return key;
 }
 
 JsonValue

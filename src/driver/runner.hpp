@@ -22,6 +22,7 @@
 #include "common/json.hpp"
 #include "driver/options.hpp"
 #include "sim/config.hpp"
+#include "workloads/datasets.hpp"
 
 namespace capstan::driver {
 
@@ -83,6 +84,23 @@ struct DatasetInfo
 AppTiming runApp(const std::string &app, const std::string &dataset,
                  const CapstanConfig &cfg, const RunKnobs &knobs = {});
 
+/** The input a run simulates: exactly one member is set. */
+struct Workload
+{
+    const workloads::ConvLayer *layer = nullptr;      //!< Conv.
+    const workloads::MatrixDataset *matrix = nullptr; //!< Other apps.
+};
+
+/**
+ * The workload runApp(@p app, @p dataset, ..., @p knobs) simulates,
+ * from the same generate-once cache. Analytic models that read a
+ * run's inputs (the report's CPU/GPU and ASIC baselines) go through
+ * here, so a report generates, or reads from --dataset-dir, each
+ * dataset once. Throws workloads::DatasetError like runApp.
+ */
+Workload workload(const std::string &app, const std::string &dataset,
+                  const RunKnobs &knobs);
+
 /** Result of one driver invocation. */
 struct RunResult
 {
@@ -99,6 +117,28 @@ struct RunResult
 
 /** Execute the run an option set describes. */
 RunResult runDriver(const DriverOptions &opts);
+
+/**
+ * The simulation runDriver(opts) performs, independent of how the
+ * options spell it: the canonical app, the resolved dataset, the
+ * knobs, and the whole machine config buildConfig() produces. Equal
+ * keys yield identical RunResults, so "scan-bits 256" equals an unset
+ * scan-bits and "config=ideal" equals "config=ideal memtech=ideal".
+ * The report planner merges points on it (report/study.hpp).
+ */
+struct SimulationKey
+{
+    std::string app;
+    std::string dataset;
+    std::string dataset_dir;
+    double scale = 1.0;
+    int tiles = 0;
+    int iterations = 0;
+    CapstanConfig config;
+
+    auto operator<=>(const SimulationKey &) const = default;
+};
+SimulationKey simulationKey(const DriverOptions &opts);
 
 /**
  * Process-lifetime counters over the generate-once dataset caches

@@ -342,6 +342,17 @@ Engine::effectiveJobs(int request_jobs) const
     return std::min(jobs, resolved_jobs_);
 }
 
+void
+Engine::countJob(bool ok, bool interrupted)
+{
+    if (interrupted)
+        jobs_interrupted_.fetch_add(1, std::memory_order_relaxed);
+    else if (ok)
+        jobs_completed_.fetch_add(1, std::memory_order_relaxed);
+    else
+        jobs_failed_.fetch_add(1, std::memory_order_relaxed);
+}
+
 JobResult
 Engine::execute(const JobRequest &req, const ExecHooks &hooks)
 {
@@ -351,13 +362,42 @@ Engine::execute(const JobRequest &req, const ExecHooks &hooks)
     // next step boundary once the token fires.
     common::ScopedCancelToken guard(hooks.cancel);
     JobResult res = executeLocked(req, hooks);
-    if (res.interrupted)
-        jobs_interrupted_.fetch_add(1, std::memory_order_relaxed);
-    else if (res.ok)
-        jobs_completed_.fetch_add(1, std::memory_order_relaxed);
-    else
-        jobs_failed_.fetch_add(1, std::memory_order_relaxed);
+    countJob(res.ok, res.interrupted);
     return res;
+}
+
+std::vector<report::StudyRun>
+Engine::executeStudies(const std::vector<const report::Study *> &studies,
+                       const JobRequest &req, const ExecHooks &hooks)
+{
+    std::lock_guard<std::mutex> lock(exec_mutex_);
+    common::ScopedCancelToken guard(hooks.cancel);
+    std::vector<report::StudyRun> runs =
+        studiesLocked(studies, req, hooks);
+    bool ok = true, interrupted = false;
+    for (const auto &run : runs) {
+        ok &= run.ok;
+        interrupted |= run.interrupted;
+    }
+    countJob(ok, interrupted);
+    return runs;
+}
+
+std::vector<report::StudyRun>
+Engine::studiesLocked(const std::vector<const report::Study *> &studies,
+                      const JobRequest &req, const ExecHooks &hooks)
+{
+    report::StudyContext ctx;
+    ctx.knobs = studyKnobs(req);
+    ctx.jobs = effectiveJobs(req.jobs);
+    ctx.pool = pool_.get();
+    ctx.cancel = hooks.cancel;
+    ctx.progress = hooks.progress;
+    ctx.reference = reference();
+    report::ReportPlan plan = report::planStudies(studies, ctx);
+    if (hooks.planned)
+        hooks.planned(plan);
+    return report::runPlan(plan, ctx);
 }
 
 JobResult
@@ -414,44 +454,17 @@ Engine::executeLocked(const JobRequest &req, const ExecHooks &hooks)
                 throw std::invalid_argument(
                     "unknown study '" + req.study +
                     "' (see capstan-report --list)");
-            report::StudyContext ctx;
-            ctx.knobs = studyKnobs(req);
-            ctx.jobs = effectiveJobs(req.jobs);
-            ctx.pool = pool_.get();
-            ctx.cancel = hooks.cancel;
-            ctx.progress = hooks.progress;
-            ctx.reference = reference();
-
-            report::StudyRun run;
-            run.study = study;
-            try {
-                run.result = study->run(ctx);
-                run.ok = true;
-                if (ctx.reference)
-                    run.check = ctx.reference->check(
-                        study->name, run.result.metrics);
-            } catch (const report::StudyInterrupted &e) {
-                run.error = e.what();
-                run.interrupted = true;
-            } catch (const common::CancelledError &) {
-                run.error = "interrupted";
-                run.interrupted = true;
-            } catch (const workloads::DatasetError &e) {
-                run.error = e.what();
-                res.usage_error = true;
-            } catch (const std::exception &e) {
-                run.error = e.what();
-            }
+            std::vector<report::StudyRun> runs =
+                studiesLocked({study}, req, hooks);
             report::ReportMeta meta;
             meta.preset = req.preset;
-            meta.knobs = ctx.knobs;
+            meta.knobs = studyKnobs(req);
             meta.checked = req.check;
-            std::vector<report::StudyRun> runs;
-            runs.push_back(run);
             res.document = report::reportToJson(runs, meta);
-            res.study_run = std::move(run);
+            res.study_run = std::move(runs.front());
             res.ok = res.study_run->ok;
             res.interrupted = res.study_run->interrupted;
+            res.usage_error = res.study_run->usage_error;
             if (!res.ok)
                 res.error = res.study_run->error;
             break;

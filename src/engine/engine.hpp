@@ -21,9 +21,9 @@
  * results never depend on jobs/pool size or on whether a cancel token
  * was armed but unfired.
  *
- * Concurrency: execute() runs one job on the calling thread
- * (internally parallel via the sweep pool). The engine serializes
- * concurrent execute() calls with a mutex — the serve executor is
+ * Concurrency: execute() and executeStudies() run one job on the
+ * calling thread (internally parallel via the sweep pool). The engine
+ * serializes concurrent calls with a mutex — the serve executor is
  * single-threaded anyway — while stats() is safe to call from any
  * thread at any time.
  */
@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -119,8 +120,14 @@ struct JobRequest
 /** Optional per-job streaming hooks. */
 struct ExecHooks
 {
-    /** Per-point progress (sweeps, app studies, and the run itself). */
+    /**
+     * Per-point progress: each sweep point, each planned study point
+     * (merged points report when their shared run finishes), and the
+     * run itself.
+     */
     driver::SweepProgress progress;
+    /** Study jobs: the plan, once it is built and before it runs. */
+    std::function<void(const report::ReportPlan &)> planned;
     /**
      * Cooperative cancel token. The engine passes it to the sweep
      * loop (finish the claimed point, skip the rest) and arms it as
@@ -195,11 +202,29 @@ class Engine
     JobResult execute(const JobRequest &req,
                       const ExecHooks &hooks = {});
 
+    /**
+     * Execute @p studies as one report under @p req's preset, knob
+     * overrides and jobs (its `study` is ignored): every study's
+     * planned points run as one deduplicated sweep on the pool, then
+     * each study derives in the given order (report::runPlan). One job
+     * under one hold of the exec mutex; `capstan-report` runs its
+     * whole selection here, and a Study job is the one-study case.
+     * Study failures land in the StudyRuns; only studyKnobs() and
+     * reference() errors (unknown preset, unparsable reference) throw.
+     */
+    std::vector<report::StudyRun>
+    executeStudies(const std::vector<const report::Study *> &studies,
+                   const JobRequest &req, const ExecHooks &hooks = {});
+
     EngineStats stats() const;
 
   private:
     JobResult executeLocked(const JobRequest &req,
                             const ExecHooks &hooks);
+    std::vector<report::StudyRun>
+    studiesLocked(const std::vector<const report::Study *> &studies,
+                  const JobRequest &req, const ExecHooks &hooks);
+    void countJob(bool ok, bool interrupted);
     int effectiveJobs(int request_jobs) const;
 
     EngineConfig cfg_;

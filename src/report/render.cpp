@@ -30,18 +30,6 @@ oursPaper(double ours, std::optional<double> paper, int precision)
     return cell;
 }
 
-std::string
-StudyRun::verdict() const
-{
-    if (interrupted)
-        return "interrupted";
-    if (!ok)
-        return "error";
-    if (!check.has_reference || check.checked == 0)
-        return "unchecked";
-    return check.pass() ? "pass" : "deviation";
-}
-
 namespace {
 
 void

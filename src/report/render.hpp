@@ -26,21 +26,6 @@ std::string num(std::optional<double> v, int precision = 2);
 std::string oursPaper(double ours, std::optional<double> paper,
                       int precision = 2);
 
-/** One study's execution outcome inside a report. */
-struct StudyRun
-{
-    const Study *study = nullptr;
-    bool ok = false;
-    std::string error;  //!< what() when !ok.
-    StudyResult result; //!< Valid when ok.
-    StudyCheck check;   //!< Against the reference, when one was given.
-    /** The study was cancelled (StudyInterrupted), not broken. */
-    bool interrupted = false;
-
-    /** "pass", "deviation", "unchecked", "interrupted", or "error". */
-    std::string verdict() const;
-};
-
 /** Report-wide identity rendered into every format. */
 struct ReportMeta
 {

@@ -64,7 +64,7 @@ measureUtilization(const sim::SpmuConfig &cfg, int vectors,
 } // namespace
 
 StudyResult
-runTable4(const StudyContext &ctx)
+deriveTable4(const StudyContext &ctx, const Timings &)
 {
     int vectors = static_cast<int>(
         6000 * std::max(0.1, ctx.knobs.scale_mult));
@@ -108,7 +108,7 @@ runTable4(const StudyContext &ctx)
 }
 
 StudyResult
-runTable5(const StudyContext &)
+deriveTable5(const StudyContext &, const Timings &)
 {
     const std::vector<int> outputs = {1, 2, 4, 8, 16};
 
@@ -140,7 +140,7 @@ runTable5(const StudyContext &)
 }
 
 StudyResult
-runTable8(const StudyContext &)
+deriveTable8(const StudyContext &, const Timings &)
 {
     sim::ChipArea p = sim::plasticineArea();
     sim::ChipArea c = sim::capstanArea();
@@ -280,7 +280,7 @@ traceGrid(const std::string &name, const TraceResult &res)
 } // namespace
 
 StudyResult
-runFig4(const StudyContext &ctx)
+deriveFig4(const StudyContext &ctx, const Timings &)
 {
     const std::vector<std::pair<std::string, sim::Ordering>> modes = {
         {"unordered", sim::Ordering::Unordered},
@@ -309,7 +309,7 @@ runFig4(const StudyContext &ctx)
 }
 
 StudyResult
-runMicroComponents(const StudyContext &)
+deriveMicroComponents(const StudyContext &, const Timings &)
 {
     StudyResult result;
     StudyTable table;

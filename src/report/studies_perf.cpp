@@ -1,14 +1,17 @@
 /**
  * @file
  * Application-level studies: artifacts whose points are full
- * (application x dataset x machine-configuration) simulations. Every
- * study here declares its runs as SweepSpecs over the driver's option
- * keys, expands them with driver::expandSweep, and executes all points
- * on the parallel sweep engine (driver::runSweep) through
- * StudyContext::sweep — the same path as `capstan-run --sweep`.
- * Figure 7 and Table 13 are the exceptions: their layered
- * configurations and back-pointer knob are not expressible as option
- * keys, so they call the shared dispatch (driver::runApp) directly.
+ * (application x dataset x machine-configuration) simulations. Each
+ * study is a plan/derive pair. The plan declares its runs as
+ * SweepSpecs over the driver's option keys and expands them with
+ * driver::expandSweep; the derive reads the planned points' timings by
+ * index. The points themselves run in report::runPlan, merged with
+ * every other selected study's points into one parallel sweep
+ * (driver::runSweep), the same path as `capstan-run --sweep`. Figure
+ * 7's layered configurations and Table 13's ASIC design points are
+ * option keys too; only Table 13's two Graphicionado runs without back
+ * pointers (BFS, SSSP) call the shared dispatch (driver::runApp)
+ * directly from the derive, as no option key sets that knob.
  */
 
 #include <array>
@@ -25,21 +28,13 @@
 #include "report/studies.hpp"
 #include "sim/area.hpp"
 #include "sim/stats.hpp"
-#include "workloads/datasets.hpp"
 
 namespace capstan::report {
 
 namespace {
 
 using driver::DriverOptions;
-using driver::SweepPointResult;
 using driver::SweepSpec;
-
-double
-pointSeconds(const SweepPointResult &r)
-{
-    return seconds(r.result.timing); // ctx.sweep ran: r.ok holds.
-}
 
 /** Apply a named option to a base point; throws on invalid values. */
 void
@@ -49,6 +44,14 @@ apply(DriverOptions &opts, const std::string &key,
     std::string err = driver::applyOption(opts, key, value);
     if (!err.empty())
         throw std::invalid_argument(err);
+}
+
+/** Expand @p spec and append its points to @p points. */
+void
+expandInto(std::vector<DriverOptions> &points, const SweepSpec &spec)
+{
+    auto expanded = driver::expandSweep(spec);
+    points.insert(points.end(), expanded.begin(), expanded.end());
 }
 
 std::vector<std::string>
@@ -69,35 +72,36 @@ toStrings(const std::vector<int> &values)
     return out;
 }
 
+struct Table9Variant
+{
+    std::string key;      //!< Metric-key component.
+    std::string label;    //!< Column header.
+    std::string ordering; //!< Sweep-axis value.
+    std::string hash;
+    std::string allocator;
+    std::string ideal;
+};
+
+const std::vector<Table9Variant> kTable9Variants = {
+    {"ideal", "Ideal", "unordered", "xor", "full", "true"},
+    {"hash", "Hash", "unordered", "xor", "full", "false"},
+    {"lin", "Lin.", "unordered", "linear", "full", "false"},
+    {"weak_h", "Weak-H", "unordered", "xor", "weak", "false"},
+    {"weak_l", "Weak-L", "unordered", "linear", "weak", "false"},
+    {"arb_h", "Arb-H", "arbitrated", "xor", "full", "false"},
+    {"arb_l", "Arb-L", "arbitrated", "linear", "full", "false"},
+};
+
 } // namespace
 
-StudyResult
-runTable9(const StudyContext &ctx)
+std::vector<DriverOptions>
+planTable9(const StudyContext &ctx)
 {
-    struct Variant
-    {
-        std::string key;      //!< Metric-key component.
-        std::string label;    //!< Column header.
-        std::string ordering; //!< Sweep-axis value.
-        std::string hash;
-        std::string allocator;
-        std::string ideal;
-    };
-    const std::vector<Variant> variants = {
-        {"ideal", "Ideal", "unordered", "xor", "full", "true"},
-        {"hash", "Hash", "unordered", "xor", "full", "false"},
-        {"lin", "Lin.", "unordered", "linear", "full", "false"},
-        {"weak_h", "Weak-H", "unordered", "xor", "weak", "false"},
-        {"weak_l", "Weak-L", "unordered", "linear", "weak", "false"},
-        {"arb_h", "Arb-H", "arbitrated", "xor", "full", "false"},
-        {"arb_l", "Arb-L", "arbitrated", "linear", "full", "false"},
-    };
-
     // One spec per variant; the app axis expands to all eleven
     // applications, each on its family's default dataset. Points are
     // variant-major: index v * apps + a.
     std::vector<DriverOptions> points;
-    for (const auto &v : variants) {
+    for (const auto &v : kTable9Variants) {
         SweepSpec spec;
         spec.base = ctx.base(allApps().front(), "");
         spec.set("app", allApps());
@@ -105,14 +109,18 @@ runTable9(const StudyContext &ctx)
         spec.set("hash", {v.hash});
         spec.set("allocator", {v.allocator});
         spec.set("spmu-ideal", {v.ideal});
-        auto expanded = driver::expandSweep(spec);
-        points.insert(points.end(), expanded.begin(), expanded.end());
+        expandInto(points, spec);
     }
-    auto results = ctx.sweep(points);
+    return points;
+}
 
+StudyResult
+deriveTable9(const StudyContext &ctx, const Timings &t)
+{
+    const auto &variants = kTable9Variants;
     const std::size_t napps = allApps().size();
     auto secondsAt = [&](std::size_t variant, std::size_t app) {
-        return pointSeconds(results[variant * napps + app]);
+        return seconds(t[variant * napps + app]);
     };
 
     StudyResult result;
@@ -149,31 +157,41 @@ runTable9(const StudyContext &ctx)
     return result;
 }
 
-StudyResult
-runTable10(const StudyContext &ctx)
-{
-    const std::vector<std::string> apps = {"CSR", "COO", "CSC", "Conv",
-                                           "BiCGStab"};
-    const std::vector<std::pair<std::string, std::string>> modes = {
-        {"unordered", "Capstan"},
-        {"address", "Address Ordered"},
-        {"fully", "Ordered"},
-    };
+namespace {
 
+const std::vector<std::string> kTable10Apps = {"CSR", "COO", "CSC",
+                                               "Conv", "BiCGStab"};
+const std::vector<std::pair<std::string, std::string>> kTable10Modes = {
+    {"unordered", "Capstan"},
+    {"address", "Address Ordered"},
+    {"fully", "Ordered"},
+};
+
+} // namespace
+
+std::vector<DriverOptions>
+planTable10(const StudyContext &ctx)
+{
     // One spec per app (datasets differ); the ordering axis expands to
     // the three modes. Points are app-major: index a * modes + m.
     std::vector<DriverOptions> points;
     std::vector<std::string> mode_values;
-    for (const auto &[value, label] : modes)
+    for (const auto &[value, label] : kTable10Modes)
         mode_values.push_back(value);
-    for (const auto &app : apps) {
+    for (const auto &app : kTable10Apps) {
         SweepSpec spec;
         spec.base = ctx.base(app, datasetsFor(app)[0]);
         spec.set("ordering", mode_values);
-        auto expanded = driver::expandSweep(spec);
-        points.insert(points.end(), expanded.begin(), expanded.end());
+        expandInto(points, spec);
     }
-    auto results = ctx.sweep(points);
+    return points;
+}
+
+StudyResult
+deriveTable10(const StudyContext &ctx, const Timings &t)
+{
+    const auto &apps = kTable10Apps;
+    const auto &modes = kTable10Modes;
 
     StudyResult result;
     StudyTable table;
@@ -185,10 +203,9 @@ runTable10(const StudyContext &ctx)
     // Normalize per app against the fully-reordering (first) mode.
     std::map<std::string, std::array<double, 3>> norm;
     for (std::size_t a = 0; a < apps.size(); ++a) {
-        double base = pointSeconds(results[a * modes.size()]);
+        double base = seconds(t[a * modes.size()]);
         for (std::size_t m = 0; m < modes.size(); ++m)
-            norm[apps[a]][m] =
-                pointSeconds(results[a * modes.size() + m]) / base;
+            norm[apps[a]][m] = seconds(t[a * modes.size() + m]) / base;
     }
     for (std::size_t m = 0; m < modes.size(); ++m) {
         std::vector<std::string> row = {modes[m].second};
@@ -213,32 +230,41 @@ runTable10(const StudyContext &ctx)
     return result;
 }
 
-StudyResult
-runTable11(const StudyContext &ctx)
-{
-    const std::vector<std::string> apps = {"PR-Pull", "PR-Edge",
-                                           "Conv"};
-    const std::vector<std::string> techs = {"ddr4", "hbm2e"};
-    const std::vector<std::string> merges = {"none", "mrg0", "mrg1",
-                                             "mrg16"};
+namespace {
 
+const std::vector<std::string> kTable11Apps = {"PR-Pull", "PR-Edge",
+                                               "Conv"};
+const std::vector<std::string> kTable11Techs = {"ddr4", "hbm2e"};
+const std::vector<std::string> kTable11Merges = {"none", "mrg0", "mrg1",
+                                                 "mrg16"};
+
+} // namespace
+
+std::vector<DriverOptions>
+planTable11(const StudyContext &ctx)
+{
     // One spec per app crossing memtech x merge; canonical axis order
     // puts memtech outermost, so index a*8 + t*4 + m.
     std::vector<DriverOptions> points;
-    for (const auto &app : apps) {
+    for (const auto &app : kTable11Apps) {
         SweepSpec spec;
         spec.base = ctx.base(app, datasetsFor(app)[0]);
-        spec.set("memtech", techs);
-        spec.set("merge", merges);
-        auto expanded = driver::expandSweep(spec);
-        points.insert(points.end(), expanded.begin(), expanded.end());
+        spec.set("memtech", kTable11Techs);
+        spec.set("merge", kTable11Merges);
+        expandInto(points, spec);
     }
-    auto results = ctx.sweep(points);
+    return points;
+}
+
+StudyResult
+deriveTable11(const StudyContext &ctx, const Timings &t)
+{
+    const auto &apps = kTable11Apps;
+    const std::size_t techs = kTable11Techs.size();
+    const std::size_t merges = kTable11Merges.size();
     auto secondsAt = [&](std::size_t app, std::size_t tech,
                          std::size_t merge) {
-        return pointSeconds(
-            results[app * techs.size() * merges.size() +
-                    tech * merges.size() + merge]);
+        return seconds(t[app * techs * merges + tech * merges + merge]);
     };
 
     // Columns: None(DDR4), None(HBM2E), Mrg-0, Mrg-1, Mrg-16. Each
@@ -284,24 +310,25 @@ runTable11(const StudyContext &ctx)
     return result;
 }
 
-StudyResult
-runTable12(const StudyContext &ctx)
-{
-    using namespace capstan::baselines;
-    using namespace capstan::workloads;
+namespace {
 
-    struct ConfigRow
-    {
-        std::string key;   //!< Metric-key component.
-        std::string label; //!< Display row name.
-        std::string config;
-        std::string memtech;
-        std::vector<std::string> apps;
-    };
+struct Table12Row
+{
+    std::string key;   //!< Metric-key component.
+    std::string label; //!< Display row name.
+    std::string config;
+    std::string memtech;
+    std::vector<std::string> apps;
+};
+
+/** Table 12's simulated rows; each app spans its Table 6 datasets. */
+std::vector<Table12Row>
+table12Rows()
+{
     // Plasticine cannot map Conv, PR-Edge, BFS, SSSP, M+M, or SpMSpM.
     const std::vector<std::string> plasticine_apps = {
         "CSR", "COO", "CSC", "PR-Pull", "BiCGStab"};
-    const std::vector<ConfigRow> configs = {
+    return {
         {"ideal", "Capstan (Ideal)", "ideal", "ideal", allApps()},
         {"hbm2e", "Capstan (HBM2E)", "capstan", "hbm2e", allApps()},
         {"hbm2", "Capstan (HBM2)", "capstan", "hbm2", allApps()},
@@ -309,38 +336,43 @@ runTable12(const StudyContext &ctx)
         {"plasticine", "Plasticine (HBM2E)", "plasticine", "hbm2e",
          plasticine_apps},
     };
+}
 
+} // namespace
+
+std::vector<DriverOptions>
+planTable12(const StudyContext &ctx)
+{
     // One spec per (row, app) whose dataset axis expands to the app's
-    // Table 6 family; all points execute as one parallel sweep.
+    // Table 6 family, in row-major order.
     std::vector<DriverOptions> points;
-    struct Span
-    {
-        std::size_t offset, count;
-    };
-    std::map<std::string, std::map<std::string, Span>> spans;
-    for (const auto &cr : configs) {
-        for (const auto &app : cr.apps) {
+    for (const auto &row : table12Rows()) {
+        for (const auto &app : row.apps) {
             SweepSpec spec;
             spec.base = ctx.base(app, "");
-            apply(spec.base, "config", cr.config);
-            apply(spec.base, "memtech", cr.memtech);
+            apply(spec.base, "config", row.config);
+            apply(spec.base, "memtech", row.memtech);
             spec.set("dataset", datasetsFor(app));
-            auto expanded = driver::expandSweep(spec);
-            spans[cr.key][app] = {points.size(), expanded.size()};
-            points.insert(points.end(), expanded.begin(),
-                          expanded.end());
+            expandInto(points, spec);
         }
     }
-    auto results = ctx.sweep(points);
+    return points;
+}
+
+StudyResult
+deriveTable12(const StudyContext &ctx, const Timings &t)
+{
+    using namespace capstan::baselines;
 
     // Per-app geometric-mean runtime (seconds) per configuration row.
     std::map<std::string, std::map<std::string, double>> secs;
-    for (const auto &[row, apps] : spans) {
-        for (const auto &[app, span] : apps) {
+    std::size_t next = 0;
+    for (const auto &row : table12Rows()) {
+        for (const auto &app : row.apps) {
             std::vector<double> times;
-            for (std::size_t i = 0; i < span.count; ++i)
-                times.push_back(pointSeconds(results[span.offset + i]));
-            secs[row][app] = gmean(times);
+            for (std::size_t i = 0; i < datasetsFor(app).size(); ++i)
+                times.push_back(seconds(t[next++]));
+            secs[row.key][app] = gmean(times);
         }
     }
 
@@ -348,19 +380,15 @@ runTable12(const StudyContext &ctx)
     auto baselineSeconds = [&](const std::string &app, bool gpu) {
         std::vector<double> times;
         for (const auto &ds : datasetsFor(app)) {
-            double scale =
-                driver::defaultScale(ds) * ctx.knobs.scale_mult;
+            driver::Workload w = driver::workload(app, ds, ctx.knobs);
             KernelProfile p;
-            if (app == "Conv") {
-                const auto &layer = loadConvDataset(ds, scale).layer;
+            if (w.layer) {
                 // cuDNN runs the dense convolution; the CPU tensor
                 // compiler emits a scalar sparse loop nest.
-                p = gpu ? profileConv(layer)
-                        : profileConvSparseCpu(layer);
+                p = gpu ? profileConv(*w.layer)
+                        : profileConvSparseCpu(*w.layer);
             } else {
-                auto m =
-                    resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
-                        .matrix;
+                const sparse::MatrixStore &m = w.matrix->matrix;
                 if (app == "CSR")
                     p = profileSpmvCsr(m);
                 else if (app == "COO")
@@ -453,11 +481,23 @@ runTable12(const StudyContext &ctx)
     return result;
 }
 
+std::vector<DriverOptions>
+planTable13(const StudyContext &ctx)
+{
+    // EIE's weights sit on-chip, so its Capstan run uses the ideal
+    // network + memory design point; Graphicionado runs with DDR4.
+    DriverOptions eie = ctx.base("CSC", "ckt11752_dc_1");
+    apply(eie, "config", "ideal");
+    DriverOptions graphicionado = ctx.base("PR-Pull", "flickr");
+    apply(graphicionado, "memtech", "ddr4");
+    return {eie, ctx.base("Conv", "ResNet-50 #2"), graphicionado,
+            ctx.base("SpMSpM", "qc324")};
+}
+
 StudyResult
-runTable13(const StudyContext &ctx)
+deriveTable13(const StudyContext &ctx, const Timings &t)
 {
     using namespace capstan::baselines;
-    using namespace capstan::workloads;
     using sim::CapstanConfig;
     using sim::MemTech;
 
@@ -477,35 +517,30 @@ runTable13(const StudyContext &ctx)
              oursPaper(speedup / 1.6,
                        ctx.paper("table13", "speedup10/" + key), 2)});
     };
+    auto matrix = [&](const std::string &app, const std::string &ds)
+        -> const sparse::MatrixStore & {
+        return driver::workload(app, ds, ctx.knobs).matrix->matrix;
+    };
 
-    // EIE: CSC SpMV compute throughput (weights on-chip for EIE, so
-    // the Capstan run uses the ideal network + memory design point).
-    {
-        std::string ds = "ckt11752_dc_1";
-        double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto m = resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
-                     .matrix;
-        double cap = seconds(driver::runApp(
-            "CSC", ds, CapstanConfig::ideal(), ctx.knobs));
-        addRow("eie", "EIE", "CSC", eieSeconds(m, 0.30) / cap);
-    }
+    // EIE: CSC SpMV compute throughput.
+    addRow("eie", "EIE", "CSC",
+           eieSeconds(matrix("CSC", "ckt11752_dc_1"), 0.30) /
+               seconds(t[0]));
 
     // SCNN: convolution. SCNN's 1024-multiplier array dwarfs the
     // simulated tiles/200 chip slice, so its throughput is weak-scaled
     // by the same fraction.
     {
-        std::string ds = "ResNet-50 #2";
-        double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto layer = loadConvDataset(ds, scale).layer;
-        double cap = seconds(driver::runApp(
-            "Conv", ds, CapstanConfig::capstan(MemTech::HBM2E),
-            ctx.knobs));
+        const workloads::ConvLayer &layer =
+            *driver::workload("Conv", "ResNet-50 #2", ctx.knobs).layer;
         double fraction = std::min(1.0, ctx.knobs.tiles / 200.0);
         addRow("scnn", "SCNN", "Conv",
-               scnnSeconds(layer) / fraction / cap);
+               scnnSeconds(layer) / fraction / seconds(t[1]));
     }
 
     // Graphicionado: PR / BFS / SSSP with DDR4, no back pointers.
+    // PageRank writes none, so its planned run serves; BFS and SSSP
+    // turn them off through the dispatch's knobs.
     {
         const std::vector<std::pair<std::string, std::string>> rows = {
             {"PR-Pull", "graphicionado_pr"},
@@ -513,21 +548,19 @@ runTable13(const StudyContext &ctx)
             {"SSSP", "graphicionado_sssp"}};
         for (const auto &[app, key] : rows) {
             std::string ds = "flickr";
-            double scale =
-                driver::defaultScale(ds) * ctx.knobs.scale_mult;
-            auto g =
-                resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
-                    .matrix;
-            driver::RunKnobs knobs = ctx.knobs;
-            knobs.write_pointers = false;
-            double cap = seconds(driver::runApp(
-                app, ds, CapstanConfig::capstan(MemTech::DDR4),
-                knobs));
-            double passes =
-                app == "PR-Pull" ? knobs.iterations : 6;
+            double cap = seconds(t[2]);
+            if (app != "PR-Pull") {
+                driver::RunKnobs knobs = ctx.knobs;
+                knobs.write_pointers = false;
+                cap = seconds(driver::runApp(
+                    app, ds, CapstanConfig::capstan(MemTech::DDR4),
+                    knobs));
+            }
+            int iterations = ctx.knobs.iterations;
+            double passes = app == "PR-Pull" ? iterations : 6;
             double edges =
-                static_cast<double>(g.nnz()) *
-                (app == "PR-Pull" ? knobs.iterations : 1.2);
+                static_cast<double>(matrix(app, ds).nnz()) *
+                (app == "PR-Pull" ? iterations : 1.2);
             double graphi = graphicionadoSeconds(
                 edges, static_cast<int>(passes));
             addRow(key, "Graphicionado",
@@ -537,21 +570,14 @@ runTable13(const StudyContext &ctx)
 
     // MatRaptor: SpMSpM at its highest demonstrated 10 GOP/s.
     {
-        std::string ds = "qc324";
-        double scale = driver::defaultScale(ds) * ctx.knobs.scale_mult;
-        auto m = resolveMatrixDataset(ds, scale, ctx.knobs.dataset_dir)
-                     .matrix;
-        sparse::MatrixView mv(m);
+        sparse::MatrixView mv(matrix("SpMSpM", "qc324"));
         double mults = 0;
         for (Index i = 0; i < mv.rows(); ++i) {
             for (Index j : mv.indices(i))
                 mults += mv.length(j);
         }
-        double cap = seconds(driver::runApp(
-            "SpMSpM", ds, CapstanConfig::capstan(MemTech::HBM2E),
-            ctx.knobs));
         addRow("matraptor", "MatRaptor", "SpMSpM",
-               matraptorSeconds(mults) / cap);
+               matraptorSeconds(mults) / seconds(t[3]));
     }
 
     result.tables.push_back(std::move(table));
@@ -568,50 +594,70 @@ runTable13(const StudyContext &ctx)
 
 namespace {
 
+const std::vector<double> kFig5aBandwidths = {20,  50,   100, 200,
+                                              500, 1000, 2000};
+const std::vector<int> kFig5bTiles = {2, 4, 8, 16, 32};
+const std::vector<double> kFig5cBandwidths = {20, 50, 100, 200, 500};
+
 /**
- * Expand one axis per app and run every app's points in one parallel
- * sweep. Results are app-major: index app_i * values + value_j.
+ * Expand one axis per app on its sensitivity dataset. Points are
+ * app-major: index app_i * values + value_j.
  */
-std::vector<SweepPointResult>
-appAxisSweep(const StudyContext &ctx, const std::string &axis,
-             const std::vector<std::string> &values)
+void
+appAxisInto(std::vector<DriverOptions> &points, const StudyContext &ctx,
+            const std::string &axis,
+            const std::vector<std::string> &values)
 {
-    std::vector<DriverOptions> points;
     for (const auto &app : allApps()) {
         SweepSpec spec;
         spec.base = ctx.base(app, sensitivityDataset(app));
         spec.set(axis, values);
-        auto expanded = driver::expandSweep(spec);
-        points.insert(points.end(), expanded.begin(), expanded.end());
+        expandInto(points, spec);
     }
-    return ctx.sweep(points);
 }
 
 } // namespace
 
+std::vector<DriverOptions>
+planFig5(const StudyContext &ctx)
+{
+    // Subfigures (a), (b), (c) back to back. (c) crosses bandwidth
+    // (outer) with compression (inner), so each bandwidth's
+    // plain/compressed pair is adjacent; its plain points are (a)'s.
+    std::vector<DriverOptions> points;
+    appAxisInto(points, ctx, "bandwidth-gbps",
+                toStrings(kFig5aBandwidths));
+    appAxisInto(points, ctx, "tiles", toStrings(kFig5bTiles));
+    for (const auto &app : allApps()) {
+        SweepSpec spec;
+        spec.base = ctx.base(app, sensitivityDataset(app));
+        spec.set("bandwidth-gbps", toStrings(kFig5cBandwidths));
+        spec.set("compression", {"false", "true"});
+        expandInto(points, spec);
+    }
+    return points;
+}
+
 StudyResult
-runFig5(const StudyContext &ctx)
+deriveFig5(const StudyContext &, const Timings &t)
 {
     StudyResult result;
+    std::size_t i = 0; // Next planned point; subfigures in plan order.
 
     // (a) Speedup vs DRAM bandwidth, normalized to 20 GB/s.
     {
-        const std::vector<double> bandwidths = {20,  50,   100, 200,
-                                                500, 1000, 2000};
-        auto results =
-            appAxisSweep(ctx, "bandwidth-gbps", toStrings(bandwidths));
+        const auto &bandwidths = kFig5aBandwidths;
         StudyTable table;
         table.title = "Figure 5a: speedup vs DRAM bandwidth "
                       "(normalized to 20 GB/s)";
         table.headers = {"App"};
         for (double bw : bandwidths)
             table.headers.push_back(num(bw, 0) + "GB/s");
-        std::size_t i = 0;
         for (const auto &app : allApps()) {
-            double base = pointSeconds(results[i]);
+            double base = seconds(t[i]);
             std::vector<std::string> row = {app};
             for (std::size_t j = 0; j < bandwidths.size(); ++j, ++i) {
-                double v = base / pointSeconds(results[i]);
+                double v = base / seconds(t[i]);
                 result.metric("a/" + app + "/" +
                                   num(bandwidths[j], 0),
                               v);
@@ -625,26 +671,24 @@ runFig5(const StudyContext &ctx)
     // (b) Speedup vs weighted on-chip area as outer-parallelism
     // scales.
     {
-        const std::vector<int> tile_counts = {2, 4, 8, 16, 32};
-        auto results = appAxisSweep(ctx, "tiles",
-                                    toStrings(tile_counts));
+        const auto &tile_counts = kFig5bTiles;
         sim::CapstanConfig cfg =
             sim::CapstanConfig::capstan(sim::MemTech::HBM2E);
         StudyTable table;
         table.title = "Figure 5b: speedup vs weighted on-chip area "
                       "(outer-parallelization sweep)";
         table.headers = {"App"};
-        for (int t : tile_counts) {
-            double pct = 100.0 * sim::weightedAreaFraction(t, t, cfg);
+        for (int tiles : tile_counts) {
+            double pct =
+                100.0 * sim::weightedAreaFraction(tiles, tiles, cfg);
             table.headers.push_back(num(pct, 1) + "%");
         }
-        std::size_t i = 0;
         for (const auto &app : allApps()) {
-            double base = pointSeconds(results[i]);
+            double base = seconds(t[i]);
             std::vector<std::string> row = {app};
             for (std::size_t j = 0; j < tile_counts.size();
                  ++j, ++i) {
-                double v = base / pointSeconds(results[i]);
+                double v = base / seconds(t[i]);
                 result.metric("b/" + app + "/t" +
                                   std::to_string(tile_counts[j]),
                               v);
@@ -656,34 +700,20 @@ runFig5(const StudyContext &ctx)
     }
 
     // (c) Speedup from read-only pointer compression vs bandwidth.
-    // Two axes per app: bandwidth (outer) x compression (inner), so
-    // each bandwidth's plain/compressed pair is adjacent.
     {
-        const std::vector<double> bandwidths = {20, 50, 100, 200, 500};
-        std::vector<DriverOptions> points;
-        for (const auto &app : allApps()) {
-            SweepSpec spec;
-            spec.base = ctx.base(app, sensitivityDataset(app));
-            spec.set("bandwidth-gbps", toStrings(bandwidths));
-            spec.set("compression", {"false", "true"});
-            auto expanded = driver::expandSweep(spec);
-            points.insert(points.end(), expanded.begin(),
-                          expanded.end());
-        }
-        auto results = ctx.sweep(points);
+        const auto &bandwidths = kFig5cBandwidths;
         StudyTable table;
         table.title = "Figure 5c: speedup from pointer compression "
                       "vs bandwidth";
         table.headers = {"App"};
         for (double bw : bandwidths)
             table.headers.push_back(num(bw, 0) + "GB/s");
-        std::size_t i = 0;
         for (const auto &app : allApps()) {
             std::vector<std::string> row = {app};
             for (std::size_t j = 0; j < bandwidths.size();
                  ++j, i += 2) {
-                double plain = pointSeconds(results[i]);
-                double comp = pointSeconds(results[i + 1]);
+                double plain = seconds(t[i]);
+                double comp = seconds(t[i + 1]);
                 double v = plain / comp;
                 result.metric("c/" + app + "/" +
                                   num(bandwidths[j], 0),
@@ -706,62 +736,71 @@ runFig5(const StudyContext &ctx)
     return result;
 }
 
-StudyResult
-runFig6(const StudyContext &ctx)
+namespace {
+
+struct Fig6SubFigure
 {
-    StudyResult result;
+    std::string key;   //!< Metric prefix ("a", "b", "c").
+    std::string title;
+    std::string axis;  //!< Driver option key swept.
+    std::vector<int> values;
+    std::vector<std::string> apps;
+};
 
-    struct SubFig
-    {
-        std::string key;   //!< Metric prefix ("a", "b", "c").
-        std::string title;
-        std::string axis;  //!< Driver option key swept.
-        std::vector<int> values;
-        std::vector<std::string> apps;
-    };
-    const std::vector<SubFig> subs = {
-        {"a",
-         "Figure 6a: slowdown vs bits scanned per cycle (relative to "
-         "512-bit scanner)",
-         "scan-bits",
-         {1, 4, 16, 64, 256, 512},
-         {"BFS", "SSSP", "M+M", "SpMSpM"}},
-        {"b",
-         "Figure 6b: slowdown vs data elements scanned per cycle "
-         "(relative to 16)",
-         "scan-data-elems",
-         {1, 2, 4, 8, 16},
-         {"CSC", "Conv"}},
-        {"c",
-         "Figure 6c: slowdown vs scan output vectorization (relative "
-         "to 16)",
-         "scan-outputs",
-         {1, 2, 4, 8, 16},
-         {"M+M", "SpMSpM"}},
-    };
+const std::vector<Fig6SubFigure> kFig6SubFigures = {
+    {"a",
+     "Figure 6a: slowdown vs bits scanned per cycle (relative to "
+     "512-bit scanner)",
+     "scan-bits",
+     {1, 4, 16, 64, 256, 512},
+     {"BFS", "SSSP", "M+M", "SpMSpM"}},
+    {"b",
+     "Figure 6b: slowdown vs data elements scanned per cycle "
+     "(relative to 16)",
+     "scan-data-elems",
+     {1, 2, 4, 8, 16},
+     {"CSC", "Conv"}},
+    {"c",
+     "Figure 6c: slowdown vs scan output vectorization (relative "
+     "to 16)",
+     "scan-outputs",
+     {1, 2, 4, 8, 16},
+     {"M+M", "SpMSpM"}},
+};
 
-    for (const auto &sub : subs) {
-        std::vector<DriverOptions> points;
+} // namespace
+
+std::vector<DriverOptions>
+planFig6(const StudyContext &ctx)
+{
+    // Subfigures back to back, app-major within each.
+    std::vector<DriverOptions> points;
+    for (const auto &sub : kFig6SubFigures) {
         for (const auto &app : sub.apps) {
             SweepSpec spec;
             spec.base = ctx.base(app, datasetsFor(app)[0]);
             spec.set(sub.axis, toStrings(sub.values));
-            auto expanded = driver::expandSweep(spec);
-            points.insert(points.end(), expanded.begin(),
-                          expanded.end());
+            expandInto(points, spec);
         }
-        auto results = ctx.sweep(points);
+    }
+    return points;
+}
 
+StudyResult
+deriveFig6(const StudyContext &, const Timings &t)
+{
+    StudyResult result;
+    std::size_t i = 0; // Next planned point.
+    for (const auto &sub : kFig6SubFigures) {
         StudyTable table;
         table.title = sub.title;
         table.headers = {"App"};
         for (int v : sub.values)
             table.headers.push_back(std::to_string(v));
-        std::size_t i = 0;
         for (const auto &app : sub.apps) {
             std::vector<double> times;
             for (std::size_t j = 0; j < sub.values.size(); ++j, ++i)
-                times.push_back(pointSeconds(results[i]));
+                times.push_back(seconds(t[i]));
             std::vector<std::string> row = {app};
             for (std::size_t j = 0; j < times.size(); ++j) {
                 double v = times[j] / times.back();
@@ -786,8 +825,36 @@ runFig6(const StudyContext &ctx)
     return result;
 }
 
+std::vector<DriverOptions>
+planFig7(const StudyContext &ctx)
+{
+    // Four layered configurations per (app, dataset), Section 4.4
+    // "Stall Breakdown": ideal (ideal memory, conflict-free SpMU,
+    // zero-latency network), + network (Capstan's hop latency),
+    // + allocated SRAM (bank conflicts), + DRAM (HBM2E).
+    std::vector<DriverOptions> points;
+    for (const auto &app : allApps()) {
+        if (app == "BiCGStab")
+            continue; // Fig. 7 covers the ten Table 2 applications.
+        for (const auto &ds : datasetsFor(app)) {
+            DriverOptions ideal = ctx.base(app, ds);
+            apply(ideal, "config", "ideal");
+            DriverOptions with_net = ctx.base(app, ds);
+            apply(with_net, "memtech", "ideal");
+            apply(with_net, "spmu-ideal", "true");
+            DriverOptions with_sram = ctx.base(app, ds);
+            apply(with_sram, "memtech", "ideal");
+            DriverOptions full = ctx.base(app, ds);
+            apply(full, "memtech", "hbm2e");
+            points.insert(points.end(),
+                          {ideal, with_net, with_sram, full});
+        }
+    }
+    return points;
+}
+
 StudyResult
-runFig7(const StudyContext &ctx)
+deriveFig7(const StudyContext &ctx, const Timings &t)
 {
     using sim::CapstanConfig;
     using sim::StallBreakdown;
@@ -800,30 +867,19 @@ runFig7(const StudyContext &ctx)
         table.headers.push_back(
             sim::stallClassName(static_cast<StallClass>(c)));
 
+    const int lanes = CapstanConfig::capstan().spmu.lanes;
+    const double lane_width =
+        static_cast<double>(lanes) * ctx.knobs.tiles;
+    std::size_t i = 0; // Next (app, dataset)'s four planned points.
     for (const auto &app : allApps()) {
         if (app == "BiCGStab")
-            continue; // Fig. 7 covers the ten Table 2 applications.
+            continue;
         for (const auto &ds : datasetsFor(app)) {
-            // Layered configurations: ideal, + network, + allocated
-            // SRAM, + DRAM (Section 4.4 "Stall Breakdown").
-            CapstanConfig ideal = CapstanConfig::ideal();
-            CapstanConfig with_net = CapstanConfig::ideal();
-            with_net.network_hop_latency =
-                CapstanConfig::capstan().network_hop_latency;
-            CapstanConfig with_sram = with_net;
-            with_sram.spmu.ideal = false;
-            CapstanConfig full =
-                CapstanConfig::capstan(sim::MemTech::HBM2E);
-
-            auto t_ideal = driver::runApp(app, ds, ideal, ctx.knobs);
-            auto t_net = driver::runApp(app, ds, with_net, ctx.knobs);
-            auto t_sram =
-                driver::runApp(app, ds, with_sram, ctx.knobs);
-            auto t_full = driver::runApp(app, ds, full, ctx.knobs);
-
-            const int lanes = full.spmu.lanes;
-            double lane_width =
-                static_cast<double>(lanes) * ctx.knobs.tiles;
+            const auto &t_ideal = t[i];
+            const auto &t_net = t[i + 1];
+            const auto &t_sram = t[i + 2];
+            const auto &t_full = t[i + 3];
+            i += 4;
 
             StallBreakdown synth;
             const auto &tot = t_ideal.totals;

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -112,6 +113,8 @@ struct SpmuConfig
      * inactive", Section 5).
      */
     bool single_access = false;
+
+    auto operator<=>(const SpmuConfig &) const = default;
 };
 
 /** Scanner parameters (Section 3.3). */
@@ -120,6 +123,8 @@ struct ScannerConfig
     int window_bits = 256; //!< Bits examined per cycle (bit scanner).
     int outputs = 16;      //!< Indices produced per cycle.
     int data_elements = 16;//!< Elements examined per cycle (data scanner).
+
+    auto operator<=>(const ScannerConfig &) const = default;
 };
 
 /** Shuffle-network parameters (Section 3.2). */
@@ -128,6 +133,8 @@ struct ShuffleConfig
     MergeMode mode = MergeMode::Mrg1;
     int ports = 16;         //!< Ports per network instance.
     int fifo_depth = 64;    //!< Inverse-permutation FIFO entries.
+
+    auto operator<=>(const ShuffleConfig &) const = default;
 };
 
 /** DRAM system parameters (Section 3.4). */
@@ -143,6 +150,8 @@ struct DramConfig
     bool compression = false; //!< Read-only pointer-tile compression.
     /** When positive, overrides the technology bandwidth (Fig. 5a). */
     double bandwidth_override_gbps = 0.0;
+
+    auto operator<=>(const DramConfig &) const = default;
 };
 
 /** Whole-chip configuration (Table 7 defaults). */
@@ -162,6 +171,12 @@ struct CapstanConfig
 
     /** True when the unit has Capstan's sparse extensions at all. */
     bool sparse_support = true;
+
+    /**
+     * Memberwise comparison: equal configs simulate identically, which
+     * is what lets the report planner merge points (report/study.hpp).
+     */
+    auto operator<=>(const CapstanConfig &) const = default;
 
     /** Bytes transferred per core cycle for the DRAM technology. */
     double dramBytesPerCycle() const;

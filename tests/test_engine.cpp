@@ -376,4 +376,51 @@ TEST(EngineStudy, QuickStudyRunsAndRendersOneStudyReport)
               "micro_components");
 }
 
+TEST(EngineStudy, StudyJobReportsEveryPlannedPoint)
+{
+    // Table 13 plans four points (EIE, SCNN, Graphicionado PR,
+    // MatRaptor); each reaches the progress hook.
+    engine::Engine eng(serialConfig());
+    engine::JobRequest req = engine::JobRequest::fromJson(
+        JsonValue::parse("{\"type\": \"study\", "
+                         "\"study\": \"table13\"}"),
+        eng.config());
+    std::size_t calls = 0;
+    engine::ExecHooks hooks;
+    hooks.progress = [&](std::size_t done, std::size_t total,
+                         const driver::SweepPointResult &r) {
+        ++calls;
+        EXPECT_EQ(done, calls);
+        EXPECT_EQ(total, 4u);
+        EXPECT_TRUE(r.ok) << r.error;
+    };
+    engine::JobResult res = eng.execute(req, hooks);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(calls, 4u);
+}
+
+TEST(EngineStudy, ExecuteStudiesIsOneJob)
+{
+    engine::Engine eng(serialConfig());
+    engine::JobRequest req;
+    req.kind = engine::JobRequest::Kind::Study;
+    std::size_t plans = 0;
+    engine::ExecHooks hooks;
+    hooks.planned = [&](const report::ReportPlan &plan) {
+        ++plans;
+        EXPECT_EQ(plan.studies.size(), 2u);
+        EXPECT_EQ(plan.planned(), 0u); // Component studies only.
+    };
+    std::vector<report::StudyRun> runs = eng.executeStudies(
+        {report::findStudy("table5"), report::findStudy("table8")}, req,
+        hooks);
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].study->name, "table5");
+    EXPECT_EQ(runs[1].study->name, "table8");
+    EXPECT_TRUE(runs[0].ok) << runs[0].error;
+    EXPECT_TRUE(runs[1].ok) << runs[1].error;
+    EXPECT_EQ(plans, 1u);
+    EXPECT_EQ(eng.stats().jobs_completed, 1u);
+}
+
 } // namespace

@@ -6,8 +6,10 @@
  * Markdown/CSV/text rendering.
  */
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -36,7 +38,7 @@ TEST(StudyRegistry, EnumeratesEveryPaperArtifact)
             << "duplicate study " << s.name;
         EXPECT_FALSE(s.artifact.empty()) << s.name;
         EXPECT_FALSE(s.title.empty()) << s.name;
-        EXPECT_NE(s.run, nullptr) << s.name;
+        EXPECT_NE(s.derive, nullptr) << s.name;
     }
     EXPECT_EQ(names, expected);
 }
@@ -372,14 +374,60 @@ TEST(Render, ErrorRunsRenderAsErrors)
 // Study execution (fast studies only; report_quick covers the rest)
 // ---------------------------------------------------------------------------
 
-TEST(StudyExecution, AnalyticAreaStudiesRun)
+namespace {
+
+/** The quick preset's knobs (engine::presetKnobs("quick")). */
+StudyContext
+quickContext()
 {
     StudyContext ctx;
     ctx.knobs.scale_mult = 0.02;
     ctx.knobs.tiles = 4;
     ctx.knobs.iterations = 1;
+    ctx.jobs = 1;
+    return ctx;
+}
 
-    StudyResult t5 = findStudy("table5")->run(ctx);
+/** Plan and run @p studies together. */
+std::vector<StudyRun>
+runStudies(const std::vector<const Study *> &studies,
+           const StudyContext &ctx)
+{
+    return runPlan(planStudies(studies, ctx), ctx);
+}
+
+/** A derive that records how many timings it was handed. */
+StudyResult
+countTimings(const StudyContext &, const Timings &t)
+{
+    StudyResult r;
+    r.metric("points", static_cast<double>(t.size()));
+    return r;
+}
+
+/** @p app on its default dataset under the quick knobs. */
+driver::SimulationKey
+keyOf(const std::string &app,
+      const std::vector<std::pair<std::string, std::string>> &options)
+{
+    driver::DriverOptions o = quickContext().base(app, "");
+    for (const auto &[key, value] : options)
+        EXPECT_EQ(driver::applyOption(o, key, value), "") << key;
+    return driver::simulationKey(o);
+}
+
+} // namespace
+
+TEST(StudyExecution, AnalyticAreaStudiesRun)
+{
+    StudyContext ctx = quickContext();
+    std::vector<StudyRun> runs =
+        runStudies({findStudy("table5"), findStudy("table8")}, ctx);
+    ASSERT_EQ(runs.size(), 2u);
+    ASSERT_TRUE(runs[0].ok) << runs[0].error;
+    ASSERT_TRUE(runs[1].ok) << runs[1].error;
+
+    const StudyResult &t5 = runs[0].result;
     ASSERT_EQ(t5.tables.size(), 1u);
     EXPECT_EQ(t5.tables[0].rows.size(), 3u);
     bool found = false;
@@ -391,17 +439,240 @@ TEST(StudyExecution, AnalyticAreaStudiesRun)
     }
     EXPECT_TRUE(found);
 
-    StudyResult t8 = findStudy("table8")->run(ctx);
-    for (const auto &[key, value] : t8.metrics) {
+    for (const auto &[key, value] : runs[1].result.metrics) {
         if (key == "area_overhead_pct") {
             EXPECT_NEAR(value, 16.0, 2.0);
         }
     }
 }
 
-TEST(StudyExecution, SweepFailuresSurfaceAsExceptions)
+TEST(StudyPlan, Fig7LayersAreExistingOptionKeys)
 {
-    StudyContext ctx;
-    driver::DriverOptions bad = ctx.base("CSR", "no-such-dataset");
-    EXPECT_THROW(ctx.sweep({bad}), std::runtime_error);
+    std::vector<driver::DriverOptions> points =
+        findStudy("fig7")->plan(quickContext());
+    ASSERT_FALSE(points.empty());
+    ASSERT_EQ(points.size() % 4, 0u);
+
+    // Ideal, + network, + allocated SRAM, + DRAM (Section 4.4).
+    sim::CapstanConfig ideal = sim::CapstanConfig::ideal();
+    sim::CapstanConfig with_net = ideal;
+    with_net.network_hop_latency =
+        sim::CapstanConfig::capstan().network_hop_latency;
+    sim::CapstanConfig with_sram = with_net;
+    with_sram.spmu.ideal = false;
+    const std::vector<sim::CapstanConfig> layers = {
+        ideal, with_net, with_sram,
+        sim::CapstanConfig::capstan(sim::MemTech::HBM2E)};
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_TRUE(driver::buildConfig(points[i]) == layers[i % 4])
+            << "point " << i << " (layer " << i % 4 << ")";
+}
+
+TEST(StudyPlan, SimulationKeyMergesEquivalentSpellings)
+{
+    const driver::SimulationKey plain = keyOf("BFS", {});
+    // Set-to-default equals unset; config=ideal ignores memtech.
+    EXPECT_TRUE(keyOf("BFS", {{"scan-bits", "256"}}) == plain);
+    EXPECT_TRUE(keyOf("BFS", {{"config", "ideal"}}) ==
+                keyOf("BFS", {{"config", "ideal"}, {"memtech", "ideal"}}));
+    // Aliases and the default dataset resolve before comparing.
+    EXPECT_TRUE(keyOf("bfs", {{"dataset", "usroads-48"}}) == plain);
+
+    // One resolved field apart keeps points apart.
+    EXPECT_FALSE(keyOf("BFS", {{"scan-bits", "512"}}) == plain);
+    EXPECT_FALSE(keyOf("BFS", {{"memtech", "ddr4"}}) == plain);
+    EXPECT_FALSE(keyOf("BFS", {{"spmu-ideal", "true"}}) == plain);
+    EXPECT_FALSE(keyOf("BFS", {{"dataset", "flickr"}}) == plain);
+    EXPECT_FALSE(keyOf("BFS", {{"tiles", "8"}}) == plain);
+    EXPECT_FALSE(keyOf("BFS", {{"iterations", "2"}}) == plain);
+    EXPECT_FALSE(keyOf("BFS", {{"scale", "0.5"}}) == plain);
+    EXPECT_FALSE(keyOf("SSSP", {}) == plain);
+    driver::DriverOptions elsewhere = quickContext().base("BFS", "");
+    elsewhere.dataset_dir = "data/fixtures";
+    EXPECT_FALSE(driver::simulationKey(elsewhere) == plain);
+
+    // The planner merges on the key: fig7's ideal layer and Table
+    // 12's ideal row are one simulation.
+    Study a{"a", "A", "fig7-style", nullptr, countTimings};
+    a.plan = [](const StudyContext &ctx) {
+        driver::DriverOptions o = ctx.base("CSR", "");
+        driver::applyOption(o, "config", "ideal");
+        return std::vector<driver::DriverOptions>{o};
+    };
+    Study b{"b", "B", "table12-style", nullptr, countTimings};
+    b.plan = [](const StudyContext &ctx) {
+        driver::DriverOptions o = ctx.base("CSR", "ckt11752_dc_1");
+        driver::applyOption(o, "config", "ideal");
+        driver::applyOption(o, "memtech", "ideal");
+        return std::vector<driver::DriverOptions>{o, o};
+    };
+    ReportPlan plan = planStudies({&a, &b}, quickContext());
+    EXPECT_EQ(plan.planned(), 3u);
+    EXPECT_EQ(plan.distinct.size(), 1u);
+}
+
+TEST(StudyPlan, ClaimOrderRoundRobinsOverPerStudyGroups)
+{
+    // Claiming a study's same-dataset points back to back would keep
+    // its heaviest runs resident together: take one point per group
+    // per round, a group being one study's points on one (app,
+    // dataset), groups in plan order.
+    Study a{"a", "A", "two groups", nullptr, countTimings};
+    a.plan = [](const StudyContext &ctx) {
+        std::vector<driver::DriverOptions> points;
+        for (const char *tiles : {"2", "4", "8"}) {
+            driver::DriverOptions o = ctx.base("CSR", "");
+            driver::applyOption(o, "tiles", tiles);
+            points.push_back(o);
+        }
+        for (const char *tiles : {"2", "8"}) {
+            driver::DriverOptions o = ctx.base("BFS", "");
+            driver::applyOption(o, "tiles", tiles);
+            points.push_back(o);
+        }
+        return points;
+    };
+    Study b{"b", "B", "same app and dataset", nullptr, countTimings};
+    b.plan = [](const StudyContext &ctx) {
+        driver::DriverOptions o = ctx.base("CSR", "");
+        driver::applyOption(o, "tiles", "16");
+        // The first point repeats one of a's and stays in a's group.
+        return std::vector<driver::DriverOptions>{ctx.base("CSR", ""),
+                                                  o};
+    };
+    ReportPlan plan = planStudies({&a, &b}, quickContext());
+    std::vector<std::pair<std::string, int>> order;
+    for (const auto &p : plan.distinct)
+        order.emplace_back(driver::simulationKey(p).app, p.tiles);
+    const std::vector<std::pair<std::string, int>> expected = {
+        {"CSR", 2}, {"BFS", 2}, {"CSR", 16}, // Round 0.
+        {"CSR", 4}, {"BFS", 8},              // Round 1.
+        {"CSR", 8}};                         // Round 2.
+    EXPECT_EQ(order, expected);
+    // Results still reach each study in its own plan order.
+    ASSERT_EQ(plan.studies[1].slots.size(), 2u);
+    EXPECT_EQ(plan.studies[1].slots[0], 3u); // a's tiles=4 point.
+    EXPECT_EQ(plan.studies[1].slots[1], 2u);
+}
+
+TEST(StudyPlan, JointPlanMatchesEachStudyAlone)
+{
+    StudyContext ctx = quickContext();
+    ctx.jobs = 2;
+    const std::vector<const Study *> studies = {
+        findStudy("table10"), findStudy("table11"), findStudy("fig6")};
+    ReportPlan plan = planStudies(studies, ctx);
+    // Table 10's and Table 11's plain Conv points are one simulation.
+    EXPECT_LT(plan.distinct.size(), plan.planned());
+
+    std::size_t calls = 0;
+    ctx.progress = [&](std::size_t done, std::size_t total,
+                       const driver::SweepPointResult &r) {
+        ++calls;
+        EXPECT_EQ(done, calls);
+        EXPECT_EQ(total, plan.planned());
+        EXPECT_TRUE(r.ok) << r.error;
+    };
+    std::vector<StudyRun> joint = runPlan(plan, ctx);
+    EXPECT_EQ(calls, plan.planned());
+
+    ctx.progress = {};
+    ASSERT_EQ(joint.size(), studies.size());
+    for (std::size_t i = 0; i < studies.size(); ++i) {
+        StudyRun alone = runStudies({studies[i]}, ctx).front();
+        ASSERT_TRUE(joint[i].ok) << joint[i].error;
+        ASSERT_TRUE(alone.ok) << alone.error;
+        EXPECT_EQ(joint[i].study, studies[i]);
+        EXPECT_EQ(joint[i].result.metrics, alone.result.metrics)
+            << studies[i]->name;
+        ASSERT_EQ(joint[i].result.tables.size(),
+                  alone.result.tables.size());
+        for (std::size_t t = 0; t < alone.result.tables.size(); ++t) {
+            EXPECT_EQ(joint[i].result.tables[t].title,
+                      alone.result.tables[t].title);
+            EXPECT_EQ(joint[i].result.tables[t].headers,
+                      alone.result.tables[t].headers);
+            EXPECT_EQ(joint[i].result.tables[t].rows,
+                      alone.result.tables[t].rows);
+        }
+    }
+}
+
+TEST(StudyPlan, CancelInterruptsOnlyUnfinishedStudies)
+{
+    // One worker claims CSR (its own group, first in plan order), then
+    // the cancel fires before either BFS point is claimed.
+    Study first{"first", "First", "one point", nullptr, countTimings};
+    first.plan = [](const StudyContext &ctx) {
+        return std::vector<driver::DriverOptions>{ctx.base("CSR", "")};
+    };
+    Study second{"second", "Second", "two points", nullptr,
+                 countTimings};
+    second.plan = [](const StudyContext &ctx) {
+        driver::DriverOptions wide = ctx.base("BFS", "");
+        wide.tiles = 8;
+        return std::vector<driver::DriverOptions>{ctx.base("BFS", ""),
+                                                  wide};
+    };
+    std::atomic<bool> cancel{false};
+    StudyContext ctx = quickContext();
+    ctx.cancel = &cancel;
+    ctx.progress = [&](std::size_t, std::size_t,
+                       const driver::SweepPointResult &) {
+        cancel.store(true);
+    };
+    std::vector<StudyRun> runs =
+        runStudies({&first, &second, findStudy("table5")}, ctx);
+    ASSERT_EQ(runs.size(), 3u);
+    ASSERT_TRUE(runs[0].ok) << runs[0].error;
+    EXPECT_FALSE(runs[0].interrupted);
+    EXPECT_EQ(runs[0].result.metrics.front().second, 1.0);
+    EXPECT_FALSE(runs[1].ok);
+    EXPECT_TRUE(runs[1].interrupted);
+    EXPECT_EQ(runs[1].verdict(), "interrupted");
+    // A study that planned no points has nothing left to run.
+    EXPECT_TRUE(runs[2].ok) << runs[2].error;
+}
+
+TEST(StudyPlan, FailedPointFailsOnlyItsStudy)
+{
+    Study broken{"broken", "Broken", "bad dataset", nullptr,
+                 countTimings};
+    broken.plan = [](const StudyContext &ctx) {
+        return std::vector<driver::DriverOptions>{
+            ctx.base("CSR", "no-such-dataset"), ctx.base("CSR", "")};
+    };
+    Study fine{"fine", "Fine", "shares a point", nullptr, countTimings};
+    fine.plan = [](const StudyContext &ctx) {
+        return std::vector<driver::DriverOptions>{ctx.base("CSR", "")};
+    };
+    std::vector<StudyRun> runs =
+        runStudies({&broken, &fine}, quickContext());
+    ASSERT_EQ(runs.size(), 2u);
+    // A half-failed study renders no cells: it fails with the point's
+    // error, classified as a dataset usage error.
+    EXPECT_FALSE(runs[0].ok);
+    EXPECT_FALSE(runs[0].interrupted);
+    EXPECT_TRUE(runs[0].usage_error);
+    EXPECT_NE(runs[0].error.find("1 of 2 sweep points failed"),
+              std::string::npos)
+        << runs[0].error;
+    EXPECT_NE(runs[0].error.find("no-such-dataset"), std::string::npos);
+    EXPECT_EQ(runs[0].verdict(), "error");
+    ASSERT_TRUE(runs[1].ok) << runs[1].error;
+    EXPECT_EQ(runs[1].result.metrics.front().second, 1.0);
+}
+
+TEST(StudyPlan, PlanErrorsFailTheirStudy)
+{
+    Study bad{"bad", "Bad", "throws", nullptr, countTimings};
+    bad.plan = [](const StudyContext &) -> std::vector<driver::DriverOptions> {
+        throw std::invalid_argument("bad axis value");
+    };
+    std::vector<StudyRun> runs =
+        runStudies({&bad, findStudy("table5")}, quickContext());
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_FALSE(runs[0].ok);
+    EXPECT_EQ(runs[0].error, "bad axis value");
+    EXPECT_TRUE(runs[1].ok);
 }
