@@ -8,9 +8,11 @@
  * word-at-a-time idioms those loops share so call sites stay readable
  * and the compiler sees straight-line, unit-stride loops it can
  * vectorize (all helpers are branch-light over contiguous 64-bit
- * words; with -O2 on any of the supported compilers they compile to
- * hardware popcount plus vector loads — no intrinsics required, so
- * the shim is portable to any C++20 target).
+ * words, with no intrinsics, so the shim is portable to any C++20
+ * target). std::popcount becomes a hardware instruction only where
+ * the target ISA has one: the build sets no -march, and baseline
+ * x86-64 has no POPCNT, so there GCC calls libgcc's __popcountdi2
+ * instead.
  *
  * Everything here is purely functional over its inputs: results are
  * independent of call ordering, so vectorization is invisible to the

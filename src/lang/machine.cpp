@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
@@ -181,14 +182,17 @@ Machine::fireDramStage(int t, int s, const Token &tok)
         return;
     }
     CAPSTAN_DCHECK(st.spec.kind == StageKind::DramAtomic);
-    std::vector<std::uint64_t> addrs;
+    std::array<std::uint64_t, sim::kMaxLanes> addrs{};
+    std::size_t n = 0;
     for (int l = 0; l < cfg_.spmu.lanes; ++l) {
         if (tok.valid_mask & (1u << l))
-            addrs.push_back(static_cast<std::uint64_t>(
-                                tok.addr[l] + st.spec.addr_offset) *
-                            4);
+            addrs[n++] = static_cast<std::uint64_t>(
+                             tok.addr[l] + st.spec.addr_offset) *
+                         4;
     }
-    Cycle done = addrs.empty() ? now_ : ags_[t]->atomicVector(addrs, now_);
+    Cycle done =
+        n == 0 ? now_
+               : ags_[t]->atomicVector(std::span(addrs.data(), n), now_);
     advance(t, s, tok, done - now_);
     ++st.tokens_out;
 }
@@ -373,7 +377,9 @@ Machine::stepTile(int t)
                 if (remote > 0 && spmus_[t]->tryEnqueue(reply)) {
                     parts = 2;
                     // The reply leg credits the same pending token.
-                    cross_lanes_[reply.id] = {av.id};
+                    CrossLanes &origin = cross_lanes_[reply.id];
+                    origin.uid[0] = av.id;
+                    origin.count = 1;
                 }
                 pending_[av.id] = Pending{t, s, tok, parts, 0};
                 st.in.pop_front();
@@ -390,7 +396,8 @@ Machine::stepTile(int t)
                 sim::AccessVector av;
                 av.id = makeUid(t);
                 int local = 0;
-                std::vector<std::uint64_t> remote;
+                std::array<std::uint64_t, sim::kMaxLanes> remote{};
+                std::size_t n_remote = 0;
                 for (int l = 0; l < cfg_.spmu.lanes; ++l) {
                     if (!(tok.valid_mask & (1u << l)))
                         continue;
@@ -402,21 +409,22 @@ Machine::stepTile(int t)
                         av.lane[l].op = st.spec.op;
                         ++local;
                     } else {
-                        remote.push_back(
+                        remote[n_remote++] =
                             (static_cast<std::uint64_t>(
                                  static_cast<std::uint8_t>(dst))
                              << 26) |
                             (static_cast<std::uint64_t>(
                                  tok.addr[l] + st.spec.addr_offset) *
-                             4));
+                             4);
                     }
                 }
                 Cycle done = now_;
-                if (!remote.empty()) {
+                if (n_remote > 0) {
                     Cycle start = now_;
                     if (!cfg_.sparse_support)
                         start = std::max(start, ag_busy_until_[t]);
-                    done = ags_[t]->atomicVector(remote, start);
+                    done = ags_[t]->atomicVector(
+                        std::span(remote.data(), n_remote), start);
                     if (!cfg_.sparse_support)
                         ag_busy_until_[t] = done;
                 }
@@ -562,7 +570,7 @@ Machine::runPhase(Cycle max_cycles)
                 const sim::ShuffleVector &sv = eject_hold_[p].front();
                 sim::AccessVector av;
                 av.id = next_vec_id_++;
-                std::vector<std::uint64_t> origin;
+                CrossLanes origin;
                 for (int l = 0; l < cfg_.spmu.lanes; ++l) {
                     if (!sv.valid[l])
                         continue;
@@ -575,11 +583,11 @@ Machine::runPhase(Cycle max_cycles)
                                   .stages[it->second.stage]
                                   .spec.op
                             : sim::AccessOp::Read;
-                    origin.push_back(sv.tag[l]);
+                    origin.uid[origin.count++] = sv.tag[l];
                 }
                 if (!spmus_[p]->tryEnqueue(av))
                     break;
-                cross_lanes_[av.id] = std::move(origin);
+                cross_lanes_[av.id] = origin;
                 eject_hold_[p].pop_front();
                 cycle_progress_ = true;
             }
@@ -597,8 +605,9 @@ Machine::runPhase(Cycle max_cycles)
                 cycle_progress_ = true;
                 auto cl = cross_lanes_.find(cv->id);
                 if (cl != cross_lanes_.end()) {
-                    for (std::uint64_t uid : cl->second)
-                        deliverPending(uid);
+                    const CrossLanes &origin = cl->second;
+                    for (int i = 0; i < origin.count; ++i)
+                        deliverPending(origin.uid[i]);
                     cross_lanes_.erase(cl);
                 } else {
                     deliverPending(cv->id);

@@ -27,13 +27,14 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "lang/ring.hpp"
+#include "common/ring.hpp"
 #include "lang/token.hpp"
 #include "sim/config.hpp"
 #include "sim/dram.hpp"
@@ -162,7 +163,7 @@ class Machine
     struct Stage
     {
         StageSpec spec;
-        RingQueue<Token> in;
+        common::RingQueue<Token> in;
         // Scan state: zero windows left to traverse, busy cycles left.
         std::int64_t scan_skip_remaining = 0;
         std::int64_t scan_occupied = 0;
@@ -232,11 +233,17 @@ class Machine
     std::vector<Cycle> ag_busy_until_;
     std::vector<Tile> tiles_;
     std::unordered_map<std::uint64_t, Pending> pending_;
+
+    /** Origin token uids of a cross-tile SpMU vector, one per lane. */
+    struct CrossLanes
+    {
+        std::array<std::uint64_t, sim::kMaxLanes> uid{};
+        int count = 0;
+    };
     /** SpMU vector id -> origin token uids (one per valid lane). */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        cross_lanes_;
+    std::unordered_map<std::uint64_t, CrossLanes> cross_lanes_;
     /** Vectors ejected from the shuffle but refused by a busy SpMU. */
-    std::vector<RingQueue<sim::ShuffleVector>> eject_hold_;
+    std::vector<common::RingQueue<sim::ShuffleVector>> eject_hold_;
     /** Per-tile SpMU enqueue-stall count at the start of the cycle. */
     std::vector<std::uint64_t> stall_base_;
     /** Any chain has a Reduce stage (gates the per-cycle flush scan). */

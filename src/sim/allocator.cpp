@@ -25,6 +25,12 @@ SeparableAllocator::allocate(
     AllocResult result;
     std::uint32_t taken_banks = 0;
     std::uint32_t granted_lanes = 0;
+    const std::uint32_t lane_mask =
+        lanes_ >= 32 ? ~std::uint32_t{0}
+                     : ((std::uint32_t{1} << lanes_) - 1);
+    const std::uint32_t bank_mask =
+        banks_ >= 32 ? ~std::uint32_t{0}
+                     : ((std::uint32_t{1} << banks_) - 1);
 
     for (int iter = 0; iter < iterations_; ++iter) {
         const RequestMatrix &req =
@@ -32,43 +38,26 @@ SeparableAllocator::allocate(
                                                 iter_requests.size() - 1)];
         int grants_before = result.grant_count;
 
-        // Stage 1: each ungranted lane picks its lowest-index requested
-        // bank that is still free (fixed-priority arbiter per lane).
-        // Only lanes in the pending mask are walked; forEachSetBit
-        // visits them in ascending order, preserving lane priority.
-        const std::uint32_t lane_mask =
-            lanes_ >= 32 ? ~std::uint32_t{0}
-                         : ((std::uint32_t{1} << lanes_) - 1);
-        std::array<int, kMaxVirtualLanes> choice;
-        std::uint32_t choosers = 0;
+        // Both arbiter stages in one ascending pass over the ungranted
+        // lanes. Stage 1: a lane bids for its lowest requested bank
+        // that was free when the iteration started. Stage 2: a bank
+        // accepts its lowest-index bidder, which in ascending order is
+        // the first. A bid at or above `banks` is never granted; it
+        // still occupies the lane's bid for this iteration.
+        std::uint32_t won = 0;
         common::simd::forEachSetBit(lane_mask & ~granted_lanes, [&](int l) {
             std::uint32_t avail = req[l] & ~taken_banks;
-            if (avail != 0) {
-                choice[l] = std::countr_zero(avail);
-                choosers |= std::uint32_t{1} << l;
-            }
-        });
-
-        // Stage 2: each bank accepts its lowest-index chooser (fixed-
-        // priority arbiter per bank). Both stages together guarantee at
-        // most one grant per lane and per bank this iteration.
-        std::array<int, 32> bank_winner;
-        bank_winner.fill(-1);
-        common::simd::forEachSetBit(choosers, [&](int l) {
-            int b = choice[l];
-            if (bank_winner[b] < 0)
-                bank_winner[b] = l;
-        });
-
-        for (int b = 0; b < banks_; ++b) {
-            int l = bank_winner[b];
-            if (l < 0)
-                continue;
-            result.bank_for_lane[l] = b;
+            if (avail == 0)
+                return;
+            std::uint32_t bid = avail & (~avail + 1); // Lowest set bit.
+            if ((bid & bank_mask & ~won) == 0)
+                return;
+            won |= bid;
+            result.bank_for_lane[l] = std::countr_zero(bid);
             ++result.grant_count;
-            taken_banks |= 1u << b;
-            granted_lanes |= 1u << l;
-        }
+            granted_lanes |= std::uint32_t{1} << l;
+        });
+        taken_banks |= won;
 
         // A zero-grant iteration over the final request matrix is a
         // fixed point: later iterations see the same requests and the
@@ -78,8 +67,8 @@ SeparableAllocator::allocate(
             break;
         }
     }
-    // The two arbiter stages grant at most one bank per lane and one
-    // lane per bank, so grants can never exceed either resource.
+    // Each lane bids once and each bank accepts once per iteration,
+    // so grants can never exceed either resource.
     CAPSTAN_DCHECK(result.grant_count <= lanes_ &&
                    result.grant_count <= banks_);
     return result;

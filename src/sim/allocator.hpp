@@ -12,7 +12,9 @@
  *
  * Later iterations consider only requests that do not conflict with
  * already-established grants, so each iteration can add grants that the
- * greedy first pass missed. The caller expresses age-based priority
+ * greedy first pass missed. The model evaluates both stages in one
+ * ascending pass over the lanes: a lane's bid goes to the lowest bank
+ * free at the start of the iteration, and the first bidder wins it. The caller expresses age-based priority
  * classes by passing a *different request matrix per iteration*: older
  * queue slots appear in early iterations, younger ones only later
  * (Capstan's 16-slot queue: slots 0-4 bid in round one, 0-9 in round two,

@@ -1,6 +1,7 @@
 #include "sim/shuffle.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -10,6 +11,20 @@ namespace {
 
 /** Per-channel staging buffer depth between butterfly stages. */
 constexpr std::size_t kChannelDepth = 4;
+
+/**
+ * Move @p head into @p out without copying or freeing a path buffer:
+ * out takes head's path, and head's slot keeps out's old buffer for
+ * its next occupant.
+ */
+void
+moveInto(ShuffleVector &out, ShuffleVector &head)
+{
+    auto path = std::move(head.path);
+    out = head; // Every field but the path, which is now empty.
+    out.path.swap(path);
+    head.path.swap(path);
+}
 
 } // namespace
 
@@ -23,13 +38,19 @@ ShuffleVector::validCount() const
 }
 
 ShuffleNetwork::ShuffleNetwork(const ShuffleConfig &cfg, int lanes)
-    : cfg_(cfg), lanes_(lanes)
+    : cfg_(cfg), lanes_(lanes),
+      lane_mask_(lanes >= 32 ? ~std::uint32_t{0}
+                             : (std::uint32_t{1} << lanes) - 1)
 {
     CAPSTAN_CHECK(cfg.ports >= 2 && std::has_single_bit(unsigned(cfg.ports)));
     CAPSTAN_CHECK(lanes > 0 && lanes <= kMaxLanes);
     stages_ = std::countr_zero(unsigned(cfg.ports));
-    channels_.assign(stages_, std::vector<Channel>(cfg.ports));
-    outputs_.assign(cfg.ports, Channel{});
+    // Stage buffers never hold more than kChannelDepth vectors. Outputs
+    // are unbounded, but a caller that ejects every cycle finds at most
+    // a failed merge's two vectors plus a bypass there.
+    channels_.assign(stages_,
+                     std::vector<Fifo>(cfg.ports, Fifo(kChannelDepth)));
+    outputs_.assign(cfg.ports, Fifo(kChannelDepth));
     in_flight_.assign(stages_, std::vector<int>(cfg.ports / 2, 0));
 }
 
@@ -60,65 +81,49 @@ ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
             all_local = false;
     }
     if (all_local) {
-        outputs_[port].fifo.push_back(v);
+        outputs_[port].push_back(v);
+        ++delivered_;
         ++stats_.injected;
         ++stats_.bypassed;
         ++stats_.ejected;
         return true;
     }
-    Channel &ch = channels_[0][port];
-    if (ch.fifo.size() >= kChannelDepth)
+    Fifo &ch = channels_[0][port];
+    if (ch.size() >= kChannelDepth)
         return false;
-    ch.fifo.push_back(v);
+    ch.push_back(v);
     ++live_;
     ++stats_.injected;
     return true;
 }
 
 bool
-ShuffleNetwork::tryMerge(ShuffleVector &a, const ShuffleVector &b) const
+ShuffleNetwork::planMerge(std::uint32_t a, std::uint32_t b,
+                          std::array<std::int8_t, kMaxLanes> &place) const
 {
     int shift = shiftLimit();
     if (shift < 0)
         return false;
-    // Greedy lane packing: each entry of b lands on its own lane or a
-    // free lane within +/- shift. a's entries stay put (they already
-    // occupy their positional lanes).
-    ShuffleVector merged = a;
-    for (int l = 0; l < lanes_; ++l) {
-        if (!b.valid[l])
-            continue;
-        int placed = -1;
-        for (int d = 0; d <= shift && placed < 0; ++d) {
-            if (l - d >= 0 && !merged.valid[l - d])
-                placed = l - d;
-            else if (d > 0 && l + d < lanes_ && !merged.valid[l + d])
-                placed = l + d;
+    // a's entries stay put (they already occupy their positional
+    // lanes); b's lanes past the network width are not carried over.
+    std::uint32_t free = ~a & lane_mask_;
+    std::uint32_t todo = b & lane_mask_;
+    while (todo != 0) {
+        int l = std::countr_zero(todo);
+        todo &= todo - 1;
+        int p = -1;
+        for (int d = 0; d <= shift && p < 0; ++d) {
+            if (l - d >= 0 && ((free >> (l - d)) & 1))
+                p = l - d;
+            else if (d > 0 && l + d < lanes_ && ((free >> (l + d)) & 1))
+                p = l + d;
         }
-        if (placed < 0)
+        if (p < 0)
             return false;
-        merged.valid[placed] = true;
-        merged.addr[placed] = b.addr[l];
-        merged.dst_port[placed] = b.dst_port[l];
-        merged.src_lane[placed] = b.src_lane[l];
-        merged.tag[placed] = b.tag[l];
+        place[l] = static_cast<std::int8_t>(p);
+        free &= ~(1u << p);
     }
-    a = merged;
     return true;
-}
-
-std::pair<ShuffleVector, ShuffleVector>
-ShuffleNetwork::splitOnBit(const ShuffleVector &v, int bit) const
-{
-    ShuffleVector lo = v;
-    ShuffleVector hi = v;
-    for (int l = 0; l < lanes_; ++l) {
-        if (!v.valid[l])
-            continue;
-        bool goes_hi = (v.dst_port[l] >> bit) & 1;
-        (goes_hi ? lo : hi).valid[l] = false;
-    }
-    return {lo, hi};
 }
 
 void
@@ -135,108 +140,146 @@ ShuffleNetwork::step()
         int half = group / 2;
         for (int base = 0; base < cfg_.ports; base += group) {
             for (int off = 0; off < half; ++off) {
-                int p0 = base + off;
-                int p1 = base + off + half;
-                int unit = (base / group) * half + off;
-                if (in_flight_[s][unit] >=
-                    static_cast<int>(cfg_.fifo_depth)) {
-                    continue; // Inverse-permutation FIFO exhausted.
-                }
-
-                Channel &in0 = channels_[s][p0];
-                Channel &in1 = channels_[s][p1];
-                if (in0.fifo.empty() && in1.fifo.empty())
-                    continue;
-
-                // Split the head of each input on this stage's bit.
-                ShuffleVector lo_frags[2];
-                ShuffleVector hi_frags[2];
-                bool have[2] = {false, false};
-                Channel *ins[2] = {&in0, &in1};
-                for (int i = 0; i < 2; ++i) {
-                    if (ins[i]->fifo.empty())
-                        continue;
-                    have[i] = true;
-                    auto [lo, hi] = splitOnBit(ins[i]->fifo.front(), bit);
-                    if (lo.validCount() > 0 && hi.validCount() > 0) {
-                        // A real split: both halves need distinct ids so
-                        // reply bookkeeping stays unambiguous.
-                        lo.id = next_merged_id_++;
-                        hi.id = next_merged_id_++;
-                    }
-                    lo_frags[i] = lo;
-                    hi_frags[i] = hi;
-                }
-
-                // Merge fragments heading the same way.
-                auto combine = [&](ShuffleVector f[2])
-                    -> std::vector<ShuffleVector> {
-                    std::vector<ShuffleVector> out;
-                    bool v0 = have[0] && f[0].validCount() > 0;
-                    bool v1 = have[1] && f[1].validCount() > 0;
-                    if (v0 && v1) {
-                        ++stats_.merges_attempted;
-                        ShuffleVector m = f[0];
-                        if (tryMerge(m, f[1])) {
-                            ++stats_.merges_succeeded;
-                            m.id = next_merged_id_++;
-                            m.path = f[0].path;
-                            m.path.insert(m.path.end(), f[1].path.begin(),
-                                          f[1].path.end());
-                            out.push_back(std::move(m));
-                        } else {
-                            out.push_back(f[0]);
-                            out.push_back(f[1]);
-                        }
-                    } else if (v0) {
-                        out.push_back(f[0]);
-                    } else if (v1) {
-                        out.push_back(f[1]);
-                    }
-                    return out;
-                };
-
-                std::vector<ShuffleVector> to_lo = combine(lo_frags);
-                std::vector<ShuffleVector> to_hi = combine(hi_frags);
-
-                // Check downstream capacity before committing.
-                auto sinkRoom = [&](int port, std::size_t need) {
-                    if (s + 1 == stages_)
-                        return true; // Output buffers are drained by the
-                                     // consumer and unbounded here.
-                    return channels_[s + 1][port].fifo.size() + need <=
-                           kChannelDepth;
-                };
-                if (!sinkRoom(p0, to_lo.size()) ||
-                    !sinkRoom(p1, to_hi.size())) {
-                    continue;
-                }
-
-                // Commit: consume inputs, emit outputs.
-                for (int i = 0; i < 2; ++i) {
-                    if (have[i]) {
-                        ins[i]->fifo.pop_front();
-                        --live_;
-                    }
-                }
-                auto emit = [&](std::vector<ShuffleVector> &vs, int port) {
-                    for (ShuffleVector &v : vs) {
-                        v.path.emplace_back(static_cast<std::int8_t>(s),
-                                            static_cast<std::int8_t>(unit));
-                        ++in_flight_[s][unit];
-                        if (s + 1 == stages_) {
-                            outputs_[port].fifo.push_back(std::move(v));
-                            ++stats_.ejected;
-                        } else {
-                            channels_[s + 1][port].fifo.push_back(
-                                std::move(v));
-                            ++live_;
-                        }
-                    }
-                };
-                emit(to_lo, p0);
-                emit(to_hi, p1);
+                stepUnit(s, (base / group) * half + off, base + off,
+                         base + off + half, bit);
             }
+        }
+    }
+}
+
+void
+ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
+{
+    if (in_flight_[s][unit] >= cfg_.fifo_depth)
+        return; // Inverse-permutation FIFO exhausted.
+    Fifo *ins[2] = {&channels_[s][p0], &channels_[s][p1]};
+    if (ins[0]->empty() && ins[1]->empty())
+        return;
+
+    // Plan: split each head on this stage's bit. frag[i][d] holds the
+    // lanes head i sends low (d = 0, port p0) or high (d = 1, p1).
+    // Lanes past the network width are not examined, so they stay
+    // valid on both sides.
+    std::uint32_t frag[2][2] = {{0, 0}, {0, 0}};
+    std::uint64_t frag_id[2][2] = {{0, 0}, {0, 0}};
+    bool split[2] = {false, false};
+    for (int i = 0; i < 2; ++i) {
+        if (ins[i]->empty())
+            continue;
+        const ShuffleVector &head = ins[i]->front();
+        std::uint32_t valid = 0;
+        std::uint32_t high = 0;
+        for (int l = 0; l < kMaxLanes; ++l) {
+            if (!head.valid[l])
+                continue;
+            valid |= 1u << l;
+            if (l < lanes_ && ((head.dst_port[l] >> bit) & 1))
+                high |= 1u << l;
+        }
+        frag[i][0] = valid & ~high;
+        frag[i][1] = high | (valid & ~lane_mask_);
+        split[i] = frag[i][0] != 0 && frag[i][1] != 0;
+        if (split[i]) {
+            // A real split: both halves need distinct ids so reply
+            // bookkeeping stays unambiguous.
+            frag_id[i][0] = next_merged_id_++;
+            frag_id[i][1] = next_merged_id_++;
+        } else {
+            frag_id[i][0] = frag_id[i][1] = head.id;
+        }
+    }
+
+    // Plan: merge the fragments heading the same way. Ids and merge
+    // statistics are consumed here even if the commit is abandoned.
+    bool merged[2] = {false, false};
+    std::uint64_t merged_id[2] = {0, 0};
+    std::array<std::int8_t, kMaxLanes> place[2] = {};
+    std::size_t outputs[2] = {0, 0};
+    for (int d = 0; d < 2; ++d) {
+        if (frag[0][d] != 0 && frag[1][d] != 0) {
+            ++stats_.merges_attempted;
+            merged[d] = planMerge(frag[0][d], frag[1][d], place[d]);
+            if (merged[d]) {
+                ++stats_.merges_succeeded;
+                merged_id[d] = next_merged_id_++;
+            }
+        }
+        outputs[d] = merged[d] ? 1
+                               : (frag[0][d] != 0 ? 1 : 0) +
+                                     (frag[1][d] != 0 ? 1 : 0);
+    }
+
+    // Check downstream capacity before committing. Output buffers are
+    // drained by the consumer and unbounded here.
+    const bool last_stage = s + 1 == stages_;
+    const int out_port[2] = {p0, p1};
+    for (int d = 0; d < 2 && !last_stage; ++d) {
+        if (channels_[s + 1][out_port[d]].size() + outputs[d] >
+            kChannelDepth) {
+            return;
+        }
+    }
+
+    // Commit: build each output in its sink slot, low side first. A
+    // head whose lanes all go one way is moved into its fragment; a
+    // split head is copied for its low fragment and moved into its
+    // high one, its last use. Fragments keep the head's fields on
+    // their invalid lanes.
+    auto emit = [&](int d, int from) -> ShuffleVector & {
+        Fifo &sink = last_stage ? outputs_[out_port[d]]
+                                : channels_[s + 1][out_port[d]];
+        ShuffleVector &out = sink.push_back_slot();
+        ShuffleVector &head = ins[from]->front();
+        if (split[from] && d == 0)
+            out = head;
+        else
+            moveInto(out, head);
+        for (int l = 0; l < kMaxLanes; ++l)
+            out.valid[l] = (frag[from][d] >> l) & 1;
+        out.id = frag_id[from][d];
+        return out;
+    };
+    auto finish = [&](ShuffleVector &out) {
+        out.path.emplace_back(static_cast<std::int8_t>(s),
+                              static_cast<std::int8_t>(unit));
+        ++in_flight_[s][unit];
+        if (last_stage) {
+            ++delivered_;
+            ++stats_.ejected;
+        } else {
+            ++live_;
+        }
+    };
+    for (int d = 0; d < 2; ++d) {
+        if (merged[d]) {
+            ShuffleVector &out = emit(d, 0);
+            const ShuffleVector &other = ins[1]->front();
+            std::uint32_t lanes = frag[1][d] & lane_mask_;
+            while (lanes != 0) {
+                int l = std::countr_zero(lanes);
+                lanes &= lanes - 1;
+                int p = place[d][l];
+                out.valid[p] = true;
+                out.addr[p] = other.addr[l];
+                out.dst_port[p] = other.dst_port[l];
+                out.src_lane[p] = other.src_lane[l];
+                out.tag[p] = other.tag[l];
+            }
+            out.id = merged_id[d];
+            out.path.insert(out.path.end(), other.path.begin(),
+                            other.path.end());
+            finish(out);
+            continue;
+        }
+        for (int i = 0; i < 2; ++i) {
+            if (frag[i][d] != 0)
+                finish(emit(d, i));
+        }
+    }
+    for (Fifo *in : ins) {
+        if (!in->empty()) {
+            in->pop_front();
+            --live_;
         }
     }
 }
@@ -245,19 +288,21 @@ std::optional<ShuffleVector>
 ShuffleNetwork::tryEject(int port)
 {
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
-    Channel &out = outputs_[port];
-    if (out.fifo.empty())
+    Fifo &out = outputs_[port];
+    if (out.empty())
         return std::nullopt;
-    ShuffleVector v = std::move(out.fifo.front());
-    out.fifo.pop_front();
+    ShuffleVector &v = out.front();
     if (auto_retire_) {
         for (auto [s, u] : v.path)
             --in_flight_[s][u];
-        v.path.clear();
+        v.path.clear(); // The slot keeps the capacity for reuse.
     } else {
         paths_[v.id] = v.path;
     }
-    return v;
+    std::optional<ShuffleVector> ejected(v);
+    out.pop_front();
+    --delivered_;
+    return ejected;
 }
 
 void
@@ -269,22 +314,6 @@ ShuffleNetwork::retire(std::uint64_t id)
     for (auto [s, u] : it->second)
         --in_flight_[s][u];
     paths_.erase(it);
-}
-
-bool
-ShuffleNetwork::empty() const
-{
-    for (const auto &stage : channels_) {
-        for (const Channel &ch : stage) {
-            if (!ch.fifo.empty())
-                return false;
-        }
-    }
-    for (const Channel &ch : outputs_) {
-        if (!ch.fifo.empty())
-            return false;
-    }
-    return true;
 }
 
 } // namespace capstan::sim

@@ -17,12 +17,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "sim/config.hpp"
 
 namespace capstan::sim {
@@ -111,7 +111,7 @@ class ShuffleNetwork
     void setAutoRetire(bool on) { auto_retire_ = on; }
 
     /** True when nothing is buffered anywhere in the network. */
-    bool empty() const;
+    bool empty() const { return live_ == 0 && delivered_ == 0; }
 
     const ShuffleStats &stats() const { return stats_; }
 
@@ -125,31 +125,37 @@ class ShuffleNetwork
     }
 
   private:
-    /** A merge unit's per-cycle output channel. */
-    struct Channel
-    {
-        std::deque<ShuffleVector> fifo; //!< Buffered vectors.
-    };
+    using Fifo = common::RingQueue<ShuffleVector>;
 
     /**
-     * Try to pack @p b into @p a with the configured lane shift.
-     * @return true and mutates @p a on success.
+     * Move, split and merge the heads of one merge unit's two inputs
+     * (ports @p p0 and @p p1 of stage @p s, splitting on destination
+     * bit @p bit). The unit is planned on lane masks; vectors are only
+     * touched once the downstream buffers have room for the outputs.
      */
-    bool tryMerge(ShuffleVector &a, const ShuffleVector &b) const;
+    void stepUnit(int s, int unit, int p0, int p1, int bit);
 
-    /** Split @p v on destination-port bit @p bit. */
-    std::pair<ShuffleVector, ShuffleVector>
-    splitOnBit(const ShuffleVector &v, int bit) const;
+    /**
+     * Pack fragment @p b into fragment @p a (lane masks) with the
+     * configured lane shift: each lane of b, in ascending order, takes
+     * its own lane or the nearest free one within +/- shift, the lower
+     * one on a tie. @return false if some lane finds no room;
+     * otherwise place[l] is lane l's position in the merged vector.
+     */
+    bool planMerge(std::uint32_t a, std::uint32_t b,
+                   std::array<std::int8_t, kMaxLanes> &place) const;
 
     int shiftLimit() const;
 
     ShuffleConfig cfg_;
     int lanes_;
+    /** Lanes the network routes: bits [0, lanes_). */
+    std::uint32_t lane_mask_;
     int stages_;
     /** channels_[stage][port]: buffering entering each stage. */
-    std::vector<std::vector<Channel>> channels_;
+    std::vector<std::vector<Fifo>> channels_;
     /** Delivered vectors per output port. */
-    std::vector<Channel> outputs_;
+    std::vector<Fifo> outputs_;
     /** In-flight counts per (stage, merge unit) for FIFO credits. */
     std::vector<std::vector<int>> in_flight_;
     /** id -> traversed (stage, unit) pairs, for retire(). */
@@ -159,6 +165,8 @@ class ShuffleNetwork
     ShuffleStats stats_;
     /** Vectors buffered between stages; 0 makes step() an O(1) no-op. */
     int live_ = 0;
+    /** Vectors waiting in outputs_ for tryEject(). */
+    int delivered_ = 0;
     bool auto_retire_ = true;
     std::uint64_t next_merged_id_ = 1ull << 48;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/simd.hpp"
@@ -11,6 +10,9 @@
 namespace capstan::sim {
 
 namespace {
+
+/** Deepest issue queue whose rings are allocated whole up front. */
+constexpr int kMaxPreallocatedDepth = 64;
 
 /** Multiplicative hash for Bloom indexing. */
 std::uint32_t
@@ -46,6 +48,13 @@ SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg, bool with_storage)
       alloc_(cfg.lanes * cfg.input_speedup, cfg.banks,
              cfg.allocator == AllocatorKind::Weak ? 1
                                                   : cfg.alloc_iterations),
+      // A machine dequeues every cycle, and one step completes at most
+      // a queue's worth of vectors, so neither ring outgrows the depth
+      // (an unusually deep queue grows its rings on demand instead).
+      queue_(static_cast<std::size_t>(
+          std::min(cfg.queue_depth, kMaxPreallocatedDepth))),
+      ready_(static_cast<std::size_t>(
+          std::min(cfg.queue_depth, kMaxPreallocatedDepth))),
       bloom_(cfg.bloom_entries, 0)
 {
     CAPSTAN_CHECK(cfg.lanes > 0 && cfg.lanes <= kMaxLanes);
@@ -84,25 +93,22 @@ SparseMemoryUnit::bloomMayConflict(const AccessVector &av) const
     return false;
 }
 
-void
-SparseMemoryUnit::bloomInsert(const AccessVector &av)
-{
-    for (const LaneRequest &lr : av.lane) {
-        if (lr.valid)
-            ++bloom_[bloomIndex(lr.addr)];
-    }
-}
-
-std::vector<SparseMemoryUnit::Slot>
+int
 SparseMemoryUnit::buildSlots(const AccessVector &av) const
 {
     bool capstan_mode = cfg_.ordering != Ordering::Arbitrated;
     bool split_mode = cfg_.ordering == Ordering::AddressOrdered;
 
-    std::vector<Slot> slots;
-    slots.emplace_back();
-    slots.back().av.id = av.id;
-    slots.back().dup_of.fill(-1);
+    int n_parts = 0;
+    auto addPart = [&]() {
+        if (static_cast<int>(parts_.size()) == n_parts)
+            parts_.emplace_back();
+        Slot &slot = parts_[n_parts++];
+        slot = Slot{};
+        slot.av.id = av.id;
+        slot.dup_of.fill(-1);
+    };
+    addPart();
 
     // Per distinct address (at most one per lane): the part index of
     // the last access touching it, and the lane of a part-0 read usable
@@ -121,6 +127,7 @@ SparseMemoryUnit::buildSlots(const AccessVector &av) const
         const LaneRequest &lr = av.lane[l];
         if (!lr.valid)
             continue;
+        const auto bit = static_cast<std::uint16_t>(1u << l);
         SeenAddr *sa = nullptr;
         for (int i = 0; i < n_seen; ++i) {
             if (seen[i].addr == lr.addr) {
@@ -129,7 +136,8 @@ SparseMemoryUnit::buildSlots(const AccessVector &av) const
             }
         }
         if (sa == nullptr) {
-            slots[0].av.lane[l] = lr;
+            parts_[0].av.lane[l] = lr;
+            parts_[0].valid |= bit;
             seen[n_seen++] = {
                 lr.addr, 0,
                 capstan_mode && isReadOnly(lr.op) ? l : -1};
@@ -139,96 +147,86 @@ SparseMemoryUnit::buildSlots(const AccessVector &av) const
         // this address is the part-0 read (no intervening write).
         if (capstan_mode && isReadOnly(lr.op) && sa->master_lane >= 0 &&
             sa->last_part == 0) {
-            slots[0].av.lane[l] = lr;
-            slots[0].dup_of[l] =
+            parts_[0].av.lane[l] = lr;
+            parts_[0].valid |= bit;
+            parts_[0].dup |= bit;
+            parts_[0].dup_of[l] =
                 static_cast<std::int8_t>(sa->master_lane);
             continue;
         }
         if (!split_mode) {
             // Unordered / fully-ordered / arbitrated keep same-address
             // lanes in one vector; the bank serializes them.
-            slots[0].av.lane[l] = lr;
+            parts_[0].av.lane[l] = lr;
+            parts_[0].valid |= bit;
             continue;
         }
         // Address-ordered: defer to the part after the last one touching
         // this address, so same-address accesses keep program order.
         int part = sa->last_part + 1;
-        while (static_cast<int>(slots.size()) <= part) {
-            slots.emplace_back();
-            slots.back().av.id = av.id;
-            slots.back().dup_of.fill(-1);
-        }
-        slots[part].av.lane[l] = lr;
+        while (n_parts <= part)
+            addPart();
+        parts_[part].av.lane[l] = lr;
+        parts_[part].valid |= bit;
         sa->last_part = part;
     }
 
-    for (Slot &slot : slots) {
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (slot.av.lane[l].valid) {
-                slot.bank[l] = static_cast<std::int8_t>(
-                    bankOf(slot.av.lane[l].addr));
-                slot.bank_bit[l] = 1u << slot.bank[l];
+    for (int p = 0; p < n_parts; ++p) {
+        Slot &slot = parts_[p];
+        slot.parts = static_cast<std::uint8_t>(n_parts);
+        slot.pending = slot.valid & static_cast<std::uint16_t>(~slot.dup);
+        common::simd::forEachSetBit(slot.valid, [&](int l) {
+            slot.bank[l] = static_cast<std::int8_t>(
+                bankOf(slot.av.lane[l].addr));
+            // Plasticine RMW handicap: modifications need a second
+            // (write) pass after the read returns.
+            if (cfg_.rmw_blocks && (slot.pending & (1u << l)) &&
+                !isReadOnly(slot.av.lane[l].op)) {
+                slot.rmw_second_pass |=
+                    static_cast<std::uint16_t>(1u << l);
             }
-            if (slot.av.lane[l].valid && slot.dup_of[l] < 0) {
-                slot.pending |= static_cast<std::uint16_t>(1u << l);
-                // Plasticine RMW handicap: modifications need a second
-                // (write) pass after the read returns.
-                if (cfg_.rmw_blocks && !isReadOnly(slot.av.lane[l].op))
-                    slot.rmw_second_pass |=
-                        static_cast<std::uint16_t>(1u << l);
-            }
-        }
+        });
     }
-    slots[0].sole = slots.size() == 1;
-    return slots;
+    return n_parts;
+}
+
+int
+SparseMemoryUnit::admit(const AccessVector &av) const
+{
+    int free_slots = cfg_.queue_depth - static_cast<int>(queue_.size());
+    if (free_slots <= 0)
+        return 0;
+    if (cfg_.ordering == Ordering::AddressOrdered && bloomMayConflict(av))
+        return 0;
+    int parts = buildSlots(av);
+    return parts <= free_slots ? parts : 0;
 }
 
 bool
 SparseMemoryUnit::canEnqueue(const AccessVector &av) const
 {
-    if (cfg_.ordering == Ordering::AddressOrdered && bloomMayConflict(av))
-        return false;
-    int parts = 1;
-    if (cfg_.ordering == Ordering::AddressOrdered)
-        parts = static_cast<int>(buildSlots(av).size());
-    return static_cast<int>(queue_.size()) + parts <= cfg_.queue_depth;
+    return admit(av) > 0;
 }
 
 bool
 SparseMemoryUnit::tryEnqueue(const AccessVector &av)
 {
-    if (!canEnqueue(av)) {
+    int n_parts = admit(av);
+    if (n_parts == 0) {
         ++stats_.enqueue_stalls;
         return false;
     }
-    std::vector<Slot> slots = buildSlots(av);
-    stats_.splits += slots.size() - 1;
-    for (const Slot &s : slots) {
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (s.dup_of[l] >= 0)
-                ++stats_.elided_reads;
-        }
-    }
-
-    // Unsplit vectors (the common case) complete straight out of their
-    // slot; only split vectors need a cross-part merge record.
-    if (!slots[0].sole) {
-        MergeState &merge = merge_[av.id];
-        merge.remaining = static_cast<int>(slots.size());
-        merge.acc.id = av.id;
-    }
-
-    for (Slot &slot : slots) {
-        slot.enqueued_at = now_;
+    stats_.splits += static_cast<std::uint64_t>(n_parts - 1);
+    for (int p = 0; p < n_parts; ++p) {
+        const Slot &slot = parts_[p];
+        stats_.elided_reads += static_cast<std::uint64_t>(
+            std::popcount(slot.dup));
         if (cfg_.ordering == Ordering::AddressOrdered) {
-            AccessVector non_elided = slot.av;
-            for (int l = 0; l < cfg_.lanes; ++l) {
-                if (slot.dup_of[l] >= 0)
-                    non_elided.lane[l].valid = false;
-            }
-            bloomInsert(non_elided);
+            common::simd::forEachSetBit(slot.pending, [&](int l) {
+                ++bloom_[bloomIndex(slot.av.lane[l].addr)];
+            });
         }
-        queue_.push_back(std::move(slot));
+        queue_.push_back(slot);
     }
     ++stats_.vectors_in;
     return true;
@@ -319,7 +317,7 @@ SparseMemoryUnit::priorityWindow(int iter) const
 }
 
 void
-SparseMemoryUnit::addSlotRequests(RequestMatrix &req, int s) const
+SparseMemoryUnit::addSlotRequests(RequestMatrix &req, int s)
 {
     const Slot &slot = queue_[s];
     std::uint32_t p = slot.pending;
@@ -330,12 +328,15 @@ SparseMemoryUnit::addSlotRequests(RequestMatrix &req, int s) const
     int base = (cfg_.input_speedup > 1)
                    ? (s % cfg_.input_speedup) * cfg_.lanes
                    : 0;
-    // Iterate set pending bits only.
-    while (p != 0) {
-        int l = std::countr_zero(p);
-        p &= p - 1;
-        req[base + l] |= slot.bank_bit[l];
-    }
+    common::simd::forEachSetBit(p, [&](int l) {
+        std::uint32_t bit = 1u << slot.bank[l];
+        if (req[base + l] & bit)
+            return;
+        // Slots are added oldest first, so the first to request a
+        // (virtual lane, bank) pair is the one its grant issues from.
+        req[base + l] |= bit;
+        owner_[base + l][slot.bank[l]] = s;
+    });
 }
 
 void
@@ -370,21 +371,15 @@ SparseMemoryUnit::allocateScheduled()
         int bank = res.bank_for_lane[v];
         if (bank < 0)
             continue;
+        // Oldest-first priority encoder within the lane (Fig. 3, step
+        // 7): the oldest slot of v's group with that lane pending on
+        // that bank, recorded while the matrices were built. Grants to
+        // other virtual lanes cannot clear its pending bit.
         int lane = v % cfg_.lanes;
-        int group = v / cfg_.lanes;
-        // Oldest-first priority encoder within the lane (Fig. 3, step 7).
-        for (std::size_t s = 0; s < queue_.size(); ++s) {
-            if (cfg_.input_speedup > 1 &&
-                static_cast<int>(s % cfg_.input_speedup) != group) {
-                continue;
-            }
-            Slot &slot = queue_[s];
-            if ((slot.pending & (1u << lane)) &&
-                slot.bank[lane] == bank) {
-                issueLane(slot, lane, bank);
-                break;
-            }
-        }
+        Slot &slot = queue_[static_cast<std::size_t>(owner_[v][bank])];
+        CAPSTAN_DCHECK((slot.pending & (1u << lane)) &&
+                       slot.bank[lane] == bank);
+        issueLane(slot, lane, bank);
     }
 }
 
@@ -396,15 +391,17 @@ SparseMemoryUnit::allocateFullyOrdered()
     // conflict this cycle. Unlike the arbitrated baseline, younger
     // lanes may not be reordered past the conflicting one, which is why
     // this mode trails arbitration (Fig. 4).
-    for (Slot &slot : queue_) {
+    for (std::size_t s = 0; s < queue_.size(); ++s) {
+        Slot &slot = queue_[s];
         if (slot.pending == 0)
             continue;
         std::uint32_t banks_used = 0;
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (!slot.av.lane[l].valid || slot.dup_of[l] >= 0)
-                continue;
-            if (!(slot.pending & (1u << l)))
-                continue;
+        // Only the arbitrated baseline turns RMW write passes into
+        // pending lanes, so pending lanes here are valid, unelided ones.
+        std::uint32_t lanes = slot.pending;
+        while (lanes != 0) {
+            int l = std::countr_zero(lanes);
+            lanes &= lanes - 1;
             int bank = slot.bank[l];
             if (banks_used & (1u << bank))
                 return; // Everything younger waits for next cycle.
@@ -421,29 +418,29 @@ SparseMemoryUnit::allocateArbitrated()
     // Plasticine-style: the oldest partially issued vector executes;
     // each bank grants its lowest-numbered pending lane (reordering is
     // allowed within the vectorized request, Section 2.3 of Table 3).
-    for (Slot &slot : queue_) {
+    for (std::size_t s = 0; s < queue_.size(); ++s) {
+        Slot &slot = queue_[s];
         if (slot.pending == 0 && slot.rmw_second_pass == 0)
             continue;
-        if (slot.pending == 0 && slot.rmw_second_pass != 0) {
+        if (slot.pending == 0) {
             // RMW handicap second (write) pass: wait for every read to
             // return, then the writes re-arbitrate for the banks. The
             // vector keeps blocking younger ones throughout.
-            bool reads_back = true;
-            for (int l = 0; l < cfg_.lanes; ++l) {
-                if ((slot.rmw_second_pass & (1u << l)) &&
-                    slot.done_at[l] > now_) {
-                    reads_back = false;
-                }
+            std::uint32_t reads = slot.rmw_second_pass;
+            while (reads != 0) {
+                int l = std::countr_zero(reads);
+                reads &= reads - 1;
+                if (slot.done_at[l] > now_)
+                    return;
             }
-            if (!reads_back)
-                return;
             slot.pending = slot.rmw_second_pass;
             slot.rmw_second_pass = 0;
         }
         std::uint32_t banks_used = 0;
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (!(slot.pending & (1u << l)))
-                continue;
+        std::uint32_t lanes = slot.pending;
+        while (lanes != 0) {
+            int l = std::countr_zero(lanes);
+            lanes &= lanes - 1;
             int bank = slot.bank[l];
             if (banks_used & (1u << bank))
                 continue;
@@ -461,15 +458,15 @@ SparseMemoryUnit::allocateIdeal()
 {
     // No bank conflicts: up to `lanes` accesses issue per cycle.
     int budget = cfg_.lanes;
-    for (Slot &slot : queue_) {
-        for (int l = 0; l < cfg_.lanes && budget > 0; ++l) {
-            if (slot.pending & (1u << l)) {
-                issueLane(slot, l, slot.bank[l]);
-                --budget;
-            }
+    for (std::size_t s = 0; s < queue_.size() && budget > 0; ++s) {
+        Slot &slot = queue_[s];
+        std::uint32_t lanes = slot.pending;
+        while (lanes != 0 && budget > 0) {
+            int l = std::countr_zero(lanes);
+            lanes &= lanes - 1;
+            issueLane(slot, l, slot.bank[l]);
+            --budget;
         }
-        if (budget == 0)
-            break;
     }
 }
 
@@ -478,39 +475,29 @@ SparseMemoryUnit::completeLanes()
 {
     while (!queue_.empty()) {
         Slot &head = queue_.front();
-        // First resolve directly-issued lanes, then elided duplicates of
-        // lanes that are now done.
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (!head.av.lane[l].valid || (head.done & (1u << l)))
-                continue;
-            if (head.dup_of[l] < 0 && !(head.pending & (1u << l)) &&
-                !(head.rmw_second_pass & (1u << l)) &&
-                head.done_at[l] <= now_) {
-                head.done |= static_cast<std::uint16_t>(1u << l);
-            }
+        // A lane still to issue (or to re-issue as an RMW write) keeps
+        // the head incomplete. Otherwise it completes once every issued
+        // lane's data is back; an elided lane completes with its
+        // master, which is an issued lane of the same slot.
+        if ((head.pending | head.rmw_second_pass) != 0)
+            return;
+        std::uint32_t issued = head.valid & ~std::uint32_t{head.dup};
+        while (issued != 0) {
+            int l = std::countr_zero(issued);
+            issued &= issued - 1;
+            if (head.done_at[l] > now_)
+                return;
         }
-        bool head_complete = true;
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (!head.av.lane[l].valid)
-                continue;
-            if (head.dup_of[l] >= 0 &&
-                (head.done & (1u << head.dup_of[l]))) {
-                head.done |= static_cast<std::uint16_t>(1u << l);
-                head.result[l] = head.result[head.dup_of[l]];
-            }
-            if (!(head.done & (1u << l)))
-                head_complete = false;
-        }
-        if (!head_complete)
-            break;
+        common::simd::forEachSetBit(head.dup, [&](int l) {
+            head.result[l] = head.result[head.dup_of[l]];
+        });
 
-        if (head.sole) {
+        if (head.parts == 1) {
             // Unsplit vector: complete directly from the slot.
-            CompletedVector cv;
+            CompletedVector &cv = ready_.push_back_slot();
             cv.id = head.av.id;
             cv.result = head.result;
             cv.completed_at = now_;
-            ready_.push_back(std::move(cv));
             ++stats_.vectors_out;
             queue_.pop_front();
             continue;
@@ -518,17 +505,18 @@ SparseMemoryUnit::completeLanes()
         // Fold this part into the merge record; emit once all parts of
         // the original vector have drained (split vectors must not expose
         // partial results to the consumer).
-        auto it = merge_.find(head.av.id);
-        CAPSTAN_DCHECK(it != merge_.end());
-        MergeState &merge = it->second;
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (head.av.lane[l].valid)
-                merge.acc.result[l] = head.result[l];
+        if (merge_remaining_ == 0) {
+            merge_acc_ = CompletedVector{};
+            merge_acc_.id = head.av.id;
+            merge_remaining_ = head.parts;
         }
-        if (--merge.remaining == 0) {
-            merge.acc.completed_at = now_;
-            ready_.push_back(merge.acc);
-            merge_.erase(it);
+        CAPSTAN_DCHECK(merge_acc_.id == head.av.id);
+        common::simd::forEachSetBit(head.valid, [&](int l) {
+            merge_acc_.result[l] = head.result[l];
+        });
+        if (--merge_remaining_ == 0) {
+            merge_acc_.completed_at = now_;
+            ready_.push_back(merge_acc_);
             ++stats_.vectors_out;
         }
         queue_.pop_front();
@@ -541,12 +529,8 @@ SparseMemoryUnit::step()
     // Drain-only cycles (every lane issued, waiting on the bank
     // pipeline) skip the allocators entirely.
     bool can_issue = false;
-    for (const Slot &s : queue_) {
-        if (s.pending != 0 || s.rmw_second_pass != 0) {
-            can_issue = true;
-            break;
-        }
-    }
+    for (std::size_t s = 0; s < queue_.size() && !can_issue; ++s)
+        can_issue = (queue_[s].pending | queue_[s].rmw_second_pass) != 0;
     if (!can_issue) {
         ++now_;
         ++stats_.cycles;
@@ -584,7 +568,8 @@ SparseMemoryUnit::nextEventCycle() const
     // always-active so the caller never skips over it.
     bool arb = !cfg_.ideal && cfg_.ordering == Ordering::Arbitrated;
     Cycle wake = kNoEventCycle;
-    for (const Slot &s : queue_) {
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const Slot &s = queue_[i];
         if (s.pending == 0 && s.rmw_second_pass == 0)
             continue;
         if (s.pending != 0 || !arb)
@@ -592,10 +577,9 @@ SparseMemoryUnit::nextEventCycle() const
         // Arbitrated RMW write pass: blocked until every read returns;
         // younger slots cannot overtake it, so only this one matters.
         Cycle reads_back = 0;
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (s.rmw_second_pass & (1u << l))
-                reads_back = std::max(reads_back, s.done_at[l]);
-        }
+        common::simd::forEachSetBit(s.rmw_second_pass, [&](int l) {
+            reads_back = std::max(reads_back, s.done_at[l]);
+        });
         wake = std::min(wake, std::max(reads_back, now_));
         break;
     }
@@ -605,10 +589,9 @@ SparseMemoryUnit::nextEventCycle() const
     const Slot &head = queue_.front();
     if (head.pending == 0 && head.rmw_second_pass == 0) {
         Cycle last = 0;
-        for (int l = 0; l < cfg_.lanes; ++l) {
-            if (head.av.lane[l].valid && head.dup_of[l] < 0)
-                last = std::max(last, head.done_at[l]);
-        }
+        common::simd::forEachSetBit(
+            head.valid & ~std::uint32_t{head.dup},
+            [&](int l) { last = std::max(last, head.done_at[l]); });
         wake = std::min(wake, last > now_ ? last - 1 : now_);
     }
     return wake == kNoEventCycle ? now_ : wake;

@@ -21,11 +21,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "sim/allocator.hpp"
 #include "sim/config.hpp"
 #include "sparse/types.hpp"
@@ -192,30 +191,27 @@ class SparseMemoryUnit
     struct Slot
     {
         AccessVector av;
-        std::uint16_t pending = 0; //!< Valid, not yet issued.
+        std::uint16_t valid = 0;   //!< Lanes carrying an access.
+        std::uint16_t dup = 0;     //!< Valid lanes elided onto a master.
+        std::uint16_t pending = 0; //!< Valid, not elided, not yet issued.
         std::uint16_t rmw_second_pass = 0; //!< Write pass (rmw_blocks).
-        std::uint16_t done = 0;    //!< Completed lanes.
         std::array<Cycle, kMaxLanes> done_at{};
         std::array<std::int8_t, kMaxLanes> dup_of{}; //!< Elision master.
         /** bankOf(addr) per valid lane, hashed once at enqueue. */
         std::array<std::int8_t, kMaxLanes> bank{};
-        /** 1u << bank[l], for request-matrix building. */
-        std::array<std::uint32_t, kMaxLanes> bank_bit{};
         std::array<Value, kMaxLanes> result{};
-        Cycle enqueued_at = 0;
-        /** Unsplit vector: completes directly, no merge record. */
-        bool sole = false;
+        /** Parts the vector was split into (1: completes directly). */
+        std::uint8_t parts = 1;
     };
 
-    /** Accumulates results of split parts until all have completed. */
-    struct MergeState
-    {
-        int remaining = 0;
-        CompletedVector acc;
-    };
+    /**
+     * Split @p av into ordered parts with elision markers applied, in
+     * parts_[0, n); returns n. The scratch is reused across calls.
+     */
+    int buildSlots(const AccessVector &av) const;
 
-    /** Split a vector into ordered parts with elision markers applied. */
-    std::vector<Slot> buildSlots(const AccessVector &av) const;
+    /** Queue slots @p av would take this cycle, or 0 if refused. */
+    int admit(const AccessVector &av) const;
 
     void allocateScheduled();
     void allocateFullyOrdered();
@@ -225,24 +221,42 @@ class SparseMemoryUnit
     void completeLanes();
     Value executeOp(std::uint32_t addr, AccessOp op, Value operand);
 
-    /** OR slot @p s's pending requests into @p req. */
-    void addSlotRequests(RequestMatrix &req, int s) const;
+    /**
+     * OR slot @p s's pending requests into @p req, recording in owner_
+     * each (virtual lane, bank) request the slot is the first to make.
+     */
+    void addSlotRequests(RequestMatrix &req, int s);
 
     /** Priority window (slot count) for allocator iteration @p iter. */
     int priorityWindow(int iter) const;
 
     // Address-ordered support.
     bool bloomMayConflict(const AccessVector &av) const;
-    void bloomInsert(const AccessVector &av);
     std::size_t bloomIndex(std::uint32_t addr) const;
 
     SpmuConfig cfg_;
     SeparableAllocator alloc_;
     /** Reused per-iteration request matrices (no per-step allocation). */
     std::vector<RequestMatrix> mats_scratch_;
-    std::deque<Slot> queue_;
-    std::deque<CompletedVector> ready_;
-    std::unordered_map<std::uint64_t, MergeState> merge_;
+    /**
+     * owner_[v][b]: the oldest queue slot requesting bank b on virtual
+     * lane v in the matrices being built; read only for requests made
+     * this cycle.
+     */
+    std::array<std::array<int, 32>, kMaxVirtualLanes> owner_{};
+    /** buildSlots() output; canEnqueue() fills it too, hence mutable. */
+    mutable std::vector<Slot> parts_;
+    /** Issue queue; canEnqueue() bounds it at the queue depth. */
+    common::RingQueue<Slot> queue_;
+    /** Completed vectors awaiting tryDequeue(). */
+    common::RingQueue<CompletedVector> ready_;
+    /**
+     * Results of a split vector's completed parts. Parts are queued
+     * back to back and only the head completes, so at most one split
+     * vector is being merged at a time.
+     */
+    CompletedVector merge_acc_;
+    int merge_remaining_ = 0;
     std::vector<Value> storage_;
     std::vector<std::uint16_t> bloom_; //!< Counting Bloom filter.
     Cycle now_ = 0;

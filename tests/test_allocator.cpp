@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
+#include <vector>
 
 #include "sim/allocator.hpp"
 
@@ -19,6 +22,76 @@ emptyMatrix()
     RequestMatrix m{};
     m.fill(0);
     return m;
+}
+
+/**
+ * Reference model: the allocator written as its two arbiter stages.
+ * Stage 1: every ungranted lane picks its lowest requested bank still
+ * free at the start of the iteration. Stage 2: every bank accepts its
+ * lowest-index chooser; a choice at or above `banks` is never granted.
+ */
+AllocResult
+twoStageReference(int lanes, int banks, int iterations,
+                  const std::vector<RequestMatrix> &iter_requests)
+{
+    AllocResult result;
+    std::uint32_t taken_banks = 0;
+    std::uint32_t granted_lanes = 0;
+    for (int iter = 0; iter < iterations; ++iter) {
+        const RequestMatrix &req = iter_requests[std::min<std::size_t>(
+            iter, iter_requests.size() - 1)];
+        int grants_before = result.grant_count;
+        std::array<int, kMaxVirtualLanes> choice;
+        choice.fill(-1);
+        for (int l = 0; l < lanes; ++l) {
+            if (granted_lanes & (1u << l))
+                continue;
+            std::uint32_t avail = req[l] & ~taken_banks;
+            if (avail != 0)
+                choice[l] = std::countr_zero(avail);
+        }
+        std::array<int, 32> bank_winner;
+        bank_winner.fill(-1);
+        for (int l = 0; l < lanes; ++l) {
+            if (choice[l] >= 0 && bank_winner[choice[l]] < 0)
+                bank_winner[choice[l]] = l;
+        }
+        for (int b = 0; b < banks; ++b) {
+            int l = bank_winner[b];
+            if (l < 0)
+                continue;
+            result.bank_for_lane[l] = b;
+            ++result.grant_count;
+            taken_banks |= 1u << b;
+            granted_lanes |= 1u << l;
+        }
+        if (result.grant_count == grants_before &&
+            iter + 1 >= static_cast<int>(iter_requests.size())) {
+            break;
+        }
+    }
+    return result;
+}
+
+/** A random request word: sparse, dense, or confined to the banks. */
+std::uint32_t
+randomRequest(std::mt19937 &rng, int banks)
+{
+    std::uint32_t bits = 0;
+    switch (rng() % 4) {
+      case 0: // Sparse over all 32 bits, including ones >= banks.
+        for (int b = 0; b < 32; ++b)
+            bits |= (rng() % 10 == 0 ? 1u : 0u) << b;
+        return bits;
+      case 1: // Dense over all 32 bits.
+        return static_cast<std::uint32_t>(rng()) |
+               static_cast<std::uint32_t>(rng());
+      case 2: // Dense within the bank range.
+        bits = static_cast<std::uint32_t>(rng());
+        return banks >= 32 ? bits : bits & ((1u << banks) - 1);
+      default: // One bank, sometimes out of range.
+        return rng() % 8 == 0 ? 0u : 1u << (rng() % 32);
+    }
 }
 
 } // namespace
@@ -146,4 +219,39 @@ TEST(AllocatorProperty, IterationsMonotonicallyImprove)
     // On aggregate the extra iterations must add real value.
     EXPECT_LT(total1, total3);
     EXPECT_LT(total1, total2);
+}
+
+/**
+ * Differential property: the allocator matches the two-stage reference
+ * exactly over random shapes (lanes 1-32, banks 1-32, iterations 1-4,
+ * 1-4 matrices) and random requests, including request bits at and
+ * above the bank count and idle lanes past `lanes`.
+ */
+TEST(AllocatorProperty, MatchesTwoStageReference)
+{
+    std::mt19937 rng(20260417);
+    constexpr int kCases = 120000;
+    for (int c = 0; c < kCases; ++c) {
+        int lanes = 1 + static_cast<int>(rng() % 32);
+        int banks = 1 + static_cast<int>(rng() % 32);
+        int iterations = 1 + static_cast<int>(rng() % 4);
+        int n_mats = 1 + static_cast<int>(rng() % 4);
+        bool expanding = rng() % 2 == 0;
+        std::vector<RequestMatrix> mats(n_mats, emptyMatrix());
+        for (int i = 0; i < n_mats; ++i) {
+            if (expanding && i > 0)
+                mats[i] = mats[i - 1];
+            for (int l = 0; l < kMaxVirtualLanes; ++l) {
+                if (rng() % 3 != 0)
+                    mats[i][l] |= randomRequest(rng, banks);
+            }
+        }
+        SeparableAllocator alloc(lanes, banks, iterations);
+        AllocResult got = alloc.allocate(mats);
+        AllocResult want = twoStageReference(lanes, banks, iterations, mats);
+        ASSERT_EQ(got.grant_count, want.grant_count)
+            << "case " << c << " lanes " << lanes << " banks " << banks;
+        ASSERT_EQ(got.bank_for_lane, want.bank_for_lane)
+            << "case " << c << " lanes " << lanes << " banks " << banks;
+    }
 }

@@ -24,16 +24,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "lang/machine.hpp"
-#include "lang/ring.hpp"
 
 using namespace capstan;
 using namespace capstan::driver;
 using capstan::lang::Machine;
+using capstan::common::RingQueue;
 using capstan::lang::PhaseStats;
-using capstan::lang::RingQueue;
 using capstan::lang::RunTotals;
 using capstan::lang::StageKind;
 using capstan::lang::Token;

@@ -1,12 +1,12 @@
 /**
  * @file
  * Seeded property tests for the structures the stepping engine leans
- * on hardest: lang::RingQueue (checked against a std::deque model
- * under random operation streams), the SpMU's event-horizon
- * contract (random traffic stepped densely vs. fast-forwarded with
- * random skip lengths must agree exactly — the property the cycle
- * fast-forward engine relies on),
- * and the compressed sparse codec (random round trips plus
+ * on hardest: common::RingQueue (checked against a std::deque model
+ * under random operation streams, front and indexed reads alike), the
+ * SpMU's event-horizon contract (random traffic stepped densely vs.
+ * fast-forwarded with random skip lengths must agree exactly — the
+ * property the cycle fast-forward engine relies on), and the
+ * compressed sparse codec (random round trips plus
  * truncation/bit-flip fuzz of the encoded buffers and the v2 .cbin
  * cache, which must reject corruption with a clean error, never crash
  * or overread — the suite runs under ASan/UBSan in CI to enforce the
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "lang/ring.hpp"
+#include "common/ring.hpp"
 #include "sim/config.hpp"
 #include "sim/spmu.hpp"
 #include "sparse/compressed.hpp"
@@ -57,7 +57,8 @@ void
 ringModelRound(std::uint32_t seed, int ops)
 {
     std::mt19937 rng(seed);
-    lang::RingQueue<Payload> ring;
+    std::mt19937 pick(seed + 1); // Indexed reads; keeps rng's op stream.
+    common::RingQueue<Payload> ring;
     std::deque<Payload> model;
 
     for (int op = 0; op < ops; ++op) {
@@ -89,6 +90,12 @@ ringModelRound(std::uint32_t seed, int ops)
         ASSERT_EQ(ring.empty(), model.empty());
         if (!model.empty()) {
             ASSERT_EQ(ring.front().tag, model.front().tag);
+            // Indexed access sees the same element as the model.
+            std::size_t i = pick() % model.size();
+            ASSERT_EQ(ring[i].tag, model[i].tag)
+                << "seed " << seed << " op " << op << " index " << i;
+            ASSERT_EQ(ring[i].data, model[i].data)
+                << "seed " << seed << " op " << op << " index " << i;
         }
     }
     // Drain: remaining contents must match the model in FIFO order.
@@ -113,7 +120,7 @@ TEST(RingQueueProperty, GrowthRelinearizesAcrossWrap)
     // Force head/tail to wrap before growth: push/pop cycles move the
     // window deep into the free-running counters, then a burst grows
     // the array while the live range straddles the wrap point.
-    lang::RingQueue<int> ring;
+    common::RingQueue<int> ring;
     std::deque<int> model;
     int next = 0;
     for (int round = 0; round < 50; ++round) {

@@ -1,0 +1,373 @@
+/**
+ * @file
+ * Golden digests for the SpMU and shuffle-network unit models.
+ *
+ * The machine goldens (test_machine_golden.cpp) pin whole runs; these
+ * pin each unit model on its own, under seeded random traffic that
+ * reaches the corners whole runs visit rarely: same-address splits and
+ * elided reads, RMW second passes, full queues, refused enqueues,
+ * back-pressured butterfly stages, failed merges and FIFO credits.
+ * Every observable output is folded into one 64-bit FNV-1a digest per
+ * mode:
+ *
+ *  - SpMU: canEnqueue/tryEnqueue answers, nextEventCycle() before every
+ *    step, the grant trace (cycle, lane, bank, vector id), the dequeue
+ *    order with each vector's results and completion cycle, the
+ *    functional storage contents afterwards, and SpmuStats.
+ *  - Shuffle: tryInject answers, the ejection sequence (cycle, port,
+ *    id, source port, and per valid lane its index, address,
+ *    destination, src_lane and tag; with auto-retire off also the
+ *    traversed path), and ShuffleStats.
+ *
+ * The digests were recorded before the unit models were made
+ * allocation-free; a mismatch means a simulated bit moved. The failure
+ * message prints the new digest, so an intended behaviour change
+ * re-records by pasting it into the table.
+ */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <deque>
+#include <random>
+#include <string>
+#include <utility>
+
+#include "sim/config.hpp"
+#include "sim/shuffle.hpp"
+#include "sim/spmu.hpp"
+
+using namespace capstan::sim;
+using capstan::Value;
+
+namespace {
+
+/** FNV-1a over the little-endian bytes of each folded word. */
+class Digest
+{
+  public:
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xFF;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+// ---------------------------------------------------------------------------
+// SpMU
+// ---------------------------------------------------------------------------
+
+/** Every lane op the bank FPU models. */
+constexpr AccessOp kOps[] = {
+    AccessOp::Read,   AccessOp::Write,  AccessOp::AddF32,
+    AccessOp::AddI32, AccessOp::Min,    AccessOp::MinReportChanged,
+    AccessOp::Max,    AccessOp::TestAndSet, AccessOp::WriteIfZero,
+    AccessOp::Swap,   AccessOp::BitAnd, AccessOp::BitOr,
+    AccessOp::BitXor,
+};
+
+/**
+ * Drive one SpMU with seeded random traffic and digest everything it
+ * exposes. Addresses mix a 24-word hot set (duplicates inside a vector:
+ * elision, same-address splits, bank conflicts) with a wide range, and
+ * a quarter of the vectors aim every lane at one bank; half the
+ * vectors are read-only so elision has masters to copy from.
+ * Offered load exceeds the bank throughput, so the queue fills and
+ * enqueues are refused. Dequeues are sometimes skipped so completed
+ * vectors pile up.
+ */
+std::uint64_t
+spmuDigest(const SpmuConfig &cfg, std::uint32_t seed)
+{
+    constexpr int kVectors = 700;
+    constexpr std::uint32_t kWords = 4096;
+    SparseMemoryUnit spmu(cfg, /*with_storage=*/true);
+    spmu.enableGrantTrace(true);
+    for (std::uint32_t a = 0; a < kWords; ++a)
+        spmu.poke(a, static_cast<Value>(a % 7));
+    std::mt19937 rng(seed);
+    Digest d;
+    std::uint64_t next_id = 1;
+    int sent = 0;
+    for (int cycle = 0; cycle < 400000; ++cycle) {
+        if (sent >= kVectors && spmu.empty())
+            break;
+        if (sent < kVectors && rng() % 8 != 0) {
+            AccessVector av;
+            av.id = next_id;
+            bool read_only = rng() % 2 == 0;
+            bool one_bank = rng() % 4 == 0;
+            int bank = static_cast<int>(rng() % cfg.banks);
+            int density = 2 + static_cast<int>(rng() % 7);
+            for (int l = 0; l < cfg.lanes; ++l) {
+                if (static_cast<int>(rng() % 8) >= density)
+                    continue;
+                LaneRequest &lr = av.lane[l];
+                lr.valid = true;
+                lr.addr = rng() % 3 == 0 ? rng() % 24 : rng() % kWords;
+                while (one_bank && spmu.bankOf(lr.addr) != bank)
+                    lr.addr = rng() % kWords;
+                lr.op = read_only ? AccessOp::Read
+                                  : kOps[rng() % std::size(kOps)];
+                lr.operand = static_cast<Value>(rng() % 9);
+            }
+            d.add(spmu.canEnqueue(av));
+            bool ok = spmu.tryEnqueue(av);
+            d.add(ok);
+            if (ok) {
+                ++next_id;
+                ++sent;
+            }
+        }
+        d.add(spmu.nextEventCycle());
+        d.add(static_cast<std::uint64_t>(spmu.occupancy()));
+        spmu.step();
+        if (rng() % 3 == 0)
+            continue; // Leave completed vectors waiting this cycle.
+        while (auto cv = spmu.tryDequeue()) {
+            d.add(static_cast<std::uint64_t>(cycle));
+            d.add(cv->id);
+            d.add(cv->completed_at);
+            for (Value r : cv->result)
+                d.add(std::bit_cast<std::uint32_t>(r));
+        }
+    }
+    EXPECT_TRUE(spmu.empty()) << "SpMU failed to drain";
+    for (const auto &g : spmu.grantTrace()) {
+        d.add(g.cycle);
+        d.add(static_cast<std::uint64_t>(g.lane));
+        d.add(static_cast<std::uint64_t>(g.bank));
+        d.add(g.vector_id);
+    }
+    for (std::uint32_t a = 0; a < kWords; ++a)
+        d.add(std::bit_cast<std::uint32_t>(spmu.peek(a)));
+    const SpmuStats &s = spmu.stats();
+    for (std::uint64_t v : {std::uint64_t{s.cycles}, s.grants, s.vectors_in,
+                            s.vectors_out, s.enqueue_stalls, s.elided_reads,
+                            s.splits}) {
+        d.add(v);
+    }
+    return d.value();
+}
+
+struct SpmuGolden
+{
+    const char *name;
+    SpmuConfig cfg;
+    std::uint64_t digest;
+};
+
+SpmuConfig
+spmuWith(void (*edit)(SpmuConfig &))
+{
+    SpmuConfig cfg;
+    edit(cfg);
+    return cfg;
+}
+
+TEST(UnitGolden, SpmuTrafficDigestsPerMode)
+{
+    const SpmuGolden goldens[] = {
+        {"unordered", SpmuConfig{}, 0xc6735e8d7615efdd},
+        {"address-ordered",
+         spmuWith([](SpmuConfig &c) {
+             c.ordering = Ordering::AddressOrdered;
+         }),
+         0xd2d348bf5d76c37b},
+        {"fully-ordered",
+         spmuWith([](SpmuConfig &c) { c.ordering = Ordering::FullyOrdered; }),
+         0x1b32877bddb6610f},
+        {"arbitrated",
+         spmuWith([](SpmuConfig &c) { c.ordering = Ordering::Arbitrated; }),
+         0x365cdc9a1e0c8ee6},
+        {"ideal", spmuWith([](SpmuConfig &c) { c.ideal = true; }),
+         0xcf02e2ee9dc2e6f4},
+        {"plasticine", CapstanConfig::plasticine().spmu, 0x5b9f86a2d074f407},
+        {"weak-allocator",
+         spmuWith([](SpmuConfig &c) { c.allocator = AllocatorKind::Weak; }),
+         0x3675048830373f36},
+        {"input-speedup-2",
+         spmuWith([](SpmuConfig &c) { c.input_speedup = 2; }),
+         0x89085be274f9007c},
+        {"linear-hash",
+         spmuWith([](SpmuConfig &c) { c.hash = BankHash::Linear; }),
+         0xc5fa5ca384652335},
+        {"deep-queue",
+         spmuWith([](SpmuConfig &c) {
+             c.queue_depth = 48;
+             c.priorities = 4;
+             c.alloc_iterations = 4;
+             c.ordering = Ordering::AddressOrdered;
+         }),
+         0x3742960b07fff18f},
+    };
+    for (const SpmuGolden &g : goldens) {
+        std::uint64_t got = spmuDigest(g.cfg, 2024);
+        EXPECT_EQ(got, g.digest) << g.name << ": digest " << hex(got);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shuffle network
+// ---------------------------------------------------------------------------
+
+/**
+ * Drive one butterfly with seeded random traffic and digest every
+ * ejection. Several vectors are offered per cycle and many lanes head
+ * for a two-port hotspot, so stages back up (refused injections,
+ * abandoned commits) and merges fail as well as succeed. With
+ * auto-retire off, each ejected id is retired a random 0-15 cycles
+ * later and the inverse-permutation FIFOs are shallow, so credits gate
+ * the merge units.
+ */
+std::uint64_t
+shuffleDigest(MergeMode mode, int ports, bool auto_retire,
+              std::uint32_t seed)
+{
+    constexpr int kInjectCycles = 300;
+    ShuffleConfig cfg;
+    cfg.mode = mode;
+    cfg.ports = ports;
+    if (!auto_retire)
+        cfg.fifo_depth = 6;
+    ShuffleNetwork net(cfg);
+    net.setAutoRetire(auto_retire);
+    std::mt19937 rng(seed);
+    Digest d;
+    std::uint64_t next_id = 1;
+    std::deque<std::pair<int, std::uint64_t>> retire_at;
+    for (int cycle = 0; cycle < 100000; ++cycle) {
+        if (cycle >= kInjectCycles && net.empty() && retire_at.empty())
+            break;
+        int offers = cycle < kInjectCycles
+                         ? static_cast<int>(rng() % (ports / 2 + 2))
+                         : 0;
+        for (int k = 0; k < offers; ++k) {
+            int port = static_cast<int>(rng() % ports);
+            ShuffleVector v;
+            v.src_port = port;
+            v.id = next_id;
+            // A quarter of the vectors send every lane to one port, so
+            // some bypass the butterfly and some cross it unsplit.
+            int density = 1 + static_cast<int>(rng() % 8);
+            bool one_dst = rng() % 4 == 0;
+            int dst = static_cast<int>(rng() % ports);
+            for (int l = 0; l < kMaxLanes; ++l) {
+                if (static_cast<int>(rng() % 8) >= density)
+                    continue;
+                v.valid[l] = true;
+                v.addr[l] = rng();
+                if (one_dst)
+                    v.dst_port[l] = dst;
+                else if (rng() % 3 == 0)
+                    v.dst_port[l] = static_cast<int>(rng() % 2);
+                else
+                    v.dst_port[l] = static_cast<int>(rng() % ports);
+                v.src_lane[l] = l;
+                v.tag[l] = next_id * kMaxLanes + l;
+            }
+            bool ok = net.tryInject(port, v);
+            d.add(ok);
+            if (ok)
+                ++next_id;
+        }
+        net.step();
+        for (int p = 0; p < ports; ++p) {
+            while (auto v = net.tryEject(p)) {
+                d.add(static_cast<std::uint64_t>(cycle));
+                d.add(static_cast<std::uint64_t>(p));
+                d.add(v->id);
+                d.add(static_cast<std::uint64_t>(v->src_port));
+                for (int l = 0; l < kMaxLanes; ++l) {
+                    if (!v->valid[l])
+                        continue;
+                    d.add(static_cast<std::uint64_t>(l));
+                    d.add(v->addr[l]);
+                    d.add(static_cast<std::uint64_t>(v->dst_port[l]));
+                    d.add(static_cast<std::uint64_t>(v->src_lane[l]));
+                    d.add(v->tag[l]);
+                }
+                if (!auto_retire) {
+                    d.add(v->path.size());
+                    for (auto [s, u] : v->path) {
+                        d.add(static_cast<std::uint64_t>(s));
+                        d.add(static_cast<std::uint64_t>(u));
+                    }
+                    retire_at.emplace_back(
+                        cycle + static_cast<int>(rng() % 16), v->id);
+                }
+            }
+        }
+        // Retire due ids in ejection order (the queue is not sorted by
+        // due cycle; each entry is checked in turn).
+        for (std::size_t i = 0; i < retire_at.size();) {
+            if (retire_at[i].first <= cycle) {
+                net.retire(retire_at[i].second);
+                retire_at.erase(retire_at.begin() +
+                                static_cast<std::ptrdiff_t>(i));
+            } else {
+                ++i;
+            }
+        }
+    }
+    EXPECT_TRUE(net.empty()) << "network failed to drain";
+    const ShuffleStats &s = net.stats();
+    for (std::uint64_t v :
+         {s.injected, s.ejected, s.merges_attempted, s.merges_succeeded,
+          s.bypassed, std::uint64_t{s.cycles}}) {
+        d.add(v);
+    }
+    return d.value();
+}
+
+struct ShuffleGolden
+{
+    const char *name;
+    MergeMode mode;
+    int ports;
+    bool auto_retire;
+    std::uint64_t digest;
+};
+
+TEST(UnitGolden, ShuffleTrafficDigestsPerMode)
+{
+    const ShuffleGolden goldens[] = {
+        {"mrg0/4", MergeMode::Mrg0, 4, true, 0xd42e54132b0d8f19},
+        {"mrg0/16", MergeMode::Mrg0, 16, true, 0x2ecaaa872eb88a94},
+        {"mrg0/64", MergeMode::Mrg0, 64, true, 0x7791876146602ded},
+        {"mrg1/4", MergeMode::Mrg1, 4, true, 0xac92c44b69fa8dc4},
+        {"mrg1/16", MergeMode::Mrg1, 16, true, 0x5f43e39eb5e6dc8f},
+        {"mrg1/64", MergeMode::Mrg1, 64, true, 0x5ba31549cd22214f},
+        {"mrg16/4", MergeMode::Mrg16, 4, true, 0xb4a6aad5f7734104},
+        {"mrg16/16", MergeMode::Mrg16, 16, true, 0x516f333dba8fe764},
+        {"mrg16/64", MergeMode::Mrg16, 64, true, 0x3e9623a38bb3a5a1},
+        {"mrg1/16 retire()", MergeMode::Mrg1, 16, false,
+         0xddd35643e8f034f1},
+        {"mrg16/64 retire()", MergeMode::Mrg16, 64, false,
+         0x01277340acbaf74c},
+    };
+    for (const ShuffleGolden &g : goldens) {
+        std::uint64_t got = shuffleDigest(g.mode, g.ports, g.auto_retire, 7);
+        EXPECT_EQ(got, g.digest) << g.name << ": digest " << hex(got);
+    }
+}
+
+} // namespace
