@@ -11,13 +11,13 @@
 #    references check the path part only.
 #
 # 2. Command check (with `--commands [build_dir]`): extract every
-#    documented capstan-run / capstan-sweep / capstan-report command
-#    line (a code line whose first token is one of the binaries,
-#    optionally prefixed ./build/, with backslash continuations
-#    joined) and dry-run it against the built binaries (--dry-run
-#    validates flags, runs nothing, writes nothing), so documented
-#    commands can't rot. Skipped with a notice when the binaries are
-#    not built. build_dir defaults to <repo>/build.
+#    documented capstan-run / capstan-report command line (a code
+#    line whose first token is one of the binaries, optionally
+#    prefixed ./build/, with backslash continuations joined) and
+#    dry-run it against the built binaries (--dry-run validates
+#    flags, runs nothing, writes nothing), so documented commands
+#    can't rot. Exits 77 (ctest's skip code) with a notice when a
+#    binary is not built. build_dir defaults to <repo>/build.
 #
 # Run from anywhere; checks the repo the script lives in.
 
@@ -61,11 +61,11 @@ echo "check_doc_paths: all referenced paths exist"
 
 [ "$check_commands" = 1 ] || exit 0
 
-for prog in capstan-run capstan-sweep capstan-report; do
+for prog in capstan-run capstan-report; do
     if [ ! -x "$build_dir/$prog" ]; then
         echo "check_doc_paths: $build_dir/$prog not built;" \
-             "skipping the documented-command check"
-        exit 0
+             "skipping the documented-command check (77)"
+        exit 77
     fi
 done
 
@@ -77,7 +77,7 @@ for doc in "$repo"/docs/*.md "$repo"/README.md; do
     # Join backslash continuations, then keep lines whose first token
     # is a driver binary (optionally ./build/-prefixed or after a $).
     sed -e ':a' -e '/\\$/N; s/\\\n//; ta' "$doc" |
-    grep -E '^[[:space:]]*(\$[[:space:]]+)?(\./build/)?capstan-(run|sweep|report)([[:space:]]|$)' |
+    grep -E '^[[:space:]]*(\$[[:space:]]+)?(\./build/)?capstan-(run|report)([[:space:]]|$)' |
     sed -E 's/^[[:space:]]*(\$[[:space:]]+)?(\.\/build\/)?//' |
     sed -E 's/[[:space:]]+#.*$//' |
     sort -u |

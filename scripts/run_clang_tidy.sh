@@ -39,8 +39,8 @@ if [ -z "$tidy" ]; then
     exit 77
 fi
 
-# First-party sources only: tests link gtest and benches link Google
-# Benchmark, whose headers are not ours to fix.
+# First-party sources only: tests link gtest, whose headers are not
+# ours to fix.
 mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
 
 echo "run_clang_tidy: $tidy over ${#sources[@]} files"

@@ -23,6 +23,7 @@
  *   capstan-report --list
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -158,12 +159,10 @@ parseReportArgs(const std::vector<std::string> &args)
                 a.iterations < 1)
                 return fail("--iterations requires a positive integer");
         } else if (arg == "--jobs") {
-            // Same contract as capstan-run/capstan-sweep: negative is
-            // rejected here; 0 (the default) means "all cores" and is
-            // resolved by driver::resolveJobs() inside the engine.
-            if (!value(v) || !capstan::driver::parseInt(v, a.jobs) ||
-                a.jobs < 0)
-                return fail("--jobs requires a non-negative integer");
+            // Same check as capstan-run and capstan-serve; 0 (the
+            // default) means "all cores", resolved inside the engine.
+            if (!value(v) || !capstan::driver::parseJobs(v, a.jobs))
+                return fail("--jobs requires an integer in [0, 4096]");
         } else if (arg == "--dataset-dir") {
             if (!value(v))
                 return fail("--dataset-dir requires a directory");
@@ -260,7 +259,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Resolve the study selection.
+    // Resolve the study selection: each study runs once, at its first
+    // mention (--all mentions every study, in paper order).
     std::vector<const Study *> selected;
     if (args.all) {
         for (const auto &s : allStudies())
@@ -273,7 +273,8 @@ main(int argc, char **argv)
                       << "' (see --list)\n";
             return 2;
         }
-        if (!args.all)
+        if (std::find(selected.begin(), selected.end(), s) ==
+            selected.end())
             selected.push_back(s);
     }
 

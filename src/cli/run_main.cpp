@@ -10,10 +10,6 @@
  * sweep; the engine expands and runs it on its worker pool and this
  * front-end just streams stderr progress and writes the report.
  *
- * The same binary also builds as `capstan-sweep`, an alias whose first
- * positional argument is the sweep spec: `capstan-sweep spec.json
- * --jobs 8` is `capstan-run --sweep spec.json --jobs 8`.
- *
  * SIGINT/SIGTERM interrupt cooperatively: the current point finishes
  * (single runs unwind at the next simulation step), the partial JSON
  * report is flushed with `"interrupted": true`, and the process exits
@@ -45,17 +41,10 @@ namespace common = capstan::common;
 /** Exit status of a run cut short by SIGINT/SIGTERM. */
 constexpr int kInterruptedExit = 130;
 
-std::string
-programName(const char *argv0)
-{
-    std::string name = argv0 ? argv0 : "";
-    std::size_t slash = name.find_last_of('/');
-    return slash == std::string::npos ? name : name.substr(slash + 1);
-}
+constexpr const char *kProg = "capstan-run";
 
 bool
-writeReport(const std::string &path, const std::string &report,
-            const std::string &prog)
+writeReport(const std::string &path, const std::string &report)
 {
     if (path.empty()) {
         std::cout << report;
@@ -66,14 +55,14 @@ writeReport(const std::string &path, const std::string &report,
         out << report;
     out.close();
     if (!out) {
-        std::cerr << prog << ": failed writing '" << path << "'\n";
+        std::cerr << kProg << ": failed writing '" << path << "'\n";
         return false;
     }
     return true;
 }
 
 int
-runSingle(const DriverOptions &opts, const std::string &prog)
+runSingle(const DriverOptions &opts)
 {
     engine::Engine eng{engine::EngineConfig{}};
     engine::JobRequest req;
@@ -86,28 +75,27 @@ runSingle(const DriverOptions &opts, const std::string &prog)
     if (res.interrupted) {
         // The partial identity document is all we have; it is always
         // JSON (a half-run simulation has no text summary).
-        std::cerr << prog << ": interrupted\n";
-        writeReport(opts.output,
-                    res.document.dump(opts.json_indent) + "\n", prog);
+        std::cerr << kProg << ": interrupted\n";
+        writeReport(opts.output, res.document.dump(opts.json_indent) + "\n");
         return kInterruptedExit;
     }
     if (res.usage_error) {
-        std::cerr << prog << ": " << res.error << "\n"
+        std::cerr << kProg << ": " << res.error << "\n"
                   << datasetHint() << "\n";
         return 2;
     }
     if (!res.ok) {
-        std::cerr << prog << ": " << res.error << "\n";
+        std::cerr << kProg << ": " << res.error << "\n";
         return 1;
     }
     std::string report =
         opts.json ? res.document.dump(opts.json_indent) + "\n"
                   : statsToText(*res.run);
-    return writeReport(opts.output, report, prog) ? 0 : 1;
+    return writeReport(opts.output, report) ? 0 : 1;
 }
 
 int
-runSweepMode(const DriverOptions &opts, const std::string &prog)
+runSweepMode(const DriverOptions &opts)
 {
     JsonValue spec_doc;
     bool have_doc = false;
@@ -120,11 +108,11 @@ runSweepMode(const DriverOptions &opts, const std::string &prog)
             if (opts.dry_run) {
                 SweepSpec spec = specFromOptions(opts, nullptr);
                 expandSweep(spec);
-                std::cout << prog << ": dry run ok (sweep spec '"
+                std::cout << kProg << ": dry run ok (sweep spec '"
                           << opts.sweep_file << "' not read)\n";
                 return 0;
             }
-            std::cerr << prog << ": cannot open sweep spec '"
+            std::cerr << kProg << ": cannot open sweep spec '"
                       << opts.sweep_file << "'\n";
             return 2;
         }
@@ -138,11 +126,11 @@ runSweepMode(const DriverOptions &opts, const std::string &prog)
         specFromOptions(opts, have_doc ? &spec_doc : nullptr);
     std::vector<DriverOptions> points = expandSweep(spec);
     if (points.empty()) {
-        std::cerr << prog << ": sweep expands to zero points\n";
+        std::cerr << kProg << ": sweep expands to zero points\n";
         return 2;
     }
     if (opts.dry_run) {
-        std::cout << prog << ": dry run ok (" << points.size()
+        std::cout << kProg << ": dry run ok (" << points.size()
                   << " points)\n";
         return 0;
     }
@@ -150,9 +138,8 @@ runSweepMode(const DriverOptions &opts, const std::string &prog)
     engine::EngineConfig cfg;
     cfg.jobs = opts.jobs;
     engine::Engine eng(cfg);
-    std::fprintf(stderr, "%s: %zu points on %d thread%s\n",
-                 prog.c_str(), points.size(), eng.jobs(),
-                 eng.jobs() == 1 ? "" : "s");
+    std::fprintf(stderr, "%s: %zu points on %d thread%s\n", kProg,
+                 points.size(), eng.jobs(), eng.jobs() == 1 ? "" : "s");
 
     engine::JobRequest req;
     req.kind = engine::JobRequest::Kind::Sweep;
@@ -180,20 +167,18 @@ runSweepMode(const DriverOptions &opts, const std::string &prog)
 
     if (res.document.isNull()) {
         // Nothing ran at all (e.g. a bad axis slipped past parse).
-        std::cerr << prog << ": " << res.error << "\n";
+        std::cerr << kProg << ": " << res.error << "\n";
         return res.usage_error ? 2 : 1;
     }
     std::string report = res.document.dump(opts.json_indent) + "\n";
-    if (!writeReport(opts.output, report, prog))
+    if (!writeReport(opts.output, report))
         return 1;
     if (!opts.csv_output.empty() &&
-        !writeReport(opts.csv_output, sweepReportToCsv(res.sweep),
-                     prog))
+        !writeReport(opts.csv_output, sweepReportToCsv(res.sweep)))
         return 1;
 
     if (res.interrupted) {
-        std::cerr << prog
-                  << ": interrupted; partial report flushed\n";
+        std::cerr << kProg << ": interrupted; partial report flushed\n";
         return kInterruptedExit;
     }
     if (res.usage_error) {
@@ -210,20 +195,10 @@ runSweepMode(const DriverOptions &opts, const std::string &prog)
 int
 main(int argc, char **argv)
 {
-    std::string prog = programName(argc > 0 ? argv[0] : nullptr);
-    bool sweep_alias = prog == "capstan-sweep";
-    if (prog.empty())
-        prog = "capstan-run";
-
-    // The alias takes the spec as its first positional argument.
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (sweep_alias && !args.empty() && !args[0].empty() &&
-        args[0][0] != '-')
-        args.insert(args.begin(), "--sweep");
-
-    ParseResult parsed = parseArgs(args);
+    ParseResult parsed =
+        parseArgs(std::vector<std::string>(argv + 1, argv + argc));
     if (!parsed.ok()) {
-        std::cerr << prog << ": " << parsed.error << "\n";
+        std::cerr << kProg << ": " << parsed.error << "\n";
         return 2;
     }
     if (parsed.show_help) {
@@ -234,12 +209,6 @@ main(int argc, char **argv)
         std::cout << listText();
         return 0;
     }
-    if (sweep_alias && !parsed.options.sweepRequested()) {
-        std::cerr << prog
-                  << ": expected a sweep spec (capstan-sweep "
-                     "spec.json) or --axis flags\n";
-        return 2;
-    }
     // A bad --dataset-dir silently running everything synthetic would
     // defeat the flag's purpose; same contract as capstan-report.
     // (Dry runs validate flags only: documented commands reference
@@ -249,7 +218,7 @@ main(int argc, char **argv)
         std::error_code ec;
         if (!std::filesystem::is_directory(parsed.options.dataset_dir,
                                            ec)) {
-            std::cerr << prog << ": --dataset-dir '"
+            std::cerr << kProg << ": --dataset-dir '"
                       << parsed.options.dataset_dir
                       << "' is not a directory\n";
             return 2;
@@ -260,14 +229,14 @@ main(int argc, char **argv)
     try {
         if (parsed.options.dry_run &&
             !parsed.options.sweepRequested()) {
-            std::cout << prog << ": dry run ok\n";
+            std::cout << kProg << ": dry run ok\n";
             return 0;
         }
         return parsed.options.sweepRequested()
-                   ? runSweepMode(parsed.options, prog)
-                   : runSingle(parsed.options, prog);
+                   ? runSweepMode(parsed.options)
+                   : runSingle(parsed.options);
     } catch (const std::exception &e) {
-        std::cerr << prog << ": " << e.what() << "\n";
+        std::cerr << kProg << ": " << e.what() << "\n";
         return 1;
     }
 }

@@ -77,9 +77,9 @@ main(int argc, char **argv)
                 return usageError("--socket requires a path");
             scfg.socket_path = v;
         } else if (a == "--jobs") {
-            if (!value(v) || !driver::parseInt(v, ecfg.jobs) ||
-                ecfg.jobs < 0)
-                return usageError("--jobs requires an integer >= 0");
+            if (!value(v) || !driver::parseJobs(v, ecfg.jobs))
+                return usageError(
+                    "--jobs requires an integer in [0, 4096]");
         } else if (a == "--queue-capacity") {
             if (!value(v) ||
                 !driver::parseInt(v, scfg.queue_capacity) ||

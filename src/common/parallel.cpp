@@ -20,12 +20,26 @@ WorkerPool::WorkerPool(int workers) : workers_(workers)
     CAPSTAN_CHECK(workers >= 2,
                   "WorkerPool below two workers is pointless; run serially");
     threads_.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) {
-        threads_.emplace_back([this, w] { workerMain(w); });
+    try {
+        for (int w = 1; w < workers; ++w) {
+            threads_.emplace_back([this, w] { workerMain(w); });
+        }
+    } catch (...) {
+        // A helper failed to start (e.g. EAGAIN). Unwinding past the
+        // running ones would destroy job_cv_ under their wait (glibc
+        // blocks forever) or a joinable std::thread (std::terminate),
+        // so stop and join them before the error escapes.
+        stopAndJoin();
+        throw;
     }
 }
 
 WorkerPool::~WorkerPool()
+{
+    stopAndJoin();
+}
+
+void WorkerPool::stopAndJoin()
 {
     {
         std::lock_guard<std::mutex> lk(m_);

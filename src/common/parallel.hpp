@@ -35,7 +35,11 @@ namespace capstan::common {
 
 class WorkerPool {
 public:
-    /** Spawns `workers - 1` threads; requires workers >= 2. */
+    /**
+     * Spawns `workers - 1` threads; requires workers >= 2. If a thread
+     * fails to start, the started ones are joined and the
+     * std::system_error propagates.
+     */
     explicit WorkerPool(int workers);
     ~WorkerPool();
 
@@ -75,6 +79,7 @@ private:
 
     void dispatch(int n, Thunk fn, void *ctx);
     void workerMain(int w);
+    void stopAndJoin();
 
     int workers_;
     std::vector<std::thread> threads_;

@@ -166,6 +166,16 @@ parseInt(const std::string &v, int &out)
     return true;
 }
 
+bool
+parseJobs(const std::string &v, int &out)
+{
+    int jobs = 0;
+    if (!parseInt(v, jobs) || jobs < 0 || jobs > kMaxJobs)
+        return false;
+    out = jobs;
+    return true;
+}
+
 const std::vector<std::string> &
 optionKeys()
 {
@@ -336,8 +346,8 @@ parseArgs(const std::vector<std::string> &args)
             o.sweep_axes.emplace_back(v.substr(0, eq),
                                       v.substr(eq + 1));
         } else if (a == "--jobs") {
-            if (!value(v) || !parseInt(v, o.jobs) || o.jobs < 0)
-                return fail("--jobs requires a non-negative integer");
+            if (!value(v) || !parseJobs(v, o.jobs))
+                return fail("--jobs requires an integer in [0, 4096]");
         } else if (a == "--csv") {
             if (!value(v))
                 return fail("--csv requires a path");

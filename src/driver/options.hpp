@@ -113,7 +113,7 @@ ParseResult parseArgs(const std::vector<std::string> &args);
  * Strictly parse a finite decimal number: the whole string must
  * consume (no trailing garbage, so "4x" and "" fail). Never throws.
  * This is the single numeric-validation path shared by every CLI
- * (`capstan-run`, `capstan-sweep`, `capstan-report`) and by sweep-axis
+ * (`capstan-run`, `capstan-report`, `capstan-serve`) and by sweep-axis
  * expansion, so a bad value always produces a usage error instead of a
  * crash or a silent zero.
  */
@@ -121,6 +121,18 @@ bool parseNumber(const std::string &value, double &out);
 
 /** Strictly parse an integer (see parseNumber); rejects fractions. */
 bool parseInt(const std::string &value, int &out);
+
+/** Largest `--jobs` value any CLI accepts. */
+inline constexpr int kMaxJobs = 4096;
+
+/**
+ * Strictly parse a `--jobs` value: an integer in [0, kMaxJobs], where
+ * 0 means all cores (resolveJobs, driver/sweep.hpp). @p out is left
+ * unchanged on failure. The one `--jobs` check of every CLI: an
+ * engine starts its pool threads before any work runs, so the cap
+ * keeps a typo from starting thousands of them.
+ */
+bool parseJobs(const std::string &value, int &out);
 
 /**
  * The run-defining option keys settable by name: "app", "dataset",

@@ -234,7 +234,7 @@ runApp(const std::string &app, const std::string &dataset,
             datasetKey(dataset, effectiveScale(dataset, knobs),
                        knobs.dataset_dir),
             [&] { return sparse::MatrixStore(m.transpose()); });
-        return runMatAdd(m, mt, cfg, knobs.tiles, knobs.use_bittree).timing;
+        return runMatAdd(m, mt, cfg, knobs.tiles).timing;
     }
     if (app == "SpMSpM")
         return runSpmspm(m, m, cfg, knobs.tiles).timing;

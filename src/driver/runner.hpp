@@ -1,6 +1,6 @@
 /**
  * @file
- * The simulation runner behind `capstan-run` and the bench harness.
+ * The simulation runner behind `capstan-run` and the report studies.
  *
  * One entry point composes any Table 2 application with any Table 6
  * dataset under any machine configuration and returns the full timing.
@@ -38,7 +38,6 @@ struct RunKnobs
     int iterations = 2;  //!< PageRank / BiCGStab iterations.
     double scale_mult = 1.0;
     bool write_pointers = true; //!< BFS/SSSP back pointers.
-    bool use_bittree = true;    //!< M+M row format.
     /**
      * Directory of real dataset files (--dataset-dir); empty keeps
      * every dataset synthetic. See workloads::resolveMatrixDataset.

@@ -166,10 +166,11 @@ runSweep(const std::vector<DriverOptions> &points,
 
 /**
  * Worker-thread count a `--jobs` value resolves to. The contract is
- * shared by every entry point (`capstan-run`, `capstan-sweep`,
- * `capstan-report`): negative values are rejected at parse time with a
- * usage error, and 0 (the default) clamps to
- * std::thread::hardware_concurrency() here (1 if unknown).
+ * shared by every entry point (`capstan-run`, `capstan-report`,
+ * `capstan-serve`): values outside [0, kMaxJobs] are rejected at parse
+ * time with a usage error (parseJobs, driver/options.hpp), and 0 (the
+ * default) clamps to std::thread::hardware_concurrency() here (1 if
+ * unknown).
  */
 int resolveJobs(int jobs);
 

@@ -2,10 +2,10 @@
  * @file
  * The shared execution engine behind every Capstan entry point.
  *
- * Before this layer existed, `capstan-run`, `capstan-sweep`, and
- * `capstan-report` each held their own slice of execution logic:
- * dataset caching lived in the runner, the thread pool was respawned
- * per sweep call, and report presets were wired into the report CLI.
+ * Before this layer existed, `capstan-run` and `capstan-report` each
+ * held their own slice of execution logic: dataset caching lived in
+ * the runner, the thread pool was respawned per sweep call, and report
+ * presets were wired into the report CLI.
  * The Engine owns those pieces once — the generate-once dataset /
  * `.cbin` caches (process-wide, driver/runner.cpp), a persistent
  * sweep WorkerPool, and the paper reference — and exposes one

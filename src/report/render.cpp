@@ -1,6 +1,5 @@
 #include "report/render.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -31,34 +30,6 @@ oursPaper(double ours, std::optional<double> paper, int precision)
 }
 
 namespace {
-
-void
-textTable(std::ostringstream &out, const StudyTable &table)
-{
-    std::vector<std::size_t> width(table.headers.size());
-    for (std::size_t c = 0; c < table.headers.size(); ++c)
-        width[c] = table.headers[c].size();
-    for (const auto &row : table.rows) {
-        for (std::size_t c = 0; c < row.size() && c < width.size();
-             ++c)
-            width[c] = std::max(width[c], row[c].size());
-    }
-    auto printRow = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < width.size(); ++c) {
-            std::string cell = c < row.size() ? row[c] : "";
-            out << (c == 0 ? "" : "  ") << cell
-                << std::string(width[c] - cell.size(), ' ');
-        }
-        out << "\n";
-    };
-    printRow(table.headers);
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < width.size(); ++c)
-        total += width[c] + (c == 0 ? 0 : 2);
-    out << std::string(total, '-') << "\n";
-    for (const auto &row : table.rows)
-        printRow(row);
-}
 
 std::string
 mdEscape(const std::string &cell)
@@ -112,25 +83,6 @@ verdictBadge(const std::string &verdict)
 }
 
 } // namespace
-
-std::string
-renderText(const StudyResult &result)
-{
-    std::ostringstream out;
-    bool first = true;
-    for (const auto &table : result.tables) {
-        if (!first)
-            out << "\n";
-        first = false;
-        if (!table.title.empty())
-            out << table.title << "\n\n";
-        textTable(out, table);
-    }
-    if (!result.notes.empty())
-        out << "\n" << result.notes
-            << (result.notes.back() == '\n' ? "" : "\n");
-    return out.str();
-}
 
 std::string
 renderMarkdown(const std::vector<StudyRun> &runs,

@@ -5,8 +5,8 @@
  * Figure 4 drive a SparseMemoryUnit with random access traces; Tables
  * 5 and 8 evaluate the synthesis-anchored area model; the
  * microbenchmark study reports deterministic modeled throughput of the
- * simulator's hot components (host-side ns/op remains the
- * google-benchmark binary's job, bench/micro_components.cpp).
+ * simulator's hot components (host-side ns/op is the benchmark trace's
+ * job, benchmark/trace_main.cpp).
  */
 
 #include <algorithm>
@@ -427,8 +427,9 @@ deriveMicroComponents(const StudyContext &, const Timings &)
     result.tables.push_back(std::move(table));
     result.notes =
         "Deterministic modeled component throughput (independent of "
-        "host and preset); host-side ns/op microbenchmarks remain in "
-        "the google-benchmark binary, bench/micro_components.cpp. "
+        "host and preset); host-side ns/op of the same five "
+        "components is measured by the repository benchmark's trace "
+        "(python3 benchmark/run.py, benchmark/trace_main.cpp). "
         "These gate simulator behaviour, not modeled hardware "
         "performance.";
     return result;

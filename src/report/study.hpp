@@ -14,8 +14,8 @@
  * the distinct simulations run as one parallel sweep, and each study
  * then derives, in selection order, from exactly the results it
  * planned. `capstan-report --all` is one such call for all 13
- * studies; a `capstan-serve` study job or a bench shim is the
- * one-study case.
+ * studies; `capstan-report --study NAME` and a `capstan-serve` study
+ * job are the one-study case.
  *
  * Study results are deterministic: simulated cycles depend only on the
  * preset knobs, never on the host, thread count, claim order, or

@@ -482,7 +482,7 @@ TEST_F(DriverRun, CompactAndPrettyJsonParseIdentically)
 TEST(ParseHelpers, ParseNumberRejectsGarbageAndInfinities)
 {
     // The strict helpers are the single numeric-validation path shared
-    // by capstan-run, capstan-sweep, and capstan-report.
+    // by capstan-run, capstan-report, and capstan-serve.
     double d = -1;
     EXPECT_TRUE(parseNumber("0.5", d));
     EXPECT_DOUBLE_EQ(d, 0.5);
@@ -513,14 +513,25 @@ TEST(ParseHelpers, ParseIntRejectsFractionsAndOverflow)
 
 TEST(ParseHelpers, JobsContractIsSharedAcrossEntryPoints)
 {
-    // Negative --jobs is a parse error; 0 means "all cores" and
-    // resolves to hardware_concurrency (>= 1) in one place.
+    // --jobs outside [0, 4096] is a parse error; 0 means "all cores"
+    // and resolves to hardware_concurrency (>= 1) in one place.
     EXPECT_FALSE(parseArgs({"--jobs", "-1"}).ok());
     EXPECT_FALSE(parseArgs({"--jobs", "foo"}).ok());
     EXPECT_FALSE(parseArgs({"--jobs", "2.5"}).ok());
     ParseResult r = parseArgs({"--jobs", "0"});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.options.jobs, 0);
+    // The cap: an engine starts its pool threads up front.
+    r = parseArgs({"--jobs", "4096"});
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.options.jobs, kMaxJobs);
+    EXPECT_FALSE(parseArgs({"--jobs", "4097"}).ok());
+    int jobs = 7;
+    EXPECT_FALSE(parseJobs("4097", jobs));
+    EXPECT_FALSE(parseJobs("-1", jobs));
+    EXPECT_EQ(jobs, 7); // Unchanged on failure.
+    EXPECT_TRUE(parseJobs("4096", jobs));
+    EXPECT_EQ(jobs, 4096);
     EXPECT_GE(resolveJobs(0), 1);
     EXPECT_EQ(resolveJobs(3), 3);
     EXPECT_GE(resolveJobs(-7), 1); // Defensive: clamps like 0.

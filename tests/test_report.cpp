@@ -3,7 +3,7 @@
  * Tests for the paper-reproduction report layer (src/report/): study
  * registry enumeration, the reference comparator's tolerance edges
  * (missing key, NaN, relative-vs-absolute slack), and golden
- * Markdown/CSV/text rendering.
+ * Markdown/CSV rendering.
  */
 
 #include <atomic>
@@ -242,20 +242,6 @@ TEST(Render, NumFormatting)
     EXPECT_EQ(num(54.0, 0), "54");
     EXPECT_EQ(oursPaper(1.5, std::nullopt), "1.50");
     EXPECT_EQ(oursPaper(1.5, 2.0), "1.50 / 2.00");
-}
-
-TEST(Render, TextGolden)
-{
-    std::string text = renderText(demoRun().result);
-    EXPECT_EQ(text,
-              "Demo\n"
-              "\n"
-              "App  X   \n"
-              "---------\n"
-              "CSR  1.00\n"
-              "COO  2.00\n"
-              "\n"
-              "A note.\n");
 }
 
 TEST(Render, MarkdownGolden)

@@ -11,10 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdio>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/json.hpp"
 #include "common/parallel.hpp"
@@ -392,6 +399,60 @@ TEST(WorkerPool, ReusableAcrossManyDispatches)
     }
     EXPECT_EQ(total, 2000L * (11 * 10 / 2));
 }
+
+// ASan and TSan reserve terabytes of shadow address space, so the
+// address-space cap the next test relies on cannot be set under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CAPSTAN_TEST_NO_AS_CAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CAPSTAN_TEST_NO_AS_CAP 1
+#endif
+#endif
+
+#if defined(__linux__) && !defined(CAPSTAN_TEST_NO_AS_CAP)
+TEST(WorkerPool, FailedThreadStartThrowsInsteadOfHanging)
+{
+    // A helper that cannot start must surface as std::system_error,
+    // with the helpers already started joined first. Unwinding past
+    // running helpers hangs in the condition variable's destructor or
+    // aborts on a joinable std::thread. The forked child leaves itself
+    // 64 MB of address space, far too little for 4095 thread stacks,
+    // and arms an alarm so a hang kills it instead of the suite.
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        alarm(30);
+        long vm_pages = 0;
+        std::FILE *statm = std::fopen("/proc/self/statm", "r");
+        if (!statm || std::fscanf(statm, "%ld", &vm_pages) != 1)
+            _exit(3);
+        std::fclose(statm);
+        const rlim_t cap =
+            static_cast<rlim_t>(vm_pages) *
+                static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+            (rlim_t{64} << 20);
+        rlimit limit{};
+        if (getrlimit(RLIMIT_AS, &limit) != 0)
+            _exit(3);
+        limit.rlim_cur = std::min(cap, limit.rlim_max);
+        if (setrlimit(RLIMIT_AS, &limit) != 0)
+            _exit(3);
+        try {
+            common::WorkerPool pool(4096);
+        } catch (const std::system_error &) {
+            _exit(0);
+        }
+        _exit(2); // Every helper started: the cap did not bind.
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child killed by signal " << WTERMSIG(status)
+        << " (SIGALRM means the pool hung)";
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Concurrent dataset cache (run under TSan in CI).
