@@ -5,8 +5,8 @@
 #    file path that no longer exists. Keeps docs/ARCHITECTURE.md's
 #    source map honest as code moves. A "path reference" is a
 #    backtick-quoted token starting with a known top-level directory
-#    (src/, bench/, tests/, docs/, examples/, scripts/, tools/,
-#    data/, .github/) or a top-level *.md / *.json file. Tokens containing
+#    (src/, tests/, docs/, examples/, scripts/, tools/, data/,
+#    .github/) or a top-level *.md / *.json file. Tokens containing
 #    globs, spaces, or placeholders are skipped. `path:line`
 #    references check the path part only.
 #
@@ -39,7 +39,7 @@ missing="$(
             case "$token" in
                 *'*'*|*' '*|*'<'*|*'{'*|*'$'*) continue ;;
                 report.json|report.csv|metrics.csv) continue ;; # generated artifacts
-                src/*|bench/*|tests/*|docs/*|examples/*|scripts/*|tools/*|data/*|.github/*) ;;
+                src/*|tests/*|docs/*|examples/*|scripts/*|tools/*|data/*|.github/*) ;;
                 */*) continue ;;
                 *.md|*.json) ;;
                 *) continue ;;

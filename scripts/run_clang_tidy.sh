@@ -4,6 +4,10 @@
 #
 #   scripts/run_clang_tidy.sh <build-dir> [extra clang-tidy args...]
 #
+# The clang static analyzer gate (the lint_analyzer ctest) is this
+# script with --checks='-*,clang-analyzer-*'
+# --warnings-as-errors='clang-analyzer-*'.
+#
 # Exit codes: 0 clean, 1 findings, 2 usage error, 77 clang-tidy not
 # installed (ctest interprets 77 as SKIP via SKIP_RETURN_CODE — local
 # trees without clang-tidy stay green; CI installs it and enforces).

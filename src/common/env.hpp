@@ -5,8 +5,8 @@
  * The simulator's byte-identical-output contract makes hidden runtime
  * switches dangerous: an undocumented env var that changes stepping
  * behaviour is an invisible input to every "reproducible" report. So
- * the rule, enforced by `capstan-audit`'s `env-registry` class
- * (`tools/audit/capstan_audit.py`), is:
+ * the rule, enforced by `capstan-lint`'s `env-registry` class
+ * (`tools/lint/capstan_lint.py`), is:
  *
  *  - every `getenv` in `src/` must name its variable through one of
  *    the constants below (no raw string literals at the call site);

@@ -7,7 +7,7 @@
  * shares this self-contained value type so none of them needs an
  * external dependency. Living in `common/` keeps JSON below every
  * layer that serializes (driver, report) in the include DAG
- * (`tools/audit/layers.json`). The subset is exactly what the stats
+ * (`tools/lint/layers.json`). The subset is exactly what the stats
  * schema uses: objects with ordered keys, arrays, strings, doubles,
  * booleans, and null. Numbers are emitted with enough digits to
  * round-trip an IEEE double.

@@ -7,7 +7,7 @@
  * snapshot. It lives in `lang/` — not `apps/` — because it depends
  * only on the Machine and the hardware-model stats, and the report
  * layer consumes it without knowing any application exists
- * (`tools/audit/layers.json` keeps `report` off the `apps` layer).
+ * (`tools/lint/layers.json` keeps `report` off the `apps` layer).
  */
 
 #pragma once

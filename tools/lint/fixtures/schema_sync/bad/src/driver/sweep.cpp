@@ -1,0 +1,1 @@
+// schema-sync fixture: this writer emits no keys.
