@@ -8,7 +8,9 @@
 #    (src/, tests/, docs/, examples/, scripts/, tools/, data/,
 #    .github/) or a top-level *.md / *.json file. Tokens containing
 #    globs, spaces, or placeholders are skipped. `path:line`
-#    references check the path part only.
+#    references check the path part only. Code comments count too:
+#    every *.md a comment under src/, tests/, or examples/ names must
+#    exist, resolved from the repo root.
 #
 # 2. Command check (with `--commands [build_dir]`): extract every
 #    documented capstan-run / capstan-report command line (a code
@@ -48,6 +50,19 @@ missing="$(
             if [ ! -e "$repo/$path" ]; then
                 echo "MISSING: $path (referenced by ${doc#"$repo"/})"
             fi
+        done
+    done
+    cd "$repo" &&
+    grep -rnE --include='*.cpp' --include='*.hpp' '\.md\b' \
+        src tests examples |
+    while IFS= read -r hit; do
+        where="$(printf '%s\n' "$hit" | cut -d: -f1,2)"
+        printf '%s\n' "${hit#*:*:}" |
+        grep -oE '(//|/\*|^[[:space:]]*\*).*' |
+        grep -oE '[A-Za-z0-9_./-]+\.md\b' |
+        while IFS= read -r path; do
+            [ -e "$path" ] ||
+                echo "MISSING: $path (cited in a comment at $where)"
         done
     done
 )"

@@ -2,10 +2,10 @@
  * @file
  * Shared types and helpers for the Capstan applications (Table 2).
  *
- * Every application follows the same co-simulation pattern (DESIGN.md
- * #3): execute functionally on the host (producing real, testable
- * results) while lowering each tile's work to a linear stage chain fed
- * with vector-granularity tokens; the Machine then supplies the timing.
+ * Every application follows the same co-simulation pattern: execute
+ * functionally on the host (producing real, testable results) while
+ * lowering each tile's work to a linear stage chain fed with
+ * vector-granularity tokens; the Machine then supplies the timing.
  */
 
 #pragma once

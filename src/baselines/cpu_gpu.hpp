@@ -4,12 +4,12 @@
  *
  * The paper measures TACO and GraphIt on a four-socket Xeon E7-8890 v3
  * (128 threads) and cuSparse/Gunrock on an Nvidia V100. Neither machine
- * is available offline, so these are calibrated roofline-style models
- * (DESIGN.md #4): each kernel is characterized by the bytes it streams,
- * the random/gather/atomic accesses it makes, its flops, its branchy
- * scalar merge work (TACO's co-iteration loops), and its launch/barrier
- * count; the model takes the binding bottleneck and adds fixed
- * per-kernel overheads. Hardware constants come from public specs with
+ * is available offline, so these are calibrated roofline-style models:
+ * each kernel is characterized by the bytes it streams, the
+ * random/gather/atomic accesses it makes, its flops, its branchy scalar
+ * merge work (TACO's co-iteration loops), and its launch/barrier count;
+ * the model takes the binding bottleneck and adds fixed per-kernel
+ * overheads. Hardware constants come from public specs with
  * conventional efficiency derates.
  */
 
@@ -45,9 +45,10 @@ struct KernelProfile
  * Runtime on the 128-thread, 4-socket Xeon baseline, in seconds.
  * @param hardware_fraction Weak-scaling knob: throughput-limited terms
  *        run on this fraction of the machine (fixed launch/barrier
- *        overheads are unaffected). Bench harnesses pass the same chip
- *        fraction they give Capstan so normalized ratios stay
- *        comparable at reduced dataset scales (EXPERIMENTS.md).
+ *        overheads are unaffected). A caller that gives Capstan part
+ *        of its chip can pass the same fraction so normalized ratios
+ *        stay comparable at reduced dataset scales; the Table 12
+ *        study runs both machines whole (1.0).
  */
 double cpuSeconds(const KernelProfile &profile,
                   double hardware_fraction = 1.0);

@@ -221,7 +221,7 @@ writeFile(const std::string &path, const std::string &content)
     return true;
 }
 
-/** The study knobs and jobs the selection runs under. */
+/** The study knobs the selection runs under. */
 engine::JobRequest
 studyRequest(const ReportArgs &args)
 {
@@ -235,7 +235,6 @@ studyRequest(const ReportArgs &args)
     if (args.iterations > 0)
         req.iterations = args.iterations;
     req.check = args.check;
-    req.jobs = args.jobs;
     return req;
 }
 

@@ -7,7 +7,7 @@
  * layer (src/engine/) — the same path `capstan-serve` jobs take, which
  * is what the byte-identity differential test pins
  * (tests/test_engine.cpp). With `--sweep` / `--axis` the request is a
- * sweep; the engine expands and runs it on its worker pool and this
+ * sweep; the engine expands and runs it on `--jobs` workers and this
  * front-end just streams stderr progress and writes the report.
  *
  * SIGINT/SIGTERM interrupt cooperatively: the current point finishes
@@ -145,7 +145,6 @@ runSweepMode(const DriverOptions &opts)
     req.kind = engine::JobRequest::Kind::Sweep;
     req.options = spec.base;
     req.spec = spec;
-    req.jobs = opts.jobs;
 
     engine::ExecHooks hooks;
     // Finish-current-point semantics: the sweep loop polls this token

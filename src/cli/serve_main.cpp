@@ -26,8 +26,8 @@ const char *const kUsage =
     "\n"
     "Serve capstan jobs (runs, sweeps, report studies) over a local\n"
     "Unix socket, newline-delimited JSON both ways. One process keeps\n"
-    "one warm dataset cache and one sweep pool across every job; see\n"
-    "docs/SERVE_PROTOCOL.md for the wire format.\n"
+    "one warm dataset cache across every job; see docs/SERVE_PROTOCOL.md\n"
+    "for the wire format.\n"
     "\n"
     "  --socket PATH           Unix socket to listen on (required)\n"
     "  --jobs N                sweep worker threads (0 = all cores;\n"

@@ -14,12 +14,13 @@
  *    the default disposition, so a stuck process can still be killed).
  *
  *  - *Cancel tokens*: a process-wide token slot the engine arms around
- *    each job (engine/engine.hpp). The Machine's step loop polls it
- *    via pollCancel() and unwinds with CancelledError, which is how
- *    `capstan-serve` aborts an in-flight simulation without tearing
- *    down the daemon. The slot holds one token at a time; jobs execute
- *    sequentially on the service's executor thread, so nesting never
- *    occurs.
+ *    each job (engine/engine.hpp). The sweep's claim loop polls it via
+ *    cancelRequested() and stops claiming points; the Machine's step
+ *    loop polls it via pollCancel() and unwinds with CancelledError,
+ *    which is how `capstan-serve` aborts an in-flight simulation
+ *    without tearing down the daemon. The slot holds one token at a
+ *    time; jobs execute sequentially on the service's executor thread,
+ *    so nesting never occurs.
  */
 
 #pragma once

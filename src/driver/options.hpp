@@ -128,9 +128,9 @@ inline constexpr int kMaxJobs = 4096;
 /**
  * Strictly parse a `--jobs` value: an integer in [0, kMaxJobs], where
  * 0 means all cores (resolveJobs, driver/sweep.hpp). @p out is left
- * unchanged on failure. The one `--jobs` check of every CLI: an
- * engine starts its pool threads before any work runs, so the cap
- * keeps a typo from starting thousands of them.
+ * unchanged on failure. The one `--jobs` check of every CLI: a sweep
+ * starts a helper thread per worker past the first, up to one per
+ * point, so the cap keeps a typo from starting thousands of them.
  */
 bool parseJobs(const std::string &value, int &out);
 

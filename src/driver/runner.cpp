@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,8 +26,9 @@ using namespace capstan::workloads;
 double
 defaultScale(const std::string &dataset)
 {
-    // Bench-friendly sizes; EXPERIMENTS.md records these. --scale 1
-    // multiplies back toward the published sizes.
+    // Bench-friendly sizes: the full preset runs these, the quick
+    // preset 0.02x of them (docs/REPRODUCTION.md, "Presets"). --scale
+    // multiplies them back toward the published sizes.
     if (dataset == "ckt11752_dc_1")
         return 0.25;
     if (dataset == "Trefethen_20000")
@@ -61,11 +61,10 @@ std::atomic<std::uint64_t> g_cache_misses{0};
 struct DatasetKey
 {
     std::string name; //!< Dataset name, prefixed by the dataset dir.
-    long scale_milli;
+    double scale;     //!< Exact generation scale: nearby scales differ.
     bool operator<(const DatasetKey &o) const
     {
-        return std::tie(name, scale_milli) <
-               std::tie(o.name, o.scale_milli);
+        return std::tie(name, scale) < std::tie(o.name, o.scale);
     }
 };
 
@@ -82,7 +81,7 @@ datasetKey(const std::string &name, double scale,
 {
     if (realDatasetPath(name, dataset_dir))
         scale = 1.0;
-    return {dataset_dir + '\x1f' + name, std::lround(scale * 1000)};
+    return {dataset_dir + '\x1f' + name, scale};
 }
 
 /**
@@ -145,8 +144,8 @@ const ConvDataset &
 cachedConv(const std::string &name, double scale)
 {
     static GenerateOnceCache<ConvDataset> cache;
-    DatasetKey key{name, std::lround(scale * 1000)};
-    return cache.get(key, [&] { return loadConvDataset(name, scale); });
+    return cache.get({name, scale},
+                     [&] { return loadConvDataset(name, scale); });
 }
 
 } // namespace

@@ -141,10 +141,12 @@ SimulationKey simulationKey(const DriverOptions &opts);
 
 /**
  * Process-lifetime counters over the generate-once dataset caches
- * (matrix, conv, and M+M transpose). A hit is a lookup that found the
- * entry already generated; a miss paid (or waited on) generation. The
- * engine and `capstan-serve` surface these so warm-cache sharing
- * across jobs is observable (docs/SERVE_PROTOCOL.md).
+ * (matrix, conv, and M+M transpose). A miss is the lookup that
+ * generated its entry, so misses count the entries generated; every
+ * other successful lookup is a hit, including one that waited on
+ * another thread's generation. Neither count depends on thread
+ * timing. The engine and `capstan-serve` surface these so warm-cache
+ * sharing across jobs is observable (docs/SERVE_PROTOCOL.md).
  */
 struct DatasetCacheStats
 {

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
+#include <exception>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "common/interrupt.hpp"
 #include "workloads/io.hpp"
 
 namespace capstan::driver {
@@ -27,28 +28,17 @@ axisRank(const std::string &key)
                                 "' (see capstan-run --help)");
 }
 
-/** One string per value, canonical for numbers and bools. */
-std::string
-scalarToString(const JsonValue &v, const std::string &key)
-{
-    switch (v.kind()) {
-    case JsonValue::Kind::String:
-        return v.asString();
-    case JsonValue::Kind::Number:
-        return v.dump();
-    case JsonValue::Kind::Bool:
-        return v.asBool() ? "true" : "false";
-    default:
-        throw std::invalid_argument(
-            "sweep axis '" + key +
-            "' values must be strings, numbers, or booleans");
-    }
-}
-
 std::string
 optionalStr(bool present, const std::string &s)
 {
     return present ? s : "-";
+}
+
+/** A double in its round-trip form: distinct values print apart. */
+std::string
+exactNumber(double v)
+{
+    return JsonValue(v).dump();
 }
 
 /**
@@ -63,8 +53,8 @@ pointIdentity(const DriverOptions &o)
     std::string dataset =
         o.dataset.empty() ? defaultDataset(app) : o.dataset;
     std::ostringstream id;
-    id << app << '\x1f' << dataset << '\x1f' << o.scale << '\x1f'
-       << o.tiles << '\x1f' << o.iterations << '\x1f'
+    id << app << '\x1f' << dataset << '\x1f' << exactNumber(o.scale)
+       << '\x1f' << o.tiles << '\x1f' << o.iterations << '\x1f'
        << configPointName(o.config) << '\x1f'
        << sim::memTechName(o.memtech) << '\x1f'
        << optionalStr(o.ordering.has_value(),
@@ -82,7 +72,7 @@ pointIdentity(const DriverOptions &o)
        << '\x1f'
        << (o.queue_depth ? std::to_string(*o.queue_depth) : "-")
        << '\x1f'
-       << (o.bandwidth_gbps ? std::to_string(*o.bandwidth_gbps) : "-")
+       << (o.bandwidth_gbps ? exactNumber(*o.bandwidth_gbps) : "-")
        << '\x1f' << (o.compression ? 't' : 'f') << '\x1f'
        << (o.spmu_ideal ? (*o.spmu_ideal ? "t" : "f") : "-") << '\x1f'
        << (o.scan_bits ? std::to_string(*o.scan_bits) : "-") << '\x1f'
@@ -94,6 +84,22 @@ pointIdentity(const DriverOptions &o)
 }
 
 } // namespace
+
+std::string
+scalarToString(const JsonValue &v, const std::string &what)
+{
+    switch (v.kind()) {
+    case JsonValue::Kind::String:
+        return v.asString();
+    case JsonValue::Kind::Number:
+        return v.dump();
+    case JsonValue::Kind::Bool:
+        return v.asBool() ? "true" : "false";
+    default:
+        throw std::invalid_argument(
+            what + " must be a string, number, or boolean");
+    }
+}
 
 void
 SweepSpec::set(const std::string &key, std::vector<std::string> values)
@@ -124,12 +130,13 @@ SweepSpec::fromJson(const JsonValue &doc, const DriverOptions &base)
     SweepSpec spec;
     spec.base = base;
     for (const auto &[key, value] : doc.members()) {
+        const std::string what = "sweep axis '" + key + "' value";
         std::vector<std::string> values;
         if (value.isArray()) {
             for (const auto &item : value.items())
-                values.push_back(scalarToString(item, key));
+                values.push_back(scalarToString(item, what));
         } else {
-            values.push_back(scalarToString(value, key));
+            values.push_back(scalarToString(value, what));
         }
         spec.set(key, std::move(values));
     }
@@ -223,84 +230,70 @@ std::vector<SweepPointResult>
 runSweep(const std::vector<DriverOptions> &points, int jobs,
          const SweepProgress &progress)
 {
-    SweepExec exec;
-    exec.jobs = jobs;
-    exec.progress = progress;
-    return runSweep(points, exec);
-}
-
-std::vector<SweepPointResult>
-runSweep(const std::vector<DriverOptions> &points,
-         const SweepExec &exec)
-{
     std::vector<SweepPointResult> results(points.size());
     if (points.empty())
         return results;
-
-    std::size_t workers =
-        static_cast<std::size_t>(resolveJobs(exec.jobs));
-    workers = std::min(workers, points.size());
-    if (exec.pool)
-        workers = std::min(
-            workers, static_cast<std::size_t>(exec.pool->workers()));
-
+    const std::size_t workers = std::min(
+        static_cast<std::size_t>(resolveJobs(jobs)), points.size());
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex progress_mutex;
     // Which points a worker claimed; per-index slots, written before
     // the point runs so an unclaimed index is exactly a skipped point.
     std::vector<unsigned char> claimed(points.size(), 0);
+    // What escaped each worker (a throwing progress callback); rethrown
+    // once every worker is joined.
+    std::vector<std::exception_ptr> failures(workers);
 
-    auto work = [&]() {
-        while (true) {
-            // Cooperative cancellation: finish the in-flight point,
-            // never claim another. Unclaimed points are marked
-            // skipped after the join below.
-            if (exec.cancel &&
-                exec.cancel->load(std::memory_order_relaxed))
-                return;
-            std::size_t i = next.fetch_add(1);
-            if (i >= points.size())
-                return;
-            claimed[i] = 1;
-            SweepPointResult &r = results[i];
-            r.options = points[i];
-            try {
-                r.result = runDriver(points[i]);
-                r.ok = true;
-            } catch (const workloads::DatasetError &e) {
-                r.error = e.what();
-                r.usage_error = true;
-            } catch (const std::exception &e) {
-                r.error = e.what();
+    // The claim loop every worker runs. Cooperative cancellation:
+    // finish the in-flight point, never claim another once the armed
+    // token fires. All writes are per-index (claimed[i], results[i])
+    // or per-worker (failures[w]).
+    auto work = [&](std::size_t w) {
+        try {
+            while (!common::cancelRequested()) {
+                std::size_t i = next.fetch_add(1);
+                if (i >= points.size())
+                    return;
+                claimed[i] = 1;
+                SweepPointResult &r = results[i];
+                r.options = points[i];
+                try {
+                    r.result = runDriver(points[i]);
+                    r.ok = true;
+                } catch (const workloads::DatasetError &e) {
+                    r.error = e.what();
+                    r.usage_error = true;
+                } catch (const std::exception &e) {
+                    r.error = e.what();
+                }
+                std::size_t finished = done.fetch_add(1) + 1;
+                if (progress) {
+                    std::lock_guard<std::mutex> lock(progress_mutex);
+                    progress(finished, points.size(), r);
+                }
             }
-            std::size_t finished = done.fetch_add(1) + 1;
-            if (exec.progress) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                exec.progress(finished, points.size(), r);
-            }
+        } catch (...) {
+            failures[w] = std::current_exception();
         }
     };
 
-    if (workers == 1) {
-        work(); // Keep single-job sweeps debuggable: no threads at all.
-    } else {
-        // Without a caller's persistent pool, run on a local one.
-        std::unique_ptr<common::WorkerPool> local;
-        common::WorkerPool *pool = exec.pool;
-        if (!pool) {
-            local = std::make_unique<common::WorkerPool>(
-                static_cast<int>(workers));
-            pool = local.get();
+    // The calling thread is worker 0. A helper that cannot start
+    // (thread limit, address-space cap) is simply not there.
+    std::vector<std::thread> helpers;
+    for (std::size_t w = 1; w < workers; ++w) {
+        try {
+            helpers.emplace_back(work, w);
+        } catch (const std::exception &) {
+            break;
         }
-        // One dispatch slot per worker; each slot drains the shared
-        // claim counter. All writes are per-index (claimed[i],
-        // results[i]), per the pool's determinism contract.
-        pool->run(static_cast<int>(workers),
-                  [&](int begin, int end, int) {
-                      for (int s = begin; s < end; ++s)
-                          work();
-                  });
+    }
+    work(0);
+    for (std::thread &helper : helpers)
+        helper.join();
+    for (const std::exception_ptr &failure : failures) {
+        if (failure)
+            std::rethrow_exception(failure);
     }
 
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -328,12 +321,6 @@ pointToJson(const DriverOptions &o)
     doc.set("tiles", o.tiles);
     doc.set("iterations", o.iterations);
     return doc;
-}
-
-std::string
-csvNumber(double v)
-{
-    return JsonValue(v).dump();
 }
 
 } // namespace
@@ -406,7 +393,7 @@ sweepReportToCsv(const std::vector<SweepPointResult> &results)
         if (!r.ok) {
             const DriverOptions &o = r.options;
             out << csvField(canonicalApp(o.app).value_or(o.app)) << ','
-                << csvField(o.dataset) << ',' << csvNumber(o.scale)
+                << csvField(o.dataset) << ',' << exactNumber(o.scale)
                 << ",,,," << configPointName(o.config) << ','
                 << sim::memTechName(o.memtech) << ",,,,,,,,,,,,"
                 << o.tiles << ',' << o.iterations << ",,,,,,,"
@@ -422,7 +409,7 @@ sweepReportToCsv(const std::vector<SweepPointResult> &results)
                 ? res.config.dram.bandwidth_override_gbps
                 : sim::memTechBandwidth(res.config.dram.tech);
         out << csvField(res.app) << ',' << csvField(res.dataset) << ','
-            << csvNumber(res.scale) << ','
+            << exactNumber(res.scale) << ','
             << res.info.rows << ',' << res.info.cols << ','
             << res.info.nnz << ',' << res.config_name << ','
             << sim::memTechName(res.config.dram.tech) << ','
@@ -432,7 +419,7 @@ sweepReportToCsv(const std::vector<SweepPointResult> &results)
             << ',' << sim::bankHashName(res.config.spmu.hash) << ','
             << sim::allocatorKindName(res.config.spmu.allocator) << ','
             << res.config.spmu.queue_depth << ','
-            << csvNumber(bandwidth) << ','
+            << exactNumber(bandwidth) << ','
             << (res.config.dram.compression ? "true" : "false") << ','
             << (res.config.spmu.ideal ? "true" : "false") << ','
             << res.config.scanner.window_bits << ','
@@ -440,12 +427,12 @@ sweepReportToCsv(const std::vector<SweepPointResult> &results)
             << res.config.scanner.data_elements << ','
             << res.tiles << ',' << res.iterations << ','
             << res.timing.cycles << ','
-            << csvNumber(res.timing.runtime_ms) << ','
-            << csvNumber(counted > 0 ? t.active_lane_cycles / counted
-                                     : 0.0)
+            << exactNumber(res.timing.runtime_ms) << ','
+            << exactNumber(counted > 0 ? t.active_lane_cycles / counted
+                                       : 0.0)
             << ',' << res.timing.dram.bytes << ','
-            << csvNumber(res.timing.dram.rowHitRate()) << ','
-            << csvNumber(res.timing.spmu.bankUtilization(
+            << exactNumber(res.timing.dram.rowHitRate()) << ','
+            << exactNumber(res.timing.spmu.bankUtilization(
                    res.config.spmu.banks))
             << ",\n";
     }

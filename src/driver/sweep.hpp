@@ -9,12 +9,12 @@
  * as a base point (ordinary DriverOptions) plus axes — named option
  * keys with value lists — whose cartesian product expands into a
  * deterministic, deduplicated work list. runSweep() executes the list
- * on a thread pool (the per-process dataset cache is generate-once and
- * thread-safe, so concurrent points share workloads), and the report
- * layer aggregates per-point results into one JSON document (plus
- * optional CSV) whose ordering is the expansion order, independent of
- * completion order — reports are byte-identical across runs and thread
- * counts.
+ * on worker threads started for the call (the per-process dataset
+ * cache is generate-once and thread-safe, so concurrent points share
+ * workloads), and the report layer aggregates per-point results into
+ * one JSON document (plus optional CSV) whose ordering is the
+ * expansion order, independent of completion order — reports are
+ * byte-identical across runs and thread counts.
  *
  * Axis keys are exactly the driver's option keys (options.hpp:
  * optionKeys()), so a sweep can vary precisely what a single run can
@@ -25,14 +25,12 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 
@@ -79,6 +77,14 @@ struct SweepSpec
 };
 
 /**
+ * The applyOption() string of a JSON scalar: strings as-is, numbers in
+ * their round-trip form, bools as "true"/"false". Sweep specs and wire
+ * requests both canonicalize values through it. Any other kind throws
+ * std::invalid_argument("<what> must be a string, number, or boolean").
+ */
+std::string scalarToString(const JsonValue &v, const std::string &what);
+
+/**
  * Build the spec a parsed command line describes: the JSON file from
  * --sweep (if any) with --axis overrides applied on top. Throws
  * std::invalid_argument on malformed axes; the caller reads and parses
@@ -109,10 +115,10 @@ struct SweepPointResult
      */
     bool usage_error = false;
     /**
-     * The point never ran: a cancel token fired before a worker
-     * claimed it (SweepExec::cancel). Skipped points carry
-     * error = "interrupted: point not run" and render as skipped
-     * entries in an `"interrupted": true` report
+     * The point never ran: the armed cancel token
+     * (common::cancelRequested) fired before a worker claimed it.
+     * Skipped points carry error = "interrupted: point not run" and
+     * render as skipped entries in an `"interrupted": true` report
      * (docs/OUTPUT_SCHEMA.md).
      */
     bool skipped = false;
@@ -123,46 +129,22 @@ using SweepProgress = std::function<void(
     std::size_t done, std::size_t total, const SweepPointResult &)>;
 
 /**
- * How a sweep executes: worker count, an optional persistent pool, an
- * optional cancel token, and an optional progress callback. The
- * default-constructed value reproduces the classic
- * runSweep(points, 0, {}) behavior exactly.
- */
-struct SweepExec
-{
-    /** Worker threads (resolveJobs contract; 0 = all cores). */
-    int jobs = 0;
-    /**
-     * Persistent worker pool to dispatch on instead of a pool local to
-     * the call (the engine's pool, shared across jobs so a daemon does
-     * not churn threads). The effective worker count is clamped to the
-     * pool's size; results are byte-identical either way.
-     */
-    common::WorkerPool *pool = nullptr;
-    /**
-     * Cooperative cancel token. Workers poll it before claiming the
-     * next point: in-flight points finish, unclaimed points come back
-     * `skipped`. Null = never cancelled.
-     */
-    const std::atomic<bool> *cancel = nullptr;
-    /** Called after each point completes; serialized by a mutex. */
-    SweepProgress progress;
-};
-
-/**
- * Execute @p points on @p jobs worker threads (0 = all cores). Results
- * are indexed exactly like @p points regardless of completion order.
- * Per-point failures are captured, not thrown, so one bad point cannot
- * sink a long sweep. @p progress (optional) is serialized by a mutex.
+ * Execute @p points on min(resolveJobs(@p jobs), points) workers: the
+ * calling thread is worker 0 and the rest are helper threads started
+ * for this call and joined before it returns. Every worker drains one
+ * claim counter; a helper that fails to start is left out, since
+ * results never depend on the worker count. Results are indexed
+ * exactly like @p points regardless of completion order. Per-point
+ * failures are captured, not thrown, so one bad point cannot sink a
+ * long sweep. Workers poll the armed cancel token
+ * (common::cancelRequested) before each claim: in-flight points
+ * finish, unclaimed points come back `skipped`. @p progress
+ * (optional) is serialized by a mutex; an exception it throws stops
+ * that worker and is rethrown once every worker has joined.
  */
 std::vector<SweepPointResult>
 runSweep(const std::vector<DriverOptions> &points, int jobs = 0,
          const SweepProgress &progress = {});
-
-/** As above, under an explicit execution environment. */
-std::vector<SweepPointResult>
-runSweep(const std::vector<DriverOptions> &points,
-         const SweepExec &exec);
 
 /**
  * Worker-thread count a `--jobs` value resolves to. The contract is

@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
@@ -12,20 +11,6 @@
 namespace capstan::engine {
 
 namespace {
-
-/** Canonical string form of a scalar wire value, for applyOption. */
-std::string
-scalarToString(const JsonValue &v, const std::string &what)
-{
-    switch (v.kind()) {
-    case JsonValue::Kind::String: return v.asString();
-    case JsonValue::Kind::Number: return v.dump();
-    case JsonValue::Kind::Bool: return v.asBool() ? "true" : "false";
-    default:
-        throw std::invalid_argument(
-            what + " must be a string, number, or boolean");
-    }
-}
 
 int
 requireInt(const JsonValue &v, const std::string &what, int min)
@@ -49,7 +34,8 @@ applyOptionsObject(driver::DriverOptions &opts, const JsonValue &doc)
             "members");
     for (const auto &[key, value] : doc.members()) {
         std::string err = driver::applyOption(
-            opts, key, scalarToString(value, "option '" + key + "'"));
+            opts, key,
+            driver::scalarToString(value, "option '" + key + "'"));
         if (!err.empty())
             throw std::invalid_argument("option '" + key + "': " +
                                         err);
@@ -198,7 +184,7 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
             applyOptionsObject(req.options, doc.at("options"));
     } else if (type == "sweep") {
         req.kind = Kind::Sweep;
-        allow({"type", "options", "axes", "jobs"});
+        allow({"type", "options", "axes"});
         if (doc.contains("options"))
             applyOptionsObject(req.options, doc.at("options"));
         if (doc.contains("axes"))
@@ -206,12 +192,10 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
                 driver::SweepSpec::fromJson(doc.at("axes"), req.options);
         else
             req.spec.base = req.options;
-        if (doc.contains("jobs"))
-            req.jobs = requireInt(doc.at("jobs"), "\"jobs\"", 0);
     } else if (type == "study") {
         req.kind = Kind::Study;
         allow({"type", "study", "preset", "scale", "tiles",
-               "iterations", "check", "jobs"});
+               "iterations", "check"});
         if (!doc.contains("study") || !doc.at("study").isString())
             throw std::invalid_argument(
                 "study requests need a \"study\" name member");
@@ -241,8 +225,6 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
                     "\"check\" must be a boolean");
             req.check = doc.at("check").asBool();
         }
-        if (doc.contains("jobs"))
-            req.jobs = requireInt(doc.at("jobs"), "\"jobs\"", 0);
     } else {
         throw std::invalid_argument("unknown request type \"" + type +
                                     "\" (run|sweep|study)");
@@ -263,8 +245,6 @@ JobRequest::toJson() const
         doc.set("type", "sweep");
         doc.set("options", optionsToJson(spec.base));
         doc.set("axes", spec.toJson());
-        if (jobs > 0)
-            doc.set("jobs", jobs);
         break;
     case Kind::Study:
         doc.set("type", "study");
@@ -278,21 +258,15 @@ JobRequest::toJson() const
             doc.set("iterations", *iterations);
         if (check)
             doc.set("check", true);
-        if (jobs > 0)
-            doc.set("jobs", jobs);
         break;
     }
     return doc;
 }
 
-Engine::Engine(EngineConfig cfg) : cfg_(std::move(cfg))
+Engine::Engine(EngineConfig cfg)
+    : cfg_(std::move(cfg)), jobs_(driver::resolveJobs(cfg_.jobs))
 {
-    resolved_jobs_ = driver::resolveJobs(cfg_.jobs);
-    if (resolved_jobs_ >= 2)
-        pool_ = std::make_unique<common::WorkerPool>(resolved_jobs_);
 }
-
-Engine::~Engine() = default;
 
 const report::Reference *
 Engine::reference()
@@ -333,15 +307,6 @@ Engine::studyKnobs(const JobRequest &req) const
     return knobs;
 }
 
-int
-Engine::effectiveJobs(int request_jobs) const
-{
-    // A job may narrow, but never widen, the engine's pool.
-    int jobs = request_jobs > 0 ? driver::resolveJobs(request_jobs)
-                                : resolved_jobs_;
-    return std::min(jobs, resolved_jobs_);
-}
-
 void
 Engine::countJob(bool ok, bool interrupted)
 {
@@ -357,9 +322,10 @@ JobResult
 Engine::execute(const JobRequest &req, const ExecHooks &hooks)
 {
     std::lock_guard<std::mutex> lock(exec_mutex_);
-    // Arm the machine-level cancel token for the duration of the job
-    // (common/interrupt.hpp): an in-flight simulation unwinds at its
-    // next step boundary once the token fires.
+    // Arm the job's cancel token as the process's token for the
+    // duration of the job (common/interrupt.hpp): once it fires, the
+    // sweep loop claims no more points and an in-flight simulation
+    // unwinds at its next step boundary.
     common::ScopedCancelToken guard(hooks.cancel);
     JobResult res = executeLocked(req, hooks);
     countJob(res.ok, res.interrupted);
@@ -389,9 +355,7 @@ Engine::studiesLocked(const std::vector<const report::Study *> &studies,
 {
     report::StudyContext ctx;
     ctx.knobs = studyKnobs(req);
-    ctx.jobs = effectiveJobs(req.jobs);
-    ctx.pool = pool_.get();
-    ctx.cancel = hooks.cancel;
+    ctx.jobs = jobs_;
     ctx.progress = hooks.progress;
     ctx.reference = reference();
     report::ReportPlan plan = report::planStudies(studies, ctx);
@@ -425,12 +389,7 @@ Engine::executeLocked(const JobRequest &req, const ExecHooks &hooks)
             if (points.empty())
                 throw std::invalid_argument(
                     "sweep expands to zero points");
-            driver::SweepExec exec;
-            exec.jobs = effectiveJobs(req.jobs);
-            exec.pool = pool_.get();
-            exec.cancel = hooks.cancel;
-            exec.progress = hooks.progress;
-            res.sweep = driver::runSweep(points, exec);
+            res.sweep = driver::runSweep(points, jobs_, hooks.progress);
             res.document = driver::sweepReportToJson(req.spec,
                                                      res.sweep);
             bool failed = false;

@@ -4,11 +4,10 @@
  *
  * Before this layer existed, `capstan-run` and `capstan-report` each
  * held their own slice of execution logic: dataset caching lived in
- * the runner, the thread pool was respawned per sweep call, and report
- * presets were wired into the report CLI.
+ * the runner and report presets were wired into the report CLI.
  * The Engine owns those pieces once — the generate-once dataset /
- * `.cbin` caches (process-wide, driver/runner.cpp), a persistent
- * sweep WorkerPool, and the paper reference — and exposes one
+ * `.cbin` caches (process-wide, driver/runner.cpp), the process's one
+ * thread setting (`--jobs`), and the paper reference — and exposes one
  * validated JobRequest/JobResult model covering the three job kinds
  * (single run, sweep, report study). The CLIs are thin front-ends
  * that build a JobRequest and execute it here; `capstan-serve`
@@ -18,11 +17,11 @@
  * Determinism: executing a JobRequest produces the *byte-identical*
  * JSON document the corresponding CLI invocation prints
  * (tests/test_engine.cpp pins a 12-point differential matrix), and
- * results never depend on jobs/pool size or on whether a cancel token
- * was armed but unfired.
+ * results never depend on the worker count or on whether a cancel
+ * token was armed but unfired.
  *
  * Concurrency: execute() and executeStudies() run one job on the
- * calling thread (internally parallel via the sweep pool). The engine
+ * calling thread (internally parallel via driver::runSweep). The engine
  * serializes concurrent calls with a mutex — the serve executor is
  * single-threaded anyway — while stats() is safe to call from any
  * thread at any time.
@@ -33,14 +32,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
@@ -55,7 +52,10 @@ using common::JsonValue;
 /** Host-side environment shared by every job the engine executes. */
 struct EngineConfig
 {
-    /** Sweep worker threads (resolveJobs contract; 0 = all cores). */
+    /**
+     * Sweep worker threads (resolveJobs contract; 0 = all cores): the
+     * one thread setting, used by every sweep and study job.
+     */
     int jobs = 0;
     /** Real-dataset directory; empty keeps datasets synthetic. */
     std::string dataset_dir;
@@ -96,14 +96,10 @@ struct JobRequest
     /** Study: request a reference check (CLI --check). */
     bool check = false;
 
-    /** Sweep/Study: worker override; 0 = the engine's default. */
-    int jobs = 0;
-
     /**
      * Build a request from a wire document, e.g.
      *   {"type": "run", "options": {"app": "spmv", "scale": 0.2}}
-     *   {"type": "sweep", "options": {...}, "axes": {"app": [...]},
-     *    "jobs": 2}
+     *   {"type": "sweep", "options": {...}, "axes": {"app": [...]}}
      *   {"type": "study", "study": "table10", "preset": "quick"}
      * The host knob (the dataset dir) comes from
      * @p defaults — the daemon's environment — never from the wire.
@@ -129,10 +125,10 @@ struct ExecHooks
     /** Study jobs: the plan, once it is built and before it runs. */
     std::function<void(const report::ReportPlan &)> planned;
     /**
-     * Cooperative cancel token. The engine passes it to the sweep
-     * loop (finish the claimed point, skip the rest) and arms it as
-     * the machine-level token (common/interrupt.hpp), so an in-flight
-     * simulation unwinds at the next step boundary.
+     * Cooperative cancel token. The engine arms it for the job as the
+     * process's token (common/interrupt.hpp): the sweep loop polls it
+     * before each claim (finish the claimed point, skip the rest) and
+     * an in-flight simulation unwinds at its next step boundary.
      */
     const std::atomic<bool> *cancel = nullptr;
 };
@@ -176,17 +172,13 @@ class Engine
 {
   public:
     explicit Engine(EngineConfig cfg = {});
-    ~Engine();
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
     const EngineConfig &config() const { return cfg_; }
 
-    /** Resolved sweep worker count (the pool's size; >= 1). */
-    int jobs() const { return resolved_jobs_; }
-
-    /** The persistent sweep pool; null when jobs() == 1. */
-    common::WorkerPool *pool() { return pool_.get(); }
+    /** Resolved sweep worker count (>= 1). */
+    int jobs() const { return jobs_; }
 
     /**
      * The paper reference: loads on first use (explicit path must
@@ -203,12 +195,12 @@ class Engine
                       const ExecHooks &hooks = {});
 
     /**
-     * Execute @p studies as one report under @p req's preset, knob
-     * overrides and jobs (its `study` is ignored): every study's
-     * planned points run as one deduplicated sweep on the pool, then
-     * each study derives in the given order (report::runPlan). One job
-     * under one hold of the exec mutex; `capstan-report` runs its
-     * whole selection here, and a Study job is the one-study case.
+     * Execute @p studies as one report under @p req's preset and knob
+     * overrides (its `study` is ignored): every study's planned points
+     * run as one deduplicated sweep, then each study derives in the
+     * given order (report::runPlan). One job under one hold of the
+     * exec mutex; `capstan-report` runs its whole selection here, and
+     * a Study job is the one-study case.
      * Study failures land in the StudyRuns; only studyKnobs() and
      * reference() errors (unknown preset, unparsable reference) throw.
      */
@@ -225,11 +217,9 @@ class Engine
     studiesLocked(const std::vector<const report::Study *> &studies,
                   const JobRequest &req, const ExecHooks &hooks);
     void countJob(bool ok, bool interrupted);
-    int effectiveJobs(int request_jobs) const;
 
     EngineConfig cfg_;
-    int resolved_jobs_ = 1;
-    std::unique_ptr<common::WorkerPool> pool_;
+    int jobs_ = 1; //!< cfg_.jobs resolved.
 
     std::mutex exec_mutex_; //!< Serializes execute() calls.
 

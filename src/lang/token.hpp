@@ -7,7 +7,8 @@
  * which lanes are live, the addresses a memory stage should touch, how
  * many DRAM bytes it represents, and whether it closes a reduction group.
  * Tokens carry no functional payload: applications execute functionally
- * on the host and emit tokens purely for timing (DESIGN.md #3).
+ * on the host and emit tokens purely for timing (the co-simulation
+ * pattern, src/apps/common.hpp).
  */
 
 #pragma once

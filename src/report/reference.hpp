@@ -12,7 +12,8 @@
  * is *display-only*: studies use it to print "ours / paper" cells, but
  * it can never fail a check (figures the paper publishes only as plots
  * have no checkable numbers; scale-sensitive comparisons are checked
- * at the tolerances REPRODUCTION.md documents for the quick preset).
+ * at the tolerances docs/REPRODUCTION.md documents for the quick
+ * preset).
  */
 
 #pragma once

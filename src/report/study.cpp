@@ -233,11 +233,6 @@ deriveStudy(const ReportPlan::Entry &entry,
 std::vector<StudyRun>
 runPlan(const ReportPlan &plan, const StudyContext &ctx)
 {
-    driver::SweepExec exec;
-    exec.jobs = ctx.jobs;
-    exec.pool = ctx.pool;
-    exec.cancel = ctx.cancel;
-
     // Progress counts planned points: each distinct run answers every
     // point that merged into it.
     std::map<driver::SimulationKey, std::size_t> slot_of;
@@ -245,6 +240,7 @@ runPlan(const ReportPlan &plan, const StudyContext &ctx)
         plan.distinct.size());
     std::size_t done = 0;
     const std::size_t total = plan.planned();
+    driver::SweepProgress progress;
     if (ctx.progress) {
         for (std::size_t d = 0; d < plan.distinct.size(); ++d)
             slot_of.emplace(driver::simulationKey(plan.distinct[d]), d);
@@ -252,8 +248,8 @@ runPlan(const ReportPlan &plan, const StudyContext &ctx)
             for (std::size_t i = 0; i < entry.points.size(); ++i)
                 answers[entry.slots[i]].push_back(&entry.points[i]);
         }
-        exec.progress = [&](std::size_t, std::size_t,
-                            const driver::SweepPointResult &r) {
+        progress = [&](std::size_t, std::size_t,
+                       const driver::SweepPointResult &r) {
             driver::SweepPointResult point = r;
             std::size_t slot =
                 slot_of.at(driver::simulationKey(r.options));
@@ -264,7 +260,7 @@ runPlan(const ReportPlan &plan, const StudyContext &ctx)
         };
     }
     std::vector<driver::SweepPointResult> results =
-        driver::runSweep(plan.distinct, exec);
+        driver::runSweep(plan.distinct, ctx.jobs, progress);
 
     std::vector<StudyRun> runs;
     for (const auto &entry : plan.studies)

@@ -25,7 +25,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -33,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
 #include "report/reference.hpp"
@@ -86,13 +84,6 @@ struct StudyContext
      * planned point's options and the planned total.
      */
     driver::SweepProgress progress;
-    /** Persistent sweep pool (the engine's); null = spawn per call. */
-    common::WorkerPool *pool = nullptr;
-    /**
-     * Cancel token: unclaimed points are skipped once it fires, and
-     * every study that planned a skipped point is `interrupted`.
-     */
-    const std::atomic<bool> *cancel = nullptr;
 
     /**
      * The point every study axis varies around: @p app on @p dataset
@@ -186,10 +177,13 @@ ReportPlan planStudies(const std::vector<const Study *> &studies,
                        const StudyContext &ctx);
 
 /**
- * Run @p plan: its distinct points as one sweep on @p ctx's pool, then
- * every study's derive in plan order, checked against ctx.reference
- * when one is set. One StudyRun per planned study. A failed point
- * fails only the studies that planned it. Never throws.
+ * Run @p plan: its distinct points as one sweep on ctx.jobs workers,
+ * then every study's derive in plan order, checked against
+ * ctx.reference when one is set. One StudyRun per planned study. A
+ * failed point fails only the studies that planned it; once the armed
+ * cancel token (common::cancelRequested) fires, unclaimed points are
+ * skipped and every study that planned one is `interrupted`. Never
+ * throws.
  */
 std::vector<StudyRun> runPlan(const ReportPlan &plan,
                               const StudyContext &ctx);

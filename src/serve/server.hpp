@@ -15,7 +15,7 @@
  *  - One executor thread drains the queue in order and runs each job
  *    on the shared engine, streaming `started` / `progress` / `result`
  *    events to the submitting connection. One executor means jobs
- *    never contend for the dataset cache or the sweep pool — the
+ *    never contend for the dataset cache or the sweep workers — the
  *    second job on a dataset is a warm cache hit by construction.
  *  - Cancellation is cooperative: cancelling a queued job removes it;
  *    cancelling the running job fires its token, which the sweep loop

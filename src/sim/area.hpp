@@ -5,10 +5,9 @@
  * The paper synthesizes Plasticine plus the Capstan units with Synopsys
  * Design Compiler on the FreePDK15 predictive library at 1.6 GHz. No EDA
  * flow is available offline, so this model anchors to the published
- * numbers and scales parametrically in between (DESIGN.md #4): scheduler
- * area grows linearly in queue depth with a fixed adder per unit of
- * crossbar input speedup; scanner area grows with window width and output
- * count. Exact published design points are reproduced verbatim from
+ * numbers and scales parametrically in between: scheduler area grows
+ * linearly in queue depth with a fixed adder per unit of crossbar
+ * input speedup; scanner area grows with window width and output count. Exact published design points are reproduced verbatim from
  * lookup tables so the area benches regenerate the paper's tables.
  */
 

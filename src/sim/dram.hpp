@@ -4,10 +4,10 @@
  * address-generator pipeline (Section 3.4).
  *
  * The paper drives its simulator with Ramulator; Ramulator is not
- * available offline, so this is a compact banked-DRAM substitute (see
- * DESIGN.md #4): per-channel service queues at the technology's
- * per-channel bandwidth, a row-buffer hit/miss model per bank, 64 B
- * bursts, and a fixed pipeline latency. The three technology points are
+ * available offline, so this is a compact banked-DRAM substitute:
+ * per-channel service queues at the technology's per-channel
+ * bandwidth, a row-buffer hit/miss model per bank, 64 B bursts, and a
+ * fixed pipeline latency. The three technology points are
  * DDR4-2133 (68 GB/s), HBM2 (900 GB/s), and HBM2E (1800 GB/s).
  *
  * The AddressGenerator layers Capstan's atomic-DRAM support on top: it

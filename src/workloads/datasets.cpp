@@ -84,7 +84,7 @@ MatrixDataset
 loadMatrixDataset(const std::string &name, double scale)
 {
     validateScale(scale);
-    // Published dimensions/nnz from Table 6; structure per DESIGN.md #4.
+    // Published dimensions/nnz from Table 6; structure per synth.hpp.
     if (name == "ckt11752_dc_1") {
         return {name, circuitMatrix(scaled(49702, scale),
                                     scaled64(333029, scale), 0xC1C1)};

@@ -3,11 +3,12 @@
  * Named dataset registry mirroring Table 6.
  *
  * Every dataset the paper evaluates has a synthetic structural stand-in
- * here (DESIGN.md #4), generated at a configurable scale: scale 1.0
- * matches the published dimensions and nnz; smaller scales shrink both
- * proportionally so benchmark sweeps finish in reasonable wall-time
- * (EXPERIMENTS.md records the scales used per experiment). As in the
- * paper, p2p-Gnutella31 substitutes for flickr in sensitivity studies.
+ * here (generators in synth.hpp), generated at a configurable scale:
+ * scale 1.0 matches the published dimensions and nnz; smaller scales
+ * shrink both proportionally so benchmark sweeps finish in reasonable
+ * wall-time (driver::defaultScale holds each dataset's bench scale and
+ * docs/REPRODUCTION.md each preset's multiplier). As in the paper,
+ * p2p-Gnutella31 substitutes for flickr in sensitivity studies.
  */
 
 #pragma once

@@ -5,8 +5,8 @@
  * The paper evaluates on SuiteSparse and SNAP datasets plus pruned
  * ResNet-50 layers. Those files are not available offline, so each
  * generator reproduces the *structural* properties that drive hardware
- * behaviour (DESIGN.md #4): dimensions, nnz, clustering, degree skew,
- * and diagonal locality. All generators are deterministic in their seed.
+ * behaviour: dimensions, nnz, clustering, degree skew, and diagonal
+ * locality. All generators are deterministic in their seed.
  */
 
 #pragma once

@@ -8,7 +8,7 @@
  * available offline, so graph tiling here uses a contiguous greedy
  * partitioner balanced by edge count — road networks and banded matrices
  * keep their locality, which is the property that matters for the
- * shuffle network (DESIGN.md #5).
+ * shuffle network.
  */
 
 #pragma once

@@ -89,7 +89,7 @@ TEST(EngineDifferential, SweepDocumentMatchesLegacyRunSweep)
         "{\"type\": \"sweep\", \"options\": {\"scale\": 0.02, "
         "\"tiles\": 4, \"iterations\": 1}, "
         "\"axes\": {\"app\": [\"spmv\", \"bfs\"], "
-        "\"memtech\": [\"hbm2e\", \"ddr4\"]}, \"jobs\": 1}");
+        "\"memtech\": [\"hbm2e\", \"ddr4\"]}}");
     engine::JobRequest req =
         engine::JobRequest::fromJson(doc, eng.config());
     engine::JobResult res = eng.execute(req);
@@ -122,8 +122,10 @@ TEST(EngineRequest, FromJsonValidatesShapeAndValues)
     reject("{\"type\": \"run\", \"options\": {\"turbo\": true}}");
     reject("{\"type\": \"run\", \"options\": {\"tiles\": {}}}");
     reject("{\"type\": \"sweep\", \"axes\": {\"turbo\": [1, 2]}}");
-    reject("{\"type\": \"sweep\", \"jobs\": -1}");
-    reject("{\"type\": \"sweep\", \"jobs\": 1.5}");
+    // The worker count is the process's --jobs, never the wire's.
+    reject("{\"type\": \"sweep\", \"jobs\": 2}");
+    reject("{\"type\": \"study\", \"study\": \"table12\", "
+           "\"jobs\": 2}");
     reject("{\"type\": \"study\"}");
     reject("{\"type\": \"study\", \"study\": \"table12\", "
            "\"preset\": \"huge\"}");
@@ -175,7 +177,7 @@ TEST(EngineRequest, ToJsonRoundTrips)
     JsonValue doc = JsonValue::parse(
         "{\"type\": \"sweep\", \"options\": {\"app\": \"spmspm\", "
         "\"scale\": 0.5, \"ordering\": \"address\"}, "
-        "\"axes\": {\"tiles\": [4, 8]}, \"jobs\": 2}");
+        "\"axes\": {\"tiles\": [4, 8]}}");
     engine::JobRequest req =
         engine::JobRequest::fromJson(doc, cfg);
     engine::JobRequest back =

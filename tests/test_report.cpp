@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/interrupt.hpp"
 #include "report/catalog.hpp"
 #include "report/reference.hpp"
 #include "report/render.hpp"
@@ -601,8 +602,8 @@ TEST(StudyPlan, CancelInterruptsOnlyUnfinishedStudies)
                                                   wide};
     };
     std::atomic<bool> cancel{false};
+    common::ScopedCancelToken armed(&cancel);
     StudyContext ctx = quickContext();
-    ctx.cancel = &cancel;
     ctx.progress = [&](std::size_t, std::size_t,
                        const driver::SweepPointResult &) {
         cancel.store(true);

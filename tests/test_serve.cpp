@@ -333,6 +333,14 @@ TEST(ServeSocket, MalformedRequestGetsErrorAndConnectionSurvives)
     EXPECT_EQ(bad->at("code").asString(), "bad_request");
     EXPECT_EQ(bad->at("id").asNumber(), 5);
 
+    // The worker count is the daemon's --jobs; a job cannot carry one.
+    c.send(submitLine(6, "{\"type\": \"sweep\", \"axes\": "
+                         "{\"app\": [\"spmv\"]}, \"jobs\": 2}"));
+    std::optional<JsonValue> jobs = c.read();
+    ASSERT_TRUE(jobs.has_value());
+    EXPECT_EQ(jobs->at("code").asString(), "bad_request");
+    EXPECT_EQ(jobs->at("id").asNumber(), 6);
+
     // The stream stayed line-synchronized: the connection still works.
     c.send("{\"op\": \"ping\", \"id\": 7}");
     std::optional<JsonValue> pong = c.read();

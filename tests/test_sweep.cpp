@@ -3,31 +3,32 @@
  * Tests for the parallel sweep engine (src/driver/sweep.hpp): spec
  * construction from JSON and CLI axes, cartesian expansion (count,
  * ordering, deduplication, rejection of unknown axes/values), the
- * thread-pool runner (deterministic report ordering, per-point error
- * capture, single-run equivalence), the WorkerPool it runs on, and the
- * generate-once dataset cache under concurrency (exercised by the TSan
- * CI job).
+ * multi-threaded runner (deterministic report ordering, per-point
+ * error capture, single-run equivalence, helpers that cannot start),
+ * and the generate-once dataset cache under concurrency (exercised by
+ * the TSan CI job).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <system_error>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
+#include "workloads/datasets.hpp"
 
 namespace {
 
@@ -190,6 +191,14 @@ TEST(SweepExpand, DeduplicatesAliasedAndRepeatedPoints)
     ASSERT_EQ(points.size(), 2u);
     EXPECT_EQ(points[0].app, "spmv"); // First occurrence wins.
     EXPECT_EQ(points[1].app, "bfs");
+
+    // Values that print alike at six significant digits (scale) or six
+    // decimals (bandwidth) are still distinct points.
+    SweepSpec close;
+    close.base = tinyBase();
+    close.set("scale", {"0.1234561", "0.1234564"});
+    close.set("bandwidth-gbps", {"100.0000001", "100.0000002"});
+    EXPECT_EQ(expandSweep(close).size(), 4u);
 }
 
 TEST(SweepExpand, RejectsInvalidAxisValues)
@@ -236,19 +245,37 @@ TEST(SweepRun, MatchesSingleRunsPointForPoint)
     spec.base = tinyBase();
     spec.set("app", {"spmv", "bfs", "spmspm"});
     spec.set("tiles", {"2", "4"});
-    std::vector<DriverOptions> points = expandSweep(spec);
-    std::vector<SweepPointResult> results = runSweep(points, 4);
-    ASSERT_EQ(results.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        ASSERT_TRUE(results[i].ok) << results[i].error;
-        RunResult single = runDriver(points[i]);
-        EXPECT_EQ(results[i].result.app, single.app);
-        EXPECT_EQ(results[i].result.dataset, single.dataset);
-        EXPECT_EQ(results[i].result.timing.cycles,
-                  single.timing.cycles)
-            << "point " << i << " diverged from its single run";
-        EXPECT_EQ(results[i].result.timing.dram.bytes,
-                  single.timing.dram.bytes);
+    // Two scales whose usroads-48 sizes (0.00192 and 0.00224) share a
+    // thousandth must still generate two matrices.
+    SweepSpec nearby;
+    nearby.base = tinyBase();
+    nearby.base.app = "bfs";
+    nearby.set("scale", {"0.024", "0.028"});
+    for (const SweepSpec *s : {&spec, &nearby}) {
+        std::vector<DriverOptions> points = expandSweep(*s);
+        std::vector<SweepPointResult> results = runSweep(points, 4);
+        ASSERT_EQ(results.size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            const RunResult &got = results[i].result;
+            RunResult single = runDriver(points[i]);
+            EXPECT_EQ(got.app, single.app);
+            EXPECT_EQ(got.dataset, single.dataset);
+            EXPECT_EQ(got.timing.cycles, single.timing.cycles)
+                << "point " << i << " diverged from its single run";
+            EXPECT_EQ(got.timing.dram.bytes, single.timing.dram.bytes);
+            // runDriver reads the same cache, so check the dataset
+            // against an uncached generation too.
+            EXPECT_EQ(got.info.rows,
+                      workloads::loadMatrixDataset(got.dataset, got.scale)
+                          .matrix.rows())
+                << "point " << i << " ran on another scale's matrix";
+        }
+        if (s == &nearby) {
+            ASSERT_EQ(results.size(), 2u);
+            EXPECT_NE(results[0].result.info.rows,
+                      results[1].result.info.rows);
+        }
     }
 }
 
@@ -295,6 +322,23 @@ TEST(SweepRun, ProgressReportsEveryPointOnce)
     EXPECT_EQ(max_done, points.size());
 }
 
+TEST(SweepRun, ProgressExceptionIsRethrownAfterEveryWorkerJoins)
+{
+    SweepSpec spec;
+    spec.base = tinyBase();
+    spec.set("app", {"spmv", "spmspm"});
+    spec.set("tiles", {"2", "4"});
+    std::vector<DriverOptions> points = expandSweep(spec);
+    // Every worker's callback throws, helpers' included: none of it
+    // may escape a thread.
+    EXPECT_THROW(runSweep(points, 4,
+                          [](std::size_t, std::size_t,
+                             const SweepPointResult &) {
+                              throw std::runtime_error("progress");
+                          }),
+                 std::runtime_error);
+}
+
 TEST(SweepRun, CsvHasHeaderAndOneRowPerPoint)
 {
     SweepSpec spec;
@@ -312,94 +356,6 @@ TEST(SweepRun, CsvHasHeaderAndOneRowPerPoint)
     EXPECT_NE(csv.find("SpMSpM,"), std::string::npos);
 }
 
-TEST(SweepRun, CallerPoolMatchesALocalPool)
-{
-    // A persistent pool passed in (the engine's) and the pool runSweep
-    // builds for itself must produce the same report.
-    SweepSpec spec;
-    spec.base = tinyBase();
-    spec.set("app", {"spmv", "bfs", "spmspm"});
-    spec.set("tiles", {"2", "4"});
-    std::vector<DriverOptions> points = expandSweep(spec);
-    common::WorkerPool pool(3);
-    SweepExec exec;
-    exec.jobs = 3;
-    exec.pool = &pool;
-    EXPECT_EQ(sweepReportToJson(spec, runSweep(points, exec)).dump(2),
-              sweepReportToJson(spec, runSweep(points, 3)).dump(2));
-}
-
-// ---------------------------------------------------------------------------
-// WorkerPool: the static partition and reuse the sweep executor uses.
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPool, ChunkPartitionsExactlyAndInOrder)
-{
-    // chunk() is the single source of truth for which worker owns
-    // which indices: static, contiguous, and balanced.
-    for (int n : {1, 2, 3, 7, 16, 31, 64}) {
-        for (int workers : {1, 2, 3, 4, 8}) {
-            int covered = 0;
-            int prev_end = 0;
-            for (int w = 0; w < workers; ++w) {
-                auto [begin, end] = common::WorkerPool::chunk(
-                    n, workers, w);
-                EXPECT_EQ(begin, prev_end)
-                    << "gap/overlap at n=" << n << " w=" << w;
-                EXPECT_LE(begin, end);
-                // Balanced: chunk sizes differ by at most one.
-                EXPECT_LE(end - begin, n / workers + (n % workers ? 1 : 0));
-                covered += end - begin;
-                prev_end = end;
-            }
-            EXPECT_EQ(covered, n);
-            EXPECT_EQ(prev_end, n);
-        }
-    }
-}
-
-TEST(WorkerPool, RunVisitsEveryIndexExactlyOnce)
-{
-    common::WorkerPool pool(4);
-    EXPECT_EQ(pool.workers(), 4);
-    std::vector<int> hits(97, 0);
-    std::vector<int> owner(97, -1);
-    pool.run(97, [&](int begin, int end, int w) {
-        for (int i = begin; i < end; ++i) {
-            ++hits[static_cast<std::size_t>(i)];
-            owner[static_cast<std::size_t>(i)] = w;
-        }
-    });
-    for (int i = 0; i < 97; ++i) {
-        EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << "index " << i;
-        auto [begin, end] = common::WorkerPool::chunk(97, 4,
-            owner[static_cast<std::size_t>(i)]);
-        EXPECT_TRUE(begin <= i && i < end)
-            << "index " << i << " ran outside its owner's chunk";
-    }
-}
-
-TEST(WorkerPool, ReusableAcrossManyDispatches)
-{
-    // The engine keeps one pool alive across every job a daemon
-    // serves, so the pool must survive many dispatches.
-    common::WorkerPool pool(3);
-    long total = 0;
-    for (int round = 0; round < 2000; ++round) {
-        std::array<long, 3> partial{};
-        pool.run(11, [&](int begin, int end, int w) {
-            long s = 0;
-            for (int i = begin; i < end; ++i)
-                s += i;
-            partial[static_cast<std::size_t>(w)] = s;
-        });
-        // Reduce after run() returns, in worker index order.
-        for (long p : partial)
-            total += p;
-    }
-    EXPECT_EQ(total, 2000L * (11 * 10 / 2));
-}
-
 // ASan and TSan reserve terabytes of shadow address space, so the
 // address-space cap the next test relies on cannot be set under them.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -411,18 +367,33 @@ TEST(WorkerPool, ReusableAcrossManyDispatches)
 #endif
 
 #if defined(__linux__) && !defined(CAPSTAN_TEST_NO_AS_CAP)
-TEST(WorkerPool, FailedThreadStartThrowsInsteadOfHanging)
+TEST(SweepRun, HelpersThatCannotStartLeaveTheReportUnchanged)
 {
-    // A helper that cannot start must surface as std::system_error,
-    // with the helpers already started joined first. Unwinding past
-    // running helpers hangs in the condition variable's destructor or
-    // aborts on a joinable std::thread. The forked child leaves itself
-    // 64 MB of address space, far too little for 4095 thread stacks,
-    // and arms an alarm so a hang kills it instead of the suite.
+    // A helper thread that cannot start is left out: the calling
+    // thread drains every point, and the report is the --jobs 1 one.
+    // The forked child leaves itself half a thread stack of address
+    // space, so no new stack fits, parks sleeper threads on every
+    // stack the C library cached from earlier tests, and arms an alarm
+    // so a hang kills it instead of the suite.
+    SweepSpec spec;
+    spec.base = tinyBase();
+    spec.set("app", {"spmv", "bfs", "spmspm"});
+    spec.set("tiles", {"2", "4"});
+    std::vector<DriverOptions> points = expandSweep(spec);
+    // Run once first so the child finds every dataset cached.
+    const std::string serial =
+        sweepReportToJson(spec, runSweep(points, 1)).dump(2);
+
+    pthread_attr_t attr;
+    std::size_t stack = 0;
+    ASSERT_EQ(pthread_attr_init(&attr), 0);
+    ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack), 0);
+    pthread_attr_destroy(&attr);
+
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-        alarm(30);
+        alarm(60);
         long vm_pages = 0;
         std::FILE *statm = std::fopen("/proc/self/statm", "r");
         if (!statm || std::fscanf(statm, "%ld", &vm_pages) != 1)
@@ -431,26 +402,49 @@ TEST(WorkerPool, FailedThreadStartThrowsInsteadOfHanging)
         const rlim_t cap =
             static_cast<rlim_t>(vm_pages) *
                 static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
-            (rlim_t{64} << 20);
+            static_cast<rlim_t>(stack / 2);
         rlimit limit{};
         if (getrlimit(RLIMIT_AS, &limit) != 0)
             _exit(3);
         limit.rlim_cur = std::min(cap, limit.rlim_max);
         if (setrlimit(RLIMIT_AS, &limit) != 0)
             _exit(3);
-        try {
-            common::WorkerPool pool(4096);
-        } catch (const std::system_error &) {
-            _exit(0);
+        std::atomic<bool> release{false};
+        std::vector<std::thread> sleepers;
+        sleepers.reserve(64);
+        for (;;) {
+            if (sleepers.size() == 64)
+                _exit(2); // Threads keep starting: the cap did not bind.
+            try {
+                sleepers.emplace_back([&release] {
+                    while (!release.load())
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                });
+            } catch (const std::exception &) {
+                break;
+            }
         }
-        _exit(2); // Every helper started: the cap did not bind.
+        std::string capped;
+        try {
+            capped = sweepReportToJson(spec, runSweep(points, kMaxJobs))
+                         .dump(2);
+        } catch (const std::exception &) {
+            _exit(5); // The sweep gave up instead of carrying on.
+        }
+        release.store(true);
+        for (std::thread &t : sleepers)
+            t.join();
+        _exit(capped == serial ? 0 : 4);
     }
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status))
         << "child killed by signal " << WTERMSIG(status)
-        << " (SIGALRM means the pool hung)";
-    EXPECT_EQ(WEXITSTATUS(status), 0);
+        << " (SIGALRM means the sweep hung)";
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "2: the cap did not bind; 4: the report differs; 5: the "
+           "sweep threw";
 }
 #endif
 
@@ -470,6 +464,7 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
 
     constexpr int kThreads = 8;
     std::vector<sim::Cycle> cycles(kThreads, 0);
+    const DatasetCacheStats before = datasetCacheStats();
     std::vector<std::thread> pool;
     for (int t = 0; t < kThreads; ++t) {
         pool.emplace_back([&, t] {
@@ -487,6 +482,14 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
     }
     for (auto &t : pool)
         t.join();
+    const DatasetCacheStats after = datasetCacheStats();
+
+    // Three entries are generated (ckt11752_dc_1, its transpose, the
+    // conv layer), however the threads interleave: a lookup that
+    // waited on another thread's generation is a hit. 11 lookups: one
+    // per thread, plus a transpose lookup per M+M thread.
+    EXPECT_EQ(after.misses - before.misses, 3u);
+    EXPECT_EQ(after.hits - before.hits, 8u);
 
     // Same app + dataset + config => identical deterministic cycle
     // counts, generated exactly once.

@@ -32,8 +32,9 @@ flag-plumbing      A DriverOptions field not plumbed as
                    tools/lint/plumbing.json declares.
 env-registry       A getenv() not routed through src/common/env.hpp,
                    or a registry entry unread or undocumented.
-thread-escape      A lambda run on a WorkerPool writing shared state,
-                   directly or through the member functions it calls.
+thread-escape      A lambda run on per-call worker threads writing
+                   shared state, directly or through the member
+                   functions it calls.
 bad-suppression    A malformed allow-comment.
 stale-suppression  An allow-comment that absorbed no finding.
 
@@ -935,7 +936,39 @@ def check_env_registry(tree):
 # thread-escape
 # ---------------------------------------------------------------------
 
-POOL_ID_RE = re.compile(r"[A-Za-z_]*pool_?$")
+THREAD_VECTOR = ("std", "::", "vector", "<", "std", "::", "thread", ">")
+
+
+def worker_lambdas(tokens):
+    """The opening `[` of every lambda started on a function-local
+    `std::vector<std::thread>` (a fork/join loop's per-call workers;
+    members end in `_` and are long-lived service threads that
+    synchronize explicitly): `v.emplace_back([...] {...})` inline, or
+    `v.emplace_back(name)` for an `auto name = [...]` bound earlier."""
+    n = len(THREAD_VECTOR)
+    vectors = {tokens[i + n].text for i in range(len(tokens) - n)
+               if all(tokens[i + k].text == t
+                      for k, t in enumerate(THREAD_VECTOR))
+               and tokens[i + n].kind == "id"
+               and not tokens[i + n].text.endswith("_")}
+    found = []
+    for i in range(len(tokens) - 4):
+        if not (tokens[i].kind == "id" and tokens[i].text in vectors
+                and tokens[i + 1].text == "."
+                and tokens[i + 2].text == "emplace_back"
+                and tokens[i + 3].text == "("):
+            continue
+        arg = tokens[i + 4]
+        if arg.kind == "punct" and arg.text == "[":
+            found.append(i + 4)
+        elif arg.kind == "id":
+            for j in range(i - 1, 2, -1):
+                if (tokens[j].text == "[" and tokens[j - 1].text == "="
+                        and tokens[j - 2].text == arg.text
+                        and tokens[j - 3].text == "auto"):
+                    found.append(j)
+                    break
+    return found
 
 
 def parse_class_defs(tokens, rel, classes):
@@ -1235,33 +1268,15 @@ def check_thread_escape(tree):
     for source in tree.src:
         rel, tokens = source.rel, source.tokens
         spans = def_spans.get(rel, [])
-        for i in range(len(tokens) - 3):
-            if not (tokens[i].kind == "id"
-                    and POOL_ID_RE.fullmatch(tokens[i].text)
-                    and tokens[i + 1].kind == "punct"
-                    and tokens[i + 1].text in ("->", ".")
-                    and tokens[i + 2].kind == "id"
-                    and tokens[i + 2].text == "run"
-                    and tokens[i + 3].kind == "punct"
-                    and tokens[i + 3].text == "("):
-                continue
-            call_end = cpplex.match_forward(tokens, i + 3, "(", ")")
+        for lam in worker_lambdas(tokens):
             enclosing = None
             for s, e, cls_name in spans:
-                if s <= i <= e:
+                if s <= lam <= e:
                     enclosing = cls_name
                     break
-            # The lambda: first '[' inside the call's argument list.
-            lam = None
-            for j in range(i + 4, call_end):
-                if tokens[j].kind == "punct" and tokens[j].text == "[":
-                    lam = j
-                    break
-            if lam is None:
-                continue
             cap_end = cpplex.match_forward(tokens, lam, "[", "]")
             body_start = None
-            for j in range(cap_end + 1, call_end):
+            for j in range(cap_end + 1, len(tokens)):
                 if tokens[j].kind == "punct" and tokens[j].text == "{":
                     body_start = j
                     break

@@ -1,14 +1,8 @@
-// thread-escape bad fixture: the worker lambda writes a
-// reference-captured local, and calls a member function that writes
-// unsubscripted shared members two hops away.
+// thread-escape bad fixture: the worker lambda, started by name on
+// per-call helper threads, writes a reference-captured local and calls
+// a member function that writes unsubscripted shared members.
+#include <thread>
 #include <vector>
-
-namespace common {
-struct WorkerPool {
-  template <typename F>
-  void run(int n, F f);
-};
-}  // namespace common
 
 class Accumulator {
  public:
@@ -17,7 +11,6 @@ class Accumulator {
  private:
   void addSlow(int v);
 
-  common::WorkerPool *pool_ = nullptr;
   long total_ = 0;
   std::vector<int> vals_;
 };
@@ -29,8 +22,14 @@ void Accumulator::addSlow(int v) {
 
 void Accumulator::runAll() {
   int local = 0;
-  pool_->run(4, [&](int w) {
-    local += w;
-    addSlow(w);
-  });
+  auto work = [&] {
+    local += 1;
+    addSlow(1);
+  };
+  std::vector<std::thread> helpers;
+  for (int w = 1; w < 4; ++w)
+    helpers.emplace_back(work);
+  work();
+  for (auto &t : helpers)
+    t.join();
 }
