@@ -13,6 +13,11 @@ namespace capstan::lang {
 
 namespace {
 
+/** A uid's tile tag sits above its pending-slot bits. */
+constexpr int kUidTileShift = 40;
+constexpr std::uint64_t kUidSlotMask =
+    (std::uint64_t{1} << kUidTileShift) - 1;
+
 int
 portCount(int tiles)
 {
@@ -49,7 +54,8 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
     // tracking: every atomic round-trips to DRAM individually.
     int ag_entries = cfg.sparse_support ? 64 : 1;
     ag_busy_until_.assign(tiles, 0);
-    stall_base_.assign(tiles, 0);
+    completions_.resize(tiles);
+    refusals_.resize(tiles);
     for (int t = 0; t < tiles; ++t) {
         spmus_.push_back(
             std::make_unique<sim::SparseMemoryUnit>(cfg.spmu));
@@ -62,11 +68,15 @@ int
 Machine::addStage(int tile, const StageSpec &spec)
 {
     CAPSTAN_CHECK(tile >= 0 && tile < tiles());
-    Stage st;
+    Tile &tl = tiles_[tile];
+    std::size_t s = tl.stages.size();
+    Stage &st = tl.stages.emplace_back();
     st.spec = spec;
-    any_reduce_ = any_reduce_ || spec.kind == StageKind::Reduce;
-    tiles_[tile].stages.push_back(std::move(st));
-    return static_cast<int>(tiles_[tile].stages.size()) - 1;
+    // Take the ring this position had in an earlier chain: its buffer is
+    // already grown, so the next phase's tokens allocate nothing.
+    if (s < tl.spare_rings.size())
+        std::swap(st.in, tl.spare_rings[s]);
+    return static_cast<int>(s);
 }
 
 void
@@ -75,7 +85,7 @@ Machine::feed(int tile, const Token &token)
     CAPSTAN_CHECK(tile >= 0 && tile < tiles());
     CAPSTAN_CHECK(!tiles_[tile].stages.empty(),
                   "feed() before any addStage()");
-    tiles_[tile].stages[0].in.push_back(token);
+    pushInput(tile, 0, token);
 }
 
 void
@@ -116,15 +126,92 @@ Machine::feedScanWindows(int tile, const std::vector<Index> &window_pops,
     }
 }
 
-std::uint64_t
-Machine::makeUid(int tile)
+void
+Machine::pushInput(int t, int s, const Token &token)
 {
-    // Per-tile uid streams: a tile's sequence depends only on its own
-    // firing history. The tile tag starts at 1, keeping the whole space
-    // disjoint from the next_vec_id_ counter used for shuffle-ejected
-    // vectors.
-    return (static_cast<std::uint64_t>(tile + 1) << 40) |
-           tiles_[static_cast<std::size_t>(tile)].next_uid_seq++;
+    Tile &tile = tiles_[t];
+    tile.stages[s].in.push_back(token);
+    ++tile.work;
+    ++tile_work_;
+}
+
+void
+Machine::popInput(Tile &tile, Stage &st)
+{
+    st.in.pop_front();
+    --tile.work;
+    --tile_work_;
+}
+
+void
+Machine::addBurn(Tile &tile, int delta)
+{
+    tile.work += delta;
+    tile_work_ += delta;
+}
+
+void
+Machine::setReduceGroups(Tile &tile, Stage &st, int groups)
+{
+    int delta = (groups > 0 ? 1 : 0) - (st.reduce_groups > 0 ? 1 : 0);
+    tile.reducing += delta;
+    reducing_ += delta;
+    st.reduce_groups = groups;
+}
+
+std::uint64_t
+Machine::nextUid(int t) const
+{
+    const Tile &tile = tiles_[static_cast<std::size_t>(t)];
+    std::uint64_t slot = tile.free_slots.empty() ? tile.pending.size()
+                                                 : tile.free_slots.back();
+    return (static_cast<std::uint64_t>(t + 1) << kUidTileShift) | slot;
+}
+
+void
+Machine::issue(int t, int s, std::uint64_t uid, int parts,
+               Cycle ready_floor)
+{
+    CAPSTAN_DCHECK(uid == nextUid(t));
+    Tile &tile = tiles_[t];
+    if (!tile.free_slots.empty()) {
+        tile.free_slots.pop_back();
+    } else {
+        // Grow by doubling, as RediSearch's sparseVector::append does.
+        if (tile.pending.size() == tile.pending.capacity())
+            tile.pending.reserve(
+                std::max<std::size_t>(16, 2 * tile.pending.capacity()));
+        tile.pending.emplace_back();
+    }
+    Stage &st = tile.stages[s];
+    Pending &p = tile.pending[uid & kUidSlotMask];
+    p.stage = s;
+    p.remaining = parts;
+    p.ready_floor = ready_floor;
+    p.token = st.in.front();
+    ++st.in_flight;
+    ++in_flight_;
+    popInput(tile, st);
+    tile.last_active = now_;
+    cycle_progress_ = true;
+}
+
+bool
+Machine::enqueue(int t, const sim::AccessVector &av,
+                 std::span<const std::uint64_t> uids)
+{
+    if (spmus_[t]->tryEnqueue(av)) {
+        Completion &done = completions_[t].push_back_slot();
+        done.vec_id = av.id;
+        done.count = static_cast<int>(uids.size());
+        std::copy(uids.begin(), uids.end(), done.uid.begin());
+        return true;
+    }
+    Refusals &r = refusals_[t];
+    if (r.cycle != now_)
+        r = Refusals{now_, 0};
+    ++r.count;
+    return false;
 }
 
 bool
@@ -144,22 +231,27 @@ Machine::advance(int t, int s, Token token, Cycle extra_latency)
     cycle_progress_ = true;
     token.ready_at = now_ + extra_latency + cfg_.network_hop_latency;
     if (s + 1 < static_cast<int>(tile.stages.size()))
-        tile.stages[s + 1].in.push_back(token);
+        pushInput(t, s + 1, token);
 }
 
 void
 Machine::deliverPending(std::uint64_t uid)
 {
-    auto it = pending_.find(uid);
-    if (it == pending_.end())
+    int t = static_cast<int>(uid >> kUidTileShift) - 1;
+    Tile &tile = tiles_[t];
+    auto slot = static_cast<std::uint32_t>(uid & kUidSlotMask);
+    Pending &p = tile.pending[slot];
+    CAPSTAN_DCHECK(p.remaining > 0, "delivery to a free pending slot");
+    if (--p.remaining > 0)
         return;
-    if (--it->second.remaining > 0)
-        return;
-    Pending p = std::move(it->second);
-    pending_.erase(it);
+    tile.free_slots.push_back(slot);
+    --in_flight_;
+    Stage &st = tile.stages[p.stage];
+    --st.in_flight;
+    ++st.tokens_out;
+    // advance() copies the token and never touches the table.
     Cycle extra = p.ready_floor > now_ ? p.ready_floor - now_ : 0;
-    advance(p.tile, p.stage, p.token, extra);
-    ++tiles_[p.tile].stages[p.stage].tokens_out;
+    advance(t, p.stage, p.token, extra);
 }
 
 void
@@ -227,7 +319,7 @@ Machine::stepTile(int t)
             if (st.in.empty() || st.in.front().ready_at > now_)
                 break;
             Token tok = st.in.front();
-            st.in.pop_front();
+            popInput(tile, st);
             tile.last_active = now_;
             cycle_progress_ = true;
             ++st.tokens_out;
@@ -248,7 +340,7 @@ Machine::stepTile(int t)
                 break;
             }
             Token tok = st.in.front();
-            st.in.pop_front();
+            popInput(tile, st);
             if (s == laneCountStage(t)) {
                 int lanes = tok.validLanes();
                 totals_.active_lane_cycles += lanes;
@@ -270,8 +362,10 @@ Machine::stepTile(int t)
                 // Finishing the burn is an event: next cycle this stage
                 // can consume again (or unblock a reduction flush), so
                 // the fast-forward engine must not jump over it.
-                if (st.scan_skip_remaining == 0 && st.scan_occupied == 0)
+                if (!st.burning()) {
                     cycle_progress_ = true;
+                    addBurn(tile, -1);
+                }
                 break;
             }
             if (st.scan_occupied > 0) {
@@ -279,8 +373,10 @@ Machine::stepTile(int t)
                 // (or a slow data-scan sweep): busy, not a Scan stall.
                 --st.scan_occupied;
                 tile.last_active = now_;
-                if (st.scan_occupied == 0)
+                if (st.scan_occupied == 0) {
                     cycle_progress_ = true;
+                    addBurn(tile, -1);
+                }
                 break;
             }
             if (st.in.empty() || st.in.front().ready_at > now_ ||
@@ -288,7 +384,7 @@ Machine::stepTile(int t)
                 break;
             }
             Token tok = st.in.front();
-            st.in.pop_front();
+            popInput(tile, st);
             cycle_progress_ = true;
             // Empty windows preceding this token cost a cycle each.
             if (tok.scan_skip > 0)
@@ -310,6 +406,8 @@ Machine::stepTile(int t)
             if (occupancy > 1)
                 st.scan_occupied += static_cast<std::int64_t>(
                     occupancy - 1);
+            if (st.burning())
+                addBurn(tile, 1);
             if (tok.validLanes() > 0) {
                 advance(t, s, tok, st.spec.latency);
                 ++st.tokens_out;
@@ -323,7 +421,7 @@ Machine::stepTile(int t)
                 break;
             const Token &tok = st.in.front();
             sim::AccessVector av;
-            av.id = makeUid(t);
+            av.id = nextUid(t);
             for (int l = 0; l < cfg_.spmu.lanes; ++l) {
                 if (tok.valid_mask & (1u << l)) {
                     av.lane[l].valid = true;
@@ -331,12 +429,9 @@ Machine::stepTile(int t)
                     av.lane[l].op = st.spec.op;
                 }
             }
-            if (!spmus_[t]->tryEnqueue(av))
+            if (!enqueue(t, av, std::span(&av.id, 1)))
                 break;
-            pending_[av.id] = Pending{t, s, tok, 1};
-            st.in.pop_front();
-            tile.last_active = now_;
-            cycle_progress_ = true;
+            issue(t, s, av.id, 1);
             break;
           }
           case StageKind::SpmuCross: {
@@ -350,11 +445,11 @@ Machine::stepTile(int t)
                 // buffering, Section 5), but pay a serialized
                 // request/reply leg: remote lanes occupy the memory
                 // twice. Mutations cannot be duplicated and take the
-                // DRAM path below.
+                // DRAM path below. Both legs credit one access.
                 sim::AccessVector av;
-                av.id = makeUid(t);
+                av.id = nextUid(t);
                 sim::AccessVector reply;
-                reply.id = makeUid(t);
+                reply.id = av.id;
                 int remote = 0;
                 for (int l = 0; l < cfg_.spmu.lanes; ++l) {
                     if (!(tok.valid_mask & (1u << l)))
@@ -370,21 +465,13 @@ Machine::stepTile(int t)
                 }
                 if (spmus_[t]->occupancy() + (remote > 0 ? 2 : 1) >
                         cfg_.spmu.queue_depth ||
-                    !spmus_[t]->tryEnqueue(av)) {
+                    !enqueue(t, av, std::span(&av.id, 1))) {
                     break;
                 }
                 int parts = 1;
-                if (remote > 0 && spmus_[t]->tryEnqueue(reply)) {
+                if (remote > 0 && enqueue(t, reply, std::span(&av.id, 1)))
                     parts = 2;
-                    // The reply leg credits the same pending token.
-                    CrossLanes &origin = cross_lanes_[reply.id];
-                    origin.uid[0] = av.id;
-                    origin.count = 1;
-                }
-                pending_[av.id] = Pending{t, s, tok, parts, 0};
-                st.in.pop_front();
-                tile.last_active = now_;
-                cycle_progress_ = true;
+                issue(t, s, av.id, parts);
                 break;
             }
             if (cfg_.shuffle.mode == sim::MergeMode::None) {
@@ -394,7 +481,7 @@ Machine::stepTile(int t)
                 // columns). Without Capstan's burst-tracking AGs the
                 // round-trips also serialize.
                 sim::AccessVector av;
-                av.id = makeUid(t);
+                av.id = nextUid(t);
                 int local = 0;
                 std::array<std::uint64_t, sim::kMaxLanes> remote{};
                 std::size_t n_remote = 0;
@@ -429,22 +516,18 @@ Machine::stepTile(int t)
                         ag_busy_until_[t] = done;
                 }
                 if (local > 0) {
-                    if (!spmus_[t]->tryEnqueue(av))
+                    if (!enqueue(t, av, std::span(&av.id, 1)))
                         break;
-                    Pending p{t, s, tok, 1, done};
-                    pending_[av.id] = p;
-                    st.in.pop_front();
-                    tile.last_active = now_;
-                    cycle_progress_ = true;
+                    issue(t, s, av.id, 1, done);
                 } else {
                     Token moved = tok;
-                    st.in.pop_front();
+                    popInput(tile, st);
                     advance(t, s, moved, done - now_);
                     ++st.tokens_out;
                 }
                 break;
             }
-            std::uint64_t uid = makeUid(t);
+            std::uint64_t uid = nextUid(t);
             sim::ShuffleVector sv;
             sv.src_port = t;
             sv.id = uid;
@@ -463,16 +546,13 @@ Machine::stepTile(int t)
             }
             if (valid == 0) {
                 Token moved = tok;
-                st.in.pop_front();
+                popInput(tile, st);
                 advance(t, s, moved, 0);
                 break;
             }
             if (!shuffle_.tryInject(t, sv))
                 break;
-            pending_[uid] = Pending{t, s, tok, valid};
-            st.in.pop_front();
-            tile.last_active = now_;
-            cycle_progress_ = true;
+            issue(t, s, uid, valid);
             break;
           }
           case StageKind::DramStream:
@@ -482,7 +562,7 @@ Machine::stepTile(int t)
                 break;
             }
             Token tok = st.in.front();
-            st.in.pop_front();
+            popInput(tile, st);
             fireDramStage(t, s, tok);
             break;
           }
@@ -492,14 +572,14 @@ Machine::stepTile(int t)
                 break;
             }
             Token tok = st.in.front();
-            st.in.pop_front();
+            popInput(tile, st);
             tile.last_active = now_;
             cycle_progress_ = true;
             if (tok.end_group)
-                ++st.reduce_groups;
+                setReduceGroups(tile, st, st.reduce_groups + 1);
             if (st.reduce_groups >= cfg_.spmu.lanes) {
                 Token out = Token::compute(st.reduce_groups);
-                st.reduce_groups = 0;
+                setReduceGroups(tile, st, 0);
                 advance(t, s, out, st.spec.latency);
                 ++st.tokens_out;
             }
@@ -509,33 +589,87 @@ Machine::stepTile(int t)
     }
 }
 
+bool
+Machine::workRemains() const
+{
+    return tile_work_ > 0 || reducing_ > 0 || in_flight_ > 0 ||
+           held_ > 0 || !shuffle_.empty();
+}
+
+bool
+Machine::workRemainsScan() const
+{
+    if (!shuffle_.empty())
+        return true;
+    for (const auto &hold : eject_hold_) {
+        if (!hold.empty())
+            return true;
+    }
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+        if (!spmus_[t]->empty())
+            return true;
+        for (const Pending &p : tiles_[t].pending) {
+            if (p.remaining > 0)
+                return true;
+        }
+        for (const Stage &st : tiles_[t].stages) {
+            if (!st.in.empty() || st.burning() || st.reduce_groups > 0)
+                return true;
+        }
+    }
+    return false;
+}
+
+bool
+Machine::countersMatchScan() const
+{
+    std::int64_t tile_work = 0;
+    int reducing = 0;
+    std::uint64_t in_flight = 0;
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+        const Tile &tile = tiles_[t];
+        std::int64_t work = 0;
+        int tile_reducing = 0;
+        std::vector<int> stage_in_flight(tile.stages.size(), 0);
+        for (const Pending &p : tile.pending) {
+            if (p.remaining > 0) {
+                ++stage_in_flight[static_cast<std::size_t>(p.stage)];
+                ++in_flight;
+            }
+        }
+        for (std::size_t s = 0; s < tile.stages.size(); ++s) {
+            const Stage &st = tile.stages[s];
+            work += static_cast<std::int64_t>(st.in.size()) +
+                    (st.burning() ? 1 : 0);
+            tile_reducing += st.reduce_groups > 0 ? 1 : 0;
+            if (st.in_flight != stage_in_flight[s])
+                return false;
+        }
+        if (tile.work != work || tile.reducing != tile_reducing ||
+            completions_[t].empty() != spmus_[t]->empty()) {
+            return false;
+        }
+        tile_work += work;
+        reducing += tile_reducing;
+    }
+    std::uint64_t held = 0;
+    for (const auto &hold : eject_hold_)
+        held += hold.size();
+    return tile_work_ == tile_work && reducing_ == reducing &&
+           in_flight_ == in_flight && held_ == held &&
+           workRemains() == workRemainsScan();
+}
+
 PhaseStats
 Machine::runPhase(Cycle max_cycles)
 {
     Cycle start = now_;
-    auto workRemains = [&]() -> bool {
-        if (!pending_.empty() || !shuffle_.empty())
-            return true;
-        for (const auto &hold : eject_hold_) {
-            if (!hold.empty())
-                return true;
-        }
-        for (const auto &spmu : spmus_) {
-            if (!spmu->empty())
-                return true;
-        }
-        for (const Tile &tile : tiles_) {
-            for (const Stage &st : tile.stages) {
-                if (!st.in.empty() || st.scan_skip_remaining > 0 || st.scan_occupied > 0 ||
-                    st.reduce_groups > 0) {
-                    return true;
-                }
-            }
-        }
-        return false;
-    };
-
-    while (workRemains()) {
+    for (;;) {
+        // Every counter is cross-checked against the scan it replaced.
+        CAPSTAN_DCHECK(countersMatchScan(),
+                       "a work counter disagrees with its scan");
+        if (!workRemains())
+            break;
         // Cooperative cancellation (common/interrupt.hpp): the engine
         // arms a token around each job; polling it here lets
         // capstan-serve abort an in-flight simulation at a step
@@ -551,102 +685,100 @@ Machine::runPhase(Cycle max_cycles)
         // delivers nothing (scanner burns and latency waits only) lets
         // the machine fast-forward to the next event horizon below.
         cycle_progress_ = false;
-        // stall_base_[t] depends only on spmus_[t], which only tile t's
-        // own step touches, so it is captured just before that step.
+        // A tile with no queued token and no burn would step as a no-op.
         for (int t = 0; t < tiles(); ++t) {
-            stall_base_[t] = spmus_[t]->stats().enqueue_stalls;
+            if (tiles_[t].work == 0)
+                continue;
+            ++stepped_tiles_;
             stepTile(t);
         }
 
         // Shuffle network: move vectors a stage, then hand ejected
         // vectors to the owning tile's SpMU.
         shuffle_.step();
-        for (int p = 0; p < shuffle_.ports(); ++p) {
-            while (auto v = shuffle_.tryEject(p))
-                eject_hold_[p].push_back(std::move(*v));
+        if (shuffle_.hasDelivered()) {
+            for (int p = 0; p < shuffle_.ports(); ++p) {
+                while (auto v = shuffle_.tryEject(p)) {
+                    eject_hold_[p].push_back(std::move(*v));
+                    ++held_;
+                }
+            }
         }
-        for (int p = 0; p < shuffle_.ports() && p < tiles(); ++p) {
+        for (int p = 0; held_ > 0 && p < shuffle_.ports() && p < tiles();
+             ++p) {
             while (!eject_hold_[p].empty()) {
                 const sim::ShuffleVector &sv = eject_hold_[p].front();
                 sim::AccessVector av;
                 av.id = next_vec_id_++;
-                CrossLanes origin;
+                std::array<std::uint64_t, sim::kMaxLanes> uids{};
+                std::size_t n = 0;
                 for (int l = 0; l < cfg_.spmu.lanes; ++l) {
                     if (!sv.valid[l])
                         continue;
+                    std::uint64_t uid = sv.tag[l];
+                    const Tile &origin =
+                        tiles_[(uid >> kUidTileShift) - 1];
+                    const Pending &pend = origin.pending[uid & kUidSlotMask];
+                    CAPSTAN_DCHECK(pend.remaining > 0);
                     av.lane[l].valid = true;
                     av.lane[l].addr = sv.addr[l];
-                    auto it = pending_.find(sv.tag[l]);
-                    av.lane[l].op =
-                        it != pending_.end()
-                            ? tiles_[it->second.tile]
-                                  .stages[it->second.stage]
-                                  .spec.op
-                            : sim::AccessOp::Read;
-                    origin.uid[origin.count++] = sv.tag[l];
+                    av.lane[l].op = origin.stages[pend.stage].spec.op;
+                    uids[n++] = uid;
                 }
-                if (!spmus_[p]->tryEnqueue(av))
+                if (!enqueue(p, av, std::span(uids.data(), n)))
                     break;
-                cross_lanes_[av.id] = origin;
                 eject_hold_[p].pop_front();
+                --held_;
                 cycle_progress_ = true;
             }
         }
 
-        // SpMUs: advance and resolve completions.
+        // SpMUs: advance and resolve completions. An empty SpMU (no
+        // completion record) would step as a no-op.
         for (int t = 0; t < tiles(); ++t) {
+            if (completions_[t].empty())
+                continue;
             sim::SparseMemoryUnit &spmu = *spmus_[t];
             std::uint64_t grants_before = spmu.stats().grants;
-            if (!spmu.empty())
-                spmu.step();
+            spmu.step();
             if (spmu.stats().grants != grants_before)
                 cycle_progress_ = true;
             while (auto cv = spmu.tryDequeue()) {
                 cycle_progress_ = true;
-                auto cl = cross_lanes_.find(cv->id);
-                if (cl != cross_lanes_.end()) {
-                    const CrossLanes &origin = cl->second;
-                    for (int i = 0; i < origin.count; ++i)
-                        deliverPending(origin.uid[i]);
-                    cross_lanes_.erase(cl);
-                } else {
-                    deliverPending(cv->id);
-                }
+                const Completion &done = completions_[t].front();
+                CAPSTAN_DCHECK(done.vec_id == cv->id,
+                               "a SpMU dequeued out of enqueue order");
+                for (int i = 0; i < done.count; ++i)
+                    deliverPending(done.uid[i]);
+                completions_[t].pop_front();
             }
         }
 
-        // Flush partially filled reductions once their upstream drained.
-        for (int t = 0; any_reduce_ && t < tiles(); ++t) {
+        // Flush partially filled reductions once their upstream drained:
+        // no token or burn up to the Reduce, no access in flight before it.
+        for (int t = 0; reducing_ > 0 && t < tiles(); ++t) {
             Tile &tile = tiles_[t];
+            if (tile.reducing == 0)
+                continue;
+            int upstream_in_flight = 0;
             for (int s = 0;
                  s < static_cast<int>(tile.stages.size()); ++s) {
                 Stage &st = tile.stages[s];
-                if (st.spec.kind != StageKind::Reduce ||
-                    st.reduce_groups == 0 || !st.in.empty()) {
-                    continue;
-                }
-                bool upstream_empty = true;
-                for (int u = 0; u <= s && upstream_empty; ++u) {
+                bool flush = st.spec.kind == StageKind::Reduce &&
+                             st.reduce_groups > 0 && st.in.empty() &&
+                             upstream_in_flight == 0;
+                for (int u = 0; u <= s && flush; ++u) {
                     const Stage &up = tile.stages[u];
-                    if (!up.in.empty() || up.scan_skip_remaining > 0 || up.scan_occupied > 0)
-                        upstream_empty = false;
+                    if (!up.in.empty() || up.burning())
+                        flush = false;
                 }
-                if (!upstream_empty)
-                    continue;
-                // capstan-lint: allow(unordered-iter) -- existence
-                // scan: any iteration order yields the same boolean.
-                for (const auto &[uid, p] : pending_) {
-                    if (p.tile == t && p.stage < s) {
-                        upstream_empty = false;
-                        break;
-                    }
-                }
-                if (upstream_empty && stageHasRoom(t, s)) {
+                if (flush && stageHasRoom(t, s)) {
                     Token out = Token::compute(st.reduce_groups);
-                    st.reduce_groups = 0;
+                    setReduceGroups(tile, st, 0);
                     advance(t, s, out, st.spec.latency);
                     ++st.tokens_out;
                 }
+                upstream_in_flight += st.in_flight;
             }
         }
 
@@ -697,22 +829,16 @@ Machine::nextEventCycle() const
 
     Cycle target = sim::kNoEventCycle;
     for (const Tile &tile : tiles_) {
+        // Without a queued token or a burn the tile has no wake-up.
+        if (tile.work == 0)
+            continue;
         // A reduction holding a partial group can flush in the very
         // iteration an upstream burn drains (reduce_groups only changes
         // on progress, so this is frozen during a jump). In that case
         // the final burn cycle must execute densely — the bulk replay
         // would miss the same-iteration flush — so the burn horizon
         // stops one cycle short of the burn's end.
-        bool pending_reduce = false;
-        if (any_reduce_) {
-            for (const Stage &st : tile.stages) {
-                if (st.spec.kind == StageKind::Reduce &&
-                    st.reduce_groups > 0) {
-                    pending_reduce = true;
-                    break;
-                }
-            }
-        }
+        Cycle early = tile.reducing > 0 ? 1 : 0;
         for (const Stage &st : tile.stages) {
             // A burning scanner reaches its next decision (consume the
             // next window token, or unblock a reduction flush) once its
@@ -720,8 +846,7 @@ Machine::nextEventCycle() const
             std::int64_t burn = st.scan_skip_remaining + st.scan_occupied;
             if (burn > 0)
                 target = std::min(target,
-                                  now_ + static_cast<Cycle>(burn) -
-                                      (pending_reduce ? 1 : 0));
+                                  now_ + static_cast<Cycle>(burn) - early);
             // A stage whose head token ripens in the future wakes then.
             // Heads already ripe (ready_at < now_) are blocked on
             // capacity and wake via whichever unit frees it.
@@ -729,15 +854,16 @@ Machine::nextEventCycle() const
                 target = std::min(target, st.in.front().ready_at);
         }
     }
-    for (const auto &spmu : spmus_) {
-        if (spmu->empty())
+    for (int t = 0; t < tiles(); ++t) {
+        if (completions_[t].empty())
             continue;
         // The SpMU horizon is on its local clock, which advances once
         // per machine cycle while the unit is busy.
-        Cycle wake = spmu->nextEventCycle();
+        const sim::SparseMemoryUnit &spmu = *spmus_[t];
+        Cycle wake = spmu.nextEventCycle();
         CAPSTAN_DCHECK(wake != sim::kNoEventCycle,
                        "a non-empty SpMU must publish a horizon");
-        target = std::min(target, now_ + (wake - spmu->now()));
+        target = std::min(target, now_ + (wake - spmu.now()));
     }
     return target;
 }
@@ -754,8 +880,10 @@ Machine::fastForwardTo(Cycle target)
                    "fast-forward with vectors in the shuffle network");
     Cycle skipped = target - now_;
     for (Tile &tile : tiles_) {
+        if (tile.work == 0)
+            continue;
         for (Stage &st : tile.stages) {
-            if (st.scan_skip_remaining <= 0 && st.scan_occupied <= 0)
+            if (!st.burning())
                 continue;
             // Replay the per-cycle burn in bulk: empty windows first
             // (one Scan-stall cycle each), then occupancy. The stage is
@@ -775,16 +903,19 @@ Machine::fastForwardTo(Cycle target)
                 tile.last_active =
                     std::max(tile.last_active,
                              now_ + static_cast<Cycle>(burned) - 1);
+            if (!st.burning())
+                addBurn(tile, -1);
         }
     }
     // The shuffle network is drained (nextEventCycle() forbids jumping
     // otherwise); an empty step only advances its cycle statistic.
     shuffle_.skipCycles(skipped);
     for (int t = 0; t < tiles(); ++t) {
-        // Refused enqueues retry (and re-count) every skipped cycle.
-        std::uint64_t stalls =
-            spmus_[t]->stats().enqueue_stalls - stall_base_[t];
-        Cycle busy = spmus_[t]->empty() ? 0 : skipped;
+        // Refused enqueues retry (and re-count) every skipped cycle:
+        // those of the cycle just stepped, now_ - 1.
+        const Refusals &r = refusals_[t];
+        std::uint64_t stalls = r.cycle == now_ - 1 ? r.count : 0;
+        Cycle busy = completions_[t].empty() ? 0 : skipped;
         if (busy > 0 || stalls > 0)
             spmus_[t]->skipCycles(busy, stalls * skipped);
     }
@@ -794,12 +925,23 @@ Machine::fastForwardTo(Cycle target)
 void
 Machine::resetChains()
 {
+    CAPSTAN_DCHECK(in_flight_ == 0, "resetChains() with accesses in flight");
     for (Tile &tile : tiles_) {
+        // Keep each position's ring (emptied) for the next chain.
+        if (tile.spare_rings.size() < tile.stages.size())
+            tile.spare_rings.resize(tile.stages.size());
+        for (std::size_t s = 0; s < tile.stages.size(); ++s) {
+            tile.stages[s].in.clear();
+            std::swap(tile.stages[s].in, tile.spare_rings[s]);
+        }
         tile.stages.clear();
-        tile.next_uid_seq = 0;
+        // The dropped chain takes its tokens, burns and groups along.
+        tile_work_ -= tile.work;
+        reducing_ -= tile.reducing;
+        tile.work = 0;
+        tile.reducing = 0;
         tile.lane_count_stage = -1;
     }
-    any_reduce_ = false;
 }
 
 void

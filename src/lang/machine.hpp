@@ -5,10 +5,12 @@
  * Applications lower each outer-parallel tile to a *linear chain* of
  * pipeline stages (scan headers, vectorized map/reduce bodies, SpMU
  * accesses, DRAM streams and atomics). The Machine owns one SpMU per
- * tile, a shared DRAM model, and a shared shuffle network; it steps every
- * component each cycle until all chains drain. Iterative applications
- * run a *sequence of phases* (one per loop level or kernel); the machine
- * accumulates cycles and the stall statistics behind Fig. 7.
+ * tile, a shared DRAM model, and a shared shuffle network; each cycle it
+ * steps the components that have work (a tile with a queued token or a
+ * burning scanner, a SpMU holding vectors, a merge unit with input) until
+ * all chains drain. Iterative applications run a *sequence of phases*
+ * (one per loop level or kernel); the machine accumulates cycles and the
+ * stall statistics behind Fig. 7.
  *
  * Stepping is cycle-exact but not cycle-by-cycle: when a cycle makes no
  * observable progress (every stage is waiting on a token's ready_at, a
@@ -31,7 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -99,8 +101,8 @@ struct RunTotals
  * Cycle-stepped executor over a set of tile chains.
  *
  * Usage: construct, addStage() per tile to build chains, feed() tokens,
- * runPhase(); repeat (chains and feeds reset each phase, components and
- * totals persist), then read totals().
+ * runPhase(); repeat (chains and feeds reset each phase, components,
+ * totals and the stage rings' buffers persist), then read totals().
  */
 class Machine
 {
@@ -152,6 +154,13 @@ class Machine
      */
     std::uint64_t steppedCycles() const { return stepped_cycles_; }
 
+    /**
+     * stepTile() calls runPhase() made: a stepped cycle visits only the
+     * tiles with a queued token or a burning scanner. Host-side, like
+     * steppedCycles(), and never part of the stats.
+     */
+    std::uint64_t steppedTiles() const { return stepped_tiles_; }
+
     sim::DramModel &dram() { return dram_; }
     sim::SparseMemoryUnit &spmu(int tile) { return *spmus_[tile]; }
     sim::ShuffleNetwork &shuffle() { return shuffle_; }
@@ -169,39 +178,130 @@ class Machine
         std::int64_t scan_occupied = 0;
         // Reduce packing state.
         int reduce_groups = 0;
+        /** Memory accesses issued here and not yet delivered. */
+        int in_flight = 0;
         // Stats.
         std::uint64_t tokens_out = 0;
+
+        bool burning() const
+        {
+            return scan_skip_remaining > 0 || scan_occupied > 0;
+        }
+    };
+
+    /** In-flight memory access awaiting completion (one table slot). */
+    struct Pending
+    {
+        int stage = 0;
+        /** Deliveries still owed; 0 marks a free slot. */
+        int remaining = 0;
+        /** Earliest delivery cycle (e.g. a DRAM-atomic side leg). */
+        Cycle ready_floor = 0;
+        Token token;
     };
 
     struct Tile
     {
         std::vector<Stage> stages;
+        /**
+         * Input rings of earlier chains' stages, by position: addStage()
+         * hands position s the ring position s had before, so a ring's
+         * buffer survives resetChains().
+         */
+        std::vector<common::RingQueue<Token>> spare_rings;
+        /**
+         * Tokens queued in the stage rings plus burning Scan stages. Every
+         * stepTile() case needs one or the other, so at zero the tile is
+         * skipped.
+         */
+        std::int64_t work = 0;
+        /** Reduce stages holding a partial group. */
+        int reducing = 0;
+        /**
+         * In-flight accesses, indexed by the slot bits of their uid
+         * (grown by doubling), and the free slots, reused last-freed
+         * first.
+         */
+        std::vector<Pending> pending;
+        std::vector<std::uint32_t> free_slots;
         Cycle last_active = 0;
-        std::uint64_t next_uid_seq = 0;
         /** Stage where lane occupancy is counted (first Map or sink). */
         int lane_count_stage = -1;
+    };
+
+    /**
+     * One vector a SpMU accepted: the uids of the pending accesses its
+     * completion credits, one per valid lane for a vector ejected from
+     * the shuffle network. A SpMU dequeues in enqueue order, so each
+     * SpMU's records form a FIFO whose head is the dequeued vector's.
+     */
+    struct Completion
+    {
+        std::uint64_t vec_id = 0; //!< AccessVector id, checked on dequeue.
+        int count = 0;
+        std::array<std::uint64_t, sim::kMaxLanes> uid{};
+    };
+
+    /** Enqueues one SpMU refused during one cycle. */
+    struct Refusals
+    {
+        Cycle cycle = sim::kNoEventCycle;
+        std::uint64_t count = 0;
     };
 
     /** Resolve (and cache) the lane-accounting stage for tile @p t. */
     int laneCountStage(int t);
 
-    /** In-flight memory access awaiting completion. */
-    struct Pending
-    {
-        int tile = 0;
-        int stage = 0;
-        Token token;
-        int remaining = 1;
-        /** Earliest delivery cycle (e.g. a DRAM-atomic side leg). */
-        Cycle ready_floor = 0;
-    };
-
     void stepTile(int t);
     void fireDramStage(int t, int s, const Token &tok);
     bool stageHasRoom(int t, int s) const;
     void advance(int t, int s, Token token, Cycle extra_latency);
+
+    /** Queue @p token at stage @p s of tile @p t. */
+    void pushInput(int t, int s, const Token &token);
+    /** Drop the head token of @p st, a stage of @p tile. */
+    void popInput(Tile &tile, Stage &st);
+    /** Count a burn starting (+1) or ending (-1) on @p tile. */
+    void addBurn(Tile &tile, int delta);
+    /** Set a Reduce stage's partial group count. */
+    void setReduceGroups(Tile &tile, Stage &st, int groups);
+
+    /**
+     * The uid the next access issued by tile @p t takes: the tile tag
+     * (t + 1) << 40 (disjoint from next_vec_id_'s ids) OR'd with the
+     * pending slot it will occupy.
+     */
+    std::uint64_t nextUid(int t) const;
+
+    /**
+     * Issue the head token of stage @p s as access @p uid (which must be
+     * nextUid(t)), owed @p parts deliveries no earlier than
+     * @p ready_floor: take the slot, pop the token.
+     */
+    void issue(int t, int s, std::uint64_t uid, int parts,
+               Cycle ready_floor = 0);
+
+    /** Credit one delivery to access @p uid; the last one advances it. */
     void deliverPending(std::uint64_t uid);
-    std::uint64_t makeUid(int tile);
+
+    /**
+     * tryEnqueue() @p av at SpMU @p t. Accepted: record the accesses
+     * @p uids to credit when the vector dequeues. Refused: count the
+     * refusal for fastForwardTo().
+     */
+    bool enqueue(int t, const sim::AccessVector &av,
+                 std::span<const std::uint64_t> uids);
+
+    /** True while a token, burn, group, access or vector is in flight. */
+    bool workRemains() const;
+
+    /**
+     * The full scans the counters replace, for the Debug cross-checks:
+     * workRemains() recomputed from the rings, stages and units, and
+     * whether every counter equals its scan.
+     */
+    bool workRemainsScan() const;
+    bool countersMatchScan() const;
 
     /**
      * Earliest cycle >= now_ at which any stage or unit can do
@@ -232,22 +332,18 @@ class Machine
     /** Blocking-AG state for configs without burst tracking. */
     std::vector<Cycle> ag_busy_until_;
     std::vector<Tile> tiles_;
-    std::unordered_map<std::uint64_t, Pending> pending_;
-
-    /** Origin token uids of a cross-tile SpMU vector, one per lane. */
-    struct CrossLanes
-    {
-        std::array<std::uint64_t, sim::kMaxLanes> uid{};
-        int count = 0;
-    };
-    /** SpMU vector id -> origin token uids (one per valid lane). */
-    std::unordered_map<std::uint64_t, CrossLanes> cross_lanes_;
+    /** Per-SpMU completion records, in enqueue order. */
+    std::vector<common::RingQueue<Completion>> completions_;
+    /** Per-SpMU refusals of the last cycle that had any. */
+    std::vector<Refusals> refusals_;
     /** Vectors ejected from the shuffle but refused by a busy SpMU. */
     std::vector<common::RingQueue<sim::ShuffleVector>> eject_hold_;
-    /** Per-tile SpMU enqueue-stall count at the start of the cycle. */
-    std::vector<std::uint64_t> stall_base_;
-    /** Any chain has a Reduce stage (gates the per-cycle flush scan). */
-    bool any_reduce_ = false;
+    // Counters behind workRemains(): the sums of Tile::work and
+    // Tile::reducing, live pending slots, and vectors in eject_hold_.
+    std::int64_t tile_work_ = 0;
+    int reducing_ = 0;
+    std::uint64_t in_flight_ = 0;
+    std::uint64_t held_ = 0;
     /** Whether the current cycle did observable work (gates jumps). */
     bool cycle_progress_ = false;
     /** CAPSTAN_NO_FF=1 at construction: never fast-forward. */
@@ -257,6 +353,7 @@ class Machine
     double stream_compression_ = 1.0;
     RunTotals totals_;
     std::uint64_t stepped_cycles_ = 0;
+    std::uint64_t stepped_tiles_ = 0;
 };
 
 } // namespace capstan::lang

@@ -52,6 +52,7 @@ ShuffleNetwork::ShuffleNetwork(const ShuffleConfig &cfg, int lanes)
                      std::vector<Fifo>(cfg.ports, Fifo(kChannelDepth)));
     outputs_.assign(cfg.ports, Fifo(kChannelDepth));
     in_flight_.assign(stages_, std::vector<int>(cfg.ports / 2, 0));
+    stage_live_.assign(stages_, 0);
 }
 
 int
@@ -93,6 +94,7 @@ ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
         return false;
     ch.push_back(v);
     ++live_;
+    ++stage_live_[0];
     ++stats_.injected;
     return true;
 }
@@ -134,17 +136,35 @@ ShuffleNetwork::step()
         return; // Nothing buffered between stages: stepping moves nothing.
     // Walk stages from last to first so a vector advances one stage per
     // cycle (moving the later stages first frees room for earlier ones).
+    // A stage without input, and a merge unit whose two inputs are both
+    // empty, would move nothing: skip them.
     for (int s = stages_ - 1; s >= 0; --s) {
+        CAPSTAN_DCHECK(stage_live_[s] == bufferedScan(s));
+        if (stage_live_[s] == 0)
+            continue;
         int bit = stages_ - 1 - s; // MSB first (Fig. 3e).
         int group = cfg_.ports >> s;
         int half = group / 2;
+        const std::vector<Fifo> &in = channels_[s];
         for (int base = 0; base < cfg_.ports; base += group) {
             for (int off = 0; off < half; ++off) {
-                stepUnit(s, (base / group) * half + off, base + off,
-                         base + off + half, bit);
+                int p0 = base + off;
+                if (in[p0].empty() && in[p0 + half].empty())
+                    continue;
+                stepUnit(s, (base / group) * half + off, p0, p0 + half,
+                         bit);
             }
         }
     }
+}
+
+int
+ShuffleNetwork::bufferedScan(int s) const
+{
+    int n = 0;
+    for (const Fifo &ch : channels_[s])
+        n += static_cast<int>(ch.size());
+    return n;
 }
 
 void
@@ -153,8 +173,7 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
     if (in_flight_[s][unit] >= cfg_.fifo_depth)
         return; // Inverse-permutation FIFO exhausted.
     Fifo *ins[2] = {&channels_[s][p0], &channels_[s][p1]};
-    if (ins[0]->empty() && ins[1]->empty())
-        return;
+    CAPSTAN_DCHECK(!ins[0]->empty() || !ins[1]->empty());
 
     // Plan: split each head on this stage's bit. frag[i][d] holds the
     // lanes head i sends low (d = 0, port p0) or high (d = 1, p1).
@@ -248,6 +267,7 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
             ++stats_.ejected;
         } else {
             ++live_;
+            ++stage_live_[s + 1];
         }
     };
     for (int d = 0; d < 2; ++d) {
@@ -280,6 +300,7 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
         if (!in->empty()) {
             in->pop_front();
             --live_;
+            --stage_live_[s];
         }
     }
 }

@@ -113,6 +113,9 @@ class ShuffleNetwork
     /** True when nothing is buffered anywhere in the network. */
     bool empty() const { return live_ == 0 && delivered_ == 0; }
 
+    /** True when some output port holds a vector for tryEject(). */
+    bool hasDelivered() const { return delivered_ > 0; }
+
     const ShuffleStats &stats() const { return stats_; }
 
     /** Fraction of attempted merges that packed into one vector. */
@@ -134,6 +137,9 @@ class ShuffleNetwork
      * touched once the downstream buffers have room for the outputs.
      */
     void stepUnit(int s, int unit, int p0, int p1, int bit);
+
+    /** Vectors in stage @p s's channels, counted (Debug cross-check). */
+    int bufferedScan(int s) const;
 
     /**
      * Pack fragment @p b into fragment @p a (lane masks) with the
@@ -165,6 +171,8 @@ class ShuffleNetwork
     ShuffleStats stats_;
     /** Vectors buffered between stages; 0 makes step() an O(1) no-op. */
     int live_ = 0;
+    /** Vectors in each stage's channels; step() skips stages at 0. */
+    std::vector<int> stage_live_;
     /** Vectors waiting in outputs_ for tryEject(). */
     int delivered_ = 0;
     bool auto_retire_ = true;

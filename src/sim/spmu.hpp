@@ -151,7 +151,14 @@ class SparseMemoryUnit
      */
     void skipCycles(Cycle cycles, std::uint64_t repeated_enqueue_stalls = 0);
 
-    /** Pop the oldest fully-completed vector, if any (one per cycle). */
+    /**
+     * Pop the oldest fully-completed vector, if any (one per cycle).
+     * Guarantee: vectors leave in the order tryEnqueue() accepted them,
+     * under every ordering mode and variant (ideal, input speedup, the
+     * Plasticine handicaps), because only the issue queue's head
+     * completes and a split vector's parts are queued back to back.
+     * lang::Machine matches completions to requesters by this order.
+     */
     std::optional<CompletedVector> tryDequeue();
 
     /** True when no work is in flight. */

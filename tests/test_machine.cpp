@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <random>
 
 #include "lang/machine.hpp"
@@ -40,6 +41,87 @@ addrToken(const std::vector<std::uint32_t> &addrs)
     for (std::size_t i = 0; i < addrs.size(); ++i)
         t.addr[i] = addrs[i];
     return t;
+}
+
+/**
+ * Three phases on one machine, rebuilt through resetChains() with 4, 3
+ * and 6 stages, so each chain takes over rings an earlier one grew:
+ * cross-tile reads reduced in groups; scanner burns ahead of cross-tile
+ * AddF32 updates; and a DRAM stream, a local SpMU read, a cross-tile
+ * read and a cross-tile AddF32 in one chain. Every fifth tile idles;
+ * a quarter of the lanes stay local. Returns the tokens the sinks must
+ * retire.
+ */
+std::uint64_t
+runCrossTileProgram(Machine &m, std::uint32_t seed)
+{
+    const int tiles = m.tiles();
+    std::mt19937 rng(seed);
+    auto tokensFor = [&](int t) {
+        return t % 5 == 0 ? 0 : 1 + static_cast<int>(rng() % 40);
+    };
+    auto crossToken = [&]() {
+        Token tok;
+        int lanes = 1 + static_cast<int>(rng() % 16);
+        tok.valid_mask = static_cast<std::uint16_t>((1u << lanes) - 1);
+        tok.has_addr = true;
+        tok.bytes = 64;
+        for (int l = 0; l < lanes; ++l) {
+            tok.addr[l] = rng() % 65536;
+            tok.lane_tile[l] = static_cast<std::int8_t>(
+                rng() % 4 == 0 ? -1 : static_cast<int>(rng() % tiles));
+        }
+        return tok;
+    };
+    std::uint64_t expected = 0;
+
+    for (int t = 0; t < tiles; ++t) {
+        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::Read});
+        m.addStage(t, {StageKind::Map, 2});
+        m.addStage(t, {StageKind::Reduce, 1});
+        m.addStage(t, {StageKind::Sink});
+        int n = tokensFor(t);
+        int groups = 0;
+        for (int i = 0; i < n; ++i) {
+            Token tok = crossToken();
+            tok.end_group = i % 3 == 2 || i == n - 1;
+            groups += tok.end_group ? 1 : 0;
+            m.feed(t, tok);
+        }
+        expected += static_cast<std::uint64_t>((groups + 15) / 16);
+    }
+    m.runPhase();
+    m.resetChains();
+
+    for (int t = 0; t < tiles; ++t) {
+        m.addStage(t, {StageKind::Scan, 1});
+        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32});
+        m.addStage(t, {StageKind::Sink});
+        int n = tokensFor(t);
+        for (int i = 0; i < n; ++i) {
+            Token tok = crossToken();
+            tok.scan_skip = static_cast<std::int32_t>(rng() % 6);
+            m.feed(t, tok);
+        }
+        expected += static_cast<std::uint64_t>(n);
+    }
+    m.runPhase();
+    m.resetChains();
+
+    for (int t = 0; t < tiles; ++t) {
+        m.addStage(t, {StageKind::DramStream, 1});
+        m.addStage(t, {StageKind::Spmu, 1, AccessOp::Read});
+        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::Read, 1024});
+        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32, 2048});
+        m.addStage(t, {StageKind::Map, 1});
+        m.addStage(t, {StageKind::Sink});
+        int n = tokensFor(t);
+        for (int i = 0; i < n; ++i)
+            m.feed(t, crossToken());
+        expected += static_cast<std::uint64_t>(n);
+    }
+    m.runPhase();
+    return expected;
 }
 
 } // namespace
@@ -387,4 +469,82 @@ TEST(MachineProperty, TokensConserved)
         m.runPhase();
         ASSERT_EQ(m.totals().tokens, static_cast<std::uint64_t>(fed));
     }
+}
+
+/**
+ * Property: a multi-phase cross-tile program on 64 tiles conserves
+ * tokens, and its stats equal dense one-cycle stepping (CAPSTAN_NO_FF=1,
+ * read per Machine): the work counters behind the jump horizons and the
+ * refusal replay stay exact while rings change hands. Runs through the
+ * shuffle (Mrg-1) and without it (two-leg reads, DRAM-atomic updates).
+ */
+TEST(MachineProperty, CrossTilePhasesMatchDenseStepping)
+{
+    ASSERT_EQ(std::getenv("CAPSTAN_NO_FF"), nullptr);
+    for (sim::MergeMode mode : {sim::MergeMode::Mrg1, sim::MergeMode::None}) {
+        SCOPED_TRACE(sim::mergeModeName(mode));
+        CapstanConfig cfg = hbmConfig();
+        cfg.shuffle.mode = mode;
+        Machine fast(cfg, 64);
+        std::uint64_t expected = runCrossTileProgram(fast, 41);
+        ::setenv("CAPSTAN_NO_FF", "1", 1);
+        Machine dense(cfg, 64);
+        runCrossTileProgram(dense, 41);
+        ::unsetenv("CAPSTAN_NO_FF");
+
+        EXPECT_EQ(fast.totals().tokens, expected);
+        EXPECT_EQ(dense.steppedCycles(), dense.totals().cycles);
+        EXPECT_LT(fast.steppedTiles(), 64 * fast.steppedCycles());
+
+        const RunTotals &a = fast.totals();
+        const RunTotals &b = dense.totals();
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.active_lane_cycles, b.active_lane_cycles);
+        EXPECT_EQ(a.vector_idle_lane_cycles, b.vector_idle_lane_cycles);
+        EXPECT_EQ(a.scan_empty_cycles, b.scan_empty_cycles);
+        EXPECT_EQ(a.imbalance_lane_cycles, b.imbalance_lane_cycles);
+        EXPECT_EQ(a.tokens, b.tokens);
+
+        sim::SpmuStats sa = fast.spmuTotals();
+        sim::SpmuStats sb = dense.spmuTotals();
+        EXPECT_GT(sa.vectors_in, 0u);
+        EXPECT_EQ(sa.cycles, sb.cycles);
+        EXPECT_EQ(sa.grants, sb.grants);
+        EXPECT_EQ(sa.vectors_in, sb.vectors_in);
+        EXPECT_EQ(sa.vectors_out, sb.vectors_out);
+        EXPECT_EQ(sa.enqueue_stalls, sb.enqueue_stalls);
+        EXPECT_EQ(sa.elided_reads, sb.elided_reads);
+        EXPECT_EQ(sa.splits, sb.splits);
+
+        const sim::DramStats &da = fast.dram().stats();
+        const sim::DramStats &db = dense.dram().stats();
+        EXPECT_GT(da.bytes, 0u);
+        EXPECT_EQ(da.bursts, db.bursts);
+        EXPECT_EQ(da.reads, db.reads);
+        EXPECT_EQ(da.writes, db.writes);
+        EXPECT_EQ(da.row_hits, db.row_hits);
+        EXPECT_EQ(da.row_misses, db.row_misses);
+        EXPECT_EQ(da.bytes, db.bytes);
+    }
+}
+
+TEST(Machine, SteppedCyclesVisitOnlyTilesWithWork)
+{
+    // Work on tile 0 only, and a token or a burn in its chain on every
+    // cycle: each stepped cycle steps that one tile, not all 64.
+    Machine m(hbmConfig(), 64);
+    m.addStage(0, {StageKind::Scan, 1});
+    m.addStage(0, {StageKind::Map, 3});
+    m.addStage(0, {StageKind::DramStream, 1});
+    m.addStage(0, {StageKind::Sink});
+    for (int i = 0; i < 50; ++i) {
+        Token t = Token::compute(16);
+        t.scan_skip = i % 4;
+        t.bytes = 64;
+        m.feed(0, t);
+    }
+    m.runPhase();
+    EXPECT_EQ(m.totals().tokens, 50u);
+    EXPECT_GT(m.steppedCycles(), 0u);
+    EXPECT_EQ(m.steppedTiles(), m.steppedCycles());
 }

@@ -115,6 +115,42 @@ goldens()
     return g;
 }
 
+/**
+ * The many-tile regime: idle tiles, more shuffle ports than tiles, and
+ * the no-shuffle paths. Captured before runPhase() skipped idle tiles
+ * and merge units; identical under CAPSTAN_NO_FF=1.
+ */
+const std::vector<Golden> &
+manyTileGoldens()
+{
+    static const std::vector<Golden> g = {
+        {"sssp-64-tiles",
+         {"--app", "sssp", "--scale", "0.5", "--tiles", "64"},
+         21562, 13254, 67578, 5957, 414800, 5052, 40045, 39762, 0},
+        // Remote updates become DRAM atomics.
+        {"bfs-64-tiles-merge-none",
+         {"--app", "bfs", "--scale", "0.5", "--tiles", "64", "--merge",
+          "none"},
+         66327, 12582, 64298, 6022, 16525296, 4805, 21856, 20658, 0},
+        // Remote reads stay on-chip with a reply leg.
+        {"pagerank-64-tiles-merge-none",
+         {"--app", "pagerank", "--scale", "0.5", "--tiles", "64",
+          "--iterations", "1", "--merge", "none"},
+         319, 12768, 67968, 0, 46976, 342, 10439, 23495, 26},
+        // Reductions flush behind in-flight accesses.
+        {"bicgstab-64-tiles",
+         {"--app", "bicgstab", "--scale", "0.2", "--tiles", "64",
+          "--iterations", "1"},
+         1220, 37768, 48024, 0, 119392, 512, 16292, 32366, 92},
+        // 5 tiles on 8 shuffle ports.
+        {"spmv-5-tiles-mrg16",
+         {"--app", "spmv", "--scale", "0.3", "--tiles", "5", "--merge",
+          "mrg16"},
+         885, 24682, 35030, 0, 304, 235, 3752, 24682, 0},
+    };
+    return g;
+}
+
 /** JSON stats of one in-process `capstan-run <args>`. */
 std::string
 runJson(const std::vector<std::string> &args)
@@ -143,7 +179,10 @@ idleLatencyPhase()
 
 TEST(MachineGolden, CycleCountsAndStallBreakdownsAreBitIdentical)
 {
-    for (const Golden &g : goldens()) {
+    std::vector<Golden> all = goldens();
+    all.insert(all.end(), manyTileGoldens().begin(),
+               manyTileGoldens().end());
+    for (const Golden &g : all) {
         SCOPED_TRACE(g.name);
         ParseResult pr = parseArgs(g.args);
         ASSERT_TRUE(pr.ok()) << pr.error;
@@ -172,7 +211,7 @@ TEST(MachineGolden, NoFastForwardSwitchIsReadPerMachineAndExact)
     // flip jumps over the idle wait, one built after steps every
     // cycle. Simulations run earlier in this process must not latch it.
     ASSERT_EQ(std::getenv("CAPSTAN_NO_FF"), nullptr);
-    const std::vector<std::vector<std::string>> points = {
+    std::vector<std::vector<std::string>> points = {
         {"--app", "pagerank", "--scale", "0.02", "--tiles", "4",
          "--iterations", "1"},
         {"--app", "bfs", "--scale", "0.02", "--tiles", "4",
@@ -180,6 +219,8 @@ TEST(MachineGolden, NoFastForwardSwitchIsReadPerMachineAndExact)
         {"--app", "spmspm", "--scale", "0.02", "--tiles", "4",
          "--iterations", "1"},
     };
+    for (const Golden &g : manyTileGoldens())
+        points.push_back(g.args);
     std::vector<std::string> fast;
     for (const auto &p : points)
         fast.push_back(runJson(p));

@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "sim/config.hpp"
 #include "sim/spmu.hpp"
 
 using namespace capstan::sim;
@@ -357,14 +361,30 @@ TEST(SpmuThroughput, ArbitratedNearPaperValue)
     EXPECT_LT(u, 0.45);
 }
 
-/** Property: every enqueued vector eventually dequeues exactly once. */
+/**
+ * Property: every enqueued vector dequeues exactly once, in enqueue
+ * order (tryDequeue()'s guarantee, which lang::Machine's completion
+ * FIFO relies on), for every ordering mode and SpMU variant.
+ */
 TEST(SpmuProperty, ConservationOfVectors)
 {
     std::mt19937 rng(91);
+    std::vector<std::pair<std::string, SpmuConfig>> variants;
     for (Ordering mode : {Ordering::Unordered, Ordering::AddressOrdered,
                           Ordering::FullyOrdered, Ordering::Arbitrated}) {
         SpmuConfig cfg;
         cfg.ordering = mode;
+        variants.emplace_back(orderingName(mode), cfg);
+    }
+    SpmuConfig ideal;
+    ideal.ideal = true;
+    variants.emplace_back("ideal", ideal);
+    SpmuConfig speedup;
+    speedup.input_speedup = 2;
+    variants.emplace_back("input_speedup=2", speedup);
+    // Arbitrated, weak allocator, rmw_blocks and single_access.
+    variants.emplace_back("plasticine", CapstanConfig::plasticine().spmu);
+    for (const auto &[name, cfg] : variants) {
         SparseMemoryUnit spmu(cfg, true);
         std::uint64_t id = 0;
         std::vector<CompletedVector> done;
@@ -394,9 +414,9 @@ TEST(SpmuProperty, ConservationOfVectors)
             else
                 spmu.step();
         }
-        ASSERT_EQ(done.size(), 200u) << orderingName(mode);
+        ASSERT_EQ(done.size(), 200u) << name;
         for (std::size_t i = 0; i < done.size(); ++i)
-            ASSERT_EQ(done[i].id, i) << orderingName(mode);
+            ASSERT_EQ(done[i].id, i) << name;
     }
 }
 
