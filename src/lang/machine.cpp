@@ -207,11 +207,26 @@ Machine::enqueue(int t, const sim::AccessVector &av,
         std::copy(uids.begin(), uids.end(), done.uid.begin());
         return true;
     }
+    countRefusal(t);
+    return false;
+}
+
+bool
+Machine::refuseIfFull(int t)
+{
+    if (!spmus_[t]->refuseIfFull())
+        return false;
+    countRefusal(t);
+    return true;
+}
+
+void
+Machine::countRefusal(int t)
+{
     Refusals &r = refusals_[t];
     if (r.cycle != now_)
         r = Refusals{now_, 0};
     ++r.count;
-    return false;
 }
 
 bool
@@ -417,8 +432,10 @@ Machine::stepTile(int t)
             break;
           }
           case StageKind::Spmu: {
-            if (st.in.empty() || st.in.front().ready_at > now_)
+            if (st.in.empty() || st.in.front().ready_at > now_ ||
+                refuseIfFull(t)) {
                 break;
+            }
             const Token &tok = st.in.front();
             sim::AccessVector av;
             av.id = nextUid(t);
@@ -706,7 +723,9 @@ Machine::runPhase(Cycle max_cycles)
         }
         for (int p = 0; held_ > 0 && p < shuffle_.ports() && p < tiles();
              ++p) {
-            while (!eject_hold_[p].empty()) {
+            // A full SpMU refuses before the vector is built, so a
+            // refused attempt takes no vector id.
+            while (!eject_hold_[p].empty() && !refuseIfFull(p)) {
                 const sim::ShuffleVector &sv = eject_hold_[p].front();
                 sim::AccessVector av;
                 av.id = next_vec_id_++;

@@ -292,6 +292,16 @@ class Machine
     bool enqueue(int t, const sim::AccessVector &av,
                  std::span<const std::uint64_t> uids);
 
+    /**
+     * Refusal before build: when SpMU @p t's queue is full, count the
+     * refusal exactly as a refused enqueue() would and return true, so
+     * the caller skips building the vector.
+     */
+    bool refuseIfFull(int t);
+
+    /** Count one refused enqueue at SpMU @p t for fastForwardTo(). */
+    void countRefusal(int t);
+
     /** True while a token, burn, group, access or vector is in flight. */
     bool workRemains() const;
 

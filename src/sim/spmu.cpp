@@ -94,21 +94,13 @@ SparseMemoryUnit::bloomMayConflict(const AccessVector &av) const
 }
 
 int
-SparseMemoryUnit::buildSlots(const AccessVector &av) const
+SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
 {
     bool capstan_mode = cfg_.ordering != Ordering::Arbitrated;
     bool split_mode = cfg_.ordering == Ordering::AddressOrdered;
-
-    int n_parts = 0;
-    auto addPart = [&]() {
-        if (static_cast<int>(parts_.size()) == n_parts)
-            parts_.emplace_back();
-        Slot &slot = parts_[n_parts++];
-        slot = Slot{};
-        slot.av.id = av.id;
-        slot.dup_of.fill(-1);
-    };
-    addPart();
+    plan.parts = 1;
+    plan.valid[0] = 0;
+    plan.dup = 0;
 
     // Per distinct address (at most one per lane): the part index of
     // the last access touching it, and the lane of a part-0 read usable
@@ -136,8 +128,7 @@ SparseMemoryUnit::buildSlots(const AccessVector &av) const
             }
         }
         if (sa == nullptr) {
-            parts_[0].av.lane[l] = lr;
-            parts_[0].valid |= bit;
+            plan.valid[0] |= bit;
             seen[n_seen++] = {
                 lr.addr, 0,
                 capstan_mode && isReadOnly(lr.op) ? l : -1};
@@ -147,88 +138,109 @@ SparseMemoryUnit::buildSlots(const AccessVector &av) const
         // this address is the part-0 read (no intervening write).
         if (capstan_mode && isReadOnly(lr.op) && sa->master_lane >= 0 &&
             sa->last_part == 0) {
-            parts_[0].av.lane[l] = lr;
-            parts_[0].valid |= bit;
-            parts_[0].dup |= bit;
-            parts_[0].dup_of[l] =
-                static_cast<std::int8_t>(sa->master_lane);
+            plan.valid[0] |= bit;
+            plan.dup |= bit;
+            plan.dup_of[l] = static_cast<std::int8_t>(sa->master_lane);
             continue;
         }
         if (!split_mode) {
             // Unordered / fully-ordered / arbitrated keep same-address
             // lanes in one vector; the bank serializes them.
-            parts_[0].av.lane[l] = lr;
-            parts_[0].valid |= bit;
+            plan.valid[0] |= bit;
             continue;
         }
         // Address-ordered: defer to the part after the last one touching
         // this address, so same-address accesses keep program order.
         int part = sa->last_part + 1;
-        while (n_parts <= part)
-            addPart();
-        parts_[part].av.lane[l] = lr;
-        parts_[part].valid |= bit;
+        for (; plan.parts <= part; ++plan.parts)
+            plan.valid[plan.parts] = 0;
+        plan.valid[part] |= bit;
         sa->last_part = part;
     }
+    return plan.parts;
+}
 
-    for (int p = 0; p < n_parts; ++p) {
-        Slot &slot = parts_[p];
-        slot.parts = static_cast<std::uint8_t>(n_parts);
+void
+SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
+{
+    bool bloom = cfg_.ordering == Ordering::AddressOrdered;
+    for (int p = 0; p < plan.parts; ++p) {
+        // The ring slot still holds an older vector: reset every field a
+        // later reader uses. The others are read only for lanes written
+        // below (av.lane, bank, dup_of) or once a lane issues (done_at).
+        // completeLanes() copies all 16 results out.
+        Slot &slot = queue_.push_back_slot();
+        slot.req.fill(0);
+        slot.result.fill(Value{0});
+        slot.av.id = av.id;
+        slot.valid = plan.valid[p];
+        slot.dup = p == 0 ? plan.dup : 0;
         slot.pending = slot.valid & static_cast<std::uint16_t>(~slot.dup);
+        slot.rmw_second_pass = 0;
+        slot.parts = static_cast<std::uint8_t>(plan.parts);
         common::simd::forEachSetBit(slot.valid, [&](int l) {
-            slot.bank[l] = static_cast<std::int8_t>(
-                bankOf(slot.av.lane[l].addr));
+            const LaneRequest &lr = av.lane[l];
+            slot.av.lane[l] = lr;
+            int bank = bankOf(lr.addr);
+            slot.bank[l] = static_cast<std::int8_t>(bank);
+            if (slot.dup & (1u << l)) {
+                slot.dup_of[l] = plan.dup_of[l];
+                return;
+            }
+            slot.req[l] = 1u << bank;
             // Plasticine RMW handicap: modifications need a second
             // (write) pass after the read returns.
-            if (cfg_.rmw_blocks && (slot.pending & (1u << l)) &&
-                !isReadOnly(slot.av.lane[l].op)) {
-                slot.rmw_second_pass |=
-                    static_cast<std::uint16_t>(1u << l);
-            }
+            if (cfg_.rmw_blocks && !isReadOnly(lr.op))
+                slot.rmw_second_pass |= static_cast<std::uint16_t>(1u << l);
+            if (bloom)
+                ++bloom_[bloomIndex(lr.addr)];
         });
+        stats_.elided_reads +=
+            static_cast<std::uint64_t>(std::popcount(slot.dup));
     }
-    return n_parts;
 }
 
 int
-SparseMemoryUnit::admit(const AccessVector &av) const
+SparseMemoryUnit::admit(const AccessVector &av, SplitPlan &plan) const
 {
     int free_slots = cfg_.queue_depth - static_cast<int>(queue_.size());
     if (free_slots <= 0)
         return 0;
     if (cfg_.ordering == Ordering::AddressOrdered && bloomMayConflict(av))
         return 0;
-    int parts = buildSlots(av);
+    int parts = planSlots(av, plan);
     return parts <= free_slots ? parts : 0;
 }
 
 bool
 SparseMemoryUnit::canEnqueue(const AccessVector &av) const
 {
-    return admit(av) > 0;
+    SplitPlan plan;
+    return admit(av, plan) > 0;
 }
 
 bool
 SparseMemoryUnit::tryEnqueue(const AccessVector &av)
 {
-    int n_parts = admit(av);
+    SplitPlan plan;
+    int n_parts = admit(av, plan);
     if (n_parts == 0) {
         ++stats_.enqueue_stalls;
         return false;
     }
     stats_.splits += static_cast<std::uint64_t>(n_parts - 1);
-    for (int p = 0; p < n_parts; ++p) {
-        const Slot &slot = parts_[p];
-        stats_.elided_reads += static_cast<std::uint64_t>(
-            std::popcount(slot.dup));
-        if (cfg_.ordering == Ordering::AddressOrdered) {
-            common::simd::forEachSetBit(slot.pending, [&](int l) {
-                ++bloom_[bloomIndex(slot.av.lane[l].addr)];
-            });
-        }
-        queue_.push_back(slot);
-    }
+    fillSlots(av, plan);
     ++stats_.vectors_in;
+    return true;
+}
+
+bool
+SparseMemoryUnit::refuseIfFull()
+{
+    // admit()'s first test, counted as tryEnqueue() counts a refusal.
+    if (static_cast<int>(queue_.size()) < cfg_.queue_depth)
+        return false;
+    ++stats_.enqueue_stalls;
     return true;
 }
 
@@ -291,6 +303,7 @@ SparseMemoryUnit::issueLane(Slot &slot, int lane, int bank)
 {
     CAPSTAN_DCHECK(slot.pending & (1u << lane));
     slot.pending &= static_cast<std::uint16_t>(~(1u << lane));
+    slot.req[lane] = 0;
     if (cfg_.ordering == Ordering::AddressOrdered) {
         // Ordering is locked in once an access issues (same address =>
         // same bank => in-order completion), so it stops conflicting.
@@ -316,54 +329,74 @@ SparseMemoryUnit::priorityWindow(int iter) const
     return d;
 }
 
-void
-SparseMemoryUnit::addSlotRequests(RequestMatrix &req, int s)
+bool
+SparseMemoryUnit::rowsMatchPending() const
 {
-    const Slot &slot = queue_[s];
-    std::uint32_t p = slot.pending;
-    if (p == 0)
-        return;
-    // With input speedup k, slot parity selects the virtual lane
-    // group, modelling the banked input queue.
-    int base = (cfg_.input_speedup > 1)
-                   ? (s % cfg_.input_speedup) * cfg_.lanes
-                   : 0;
-    common::simd::forEachSetBit(p, [&](int l) {
-        std::uint32_t bit = 1u << slot.bank[l];
-        if (req[base + l] & bit)
-            return;
-        // Slots are added oldest first, so the first to request a
-        // (virtual lane, bank) pair is the one its grant issues from.
-        req[base + l] |= bit;
-        owner_[base + l][slot.bank[l]] = s;
-    });
+    for (std::size_t s = 0; s < queue_.size(); ++s) {
+        const Slot &slot = queue_[s];
+        for (int l = 0; l < kMaxLanes; ++l) {
+            std::uint32_t row = (slot.pending & (1u << l))
+                                    ? 1u << slot.bank[l]
+                                    : 0;
+            if (slot.req[l] != row)
+                return false;
+        }
+    }
+    return true;
+}
+
+int
+SparseMemoryUnit::oldestRequesterScan(int v, int bank) const
+{
+    int group = v / cfg_.lanes;
+    int lane = v % cfg_.lanes;
+    for (std::size_t s = 0; s < queue_.size(); ++s) {
+        const Slot &slot = queue_[s];
+        if (static_cast<int>(s) % cfg_.input_speedup == group &&
+            (slot.pending & (1u << lane)) && slot.bank[lane] == bank) {
+            return static_cast<int>(s);
+        }
+    }
+    return -1;
 }
 
 void
 SparseMemoryUnit::allocateScheduled()
 {
-    if (queue_.empty())
+    const int n = static_cast<int>(queue_.size());
+    if (n == 0)
         return;
-    int iters = alloc_.iterations();
-    mats_scratch_.clear();
+    // With input speedup 2, slot parity selects the virtual lane group
+    // (virtual lanes [g * lanes, (g + 1) * lanes) for group g),
+    // modelling the banked input queue. Each group ORs its slots' rows
+    // into its own accumulator, a local array so the compiler
+    // vectorizes the fixed 16-wide loop.
+    const int groups = cfg_.input_speedup;
+    std::uint32_t acc[2][kMaxLanes] = {};
     // The priority windows expand monotonically, so each iteration's
     // matrix is the previous one plus the newly admitted slots. Once a
     // window covers the whole queue every later matrix is identical,
     // and the allocator reuses the last one (a common case: short
     // queues collapse to a single matrix).
-    RequestMatrix acc{};
-    acc.fill(0);
+    mats_scratch_.clear();
     int built = 0;
-    for (int i = 0; i < iters; ++i) {
+    for (int i = 0; i < alloc_.iterations(); ++i) {
         int window = cfg_.allocator == AllocatorKind::Weak
                          ? cfg_.queue_depth
                          : priorityWindow(i);
-        int limit =
-            std::min<int>(window, static_cast<int>(queue_.size()));
-        for (; built < limit; ++built)
-            addSlotRequests(acc, built);
-        mats_scratch_.push_back(acc);
-        if (limit == static_cast<int>(queue_.size()))
+        int limit = std::min(window, n);
+        for (; built < limit; ++built) {
+            const Slot &slot = queue_[static_cast<std::size_t>(built)];
+            int g = groups > 1 ? built & 1 : 0;
+            for (int l = 0; l < kMaxLanes; ++l)
+                acc[g][l] |= slot.req[l];
+        }
+        // Whole 16-entry copies, in group order: a group's entries past
+        // `lanes` are zero, and the next group's copy overwrites them.
+        RequestMatrix &mat = mats_scratch_.emplace_back();
+        for (int g = 0; g < groups; ++g)
+            std::copy_n(acc[g], kMaxLanes, mat.begin() + g * cfg_.lanes);
+        if (limit == n)
             break;
     }
     AllocResult res = alloc_.allocate(mats_scratch_);
@@ -372,14 +405,18 @@ SparseMemoryUnit::allocateScheduled()
         if (bank < 0)
             continue;
         // Oldest-first priority encoder within the lane (Fig. 3, step
-        // 7): the oldest slot of v's group with that lane pending on
-        // that bank, recorded while the matrices were built. Grants to
-        // other virtual lanes cannot clear its pending bit.
-        int lane = v % cfg_.lanes;
-        Slot &slot = queue_[static_cast<std::size_t>(owner_[v][bank])];
-        CAPSTAN_DCHECK((slot.pending & (1u << lane)) &&
-                       slot.bank[lane] == bank);
-        issueLane(slot, lane, bank);
+        // 7): the oldest slot of v's group whose row holds the bank.
+        // Some slot does, or the lane would not have bid for it; grants
+        // to other virtual lanes cannot clear that bit.
+        int group = v >= cfg_.lanes ? 1 : 0;
+        int lane = v - group * cfg_.lanes;
+        std::uint32_t bit = 1u << bank;
+        int s = group;
+        while ((queue_[static_cast<std::size_t>(s)].req[lane] & bit) == 0)
+            s += groups;
+        CAPSTAN_DCHECK(s == oldestRequesterScan(v, bank),
+                       "a grant resolved to the wrong slot");
+        issueLane(queue_[static_cast<std::size_t>(s)], lane, bank);
     }
 }
 
@@ -435,6 +472,9 @@ SparseMemoryUnit::allocateArbitrated()
             }
             slot.pending = slot.rmw_second_pass;
             slot.rmw_second_pass = 0;
+            common::simd::forEachSetBit(slot.pending, [&](int l) {
+                slot.req[l] = 1u << slot.bank[l];
+            });
         }
         std::uint32_t banks_used = 0;
         std::uint32_t lanes = slot.pending;
@@ -526,6 +566,8 @@ SparseMemoryUnit::completeLanes()
 void
 SparseMemoryUnit::step()
 {
+    CAPSTAN_DCHECK(rowsMatchPending(),
+                   "a request row disagrees with its pending lanes");
     // Drain-only cycles (every lane issued, waiting on the bank
     // pipeline) skip the allocators entirely.
     bool can_issue = false;

@@ -102,8 +102,11 @@ struct SpmuStats
 /**
  * Cycle-stepped sparse memory unit.
  *
- * Usage per cycle: tryEnqueue() new work (at most one vector), step(),
- * then tryDequeue() at most one completed vector.
+ * Usage per cycle: offer new work with tryEnqueue(), step(), then drain
+ * completed vectors with tryDequeue(). lang::Machine offers up to two
+ * vectors a cycle (its Spmu stage plus a vector ejected from the
+ * shuffle network, or both legs of a no-shuffle remote read) and drains
+ * every completed one.
  */
 class SparseMemoryUnit
 {
@@ -127,6 +130,15 @@ class SparseMemoryUnit
      * @return false if refused (queue full or Bloom-filter conflict).
      */
     bool tryEnqueue(const AccessVector &av);
+
+    /**
+     * Refuse before the vector is built: when the issue queue is full,
+     * count one refused enqueue exactly as a refused tryEnqueue() would
+     * and return true. With room it counts nothing and returns false;
+     * tryEnqueue() may still refuse (a Bloom-filter conflict, or more
+     * parts than free slots).
+     */
+    bool refuseIfFull();
 
     /** Advance one clock cycle: allocate, issue, execute, complete. */
     void step();
@@ -152,7 +164,7 @@ class SparseMemoryUnit
     void skipCycles(Cycle cycles, std::uint64_t repeated_enqueue_stalls = 0);
 
     /**
-     * Pop the oldest fully-completed vector, if any (one per cycle).
+     * Pop the oldest fully-completed vector, if any.
      * Guarantee: vectors leave in the order tryEnqueue() accepted them,
      * under every ordering mode and variant (ideal, input speedup, the
      * Plasticine handicaps), because only the issue queue's head
@@ -195,30 +207,52 @@ class SparseMemoryUnit
     const std::vector<GrantRecord> &grantTrace() const { return trace_; }
 
   private:
-    struct Slot
+    struct alignas(64) Slot
     {
-        AccessVector av;
+        /**
+         * Request row: 1 << bank for each pending lane, 0 elsewhere.
+         * First, so a grant's owner scan reads one cache line per slot.
+         */
+        std::array<std::uint32_t, kMaxLanes> req{};
         std::uint16_t valid = 0;   //!< Lanes carrying an access.
         std::uint16_t dup = 0;     //!< Valid lanes elided onto a master.
         std::uint16_t pending = 0; //!< Valid, not elided, not yet issued.
         std::uint16_t rmw_second_pass = 0; //!< Write pass (rmw_blocks).
-        std::array<Cycle, kMaxLanes> done_at{};
-        std::array<std::int8_t, kMaxLanes> dup_of{}; //!< Elision master.
-        /** bankOf(addr) per valid lane, hashed once at enqueue. */
-        std::array<std::int8_t, kMaxLanes> bank{};
-        std::array<Value, kMaxLanes> result{};
         /** Parts the vector was split into (1: completes directly). */
         std::uint8_t parts = 1;
+        /** bankOf(addr) per valid lane, hashed once at enqueue. */
+        std::array<std::int8_t, kMaxLanes> bank{};
+        std::array<std::int8_t, kMaxLanes> dup_of{}; //!< Elision master.
+        std::array<Cycle, kMaxLanes> done_at{};
+        std::array<Value, kMaxLanes> result{};
+        AccessVector av;
+    };
+
+    /** How an enqueue splits a vector into issue-queue slots. */
+    struct SplitPlan
+    {
+        int parts = 1;
+        std::array<std::uint16_t, kMaxLanes> valid{}; //!< Lanes per part.
+        /** Part-0 lanes elided onto a master, and each one's master. */
+        std::uint16_t dup = 0;
+        std::array<std::int8_t, kMaxLanes> dup_of{};
     };
 
     /**
-     * Split @p av into ordered parts with elision markers applied, in
-     * parts_[0, n); returns n. The scratch is reused across calls.
+     * Planning pass of an enqueue: give each valid lane of @p av its part
+     * (same-address accesses keep program order) and elision master, in
+     * @p plan; returns the part count.
      */
-    int buildSlots(const AccessVector &av) const;
+    int planSlots(const AccessVector &av, SplitPlan &plan) const;
 
-    /** Queue slots @p av would take this cycle, or 0 if refused. */
-    int admit(const AccessVector &av) const;
+    /** Fill pass: write @p av's planned parts straight into the queue. */
+    void fillSlots(const AccessVector &av, const SplitPlan &plan);
+
+    /**
+     * Queue slots @p av would take this cycle, planned in @p plan, or 0
+     * if refused.
+     */
+    int admit(const AccessVector &av, SplitPlan &plan) const;
 
     void allocateScheduled();
     void allocateFullyOrdered();
@@ -229,10 +263,13 @@ class SparseMemoryUnit
     Value executeOp(std::uint32_t addr, AccessOp op, Value operand);
 
     /**
-     * OR slot @p s's pending requests into @p req, recording in owner_
-     * each (virtual lane, bank) request the slot is the first to make.
+     * The scans the request rows replace, for the Debug cross-checks:
+     * whether every slot's row matches its pending lanes and banks, and
+     * the oldest slot of virtual lane @p v's group with that lane
+     * pending on @p bank (-1 if none).
      */
-    void addSlotRequests(RequestMatrix &req, int s);
+    bool rowsMatchPending() const;
+    int oldestRequesterScan(int v, int bank) const;
 
     /** Priority window (slot count) for allocator iteration @p iter. */
     int priorityWindow(int iter) const;
@@ -245,15 +282,7 @@ class SparseMemoryUnit
     SeparableAllocator alloc_;
     /** Reused per-iteration request matrices (no per-step allocation). */
     std::vector<RequestMatrix> mats_scratch_;
-    /**
-     * owner_[v][b]: the oldest queue slot requesting bank b on virtual
-     * lane v in the matrices being built; read only for requests made
-     * this cycle.
-     */
-    std::array<std::array<int, 32>, kMaxVirtualLanes> owner_{};
-    /** buildSlots() output; canEnqueue() fills it too, hence mutable. */
-    mutable std::vector<Slot> parts_;
-    /** Issue queue; canEnqueue() bounds it at the queue depth. */
+    /** Issue queue; admit() bounds it at the queue depth. */
     common::RingQueue<Slot> queue_;
     /** Completed vectors awaiting tryDequeue(). */
     common::RingQueue<CompletedVector> ready_;

@@ -151,6 +151,41 @@ manyTileGoldens()
     return g;
 }
 
+/**
+ * Saturated SpMUs: Conv keeps every issue queue full, so the Spmu stage
+ * and the eject-hold loop are refused tens of thousands of times (27,817
+ * to 194,400 refusals across the rows). Captured before a full queue
+ * refused an enqueue without building its vector; identical under
+ * CAPSTAN_NO_FF=1.
+ */
+const std::vector<Golden> &
+saturatedSpmuGoldens()
+{
+    static const std::vector<Golden> g = {
+        {"conv",
+         {"--app", "conv", "--scale", "0.2", "--tiles", "4"},
+         7442, 50518, 171578, 0, 6000, 13881, 27706, 99884, 31575},
+        {"conv-plasticine",
+         {"--app", "conv", "--scale", "0.2", "--tiles", "4", "--config",
+          "plasticine"},
+         41998, 50518, 171578, 0, 42208, 13881, 163676, 149826, 194400},
+        // Bloom-filter refusals still go through tryEnqueue().
+        {"conv-address-ordered",
+         {"--app", "conv", "--scale", "0.2", "--tiles", "4", "--ordering",
+          "address"},
+         7560, 50518, 171578, 0, 6368, 13881, 28156, 99884, 37321},
+        {"conv-weak-allocator",
+         {"--app", "conv", "--scale", "0.2", "--tiles", "4", "--allocator",
+          "weak"},
+         9541, 50518, 171578, 0, 6128, 13881, 36081, 99884, 42442},
+        {"conv-queue-depth-32",
+         {"--app", "conv", "--scale", "0.2", "--tiles", "4",
+          "--queue-depth", "32"},
+         7444, 50518, 171578, 0, 5984, 13881, 27694, 99884, 27817},
+    };
+    return g;
+}
+
 /** JSON stats of one in-process `capstan-run <args>`. */
 std::string
 runJson(const std::vector<std::string> &args)
@@ -182,6 +217,8 @@ TEST(MachineGolden, CycleCountsAndStallBreakdownsAreBitIdentical)
     std::vector<Golden> all = goldens();
     all.insert(all.end(), manyTileGoldens().begin(),
                manyTileGoldens().end());
+    all.insert(all.end(), saturatedSpmuGoldens().begin(),
+               saturatedSpmuGoldens().end());
     for (const Golden &g : all) {
         SCOPED_TRACE(g.name);
         ParseResult pr = parseArgs(g.args);
@@ -220,6 +257,8 @@ TEST(MachineGolden, NoFastForwardSwitchIsReadPerMachineAndExact)
          "--iterations", "1"},
     };
     for (const Golden &g : manyTileGoldens())
+        points.push_back(g.args);
+    for (const Golden &g : saturatedSpmuGoldens())
         points.push_back(g.args);
     std::vector<std::string> fast;
     for (const auto &p : points)

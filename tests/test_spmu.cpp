@@ -3,10 +3,10 @@
  * Tests for the Sparse Memory Unit (Section 3.1).
  *
  * Covers functional RMW semantics, repeated-read elision, ordering-mode
- * behaviour, and the qualitative throughput claims behind Table 4 and
- * Fig. 4: deeper queues and more priorities raise bank utilization, and
- * Unordered > Address-Ordered > Arbitrated > Fully-Ordered on random
- * traces.
+ * behaviour, refusal accounting, and the qualitative throughput claims
+ * behind Table 4 and Fig. 4: deeper queues and more priorities raise
+ * bank utilization, and Unordered > Address-Ordered > Arbitrated >
+ * Fully-Ordered on random traces.
  */
 
 #include <gtest/gtest.h>
@@ -282,6 +282,67 @@ TEST(Spmu, AddressOrderedBlocksConflictingVectors)
     EXPECT_TRUE(spmu.tryEnqueue(av2));
     drain(spmu);
     EXPECT_FLOAT_EQ(spmu.peek(123), 2.0f);
+}
+
+TEST(Spmu, FullQueueRefusesBeforeBuildAsTryEnqueueWould)
+{
+    // The machine skips building a vector for a full SpMU; the refusal
+    // it records must be the one a refused tryEnqueue() records.
+    for (Ordering mode : {Ordering::Unordered, Ordering::AddressOrdered,
+                          Ordering::FullyOrdered, Ordering::Arbitrated}) {
+        SCOPED_TRACE(orderingName(mode));
+        SpmuConfig cfg;
+        cfg.ordering = mode;
+        cfg.queue_depth = 4;
+        SparseMemoryUnit pre(cfg);
+        SparseMemoryUnit tried(cfg);
+        // With room, the pre-check passes and counts nothing.
+        EXPECT_FALSE(pre.refuseIfFull());
+        EXPECT_EQ(pre.stats().enqueue_stalls, 0u);
+        // Fill both with identical offers of fresh addresses (the Bloom
+        // filter may still refuse some under address ordering).
+        std::uint32_t addr = 0;
+        for (std::uint64_t id = 1; pre.occupancy() < cfg.queue_depth; ++id) {
+            ASSERT_LT(id, 1000u) << "the queue never filled";
+            AccessVector av;
+            av.id = id;
+            for (int l = 0; l < 4; ++l) {
+                av.lane[l].valid = true;
+                av.lane[l].addr = addr++;
+            }
+            ASSERT_EQ(pre.tryEnqueue(av), tried.tryEnqueue(av));
+        }
+        ASSERT_EQ(tried.occupancy(), cfg.queue_depth);
+        std::uint64_t stalls = pre.stats().enqueue_stalls;
+
+        EXPECT_TRUE(pre.refuseIfFull());
+        EXPECT_FALSE(
+            tried.tryEnqueue(makeVector(99, {{0, 5000, AccessOp::Read, 0}})));
+        EXPECT_EQ(pre.stats().enqueue_stalls, stalls + 1);
+        const SpmuStats &a = pre.stats();
+        const SpmuStats &b = tried.stats();
+        EXPECT_EQ(a.enqueue_stalls, b.enqueue_stalls);
+        EXPECT_EQ(a.vectors_in, b.vectors_in);
+        EXPECT_EQ(a.splits, b.splits);
+        EXPECT_EQ(a.elided_reads, b.elided_reads);
+        EXPECT_EQ(pre.occupancy(), tried.occupancy());
+    }
+}
+
+TEST(Spmu, BloomConflictPassesThePreCheckAndTryEnqueueRefuses)
+{
+    SpmuConfig cfg;
+    cfg.ordering = Ordering::AddressOrdered;
+    SparseMemoryUnit spmu(cfg);
+    ASSERT_TRUE(
+        spmu.tryEnqueue(makeVector(1, {{0, 123, AccessOp::AddF32, 1.0f}})));
+    // The queue has room, so only tryEnqueue() sees the conflict.
+    EXPECT_FALSE(spmu.refuseIfFull());
+    EXPECT_EQ(spmu.stats().enqueue_stalls, 0u);
+    EXPECT_FALSE(
+        spmu.tryEnqueue(makeVector(2, {{3, 123, AccessOp::AddF32, 1.0f}})));
+    EXPECT_EQ(spmu.stats().enqueue_stalls, 1u);
+    EXPECT_EQ(spmu.occupancy(), 1);
 }
 
 TEST(Spmu, IdealModeIgnoresBankConflicts)

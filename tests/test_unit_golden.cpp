@@ -218,6 +218,21 @@ TEST(UnitGolden, SpmuTrafficDigestsPerMode)
              c.ordering = Ordering::AddressOrdered;
          }),
          0x3742960b07fff18f},
+        // Virtual-lane groups narrower than a slot's 16-entry row.
+        {"narrow-lanes-input-speedup-2",
+         spmuWith([](SpmuConfig &c) {
+             c.lanes = 8;
+             c.input_speedup = 2;
+         }),
+         0x6bfa56975a4b4d6b},
+        // A priority-window boundary inside a short queue.
+        {"short-queue-two-windows",
+         spmuWith([](SpmuConfig &c) {
+             c.queue_depth = 5;
+             c.priorities = 2;
+             c.alloc_iterations = 2;
+         }),
+         0x55acc2bf465759b4},
     };
     for (const SpmuGolden &g : goldens) {
         std::uint64_t got = spmuDigest(g.cfg, 2024);
