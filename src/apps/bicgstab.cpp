@@ -123,7 +123,6 @@ runBicgstab(const MatrixView &m, const DenseVector &b, int iterations,
                 }
                 emitChunks(len, [&](Index base, int lanes) {
                     Token tok = Token::compute(lanes);
-                    tok.has_addr = true;
                     tok.bytes = 8 * lanes + (base == 0 ? 4 : 0);
                     tok.end_group = base + lanes >= len;
                     for (int l = 0; l < lanes; ++l) {

@@ -122,7 +122,6 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
                     emitChunks(static_cast<Index>(ks.size()),
                                [&](Index base, int lanes) {
                         Token tok = Token::compute(lanes);
-                        tok.has_addr = true;
                         // The activation value + coordinates stream in
                         // with the first chunk.
                         tok.bytes = first ? 8 : 0;

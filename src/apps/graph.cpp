@@ -64,7 +64,6 @@ feedLevel(Machine &mach, const MatrixView &graph, const Tiling &tiling,
             bool first = true;
             emitChunks(len, [&](Index base, int lanes) {
                 Token tok = Token::compute(lanes);
-                tok.has_addr = true;
                 // Destination pointer + weight per edge.
                 tok.bytes = 8 * lanes + (base == 0 ? 8 : 0);
                 tok.scan_skip =

@@ -75,7 +75,6 @@ runPageRankPull(const MatrixView &graph, int iterations,
                 }
                 emitChunks(len, [&](Index base, int lanes) {
                     Token tok = Token::compute(lanes);
-                    tok.has_addr = true;
                     // Edge pointers, plus the row pointer and the rank
                     // and degree loads / rank store for this vertex
                     // (all data round-trips DRAM each iteration).
@@ -139,7 +138,6 @@ runPageRankEdge(const MatrixView &graph, int iterations,
                 emitChunks(static_cast<Index>(dsts.size()),
                            [&](Index base, int lanes) {
                     Token tok = Token::compute(lanes);
-                    tok.has_addr = true;
                     // Source + destination pointers per edge; source
                     // pointers repeat and compress well (Fig. 5c).
                     tok.bytes = 8 * lanes;

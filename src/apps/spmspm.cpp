@@ -105,7 +105,6 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
                 bool first = true;
                 emitChunks(len, [&](Index base, int lanes) {
                     Token tok = Token::compute(lanes);
-                    tok.has_addr = true;
                     // The A entry (8 B) rides on the first chunk; B
                     // data is already on-chip.
                     tok.bytes = first ? 8 : 0;
@@ -149,7 +148,6 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
                 }
                 emitChunks(pop, [&](Index chunk_base, int lanes) {
                     Token tok = Token::compute(lanes);
-                    tok.has_addr = true;
                     tok.scan_skip = skip;
                     skip = 0;
                     tok.bytes = 8 * lanes; // store (index, value).

@@ -61,7 +61,6 @@ runSpmvCsr(const MatrixView &m, const DenseVector &v,
             }
             emitChunks(len, [&](Index base, int lanes) {
                 Token tok = Token::compute(lanes);
-                tok.has_addr = true;
                 for (int l = 0; l < lanes; ++l)
                     tok.addr[l] =
                         static_cast<std::uint32_t>(idx[base + l]);
@@ -120,7 +119,6 @@ runSpmvCoo(const MatrixView &m, const DenseVector &v,
             int lanes = static_cast<int>(
                 std::min<Index64>(sim::kMaxLanes, end - base));
             Token tok = Token::compute(lanes);
-            tok.has_addr = true;
             tok.bytes = 12 * lanes; // row + col + value per entry.
             for (int l = 0; l < lanes; ++l) {
                 const sparse::Triplet &e = coo.entries()[base + l];
@@ -192,7 +190,6 @@ runSpmvCsc(const MatrixView &m, const DenseVector &v,
                 continue;
             emitChunks(len, [&](Index base, int lanes) {
                 Token tok = Token::compute(lanes);
-                tok.has_addr = true;
                 tok.bytes = 8 * lanes + (base == 0 ? 8 : 0);
                 tok.scan_elems =
                     base == 0 ? static_cast<std::int32_t>(this_gap) : 0;

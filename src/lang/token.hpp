@@ -29,9 +29,11 @@ struct Token
     /** Lane occupancy; popcount is the useful-work lane count. */
     std::uint16_t valid_mask = 0xFFFF;
 
-    /** Per-lane word addresses, meaningful when has_addr is set. */
+    /**
+     * Per-lane word addresses, read by the memory stages for the lanes
+     * in valid_mask (each stage adds its own addr_offset).
+     */
     std::array<std::uint32_t, sim::kMaxLanes> addr{};
-    bool has_addr = false;
 
     /**
      * Per-lane owning tile for cross-tile memory stages; -1 means the

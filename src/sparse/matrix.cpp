@@ -9,16 +9,26 @@ namespace capstan::sparse {
 
 namespace {
 
-/** Sort row-major and sum duplicate coordinates in place. */
+/**
+ * Sort row-major and sum duplicate coordinates in place. Triplets
+ * already strictly increasing in (row, col), as a file written in
+ * row-major order lists them, are their own sorted and merged form,
+ * so they are left as they are.
+ */
 void
 canonicalize(std::vector<Triplet> &triplets)
 {
-    std::sort(triplets.begin(), triplets.end(),
-              [](const Triplet &a, const Triplet &b) {
-                  if (a.row != b.row)
-                      return a.row < b.row;
-                  return a.col < b.col;
-              });
+    auto before = [](const Triplet &a, const Triplet &b) {
+        if (a.row != b.row)
+            return a.row < b.row;
+        return a.col < b.col;
+    };
+    if (std::adjacent_find(triplets.begin(), triplets.end(),
+                           [&](const Triplet &a, const Triplet &b) {
+                               return !before(a, b);
+                           }) == triplets.end())
+        return;
+    std::sort(triplets.begin(), triplets.end(), before);
     std::size_t out = 0;
     for (std::size_t i = 0; i < triplets.size(); ++i) {
         if (out > 0 && triplets[out - 1].row == triplets[i].row &&

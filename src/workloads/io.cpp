@@ -1,6 +1,8 @@
 #include "workloads/io.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cstdint>
@@ -9,7 +11,7 @@
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -56,49 +58,132 @@ lower(std::string s)
     return s;
 }
 
-/** Split a line into whitespace-separated tokens. */
-std::vector<std::string_view>
-tokenize(const std::string &line)
+/** Whitespace as std::isspace reads it in the "C" locale. */
+bool
+isSpace(char c)
 {
-    std::vector<std::string_view> tokens;
-    std::size_t i = 0;
-    while (i < line.size()) {
-        while (i < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-        std::size_t start = i;
-        while (i < line.size() &&
-               !std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-        if (i > start)
-            tokens.emplace_back(&line[start], i - start);
-    }
-    return tokens;
+    return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 /**
- * Read the next non-blank, non-comment line into @p line, stripping a
- * trailing '\r' (CRLF tolerance). Lines starting with any character
- * in @p comment_chars are skipped. Returns false at end of input;
- * @p line_no tracks the physical line number for diagnostics.
+ * The text readers' view of a stream: one line at a time through a
+ * fixed read buffer, each line split into whitespace-separated tokens.
+ *
+ * Lines end where std::getline ends them: before a '\n', with a last
+ * line that lacks one still counted, and a trailing '\r' is dropped
+ * (CRLF tolerance). Only a partial line carries over from one read to
+ * the next, so the reader holds kReadBufferBytes however long the
+ * file is; the buffer grows (doubling) only to fit a longer line.
+ * lineNo() is the physical line number of the current line.
  */
-bool
-nextDataLine(std::istream &in, std::string &line,
-             const char *comment_chars, std::size_t &line_no)
+class LineCursor
 {
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        std::size_t i = line.find_first_not_of(" \t");
-        if (i == std::string::npos)
-            continue;
-        if (std::strchr(comment_chars, line[i]))
-            continue;
+  public:
+    /** Tokens split() keeps: the most any line needs (the header's). */
+    static constexpr std::size_t kMaxTokens = 5;
+
+    explicit LineCursor(std::istream &in)
+        : in_(in), buf_(kReadBufferBytes)
+    {
+    }
+
+    /** Move to the next physical line; false at end of input. */
+    bool next()
+    {
+        const char *nl;
+        while (!(nl = static_cast<const char *>(std::memchr(
+                     buf_.data() + pos_, '\n', end_ - pos_)))) {
+            if (!refill()) {
+                if (pos_ == end_)
+                    return false;
+                nl = buf_.data() + end_; // A last line without '\n'.
+                break;
+            }
+        }
+        const char *first = buf_.data() + pos_;
+        std::size_t len = static_cast<std::size_t>(nl - first);
+        pos_ = std::min(pos_ + len + 1, end_);
+        if (len > 0 && first[len - 1] == '\r')
+            --len;
+        line_ = {first, len};
+        ++line_no_;
         return true;
     }
-    return false;
-}
+
+    /**
+     * Move to the next line that is neither blank (spaces and tabs
+     * only) nor a comment (its first character after any spaces and
+     * tabs is in @p comment_chars); false at end of input.
+     */
+    bool nextData(const char *comment_chars)
+    {
+        while (next()) {
+            std::size_t i = line_.find_first_not_of(" \t");
+            if (i != std::string_view::npos &&
+                !std::strchr(comment_chars, line_[i]))
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * Split the current line at whitespace. Returns the token count;
+     * only the first kMaxTokens are kept for token().
+     */
+    std::size_t split()
+    {
+        const char *p = line_.data();
+        const char *end = p + line_.size();
+        std::size_t n = 0;
+        for (;;) {
+            while (p != end && isSpace(*p))
+                ++p;
+            if (p == end)
+                return n;
+            const char *start = p;
+            while (p != end && !isSpace(*p))
+                ++p;
+            if (n < kMaxTokens)
+                tokens_[n] = {start, static_cast<std::size_t>(p - start)};
+            ++n;
+        }
+    }
+
+    std::string_view token(std::size_t i) const { return tokens_[i]; }
+    std::string_view line() const { return line_; }
+    std::size_t lineNo() const { return line_no_; }
+
+  private:
+    /**
+     * Move the unread tail to the front of the buffer (doubling the
+     * buffer when the tail fills it) and read after it. False once the
+     * stream has nothing more to give.
+     */
+    bool refill()
+    {
+        std::size_t tail = end_ - pos_;
+        if (tail == buf_.size())
+            buf_.resize(2 * buf_.size());
+        std::memmove(buf_.data(), buf_.data() + pos_, tail);
+        pos_ = 0;
+        end_ = tail;
+        if (!in_)
+            return false;
+        in_.read(buf_.data() + end_,
+                 static_cast<std::streamsize>(buf_.size() - end_));
+        std::size_t got = static_cast<std::size_t>(in_.gcount());
+        end_ += got;
+        return got > 0;
+    }
+
+    std::istream &in_;
+    std::vector<char> buf_;
+    std::size_t pos_ = 0; //!< First unread byte of buf_.
+    std::size_t end_ = 0; //!< One past the last byte read into buf_.
+    std::string_view line_;
+    std::size_t line_no_ = 0;
+    std::array<std::string_view, kMaxTokens> tokens_{};
+};
 
 bool
 parseLong(std::string_view tok, long long &out)
@@ -136,50 +221,47 @@ readMatrixMarket(std::istream &in, const std::string &what)
     // Header: %%MatrixMarket object format field symmetry. It is a
     // comment line to every other tool, so read it raw (comments are
     // only skipped after the header).
-    std::string line;
-    std::size_t line_no = 1;
-    if (!std::getline(in, line))
+    LineCursor cur(in);
+    if (!cur.next())
         throw DatasetError(what + ": empty Matrix Market file");
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    auto header = tokenize(line);
-    if (header.size() < 5 ||
-        lower(std::string(header[0])) != "%%matrixmarket")
-        fail(what, line_no,
+    if (cur.split() < 5 ||
+        lower(std::string(cur.token(0))) != "%%matrixmarket")
+        fail(what, cur.lineNo(),
              "missing '%%MatrixMarket object format field symmetry' "
              "header");
-    std::string object = lower(std::string(header[1]));
-    std::string format = lower(std::string(header[2]));
-    std::string field = lower(std::string(header[3]));
-    std::string symmetry = lower(std::string(header[4]));
+    std::string object = lower(std::string(cur.token(1)));
+    std::string format = lower(std::string(cur.token(2)));
+    std::string field = lower(std::string(cur.token(3)));
+    std::string symmetry = lower(std::string(cur.token(4)));
     if (object != "matrix")
-        fail(what, line_no, "unsupported object '" + object + "'");
+        fail(what, cur.lineNo(), "unsupported object '" + object + "'");
     bool coordinate = format == "coordinate";
     if (!coordinate && format != "array")
-        fail(what, line_no, "unsupported format '" + format + "'");
+        fail(what, cur.lineNo(), "unsupported format '" + format + "'");
     bool pattern = field == "pattern";
     bool complex_field = field == "complex";
     if (!pattern && !complex_field && field != "real" &&
         field != "integer")
-        fail(what, line_no,
+        fail(what, cur.lineNo(),
              "unsupported field '" + field +
                  "' (real, integer, complex, or pattern)");
     bool symmetric = symmetry == "symmetric" || symmetry == "hermitian";
     bool skew = symmetry == "skew-symmetric";
     if (!symmetric && !skew && symmetry != "general")
-        fail(what, line_no, "unsupported symmetry '" + symmetry + "'");
+        fail(what, cur.lineNo(),
+             "unsupported symmetry '" + symmetry + "'");
     if (pattern && !coordinate)
-        fail(what, line_no, "array format cannot be pattern");
+        fail(what, cur.lineNo(), "array format cannot be pattern");
 
-    if (!nextDataLine(in, line, "%", line_no))
-        fail(what, line_no, "missing size line");
-    auto size = tokenize(line);
-    if (size.size() != (coordinate ? 3u : 2u))
-        fail(what, line_no,
+    if (!cur.nextData("%"))
+        fail(what, cur.lineNo(), "missing size line");
+    if (cur.split() != (coordinate ? 3u : 2u))
+        fail(what, cur.lineNo(),
              coordinate ? "size line must be 'rows cols nnz'"
                         : "size line must be 'rows cols'");
-    Index rows = parseDim(size[0], what, line_no, "row count");
-    Index cols = parseDim(size[1], what, line_no, "column count");
+    Index rows = parseDim(cur.token(0), what, cur.lineNo(), "row count");
+    Index cols =
+        parseDim(cur.token(1), what, cur.lineNo(), "column count");
 
     std::vector<Triplet> triplets;
     auto addEntry = [&](Index r, Index c, double v) {
@@ -190,10 +272,11 @@ readMatrixMarket(std::istream &in, const std::string &what)
 
     if (coordinate) {
         long long nnz = 0;
-        if (!parseLong(size[2], nnz) || nnz < 0 ||
+        if (!parseLong(cur.token(2), nnz) || nnz < 0 ||
             nnz > std::numeric_limits<Index>::max())
-            fail(what, line_no,
-                 "invalid entry count '" + std::string(size[2]) + "'");
+            fail(what, cur.lineNo(),
+                 "invalid entry count '" + std::string(cur.token(2)) +
+                     "'");
         // The declared count is untrusted: cap the speculative
         // reserve so a malformed size line cannot trigger bad_alloc
         // before the per-entry "expected N entries" check fires.
@@ -202,15 +285,14 @@ readMatrixMarket(std::istream &in, const std::string &what)
             static_cast<std::size_t>(nnz) *
                 (symmetric || skew ? 2 : 1),
             kReserveCap));
+        std::size_t want = pattern ? 2u : complex_field ? 4u : 3u;
         for (long long e = 0; e < nnz; ++e) {
-            if (!nextDataLine(in, line, "%", line_no))
-                fail(what, line_no,
+            if (!cur.nextData("%"))
+                fail(what, cur.lineNo(),
                      "expected " + std::to_string(nnz) +
                          " entries, got " + std::to_string(e));
-            auto tok = tokenize(line);
-            std::size_t want = pattern ? 2u : complex_field ? 4u : 3u;
-            if (tok.size() != want)
-                fail(what, line_no,
+            if (cur.split() != want)
+                fail(what, cur.lineNo(),
                      pattern
                          ? "pattern entry must be 'row col'"
                          : complex_field
@@ -218,18 +300,20 @@ readMatrixMarket(std::istream &in, const std::string &what)
                                  "real imag'"
                                : "entry must be 'row col value'");
             long long r = 0, c = 0;
-            if (!parseLong(tok[0], r) || !parseLong(tok[1], c))
-                fail(what, line_no, "invalid index in '" + line + "'");
+            if (!parseLong(cur.token(0), r) || !parseLong(cur.token(1), c))
+                fail(what, cur.lineNo(),
+                     "invalid index in '" + std::string(cur.line()) +
+                         "'");
             if (r < 1 || r > rows || c < 1 || c > cols)
-                fail(what, line_no,
+                fail(what, cur.lineNo(),
                      "1-based index (" + std::to_string(r) + ", " +
                          std::to_string(c) + ") outside " +
                          std::to_string(rows) + "x" +
                          std::to_string(cols));
             double v = 1.0; // Pattern matrices carry unit values.
-            if (!pattern && !parseDouble(tok[2], v))
-                fail(what, line_no,
-                     "invalid value '" + std::string(tok[2]) + "'");
+            if (!pattern && !parseDouble(cur.token(2), v))
+                fail(what, cur.lineNo(),
+                     "invalid value '" + std::string(cur.token(2)) + "'");
             addEntry(static_cast<Index>(r - 1),
                      static_cast<Index>(c - 1), v);
         }
@@ -240,13 +324,12 @@ readMatrixMarket(std::istream &in, const std::string &what)
             for (Index r = (symmetric || skew) ? c : 0; r < rows; ++r) {
                 if (skew && r == c)
                     continue; // Skew diagonals are implicit zeros.
-                if (!nextDataLine(in, line, "%", line_no))
-                    fail(what, line_no, "truncated array data");
-                auto tok = tokenize(line);
+                if (!cur.nextData("%"))
+                    fail(what, cur.lineNo(), "truncated array data");
                 double v = 0;
-                if (tok.size() != (complex_field ? 2u : 1u) ||
-                    !parseDouble(tok[0], v))
-                    fail(what, line_no,
+                if (cur.split() != (complex_field ? 2u : 1u) ||
+                    !parseDouble(cur.token(0), v))
+                    fail(what, cur.lineNo(),
                          complex_field
                              ? "complex array entries must be 'real "
                                "imag' per line"
@@ -257,33 +340,35 @@ readMatrixMarket(std::istream &in, const std::string &what)
             }
         }
     }
-    if (nextDataLine(in, line, "%", line_no))
-        fail(what, line_no, "trailing data after the last entry");
+    if (cur.nextData("%"))
+        fail(what, cur.lineNo(), "trailing data after the last entry");
     return CsrMatrix::fromTriplets(rows, cols, std::move(triplets));
 }
 
 CsrMatrix
 readEdgeList(std::istream &in, const std::string &what)
 {
-    std::string line;
-    std::size_t line_no = 0;
+    LineCursor cur(in);
     std::vector<Triplet> triplets;
     long long max_id = -1;
-    while (nextDataLine(in, line, "#%", line_no)) {
-        auto tok = tokenize(line);
-        if (tok.size() != 2 && tok.size() != 3)
-            fail(what, line_no,
+    while (cur.nextData("#%")) {
+        std::size_t n = cur.split();
+        if (n != 2 && n != 3)
+            fail(what, cur.lineNo(),
                  "edge must be 'src dst' or 'src dst weight'");
         long long src = 0, dst = 0;
-        if (!parseLong(tok[0], src) || !parseLong(tok[1], dst))
-            fail(what, line_no, "invalid node id in '" + line + "'");
+        if (!parseLong(cur.token(0), src) || !parseLong(cur.token(1), dst))
+            fail(what, cur.lineNo(),
+                 "invalid node id in '" + std::string(cur.line()) + "'");
         if (src < 0 || dst < 0 || src >= kMaxDim || dst >= kMaxDim)
-            fail(what, line_no,
-                 "node id out of range in '" + line + "'");
+            fail(what, cur.lineNo(),
+                 "node id out of range in '" + std::string(cur.line()) +
+                     "'");
         double w = 1.0;
-        if (tok.size() == 3 && !parseDouble(tok[2], w))
-            fail(what, line_no,
-                 "invalid edge weight '" + std::string(tok[2]) + "'");
+        if (n == 3 && !parseDouble(cur.token(2), w))
+            fail(what, cur.lineNo(),
+                 "invalid edge weight '" + std::string(cur.token(2)) +
+                     "'");
         max_id = std::max({max_id, src, dst});
         triplets.push_back({static_cast<Index>(src),
                             static_cast<Index>(dst),
@@ -320,17 +405,18 @@ sourceStamp(const std::string &path, std::uint64_t &size,
 }
 
 /**
- * Cache layout (v2): header, then entry_offsets (rows + 1 Index), the
+ * Cache layout (v3): header, then entry_offsets (rows + 1 Index), the
  * encoded column payload (payload_bytes), and values (nnz Value),
  * host-endian (the cache is a local memoization, not an interchange
  * format). src_hash folds the *content* of the source file into the
  * cache key (size + mtime alone miss a same-size rewrite); body_hash
  * checksums the three array regions so a bit flip anywhere in the body
- * is detected even when it would decode cleanly. Any other magic,
- * including the retired v1 plain-CSR layout, is a miss: the text is
- * re-parsed and the cache rewritten.
+ * is detected even when it would decode cleanly. Both are WordHash
+ * values. Any other magic, including v2 (the same layout under a
+ * byte-wise FNV-1a hash) and the retired v1 plain-CSR layout, is a
+ * miss: the text is re-parsed and the cache rewritten.
  */
-struct CacheHeaderV2
+struct CacheHeader
 {
     char magic[8];
     std::uint64_t src_size = 0;
@@ -343,53 +429,107 @@ struct CacheHeaderV2
     std::uint64_t payload_bytes = 0;
 };
 
-constexpr char kCacheMagicV2[8] = {'C', 'A', 'P', 'C',
-                                   'S', 'R', 'v', '2'};
+constexpr char kCacheMagic[8] = {'C', 'A', 'P', 'C', 'S', 'R', 'v', '3'};
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t n)
+/**
+ * A 64-bit hash taken eight bytes at a time. Each word w steps the
+ * state h to rotl((h ^ w) * K, 31), and the digest folds in the byte
+ * count and a final avalanche; every one of these steps is a bijection
+ * of the state, so two inputs of the same length that differ in one
+ * word always hash differently. Bytes that do not fill a word wait in
+ * tail_ for the next update(), so the digest does not depend on how
+ * the input is split across calls; a last partial word is zero-padded.
+ */
+class WordHash
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
+  public:
+    void update(const void *data, std::size_t n)
+    {
+        if (n == 0)
+            return; // An empty vector's data() may be null.
+        const auto *p = static_cast<const unsigned char *>(data);
+        std::size_t have = static_cast<std::size_t>(bytes_ % 8);
+        bytes_ += n;
+        if (have > 0) {
+            std::size_t take = std::min(8 - have, n);
+            std::memcpy(tail_ + have, p, take);
+            p += take;
+            n -= take;
+            if (have + take < 8)
+                return;
+            h_ = step(h_, load(tail_));
+        }
+        for (; n >= 8; p += 8, n -= 8)
+            h_ = step(h_, load(p));
+        std::memcpy(tail_, p, n);
     }
-    return h;
-}
 
+    std::uint64_t digest() const
+    {
+        std::uint64_t h = h_;
+        if (std::size_t have = static_cast<std::size_t>(bytes_ % 8)) {
+            unsigned char last[8] = {};
+            std::memcpy(last, tail_, have);
+            h = step(h, load(last));
+        }
+        // MurmurHash3's 64-bit finalizer (fmix64).
+        h ^= bytes_;
+        h ^= h >> 33;
+        h *= 0xFF51AFD7ED558CCDULL;
+        h ^= h >> 33;
+        h *= 0xC4CEB9FE1A85EC53ULL;
+        h ^= h >> 33;
+        return h;
+    }
+
+  private:
+    static std::uint64_t load(const unsigned char *p)
+    {
+        std::uint64_t w;
+        std::memcpy(&w, p, sizeof(w));
+        return w;
+    }
+
+    static std::uint64_t step(std::uint64_t h, std::uint64_t w)
+    {
+        return std::rotl((h ^ w) * 0x9E3779B97F4A7C15ULL, 31);
+    }
+
+    std::uint64_t h_ = 0x243F6A8885A308D3ULL;
+    std::uint64_t bytes_ = 0;
+    unsigned char tail_[8] = {};
+};
+
+/** The cache body's checksum: its three arrays, in file order. */
 std::uint64_t
-bodyHash(const sparse::CompressedCsrMatrix &m)
+bodyHash(const std::vector<Index> &entry_offsets,
+         const std::vector<std::uint8_t> &payload,
+         const std::vector<Value> &values)
 {
-    std::uint64_t h = kFnvOffset;
-    const auto &off = m.entryOffsets();
-    const auto &pay = m.encodedPayload();
-    const auto &val = m.flatValues();
-    h = fnv1a(h, off.data(), off.size() * sizeof(off[0]));
-    h = fnv1a(h, pay.data(), pay.size());
-    h = fnv1a(h, val.data(), val.size() * sizeof(val[0]));
-    return h;
+    WordHash h;
+    h.update(entry_offsets.data(),
+             entry_offsets.size() * sizeof(entry_offsets[0]));
+    h.update(payload.data(), payload.size());
+    h.update(values.data(), values.size() * sizeof(values[0]));
+    return h.digest();
 }
 
 /**
- * Fresh-v2 read: magic + size/mtime stamp, then the source content
+ * Fresh-cache read: magic + size/mtime stamp, then the source content
  * hash, then the strict structural read. false = re-parse the text.
  */
 bool
-readCacheV2(const std::string &cache_path, const std::string &path,
-            std::uint64_t src_size, std::int64_t src_mtime,
-            sparse::CompressedCsrMatrix &out)
+readFreshCache(const std::string &cache_path, const std::string &path,
+               std::uint64_t src_size, std::int64_t src_mtime,
+               sparse::CompressedCsrMatrix &out)
 {
-    CacheHeaderV2 h;
+    CacheHeader h;
     {
         std::ifstream in(cache_path, std::ios::binary);
         if (!in || !in.read(reinterpret_cast<char *>(&h), sizeof(h)))
             return false;
     }
-    if (std::memcmp(h.magic, kCacheMagicV2, sizeof(kCacheMagicV2)) !=
-            0 ||
+    if (std::memcmp(h.magic, kCacheMagic, sizeof(kCacheMagic)) != 0 ||
         h.src_size != src_size || h.src_mtime != src_mtime)
         return false;
     try {
@@ -402,23 +542,24 @@ readCacheV2(const std::string &cache_path, const std::string &path,
     return true;
 }
 
-/** Best-effort v2 cache write (atomic rename); failures are ignored. */
+/** Best-effort cache write (atomic rename); failures are ignored. */
 void
-writeCacheV2(const std::string &cache_path, std::uint64_t src_size,
-             std::int64_t src_mtime, std::uint64_t src_hash,
-             const sparse::CompressedCsrMatrix &m)
+writeCache(const std::string &cache_path, std::uint64_t src_size,
+           std::int64_t src_mtime, std::uint64_t src_hash,
+           const sparse::CompressedCsrMatrix &m)
 {
     std::string tmp = cache_path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             return;
-        CacheHeaderV2 h;
-        std::memcpy(h.magic, kCacheMagicV2, sizeof(kCacheMagicV2));
+        CacheHeader h;
+        std::memcpy(h.magic, kCacheMagic, sizeof(kCacheMagic));
         h.src_size = src_size;
         h.src_mtime = src_mtime;
         h.src_hash = src_hash;
-        h.body_hash = bodyHash(m);
+        h.body_hash = bodyHash(m.entryOffsets(), m.encodedPayload(),
+                               m.flatValues());
         h.rows = m.rows();
         h.cols = m.cols();
         h.nnz = static_cast<std::uint64_t>(m.nnz());
@@ -465,15 +606,15 @@ hashFileContents(const std::string &path)
     if (!in)
         throw DatasetError("cannot open file for hashing: '" + path +
                            "'");
-    std::uint64_t h = kFnvOffset;
-    char buf[64 * 1024];
+    WordHash h;
+    char buf[kReadBufferBytes];
     while (in) {
         in.read(buf, sizeof(buf));
-        h = fnv1a(h, buf, static_cast<std::size_t>(in.gcount()));
+        h.update(buf, static_cast<std::size_t>(in.gcount()));
     }
     if (in.bad())
         throw DatasetError("read error while hashing '" + path + "'");
-    return h;
+    return h.digest();
 }
 
 sparse::CompressedCsrMatrix
@@ -486,10 +627,10 @@ readCompressedCache(const std::string &cache_path)
     std::ifstream in(cache_path, std::ios::binary);
     if (!in)
         throw reject("cannot open file");
-    CacheHeaderV2 h;
+    CacheHeader h;
     if (!in.read(reinterpret_cast<char *>(&h), sizeof(h)))
         throw reject("truncated header");
-    if (std::memcmp(h.magic, kCacheMagicV2, sizeof(kCacheMagicV2)) != 0)
+    if (std::memcmp(h.magic, kCacheMagic, sizeof(kCacheMagic)) != 0)
         throw reject("bad magic");
     if (h.rows < 0 || h.cols < 0 ||
         h.nnz > static_cast<std::uint64_t>(
@@ -503,7 +644,7 @@ readCompressedCache(const std::string &cache_path)
     std::error_code ec;
     auto cache_size = fs::file_size(cache_path, ec);
     std::uint64_t expected =
-        sizeof(CacheHeaderV2) +
+        sizeof(CacheHeader) +
         sizeof(Index) * (static_cast<std::uint64_t>(h.rows) + 1) +
         h.payload_bytes + sizeof(Value) * h.nnz;
     if (ec || static_cast<std::uint64_t>(cache_size) != expected)
@@ -524,13 +665,7 @@ readCompressedCache(const std::string &cache_path)
         throw reject("truncated body");
     if (in.get() != std::ifstream::traits_type::eof())
         throw reject("trailing bytes after the body");
-    std::uint64_t body = kFnvOffset;
-    body = fnv1a(body, entry_offsets.data(),
-                 entry_offsets.size() * sizeof(entry_offsets[0]));
-    body = fnv1a(body, payload.data(), payload.size());
-    body = fnv1a(body, values.data(),
-                 values.size() * sizeof(values[0]));
-    if (body != h.body_hash)
+    if (bodyHash(entry_offsets, payload, values) != h.body_hash)
         throw reject("body checksum mismatch");
     try {
         return sparse::CompressedCsrMatrix::fromParts(
@@ -575,15 +710,14 @@ loadRealMatrix(const std::string &path, CacheMode mode)
     std::string cache_path = matrixCachePath(path);
     if (mode != CacheMode::Off) {
         sparse::CompressedCsrMatrix comp;
-        if (readCacheV2(cache_path, path, src_size, src_mtime, comp))
+        if (readFreshCache(cache_path, path, src_size, src_mtime, comp))
             return comp.toCsr();
     }
 
     CsrMatrix m = parseRealFile(path);
     if (shouldWriteCache(mode, src_size))
-        writeCacheV2(cache_path, src_size, src_mtime,
-                     hashFileContents(path),
-                     sparse::CompressedCsrMatrix::fromCsr(m));
+        writeCache(cache_path, src_size, src_mtime, hashFileContents(path),
+                   sparse::CompressedCsrMatrix::fromCsr(m));
     return m;
 }
 

@@ -19,18 +19,24 @@
  *    with `#` (or `%`) comments; node ids are 0-based, dimensions are
  *    `max id + 1`, missing weights default to 1.
  *
+ * Both readers stream the text through a fixed kReadBufferBytes
+ * buffer, one line at a time, so a parse never holds the whole file;
+ * the buffer grows only for a line longer than itself.
+ *
  * Parsed matrices can be memoized next to the source file in a
- * versioned binary cache (`<path>.cbin`). The current v2 format
+ * versioned binary cache (`<path>.cbin`). The current v3 format
  * stores the delta + group-varint compressed form directly
  * (sparse/compressed.hpp) and is keyed on the source's size, mtime,
- * *and* an FNV-1a content hash, so a same-size, same-mtime,
- * different-content file cannot hit a stale cache. A stale, corrupt,
- * or legacy v1 (plain CSR) cache is never trusted: it is a miss, the
- * text is re-parsed, and a mode that writes caches rewrites it as v2.
+ * *and* a word-at-a-time 64-bit content hash (hashFileContents), so a
+ * same-size, same-mtime, different-content file cannot hit a stale
+ * cache. A stale, corrupt, or legacy (v1 plain CSR, v2 byte-wise
+ * FNV-1a) cache is never trusted: it is a miss, the text is re-parsed,
+ * and a mode that writes caches rewrites it as v3.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
@@ -55,6 +61,9 @@ class DatasetError : public std::invalid_argument
   public:
     using std::invalid_argument::invalid_argument;
 };
+
+/** Bytes the text readers and hashFileContents read at a time. */
+constexpr std::size_t kReadBufferBytes = std::size_t{64} << 10;
 
 /** How loadRealMatrix uses the binary on-disk cache. */
 enum class CacheMode {
@@ -97,21 +106,26 @@ sparse::MatrixStore
 loadRealStore(const std::string &path, CacheMode mode = CacheMode::Auto);
 
 /**
- * Strictly read a v2 `.cbin` cache file. Every structural property is
+ * Strictly read a v3 `.cbin` cache file. Every structural property is
  * validated before use — magic, counts, the exact file size the
- * header implies, an FNV-1a checksum over the array bytes, and a full
- * decode walk of the encoded payload — so a truncated or bit-flipped
- * file is rejected with DatasetError instead of crashing or
- * overreading (tests/test_property.cpp fuzzes exactly this entry
- * point). Freshness against the source file is the caller's concern;
- * loadRealMatrix layers the size/mtime/content-hash check on top.
+ * header implies, a checksum over the array bytes (the word hash of
+ * hashFileContents), and a full decode walk of the encoded payload —
+ * so a truncated or bit-flipped file is rejected with DatasetError
+ * instead of crashing or overreading (tests/test_property.cpp fuzzes
+ * exactly this entry point). Freshness against the source file is the
+ * caller's concern; loadRealMatrix layers the size/mtime/content-hash
+ * check on top.
  */
 sparse::CompressedCsrMatrix
 readCompressedCache(const std::string &cache_path);
 
 /**
- * FNV-1a 64-bit hash of a file's bytes — the content component of the
- * v2 cache key. Throws DatasetError when the file cannot be read.
+ * 64-bit hash of a file's bytes, the content component of the v3 cache
+ * key. It takes the bytes eight at a time, and every step is a
+ * bijection of its state, so changing bytes within one aligned
+ * eight-byte word always changes the hash; the result does not depend
+ * on how the file is read. Throws DatasetError when the file cannot be
+ * read.
  */
 std::uint64_t hashFileContents(const std::string &path);
 

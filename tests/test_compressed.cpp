@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -115,15 +114,9 @@ TEST(CompressedCodec, BeatsCsrOnTheCheckedInFixture)
 {
     // The documented claim: on tiny.mtx the compressed form is
     // smaller than plain CSR (delta + varint wins on local structure).
-    std::string path;
-    for (const char *prefix : {"data/fixtures/", "../data/fixtures/"}) {
-        std::string p = std::string(prefix) + "tiny.mtx";
-        if (std::filesystem::exists(p))
-            path = p;
-    }
-    if (path.empty())
-        GTEST_SKIP() << "fixture tiny.mtx not found";
-    MatrixStore s = workloads::loadRealStore(path, workloads::CacheMode::Off);
+    MatrixStore s = workloads::loadRealStore(
+        std::string(CAPSTAN_FIXTURE_DIR) + "/tiny.mtx",
+        workloads::CacheMode::Off);
     EXPECT_LT(s.encodedBytes(), s.csrBytes());
 }
 

@@ -14,6 +14,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
@@ -58,16 +60,72 @@ writeFile(const fs::path &path, const std::string &content)
     out << content;
 }
 
-/** Locate a checked-in fixture from the repo root or build dir. */
+/** A checked-in fixture, found through the source root. */
 std::string
 fixture(const std::string &name)
 {
-    for (const char *prefix : {"data/fixtures/", "../data/fixtures/"}) {
-        std::string path = prefix + name;
-        if (fs::exists(path))
-            return path;
+    return std::string(CAPSTAN_FIXTURE_DIR) + "/" + name;
+}
+
+/**
+ * @p entries (one "row col [value]" line each) after @p head, several
+ * read buffers long. The short lines cycle through an LF entry, a
+ * comment and a CRLF entry, a blank line and an LF entry, and a CRLF
+ * entry; one comment in the middle is longer than the read buffer, and
+ * the last entry has no '\n'. A @p pad-byte comment after the head
+ * shifts every later line, so a sweep of pads over one cycle moves
+ * each kind of line, and each CR-LF pair, across the buffer's edges.
+ */
+std::string
+streamedText(const std::string &head, char comment, std::size_t pad,
+             const std::vector<std::string> &entries)
+{
+    std::string text = head + comment + std::string(pad, '-') + "\n";
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        if (k == entries.size() / 2)
+            text += comment + std::string(kReadBufferBytes + 100, 'x') +
+                    "\r\n";
+        if (k % 4 == 1)
+            text += comment + std::string(" note\r\n");
+        if (k % 4 == 2)
+            text += " \t \r\n";
+        text += entries[k];
+        if (k + 1 < entries.size())
+            text += k % 2 ? "\r\n" : "\n";
     }
-    return "data/fixtures/" + name;
+    return text;
+}
+
+/**
+ * Entry k of the streamed tests: a scattered (row, col) in 500x500
+ * with a small integer value, so a line is at most ten bytes.
+ */
+sparse::Triplet
+streamedEntry(int k)
+{
+    return {k * 37 % 500, (k * 91 + k / 500) % 500,
+            static_cast<Value>(k % 13 - 6)};
+}
+
+constexpr int kStreamedEntries = 18000;
+
+/**
+ * One more pad than a streamedText cycle of four entries has bytes
+ * (at most 4 * 10 for the entries and 19 for the line ends, the
+ * comment and the blank line), so every byte of a cycle meets the
+ * first buffer edge.
+ */
+constexpr std::size_t kStreamedPads = 60;
+
+void
+expectSameMatrix(const sparse::CsrMatrix &got,
+                 const sparse::CsrMatrix &want, std::size_t pad)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << "pad " << pad;
+    ASSERT_EQ(got.cols(), want.cols()) << "pad " << pad;
+    ASSERT_EQ(got.rowPtr(), want.rowPtr()) << "pad " << pad;
+    ASSERT_EQ(got.colIdx(), want.colIdx()) << "pad " << pad;
+    ASSERT_EQ(got.values(), want.values()) << "pad " << pad;
 }
 
 const char *kTinyGeneral = "%%MatrixMarket matrix coordinate real general\n"
@@ -250,6 +308,69 @@ TEST(MatrixMarket, RejectsMalformedInput)
     EXPECT_THROW(edgesFromText("0 1999999999\n"), DatasetError);
 }
 
+TEST(MatrixMarket, StreamsAcrossReadBufferEdges)
+{
+    std::vector<std::string> lines;
+    std::vector<sparse::Triplet> triplets;
+    for (int k = 0; k < kStreamedEntries; ++k) {
+        sparse::Triplet t = streamedEntry(k);
+        lines.push_back(std::to_string(t.row + 1) + " " +
+                        std::to_string(t.col + 1) + " " +
+                        std::to_string(static_cast<int>(t.value)));
+        triplets.push_back(t);
+    }
+    auto want = sparse::CsrMatrix::fromTriplets(500, 500, triplets);
+    std::string head = "%%MatrixMarket matrix coordinate real general\r\n"
+                       "500 500 " +
+                       std::to_string(kStreamedEntries) + "\r\n";
+    for (std::size_t pad = 0; pad < kStreamedPads; ++pad) {
+        std::string text = streamedText(head, '%', pad, lines);
+        ASSERT_GT(text.size(), 4 * kReadBufferBytes);
+        expectSameMatrix(mtxFromText(text), want, pad);
+    }
+}
+
+TEST(MatrixMarket, ErrorsPastTheFirstBufferNameTheirPhysicalLine)
+{
+    // A comment longer than the buffer, then comment, blank and entry
+    // lines (CRLF) until two buffers in, then a malformed entry.
+    std::string text = "%%MatrixMarket matrix coordinate real general\r\n"
+                       "%" +
+                       std::string(kReadBufferBytes + 10, 'x') +
+                       "\r\n9 9 99999\r\n";
+    std::size_t line = 3;
+    while (text.size() < 2 * kReadBufferBytes) {
+        text += "% comment\r\n\r\n1 1 1.0\r\n";
+        line += 3;
+    }
+    text += "1 x 1.0\r\n2 2 2.0\r\n";
+    try {
+        mtxFromText(text);
+        FAIL() << "malformed entry accepted";
+    } catch (const DatasetError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "test.mtx:" + std::to_string(line + 1) +
+                      ": invalid index in '1 x 1.0'");
+    }
+
+    // The edge-list reader counts lines the same way.
+    text = "#" + std::string(kReadBufferBytes + 10, 'x') + "\r\n";
+    line = 1;
+    while (text.size() < 2 * kReadBufferBytes) {
+        text += "# comment\r\n\r\n1 2\r\n";
+        line += 3;
+    }
+    text += "1 x\r\n2 2\r\n";
+    try {
+        edgesFromText(text);
+        FAIL() << "malformed edge accepted";
+    } catch (const DatasetError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "test.el:" + std::to_string(line + 1) +
+                      ": invalid node id in '1 x'");
+    }
+}
+
 TEST(EdgeList, ParsesSnapStyleInput)
 {
     auto g = edgesFromText("# Directed graph\n"
@@ -273,6 +394,33 @@ TEST(EdgeList, RejectsMalformedInput)
     EXPECT_THROW(edgesFromText("0 1 2 3\n"), DatasetError);
     EXPECT_THROW(edgesFromText("a b\n"), DatasetError);
     EXPECT_THROW(edgesFromText("-1 2\n"), DatasetError);
+}
+
+TEST(EdgeList, StreamsAcrossReadBufferEdges)
+{
+    std::vector<std::string> lines;
+    std::vector<sparse::Triplet> triplets;
+    for (int k = 0; k < kStreamedEntries; ++k) {
+        sparse::Triplet t = streamedEntry(k);
+        std::string line =
+            std::to_string(t.row) + "\t" + std::to_string(t.col);
+        // Every other edge leaves its weight at the default of 1.
+        if (k % 2) {
+            t.value = 1.0f;
+        } else {
+            line += ' ';
+            line += std::to_string(static_cast<int>(t.value));
+        }
+        lines.push_back(line);
+        triplets.push_back(t);
+    }
+    auto want = sparse::CsrMatrix::fromTriplets(500, 500, triplets);
+    for (std::size_t pad = 0; pad < kStreamedPads; ++pad) {
+        std::string text =
+            streamedText("# Directed graph\r\n", '#', pad, lines);
+        ASSERT_GT(text.size(), 4 * kReadBufferBytes);
+        expectSameMatrix(edgesFromText(text), want, pad);
+    }
 }
 
 TEST(FromParts, ValidatesEveryInvariant)
@@ -317,7 +465,7 @@ TEST(Cache, RoundTripsThroughTheV2Binary)
     auto first = loadRealMatrix(mtx.string(), CacheMode::Force);
     ASSERT_TRUE(fs::exists(matrixCachePath(mtx.string())));
 
-    // The written cache is the strict v2 form and decodes to exactly
+    // The written cache is the strict v3 form and decodes to exactly
     // the parsed matrix.
     auto cached = readCompressedCache(matrixCachePath(mtx.string()))
                       .toCsr();
@@ -330,11 +478,28 @@ TEST(Cache, RoundTripsThroughTheV2Binary)
     EXPECT_EQ(again.colIdx(), first.colIdx());
 }
 
+TEST(Cache, EmptyMatrixRoundTrips)
+{
+    // No entries: the cache body hashes empty payload and value arrays.
+    fs::path dir = scratchDir("capstan_cache_empty");
+    fs::path mtx = dir / "m.mtx";
+    writeFile(mtx, "%%MatrixMarket matrix coordinate real general\n"
+                   "3 2 0\n");
+    auto first = loadRealMatrix(mtx.string(), CacheMode::Force);
+    EXPECT_EQ(first.nnz(), 0);
+    auto cached = readCompressedCache(matrixCachePath(mtx.string()))
+                      .toCsr();
+    EXPECT_EQ(cached.rows(), 3);
+    EXPECT_EQ(cached.cols(), 2);
+    EXPECT_EQ(cached.rowPtr(), first.rowPtr());
+    EXPECT_EQ(cached.nnz(), 0);
+}
+
 TEST(Cache, ContentHashMissesOnSameStampDifferentContent)
 {
     // The gap a size + mtime key leaves: a rewrite that lands on the
-    // same size and mtime must still miss, because the v2 key includes a
-    // content hash. The rewrite here differs from kTinyGeneral in one
+    // same size and mtime must still miss, because the cache key includes
+    // a content hash. The rewrite here differs from kTinyGeneral in one
     // byte (the last value, 0.5 -> 0.75 would change the size; use
     // 0.7), so size is identical and the mtime is restored manually.
     fs::path dir = scratchDir("capstan_cache_samestamp");
@@ -408,11 +573,118 @@ TEST(Cache, LegacyV1CachesMissAndAreRewrittenAsV2)
         EXPECT_EQ(m.values(), text.values());
     }
 
-    // The re-parse rewrote the cache as v2 over the same matrix.
+    // The re-parse rewrote the cache in the current (v3) format over
+    // the same matrix.
     auto cached = readCompressedCache(cache).toCsr();
     EXPECT_EQ(cached.rowPtr(), text.rowPtr());
     EXPECT_EQ(cached.colIdx(), text.colIdx());
     EXPECT_EQ(cached.values(), text.values());
+}
+
+TEST(Cache, LegacyV2CachesMissAndAreRewrittenAsV3)
+{
+    // A v2 cache is the v3 layout under byte-wise FNV-1a hashes. This
+    // one is what a v2 reader would serve (fresh stamp, the source's
+    // FNV-1a, a valid body checksum), but it holds a *different*
+    // matrix than the source text, so serving it would be visible.
+    fs::path dir = scratchDir("capstan_cache_v2");
+    fs::path mtx = dir / "m.mtx";
+    writeFile(mtx, kTinyGeneral);
+    std::string cache = matrixCachePath(mtx.string());
+
+    auto fnv1a = [](std::uint64_t h, const void *p, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= static_cast<const unsigned char *>(p)[i];
+            h *= 1099511628211ULL;
+        }
+        return h;
+    };
+    constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+    auto planted = sparse::CompressedCsrMatrix::fromCsr(
+        sparse::CsrMatrix::fromTriplets(2, 2, {{0, 0, 42.0f}}));
+    const auto &off = planted.entryOffsets();
+    const auto &pay = planted.encodedPayload();
+    const auto &val = planted.flatValues();
+    std::uint64_t body =
+        fnv1a(kFnvOffset, off.data(), off.size() * sizeof(off[0]));
+    body = fnv1a(body, pay.data(), pay.size());
+    body = fnv1a(body, val.data(), val.size() * sizeof(val[0]));
+
+    std::ofstream out(cache, std::ios::binary);
+    const char magic[8] = {'C', 'A', 'P', 'C', 'S', 'R', 'v', '2'};
+    std::uint64_t src_size = fs::file_size(mtx);
+    std::int64_t src_mtime = static_cast<std::int64_t>(
+        fs::last_write_time(mtx).time_since_epoch().count());
+    std::string text_bytes = kTinyGeneral;
+    std::uint64_t src_hash =
+        fnv1a(kFnvOffset, text_bytes.data(), text_bytes.size());
+    std::int32_t rows = 2, cols = 2;
+    std::uint64_t nnz = 1;
+    std::uint64_t payload_bytes = pay.size();
+    auto put = [&](const void *p, std::size_t n) {
+        out.write(static_cast<const char *>(p),
+                  static_cast<std::streamsize>(n));
+    };
+    put(magic, sizeof(magic));
+    put(&src_size, sizeof(src_size));
+    put(&src_mtime, sizeof(src_mtime));
+    put(&src_hash, sizeof(src_hash));
+    put(&body, sizeof(body));
+    put(&rows, sizeof(rows));
+    put(&cols, sizeof(cols));
+    put(&nnz, sizeof(nnz));
+    put(&payload_bytes, sizeof(payload_bytes));
+    put(off.data(), off.size() * sizeof(off[0]));
+    put(pay.data(), pay.size());
+    put(val.data(), val.size() * sizeof(val[0]));
+    out.close();
+    EXPECT_THROW(readCompressedCache(cache), DatasetError);
+
+    // The v2 cache is ignored: the text's matrix comes back.
+    auto text = mtxFromText(kTinyGeneral);
+    for (CacheMode mode : {CacheMode::Auto, CacheMode::Force}) {
+        auto m = loadRealMatrix(mtx.string(), mode);
+        EXPECT_EQ(m.rows(), 3);
+        EXPECT_EQ(m.colIdx(), text.colIdx());
+        EXPECT_EQ(m.values(), text.values());
+    }
+
+    // The re-parse rewrote the cache as v3 over the same matrix.
+    std::ifstream in(cache, std::ios::binary);
+    char got[8] = {};
+    in.read(got, sizeof(got));
+    EXPECT_EQ(std::string(got, sizeof(got)), "CAPCSRv3");
+    auto cached = readCompressedCache(cache).toCsr();
+    EXPECT_EQ(cached.rowPtr(), text.rowPtr());
+    EXPECT_EQ(cached.colIdx(), text.colIdx());
+    EXPECT_EQ(cached.values(), text.values());
+}
+
+TEST(Cache, ContentHashChangesWithAnyOneByte)
+{
+    // Two read buffers and a partial word: offsets 0, 7 and 8 sit at
+    // the first word's edges, kReadBufferBytes +- 1 at the first read's
+    // edge, and the last byte in the zero-padded final word.
+    fs::path dir = scratchDir("capstan_hash_bytes");
+    fs::path file = dir / "bytes.bin";
+    std::string base(2 * kReadBufferBytes + 13, '\0');
+    for (std::size_t i = 0; i < base.size(); ++i)
+        base[i] = static_cast<char>('a' + i % 23);
+    writeFile(file, base);
+    std::uint64_t h = hashFileContents(file.string());
+    EXPECT_EQ(hashFileContents(file.string()), h);
+
+    for (std::size_t at : {std::size_t{0}, std::size_t{7}, std::size_t{8},
+                           kReadBufferBytes - 1, kReadBufferBytes,
+                           kReadBufferBytes + 1, base.size() - 1}) {
+        std::string changed = base;
+        changed[at] = static_cast<char>(changed[at] ^ 0x01);
+        writeFile(file, changed);
+        EXPECT_NE(hashFileContents(file.string()), h) << "byte " << at;
+    }
+    // A trailing zero byte is content, not the last word's padding.
+    writeFile(file, base + '\0');
+    EXPECT_NE(hashFileContents(file.string()), h);
 }
 
 TEST(Cache, InvalidatesWhenTheSourceChanges)

@@ -37,7 +37,6 @@ addrToken(const std::vector<std::uint32_t> &addrs)
 {
     Token t;
     t.valid_mask = static_cast<std::uint16_t>((1u << addrs.size()) - 1);
-    t.has_addr = true;
     for (std::size_t i = 0; i < addrs.size(); ++i)
         t.addr[i] = addrs[i];
     return t;
@@ -64,7 +63,6 @@ runCrossTileProgram(Machine &m, std::uint32_t seed)
         Token tok;
         int lanes = 1 + static_cast<int>(rng() % 16);
         tok.valid_mask = static_cast<std::uint16_t>((1u << lanes) - 1);
-        tok.has_addr = true;
         tok.bytes = 64;
         for (int l = 0; l < lanes; ++l) {
             tok.addr[l] = rng() % 65536;
@@ -266,7 +264,6 @@ TEST(Machine, CrossTileAccessesRouteThroughShuffle)
         for (int i = 0; i < n; ++i) {
             Token tok = addrToken({});
             tok.valid_mask = 0xFFFF;
-            tok.has_addr = true;
             for (int l = 0; l < 16; ++l) {
                 tok.addr[l] = rng() % 65536;
                 tok.lane_tile[l] = static_cast<std::int8_t>(rng() % 4);
@@ -421,7 +418,6 @@ TEST(Machine, MergeModeNoneForcesDramRoundTrips)
             for (int i = 0; i < 200; ++i) {
                 Token tok;
                 tok.valid_mask = 0xFFFF;
-                tok.has_addr = true;
                 for (int l = 0; l < 16; ++l) {
                     tok.addr[l] = rng() % 65536;
                     tok.lane_tile[l] =
@@ -458,7 +454,6 @@ TEST(MachineProperty, TokensConserved)
                 int lanes = 1 + static_cast<int>(rng() % 16);
                 tok.valid_mask =
                     static_cast<std::uint16_t>((1u << lanes) - 1);
-                tok.has_addr = true;
                 tok.bytes = 64;
                 for (int l = 0; l < lanes; ++l)
                     tok.addr[l] = rng() % 65536;

@@ -46,6 +46,28 @@ TEST(CooMatrix, FromTripletsSortsAndSumsDuplicates)
     EXPECT_EQ(coo.entries()[2], (Triplet{2, 1, 4.0f}));
 }
 
+TEST(CooMatrix, NearlySortedInputStillSortsAndSums)
+{
+    // Strictly increasing (row, col) is kept as it is; row-major input
+    // with a repeated coordinate, or with columns out of order inside a
+    // row, still takes the sort and the merge.
+    auto kept = CooMatrix::fromTriplets(
+        3, 3, {{0, 1, 1.0f}, {0, 2, 2.0f}, {2, 0, 3.0f}});
+    EXPECT_EQ(kept.entries(),
+              (std::vector<Triplet>{
+                  {0, 1, 1.0f}, {0, 2, 2.0f}, {2, 0, 3.0f}}));
+    auto repeated = CooMatrix::fromTriplets(
+        3, 3, {{0, 1, 1.0f}, {1, 2, 5.0f}, {1, 2, 3.0f}, {2, 0, 1.0f}});
+    EXPECT_EQ(repeated.entries(),
+              (std::vector<Triplet>{
+                  {0, 1, 1.0f}, {1, 2, 8.0f}, {2, 0, 1.0f}}));
+    auto swapped = CooMatrix::fromTriplets(
+        3, 3, {{0, 2, 1.0f}, {0, 1, 2.0f}, {1, 0, 3.0f}});
+    EXPECT_EQ(swapped.entries(),
+              (std::vector<Triplet>{
+                  {0, 1, 2.0f}, {0, 2, 1.0f}, {1, 0, 3.0f}}));
+}
+
 TEST(CsrMatrix, BuildsRowPointers)
 {
     auto csr = CsrMatrix::fromTriplets(

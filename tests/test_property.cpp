@@ -7,10 +7,12 @@
  * fast-forwarded with random skip lengths must agree exactly — the
  * property the cycle fast-forward engine relies on), and the
  * compressed sparse codec (random round trips plus
- * truncation/bit-flip fuzz of the encoded buffers and the v2 .cbin
+ * truncation/bit-flip fuzz of the encoded buffers and the .cbin
  * cache, which must reject corruption with a clean error, never crash
  * or overread — the suite runs under ASan/UBSan in CI to enforce the
- * "never overread" half).
+ * "never overread" half), and the Matrix Market and edge-list text
+ * readers (every truncation and seeded byte mutations of small valid
+ * files must parse or be rejected with DatasetError).
  *
  * Every stream is generated from a fixed seed list, so a failure
  * reproduces deterministically; the seeds are printed in the failure
@@ -25,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -432,15 +435,15 @@ TEST(CompressedProperty, BitFlippedPayloadNeverCrashesOrOverreads)
 }
 
 // ---------------------------------------------------------------------------
-// v2 .cbin cache fuzz: truncations and bit flips through the strict
+// .cbin cache fuzz: truncations and bit flips through the strict
 // reader (the entry point loadRealStore trusts).
 // ---------------------------------------------------------------------------
 
 namespace fs = std::filesystem;
 
-/** Write a source matrix and return its freshly written v2 cache. */
+/** Write a source matrix and return its freshly written cache. */
 std::string
-writeV2Cache(const fs::path &dir)
+writeCacheFile(const fs::path &dir)
 {
     fs::path mtx = dir / "fuzz.mtx";
     {
@@ -477,7 +480,7 @@ TEST(CacheFuzzProperty, EveryTruncationOfTheV2CacheIsRejected)
     fs::path dir = fs::path(::testing::TempDir()) / "capstan_v2_trunc";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    std::string cache = writeV2Cache(dir);
+    std::string cache = writeCacheFile(dir);
     std::vector<char> bytes = readBytes(cache);
     ASSERT_GT(bytes.size(), 64u);
 
@@ -508,7 +511,7 @@ TEST(CacheFuzzProperty, EveryBitFlipIsRejectedOrDecodesTheOriginal)
     fs::path dir = fs::path(::testing::TempDir()) / "capstan_v2_flip";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    std::string cache = writeV2Cache(dir);
+    std::string cache = writeCacheFile(dir);
     std::vector<char> bytes = readBytes(cache);
     sparse::CsrMatrix original =
         workloads::readCompressedCache(cache).toCsr();
@@ -531,6 +534,95 @@ TEST(CacheFuzzProperty, EveryBitFlipIsRejectedOrDecodesTheOriginal)
                     << "byte " << byte << " bit " << bit;
             } catch (const workloads::DatasetError &) {
                 // Rejected cleanly: the common outcome.
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Text reader fuzz: every truncation and seeded byte mutations of small
+// valid Matrix Market (coordinate and array) and edge-list files.
+// ---------------------------------------------------------------------------
+
+struct TextCase
+{
+    const char *name;
+    bool mtx; //!< Matrix Market; otherwise an edge list.
+    const char *text;
+};
+
+// CRLF and LF lines, comments, blank lines, and a last line without
+// '\n'. Short lines keep mutated numbers small: a mutation that joins
+// lines still cannot spell a dimension near kMaxDim.
+const TextCase kTextCases[] = {
+    {"coordinate", true,
+     "%%MatrixMarket matrix coordinate real symmetric\r\n"
+     "% comment\n"
+     "6 6 7\n"
+     "1 1 1.0\n2 1 -2.5e1\n\n3 2 3\r\n4 4 4.0\n5 3 0.5\n"
+     "6 1 6\n6 6 8.0"},
+    {"array", true,
+     "%%MatrixMarket matrix array real general\n"
+     "% comment\r\n"
+     "3 2\n"
+     "1.0\n0\n-2.5\r\n\n4e0\n0.0\n6\n"},
+    {"edge list", false,
+     "# SNAP\n0 1\n1 2 0.5\r\n\n% comment\n2 3\n3 0 2\n4 1"},
+};
+
+/** Parse @p text; only a matrix or a DatasetError is acceptable. */
+void
+expectParsesOrRejects(const TextCase &c, const std::string &text,
+                      const std::string &what)
+{
+    std::istringstream in(text);
+    try {
+        if (c.mtx)
+            workloads::readMatrixMarket(in, "fuzz.mtx");
+        else
+            workloads::readEdgeList(in, "fuzz.el");
+    } catch (const workloads::DatasetError &) {
+        // Rejected cleanly.
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << c.name << ", " << what << ": " << e.what();
+    }
+}
+
+TEST(ReaderFuzzProperty, EveryTruncationParsesOrIsRejected)
+{
+    for (const TextCase &c : kTextCases) {
+        std::istringstream whole(c.text);
+        EXPECT_NO_THROW(c.mtx ? workloads::readMatrixMarket(whole, "f")
+                              : workloads::readEdgeList(whole, "f"))
+            << c.name;
+        std::string text = c.text;
+        for (std::size_t len = 0; len < text.size(); ++len)
+            expectParsesOrRejects(c, text.substr(0, len),
+                                  "truncated to " + std::to_string(len));
+    }
+}
+
+TEST(ReaderFuzzProperty, SeededByteMutationsParseOrAreRejected)
+{
+    // Half the replacement bytes are uniform; half come from the
+    // characters the grammar turns on.
+    const std::string syntax = " \t\r\n%#.-+eE0123456789";
+    for (const TextCase &c : kTextCases) {
+        for (std::uint32_t seed : {1u, 7u, 42u, 1337u, 0xC0FFEEu}) {
+            std::mt19937 rng(seed);
+            for (int round = 0; round < 200; ++round) {
+                std::string text = c.text;
+                int edits = 1 + static_cast<int>(rng() % 3);
+                for (int e = 0; e < edits; ++e) {
+                    std::size_t at = rng() % text.size();
+                    text[at] = rng() % 2
+                                   ? static_cast<char>(rng() % 256)
+                                   : syntax[rng() % syntax.size()];
+                }
+                expectParsesOrRejects(c, text,
+                                      "seed " + std::to_string(seed) +
+                                          " round " +
+                                          std::to_string(round));
             }
         }
     }
