@@ -7,14 +7,18 @@
 # scale 0.3 on 16 tiles (a configuration may set its own tile count),
 # followed by the 8 points of the benchmark's sim-long workload.
 #
-# A change that must not move a simulated bit diffs two outputs:
+# The expected output is checked in as scripts/identity_matrix.expected,
+# and CI fails unless a fresh run equals it, with and without dense
+# stepping:
 #
 #   scripts/identity_matrix.sh build > matrix.txt
+#   diff scripts/identity_matrix.expected matrix.txt
 #   CAPSTAN_NO_FF=1 scripts/identity_matrix.sh build > matrix-dense.txt
 #   diff matrix.txt matrix-dense.txt
 #
-# and a performance change also diffs its output against the parent
-# commit's build. Exits non-zero if any run fails.
+# A change that moves simulated results re-records the expected file in
+# the same commit, as it re-records the goldens. Exits non-zero if any
+# run fails.
 #
 # Usage: identity_matrix.sh BUILD_DIR
 set -euo pipefail

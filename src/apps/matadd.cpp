@@ -9,9 +9,7 @@
 
 namespace capstan::apps {
 
-using sparse::BitTree;
 using sparse::BitVector;
-using sparse::Triplet;
 using workloads::Tiling;
 
 CsrMatrix
@@ -20,21 +18,38 @@ matAddReference(const MatrixView &a, const MatrixView &b)
     if (a.rows() != b.rows() || a.cols() != b.cols())
         throw std::invalid_argument(
             "matAddReference: operand dimensions differ");
-    std::vector<Triplet> trip;
-    trip.reserve(a.nnz() + b.nnz());
+    // Merge each row pair: both rows are sorted and duplicate-free, so
+    // a column in both adds once.
+    std::vector<Index> row_ptr(static_cast<std::size_t>(a.rows()) + 1, 0);
+    std::vector<Index> col_idx;
+    std::vector<Value> values;
+    auto most = static_cast<std::size_t>(a.nnz()) +
+                static_cast<std::size_t>(b.nnz());
+    col_idx.reserve(most);
+    values.reserve(most);
     for (Index r = 0; r < a.rows(); ++r) {
         auto ai = a.indices(r);
         auto av = a.values(r);
-        for (std::size_t i = 0; i < ai.size(); ++i)
-            trip.push_back({r, ai[i], av[i]});
-    }
-    for (Index r = 0; r < b.rows(); ++r) {
         auto bi = b.indices(r);
         auto bv = b.values(r);
-        for (std::size_t i = 0; i < bi.size(); ++i)
-            trip.push_back({r, bi[i], bv[i]});
+        std::size_t i = 0;
+        std::size_t j = 0;
+        while (i < ai.size() || j < bi.size()) {
+            if (j == bi.size() || (i < ai.size() && ai[i] < bi[j])) {
+                col_idx.push_back(ai[i]);
+                values.push_back(av[i++]);
+            } else if (i == ai.size() || bi[j] < ai[i]) {
+                col_idx.push_back(bi[j]);
+                values.push_back(bv[j++]);
+            } else {
+                col_idx.push_back(ai[i]);
+                values.push_back(av[i++] + bv[j++]);
+            }
+        }
+        row_ptr[r + 1] = static_cast<Index>(col_idx.size());
     }
-    return CsrMatrix::fromTriplets(a.rows(), a.cols(), std::move(trip));
+    return CsrMatrix::fromParts(a.rows(), a.cols(), std::move(row_ptr),
+                                std::move(col_idx), std::move(values));
 }
 
 MatAddResult
@@ -48,6 +63,11 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
     Tiling tiling = Tiling::roundRobin(a.rows(), tiles);
     int window_bits = std::max(1, cfg.scanner.window_bits);
     const Index leaf_bits = 256;
+    // Pass one of the bit-tree scan: union-scan the rows' top-level
+    // vectors (one bit per leaf slot). Its windows are charged as skip
+    // cycles on each row's first token.
+    Index top_bits = (a.cols() + leaf_bits - 1) / leaf_bits;
+    Index top_windows = (top_bits + window_bits - 1) / window_bits;
 
     for (int t = 0; t < tiles; ++t) {
         // Stream both rows' occupancy + values -> union scan -> add ->
@@ -68,32 +88,16 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
             // Bytes: occupancy bits + 4 B per stored value, for both
             // inputs, plus the output row (union values + occupancy).
             if (use_bittree) {
-                BitTree ta = sparse::pointersToBitTree(ai, a.cols(),
-                                                       leaf_bits);
-                BitTree tb = sparse::pointersToBitTree(bi, b.cols(),
-                                                       leaf_bits);
-                auto aligned = sparse::alignUnion(ta, tb);
-                Index top_bits = ta.topLevel().size();
-                // Pass one: union-scan the top-level vectors. Charge
-                // its windows as skip cycles on the row's first token.
-                Index top_windows =
-                    (top_bits + window_bits - 1) / window_bits;
                 // Rows stream from DRAM in compressed form (8 B per
                 // stored entry); the format-conversion hardware builds
                 // the bit-trees on-chip (Section 3.4).
                 std::uint32_t row_bytes = static_cast<std::uint32_t>(
                     8 * (ai.size() + bi.size()));
                 bool first = true;
-                for (const auto &pair : aligned) {
-                    // Pass two: union-scan this aligned leaf pair.
-                    BitVector la = pair.leaf_a != kNoIndex
-                                       ? ta.leaf(pair.leaf_a)
-                                       : BitVector(leaf_bits);
-                    BitVector lb = pair.leaf_b != kNoIndex
-                                       ? tb.leaf(pair.leaf_b)
-                                       : BitVector(leaf_bits);
-                    Index pop = (la | lb).count();
-                    emitChunks(pop, [&](Index base, int lanes) {
+                // Pass two: union-scan each occupied leaf pair.
+                sparse::forEachUnionLeaf(ai, bi, leaf_bits,
+                                         [&](Index, Index pop) {
+                    emitChunks(pop, [&](Index, int lanes) {
                         Token tok = Token::compute(lanes);
                         tok.scan_skip =
                             first ? static_cast<std::int32_t>(
@@ -101,11 +105,10 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
                                   : 0;
                         tok.bytes = first ? row_bytes : 0;
                         tok.bytes += 8 * lanes; // store C entries
-                        (void)base;
                         first = false;
                         mach.feed(t, tok);
                     });
-                }
+                });
             } else {
                 // Flat bit-vector rows: every zero window burns a
                 // scanner cycle.

@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sparse/bitvector.hpp"
@@ -106,6 +107,47 @@ std::vector<AlignedLeafPair> alignIntersect(const BitTree &a,
 
 /** Pass-one realignment in union mode: every leaf present in either. */
 std::vector<AlignedLeafPair> alignUnion(const BitTree &a, const BitTree &b);
+
+/**
+ * Both passes of a union scan, counted straight from two sorted,
+ * duplicate-free pointer lists: calls @p fn(top_slot, pop) for every
+ * leaf slot occupied in either list, in ascending slot order, with the
+ * union's population in that leaf. It visits the same slots, with the
+ * same populations, as alignUnion() over the two lists' bit-trees
+ * (pointersToBitTree) followed by (leaf_a | leaf_b).count() per pair,
+ * in one merge of the lists and without building a tree.
+ */
+template <typename Fn>
+void
+forEachUnionLeaf(std::span<const Index> a, std::span<const Index> b,
+                 Index leaf_bits, Fn &&fn)
+{
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+        Index first = j == b.size() || (i < a.size() && a[i] < b[j])
+                          ? a[i]
+                          : b[j];
+        Index slot = first / leaf_bits;
+        Index end = (slot + 1) * leaf_bits;
+        Index pop = 0;
+        for (;;) {
+            bool in_a = i < a.size() && a[i] < end;
+            bool in_b = j < b.size() && b[j] < end;
+            if (!in_a && !in_b)
+                break;
+            if (in_a && (!in_b || a[i] <= b[j])) {
+                if (in_b && a[i] == b[j])
+                    ++j; // One union position for both sides.
+                ++i;
+            } else {
+                ++j;
+            }
+            ++pop;
+        }
+        fn(slot, pop);
+    }
+}
 
 } // namespace capstan::sparse
 

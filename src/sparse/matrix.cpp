@@ -1,7 +1,9 @@
 #include "sparse/matrix.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -10,25 +12,64 @@ namespace capstan::sparse {
 namespace {
 
 /**
- * Sort row-major and sum duplicate coordinates in place. Triplets
- * already strictly increasing in (row, col), as a file written in
- * row-major order lists them, are their own sorted and merged form,
- * so they are left as they are.
+ * Stable counting sort of @p in into @p out (same size) by @p key,
+ * which maps every triplet into [0, keys).
+ */
+template <typename Key>
+void
+countingSort(const std::vector<Triplet> &in, std::vector<Triplet> &out,
+             Index keys, Key key)
+{
+    std::vector<Index> next(static_cast<std::size_t>(keys), 0);
+    for (const Triplet &t : in)
+        ++next[key(t)];
+    Index at = 0;
+    for (Index &n : next)
+        at += std::exchange(n, at);
+    for (const Triplet &t : in)
+        out[next[key(t)]++] = t;
+}
+
+/**
+ * Sort row-major and sum duplicate coordinates in place; a triplet
+ * outside rows x cols throws std::out_of_range. The sort is a stable
+ * counting sort, linear in the triplets, rows and columns, so
+ * duplicates meet in input order and are summed left to right.
+ * Triplets already strictly increasing in (row, col), as a file
+ * written in row-major order lists them, are their own sorted and
+ * merged form, so they are left as they are.
  */
 void
-canonicalize(std::vector<Triplet> &triplets)
+canonicalize(Index rows, Index cols, std::vector<Triplet> &triplets)
 {
+    // Hard checks even in release builds: the sort's counts are
+    // Index-wide, and an out-of-range triplet would index past them
+    // and corrupt every format built from the result.
+    CAPSTAN_CHECK(triplets.size() <=
+                  static_cast<std::size_t>(
+                      std::numeric_limits<Index>::max()));
     auto before = [](const Triplet &a, const Triplet &b) {
-        if (a.row != b.row)
-            return a.row < b.row;
-        return a.col < b.col;
+        return a.row != b.row ? a.row < b.row : a.col < b.col;
     };
-    if (std::adjacent_find(triplets.begin(), triplets.end(),
-                           [&](const Triplet &a, const Triplet &b) {
-                               return !before(a, b);
-                           }) == triplets.end())
+    bool sorted = true;
+    for (std::size_t i = 0; i < triplets.size(); ++i) {
+        const Triplet &t = triplets[i];
+        if (t.row < 0 || t.row >= rows || t.col < 0 || t.col >= cols)
+            throw std::out_of_range(
+                "fromTriplets: triplet outside matrix bounds");
+        if (i > 0 && !before(triplets[i - 1], t))
+            sorted = false;
+    }
+    if (sorted)
         return;
-    std::sort(triplets.begin(), triplets.end(), before);
+    {
+        // Least significant key first: by column, then stably by row.
+        std::vector<Triplet> by_col(triplets.size());
+        countingSort(triplets, by_col, cols,
+                     [](const Triplet &t) { return t.col; });
+        countingSort(by_col, triplets, rows,
+                     [](const Triplet &t) { return t.row; });
+    }
     std::size_t out = 0;
     for (std::size_t i = 0; i < triplets.size(); ++i) {
         if (out > 0 && triplets[out - 1].row == triplets[i].row &&
@@ -47,7 +88,7 @@ CooMatrix
 CooMatrix::fromTriplets(Index rows, Index cols,
                         std::vector<Triplet> triplets)
 {
-    canonicalize(triplets);
+    canonicalize(rows, cols, triplets);
     CooMatrix coo(rows, cols);
     coo.entries_ = std::move(triplets);
     return coo;

@@ -66,6 +66,75 @@ isSpace(char c)
 }
 
 /**
+ * A 64-bit hash taken eight bytes at a time. Each word w steps the
+ * state h to rotl((h ^ w) * K, 31), and the digest folds in the byte
+ * count and a final avalanche; every one of these steps is a bijection
+ * of the state, so two inputs of the same length that differ in one
+ * word always hash differently. Bytes that do not fill a word wait in
+ * tail_ for the next update(), so the digest does not depend on how
+ * the input is split across calls; a last partial word is zero-padded.
+ */
+class WordHash
+{
+  public:
+    void update(const void *data, std::size_t n)
+    {
+        if (n == 0)
+            return; // An empty vector's data() may be null.
+        const auto *p = static_cast<const unsigned char *>(data);
+        std::size_t have = static_cast<std::size_t>(bytes_ % 8);
+        bytes_ += n;
+        if (have > 0) {
+            std::size_t take = std::min(8 - have, n);
+            std::memcpy(tail_ + have, p, take);
+            p += take;
+            n -= take;
+            if (have + take < 8)
+                return;
+            h_ = step(h_, load(tail_));
+        }
+        for (; n >= 8; p += 8, n -= 8)
+            h_ = step(h_, load(p));
+        std::memcpy(tail_, p, n);
+    }
+
+    std::uint64_t digest() const
+    {
+        std::uint64_t h = h_;
+        if (std::size_t have = static_cast<std::size_t>(bytes_ % 8)) {
+            unsigned char last[8] = {};
+            std::memcpy(last, tail_, have);
+            h = step(h, load(last));
+        }
+        // MurmurHash3's 64-bit finalizer (fmix64).
+        h ^= bytes_;
+        h ^= h >> 33;
+        h *= 0xFF51AFD7ED558CCDULL;
+        h ^= h >> 33;
+        h *= 0xC4CEB9FE1A85EC53ULL;
+        h ^= h >> 33;
+        return h;
+    }
+
+  private:
+    static std::uint64_t load(const unsigned char *p)
+    {
+        std::uint64_t w;
+        std::memcpy(&w, p, sizeof(w));
+        return w;
+    }
+
+    static std::uint64_t step(std::uint64_t h, std::uint64_t w)
+    {
+        return std::rotl((h ^ w) * 0x9E3779B97F4A7C15ULL, 31);
+    }
+
+    std::uint64_t h_ = 0x243F6A8885A308D3ULL;
+    std::uint64_t bytes_ = 0;
+    unsigned char tail_[8] = {};
+};
+
+/**
  * The text readers' view of a stream: one line at a time through a
  * fixed read buffer, each line split into whitespace-separated tokens.
  *
@@ -74,7 +143,9 @@ isSpace(char c)
  * (CRLF tolerance). Only a partial line carries over from one read to
  * the next, so the reader holds kReadBufferBytes however long the
  * file is; the buffer grows (doubling) only to fit a longer line.
- * lineNo() is the physical line number of the current line.
+ * lineNo() is the physical line number of the current line. Given a
+ * WordHash, the cursor feeds it every byte it reads, so a reader that
+ * runs to the end of input has hashed exactly the bytes it parsed.
  */
 class LineCursor
 {
@@ -82,8 +153,8 @@ class LineCursor
     /** Tokens split() keeps: the most any line needs (the header's). */
     static constexpr std::size_t kMaxTokens = 5;
 
-    explicit LineCursor(std::istream &in)
-        : in_(in), buf_(kReadBufferBytes)
+    explicit LineCursor(std::istream &in, WordHash *hash = nullptr)
+        : in_(in), buf_(kReadBufferBytes), hash_(hash)
     {
     }
 
@@ -113,14 +184,15 @@ class LineCursor
     /**
      * Move to the next line that is neither blank (spaces and tabs
      * only) nor a comment (its first character after any spaces and
-     * tabs is in @p comment_chars); false at end of input.
+     * tabs is in @p comment_chars); false at end of input. A NUL there
+     * starts a data line, which the caller then rejects.
      */
-    bool nextData(const char *comment_chars)
+    bool nextData(std::string_view comment_chars)
     {
         while (next()) {
             std::size_t i = line_.find_first_not_of(" \t");
             if (i != std::string_view::npos &&
-                !std::strchr(comment_chars, line_[i]))
+                comment_chars.find(line_[i]) == std::string_view::npos)
                 return true;
         }
         return false;
@@ -172,12 +244,15 @@ class LineCursor
         in_.read(buf_.data() + end_,
                  static_cast<std::streamsize>(buf_.size() - end_));
         std::size_t got = static_cast<std::size_t>(in_.gcount());
+        if (hash_)
+            hash_->update(buf_.data() + end_, got);
         end_ += got;
         return got > 0;
     }
 
     std::istream &in_;
     std::vector<char> buf_;
+    WordHash *hash_;
     std::size_t pos_ = 0; //!< First unread byte of buf_.
     std::size_t end_ = 0; //!< One past the last byte read into buf_.
     std::string_view line_;
@@ -213,15 +288,13 @@ parseDim(std::string_view tok, const std::string &what,
     return static_cast<Index>(v);
 }
 
-} // namespace
-
+/** readMatrixMarket over @p cur, which it reads to the end on success. */
 CsrMatrix
-readMatrixMarket(std::istream &in, const std::string &what)
+parseMatrixMarket(LineCursor &cur, const std::string &what)
 {
     // Header: %%MatrixMarket object format field symmetry. It is a
     // comment line to every other tool, so read it raw (comments are
     // only skipped after the header).
-    LineCursor cur(in);
     if (!cur.next())
         throw DatasetError(what + ": empty Matrix Market file");
     if (cur.split() < 5 ||
@@ -345,10 +418,10 @@ readMatrixMarket(std::istream &in, const std::string &what)
     return CsrMatrix::fromTriplets(rows, cols, std::move(triplets));
 }
 
+/** readEdgeList over @p cur, which it reads to the end on success. */
 CsrMatrix
-readEdgeList(std::istream &in, const std::string &what)
+parseEdgeList(LineCursor &cur, const std::string &what)
 {
-    LineCursor cur(in);
     std::vector<Triplet> triplets;
     long long max_id = -1;
     while (cur.nextData("#%")) {
@@ -378,6 +451,22 @@ readEdgeList(std::istream &in, const std::string &what)
         throw DatasetError(what + ": edge list has no edges");
     Index n = static_cast<Index>(max_id + 1);
     return CsrMatrix::fromTriplets(n, n, std::move(triplets));
+}
+
+} // namespace
+
+CsrMatrix
+readMatrixMarket(std::istream &in, const std::string &what)
+{
+    LineCursor cur(in);
+    return parseMatrixMarket(cur, what);
+}
+
+CsrMatrix
+readEdgeList(std::istream &in, const std::string &what)
+{
+    LineCursor cur(in);
+    return parseEdgeList(cur, what);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,75 +519,6 @@ struct CacheHeader
 };
 
 constexpr char kCacheMagic[8] = {'C', 'A', 'P', 'C', 'S', 'R', 'v', '3'};
-
-/**
- * A 64-bit hash taken eight bytes at a time. Each word w steps the
- * state h to rotl((h ^ w) * K, 31), and the digest folds in the byte
- * count and a final avalanche; every one of these steps is a bijection
- * of the state, so two inputs of the same length that differ in one
- * word always hash differently. Bytes that do not fill a word wait in
- * tail_ for the next update(), so the digest does not depend on how
- * the input is split across calls; a last partial word is zero-padded.
- */
-class WordHash
-{
-  public:
-    void update(const void *data, std::size_t n)
-    {
-        if (n == 0)
-            return; // An empty vector's data() may be null.
-        const auto *p = static_cast<const unsigned char *>(data);
-        std::size_t have = static_cast<std::size_t>(bytes_ % 8);
-        bytes_ += n;
-        if (have > 0) {
-            std::size_t take = std::min(8 - have, n);
-            std::memcpy(tail_ + have, p, take);
-            p += take;
-            n -= take;
-            if (have + take < 8)
-                return;
-            h_ = step(h_, load(tail_));
-        }
-        for (; n >= 8; p += 8, n -= 8)
-            h_ = step(h_, load(p));
-        std::memcpy(tail_, p, n);
-    }
-
-    std::uint64_t digest() const
-    {
-        std::uint64_t h = h_;
-        if (std::size_t have = static_cast<std::size_t>(bytes_ % 8)) {
-            unsigned char last[8] = {};
-            std::memcpy(last, tail_, have);
-            h = step(h, load(last));
-        }
-        // MurmurHash3's 64-bit finalizer (fmix64).
-        h ^= bytes_;
-        h ^= h >> 33;
-        h *= 0xFF51AFD7ED558CCDULL;
-        h ^= h >> 33;
-        h *= 0xC4CEB9FE1A85EC53ULL;
-        h ^= h >> 33;
-        return h;
-    }
-
-  private:
-    static std::uint64_t load(const unsigned char *p)
-    {
-        std::uint64_t w;
-        std::memcpy(&w, p, sizeof(w));
-        return w;
-    }
-
-    static std::uint64_t step(std::uint64_t h, std::uint64_t w)
-    {
-        return std::rotl((h ^ w) * 0x9E3779B97F4A7C15ULL, 31);
-    }
-
-    std::uint64_t h_ = 0x243F6A8885A308D3ULL;
-    std::uint64_t bytes_ = 0;
-    unsigned char tail_[8] = {};
-};
 
 /** The cache body's checksum: its three arrays, in file order. */
 std::uint64_t
@@ -686,15 +706,25 @@ shouldWriteCache(CacheMode mode, std::uint64_t src_size)
            (mode == CacheMode::Auto && src_size >= kAutoCacheBytes);
 }
 
-/** Parse the text form of @p path (throws DatasetError on failure). */
+/**
+ * Parse the text form of @p path (throws DatasetError on failure),
+ * feeding @p hash the bytes parsed: both readers run to the end of
+ * input, so on success it has hashed the whole file, the same bytes
+ * hashFileContents would read.
+ */
 CsrMatrix
-parseRealFile(const std::string &path)
+parseRealFile(const std::string &path, WordHash &hash)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw DatasetError("cannot open dataset file '" + path + "'");
-    return isMatrixMarketPath(path) ? readMatrixMarket(in, path)
-                                    : readEdgeList(in, path);
+    LineCursor cur(in, &hash);
+    CsrMatrix m = isMatrixMarketPath(path) ? parseMatrixMarket(cur, path)
+                                           : parseEdgeList(cur, path);
+    CAPSTAN_DCHECK(in.eof());
+    if (in.bad())
+        throw DatasetError("read error in dataset file '" + path + "'");
+    return m;
 }
 
 } // namespace
@@ -714,9 +744,13 @@ loadRealMatrix(const std::string &path, CacheMode mode)
             return comp.toCsr();
     }
 
-    CsrMatrix m = parseRealFile(path);
+    // The source is read once: the cache records the hash of the very
+    // bytes its matrix was parsed from, so a rewrite that lands during
+    // the parse leaves a cache that misses instead of a stale one.
+    WordHash src_hash;
+    CsrMatrix m = parseRealFile(path, src_hash);
     if (shouldWriteCache(mode, src_size))
-        writeCache(cache_path, src_size, src_mtime, hashFileContents(path),
+        writeCache(cache_path, src_size, src_mtime, src_hash.digest(),
                    sparse::CompressedCsrMatrix::fromCsr(m));
     return m;
 }

@@ -95,8 +95,9 @@ std::string matrixCachePath(const std::string &path);
  * as a SNAP edge list. In Auto/Force cache modes a fresh binary cache
  * (matrixCachePath) is preferred over re-parsing; Auto writes the
  * cache back only when the text file is large enough to be worth it,
- * Force always writes. Throws DatasetError when the file is missing
- * or malformed.
+ * Force always writes. A parse reads the file once: the cache it
+ * writes carries the content hash of the bytes the parse read. Throws
+ * DatasetError when the file is missing or malformed.
  */
 sparse::CsrMatrix loadRealMatrix(const std::string &path,
                                  CacheMode mode = CacheMode::Auto);

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "apps/bicgstab.hpp"
 #include "apps/conv.hpp"
@@ -49,6 +53,51 @@ denseVec(Index n, std::uint32_t seed = 2)
     for (Index i = 0; i < n; ++i)
         v[i] = std::uniform_real_distribution<float>(0.1f, 1.0f)(rng);
     return v;
+}
+
+/**
+ * Reference model: M+M written as triplets. Every entry of both
+ * operands becomes a triplet, std::sort orders them by (row, col), and
+ * adjacent duplicates are summed. A coordinate occurs at most once per
+ * canonical operand, so at most two triplets meet, and their sum does
+ * not depend on which of them std::sort puts first.
+ */
+CsrMatrix
+tripletSortReference(const CsrMatrix &a, const CsrMatrix &b)
+{
+    std::vector<sparse::Triplet> trip = a.toCoo().entries();
+    sparse::CooMatrix more = b.toCoo();
+    trip.insert(trip.end(), more.entries().begin(), more.entries().end());
+    std::sort(trip.begin(), trip.end(), [](const auto &x, const auto &y) {
+        return x.row != y.row ? x.row < y.row : x.col < y.col;
+    });
+    std::vector<Index> row_ptr(static_cast<std::size_t>(a.rows()) + 1, 0);
+    std::vector<Index> col_idx;
+    std::vector<Value> values;
+    Index last_row = -1;
+    for (const sparse::Triplet &t : trip) {
+        if (t.row == last_row && col_idx.back() == t.col) {
+            values.back() += t.value;
+            continue;
+        }
+        last_row = t.row;
+        col_idx.push_back(t.col);
+        values.push_back(t.value);
+        ++row_ptr[t.row + 1];
+    }
+    for (Index r = 0; r < a.rows(); ++r)
+        row_ptr[r + 1] += row_ptr[r];
+    return CsrMatrix::fromParts(a.rows(), a.cols(), std::move(row_ptr),
+                                std::move(col_idx), std::move(values));
+}
+
+std::vector<std::uint32_t>
+valueBits(const std::vector<Value> &v)
+{
+    std::vector<std::uint32_t> out;
+    for (Value x : v)
+        out.push_back(std::bit_cast<std::uint32_t>(x));
+    return out;
 }
 
 } // namespace
@@ -202,6 +251,64 @@ TEST(MatAddApp, SumMatchesReference)
     ASSERT_EQ(res.sum.nnz(), want.nnz());
     EXPECT_EQ(res.sum.colIdx(), want.colIdx());
     EXPECT_LT(relativeError(res.sum.values(), want.values()), 1e-6);
+}
+
+/**
+ * Property: the row-merge reference equals the triplet-sort reference
+ * bit for bit on seeded rectangular operands with empty rows, shared
+ * and one-sided coordinates, explicit zeros of both signs, and pairs
+ * that cancel to zero.
+ */
+TEST(MatAddApp, ReferenceEqualsTripletSortFormulation)
+{
+    std::mt19937 rng(53);
+    for (int trial = 0; trial < 40; ++trial) {
+        Index rows = 1 + static_cast<Index>(rng() % 40);
+        Index cols = 1 + static_cast<Index>(rng() % 700);
+        std::uniform_int_distribution<Index> col(0, cols - 1);
+        std::uniform_real_distribution<float> val(-4.0f, 4.0f);
+        std::vector<sparse::Triplet> ta;
+        std::vector<sparse::Triplet> tb;
+        for (Index r = 0; r < rows; ++r) {
+            if (rng() % 4 == 0)
+                continue; // An empty row in both operands.
+            int entries = static_cast<int>(rng() % 12);
+            for (int k = 0; k < entries; ++k) {
+                Index c = col(rng);
+                float v = val(rng);
+                switch (rng() % 6) {
+                case 0: // Shared; the pair cancels.
+                    ta.push_back({r, c, v});
+                    tb.push_back({r, c, -v});
+                    break;
+                case 1: // Shared.
+                    ta.push_back({r, c, v});
+                    tb.push_back({r, c, val(rng)});
+                    break;
+                case 2: // Explicit zeros.
+                    ta.push_back({r, c, 0.0f});
+                    tb.push_back({r, c, rng() % 2 ? -0.0f : v});
+                    break;
+                case 3:
+                case 4:
+                    ta.push_back({r, c, v});
+                    break;
+                default:
+                    tb.push_back({r, c, v});
+                }
+            }
+        }
+        auto a = CsrMatrix::fromTriplets(rows, cols, ta);
+        auto b = CsrMatrix::fromTriplets(rows, cols, tb);
+        CsrMatrix got = matAddReference(a, b);
+        CsrMatrix want = tripletSortReference(a, b);
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        ASSERT_EQ(got.rowPtr(), want.rowPtr()) << "trial " << trial;
+        ASSERT_EQ(got.colIdx(), want.colIdx()) << "trial " << trial;
+        ASSERT_EQ(valueBits(got.values()), valueBits(want.values()))
+            << "trial " << trial;
+    }
 }
 
 TEST(MatAddApp, BitTreeBeatsFlatBitVectorOnSparseRows)

@@ -7,8 +7,10 @@
 
 #include <random>
 #include <set>
+#include <vector>
 
 #include "sparse/bittree.hpp"
+#include "sparse/format_convert.hpp"
 
 using capstan::Index;
 using capstan::kNoIndex;
@@ -17,6 +19,7 @@ using capstan::sparse::alignIntersect;
 using capstan::sparse::alignUnion;
 using capstan::sparse::BitTree;
 using capstan::sparse::BitVector;
+using capstan::sparse::forEachUnionLeaf;
 
 TEST(BitTree, EmptyTreeHasNoLeaves)
 {
@@ -155,5 +158,85 @@ TEST(BitTreeProperty, AlignmentMatchesTopLevelSets)
         }
         for (const AlignedLeafPair &p : uni)
             EXPECT_TRUE(p.leaf_a != kNoIndex || p.leaf_b != kNoIndex);
+    }
+}
+
+namespace {
+
+/** One visited leaf of a union scan: (top-level slot, population). */
+using LeafPop = std::pair<Index, Index>;
+
+/** forEachUnionLeaf's visits, in order. */
+std::vector<LeafPop>
+unionWalk(const std::vector<Index> &a, const std::vector<Index> &b)
+{
+    std::vector<LeafPop> out;
+    forEachUnionLeaf(a, b, 256, [&](Index slot, Index pop) {
+        out.emplace_back(slot, pop);
+    });
+    return out;
+}
+
+/** The same scan over built bit-trees: alignUnion, then leaf unions. */
+std::vector<LeafPop>
+treeUnionScan(const std::vector<Index> &a, const std::vector<Index> &b,
+              Index cols)
+{
+    BitTree ta = capstan::sparse::pointersToBitTree(a, cols, 256);
+    BitTree tb = capstan::sparse::pointersToBitTree(b, cols, 256);
+    std::vector<LeafPop> out;
+    for (const AlignedLeafPair &p : alignUnion(ta, tb)) {
+        BitVector la = p.leaf_a != kNoIndex ? ta.leaf(p.leaf_a)
+                                            : BitVector(256);
+        BitVector lb = p.leaf_b != kNoIndex ? tb.leaf(p.leaf_b)
+                                            : BitVector(256);
+        out.emplace_back(p.top_slot, (la | lb).count());
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * The pointer-list union walk M+M runs visits the same leaves with the
+ * same populations as the bit-tree scan it stands for: leaf edges
+ * (0, 255, 256, 511, 512, cols - 1) with a last leaf that is only
+ * partly inside the space, one-sided and empty rows, and seeded rows.
+ */
+TEST(BitTreeAlign, UnionWalkMatchesTreeUnionScan)
+{
+    const Index cols = 1000; // Four leaves, the last one partial.
+    const std::vector<std::vector<Index>> rows = {
+        {},
+        {0},
+        {0, 255, 256, 511, 512, cols - 1},
+        {255, 256},
+        {511, 512, 998},
+        {cols - 1},
+        {1, 2, 3, 300, 700, 768, 999},
+    };
+    for (const auto &a : rows) {
+        for (const auto &b : rows) {
+            EXPECT_EQ(unionWalk(a, b), treeUnionScan(a, b, cols));
+        }
+    }
+
+    std::mt19937 rng(29);
+    for (int trial = 0; trial < 200; ++trial) {
+        Index space = 1 + static_cast<Index>(rng() % 3000);
+        std::uniform_int_distribution<Index> pos(0, space - 1);
+        std::set<Index> sa;
+        for (int i = static_cast<int>(rng() % 40); i > 0; --i)
+            sa.insert(pos(rng));
+        std::vector<Index> a(sa.begin(), sa.end());
+        // Every fifth b is empty; about half of b's picks are in a.
+        std::set<Index> sb;
+        for (int i = trial % 5 == 0 ? 0 : static_cast<int>(rng() % 40);
+             i > 0; --i)
+            sb.insert(rng() % 2 && !a.empty() ? a[rng() % a.size()]
+                                               : pos(rng));
+        std::vector<Index> b(sb.begin(), sb.end());
+        ASSERT_EQ(unionWalk(a, b), treeUnionScan(a, b, space))
+            << "trial " << trial;
     }
 }

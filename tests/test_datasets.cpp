@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -371,6 +372,37 @@ TEST(MatrixMarket, ErrorsPastTheFirstBufferNameTheirPhysicalLine)
     }
 }
 
+TEST(MatrixMarket, DataLineStartingWithNulIsRejected)
+{
+    // NUL is no comment character: after leading blanks it starts a
+    // data line, which both readers reject by its physical line.
+    std::string mtx = "%%MatrixMarket matrix coordinate real general\n"
+                      "% comment\n"
+                      "2 2 2\n"
+                      "1 1 1.0\n"
+                      " \t";
+    mtx += '\0';
+    mtx += " 2 2.0\n";
+    try {
+        mtxFromText(mtx);
+        FAIL() << "NUL line accepted";
+    } catch (const DatasetError &e) {
+        EXPECT_TRUE(std::string(e.what()).starts_with("test.mtx:5: invalid index"))
+            << e.what();
+    }
+
+    std::string edges = "# comment\n0 1\n";
+    edges += '\0';
+    edges += " 1\n1 0\n";
+    try {
+        edgesFromText(edges);
+        FAIL() << "NUL line accepted";
+    } catch (const DatasetError &e) {
+        EXPECT_TRUE(std::string(e.what()).starts_with("test.el:3: invalid node id"))
+            << e.what();
+    }
+}
+
 TEST(EdgeList, ParsesSnapStyleInput)
 {
     auto g = edgesFromText("# Directed graph\n"
@@ -685,6 +717,44 @@ TEST(Cache, ContentHashChangesWithAnyOneByte)
     // A trailing zero byte is content, not the last word's padding.
     writeFile(file, base + '\0');
     EXPECT_NE(hashFileContents(file.string()), h);
+}
+
+TEST(Cache, ColdLoadRecordsTheHashOfTheWholeFile)
+{
+    // A cold load reads its source once and hashes the bytes it
+    // parses; the hash it records must be hashFileContents' over the
+    // whole file (else every warm load would miss), including comment
+    // lines after the last entry and a last entry without '\n'.
+    fs::path dir = scratchDir("capstan_cache_one_read");
+    std::vector<std::string> mtx_lines;
+    std::vector<std::string> edge_lines;
+    for (int k = 0; k < kStreamedEntries / 4; ++k) {
+        sparse::Triplet t = streamedEntry(k);
+        mtx_lines.push_back(std::to_string(t.row + 1) + " " +
+                            std::to_string(t.col + 1) + " 1");
+        edge_lines.push_back(std::to_string(t.row) + " " +
+                             std::to_string(t.col));
+    }
+    std::string head = "%%MatrixMarket matrix coordinate real general\n"
+                       "500 500 " +
+                       std::to_string(mtx_lines.size()) + "\n";
+    fs::path mtx = dir / "m.mtx";
+    writeFile(mtx, streamedText(head, '%', 3, mtx_lines) +
+                       "\n% trailing\n%\n\n% comments\n");
+    fs::path edges = dir / "g.el";
+    std::string edge_text = streamedText("", '#', 5, edge_lines);
+    ASSERT_NE(edge_text.back(), '\n');
+    writeFile(edges, edge_text);
+    for (const fs::path &path : {mtx, edges}) {
+        ASSERT_GT(fs::file_size(path), kReadBufferBytes);
+        loadRealMatrix(path.string(), CacheMode::Force);
+        std::ifstream in(matrixCachePath(path.string()), std::ios::binary);
+        char header[32] = {};
+        ASSERT_TRUE(in.read(header, sizeof(header)));
+        std::uint64_t src_hash = 0; // After magic, size and mtime.
+        std::memcpy(&src_hash, header + 24, sizeof(src_hash));
+        EXPECT_EQ(src_hash, hashFileContents(path.string())) << path;
+    }
 }
 
 TEST(Cache, InvalidatesWhenTheSourceChanges)

@@ -63,6 +63,9 @@ struct Golden
  * were recaptured when dataset scaling switched from truncation to
  * round-to-nearest (their generated dimensions moved by one); both
  * were re-verified bit-identical against the dense executor with
+ * CAPSTAN_NO_FF=1. The two matadd-scan-bits rows were captured while
+ * M+M still built bit-trees for every row pair, before it counted the
+ * union populations from the sorted pointer lists; identical under
  * CAPSTAN_NO_FF=1.
  */
 const std::vector<Golden> &
@@ -111,6 +114,17 @@ goldens()
         {"spmv-csc",
          {"--app", "spmv-csc", "--scale", "0.05", "--tiles", "4"},
          310, 1840, 1968, 0, 656, 238, 256, 1219, 37},
+        // A 3728-column row has a 15-slot top level: one 64-bit
+        // scanner window, or four 4-bit windows charged on each row's
+        // first token.
+        {"matadd-scan-bits-64",
+         {"--app", "matadd", "--scale", "0.3", "--tiles", "16",
+          "--scan-bits", "64"},
+         1180, 24682, 100518, 3728, 7024, 7825, 0, 0, 0},
+        {"matadd-scan-bits-4",
+         {"--app", "matadd", "--scale", "0.3", "--tiles", "16",
+          "--scan-bits", "4"},
+         1662, 24682, 100518, 14912, 7440, 7825, 0, 0, 0},
     };
     return g;
 }

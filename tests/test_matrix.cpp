@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "sparse/matrix.hpp"
 
@@ -66,6 +71,96 @@ TEST(CooMatrix, NearlySortedInputStillSortsAndSums)
     EXPECT_EQ(swapped.entries(),
               (std::vector<Triplet>{
                   {0, 1, 2.0f}, {0, 2, 1.0f}, {1, 0, 3.0f}}));
+}
+
+TEST(CooMatrix, SumsDuplicatesInInputOrder)
+{
+    // In float, 1e8 + 1 rounds back to 1e8, so these three values sum
+    // to 0 or 1 depending on the order they are added in. They sit
+    // among 40 other entries in descending order, so the sort has work
+    // to do around them.
+    const std::vector<std::vector<float>> orders = {
+        {1e8f, 1.0f, -1e8f}, // (1e8 + 1) - 1e8 = 0
+        {1e8f, -1e8f, 1.0f}, // (1e8 - 1e8) + 1 = 1
+        {1.0f, 1e8f, -1e8f}, // (1 + 1e8) - 1e8 = 0
+        {-1e8f, 1e8f, 1.0f}, // (-1e8 + 1e8) + 1 = 1
+    };
+    for (const auto &vals : orders) {
+        std::vector<Triplet> trip;
+        for (Index i = 39; i >= 0; --i)
+            trip.push_back({i, 0, 1.0f});
+        // Inserted back to front, so they land in input order.
+        trip.insert(trip.begin() + 31, {20, 5, vals[2]});
+        trip.insert(trip.begin() + 18, {20, 5, vals[1]});
+        trip.insert(trip.begin() + 5, {20, 5, vals[0]});
+        auto coo = CooMatrix::fromTriplets(40, 6, trip);
+        ASSERT_EQ(coo.nnz(), 41);
+        EXPECT_EQ(coo.entries()[21],
+                  (Triplet{20, 5, (vals[0] + vals[1]) + vals[2]}));
+    }
+}
+
+/**
+ * Property: fromTriplets equals std::stable_sort by (row, col)
+ * followed by a left-to-right sum of each run of one coordinate, bit
+ * for bit, on seeded duplicate-heavy triplets of mixed magnitudes.
+ */
+TEST(CooMatrix, MatchesStableSortAndMerge)
+{
+    std::mt19937 rng(61);
+    auto bits = [](const std::vector<Triplet> &v) {
+        std::vector<std::uint32_t> out;
+        for (const Triplet &t : v) {
+            out.push_back(static_cast<std::uint32_t>(t.row));
+            out.push_back(static_cast<std::uint32_t>(t.col));
+            out.push_back(std::bit_cast<std::uint32_t>(t.value));
+        }
+        return out;
+    };
+    for (int trial = 0; trial < 50; ++trial) {
+        Index rows = 1 + static_cast<Index>(rng() % 20);
+        Index cols = 1 + static_cast<Index>(rng() % 20);
+        auto trip = randomTriplets(rng, rows, cols,
+                                   static_cast<int>(rng() % 400));
+        for (Triplet &t : trip)
+            t.value *= (rng() % 3 == 0) ? 1e7f : 1.0f;
+        std::vector<Triplet> want = trip;
+        std::stable_sort(want.begin(), want.end(),
+                         [](const Triplet &a, const Triplet &b) {
+                             return a.row != b.row ? a.row < b.row
+                                                   : a.col < b.col;
+                         });
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            if (out > 0 && want[out - 1].row == want[i].row &&
+                want[out - 1].col == want[i].col)
+                want[out - 1].value += want[i].value;
+            else
+                want[out++] = want[i];
+        }
+        want.resize(out);
+        auto coo = CooMatrix::fromTriplets(rows, cols, trip);
+        ASSERT_EQ(bits(coo.entries()), bits(want)) << "trial " << trial;
+    }
+}
+
+TEST(CooMatrix, RejectsOutOfRangeTriplets)
+{
+    // Sorted and unsorted inputs alike, every bound.
+    const std::vector<std::vector<Triplet>> bad = {
+        {{2, 0, 1.0f}},
+        {{0, 2, 1.0f}},
+        {{-1, 0, 1.0f}},
+        {{0, -1, 1.0f}},
+        {{0, 0, 1.0f}, {1, 5, 1.0f}},
+        {{1, 1, 1.0f}, {0, 0, 1.0f}, {7, 0, 1.0f}},
+    };
+    for (const auto &trip : bad) {
+        EXPECT_THROW(CooMatrix::fromTriplets(2, 2, trip),
+                     std::out_of_range);
+        EXPECT_THROW(CsrMatrix::fromTriplets(2, 2, trip),
+                     std::out_of_range);
+    }
 }
 
 TEST(CsrMatrix, BuildsRowPointers)

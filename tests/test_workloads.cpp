@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "driver/runner.hpp"
 #include "workloads/datasets.hpp"
 #include "workloads/tiling.hpp"
 
@@ -152,6 +158,114 @@ TEST(Datasets, AllTable6NamesLoad)
     EXPECT_GT(loadMatrixDataset("p2p-Gnutella31", 0.25).nnz(), 0);
     EXPECT_THROW(loadMatrixDataset("nope"), std::invalid_argument);
     EXPECT_THROW(loadConvDataset("nope"), std::invalid_argument);
+}
+
+namespace {
+
+/** FNV-1a over @p n bytes at @p p, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *p, std::size_t n)
+{
+    const auto *b = static_cast<const unsigned char *>(p);
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ b[i]) * 0x100000001B3ULL;
+    return h;
+}
+
+template <typename T>
+std::uint64_t
+fnv1a(std::uint64_t h, const std::vector<T> &v)
+{
+    return fnv1a(h, v.data(), v.size() * sizeof(T));
+}
+
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+
+/** Digest of a matrix's dimensions and its three CSR arrays. */
+std::uint64_t
+digest(const CsrMatrix &m)
+{
+    Index dims[2] = {m.rows(), m.cols()};
+    std::uint64_t h = fnv1a(kFnvBasis, dims, sizeof(dims));
+    h = fnv1a(h, m.rowPtr());
+    h = fnv1a(h, m.colIdx());
+    return fnv1a(h, m.values());
+}
+
+/** Digest of a conv layer's shape, activations and kernel. */
+std::uint64_t
+digest(const ConvLayer &l)
+{
+    Index dims[4] = {l.dim, l.kdim, l.in_channels, l.out_channels};
+    std::uint64_t h = fnv1a(kFnvBasis, dims, sizeof(dims));
+    h = fnv1a(h, l.activations.data());
+    return fnv1a(h, l.kernel.data());
+}
+
+} // namespace
+
+/**
+ * Every Table 6 stand-in, bit for bit, at the quick preset's scale
+ * (0.02x the bench default) and at the bench default the full preset
+ * runs (driver::defaultScale). A generator or canonicalization change
+ * that moves one value fails here; the message prints the new digest.
+ * Recorded with canonicalize's std::sort, except ckt11752_dc_1: its
+ * 3-way and larger duplicate sums moved in the last bit when
+ * canonicalize became a stable counting sort that sums duplicates in
+ * input order.
+ */
+TEST(Datasets, GeneratorsArePinned)
+{
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t quick;
+        std::uint64_t full;
+    };
+    const std::vector<Pin> pins = {
+        {"ckt11752_dc_1", 0x02AB43840672BF40, 0x93E9C436124EFF5C},
+        {"Trefethen_20000", 0xCA8B963EAF9DBC62,
+         0x4CB3D22103FA101E},
+        {"bcsstk30", 0x902EED77061BA716, 0x923313EE74AA7BAE},
+        {"usroads-48", 0x2E3E4BC3290B992D, 0x6CC7DD97F3174E0F},
+        {"web-Stanford", 0xE41881D7656D9A51, 0x96B275300C3C810D},
+        {"flickr", 0x540EB8555B69DEF6, 0x59AB5DC6D6857829},
+        {"p2p-Gnutella31", 0x1AE1C21A890EE634, 0xBB1CC8236BB53461},
+        {"spaceStation_4", 0x3697A1EDE77DBC00, 0xBCC2E765DA573D75},
+        {"qc324", 0x2C8490A767491214, 0x7604F74CB67C19BF},
+        {"mbeacxc", 0xC47E584AAAD857CC, 0x7E80E17C3ECF9410},
+        {"ResNet-50 #1", 0x9BD68A0390CF58E6, 0x01B499AB0E14D52F},
+        {"ResNet-50 #2", 0x024A3B38183DD68B, 0xB284984A948D8BF6},
+        {"ResNet-50 #29", 0x8F0C006317989B56, 0x26C5E86FF48492D8},
+    };
+    // Every registered name is pinned, plus the sensitivity studies'
+    // flickr substitute.
+    std::vector<std::string> registry = linearAlgebraDatasetNames();
+    for (const auto &list :
+         {graphDatasetNames(), spmspmDatasetNames(), convDatasetNames()})
+        registry.insert(registry.end(), list.begin(), list.end());
+    registry.push_back("p2p-Gnutella31");
+    ASSERT_EQ(registry.size(), pins.size());
+    for (const std::string &name : registry)
+        EXPECT_TRUE(std::ranges::any_of(
+            pins, [&](const Pin &pin) { return name == pin.name; }))
+            << name << " is not pinned";
+    for (const Pin &pin : pins) {
+        for (double mult : {0.02, 1.0}) {
+            double scale = capstan::driver::defaultScale(pin.name) * mult;
+            bool conv = std::string(pin.name).starts_with("ResNet");
+            std::uint64_t got =
+                conv ? digest(loadConvDataset(pin.name, scale).layer)
+                     : digest(loadMatrixDataset(pin.name, scale)
+                                  .matrix.csr());
+            char hex[19];
+            std::snprintf(hex, sizeof(hex), "0x%016llX",
+                          static_cast<unsigned long long>(got));
+            EXPECT_EQ(got, mult < 1.0 ? pin.quick : pin.full)
+                << pin.name << " at scale " << scale << ": digest "
+                << hex;
+        }
+    }
 }
 
 TEST(Datasets, ScaleShrinksProportionally)
