@@ -2,9 +2,11 @@
  * @file
  * Quickstart: run one sparse kernel on the Capstan simulator.
  *
- * Builds a small CSR matrix, multiplies it by a dense vector on a
- * simulated Capstan with HBM2E memory, verifies the result against the
- * scalar reference, and prints the headline performance counters.
+ * Builds a small CSR matrix, times its product with a dense vector on
+ * a simulated Capstan with HBM2E memory, and prints the headline
+ * performance counters. The simulator returns timing only, and the
+ * timing does not depend on the vector's values; the product with a
+ * vector x is spmvReference(matrix, x).
  *
  *   $ ./build/examples/quickstart
  */
@@ -21,12 +23,8 @@ namespace sim = capstan::sim;
 int
 main()
 {
-    // 1. A workload: a 2,000 x 2,000 circuit-like sparse matrix and a
-    //    dense input vector.
+    // 1. A workload: a 2,000 x 2,000 circuit-like sparse matrix.
     auto matrix = workloads::circuitMatrix(2000, 14000, /*seed=*/42);
-    sparse::DenseVector x(matrix.cols());
-    for (Index i = 0; i < x.size(); ++i)
-        x[i] = 1.0f / (1.0f + i % 17);
 
     std::printf("Matrix: %d x %d, %d non-zeros (%.3f%% dense)\n",
                 matrix.rows(), matrix.cols(), matrix.nnz(),
@@ -36,17 +34,10 @@ main()
     sim::CapstanConfig cfg =
         sim::CapstanConfig::capstan(sim::MemTech::HBM2E);
 
-    // 3. Run CSR SpMV: functional execution plus cycle-level timing.
-    SpmvResult result = runSpmvCsr(matrix, x, cfg, /*tiles=*/8);
+    // 3. Run CSR SpMV through the cycle-level timing model.
+    AppTiming t = runSpmvCsr(matrix, cfg, /*tiles=*/8);
 
-    // 4. Verify against the golden reference.
-    auto want = spmvReference(matrix, x);
-    double err = relativeError(result.out.data(), want.data());
-    std::printf("Functional check: relative error %.2e (%s)\n", err,
-                err < 1e-6 ? "PASS" : "FAIL");
-
-    // 5. Inspect the timing.
-    const AppTiming &t = result.timing;
+    // 4. Inspect the timing.
     std::printf("\nSimulated execution (8 tiles, %s):\n",
                 sim::memTechName(cfg.dram.tech).c_str());
     std::printf("  cycles          : %llu (%.2f us at %.1f GHz)\n",
@@ -63,5 +54,5 @@ main()
     std::printf("  active lanes/cyc: %.1f of %d\n",
                 t.totals.active_lane_cycles / t.cycles,
                 cfg.spmu.lanes * 8);
-    return err < 1e-6 ? 0 : 1;
+    return 0;
 }

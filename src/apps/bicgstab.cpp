@@ -27,10 +27,13 @@ norm(const DenseVector &a)
     return std::sqrt(dot(a, a));
 }
 
-/** One unpreconditioned BiCGStab pass; returns x and final residual. */
-std::pair<DenseVector, double>
-bicgstabSolve(const MatrixView &m, const DenseVector &b, int iterations)
+} // namespace
+
+DenseVector
+bicgstabReference(const MatrixView &m, const DenseVector &b,
+                  int iterations)
 {
+    // Unpreconditioned BiCGStab.
     Index n = m.rows();
     DenseVector x(n, 0);
     DenseVector r = b; // r = b - A*0.
@@ -60,32 +63,24 @@ bicgstabSolve(const MatrixView &m, const DenseVector &b, int iterations)
                               (p[i] - static_cast<Value>(omega) * v[i]);
         rho = rho_next;
     }
+    return x;
+}
+
+double
+residualNorm(const MatrixView &m, const DenseVector &b,
+             const DenseVector &x)
+{
     DenseVector ax = spmvReference(m, x);
-    DenseVector resid(n);
-    for (Index i = 0; i < n; ++i)
+    DenseVector resid(m.rows());
+    for (Index i = 0; i < m.rows(); ++i)
         resid[i] = b[i] - ax[i];
-    return {x, norm(resid)};
+    return norm(resid);
 }
 
-} // namespace
-
-DenseVector
-bicgstabReference(const MatrixView &m, const DenseVector &b,
-                  int iterations)
+AppTiming
+runBicgstab(const MatrixView &m, int iterations, const CapstanConfig &cfg,
+            int tiles)
 {
-    return bicgstabSolve(m, b, iterations).first;
-}
-
-BicgstabResult
-runBicgstab(const MatrixView &m, const DenseVector &b, int iterations,
-            const CapstanConfig &cfg, int tiles)
-{
-    BicgstabResult res;
-    auto [x, resid] = bicgstabSolve(m, b, iterations);
-    res.x = std::move(x);
-    res.residual_norm = resid;
-    res.iterations_run = iterations;
-
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
@@ -167,8 +162,7 @@ runBicgstab(const MatrixView &m, const DenseVector &b, int iterations,
         feedSpmvPhase();   // t = A s.
         feedVectorPhase(3); // omega dots, x and r updates, next p.
     }
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
 } // namespace capstan::apps

@@ -22,23 +22,20 @@ namespace capstan::apps {
 using sparse::DenseVector;
 using sparse::MatrixView;
 
-/** Result of a BiCGStab run. */
-struct BicgstabResult
-{
-    DenseVector x;           //!< Approximate solution.
-    double residual_norm;    //!< ||b - A x|| after the final iteration.
-    int iterations_run;
-    AppTiming timing;
-};
-
 /** Golden scalar reference; returns x after @p iterations. */
 DenseVector bicgstabReference(const MatrixView &m, const DenseVector &b,
                               int iterations);
 
-/** Fused BiCGStab on Capstan. */
-BicgstabResult runBicgstab(const MatrixView &m, const DenseVector &b,
-                           int iterations, const CapstanConfig &cfg,
-                           int tiles = kDefaultTiles);
+/** ||b - M x||: the residual a solve for @p x leaves. */
+double residualNorm(const MatrixView &m, const DenseVector &b,
+                    const DenseVector &x);
+
+/**
+ * Fused BiCGStab on Capstan: @p iterations full iterations. The timing
+ * does not depend on the right-hand side, so none is passed.
+ */
+AppTiming runBicgstab(const MatrixView &m, int iterations,
+                      const CapstanConfig &cfg, int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

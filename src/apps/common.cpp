@@ -1,26 +1,10 @@
 #include "apps/common.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "sim/compression.hpp"
 
 namespace capstan::apps {
-
-double
-relativeError(const std::vector<Value> &got,
-              const std::vector<Value> &want)
-{
-    if (got.size() != want.size())
-        return 1e30;
-    double num = 0.0;
-    double den = 1e-30;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        double d = static_cast<double>(got[i]) - want[i];
-        num += d * d;
-        den += static_cast<double>(want[i]) * want[i];
-    }
-    return std::sqrt(num / den);
-}
 
 double
 streamCompressionRatio(std::span<const Index> pointers,

@@ -2,10 +2,13 @@
  * @file
  * Shared types and helpers for the Capstan applications (Table 2).
  *
- * Every application follows the same co-simulation pattern: execute
- * functionally on the host (producing real, testable results) while
- * lowering each tile's work to a linear stage chain fed with
- * vector-granularity tokens; the Machine then supplies the timing.
+ * Every application has two halves. A golden `*Reference` function
+ * computes its functional result on the host, and is what tests and
+ * examples read. A `run*` function lowers each tile's work to a linear
+ * stage chain fed with vector-granularity tokens, and returns the
+ * timing the Machine supplies. Only BFS and SSSP also return a
+ * functional result from their runs: their frontier expansion is the
+ * run's own execution and drives their token streams.
  */
 
 #pragma once
@@ -50,10 +53,6 @@ emitChunks(Index count, EmitFn &&emit)
         emit(base, lanes);
     }
 }
-
-/** Relative L2 error between two value arrays. */
-double relativeError(const std::vector<Value> &got,
-                     const std::vector<Value> &want);
 
 /**
  * Effective whole-stream compression ratio when @p pointer_fraction of

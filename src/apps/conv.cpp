@@ -38,12 +38,9 @@ convReference(const ConvLayer &layer)
     return out;
 }
 
-ConvResult
+AppTiming
 runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
 {
-    ConvResult res;
-    res.out = convReference(layer);
-
     Index dim = layer.dim;
     Index pad = layer.kdim / 2;
     Index rows_per_tile = (dim + tiles - 1) / tiles;
@@ -180,8 +177,7 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
         }
     }
     mach.runPhase();
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
 } // namespace capstan::apps

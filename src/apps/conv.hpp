@@ -20,19 +20,15 @@ namespace capstan::apps {
 
 using workloads::ConvLayer;
 
-/** Result of a convolution: output tensor plus timing. */
-struct ConvResult
-{
-    sparse::DenseTensor3 out; //!< (outCh, dim, dim).
-    AppTiming timing;
-};
-
-/** Golden scalar reference ("same" padding, stride 1). */
+/**
+ * Golden scalar reference ("same" padding, stride 1); the output is
+ * (outCh, dim, dim).
+ */
 sparse::DenseTensor3 convReference(const ConvLayer &layer);
 
 /** Sparse convolution on Capstan. */
-ConvResult runConv(const ConvLayer &layer, const CapstanConfig &cfg,
-                   int tiles = kDefaultTiles);
+AppTiming runConv(const ConvLayer &layer, const CapstanConfig &cfg,
+                  int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

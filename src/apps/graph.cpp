@@ -195,7 +195,7 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
         frontier = std::move(next);
         ++depth;
     }
-    res.timing.finish(mach);
+    res.timing = AppTiming::snapshot(mach);
     return res;
 }
 
@@ -261,7 +261,7 @@ runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
 
         frontier = std::move(next);
     }
-    res.timing.finish(mach);
+    res.timing = AppTiming::snapshot(mach);
     return res;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "sparse/bittree.hpp"
 #include "sparse/format_convert.hpp"
@@ -12,12 +13,23 @@ namespace capstan::apps {
 using sparse::BitVector;
 using workloads::Tiling;
 
+namespace {
+
+void
+requireSameShape(const MatrixView &a, const MatrixView &b,
+                 const std::string &caller)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        throw std::invalid_argument(caller +
+                                    ": operand dimensions differ");
+}
+
+} // namespace
+
 CsrMatrix
 matAddReference(const MatrixView &a, const MatrixView &b)
 {
-    if (a.rows() != b.rows() || a.cols() != b.cols())
-        throw std::invalid_argument(
-            "matAddReference: operand dimensions differ");
+    requireSameShape(a, b, "matAddReference");
     // Merge each row pair: both rows are sorted and duplicate-free, so
     // a column in both adds once.
     std::vector<Index> row_ptr(static_cast<std::size_t>(a.rows()) + 1, 0);
@@ -52,12 +64,11 @@ matAddReference(const MatrixView &a, const MatrixView &b)
                                 std::move(col_idx), std::move(values));
 }
 
-MatAddResult
+AppTiming
 runMatAdd(const MatrixView &a, const MatrixView &b,
           const CapstanConfig &cfg, int tiles, bool use_bittree)
 {
-    MatAddResult res;
-    res.sum = matAddReference(a, b);
+    requireSameShape(a, b, "runMatAdd");
 
     Machine mach(cfg, tiles);
     Tiling tiling = Tiling::roundRobin(a.rows(), tiles);
@@ -153,8 +164,7 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
         }
     }
     mach.runPhase();
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
 } // namespace capstan::apps

@@ -21,13 +21,6 @@ namespace capstan::apps {
 using sparse::CsrMatrix;
 using sparse::MatrixView;
 
-/** Result of M+M: the sum matrix plus timing. */
-struct MatAddResult
-{
-    CsrMatrix sum;
-    AppTiming timing;
-};
-
 /** Golden scalar reference: C = A + B. */
 CsrMatrix matAddReference(const MatrixView &a, const MatrixView &b);
 
@@ -36,11 +29,11 @@ CsrMatrix matAddReference(const MatrixView &a, const MatrixView &b);
  * @param use_bittree Use two-level bit-tree iteration (the paper's
  *        design); false falls back to flat bit-vector rows, which is
  *        dramatically slower on very sparse rows (Fig. 6a's motivation).
+ * @throws std::invalid_argument when the operands' shapes differ.
  */
-MatAddResult runMatAdd(const MatrixView &a, const MatrixView &b,
-                       const CapstanConfig &cfg,
-                       int tiles = kDefaultTiles,
-                       bool use_bittree = true);
+AppTiming runMatAdd(const MatrixView &a, const MatrixView &b,
+                    const CapstanConfig &cfg, int tiles = kDefaultTiles,
+                    bool use_bittree = true);
 
 } // namespace capstan::apps
 

@@ -30,13 +30,10 @@ pageRankReference(const MatrixView &graph, int iterations, Value damping)
     return rank;
 }
 
-PageRankResult
+AppTiming
 runPageRankPull(const MatrixView &graph, int iterations,
                 const CapstanConfig &cfg, int tiles)
 {
-    PageRankResult res;
-    res.ranks = pageRankReference(graph, iterations);
-
     // Pull iterates in-edges: build the transpose once (offline format
     // preparation, as the paper's tiling step does).
     sparse::CsrMatrix in_csr = graph.transposed();
@@ -93,17 +90,13 @@ runPageRankPull(const MatrixView &graph, int iterations,
         }
         mach.runPhase();
     }
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
-PageRankResult
+AppTiming
 runPageRankEdge(const MatrixView &graph, int iterations,
                 const CapstanConfig &cfg, int tiles)
 {
-    PageRankResult res;
-    res.ranks = pageRankReference(graph, iterations);
-
     Machine mach(cfg, tiles);
     if (cfg.dram.compression) {
         // Both stream words are pointers; the source side repeats for
@@ -170,8 +163,7 @@ runPageRankEdge(const MatrixView &graph, int iterations,
         }
         mach.runPhase();
     }
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
 } // namespace capstan::apps

@@ -22,26 +22,19 @@ namespace capstan::apps {
 using sparse::DenseVector;
 using sparse::MatrixView;
 
-/** Result of a PageRank run: final ranks plus timing. */
-struct PageRankResult
-{
-    DenseVector ranks;
-    AppTiming timing;
-};
-
 /** Golden scalar reference (synchronous power iteration). */
 DenseVector pageRankReference(const MatrixView &graph, int iterations,
                               Value damping = 0.85f);
 
 /** Pull-based PageRank on Capstan. */
-PageRankResult runPageRankPull(const MatrixView &graph, int iterations,
-                               const CapstanConfig &cfg,
-                               int tiles = kDefaultTiles);
+AppTiming runPageRankPull(const MatrixView &graph, int iterations,
+                          const CapstanConfig &cfg,
+                          int tiles = kDefaultTiles);
 
 /** Edge-streaming PageRank on Capstan. */
-PageRankResult runPageRankEdge(const MatrixView &graph, int iterations,
-                               const CapstanConfig &cfg,
-                               int tiles = kDefaultTiles);
+AppTiming runPageRankEdge(const MatrixView &graph, int iterations,
+                          const CapstanConfig &cfg,
+                          int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

@@ -21,20 +21,12 @@ namespace capstan::apps {
 using sparse::CsrMatrix;
 using sparse::MatrixView;
 
-/** Result of SpMSpM: the product matrix plus timing. */
-struct SpmspmResult
-{
-    CsrMatrix product;
-    AppTiming timing;
-};
-
 /** Golden scalar reference (row-merge Gustavson). */
 CsrMatrix spmspmReference(const MatrixView &a, const MatrixView &b);
 
 /** SpMSpM on Capstan. */
-SpmspmResult runSpmspm(const MatrixView &a, const MatrixView &b,
-                       const CapstanConfig &cfg,
-                       int tiles = kDefaultTiles);
+AppTiming runSpmspm(const MatrixView &a, const MatrixView &b,
+                    const CapstanConfig &cfg, int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

@@ -23,13 +23,9 @@ spmvReference(const MatrixView &m, const DenseVector &v)
     return out;
 }
 
-SpmvResult
-runSpmvCsr(const MatrixView &m, const DenseVector &v,
-           const CapstanConfig &cfg, int tiles)
+AppTiming
+runSpmvCsr(const MatrixView &m, const CapstanConfig &cfg, int tiles)
 {
-    SpmvResult res;
-    res.out = spmvReference(m, v); // Functional execution.
-
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
@@ -73,17 +69,12 @@ runSpmvCsr(const MatrixView &m, const DenseVector &v,
         }
     }
     mach.runPhase();
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
-SpmvResult
-runSpmvCoo(const MatrixView &m, const DenseVector &v,
-           const CapstanConfig &cfg, int tiles)
+AppTiming
+runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg, int tiles)
 {
-    SpmvResult res;
-    res.out = spmvReference(m, v);
-
     Machine mach(cfg, tiles);
     // Non-zeros round-robin across tiles; output rows block-partitioned
     // so accumulations may land on any tile (cross-tile RMW).
@@ -146,17 +137,13 @@ runSpmvCoo(const MatrixView &m, const DenseVector &v,
         });
     }
     mach.runPhase();
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
-SpmvResult
+AppTiming
 runSpmvCsc(const MatrixView &m, const DenseVector &v,
            const CapstanConfig &cfg, int tiles)
 {
-    SpmvResult res;
-    res.out = spmvReference(m, v);
-
     CscMatrix csc = CscMatrix::adoptTranspose(m.transposed());
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
@@ -220,8 +207,7 @@ runSpmvCsc(const MatrixView &m, const DenseVector &v,
         });
     }
     mach.runPhase();
-    res.timing.finish(mach);
-    return res;
+    return AppTiming::snapshot(mach);
 }
 
 } // namespace capstan::apps

@@ -27,33 +27,30 @@ using sparse::CsrMatrix;
 using sparse::DenseVector;
 using sparse::MatrixView;
 
-/** Result of a SpMV run: the output vector plus timing. */
-struct SpmvResult
-{
-    DenseVector out;
-    AppTiming timing;
-};
-
 /** Golden scalar reference: out = M * v. */
 DenseVector spmvReference(const MatrixView &m, const DenseVector &v);
 
-/** CSR SpMV on Capstan. */
-SpmvResult runSpmvCsr(const MatrixView &m, const DenseVector &v,
-                      const CapstanConfig &cfg,
-                      int tiles = kDefaultTiles);
+/**
+ * CSR SpMV on Capstan with a dense input vector. The timing does not
+ * depend on the vector's values, so none is passed.
+ */
+AppTiming runSpmvCsr(const MatrixView &m, const CapstanConfig &cfg,
+                     int tiles = kDefaultTiles);
 
-/** COO SpMV on Capstan (matrix streamed in coordinate form). */
-SpmvResult runSpmvCoo(const MatrixView &m, const DenseVector &v,
-                      const CapstanConfig &cfg,
-                      int tiles = kDefaultTiles);
+/**
+ * COO SpMV on Capstan (matrix streamed in coordinate form) with a
+ * dense input vector; see runSpmvCsr.
+ */
+AppTiming runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg,
+                     int tiles = kDefaultTiles);
 
 /**
  * CSC SpMV on Capstan; @p v is expected to be sparse (the paper uses a
- * 30%-dense input vector, as in the EIE evaluation).
+ * 30%-dense input vector, as in the EIE evaluation), and its zeros
+ * drive the data scanner.
  */
-SpmvResult runSpmvCsc(const MatrixView &m, const DenseVector &v,
-                      const CapstanConfig &cfg,
-                      int tiles = kDefaultTiles);
+AppTiming runSpmvCsc(const MatrixView &m, const DenseVector &v,
+                     const CapstanConfig &cfg, int tiles = kDefaultTiles);
 
 } // namespace capstan::apps
 

@@ -39,12 +39,11 @@ struct GpuRates
 
 template <typename Rates>
 double
-modelSeconds(const KernelProfile &p, const Rates &r, double fraction)
+modelSeconds(const KernelProfile &p, const Rates &r)
 {
     // The memory system serves streams, gathers, randoms, and atomics
     // from shared bandwidth: take the max of each bottleneck and the
-    // compute/merge time, then add fixed overheads. Weak scaling
-    // derates the throughput terms only.
+    // compute/merge time, then add fixed overheads.
     double mem = p.stream_bytes / r.stream_bw +
                  p.gather_words / r.gather_rate +
                  p.random_words / r.random_rate +
@@ -53,8 +52,7 @@ modelSeconds(const KernelProfile &p, const Rates &r, double fraction)
     double merge = p.serial_merge_ops / r.merge_rate;
     double overhead = p.kernel_launches * r.launch_cost +
                       p.sync_barriers * r.barrier_cost;
-    return std::max({mem, compute, merge}) / std::max(1e-6, fraction) +
-           overhead;
+    return std::max({mem, compute, merge}) + overhead;
 }
 
 /** Average BFS/SSSP level count estimate when not supplied. */
@@ -86,15 +84,15 @@ KernelProfile::operator+=(const KernelProfile &other)
 }
 
 double
-cpuSeconds(const KernelProfile &p, double hardware_fraction)
+cpuSeconds(const KernelProfile &p)
 {
-    return modelSeconds(p, CpuRates{}, hardware_fraction);
+    return modelSeconds(p, CpuRates{});
 }
 
 double
-gpuSeconds(const KernelProfile &p, double hardware_fraction)
+gpuSeconds(const KernelProfile &p)
 {
-    return modelSeconds(p, GpuRates{}, hardware_fraction);
+    return modelSeconds(p, GpuRates{});
 }
 
 KernelProfile

@@ -42,20 +42,14 @@ struct KernelProfile
 };
 
 /**
- * Runtime on the 128-thread, 4-socket Xeon baseline, in seconds.
- * @param hardware_fraction Weak-scaling knob: throughput-limited terms
- *        run on this fraction of the machine (fixed launch/barrier
- *        overheads are unaffected). A caller that gives Capstan part
- *        of its chip can pass the same fraction so normalized ratios
- *        stay comparable at reduced dataset scales; the Table 12
- *        study runs both machines whole (1.0).
+ * Runtime on the 128-thread, 4-socket Xeon baseline, in seconds, on
+ * the whole machine: the slowest of its memory, compute and serial
+ * merge throughput terms, plus fixed launch and barrier overheads.
  */
-double cpuSeconds(const KernelProfile &profile,
-                  double hardware_fraction = 1.0);
+double cpuSeconds(const KernelProfile &profile);
 
 /** Runtime on the V100 baseline, in seconds; see cpuSeconds. */
-double gpuSeconds(const KernelProfile &profile,
-                  double hardware_fraction = 1.0);
+double gpuSeconds(const KernelProfile &profile);
 
 /** @name Per-application profile builders (Table 2 semantics). @{ */
 KernelProfile profileSpmvCsr(const MatrixView &m);

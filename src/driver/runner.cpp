@@ -157,19 +157,6 @@ datasetCacheStats()
             g_cache_misses.load(std::memory_order_relaxed)};
 }
 
-namespace {
-
-sparse::DenseVector
-denseInput(Index n)
-{
-    sparse::DenseVector v(n);
-    for (Index i = 0; i < n; ++i)
-        v[i] = 0.25f + 0.5f * ((i * 2654435761u) % 1024) / 1024.0f;
-    return v;
-}
-
-} // namespace
-
 double
 effectiveScale(const std::string &dataset, const RunKnobs &knobs)
 {
@@ -195,7 +182,7 @@ runApp(const std::string &app, const std::string &dataset,
 {
     Workload w = workload(app, dataset, knobs);
     if (w.layer)
-        return runConv(*w.layer, cfg, knobs.tiles).timing;
+        return runConv(*w.layer, cfg, knobs.tiles);
     const sparse::MatrixStore &m = w.matrix->matrix;
     // Graph traversals, M+M (A + A^T), SpMSpM (A x A), and BiCGStab
     // index one dimension with the other's indices, so a rectangular
@@ -209,18 +196,18 @@ runApp(const std::string &app, const std::string &dataset,
             std::to_string(m.cols()));
     }
     if (app == "CSR")
-        return runSpmvCsr(m, denseInput(m.cols()), cfg, knobs.tiles).timing;
+        return runSpmvCsr(m, cfg, knobs.tiles);
     if (app == "COO")
-        return runSpmvCoo(m, denseInput(m.cols()), cfg, knobs.tiles).timing;
+        return runSpmvCoo(m, cfg, knobs.tiles);
     if (app == "CSC") {
         // The paper uses a 30%-dense input vector for CSC SpMV.
         auto v = sparseVector(m.cols(), 0.30, 0xCEC);
-        return runSpmvCsc(m, v, cfg, knobs.tiles).timing;
+        return runSpmvCsc(m, v, cfg, knobs.tiles);
     }
     if (app == "PR-Pull")
-        return runPageRankPull(m, knobs.iterations, cfg, knobs.tiles).timing;
+        return runPageRankPull(m, knobs.iterations, cfg, knobs.tiles);
     if (app == "PR-Edge")
-        return runPageRankEdge(m, knobs.iterations, cfg, knobs.tiles).timing;
+        return runPageRankEdge(m, knobs.iterations, cfg, knobs.tiles);
     if (app == "BFS")
         return runBfs(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
     if (app == "SSSP")
@@ -233,13 +220,12 @@ runApp(const std::string &app, const std::string &dataset,
             datasetKey(dataset, effectiveScale(dataset, knobs),
                        knobs.dataset_dir),
             [&] { return sparse::MatrixStore(m.transpose()); });
-        return runMatAdd(m, mt, cfg, knobs.tiles).timing;
+        return runMatAdd(m, mt, cfg, knobs.tiles);
     }
     if (app == "SpMSpM")
-        return runSpmspm(m, m, cfg, knobs.tiles).timing;
+        return runSpmspm(m, m, cfg, knobs.tiles);
     if (app == "BiCGStab")
-        return runBicgstab(m, denseInput(m.rows()), knobs.iterations,
-                           cfg, knobs.tiles).timing;
+        return runBicgstab(m, knobs.iterations, cfg, knobs.tiles);
     throw std::invalid_argument("unknown app: " + app);
 }
 

@@ -14,8 +14,9 @@
  *
  * Stepping is cycle-exact but not cycle-by-cycle: when a cycle makes no
  * observable progress (every stage is waiting on a token's ready_at, a
- * scanner burn, or an in-flight memory access), the machine queries each
- * unit's nextEventCycle() horizon and jumps straight to the minimum,
+ * scanner burn, or an in-flight memory access), the machine takes the
+ * earliest event of its stages, SpMUs and shuffle network (the units'
+ * nextEventCycle() horizons) and jumps straight to it,
  * attributing the skipped cycles to the same stall classes the dense
  * loop would have (see docs/ARCHITECTURE.md, "Stepping engine"). Results
  * and statistics are bit-identical to one-cycle-at-a-time stepping.

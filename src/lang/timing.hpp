@@ -28,14 +28,17 @@ struct AppTiming
     sim::SpmuStats spmu;           //!< On-chip memory behaviour.
     double runtime_ms = 0;         //!< cycles / clock.
 
-    void finish(Machine &m)
+    /** The stats of @p m's finished run. */
+    static AppTiming snapshot(Machine &m)
     {
-        cycles = m.totals().cycles;
-        totals = m.totals();
-        dram = m.dram().stats();
-        spmu = m.spmuTotals();
-        runtime_ms = static_cast<double>(cycles) /
-                     (m.config().clock_ghz * 1e6);
+        AppTiming t;
+        t.cycles = m.totals().cycles;
+        t.totals = m.totals();
+        t.dram = m.dram().stats();
+        t.spmu = m.spmuTotals();
+        t.runtime_ms = static_cast<double>(t.cycles) /
+                       (m.config().clock_ghz * 1e6);
+        return t;
     }
 };
 

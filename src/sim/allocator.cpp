@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/check.hpp"
-#include "common/simd.hpp"
 
 namespace capstan::sim {
 
@@ -45,7 +44,7 @@ SeparableAllocator::allocate(
         // the first. A bid at or above `banks` is never granted; it
         // still occupies the lane's bid for this iteration.
         std::uint32_t won = 0;
-        common::simd::forEachSetBit(lane_mask & ~granted_lanes, [&](int l) {
+        forEachSetBit(lane_mask & ~granted_lanes, [&](int l) {
             std::uint32_t avail = req[l] & ~taken_banks;
             if (avail == 0)
                 return;

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,22 @@ constexpr int kMaxVirtualLanes = 32;
 
 /** One request matrix: requests[l] is a bank bitmask for virtual lane l. */
 using RequestMatrix = std::array<std::uint32_t, kMaxVirtualLanes>;
+
+/**
+ * Invoke `fn(index)` for each set bit of `mask` in ascending index
+ * order. Ascending order is a determinism guarantee, not an
+ * optimization: arbiters and reductions rely on it for fixed
+ * priority.
+ */
+template <typename Fn>
+void
+forEachSetBit(std::uint32_t mask, Fn &&fn)
+{
+    while (mask != 0) {
+        fn(std::countr_zero(mask));
+        mask &= mask - 1;
+    }
+}
 
 /** Allocation outcome: per virtual lane, the granted bank or -1. */
 struct AllocResult

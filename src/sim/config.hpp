@@ -23,9 +23,10 @@ namespace capstan::sim {
 using Cycle = std::uint64_t;
 
 /**
- * Sentinel returned by the units' nextEventCycle() horizons when no
- * future event is pending (the unit is drained or stateless). The
- * fast-forward engine (lang::Machine) treats it as "no constraint".
+ * Sentinel returned by the SpMU's and the shuffle network's
+ * nextEventCycle() horizons when no future event is pending (the unit
+ * is drained). The fast-forward engine (lang::Machine) treats it as
+ * "no constraint".
  */
 constexpr Cycle kNoEventCycle = ~Cycle{0};
 

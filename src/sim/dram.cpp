@@ -88,31 +88,6 @@ DramModel::streamAccess(std::uint64_t bytes, Cycle now)
     return static_cast<Cycle>(done) + cfg_.base_latency;
 }
 
-Cycle
-DramModel::nextEventCycle(Cycle now) const
-{
-    Cycle next = kNoEventCycle;
-    for (double free : channel_free_) {
-        auto c = static_cast<Cycle>(free);
-        if (c > now)
-            next = std::min(next, c);
-    }
-    return next;
-}
-
-Cycle
-AddressGenerator::nextEventCycle(Cycle now) const
-{
-    Cycle next = kNoEventCycle;
-    for (const auto &[burst, e] : table_) {
-        if (e.ready_at > now)
-            next = std::min(next, e.ready_at);
-        if (e.writeback_done > now)
-            next = std::min(next, e.writeback_done);
-    }
-    return next;
-}
-
 AddressGenerator::AddressGenerator(DramModel &dram, int table_entries)
     : dram_(dram), table_entries_(table_entries)
 {

@@ -75,17 +75,6 @@ class DramModel
     Cycle streamAccess(std::uint64_t bytes, Cycle now);
 
     const DramStats &stats() const { return stats_; }
-    void resetStats() { stats_ = DramStats{}; }
-
-    /**
-     * Event horizon for the fast-forward engine. The DRAM model is
-     * passive — requests are submitted with an explicit cycle and the
-     * latency is materialized in the returned completion time — so it
-     * never forces the machine to step: the horizon is the earliest
-     * cycle a busy channel frees (informational), or kNoEventCycle when
-     * every channel is already free at @p now.
-     */
-    Cycle nextEventCycle(Cycle now) const;
 
   private:
     struct BankState
@@ -130,15 +119,6 @@ class AddressGenerator
     std::uint64_t fetches() const { return fetches_; }
     std::uint64_t writebacks() const { return writebacks_; }
 
-    /**
-     * Event horizon for the fast-forward engine: the earliest cycle
-     * after @p now at which a tracked burst arrives or an outstanding
-     * writeback completes, or kNoEventCycle when nothing is in flight.
-     * Like the DRAM model, the AG is passive (atomicVector() is called
-     * with an explicit cycle), so this is informational.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
   private:
     struct BurstEntry
     {
@@ -152,10 +132,10 @@ class AddressGenerator
     int table_entries_;
     /**
      * Ordered by burst address so every iteration — the LRU eviction
-     * scan (tie-broken toward the lowest burst), flush()'s writeback
-     * order, and the fast-forward horizon — is identical on every
-     * platform. A hash map here made those orders depend on the
-     * standard library's bucket layout (capstan-lint: determinism).
+     * scan (tie-broken toward the lowest burst) and flush()'s writeback
+     * order — is identical on every platform. A hash map here made
+     * those orders depend on the standard library's bucket layout
+     * (capstan-lint: determinism).
      * The table holds at most `table_entries` (<= 64) bursts, so the
      * tree's log-depth costs nothing measurable.
      */

@@ -73,13 +73,6 @@ class ScannerModel
      */
     Cycle dataScanCycles(Index elements, Index nonzeros) const;
 
-    /**
-     * Event horizon for the fast-forward engine. The scanner cost model
-     * is stateless — the Machine keeps the per-stage skip/occupancy
-     * counters — so the model itself never pins the clock.
-     */
-    Cycle nextEventCycle(Cycle /*now*/) const { return kNoEventCycle; }
-
   private:
     ScannerConfig cfg_;
 };

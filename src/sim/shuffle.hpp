@@ -118,15 +118,6 @@ class ShuffleNetwork
 
     const ShuffleStats &stats() const { return stats_; }
 
-    /** Fraction of attempted merges that packed into one vector. */
-    double mergeSuccessRate() const
-    {
-        if (stats_.merges_attempted == 0)
-            return 1.0;
-        return static_cast<double>(stats_.merges_succeeded) /
-               static_cast<double>(stats_.merges_attempted);
-    }
-
   private:
     using Fifo = common::RingQueue<ShuffleVector>;
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/simd.hpp"
 
 namespace capstan::sim {
 
@@ -73,7 +72,8 @@ SparseMemoryUnit::bankOf(std::uint32_t addr) const
         return static_cast<int>(addr % cfg_.banks);
     // Nibble fold: a[0:3] ^ a[4:7] ^ a[8:11] ^ a[12:15], reduced to the
     // bank count (16 banks use the full 4-bit result).
-    return static_cast<int>(common::simd::xorFoldNibbles(addr) %
+    std::uint32_t folded = addr ^ (addr >> 8);
+    return static_cast<int>(((folded ^ (folded >> 4)) & 0xF) %
                             cfg_.banks);
 }
 
@@ -178,7 +178,7 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
         slot.pending = slot.valid & static_cast<std::uint16_t>(~slot.dup);
         slot.rmw_second_pass = 0;
         slot.parts = static_cast<std::uint8_t>(plan.parts);
-        common::simd::forEachSetBit(slot.valid, [&](int l) {
+        forEachSetBit(slot.valid, [&](int l) {
             const LaneRequest &lr = av.lane[l];
             slot.av.lane[l] = lr;
             int bank = bankOf(lr.addr);
@@ -472,7 +472,7 @@ SparseMemoryUnit::allocateArbitrated()
             }
             slot.pending = slot.rmw_second_pass;
             slot.rmw_second_pass = 0;
-            common::simd::forEachSetBit(slot.pending, [&](int l) {
+            forEachSetBit(slot.pending, [&](int l) {
                 slot.req[l] = 1u << slot.bank[l];
             });
         }
@@ -528,7 +528,7 @@ SparseMemoryUnit::completeLanes()
             if (head.done_at[l] > now_)
                 return;
         }
-        common::simd::forEachSetBit(head.dup, [&](int l) {
+        forEachSetBit(head.dup, [&](int l) {
             head.result[l] = head.result[head.dup_of[l]];
         });
 
@@ -551,7 +551,7 @@ SparseMemoryUnit::completeLanes()
             merge_remaining_ = head.parts;
         }
         CAPSTAN_DCHECK(merge_acc_.id == head.av.id);
-        common::simd::forEachSetBit(head.valid, [&](int l) {
+        forEachSetBit(head.valid, [&](int l) {
             merge_acc_.result[l] = head.result[l];
         });
         if (--merge_remaining_ == 0) {
@@ -619,7 +619,7 @@ SparseMemoryUnit::nextEventCycle() const
         // Arbitrated RMW write pass: blocked until every read returns;
         // younger slots cannot overtake it, so only this one matters.
         Cycle reads_back = 0;
-        common::simd::forEachSetBit(s.rmw_second_pass, [&](int l) {
+        forEachSetBit(s.rmw_second_pass, [&](int l) {
             reads_back = std::max(reads_back, s.done_at[l]);
         });
         wake = std::min(wake, std::max(reads_back, now_));
@@ -631,7 +631,7 @@ SparseMemoryUnit::nextEventCycle() const
     const Slot &head = queue_.front();
     if (head.pending == 0 && head.rmw_second_pass == 0) {
         Cycle last = 0;
-        common::simd::forEachSetBit(
+        forEachSetBit(
             head.valid & ~std::uint32_t{head.dup},
             [&](int l) { last = std::max(last, head.done_at[l]); });
         wake = std::min(wake, last > now_ ? last - 1 : now_);

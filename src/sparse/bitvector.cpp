@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/check.hpp"
-#include "common/simd.hpp"
 
 namespace capstan::sparse {
 
@@ -71,24 +70,36 @@ BitVector::clear()
 Index
 BitVector::count() const
 {
-    return static_cast<Index>(
-        common::simd::popcountWords(words_.data(), words_.size()));
+    Index total = 0;
+    for (std::uint64_t w : words_)
+        total += std::popcount(w);
+    return total;
 }
 
 Index
 BitVector::rank(Index pos) const
 {
     CAPSTAN_DCHECK(pos >= 0 && pos <= size_);
-    return static_cast<Index>(
-        common::simd::popcountRange(words_.data(), 0, pos));
+    return countRange(0, pos);
 }
 
 Index
 BitVector::countRange(Index begin, Index end) const
 {
     CAPSTAN_DCHECK(begin >= 0 && begin <= end && end <= size_);
-    return static_cast<Index>(
-        common::simd::popcountRange(words_.data(), begin, end));
+    if (begin == end)
+        return 0;
+    // Mask the partial edge words; count the interior words whole.
+    Index first = begin / kWordBits;
+    Index last = (end - 1) / kWordBits;
+    std::uint64_t head = ~std::uint64_t{0} << (begin % kWordBits);
+    std::uint64_t tail = ~std::uint64_t{0} >> (63 - (end - 1) % kWordBits);
+    if (first == last)
+        return std::popcount(words_[first] & head & tail);
+    Index total = std::popcount(words_[first] & head);
+    for (Index wi = first + 1; wi < last; ++wi)
+        total += std::popcount(words_[wi]);
+    return total + std::popcount(words_[last] & tail);
 }
 
 Index
@@ -145,8 +156,8 @@ BitVector::operator&(const BitVector &other) const
 {
     CAPSTAN_DCHECK(size_ == other.size_);
     BitVector out(size_);
-    common::simd::andWords(out.words_.data(), words_.data(),
-                           other.words_.data(), words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        out.words_[i] = words_[i] & other.words_[i];
     return out;
 }
 
@@ -155,8 +166,8 @@ BitVector::operator|(const BitVector &other) const
 {
     CAPSTAN_DCHECK(size_ == other.size_);
     BitVector out(size_);
-    common::simd::orWords(out.words_.data(), words_.data(),
-                          other.words_.data(), words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        out.words_[i] = words_[i] | other.words_[i];
     return out;
 }
 
@@ -165,8 +176,8 @@ BitVector::andNot(const BitVector &other) const
 {
     CAPSTAN_DCHECK(size_ == other.size_);
     BitVector out(size_);
-    common::simd::andNotWords(out.words_.data(), words_.data(),
-                              other.words_.data(), words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        out.words_[i] = words_[i] & ~other.words_[i];
     return out;
 }
 

@@ -51,40 +51,6 @@ class DenseVector
     std::vector<Value> data_;
 };
 
-/** Dense row-major 2-D matrix. */
-class DenseMatrix
-{
-  public:
-    DenseMatrix() = default;
-    DenseMatrix(Index rows, Index cols, Value fill = 0)
-        : rows_(rows), cols_(cols), data_(Index64(rows) * cols, fill)
-    {
-    }
-
-    Index rows() const { return rows_; }
-    Index cols() const { return cols_; }
-
-    Value operator()(Index r, Index c) const
-    {
-        CAPSTAN_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-        return data_[Index64(r) * cols_ + c];
-    }
-    Value &operator()(Index r, Index c)
-    {
-        CAPSTAN_DCHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-        return data_[Index64(r) * cols_ + c];
-    }
-
-    const std::vector<Value> &data() const { return data_; }
-
-    Index64 storageBytes() const { return Index64{4} * rows_ * cols_; }
-
-  private:
-    Index rows_ = 0;
-    Index cols_ = 0;
-    std::vector<Value> data_;
-};
-
 /** Dense row-major 3-D tensor (channel, row, col) for convolutions. */
 class DenseTensor3
 {

@@ -1,18 +1,22 @@
 /**
  * @file
- * Application-level tests: functional correctness of every app against
- * independent references, plus the qualitative timing behaviours the
- * paper reports (Capstan vs. Plasticine, memory-technology scaling,
- * bit-tree vs. flat bit-vector iteration).
+ * Application-level tests: the golden references against hand
+ * computations and independent models, BFS and SSSP runs (whose
+ * traversals drive their token streams) against those references, plus
+ * the qualitative timing behaviours the paper reports (Capstan vs.
+ * Plasticine, memory-technology scaling, bit-tree vs. flat bit-vector
+ * iteration).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/bicgstab.hpp"
@@ -91,6 +95,55 @@ tripletSortReference(const CsrMatrix &a, const CsrMatrix &b)
                                 std::move(col_idx), std::move(values));
 }
 
+/**
+ * Reference model: "same"-padded, stride-1 convolution gathered one
+ * output element at a time, accumulated in double.
+ */
+sparse::DenseTensor3
+directConvolution(const ConvLayer &layer)
+{
+    Index dim = layer.dim;
+    Index pad = layer.kdim / 2;
+    sparse::DenseTensor3 out(layer.out_channels, dim, dim);
+    for (Index oc = 0; oc < layer.out_channels; ++oc) {
+        for (Index r = 0; r < dim; ++r) {
+            for (Index c = 0; c < dim; ++c) {
+                double acc = 0;
+                for (Index ic = 0; ic < layer.in_channels; ++ic) {
+                    for (Index kr = 0; kr < layer.kdim; ++kr) {
+                        for (Index kc = 0; kc < layer.kdim; ++kc) {
+                            Index ir = r - kr + pad;
+                            Index icol = c - kc + pad;
+                            if (ir < 0 || ir >= dim || icol < 0 ||
+                                icol >= dim)
+                                continue;
+                            acc += static_cast<double>(
+                                       layer.activations(ic, ir, icol)) *
+                                   layer.kernel(kr, kc, ic, oc);
+                        }
+                    }
+                }
+                out(oc, r, c) = static_cast<Value>(acc);
+            }
+        }
+    }
+    return out;
+}
+
+/** Relative L2 error of @p got against @p want (same length). */
+double
+relativeError(const std::vector<Value> &got, const std::vector<Value> &want)
+{
+    double num = 0.0;
+    double den = 1e-30;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        double d = static_cast<double>(got[i]) - want[i];
+        num += d * d;
+        den += static_cast<double>(want[i]) * want[i];
+    }
+    return std::sqrt(num / den);
+}
+
 std::vector<std::uint32_t>
 valueBits(const std::vector<Value> &v)
 {
@@ -112,47 +165,37 @@ TEST(SpmvApp, ReferenceMatchesManualComputation)
     EXPECT_FLOAT_EQ(out[1], 6.0f);
 }
 
-TEST(SpmvApp, AllFormatsProduceTheSameResult)
+TEST(SpmvApp, AllFormatsTakeCycles)
 {
     auto m = smallMatrix();
-    auto v = denseVec(m.cols());
-    auto want = spmvReference(m, v);
-    auto csr = runSpmvCsr(m, v, hbm(), 4);
-    auto coo = runSpmvCoo(m, v, hbm(), 4);
+    auto csr = runSpmvCsr(m, hbm(), 4);
+    auto coo = runSpmvCoo(m, hbm(), 4);
     auto sv = sparseVector(m.cols(), 0.3, 5);
     auto csc = runSpmvCsc(m, sv, hbm(), 4);
-    EXPECT_LT(relativeError(csr.out.data(), want.data()), 1e-6);
-    EXPECT_LT(relativeError(coo.out.data(), want.data()), 1e-6);
-    EXPECT_LT(relativeError(csc.out.data(),
-                            spmvReference(m, sv).data()),
-              1e-6);
-    EXPECT_GT(csr.timing.cycles, 0u);
-    EXPECT_GT(coo.timing.cycles, 0u);
-    EXPECT_GT(csc.timing.cycles, 0u);
+    EXPECT_GT(csr.cycles, 0u);
+    EXPECT_GT(coo.cycles, 0u);
+    EXPECT_GT(csc.cycles, 0u);
 }
 
 TEST(SpmvApp, Ddr4IsSlowerThanHbm)
 {
     auto m = loadMatrixDataset("Trefethen_20000", 0.1).matrix;
-    auto v = denseVec(m.cols());
-    auto fast = runSpmvCsr(m, v, hbm(), 8);
-    auto slow =
-        runSpmvCsr(m, v, CapstanConfig::capstan(MemTech::DDR4), 8);
+    auto fast = runSpmvCsr(m, hbm(), 8);
+    auto slow = runSpmvCsr(m, CapstanConfig::capstan(MemTech::DDR4), 8);
     // SpMV is memory-bound: DDR4 should be several times slower
     // (Table 12 reports ~14.5x vs HBM2E for CSR).
-    EXPECT_GT(slow.timing.cycles, 4 * fast.timing.cycles);
+    EXPECT_GT(slow.cycles, 4 * fast.cycles);
 }
 
 TEST(SpmvApp, PlasticineCollapsesOnCooRmw)
 {
     auto m = smallMatrix(3);
-    auto v = denseVec(m.cols());
-    auto capstan = runSpmvCoo(m, v, hbm(), 4);
+    auto capstan = runSpmvCoo(m, hbm(), 4);
     auto plasticine =
-        runSpmvCoo(m, v, CapstanConfig::plasticine(MemTech::HBM2E), 4);
+        runSpmvCoo(m, CapstanConfig::plasticine(MemTech::HBM2E), 4);
     // Random RMW without scheduling is the paper's 184x headline; at
     // this small scale we just require a decisive gap.
-    EXPECT_GT(plasticine.timing.cycles, 2 * capstan.timing.cycles);
+    EXPECT_GT(plasticine.cycles, 2 * capstan.cycles);
 }
 
 TEST(PageRankApp, ReferenceSumsToOne)
@@ -167,15 +210,13 @@ TEST(PageRankApp, ReferenceSumsToOne)
     EXPECT_LE(sum, 1.01);
 }
 
-TEST(PageRankApp, PullAndEdgeAgreeFunctionally)
+TEST(PageRankApp, PullAndEdgeTakeCycles)
 {
     auto g = rmatGraph(512, 4000, 9);
     auto pull = runPageRankPull(g, 3, hbm(), 4);
     auto edge = runPageRankEdge(g, 3, hbm(), 4);
-    EXPECT_LT(relativeError(pull.ranks.data(), edge.ranks.data()),
-              1e-6);
-    EXPECT_GT(pull.timing.cycles, 0u);
-    EXPECT_GT(edge.timing.cycles, 0u);
+    EXPECT_GT(pull.cycles, 0u);
+    EXPECT_GT(edge.cycles, 0u);
 }
 
 TEST(BfsApp, LevelsMatchReference)
@@ -225,32 +266,38 @@ TEST(GraphApps, SkippingBackPointersIsFaster)
     EXPECT_LT(without.timing.cycles, with_ptr.timing.cycles);
 }
 
-TEST(ConvApp, MatchesReference)
+TEST(ConvApp, ReferenceMatchesDirectConvolution)
+{
+    // A 3x3 kernel: every output gathers from the rows and columns
+    // around it, and edge outputs from fewer (the halo falls off the
+    // plane). A 1x1 kernel has no halo.
+    for (const ConvLayer &layer : {convLayer(12, 3, 8, 8, 0.4, 0.3, 21),
+                                   convLayer(8, 1, 4, 4, 0.5, 0.5, 23)}) {
+        auto got = convReference(layer);
+        auto want = directConvolution(layer);
+        ASSERT_EQ(got.dim0(), layer.out_channels);
+        ASSERT_EQ(got.dim1(), layer.dim);
+        ASSERT_EQ(got.dim2(), layer.dim);
+        EXPECT_LT(relativeError(got.data(), want.data()), 1e-6)
+            << layer.kdim << "x" << layer.kdim;
+    }
+}
+
+TEST(ConvApp, HaloRunTakesCycles)
 {
     auto layer = convLayer(12, 3, 8, 8, 0.4, 0.3, 21);
-    auto res = runConv(layer, hbm(), 4);
-    auto want = convReference(layer);
-    EXPECT_LT(relativeError(res.out.data(), want.data()), 1e-6);
-    EXPECT_GT(res.timing.cycles, 0u);
+    EXPECT_GT(runConv(layer, hbm(), 4).cycles, 0u);
 }
 
-TEST(ConvApp, OneByOneKernelHasNoHalo)
+TEST(MatAddApp, RunRejectsOperandsOfDifferentShapes)
 {
-    auto layer = convLayer(8, 1, 4, 4, 0.5, 0.5, 23);
-    auto res = runConv(layer, hbm(), 2);
-    auto want = convReference(layer);
-    EXPECT_LT(relativeError(res.out.data(), want.data()), 1e-6);
-}
-
-TEST(MatAddApp, SumMatchesReference)
-{
-    auto a = uniformRandomMatrix(300, 4096, 0.004, 31);
-    auto b = uniformRandomMatrix(300, 4096, 0.004, 37);
-    auto res = runMatAdd(a, b, hbm(), 4);
-    auto want = matAddReference(a, b);
-    ASSERT_EQ(res.sum.nnz(), want.nnz());
-    EXPECT_EQ(res.sum.colIdx(), want.colIdx());
-    EXPECT_LT(relativeError(res.sum.values(), want.values()), 1e-6);
+    auto a = uniformRandomMatrix(30, 40, 0.1, 31);
+    auto taller = uniformRandomMatrix(31, 40, 0.1, 37);
+    auto wider = uniformRandomMatrix(30, 41, 0.1, 37);
+    EXPECT_THROW(runMatAdd(a, taller, hbm(), 4), std::invalid_argument);
+    EXPECT_THROW(runMatAdd(a, wider, hbm(), 4), std::invalid_argument);
+    EXPECT_THROW(runMatAdd(a, wider, hbm(), 4, false),
+                 std::invalid_argument);
 }
 
 /**
@@ -319,19 +366,7 @@ TEST(MatAddApp, BitTreeBeatsFlatBitVectorOnSparseRows)
     auto b = uniformRandomMatrix(200, 32768, 0.0005, 43);
     auto tree = runMatAdd(a, b, hbm(), 4, true);
     auto flat = runMatAdd(a, b, hbm(), 4, false);
-    EXPECT_GT(flat.timing.cycles, 3 * tree.timing.cycles);
-}
-
-TEST(SpmspmApp, ProductMatchesReference)
-{
-    auto a = uniformRandomMatrix(120, 120, 0.05, 47);
-    auto b = uniformRandomMatrix(120, 120, 0.05, 53);
-    auto res = runSpmspm(a, b, hbm(), 4);
-    auto want = spmspmReference(a, b);
-    ASSERT_EQ(res.product.nnz(), want.nnz());
-    EXPECT_EQ(res.product.colIdx(), want.colIdx());
-    EXPECT_LT(relativeError(res.product.values(), want.values()),
-              1e-5);
+    EXPECT_GT(flat.cycles, 3 * tree.cycles);
 }
 
 TEST(SpmspmApp, ReferenceMatchesDenseMultiply)
@@ -354,13 +389,13 @@ TEST(BicgstabApp, ResidualShrinks)
     // Diagonally dominant system: BiCGStab converges fast.
     auto m = trefethenMatrix(300);
     auto b = denseVec(300, 67);
-    auto res = runBicgstab(m, b, 8, hbm(), 4);
+    auto x = bicgstabReference(m, b, 8);
     double b_norm = 0;
     for (Index i = 0; i < b.size(); ++i)
         b_norm += static_cast<double>(b[i]) * b[i];
     b_norm = std::sqrt(b_norm);
-    EXPECT_LT(res.residual_norm, 0.1 * b_norm);
-    EXPECT_GT(res.timing.cycles, 0u);
+    EXPECT_LT(residualNorm(m, b, x), 0.1 * b_norm);
+    EXPECT_GT(runBicgstab(m, 8, hbm(), 4).cycles, 0u);
 }
 
 TEST(BicgstabApp, FusionBeatsUnfusedKernels)
@@ -369,12 +404,11 @@ TEST(BicgstabApp, FusionBeatsUnfusedKernels)
     // DRAM bytes would suggest for the kernel-by-kernel baselines:
     // only the matrix streams, never the intermediate vectors.
     auto m = loadMatrixDataset("Trefethen_20000", 0.05).matrix;
-    auto v = denseVec(m.cols(), 71);
-    auto solve = runBicgstab(m, v, 2, hbm(), 8);
+    auto solve = runBicgstab(m, 2, hbm(), 8);
     // Per iteration: 2 matrix streams. Intermediates stay on-chip.
-    auto bytes = solve.timing.dram.bytes;
-    auto one_spmv = runSpmvCsr(m, v, hbm(), 8);
-    EXPECT_LT(bytes, 6 * one_spmv.timing.dram.bytes);
+    auto bytes = solve.dram.bytes;
+    auto one_spmv = runSpmvCsr(m, hbm(), 8);
+    EXPECT_LT(bytes, 6 * one_spmv.dram.bytes);
 }
 
 TEST(AppsTiming, StallInputsArePopulated)

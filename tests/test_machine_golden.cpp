@@ -387,33 +387,6 @@ TEST(MachineGolden, RingQueueGrowsAndKeepsFifoOrder)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(MachineGolden, PassiveUnitHorizonsReportPendingWork)
-{
-    // The DRAM model, address generator, and scanner model are passive
-    // (invoked with an explicit cycle), so their horizons are
-    // informational: kNoEventCycle when drained, the next completion
-    // cycle while work is outstanding.
-    sim::CapstanConfig cfg = sim::CapstanConfig::capstan();
-    sim::ScannerModel scanner(cfg.scanner);
-    EXPECT_EQ(scanner.nextEventCycle(0), sim::kNoEventCycle);
-
-    sim::DramModel dram(cfg.dram, cfg.clock_ghz);
-    EXPECT_EQ(dram.nextEventCycle(0), sim::kNoEventCycle);
-    sim::Cycle done = dram.access(0, false, 0);
-    sim::Cycle horizon = dram.nextEventCycle(0);
-    EXPECT_GT(horizon, 0u);
-    EXPECT_LE(horizon, done);
-    EXPECT_EQ(dram.nextEventCycle(done), sim::kNoEventCycle);
-
-    sim::AddressGenerator ag(dram, 4);
-    EXPECT_EQ(ag.nextEventCycle(0), sim::kNoEventCycle);
-    std::uint64_t addrs[] = {0, 256};
-    sim::Cycle ag_done = ag.atomicVector(addrs, 0);
-    EXPECT_GT(ag.nextEventCycle(0), 0u);
-    ag.flush(ag_done);
-    EXPECT_EQ(ag.nextEventCycle(ag_done + 1000), sim::kNoEventCycle);
-}
-
 TEST(MachineGolden, ShuffleHorizonPinsTheClockWhileBuffered)
 {
     sim::ShuffleConfig cfg = sim::CapstanConfig::capstan().shuffle;

