@@ -133,7 +133,7 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
                      base += window_bits) {
                     Index end =
                         std::min<Index>(base + window_bits, u.size());
-                    pops.push_back(u.rank(end) - u.rank(base));
+                    pops.push_back(u.countRange(base, end));
                 }
                 std::uint32_t row_bytes = static_cast<std::uint32_t>(
                     8 * (ai.size() + bi.size()));

@@ -141,7 +141,7 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
                  base += window_bits) {
                 Index end =
                     std::min<Index>(base + window_bits, val.size());
-                Index pop = val.rank(end) - val.rank(base);
+                Index pop = val.countRange(base, end);
                 if (pop == 0) {
                     ++skip;
                     continue;

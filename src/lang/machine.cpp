@@ -39,7 +39,6 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
     : cfg_(cfg),
       dram_(cfg.dram, cfg.clock_ghz),
       shuffle_(shuffleConfigFor(cfg, tiles)),
-      scanner_(cfg.scanner),
       eject_hold_(portCount(tiles)),
       // Bisecting switch: results must be identical either way. Read
       // per construction, not cached, so a test can flip it between
@@ -961,13 +960,6 @@ Machine::resetChains()
         tile.reducing = 0;
         tile.lane_count_stage = -1;
     }
-}
-
-void
-Machine::addBarrier(Cycle cycles)
-{
-    now_ += cycles;
-    totals_.cycles += cycles;
 }
 
 void

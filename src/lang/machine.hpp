@@ -41,7 +41,6 @@
 #include "lang/token.hpp"
 #include "sim/config.hpp"
 #include "sim/dram.hpp"
-#include "sim/scanner.hpp"
 #include "sim/shuffle.hpp"
 #include "sim/spmu.hpp"
 
@@ -132,9 +131,6 @@ class Machine
 
     /** Clear chains (but not totals) to build the next phase. */
     void resetChains();
-
-    /** Add a synchronization barrier cost between phases. */
-    void addBarrier(Cycle cycles);
 
     /**
      * Effective read-compression ratio applied to DramStream bytes
@@ -337,7 +333,6 @@ class Machine
     CapstanConfig cfg_;
     sim::DramModel dram_;
     sim::ShuffleNetwork shuffle_;
-    sim::ScannerModel scanner_;
     std::vector<std::unique_ptr<sim::SparseMemoryUnit>> spmus_;
     std::vector<std::unique_ptr<sim::AddressGenerator>> ags_;
     /** Blocking-AG state for configs without burst tracking. */

@@ -90,12 +90,6 @@ mergeModeName(MergeMode mode)
     }
 }
 
-double
-CapstanConfig::dramBytesPerCycle() const
-{
-    return memTechBandwidth(dram.tech) / clock_ghz;
-}
-
 CapstanConfig
 CapstanConfig::capstan(MemTech tech)
 {

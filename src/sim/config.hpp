@@ -93,7 +93,6 @@ struct SpmuConfig
     int input_speedup = 1;    //!< 1 => l x b crossbar; 2 => 2l x b.
     int alloc_iterations = 3; //!< Separable-allocator iterations.
     int priorities = 3;       //!< Age-priority classes (Table 4).
-    int words_per_bank = 4096;//!< 32-bit words per bank (256 KiB total).
     BankHash hash = BankHash::Xor;
     AllocatorKind allocator = AllocatorKind::Full;
     Ordering ordering = Ordering::Unordered;
@@ -142,7 +141,6 @@ struct ShuffleConfig
 struct DramConfig
 {
     MemTech tech = MemTech::HBM2E;
-    double clock_ghz = 1.6;   //!< Core clock used to convert GB/s.
     int channels = 16;        //!< Independent channels.
     int banks_per_channel = 16;
     Cycle base_latency = 96;  //!< Closed-page access latency (cycles).
@@ -160,9 +158,7 @@ struct CapstanConfig
 {
     int grid_compute_units = 200;
     int grid_memory_units = 200;
-    int address_generators = 80;
     double clock_ghz = 1.6;
-    int vector_stages = 6;     //!< Map/reduce stages per CU.
     Cycle network_hop_latency = 4; //!< Per-hop pipelined link latency.
 
     SpmuConfig spmu;
@@ -178,9 +174,6 @@ struct CapstanConfig
      * is what lets the report planner merge points (report/study.hpp).
      */
     auto operator<=>(const CapstanConfig &) const = default;
-
-    /** Bytes transferred per core cycle for the DRAM technology. */
-    double dramBytesPerCycle() const;
 
     /** The paper's primary Capstan design point. */
     static CapstanConfig capstan(MemTech tech = MemTech::HBM2E);

@@ -7,10 +7,9 @@
  * and emits dense indices plus prefix-sum compressed indices. The data
  * scanner finds one non-zero element per cycle among E examined elements.
  *
- * The functional result (which indices come out) is defined by
- * sparse::scan*; this model adds the paper's timing: a W-bit window costs
- * at least one cycle even when it holds no set bits (the Scan stall class
- * in Fig. 7), and a window with p set bits costs ceil(p / V) cycles.
+ * The model is timing-only: a W-bit window costs at least one cycle even
+ * when it holds no set bits (the Scan stall class in Fig. 7), and a
+ * window with p set bits costs ceil(p / V) cycles.
  */
 
 #pragma once
@@ -20,7 +19,6 @@
 
 #include "sim/config.hpp"
 #include "sparse/bitvector.hpp"
-#include "sparse/scan.hpp"
 
 namespace capstan::sim {
 

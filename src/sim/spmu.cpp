@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -33,16 +32,7 @@ isReadOnly(AccessOp op)
     return op == AccessOp::Read;
 }
 
-int
-AccessVector::validCount() const
-{
-    int n = 0;
-    for (const LaneRequest &lr : lane)
-        n += lr.valid ? 1 : 0;
-    return n;
-}
-
-SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg, bool with_storage)
+SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg)
     : cfg_(cfg),
       alloc_(cfg.lanes * cfg.input_speedup, cfg.banks,
              cfg.allocator == AllocatorKind::Weak ? 1
@@ -59,10 +49,6 @@ SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg, bool with_storage)
     CAPSTAN_CHECK(cfg.lanes > 0 && cfg.lanes <= kMaxLanes);
     CAPSTAN_CHECK(cfg.banks > 0 && cfg.banks <= 32);
     CAPSTAN_CHECK(cfg.input_speedup == 1 || cfg.input_speedup == 2);
-    if (with_storage)
-        storage_.assign(static_cast<std::size_t>(cfg.banks) *
-                            cfg.words_per_bank,
-                        Value{0});
 }
 
 int
@@ -103,14 +89,14 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
     plan.dup = 0;
 
     // Per distinct address (at most one per lane): the part index of
-    // the last access touching it, and the lane of a part-0 read usable
-    // as an elision master (-1 if none). A linear scan over <= 16
-    // entries beats a hash map on this hot path.
+    // the last access touching it, and whether its first access is a
+    // part-0 read that later reads can be elided onto. A linear scan
+    // over <= 16 entries beats a hash map on this hot path.
     struct SeenAddr
     {
         std::uint32_t addr;
         int last_part;
-        int master_lane;
+        bool read_master;
     };
     std::array<SeenAddr, kMaxLanes> seen;
     int n_seen = 0;
@@ -129,18 +115,16 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
         }
         if (sa == nullptr) {
             plan.valid[0] |= bit;
-            seen[n_seen++] = {
-                lr.addr, 0,
-                capstan_mode && isReadOnly(lr.op) ? l : -1};
+            seen[n_seen++] = {lr.addr, 0,
+                              capstan_mode && isReadOnly(lr.op)};
             continue;
         }
         // Repeated-read elision: only legal when every prior access to
         // this address is the part-0 read (no intervening write).
-        if (capstan_mode && isReadOnly(lr.op) && sa->master_lane >= 0 &&
+        if (capstan_mode && isReadOnly(lr.op) && sa->read_master &&
             sa->last_part == 0) {
             plan.valid[0] |= bit;
             plan.dup |= bit;
-            plan.dup_of[l] = static_cast<std::int8_t>(sa->master_lane);
             continue;
         }
         if (!split_mode) {
@@ -167,26 +151,20 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
     for (int p = 0; p < plan.parts; ++p) {
         // The ring slot still holds an older vector: reset every field a
         // later reader uses. The others are read only for lanes written
-        // below (av.lane, bank, dup_of) or once a lane issues (done_at).
-        // completeLanes() copies all 16 results out.
+        // below (av.lane, bank) or once a lane issues (done_at).
         Slot &slot = queue_.push_back_slot();
         slot.req.fill(0);
-        slot.result.fill(Value{0});
         slot.av.id = av.id;
         slot.valid = plan.valid[p];
         slot.dup = p == 0 ? plan.dup : 0;
         slot.pending = slot.valid & static_cast<std::uint16_t>(~slot.dup);
         slot.rmw_second_pass = 0;
-        slot.parts = static_cast<std::uint8_t>(plan.parts);
-        forEachSetBit(slot.valid, [&](int l) {
+        slot.parts_left = static_cast<std::uint8_t>(plan.parts - p);
+        forEachSetBit(slot.pending, [&](int l) {
             const LaneRequest &lr = av.lane[l];
             slot.av.lane[l] = lr;
             int bank = bankOf(lr.addr);
             slot.bank[l] = static_cast<std::int8_t>(bank);
-            if (slot.dup & (1u << l)) {
-                slot.dup_of[l] = plan.dup_of[l];
-                return;
-            }
             slot.req[l] = 1u << bank;
             // Plasticine RMW handicap: modifications need a second
             // (write) pass after the read returns.
@@ -200,35 +178,20 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
     }
 }
 
-int
-SparseMemoryUnit::admit(const AccessVector &av, SplitPlan &plan) const
-{
-    int free_slots = cfg_.queue_depth - static_cast<int>(queue_.size());
-    if (free_slots <= 0)
-        return 0;
-    if (cfg_.ordering == Ordering::AddressOrdered && bloomMayConflict(av))
-        return 0;
-    int parts = planSlots(av, plan);
-    return parts <= free_slots ? parts : 0;
-}
-
-bool
-SparseMemoryUnit::canEnqueue(const AccessVector &av) const
-{
-    SplitPlan plan;
-    return admit(av, plan) > 0;
-}
-
 bool
 SparseMemoryUnit::tryEnqueue(const AccessVector &av)
 {
+    // Refused on a full queue, a Bloom-filter conflict, or more parts
+    // than free slots.
+    int free_slots = cfg_.queue_depth - static_cast<int>(queue_.size());
     SplitPlan plan;
-    int n_parts = admit(av, plan);
-    if (n_parts == 0) {
+    if (free_slots <= 0 ||
+        (cfg_.ordering == Ordering::AddressOrdered && bloomMayConflict(av)) ||
+        planSlots(av, plan) > free_slots) {
         ++stats_.enqueue_stalls;
         return false;
     }
-    stats_.splits += static_cast<std::uint64_t>(n_parts - 1);
+    stats_.splits += static_cast<std::uint64_t>(plan.parts - 1);
     fillSlots(av, plan);
     ++stats_.vectors_in;
     return true;
@@ -237,65 +200,11 @@ SparseMemoryUnit::tryEnqueue(const AccessVector &av)
 bool
 SparseMemoryUnit::refuseIfFull()
 {
-    // admit()'s first test, counted as tryEnqueue() counts a refusal.
+    // tryEnqueue()'s first test, counted as it counts a refusal.
     if (static_cast<int>(queue_.size()) < cfg_.queue_depth)
         return false;
     ++stats_.enqueue_stalls;
     return true;
-}
-
-Value
-SparseMemoryUnit::executeOp(std::uint32_t addr, AccessOp op, Value operand)
-{
-    if (storage_.empty())
-        return Value{0};
-    Value &word = storage_[addr % storage_.size()];
-    Value old = word;
-    auto bits = [](Value v) { return std::bit_cast<std::uint32_t>(v); };
-    auto val = [](std::uint32_t b) { return std::bit_cast<Value>(b); };
-    switch (op) {
-      case AccessOp::Read:
-        return old;
-      case AccessOp::Write:
-        word = operand;
-        return operand;
-      case AccessOp::AddF32:
-        word = old + operand;
-        return word;
-      case AccessOp::AddI32:
-        word = val(bits(old) + bits(operand));
-        return word;
-      case AccessOp::Min:
-        word = std::min(old, operand);
-        return word;
-      case AccessOp::MinReportChanged:
-        word = std::min(old, operand);
-        return word < old ? Value{1} : Value{0};
-      case AccessOp::Max:
-        word = std::max(old, operand);
-        return word;
-      case AccessOp::TestAndSet:
-        if (old == Value{0})
-            word = Value{1};
-        return old;
-      case AccessOp::WriteIfZero:
-        if (old == Value{0})
-            word = operand;
-        return old;
-      case AccessOp::Swap:
-        word = operand;
-        return old;
-      case AccessOp::BitAnd:
-        word = val(bits(old) & bits(operand));
-        return word;
-      case AccessOp::BitOr:
-        word = val(bits(old) | bits(operand));
-        return word;
-      case AccessOp::BitXor:
-        word = val(bits(old) ^ bits(operand));
-        return word;
-    }
-    return Value{0};
 }
 
 void
@@ -312,8 +221,6 @@ SparseMemoryUnit::issueLane(Slot &slot, int lane, int bank)
         --bloom_[idx];
     }
     slot.done_at[lane] = now_ + cfg_.pipeline_latency;
-    const LaneRequest &lr = slot.av.lane[lane];
-    slot.result[lane] = executeOp(lr.addr, lr.op, lr.operand);
     ++stats_.grants;
     if (trace_enabled_)
         trace_.push_back({now_, lane, bank, slot.av.id});
@@ -514,7 +421,7 @@ void
 SparseMemoryUnit::completeLanes()
 {
     while (!queue_.empty()) {
-        Slot &head = queue_.front();
+        const Slot &head = queue_.front();
         // A lane still to issue (or to re-issue as an RMW write) keeps
         // the head incomplete. Otherwise it completes once every issued
         // lane's data is back; an elided lane completes with its
@@ -528,35 +435,10 @@ SparseMemoryUnit::completeLanes()
             if (head.done_at[l] > now_)
                 return;
         }
-        forEachSetBit(head.dup, [&](int l) {
-            head.result[l] = head.result[head.dup_of[l]];
-        });
-
-        if (head.parts == 1) {
-            // Unsplit vector: complete directly from the slot.
-            CompletedVector &cv = ready_.push_back_slot();
-            cv.id = head.av.id;
-            cv.result = head.result;
-            cv.completed_at = now_;
-            ++stats_.vectors_out;
-            queue_.pop_front();
-            continue;
-        }
-        // Fold this part into the merge record; emit once all parts of
-        // the original vector have drained (split vectors must not expose
-        // partial results to the consumer).
-        if (merge_remaining_ == 0) {
-            merge_acc_ = CompletedVector{};
-            merge_acc_.id = head.av.id;
-            merge_remaining_ = head.parts;
-        }
-        CAPSTAN_DCHECK(merge_acc_.id == head.av.id);
-        forEachSetBit(head.valid, [&](int l) {
-            merge_acc_.result[l] = head.result[l];
-        });
-        if (--merge_remaining_ == 0) {
-            merge_acc_.completed_at = now_;
-            ready_.push_back(merge_acc_);
+        // A split vector's parts are queued back to back and only the
+        // head completes, so the vector completes with its last part.
+        if (head.parts_left == 1) {
+            ready_.push_back({head.av.id, now_});
             ++stats_.vectors_out;
         }
         queue_.pop_front();
@@ -655,20 +537,6 @@ SparseMemoryUnit::tryDequeue()
     CompletedVector cv = ready_.front();
     ready_.pop_front();
     return cv;
-}
-
-Value
-SparseMemoryUnit::peek(std::uint32_t addr) const
-{
-    CAPSTAN_DCHECK(!storage_.empty());
-    return storage_[addr % storage_.size()];
-}
-
-void
-SparseMemoryUnit::poke(std::uint32_t addr, Value v)
-{
-    CAPSTAN_DCHECK(!storage_.empty());
-    storage_[addr % storage_.size()] = v;
 }
 
 } // namespace capstan::sim

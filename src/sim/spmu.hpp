@@ -10,10 +10,11 @@
  * pipeline, and return through an inverse-permuting output crossbar.
  * A vector dequeues once all of its lanes have completed.
  *
- * The model is cycle-stepped and optionally functional: with backing
- * storage enabled it executes real RMW semantics (test-and-set,
- * write-if-zero, swap, min-report-changed, ...), which the unit tests and
- * examples use to validate ordering behaviour.
+ * The model is cycle-stepped and timing-only: it decides when each
+ * access issues to its bank and when each vector completes, and carries
+ * no data (the apps' *Reference functions compute every functional
+ * result). The grant trace (enableGrantTrace()) exposes the issue
+ * order to the Fig. 4 study and the tests.
  */
 
 #pragma once
@@ -27,11 +28,15 @@
 #include "common/ring.hpp"
 #include "sim/allocator.hpp"
 #include "sim/config.hpp"
-#include "sparse/types.hpp"
 
 namespace capstan::sim {
 
-/** Read-modify-write operations supported by the bank FPU (Section 3.1). */
+/**
+ * Read-modify-write operations supported by the bank FPU (Section 3.1).
+ * The timing model tells only reads from modifications (isReadOnly()):
+ * reads may be elided, and modifications split a vector under address
+ * ordering and take a second pass under rmw_blocks.
+ */
 enum class AccessOp : std::uint8_t {
     Read,             //!< Plain load; returns the stored word.
     Write,            //!< Plain store; returns the stored operand.
@@ -57,7 +62,6 @@ struct LaneRequest
     bool valid = false;
     std::uint32_t addr = 0; //!< Word address within the SpMU.
     AccessOp op = AccessOp::Read;
-    Value operand = 0;
 };
 
 /** A 16-lane vectorized access request (one token from a CU). */
@@ -65,16 +69,12 @@ struct AccessVector
 {
     std::array<LaneRequest, kMaxLanes> lane{};
     std::uint64_t id = 0;
-
-    /** Convenience: count valid lanes. */
-    int validCount() const;
 };
 
 /** A completed vector returned to the requesting pipeline. */
 struct CompletedVector
 {
     std::uint64_t id = 0;
-    std::array<Value, kMaxLanes> result{};
     Cycle completed_at = 0;
 };
 
@@ -111,19 +111,8 @@ struct SpmuStats
 class SparseMemoryUnit
 {
   public:
-    /**
-     * @param cfg           SpMU parameters (depth, banks, ordering, ...).
-     * @param with_storage  Allocate functional backing storage; when
-     *                      false the unit is timing-only and results are
-     *                      returned as zero.
-     */
-    explicit SparseMemoryUnit(const SpmuConfig &cfg,
-                              bool with_storage = false);
-
-    const SpmuConfig &config() const { return cfg_; }
-
-    /** True if the issue queue can accept @p av this cycle. */
-    bool canEnqueue(const AccessVector &av) const;
+    /** @param cfg SpMU parameters (depth, banks, ordering, ...). */
+    explicit SparseMemoryUnit(const SpmuConfig &cfg);
 
     /**
      * Enqueue a vector (splitting it when address ordering demands).
@@ -168,7 +157,8 @@ class SparseMemoryUnit
      * Guarantee: vectors leave in the order tryEnqueue() accepted them,
      * under every ordering mode and variant (ideal, input speedup, the
      * Plasticine handicaps), because only the issue queue's head
-     * completes and a split vector's parts are queued back to back.
+     * completes and a split vector's parts are queued back to back (the
+     * vector completes with its last part).
      * lang::Machine matches completions to requesters by this order.
      */
     std::optional<CompletedVector> tryDequeue();
@@ -180,20 +170,15 @@ class SparseMemoryUnit
     int occupancy() const { return static_cast<int>(queue_.size()); }
 
     const SpmuStats &stats() const { return stats_; }
-    void resetStats() { stats_ = SpmuStats{}; }
 
     Cycle now() const { return now_; }
 
     /** Map a word address to its bank under the configured hash. */
     int bankOf(std::uint32_t addr) const;
 
-    /** Direct storage access for test setup (requires storage). */
-    Value peek(std::uint32_t addr) const;
-    void poke(std::uint32_t addr, Value v);
-
     /**
-     * Grant trace hook: when enabled, records (cycle, lane, bank) for
-     * every issued access. Used to regenerate Fig. 4.
+     * Grant trace hook: when enabled, records (cycle, lane, bank, vector
+     * id) for every issued access, an RMW second pass included.
      */
     void enableGrantTrace(bool on) { trace_enabled_ = on; }
 
@@ -218,13 +203,14 @@ class SparseMemoryUnit
         std::uint16_t dup = 0;     //!< Valid lanes elided onto a master.
         std::uint16_t pending = 0; //!< Valid, not elided, not yet issued.
         std::uint16_t rmw_second_pass = 0; //!< Write pass (rmw_blocks).
-        /** Parts the vector was split into (1: completes directly). */
-        std::uint8_t parts = 1;
-        /** bankOf(addr) per valid lane, hashed once at enqueue. */
+        /**
+         * Parts of the vector from this slot to its last (1: the vector
+         * completes with this slot).
+         */
+        std::uint8_t parts_left = 1;
+        /** bankOf(addr) per pending lane, hashed once at enqueue. */
         std::array<std::int8_t, kMaxLanes> bank{};
-        std::array<std::int8_t, kMaxLanes> dup_of{}; //!< Elision master.
         std::array<Cycle, kMaxLanes> done_at{};
-        std::array<Value, kMaxLanes> result{};
         AccessVector av;
     };
 
@@ -233,26 +219,18 @@ class SparseMemoryUnit
     {
         int parts = 1;
         std::array<std::uint16_t, kMaxLanes> valid{}; //!< Lanes per part.
-        /** Part-0 lanes elided onto a master, and each one's master. */
-        std::uint16_t dup = 0;
-        std::array<std::int8_t, kMaxLanes> dup_of{};
+        std::uint16_t dup = 0; //!< Part-0 reads elided onto an earlier one.
     };
 
     /**
      * Planning pass of an enqueue: give each valid lane of @p av its part
-     * (same-address accesses keep program order) and elision master, in
-     * @p plan; returns the part count.
+     * (under address ordering, same-address accesses go to successive
+     * parts) or mark it elided, in @p plan; returns the part count.
      */
     int planSlots(const AccessVector &av, SplitPlan &plan) const;
 
     /** Fill pass: write @p av's planned parts straight into the queue. */
     void fillSlots(const AccessVector &av, const SplitPlan &plan);
-
-    /**
-     * Queue slots @p av would take this cycle, planned in @p plan, or 0
-     * if refused.
-     */
-    int admit(const AccessVector &av, SplitPlan &plan) const;
 
     void allocateScheduled();
     void allocateFullyOrdered();
@@ -260,7 +238,6 @@ class SparseMemoryUnit
     void allocateIdeal();
     void issueLane(Slot &slot, int lane, int bank);
     void completeLanes();
-    Value executeOp(std::uint32_t addr, AccessOp op, Value operand);
 
     /**
      * The scans the request rows replace, for the Debug cross-checks:
@@ -286,14 +263,6 @@ class SparseMemoryUnit
     common::RingQueue<Slot> queue_;
     /** Completed vectors awaiting tryDequeue(). */
     common::RingQueue<CompletedVector> ready_;
-    /**
-     * Results of a split vector's completed parts. Parts are queued
-     * back to back and only the head completes, so at most one split
-     * vector is being merged at a time.
-     */
-    CompletedVector merge_acc_;
-    int merge_remaining_ = 0;
-    std::vector<Value> storage_;
     std::vector<std::uint16_t> bloom_; //!< Counting Bloom filter.
     Cycle now_ = 0;
     SpmuStats stats_;

@@ -11,7 +11,7 @@
  * entries additionally carry skip points so at() stays logarithmic.
  * Values are kept as a flat array, exactly as CSR stores them.
  *
- * CompressedCsrMatrix is the body codec of the v2 `.cbin` cache
+ * CompressedCsrMatrix is the body codec of the v3 `.cbin` cache
  * (workloads/io.hpp). Datasets live in a MatrixStore, which holds
  * plain CSR. MatrixView is the read interface the applications,
  * baselines, and tiling iterate; it serves either representation with
@@ -58,7 +58,7 @@ class CompressedCsrMatrix
     static CompressedCsrMatrix fromCsr(const CsrMatrix &m);
 
     /**
-     * Adopt deserialized parts (the v2 .cbin cache, workloads/io.hpp).
+     * Adopt deserialized parts (the v3 .cbin cache, workloads/io.hpp).
      * Runs a full validating decode — monotone entry offsets,
      * strictly increasing in-range columns, payload consumed exactly —
      * and throws std::invalid_argument on any violation; the byte

@@ -1,8 +1,5 @@
 #include "sparse/format_convert.hpp"
 
-
-#include "common/check.hpp"
-
 namespace capstan::sparse {
 
 BitVector
@@ -14,25 +11,6 @@ pointersToBitVector(std::span<const Index> pointers, Index space)
             bv.set(p);
     }
     return bv;
-}
-
-std::vector<Index>
-bitVectorToPointers(const BitVector &bv)
-{
-    return bv.toPositions();
-}
-
-std::vector<BitVector>
-pointersToWindows(std::span<const Index> pointers, Index space, Index width)
-{
-    CAPSTAN_CHECK(width > 0);
-    Index num_windows = (space + width - 1) / width;
-    std::vector<BitVector> windows(num_windows, BitVector(width));
-    for (Index p : pointers) {
-        if (p >= 0 && p < space)
-            windows[p / width].set(p % width);
-    }
-    return windows;
 }
 
 BitTree

@@ -6,14 +6,12 @@
  * lists are often more bandwidth-efficient in DRAM. Dedicated hardware in
  * the compute tile converts pointer lists to bit-vectors (doing it in the
  * SpMU would cause same-word bank conflicts). These are the functional
- * equivalents, plus helpers that slice compressed rows into per-tile
- * bit-vector windows for vectorized intersection.
+ * equivalents, into a flat bit-vector or a two-level bit-tree.
  */
 
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "sparse/bittree.hpp"
 #include "sparse/bitvector.hpp"
@@ -26,17 +24,6 @@ namespace capstan::sparse {
  * [0, space). Pointers outside the range are ignored.
  */
 BitVector pointersToBitVector(std::span<const Index> pointers, Index space);
-
-/** Convert a bit-vector back into a sorted pointer list. */
-std::vector<Index> bitVectorToPointers(const BitVector &bv);
-
-/**
- * Slice a sorted pointer list into fixed-width bit-vector windows
- * (window w covers [w*width, (w+1)*width)). Returns one BitVector per
- * window covering [0, space); empty windows are all-zero vectors.
- */
-std::vector<BitVector> pointersToWindows(std::span<const Index> pointers,
-                                         Index space, Index width);
 
 /** Convert a sorted pointer list into a two-level bit-tree. */
 BitTree pointersToBitTree(std::span<const Index> pointers, Index space,

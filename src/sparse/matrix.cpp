@@ -262,62 +262,4 @@ CscMatrix::toCsr() const
     return t_.transpose();
 }
 
-DcsrMatrix
-DcsrMatrix::fromCsr(const CsrMatrix &csr)
-{
-    DcsrMatrix d;
-    d.rows_ = csr.rows();
-    d.cols_ = csr.cols();
-    d.row_ptr_.push_back(0);
-    for (Index r = 0; r < csr.rows(); ++r) {
-        if (csr.rowLength(r) == 0)
-            continue;
-        d.row_ids_.push_back(r);
-        auto idx = csr.rowIndices(r);
-        auto val = csr.rowValues(r);
-        d.col_idx_.insert(d.col_idx_.end(), idx.begin(), idx.end());
-        d.values_.insert(d.values_.end(), val.begin(), val.end());
-        d.row_ptr_.push_back(static_cast<Index>(d.col_idx_.size()));
-    }
-    return d;
-}
-
-std::span<const Index>
-DcsrMatrix::storedRowIndices(Index sr) const
-{
-    CAPSTAN_DCHECK(sr >= 0 && sr < storedRows());
-    return {col_idx_.data() + row_ptr_[sr],
-            static_cast<std::size_t>(row_ptr_[sr + 1] - row_ptr_[sr])};
-}
-
-std::span<const Value>
-DcsrMatrix::storedRowValues(Index sr) const
-{
-    CAPSTAN_DCHECK(sr >= 0 && sr < storedRows());
-    return {values_.data() + row_ptr_[sr],
-            static_cast<std::size_t>(row_ptr_[sr + 1] - row_ptr_[sr])};
-}
-
-DcscMatrix
-DcscMatrix::fromCsr(const CsrMatrix &csr)
-{
-    DcscMatrix d;
-    d.t_ = DcsrMatrix::fromCsr(csr.transpose());
-    return d;
-}
-
-CsrMatrix
-DcsrMatrix::toCsr() const
-{
-    std::vector<Triplet> triplets;
-    triplets.reserve(nnz());
-    for (Index sr = 0; sr < storedRows(); ++sr) {
-        auto idx = storedRowIndices(sr);
-        auto val = storedRowValues(sr);
-        for (std::size_t i = 0; i < idx.size(); ++i)
-            triplets.push_back({row_ids_[sr], idx[i], val[i]});
-    }
-    return CsrMatrix::fromTriplets(rows_, cols_, std::move(triplets));
-}
-
 } // namespace capstan::sparse

@@ -1,6 +1,6 @@
 /**
  * @file
- * Compressed sparse matrix formats (Table 1): COO, CSR, CSC, DCSR.
+ * Compressed sparse matrix formats (Table 1): COO, CSR, CSC.
  *
  * Any multi-dimensional format is a hierarchy of per-dimension formats
  * (Section 2.1); these classes store the conventional array-of-arrays
@@ -180,86 +180,6 @@ class CscMatrix
   private:
     /** CSR view of the transpose. */
     CsrMatrix t_;
-};
-
-/**
- * Doubly-compressed sparse row (DCSR): compressed rows *and* columns.
- * Only non-empty rows are stored, making row iteration itself sparse.
- */
-class DcsrMatrix
-{
-  public:
-    DcsrMatrix() = default;
-
-    static DcsrMatrix fromCsr(const CsrMatrix &csr);
-
-    Index rows() const { return rows_; }
-    Index cols() const { return cols_; }
-    Index nnz() const { return static_cast<Index>(col_idx_.size()); }
-
-    /** Number of non-empty rows. */
-    Index storedRows() const { return static_cast<Index>(row_ids_.size()); }
-
-    /** Original row index of stored row @p sr. */
-    Index rowId(Index sr) const { return row_ids_[sr]; }
-
-    std::span<const Index> storedRowIndices(Index sr) const;
-    std::span<const Value> storedRowValues(Index sr) const;
-
-    CsrMatrix toCsr() const;
-
-    Index64 storageBytes() const
-    {
-        return Index64{4} * storedRows() * 2 + Index64{8} * nnz() + 4;
-    }
-
-  private:
-    Index rows_ = 0;
-    Index cols_ = 0;
-    std::vector<Index> row_ids_;
-    std::vector<Index> row_ptr_;
-    std::vector<Index> col_idx_;
-    std::vector<Value> values_;
-};
-
-/**
- * Doubly-compressed sparse column (DCSC): compressed columns *and*
- * rows — the column-major dual of DCSR (Table 1). Stored as the DCSR
- * of the transpose, with accessors named for columns.
- */
-class DcscMatrix
-{
-  public:
-    DcscMatrix() = default;
-
-    static DcscMatrix fromCsr(const CsrMatrix &csr);
-
-    Index rows() const { return t_.cols(); }
-    Index cols() const { return t_.rows(); }
-    Index nnz() const { return t_.nnz(); }
-
-    /** Number of non-empty columns. */
-    Index storedCols() const { return t_.storedRows(); }
-
-    /** Original column index of stored column @p sc. */
-    Index colId(Index sc) const { return t_.rowId(sc); }
-
-    std::span<const Index> storedColIndices(Index sc) const
-    {
-        return t_.storedRowIndices(sc);
-    }
-    std::span<const Value> storedColValues(Index sc) const
-    {
-        return t_.storedRowValues(sc);
-    }
-
-    CsrMatrix toCsr() const { return t_.toCsr().transpose(); }
-
-    Index64 storageBytes() const { return t_.storageBytes(); }
-
-  private:
-    /** DCSR view of the transpose. */
-    DcsrMatrix t_;
 };
 
 } // namespace capstan::sparse

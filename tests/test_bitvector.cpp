@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "sparse/bitvector.hpp"
 
@@ -155,6 +157,50 @@ TEST(BitVectorProperty, MatchesSetModelOnRandomData)
             ASSERT_EQ(bv.rank(bv.select(k)), k);
         for (Index p : expect)
             ASSERT_EQ(bv.select(bv.rank(p)), p);
+    }
+}
+
+/**
+ * Property: countRange(b, e) == rank(e) - rank(b), and both equal a
+ * std::set model's count of [b, e), on seeded random vectors. The
+ * ranges start and end on and off 64-bit word edges, include b == e,
+ * and reach e == size().
+ */
+TEST(BitVectorProperty, CountRangeIsARankDifference)
+{
+    std::mt19937 rng(11);
+    for (int trial = 0; trial < 20; ++trial) {
+        Index size = 1 + static_cast<Index>(rng() % 700);
+        BitVector bv(size);
+        std::set<Index> model;
+        for (Index i = 0; i < size; ++i) {
+            if (rng() % 3 == 0) {
+                bv.set(i);
+                model.insert(i);
+            }
+        }
+        // Every word edge, its neighbours, the ends, and random points.
+        std::vector<Index> points = {0, size};
+        for (Index w = 0; w <= size; w += 64) {
+            for (Index p : {w - 1, w, w + 1}) {
+                if (p >= 0 && p <= size)
+                    points.push_back(p);
+            }
+        }
+        for (int i = 0; i < 8; ++i)
+            points.push_back(static_cast<Index>(rng() % (size + 1)));
+        for (Index b : points) {
+            for (Index e : points) {
+                if (b > e)
+                    continue;
+                auto in_model = static_cast<Index>(std::distance(
+                    model.lower_bound(b), model.lower_bound(e)));
+                ASSERT_EQ(bv.countRange(b, e), bv.rank(e) - bv.rank(b))
+                    << "size " << size << " [" << b << ", " << e << ")";
+                ASSERT_EQ(bv.countRange(b, e), in_model)
+                    << "size " << size << " [" << b << ", " << e << ")";
+            }
+        }
     }
 }
 

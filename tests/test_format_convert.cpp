@@ -5,8 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-#include <set>
+#include <vector>
 
 #include "sparse/format_convert.hpp"
 
@@ -18,7 +17,7 @@ TEST(FormatConvert, PointersRoundTrip)
     std::vector<Index> ptrs = {0, 5, 63, 64, 200};
     BitVector bv = pointersToBitVector(ptrs, 256);
     EXPECT_EQ(bv.count(), 5);
-    EXPECT_EQ(bitVectorToPointers(bv), ptrs);
+    EXPECT_EQ(bv.toPositions(), ptrs);
 }
 
 TEST(FormatConvert, OutOfRangePointersDropped)
@@ -29,54 +28,10 @@ TEST(FormatConvert, OutOfRangePointersDropped)
     EXPECT_TRUE(bv.test(3));
 }
 
-TEST(FormatConvert, WindowsPartitionTheSpace)
-{
-    std::vector<Index> ptrs = {0, 255, 256, 511, 700};
-    auto windows = pointersToWindows(ptrs, 1024, 256);
-    ASSERT_EQ(windows.size(), 4u);
-    EXPECT_EQ(windows[0].count(), 2);
-    EXPECT_TRUE(windows[0].test(0));
-    EXPECT_TRUE(windows[0].test(255));
-    EXPECT_EQ(windows[1].count(), 2);
-    EXPECT_TRUE(windows[1].test(0));   // 256 -> window 1, offset 0
-    EXPECT_TRUE(windows[1].test(255)); // 511 -> window 1, offset 255
-    EXPECT_EQ(windows[2].count(), 1);
-    EXPECT_TRUE(windows[2].test(700 - 512));
-    EXPECT_EQ(windows[3].count(), 0);
-}
-
-TEST(FormatConvert, WindowsHandleRaggedTail)
-{
-    auto windows = pointersToWindows(std::vector<Index>{ 130 }, 150, 64);
-    ASSERT_EQ(windows.size(), 3u);
-    EXPECT_TRUE(windows[2].test(130 - 128));
-}
-
 TEST(FormatConvert, BitTreeConversionMatchesBitVector)
 {
     std::vector<Index> ptrs = {1, 300, 301, 5000};
     BitTree tree = pointersToBitTree(ptrs, 8192, 256);
     BitVector bv = pointersToBitVector(ptrs, 8192);
     EXPECT_EQ(tree.toBitVector(), bv);
-}
-
-/** Property: window decomposition loses nothing. */
-TEST(FormatConvertProperty, WindowsPreserveAllPointers)
-{
-    std::mt19937 rng(59);
-    for (int trial = 0; trial < 10; ++trial) {
-        Index space = 512 + static_cast<Index>(rng() % 4096);
-        Index width = 1 << (4 + rng() % 5); // 16..256
-        std::set<Index> model;
-        for (int i = 0; i < 200; ++i)
-            model.insert(static_cast<Index>(rng() % space));
-        std::vector<Index> ptrs(model.begin(), model.end());
-        auto windows = pointersToWindows(ptrs, space, width);
-        std::vector<Index> recovered;
-        for (std::size_t w = 0; w < windows.size(); ++w) {
-            for (Index p : windows[w].toPositions())
-                recovered.push_back(static_cast<Index>(w) * width + p);
-        }
-        ASSERT_EQ(recovered, ptrs);
-    }
 }

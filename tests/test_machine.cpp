@@ -291,7 +291,8 @@ TEST(Machine, DramStreamIsBandwidthLimited)
         m.feed(0, t);
     }
     PhaseStats ps = m.runPhase();
-    double bpc = ddr.dramBytesPerCycle(); // 42.5 B/cycle.
+    double bpc = sim::memTechBandwidth(MemTech::DDR4) /
+                 ddr.clock_ghz; // 42.5 B/cycle.
     double min_cycles = n * bytes_per_token / bpc;
     EXPECT_GT(ps.cycles, static_cast<Cycle>(0.9 * min_cycles));
     EXPECT_LT(ps.cycles, static_cast<Cycle>(1.5 * min_cycles));
@@ -398,8 +399,6 @@ TEST(Machine, MultiPhaseAccumulatesCycles)
         m.feed(0, Token::compute(16));
     Cycle c2 = m.runPhase().cycles;
     EXPECT_EQ(m.totals().cycles, c1 + c2);
-    m.addBarrier(50);
-    EXPECT_EQ(m.totals().cycles, c1 + c2 + 50);
 }
 
 TEST(Machine, MergeModeNoneForcesDramRoundTrips)

@@ -20,8 +20,6 @@ using capstan::Value;
 using capstan::sparse::CooMatrix;
 using capstan::sparse::CscMatrix;
 using capstan::sparse::CsrMatrix;
-using capstan::sparse::DcscMatrix;
-using capstan::sparse::DcsrMatrix;
 using capstan::sparse::Triplet;
 
 namespace {
@@ -211,47 +209,6 @@ TEST(CscMatrix, ColumnViewMatchesTransposedRows)
     EXPECT_FLOAT_EQ(csc.at(1, 0), 2.0f);
 }
 
-TEST(DcsrMatrix, StoresOnlyNonEmptyRows)
-{
-    auto csr = CsrMatrix::fromTriplets(
-        100, 10, {{5, 1, 1.0f}, {50, 2, 2.0f}, {50, 3, 3.0f}});
-    auto dcsr = DcsrMatrix::fromCsr(csr);
-    EXPECT_EQ(dcsr.storedRows(), 2);
-    EXPECT_EQ(dcsr.rowId(0), 5);
-    EXPECT_EQ(dcsr.rowId(1), 50);
-    EXPECT_EQ(dcsr.storedRowIndices(1).size(), 2u);
-    // Doubly-compressed storage beats CSR when most rows are empty.
-    EXPECT_LT(dcsr.storageBytes(), csr.storageBytes());
-}
-
-TEST(DcscMatrix, StoresOnlyNonEmptyColumns)
-{
-    auto csr = CsrMatrix::fromTriplets(
-        10, 100, {{1, 5, 1.0f}, {2, 5, 2.0f}, {3, 50, 3.0f}});
-    auto dcsc = DcscMatrix::fromCsr(csr);
-    EXPECT_EQ(dcsc.rows(), 10);
-    EXPECT_EQ(dcsc.cols(), 100);
-    EXPECT_EQ(dcsc.storedCols(), 2);
-    EXPECT_EQ(dcsc.colId(0), 5);
-    EXPECT_EQ(dcsc.colId(1), 50);
-    auto c5 = dcsc.storedColIndices(0);
-    ASSERT_EQ(c5.size(), 2u);
-    EXPECT_EQ(c5[0], 1);
-    EXPECT_EQ(c5[1], 2);
-    EXPECT_FLOAT_EQ(dcsc.storedColValues(0)[1], 2.0f);
-}
-
-TEST(DcscMatrix, RoundTripsThroughCsr)
-{
-    std::mt19937 rng(37);
-    auto csr = CsrMatrix::fromTriplets(
-        60, 400, randomTriplets(rng, 60, 400, 150));
-    auto back = DcscMatrix::fromCsr(csr).toCsr();
-    EXPECT_EQ(back.rowPtr(), csr.rowPtr());
-    EXPECT_EQ(back.colIdx(), csr.colIdx());
-    EXPECT_EQ(back.values(), csr.values());
-}
-
 TEST(CsrMatrix, FromCooRejectsOutOfRangeTriplets)
 {
     // Hard validation even in release builds (a silent overflow here
@@ -292,21 +249,6 @@ TEST(MatrixProperty, CscAgreesWithCsr)
     auto back = csc.toCsr();
     EXPECT_EQ(back.colIdx(), csr.colIdx());
     EXPECT_EQ(back.values(), csr.values());
-}
-
-/** Property: DCSR round-trips through CSR. */
-TEST(MatrixProperty, DcsrRoundTrip)
-{
-    std::mt19937 rng(29);
-    for (int trial = 0; trial < 10; ++trial) {
-        // Sparse rows: big row space, few entries.
-        auto csr = CsrMatrix::fromTriplets(
-            500, 20, randomTriplets(rng, 500, 20, 60));
-        auto back = DcsrMatrix::fromCsr(csr).toCsr();
-        ASSERT_EQ(back.rowPtr(), csr.rowPtr());
-        ASSERT_EQ(back.colIdx(), csr.colIdx());
-        ASSERT_EQ(back.values(), csr.values());
-    }
 }
 
 /** Property: per-row nnz sums to total nnz. */

@@ -47,37 +47,33 @@ class SpmuGeometry : public ::testing::TestWithParam<SpmuParam>
     }
 };
 
-TEST_P(SpmuGeometry, ConservesVectorsAndSumsUnderRandomLoad)
+TEST_P(SpmuGeometry, ConservesVectorsAndAccessesUnderRandomLoad)
 {
-    sim::SparseMemoryUnit spmu(config(), /*with_storage=*/true);
+    sim::SparseMemoryUnit spmu(config());
+    spmu.enableGrantTrace(true);
     std::mt19937 rng(1234);
     const int n = 150;
-    std::vector<int> expected(128, 0);
-    int enq = 0;
-    std::uint64_t id = 0;
+    // Valid lanes per vector; AddF32 is never elided, so each issues
+    // exactly once.
+    std::vector<std::uint16_t> valid;
     std::uint64_t deq = 0;
     int guard = 0;
-    while ((enq < n || !spmu.empty()) && ++guard < 200000) {
-        if (enq < n) {
+    while ((static_cast<int>(valid.size()) < n || !spmu.empty()) &&
+           ++guard < 200000) {
+        if (static_cast<int>(valid.size()) < n) {
             sim::AccessVector av;
-            av.id = id;
-            std::vector<int> staged;
+            av.id = valid.size();
+            std::uint16_t lanes = 0;
             for (int l = 0; l < 16; ++l) {
                 av.lane[l].valid = (rng() % 5) != 0;
                 if (!av.lane[l].valid)
                     continue;
-                int a = static_cast<int>(rng() % 128);
-                av.lane[l].addr = static_cast<std::uint32_t>(a);
+                av.lane[l].addr = rng() % 128;
                 av.lane[l].op = sim::AccessOp::AddF32;
-                av.lane[l].operand = 1.0f;
-                staged.push_back(a);
+                lanes |= static_cast<std::uint16_t>(1u << l);
             }
-            if (spmu.tryEnqueue(av)) {
-                for (int a : staged)
-                    ++expected[a];
-                ++enq;
-                ++id;
-            }
+            if (spmu.tryEnqueue(av))
+                valid.push_back(lanes);
         }
         spmu.step();
         while (auto cv = spmu.tryDequeue()) {
@@ -87,8 +83,16 @@ TEST_P(SpmuGeometry, ConservesVectorsAndSumsUnderRandomLoad)
     }
     ASSERT_LT(guard, 200000) << "SpMU failed to drain";
     ASSERT_EQ(deq, static_cast<std::uint64_t>(n));
-    for (int a = 0; a < 128; ++a)
-        ASSERT_FLOAT_EQ(spmu.peek(a), static_cast<float>(expected[a]));
+    std::vector<std::uint16_t> issued(valid.size(), 0);
+    for (const auto &g : spmu.grantTrace()) {
+        ASSERT_LT(g.vector_id, issued.size());
+        auto bit = static_cast<std::uint16_t>(1u << g.lane);
+        ASSERT_FALSE(issued[g.vector_id] & bit)
+            << "vector " << g.vector_id << " lane " << g.lane
+            << " issued twice";
+        issued[g.vector_id] |= bit;
+    }
+    ASSERT_EQ(issued, valid) << "an access never issued";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -30,6 +30,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -163,8 +164,6 @@ randomVector(std::mt19937 &rng, std::uint64_t id)
         av.lane[static_cast<std::size_t>(l)].addr = rng() % 512;
         av.lane[static_cast<std::size_t>(l)].op =
             kOps[rng() % (sizeof(kOps) / sizeof(kOps[0]))];
-        av.lane[static_cast<std::size_t>(l)].operand =
-            static_cast<Value>(rng() % 16);
     }
     return av;
 }
@@ -173,20 +172,22 @@ struct Completion
 {
     std::uint64_t id;
     Cycle completed_at;
-    std::array<Value, kMaxLanes> result;
 
-    bool operator==(const Completion &o) const
-    {
-        return id == o.id && completed_at == o.completed_at &&
-               result == o.result;
-    }
+    bool operator==(const Completion &) const = default;
 };
 
 void
 drain(sim::SparseMemoryUnit &u, std::vector<Completion> &log)
 {
     while (auto cv = u.tryDequeue())
-        log.push_back({cv->id, cv->completed_at, cv->result});
+        log.push_back({cv->id, cv->completed_at});
+}
+
+/** One grant-trace entry as a comparable tuple. */
+std::tuple<Cycle, int, int, std::uint64_t>
+grantKey(const sim::SparseMemoryUnit::GrantRecord &g)
+{
+    return {g.cycle, g.lane, g.bank, g.vector_id};
 }
 
 /**
@@ -205,8 +206,10 @@ horizonRound(std::uint32_t seed)
     // Small bank count raises conflict pressure (more interesting
     // issue schedules); ordering stays at the config default.
     cfg.banks = 8;
-    sim::SparseMemoryUnit dense(cfg, /*with_storage=*/true);
-    sim::SparseMemoryUnit skip(cfg, /*with_storage=*/true);
+    sim::SparseMemoryUnit dense(cfg);
+    sim::SparseMemoryUnit skip(cfg);
+    dense.enableGrantTrace(true);
+    skip.enableGrantTrace(true);
 
     // Precompute the enqueue schedule: (cycle, vector) with random
     // bursts and idle gaps long enough for skips to matter.
@@ -277,7 +280,7 @@ horizonRound(std::uint32_t seed)
     }
     ASSERT_TRUE(skip.empty()) << "seed " << seed << ": watchdog";
 
-    // Exact agreement: same completions, same cycles, same results,
+    // Exact agreement: same completions, same cycles, same grants,
     // same aggregate stats.
     ASSERT_EQ(dense_log.size(), skip_log.size()) << "seed " << seed;
     for (std::size_t i = 0; i < dense_log.size(); ++i) {
@@ -286,6 +289,13 @@ horizonRound(std::uint32_t seed)
             << dense_log[i].id << "@" << dense_log[i].completed_at
             << " vs id " << skip_log[i].id << "@"
             << skip_log[i].completed_at;
+    }
+    ASSERT_EQ(dense.grantTrace().size(), skip.grantTrace().size())
+        << "seed " << seed;
+    for (std::size_t i = 0; i < dense.grantTrace().size(); ++i) {
+        EXPECT_EQ(grantKey(dense.grantTrace()[i]),
+                  grantKey(skip.grantTrace()[i]))
+            << "seed " << seed << " grant " << i;
     }
     EXPECT_EQ(dense.stats().grants, skip.stats().grants);
     EXPECT_EQ(dense.stats().vectors_in, skip.stats().vectors_in);
@@ -307,7 +317,7 @@ TEST(SpmuHorizonProperty, HorizonIsNowWhenACompletionIsWaiting)
     std::mt19937 rng(5);
     sim::SpmuConfig cfg;
     cfg.queue_depth = 4;
-    sim::SparseMemoryUnit u(cfg, /*with_storage=*/true);
+    sim::SparseMemoryUnit u(cfg);
     ASSERT_TRUE(u.tryEnqueue(randomVector(rng, 1)));
     for (int i = 0; i < 1000 && u.stats().vectors_out == 0; ++i) {
         u.step();
