@@ -42,17 +42,17 @@ main()
                 sim::memTechName(cfg.dram.tech).c_str());
     std::printf("  cycles          : %llu (%.2f us at %.1f GHz)\n",
                 static_cast<unsigned long long>(t.cycles),
-                t.runtime_ms * 1000.0, cfg.clock_ghz);
+                t.runtime_ms * 1000.0, sim::kClockGhz);
     std::printf("  DRAM traffic    : %llu bytes in %llu bursts\n",
                 static_cast<unsigned long long>(t.dram.bytes),
                 static_cast<unsigned long long>(t.dram.bursts));
     std::printf("  SpMU bank use   : %.1f%% (grants %llu)\n",
-                100.0 * t.spmu.bankUtilization(cfg.spmu.banks),
+                100.0 * t.spmu.bankUtilization(),
                 static_cast<unsigned long long>(t.spmu.grants));
     std::printf("  elided reads    : %llu\n",
                 static_cast<unsigned long long>(t.spmu.elided_reads));
     std::printf("  active lanes/cyc: %.1f of %d\n",
                 t.totals.active_lane_cycles / t.cycles,
-                cfg.spmu.lanes * 8);
+                sim::kMaxLanes * 8);
     return 0;
 }

@@ -325,14 +325,14 @@ statsToJson(const RunResult &r)
     cfg.set("memtech", sim::memTechName(r.config.dram.tech));
     cfg.set("tiles", r.tiles);
     cfg.set("iterations", r.iterations);
-    cfg.set("clock_ghz", r.config.clock_ghz);
+    cfg.set("clock_ghz", sim::kClockGhz);
     cfg.set("ordering", sim::orderingName(r.config.spmu.ordering));
     cfg.set("merge", sim::mergeModeName(r.config.shuffle.mode));
     cfg.set("hash", sim::bankHashName(r.config.spmu.hash));
     cfg.set("allocator",
             sim::allocatorKindName(r.config.spmu.allocator));
     cfg.set("queue_depth", r.config.spmu.queue_depth);
-    cfg.set("banks", r.config.spmu.banks);
+    cfg.set("banks", sim::kSpmuBanks);
     cfg.set("bandwidth_gbps",
             r.config.dram.bandwidth_override_gbps > 0
                 ? r.config.dram.bandwidth_override_gbps
@@ -378,8 +378,7 @@ statsToJson(const RunResult &r)
     spmu.set("enqueue_stalls", s.enqueue_stalls);
     spmu.set("elided_reads", s.elided_reads);
     spmu.set("splits", s.splits);
-    spmu.set("bank_utilization",
-             s.bankUtilization(r.config.spmu.banks));
+    spmu.set("bank_utilization", s.bankUtilization());
     doc.set("spmu", std::move(spmu));
 
     return doc;
@@ -411,7 +410,7 @@ statsToText(const RunResult &r)
         << sim::memTechName(r.config.dram.tech) << ", " << r.tiles
         << " tiles\n";
     out << "cycles: " << r.timing.cycles << "  ("
-        << r.timing.runtime_ms << " ms at " << r.config.clock_ghz
+        << r.timing.runtime_ms << " ms at " << sim::kClockGhz
         << " GHz)\n";
     out << "lane occupancy: "
         << (counted > 0 ? 100.0 * t.active_lane_cycles / counted : 0.0)
@@ -419,7 +418,7 @@ statsToText(const RunResult &r)
     out << "dram: " << d.bursts << " bursts, " << d.bytes
         << " bytes, row-hit rate " << 100.0 * d.rowHitRate() << "%\n";
     out << "spmu: bank utilization "
-        << 100.0 * s.bankUtilization(r.config.spmu.banks) << "%, "
+        << 100.0 * s.bankUtilization() << "%, "
         << s.elided_reads << " elided reads, " << s.enqueue_stalls
         << " enqueue stalls\n";
     return out.str();

@@ -28,59 +28,11 @@ axisRank(const std::string &key)
                                 "' (see capstan-run --help)");
 }
 
-std::string
-optionalStr(bool present, const std::string &s)
-{
-    return present ? s : "-";
-}
-
 /** A double in its round-trip form: distinct values print apart. */
 std::string
 exactNumber(double v)
 {
     return JsonValue(v).dump();
-}
-
-/**
- * Canonical identity of the run a point describes, for deduplication.
- * Aliased app names ("spmv" vs "csr") collapse; an empty dataset means
- * "the app's default" and is resolved before comparing.
- */
-std::string
-pointIdentity(const DriverOptions &o)
-{
-    std::string app = canonicalApp(o.app).value_or(o.app);
-    std::string dataset =
-        o.dataset.empty() ? defaultDataset(app) : o.dataset;
-    std::ostringstream id;
-    id << app << '\x1f' << dataset << '\x1f' << exactNumber(o.scale)
-       << '\x1f' << o.tiles << '\x1f' << o.iterations << '\x1f'
-       << configPointName(o.config) << '\x1f'
-       << sim::memTechName(o.memtech) << '\x1f'
-       << optionalStr(o.ordering.has_value(),
-                      o.ordering ? sim::orderingName(*o.ordering) : "")
-       << '\x1f'
-       << optionalStr(o.merge.has_value(),
-                      o.merge ? sim::mergeModeName(*o.merge) : "")
-       << '\x1f'
-       << optionalStr(o.hash.has_value(),
-                      o.hash ? sim::bankHashName(*o.hash) : "")
-       << '\x1f'
-       << optionalStr(o.allocator.has_value(),
-                      o.allocator ? sim::allocatorKindName(*o.allocator)
-                                  : "")
-       << '\x1f'
-       << (o.queue_depth ? std::to_string(*o.queue_depth) : "-")
-       << '\x1f'
-       << (o.bandwidth_gbps ? exactNumber(*o.bandwidth_gbps) : "-")
-       << '\x1f' << (o.compression ? 't' : 'f') << '\x1f'
-       << (o.spmu_ideal ? (*o.spmu_ideal ? "t" : "f") : "-") << '\x1f'
-       << (o.scan_bits ? std::to_string(*o.scan_bits) : "-") << '\x1f'
-       << (o.scan_outputs ? std::to_string(*o.scan_outputs) : "-")
-       << '\x1f'
-       << (o.scan_data_elems ? std::to_string(*o.scan_data_elems)
-                             : "-");
-    return id.str();
 }
 
 } // namespace
@@ -186,8 +138,10 @@ expandSweep(const SweepSpec &spec)
                                         "' has no values");
     }
 
+    // Points that spell one simulation differently (an aliased app
+    // name, a knob the design point already sets) run once.
     std::vector<DriverOptions> points;
-    std::set<std::string> seen;
+    std::set<SimulationKey> seen;
     std::vector<std::size_t> cursor(spec.axes.size(), 0);
     while (true) {
         DriverOptions point = spec.base;
@@ -199,7 +153,7 @@ expandSweep(const SweepSpec &spec)
                 throw std::invalid_argument("sweep axis '" + axis.key +
                                             "': " + err);
         }
-        if (seen.insert(pointIdentity(point)).second)
+        if (seen.insert(simulationKey(point)).second)
             points.push_back(std::move(point));
 
         // Odometer increment, last axis fastest.
@@ -432,8 +386,7 @@ sweepReportToCsv(const std::vector<SweepPointResult> &results)
                                        : 0.0)
             << ',' << res.timing.dram.bytes << ','
             << exactNumber(res.timing.dram.rowHitRate()) << ','
-            << exactNumber(res.timing.spmu.bankUtilization(
-                   res.config.spmu.banks))
+            << exactNumber(res.timing.spmu.bankUtilization())
             << ",\n";
     }
     return out.str();

@@ -95,9 +95,9 @@ SweepSpec specFromOptions(const DriverOptions &opts,
 
 /**
  * Expand a spec's cartesian product into concrete run options, in
- * deterministic nesting order, with exact-duplicate points removed
- * (first occurrence wins). Invalid axis keys/values throw
- * std::invalid_argument.
+ * deterministic nesting order, keeping one point per distinct
+ * simulation (driver::simulationKey; first occurrence wins). Invalid
+ * axis keys/values throw std::invalid_argument.
  */
 std::vector<DriverOptions> expandSweep(const SweepSpec &spec);
 

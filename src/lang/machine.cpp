@@ -37,7 +37,7 @@ shuffleConfigFor(const CapstanConfig &cfg, int tiles)
 
 Machine::Machine(const CapstanConfig &cfg, int tiles)
     : cfg_(cfg),
-      dram_(cfg.dram, cfg.clock_ghz),
+      dram_(cfg.dram),
       shuffle_(shuffleConfigFor(cfg, tiles)),
       eject_hold_(portCount(tiles)),
       // Bisecting switch: results must be identical either way. Read
@@ -50,7 +50,7 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
     spmus_.reserve(tiles);
     ags_.reserve(tiles);
     // Without Capstan's sparse extensions the AGs have no pending-burst
-    // tracking: every atomic round-trips to DRAM individually.
+    // tracking: every remote update round-trips to DRAM individually.
     int ag_entries = cfg.sparse_support ? 64 : 1;
     ag_busy_until_.assign(tiles, 0);
     completions_.resize(tiles);
@@ -94,7 +94,6 @@ Machine::feedScanWindows(int tile, const std::vector<Index> &window_pops,
     // Convert window popcounts into body tokens annotated with the
     // number of preceding all-zero windows (the Scan stage burns one
     // cycle per empty window; see sim::ScannerModel).
-    int lanes = cfg_.spmu.lanes;
     std::int32_t empty_run = 0;
     std::uint32_t pending_bytes = 0;
     for (Index pop : window_pops) {
@@ -105,7 +104,7 @@ Machine::feedScanWindows(int tile, const std::vector<Index> &window_pops,
         }
         Index remaining = pop;
         while (remaining > 0) {
-            int v = std::min<Index>(remaining, lanes);
+            int v = std::min<Index>(remaining, sim::kMaxLanes);
             Token t = Token::compute(v);
             t.scan_skip = empty_run;
             t.bytes = pending_bytes;
@@ -268,41 +267,6 @@ Machine::deliverPending(std::uint64_t uid)
     advance(t, p.stage, p.token, extra);
 }
 
-void
-Machine::fireDramStage(int t, int s, const Token &tok)
-{
-    Stage &st = tiles_[t].stages[s];
-    if (st.spec.kind == StageKind::DramStream) {
-        Cycle extra = st.spec.latency;
-        if (tok.bytes > 0) {
-            std::uint64_t bytes = tok.bytes;
-            if (cfg_.dram.compression && stream_compression_ > 1.0)
-                bytes = std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(
-                           bytes / stream_compression_));
-            Cycle done = dram_.streamAccess(bytes, now_);
-            extra += done - now_;
-        }
-        advance(t, s, tok, extra);
-        ++st.tokens_out;
-        return;
-    }
-    CAPSTAN_DCHECK(st.spec.kind == StageKind::DramAtomic);
-    std::array<std::uint64_t, sim::kMaxLanes> addrs{};
-    std::size_t n = 0;
-    for (int l = 0; l < cfg_.spmu.lanes; ++l) {
-        if (tok.valid_mask & (1u << l))
-            addrs[n++] = static_cast<std::uint64_t>(
-                             tok.addr[l] + st.spec.addr_offset) *
-                         4;
-    }
-    Cycle done =
-        n == 0 ? now_
-               : ags_[t]->atomicVector(std::span(addrs.data(), n), now_);
-    advance(t, s, tok, done - now_);
-    ++st.tokens_out;
-}
-
 int
 Machine::laneCountStage(int t)
 {
@@ -344,7 +308,7 @@ Machine::stepTile(int t)
                 int lanes = tok.validLanes();
                 totals_.active_lane_cycles += lanes;
                 totals_.vector_idle_lane_cycles +=
-                    cfg_.spmu.lanes - lanes;
+                    sim::kMaxLanes - lanes;
             }
             break;
           }
@@ -359,7 +323,7 @@ Machine::stepTile(int t)
                 int lanes = tok.validLanes();
                 totals_.active_lane_cycles += lanes;
                 totals_.vector_idle_lane_cycles +=
-                    cfg_.spmu.lanes - lanes;
+                    sim::kMaxLanes - lanes;
             }
             advance(t, s, tok, st.spec.latency);
             ++st.tokens_out;
@@ -438,7 +402,7 @@ Machine::stepTile(int t)
             const Token &tok = st.in.front();
             sim::AccessVector av;
             av.id = nextUid(t);
-            for (int l = 0; l < cfg_.spmu.lanes; ++l) {
+            for (int l = 0; l < sim::kMaxLanes; ++l) {
                 if (tok.valid_mask & (1u << l)) {
                     av.lane[l].valid = true;
                     av.lane[l].addr = tok.addr[l] + st.spec.addr_offset;
@@ -467,7 +431,7 @@ Machine::stepTile(int t)
                 sim::AccessVector reply;
                 reply.id = av.id;
                 int remote = 0;
-                for (int l = 0; l < cfg_.spmu.lanes; ++l) {
+                for (int l = 0; l < sim::kMaxLanes; ++l) {
                     if (!(tok.valid_mask & (1u << l)))
                         continue;
                     av.lane[l].valid = true;
@@ -501,7 +465,7 @@ Machine::stepTile(int t)
                 int local = 0;
                 std::array<std::uint64_t, sim::kMaxLanes> remote{};
                 std::size_t n_remote = 0;
-                for (int l = 0; l < cfg_.spmu.lanes; ++l) {
+                for (int l = 0; l < sim::kMaxLanes; ++l) {
                     if (!(tok.valid_mask & (1u << l)))
                         continue;
                     int dst = tok.lane_tile[l];
@@ -548,7 +512,7 @@ Machine::stepTile(int t)
             sv.src_port = t;
             sv.id = uid;
             int valid = 0;
-            for (int l = 0; l < cfg_.spmu.lanes; ++l) {
+            for (int l = 0; l < sim::kMaxLanes; ++l) {
                 if (tok.valid_mask & (1u << l)) {
                     sv.valid[l] = true;
                     sv.addr[l] = tok.addr[l] + st.spec.addr_offset;
@@ -571,15 +535,25 @@ Machine::stepTile(int t)
             issue(t, s, uid, valid);
             break;
           }
-          case StageKind::DramStream:
-          case StageKind::DramAtomic: {
+          case StageKind::DramStream: {
             if (st.in.empty() || st.in.front().ready_at > now_ ||
                 !stageHasRoom(t, s)) {
                 break;
             }
             Token tok = st.in.front();
             popInput(tile, st);
-            fireDramStage(t, s, tok);
+            Cycle extra = st.spec.latency;
+            if (tok.bytes > 0) {
+                std::uint64_t bytes = tok.bytes;
+                if (cfg_.dram.compression && stream_compression_ > 1.0)
+                    bytes = std::max<std::uint64_t>(
+                        1, static_cast<std::uint64_t>(
+                               bytes / stream_compression_));
+                Cycle done = dram_.streamAccess(bytes, now_);
+                extra += done - now_;
+            }
+            advance(t, s, tok, extra);
+            ++st.tokens_out;
             break;
           }
           case StageKind::Reduce: {
@@ -593,7 +567,7 @@ Machine::stepTile(int t)
             cycle_progress_ = true;
             if (tok.end_group)
                 setReduceGroups(tile, st, st.reduce_groups + 1);
-            if (st.reduce_groups >= cfg_.spmu.lanes) {
+            if (st.reduce_groups >= sim::kMaxLanes) {
                 Token out = Token::compute(st.reduce_groups);
                 setReduceGroups(tile, st, 0);
                 advance(t, s, out, st.spec.latency);
@@ -730,7 +704,7 @@ Machine::runPhase(Cycle max_cycles)
                 av.id = next_vec_id_++;
                 std::array<std::uint64_t, sim::kMaxLanes> uids{};
                 std::size_t n = 0;
-                for (int l = 0; l < cfg_.spmu.lanes; ++l) {
+                for (int l = 0; l < sim::kMaxLanes; ++l) {
                     if (!sv.valid[l])
                         continue;
                     std::uint64_t uid = sv.tag[l];
@@ -818,17 +792,15 @@ Machine::runPhase(Cycle max_cycles)
 
     PhaseStats ps;
     ps.cycles = now_ - start;
-    ps.tile_finish.reserve(tiles());
     for (const Tile &tile : tiles_) {
         Cycle finish = std::max(tile.last_active, start);
-        ps.tile_finish.push_back(finish - start);
         bool had_work = false;
         for (const Stage &st : tile.stages)
             had_work = had_work || st.tokens_out > 0;
         if (had_work) {
             totals_.imbalance_lane_cycles +=
                 static_cast<double>(ps.cycles - (finish - start)) *
-                cfg_.spmu.lanes;
+                sim::kMaxLanes;
         }
     }
     totals_.cycles += ps.cycles;
@@ -925,9 +897,6 @@ Machine::fastForwardTo(Cycle target)
                 addBurn(tile, -1);
         }
     }
-    // The shuffle network is drained (nextEventCycle() forbids jumping
-    // otherwise); an empty step only advances its cycle statistic.
-    shuffle_.skipCycles(skipped);
     for (int t = 0; t < tiles(); ++t) {
         // Refused enqueues retry (and re-count) every skipped cycle:
         // those of the cycle just stepped, now_ - 1.

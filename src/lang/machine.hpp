@@ -4,11 +4,13 @@
  *
  * Applications lower each outer-parallel tile to a *linear chain* of
  * pipeline stages (scan headers, vectorized map/reduce bodies, SpMU
- * accesses, DRAM streams and atomics). The Machine owns one SpMU per
- * tile, a shared DRAM model, and a shared shuffle network; each cycle it
- * steps the components that have work (a tile with a queued token or a
- * burning scanner, a SpMU holding vectors, a merge unit with input) until
- * all chains drain. Iterative applications run a *sequence of phases*
+ * accesses, DRAM streams). The Machine owns one SpMU and one DRAM
+ * address generator per tile, a shared DRAM model, and a shared shuffle
+ * network; each cycle it steps the components that have work (a tile
+ * with a queued token or a burning scanner, a SpMU holding vectors, a
+ * merge unit with input) until all chains drain. The address generators
+ * carry remote updates when there is no shuffle network (`--merge
+ * none`). Iterative applications run a *sequence of phases*
  * (one per loop level or kernel); the machine accumulates cycles and the
  * stall statistics behind Fig. 7.
  *
@@ -60,7 +62,6 @@ enum class StageKind {
     Spmu,       //!< Access this tile's sparse memory.
     SpmuCross,  //!< Access other tiles' memories via the shuffle net.
     DramStream, //!< Sequential DRAM transfer (bytes on each token).
-    DramAtomic, //!< Random atomic DRAM access through an AG.
     Reduce,     //!< Tree reduction; emits one output per group.
     Sink,       //!< Terminal stage; counts completed work.
 };
@@ -82,8 +83,7 @@ struct StageSpec
 /** Timing results of one phase (all chains run to completion). */
 struct PhaseStats
 {
-    Cycle cycles = 0;                 //!< Phase makespan.
-    std::vector<Cycle> tile_finish;   //!< Last activity per tile.
+    Cycle cycles = 0; //!< Phase makespan.
 };
 
 /** Accumulated statistics across phases (inputs to Fig. 7). */
@@ -110,7 +110,6 @@ class Machine
     Machine(const CapstanConfig &cfg, int tiles);
 
     int tiles() const { return static_cast<int>(tiles_.size()); }
-    const CapstanConfig &config() const { return cfg_; }
 
     /** Append a stage to @p tile's chain; returns the stage index. */
     int addStage(int tile, const StageSpec &spec);
@@ -160,7 +159,6 @@ class Machine
 
     sim::DramModel &dram() { return dram_; }
     sim::SparseMemoryUnit &spmu(int tile) { return *spmus_[tile]; }
-    sim::ShuffleNetwork &shuffle() { return shuffle_; }
 
     /** Aggregate SpMU statistics over all tiles. */
     sim::SpmuStats spmuTotals() const;
@@ -192,7 +190,10 @@ class Machine
         int stage = 0;
         /** Deliveries still owed; 0 marks a free slot. */
         int remaining = 0;
-        /** Earliest delivery cycle (e.g. a DRAM-atomic side leg). */
+        /**
+         * Earliest delivery cycle: the AG round trip of a SpmuCross
+         * access whose remote lanes go through DRAM (no shuffle).
+         */
         Cycle ready_floor = 0;
         Token token;
     };
@@ -250,7 +251,6 @@ class Machine
     int laneCountStage(int t);
 
     void stepTile(int t);
-    void fireDramStage(int t, int s, const Token &tok);
     bool stageHasRoom(int t, int s) const;
     void advance(int t, int s, Token token, Cycle extra_latency);
 
@@ -325,8 +325,8 @@ class Machine
      * Jump the clock to @p target (a cycle <= nextEventCycle()),
      * emulating the skipped cycles exactly: scanner skip/occupancy
      * counters burn (attributed to the Scan stall class and to
-     * last_active), busy SpMUs and the shuffle clock advance, and
-     * refused enqueues replay into the stall statistics.
+     * last_active), busy SpMUs advance, and refused enqueues replay
+     * into the stall statistics.
      */
     void fastForwardTo(Cycle target);
 

@@ -37,7 +37,7 @@ struct AppTiming
         t.dram = m.dram().stats();
         t.spmu = m.spmuTotals();
         t.runtime_ms = static_cast<double>(t.cycles) /
-                       (m.config().clock_ghz * 1e6);
+                       (sim::kClockGhz * 1e6);
         return t;
     }
 };

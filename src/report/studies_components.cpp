@@ -46,7 +46,7 @@ measureUtilization(const sim::SpmuConfig &cfg, int vectors,
         if (injected < vectors) {
             sim::AccessVector av;
             av.id = injected;
-            for (int l = 0; l < cfg.lanes; ++l) {
+            for (int l = 0; l < sim::kMaxLanes; ++l) {
                 av.lane[l].valid = true;
                 av.lane[l].addr = rng();
                 av.lane[l].op = sim::AccessOp::Read;
@@ -58,7 +58,7 @@ measureUtilization(const sim::SpmuConfig &cfg, int vectors,
         while (spmu.tryDequeue()) {
         }
     }
-    return 100.0 * spmu.stats().bankUtilization(cfg.banks);
+    return 100.0 * spmu.stats().bankUtilization();
 }
 
 } // namespace
@@ -226,7 +226,7 @@ traceMode(sim::Ordering mode, std::uint32_t seed)
     }
 
     TraceResult res;
-    res.utilization = 100.0 * spmu.stats().bankUtilization(cfg.banks);
+    res.utilization = 100.0 * spmu.stats().bankUtilization();
     sim::Cycle first = ~0ull, last = 0;
     for (const auto &g : spmu.grantTrace()) {
         if (g.vector_id == kTracedId) {

@@ -672,15 +672,13 @@ deriveFig5(const StudyContext &, const Timings &t)
     // scales.
     {
         const auto &tile_counts = kFig5bTiles;
-        sim::CapstanConfig cfg =
-            sim::CapstanConfig::capstan(sim::MemTech::HBM2E);
         StudyTable table;
         table.title = "Figure 5b: speedup vs weighted on-chip area "
                       "(outer-parallelization sweep)";
         table.headers = {"App"};
         for (int tiles : tile_counts) {
             double pct =
-                100.0 * sim::weightedAreaFraction(tiles, tiles, cfg);
+                100.0 * sim::weightedAreaFraction(tiles, tiles);
             table.headers.push_back(num(pct, 1) + "%");
         }
         for (const auto &app : allApps()) {
@@ -856,7 +854,6 @@ planFig7(const StudyContext &ctx)
 StudyResult
 deriveFig7(const StudyContext &ctx, const Timings &t)
 {
-    using sim::CapstanConfig;
     using sim::StallBreakdown;
     using sim::StallClass;
 
@@ -867,9 +864,8 @@ deriveFig7(const StudyContext &ctx, const Timings &t)
         table.headers.push_back(
             sim::stallClassName(static_cast<StallClass>(c)));
 
-    const int lanes = CapstanConfig::capstan().spmu.lanes;
     const double lane_width =
-        static_cast<double>(lanes) * ctx.knobs.tiles;
+        static_cast<double>(sim::kMaxLanes) * ctx.knobs.tiles;
     std::size_t i = 0; // Next (app, dataset)'s four planned points.
     for (const auto &app : allApps()) {
         if (app == "BiCGStab")
@@ -884,7 +880,7 @@ deriveFig7(const StudyContext &ctx, const Timings &t)
             StallBreakdown synth;
             const auto &tot = t_ideal.totals;
             synth[StallClass::Active] = tot.active_lane_cycles;
-            synth[StallClass::Scan] = tot.scan_empty_cycles * lanes;
+            synth[StallClass::Scan] = tot.scan_empty_cycles * sim::kMaxLanes;
             synth[StallClass::VectorLength] =
                 tot.vector_idle_lane_cycles;
             synth[StallClass::Imbalance] = tot.imbalance_lane_cycles;

@@ -110,14 +110,14 @@ capstanArea()
 }
 
 double
-weightedAreaFraction(int cus, int mus, const CapstanConfig &cfg)
+weightedAreaFraction(int cus, int mus)
 {
     ChipArea chip = capstanArea();
     double cu_each = chip.rows[0].each_mm2;
     double mu_each = chip.rows[1].each_mm2;
     double used = cu_each * cus + mu_each * mus;
-    double avail = cu_each * cfg.grid_compute_units +
-                   mu_each * cfg.grid_memory_units;
+    double avail = cu_each * kGridComputeUnits +
+                   mu_each * kGridMemoryUnits;
     return used / avail;
 }
 

@@ -52,10 +52,10 @@ ChipArea capstanArea();
 
 /**
  * Fraction of on-chip compute+memory area a mapping occupies when it
- * uses @p cus compute units and @p mus memory units (Fig. 5b's x-axis).
+ * uses @p cus compute units and @p mus memory units of the Table 7 grid
+ * (Fig. 5b's x-axis).
  */
-double weightedAreaFraction(int cus, int mus,
-                            const CapstanConfig &cfg);
+double weightedAreaFraction(int cus, int mus);
 
 } // namespace capstan::sim
 

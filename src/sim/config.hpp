@@ -2,11 +2,14 @@
  * @file
  * Architectural configuration for the Capstan simulator (Table 7).
  *
- * A CapstanConfig captures every tunable the paper sweeps: SpMU issue-queue
- * depth, crossbar speedup, allocator iterations/priorities, bank hashing,
- * memory ordering mode, scanner width and output vectorization, shuffle
- * merge mode, memory technology, and grid sizes. The named constructors
- * (capstan(), plasticine(), ...) produce the paper's design points.
+ * The paper evaluates one machine shape, so the parameters Table 7 fixes
+ * (lanes, SRAM banks, clock, grid size, DRAM burst and banking) are
+ * named constants here. A CapstanConfig captures every tunable the paper
+ * sweeps: SpMU issue-queue depth, crossbar speedup, allocator priorities,
+ * bank hashing, memory ordering mode, scanner width and output
+ * vectorization, shuffle merge mode and memory technology. The named
+ * constructors (capstan(), plasticine(), ...) produce the paper's design
+ * points.
  */
 
 #pragma once
@@ -19,7 +22,7 @@
 
 namespace capstan::sim {
 
-/** Simulation time, in core clock cycles (1.6 GHz by default). */
+/** Simulation time, in core clock cycles (kClockGhz). */
 using Cycle = std::uint64_t;
 
 /**
@@ -30,8 +33,33 @@ using Cycle = std::uint64_t;
  */
 constexpr Cycle kNoEventCycle = ~Cycle{0};
 
-/** Maximum SIMD lanes per compute/memory unit; Table 7 fixes l = 16. */
+/** SIMD lanes per compute/memory unit; Table 7 fixes l = 16. */
 constexpr int kMaxLanes = 16;
+
+/** SRAM banks per SpMU (1R1W each); Table 7 fixes b = 16. */
+constexpr int kSpmuBanks = 16;
+
+/** Separable-allocator iterations of the full allocator (Table 4). */
+constexpr int kAllocIterations = 3;
+
+/** Counters in the SpMU's address-order Bloom filter. */
+constexpr int kBloomEntries = 128;
+
+/** SpMU grant -> data-back latency in cycles (Fig. 3b). */
+constexpr Cycle kSpmuPipelineLatency = 2;
+
+/** Core clock of every design point, in GHz (Table 7). */
+constexpr double kClockGhz = 1.6;
+
+/** Compute and memory units on the chip (Table 7's 200 + 200 grid). */
+constexpr int kGridComputeUnits = 200;
+constexpr int kGridMemoryUnits = 200;
+
+/** DRAM banks per channel. */
+constexpr int kDramBanksPerChannel = 16;
+
+/** DRAM burst size in bytes: the address generators' request unit. */
+constexpr int kDramBurstBytes = 64;
 
 /** Off-chip memory technology points evaluated in the paper (Table 7). */
 enum class MemTech {
@@ -87,17 +115,12 @@ std::string mergeModeName(MergeMode mode);
 /** Sparse memory unit parameters (Section 3.1). */
 struct SpmuConfig
 {
-    int lanes = 16;           //!< SIMD lanes feeding the unit.
-    int banks = 16;           //!< SRAM banks (1R1W each).
     int queue_depth = 16;     //!< Issue-queue depth d (vectors).
     int input_speedup = 1;    //!< 1 => l x b crossbar; 2 => 2l x b.
-    int alloc_iterations = 3; //!< Separable-allocator iterations.
     int priorities = 3;       //!< Age-priority classes (Table 4).
     BankHash hash = BankHash::Xor;
     AllocatorKind allocator = AllocatorKind::Full;
     Ordering ordering = Ordering::Unordered;
-    int bloom_entries = 128;  //!< Address-order Bloom filter size.
-    Cycle pipeline_latency = 2; //!< Grant -> data-back latency (Fig. 3b).
     bool ideal = false;       //!< Ideal SpMU: no bank conflicts (Table 9).
     /**
      * Plasticine handicap: the memory has no RMW pipeline, so every
@@ -142,10 +165,8 @@ struct DramConfig
 {
     MemTech tech = MemTech::HBM2E;
     int channels = 16;        //!< Independent channels.
-    int banks_per_channel = 16;
     Cycle base_latency = 96;  //!< Closed-page access latency (cycles).
     Cycle row_miss_penalty = 32;
-    int burst_bytes = 64;     //!< AG request granularity.
     bool compression = false; //!< Read-only pointer-tile compression.
     /** When positive, overrides the technology bandwidth (Fig. 5a). */
     double bandwidth_override_gbps = 0.0;
@@ -156,9 +177,6 @@ struct DramConfig
 /** Whole-chip configuration (Table 7 defaults). */
 struct CapstanConfig
 {
-    int grid_compute_units = 200;
-    int grid_memory_units = 200;
-    double clock_ghz = 1.6;
     Cycle network_hop_latency = 4; //!< Per-hop pipelined link latency.
 
     SpmuConfig spmu;

@@ -14,19 +14,19 @@ constexpr std::uint64_t kRowBytes = 2048;
 
 } // namespace
 
-DramModel::DramModel(const DramConfig &cfg, double clock_ghz)
+DramModel::DramModel(const DramConfig &cfg)
     : cfg_(cfg),
       bytes_per_cycle_((cfg.bandwidth_override_gbps > 0
                             ? cfg.bandwidth_override_gbps
                             : memTechBandwidth(cfg.tech)) /
-                       clock_ghz),
+                       kClockGhz),
       channel_bytes_per_cycle_(bytes_per_cycle_ / cfg.channels),
       channel_free_(cfg.channels, 0),
       banks_(static_cast<std::size_t>(cfg.channels) *
-             cfg.banks_per_channel)
+             kDramBanksPerChannel)
 {
-    CAPSTAN_CHECK(cfg.channels > 0 && cfg.banks_per_channel > 0);
-    burst_cycles_ = std::max(1.0, cfg.burst_bytes /
+    CAPSTAN_CHECK(cfg.channels > 0);
+    burst_cycles_ = std::max(1.0, kDramBurstBytes /
                                       channel_bytes_per_cycle_);
 }
 
@@ -34,7 +34,7 @@ Cycle
 DramModel::access(std::uint64_t byte_addr, bool write, Cycle now)
 {
     ++stats_.bursts;
-    stats_.bytes += cfg_.burst_bytes;
+    stats_.bytes += kDramBurstBytes;
     if (write)
         ++stats_.writes;
     else
@@ -43,15 +43,15 @@ DramModel::access(std::uint64_t byte_addr, bool write, Cycle now)
     if (cfg_.tech == MemTech::Ideal)
         return now;
 
-    std::uint64_t burst = byte_addr / cfg_.burst_bytes;
+    std::uint64_t burst = byte_addr / kDramBurstBytes;
     int channel = static_cast<int>(burst % cfg_.channels);
     std::uint64_t per_channel = burst / cfg_.channels;
-    int bank = static_cast<int>(per_channel % cfg_.banks_per_channel);
+    int bank = static_cast<int>(per_channel % kDramBanksPerChannel);
     std::uint64_t row =
-        byte_addr / (kRowBytes * cfg_.channels * cfg_.banks_per_channel);
+        byte_addr / (kRowBytes * cfg_.channels * kDramBanksPerChannel);
 
     BankState &bs = banks_[static_cast<std::size_t>(channel) *
-                               cfg_.banks_per_channel +
+                               kDramBanksPerChannel +
                            bank];
     double service = burst_cycles_;
     if (bs.open_row != row) {
@@ -100,7 +100,7 @@ AddressGenerator::atomicVector(std::span<const std::uint64_t> byte_addrs,
 {
     Cycle done = now;
     for (std::uint64_t addr : byte_addrs) {
-        std::uint64_t burst = addr / dram_.config().burst_bytes;
+        std::uint64_t burst = addr / kDramBurstBytes;
         auto it = table_.find(burst);
         if (it != table_.end()) {
             BurstEntry &e = it->second;
@@ -109,7 +109,6 @@ AddressGenerator::atomicVector(std::span<const std::uint64_t> byte_addrs,
             Cycle exec = std::max({now, e.ready_at, e.writeback_done}) + 1;
             e.last_use = exec;
             e.dirty = true;
-            ++hits_;
             done = std::max(done, exec);
             continue;
         }
@@ -120,15 +119,11 @@ AddressGenerator::atomicVector(std::span<const std::uint64_t> byte_addrs,
                 if (j->second.last_use < victim->second.last_use)
                     victim = j;
             }
-            if (victim->second.dirty) {
-                dram_.access(victim->first * dram_.config().burst_bytes,
-                             true, now);
-                ++writebacks_;
-            }
+            if (victim->second.dirty)
+                dram_.access(victim->first * kDramBurstBytes, true, now);
             table_.erase(victim);
         }
         Cycle ready = dram_.access(addr, false, now);
-        ++fetches_;
         BurstEntry e;
         e.ready_at = ready;
         e.last_use = ready + 1;
@@ -145,10 +140,8 @@ AddressGenerator::flush(Cycle now)
     Cycle done = now;
     for (auto &[burst, e] : table_) {
         if (e.dirty) {
-            done = std::max(
-                done, dram_.access(burst * dram_.config().burst_bytes,
-                                   true, std::max(now, e.ready_at)));
-            ++writebacks_;
+            done = std::max(done, dram_.access(burst * kDramBurstBytes, true,
+                                               std::max(now, e.ready_at)));
             e.dirty = false;
         }
     }

@@ -56,9 +56,8 @@ struct DramStats
 class DramModel
 {
   public:
-    DramModel(const DramConfig &cfg, double clock_ghz);
-
-    const DramConfig &config() const { return cfg_; }
+    /** Bandwidths convert to bytes per core cycle at kClockGhz. */
+    explicit DramModel(const DramConfig &cfg);
 
     /** Total bytes the system can move per core cycle. */
     double bytesPerCycle() const { return bytes_per_cycle_; }
@@ -87,7 +86,8 @@ class DramModel
     double channel_bytes_per_cycle_;
     double burst_cycles_;           //!< Channel occupancy per burst.
     std::vector<double> channel_free_;
-    std::vector<BankState> banks_;  //!< [channel * banks + bank].
+    /** [channel * kDramBanksPerChannel + bank]. */
+    std::vector<BankState> banks_;
     DramStats stats_;
 };
 
@@ -115,10 +115,6 @@ class AddressGenerator
     /** Flush buffered dirty bursts; returns completion of the last. */
     Cycle flush(Cycle now);
 
-    std::uint64_t coalescedHits() const { return hits_; }
-    std::uint64_t fetches() const { return fetches_; }
-    std::uint64_t writebacks() const { return writebacks_; }
-
   private:
     struct BurstEntry
     {
@@ -140,9 +136,6 @@ class AddressGenerator
      * tree's log-depth costs nothing measurable.
      */
     std::map<std::uint64_t, BurstEntry> table_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t fetches_ = 0;
-    std::uint64_t writebacks_ = 0;
 };
 
 } // namespace capstan::sim

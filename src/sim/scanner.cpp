@@ -68,19 +68,4 @@ ScannerModel::scanBitVectors(const sparse::BitVector &a,
     return scanRegion(windowPopcounts(combined, cfg_.window_bits));
 }
 
-ScanTiming
-ScannerModel::scanBitVector(const sparse::BitVector &a) const
-{
-    return scanRegion(windowPopcounts(a, cfg_.window_bits));
-}
-
-Cycle
-ScannerModel::dataScanCycles(Index elements, Index nonzeros) const
-{
-    if (elements <= 0)
-        return 0;
-    Cycle advance = (elements + cfg_.data_elements - 1) / cfg_.data_elements;
-    return std::max<Cycle>(advance, static_cast<Cycle>(nonzeros));
-}
-
 } // namespace capstan::sim

@@ -5,7 +5,8 @@
  * The bit-vector scanner combines two occupancy inputs (union or
  * intersection), finds up to V set bits per cycle within a W-bit window,
  * and emits dense indices plus prefix-sum compressed indices. The data
- * scanner finds one non-zero element per cycle among E examined elements.
+ * scanner examines E elements per cycle; lang::Machine's DataScan stage
+ * times it.
  *
  * The model is timing-only: a W-bit window costs at least one cycle even
  * when it holds no set bits (the Scan stall class in Fig. 7), and a
@@ -23,7 +24,7 @@
 namespace capstan::sim {
 
 /** Scan combine mode. */
-enum class ScanMode { Single, Intersect, Union };
+enum class ScanMode { Intersect, Union };
 
 /** Timing outcome of scanning a region. */
 struct ScanTiming
@@ -44,8 +45,6 @@ class ScannerModel
   public:
     explicit ScannerModel(const ScannerConfig &cfg) : cfg_(cfg) {}
 
-    const ScannerConfig &config() const { return cfg_; }
-
     /** Cycles to drain one window containing @p popcount set bits. */
     Cycle cyclesForWindow(Index popcount) const;
 
@@ -60,16 +59,6 @@ class ScannerModel
     ScanTiming scanBitVectors(const sparse::BitVector &a,
                               const sparse::BitVector &b,
                               ScanMode mode) const;
-
-    /** Single-input variant. */
-    ScanTiming scanBitVector(const sparse::BitVector &a) const;
-
-    /**
-     * Data-scanner cost: examine @p elements values holding @p nonzeros
-     * non-zeros, emitting one non-zero per cycle while advancing at most
-     * data_elements per cycle.
-     */
-    Cycle dataScanCycles(Index elements, Index nonzeros) const;
 
   private:
     ScannerConfig cfg_;

@@ -28,22 +28,9 @@ moveInto(ShuffleVector &out, ShuffleVector &head)
 
 } // namespace
 
-int
-ShuffleVector::validCount() const
-{
-    int n = 0;
-    for (bool v : valid)
-        n += v ? 1 : 0;
-    return n;
-}
-
-ShuffleNetwork::ShuffleNetwork(const ShuffleConfig &cfg, int lanes)
-    : cfg_(cfg), lanes_(lanes),
-      lane_mask_(lanes >= 32 ? ~std::uint32_t{0}
-                             : (std::uint32_t{1} << lanes) - 1)
+ShuffleNetwork::ShuffleNetwork(const ShuffleConfig &cfg) : cfg_(cfg)
 {
     CAPSTAN_CHECK(cfg.ports >= 2 && std::has_single_bit(unsigned(cfg.ports)));
-    CAPSTAN_CHECK(lanes > 0 && lanes <= kMaxLanes);
     stages_ = std::countr_zero(unsigned(cfg.ports));
     // Stage buffers never hold more than kChannelDepth vectors. Outputs
     // are unbounded, but a caller that ejects every cycle finds at most
@@ -64,7 +51,7 @@ ShuffleNetwork::shiftLimit() const
       case MergeMode::Mrg1:
         return 1;
       case MergeMode::Mrg16:
-        return lanes_;
+        return kMaxLanes;
       case MergeMode::None:
       default:
         return -1; // Merging disabled entirely.
@@ -77,16 +64,13 @@ ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
     // Pure bypass: every lane already destined for this port's memory.
     bool all_local = true;
-    for (int l = 0; l < lanes_; ++l) {
+    for (int l = 0; l < kMaxLanes; ++l) {
         if (v.valid[l] && v.dst_port[l] != port)
             all_local = false;
     }
     if (all_local) {
         outputs_[port].push_back(v);
         ++delivered_;
-        ++stats_.injected;
-        ++stats_.bypassed;
-        ++stats_.ejected;
         return true;
     }
     Fifo &ch = channels_[0][port];
@@ -95,7 +79,6 @@ ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
     ch.push_back(v);
     ++live_;
     ++stage_live_[0];
-    ++stats_.injected;
     return true;
 }
 
@@ -106,10 +89,9 @@ ShuffleNetwork::planMerge(std::uint32_t a, std::uint32_t b,
     int shift = shiftLimit();
     if (shift < 0)
         return false;
-    // a's entries stay put (they already occupy their positional
-    // lanes); b's lanes past the network width are not carried over.
-    std::uint32_t free = ~a & lane_mask_;
-    std::uint32_t todo = b & lane_mask_;
+    // a's entries stay put (they already occupy their positional lanes).
+    std::uint32_t free = ~a & ((1u << kMaxLanes) - 1);
+    std::uint32_t todo = b;
     while (todo != 0) {
         int l = std::countr_zero(todo);
         todo &= todo - 1;
@@ -117,7 +99,7 @@ ShuffleNetwork::planMerge(std::uint32_t a, std::uint32_t b,
         for (int d = 0; d <= shift && p < 0; ++d) {
             if (l - d >= 0 && ((free >> (l - d)) & 1))
                 p = l - d;
-            else if (d > 0 && l + d < lanes_ && ((free >> (l + d)) & 1))
+            else if (d > 0 && l + d < kMaxLanes && ((free >> (l + d)) & 1))
                 p = l + d;
         }
         if (p < 0)
@@ -131,7 +113,6 @@ ShuffleNetwork::planMerge(std::uint32_t a, std::uint32_t b,
 void
 ShuffleNetwork::step()
 {
-    ++stats_.cycles;
     if (live_ == 0)
         return; // Nothing buffered between stages: stepping moves nothing.
     // Walk stages from last to first so a vector advances one stage per
@@ -177,8 +158,6 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
 
     // Plan: split each head on this stage's bit. frag[i][d] holds the
     // lanes head i sends low (d = 0, port p0) or high (d = 1, p1).
-    // Lanes past the network width are not examined, so they stay
-    // valid on both sides.
     std::uint32_t frag[2][2] = {{0, 0}, {0, 0}};
     std::uint64_t frag_id[2][2] = {{0, 0}, {0, 0}};
     bool split[2] = {false, false};
@@ -192,11 +171,11 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
             if (!head.valid[l])
                 continue;
             valid |= 1u << l;
-            if (l < lanes_ && ((head.dst_port[l] >> bit) & 1))
+            if ((head.dst_port[l] >> bit) & 1)
                 high |= 1u << l;
         }
         frag[i][0] = valid & ~high;
-        frag[i][1] = high | (valid & ~lane_mask_);
+        frag[i][1] = high;
         split[i] = frag[i][0] != 0 && frag[i][1] != 0;
         if (split[i]) {
             // A real split: both halves need distinct ids so reply
@@ -208,20 +187,17 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
         }
     }
 
-    // Plan: merge the fragments heading the same way. Ids and merge
-    // statistics are consumed here even if the commit is abandoned.
+    // Plan: merge the fragments heading the same way. Ids are consumed
+    // here even if the commit is abandoned.
     bool merged[2] = {false, false};
     std::uint64_t merged_id[2] = {0, 0};
     std::array<std::int8_t, kMaxLanes> place[2] = {};
     std::size_t outputs[2] = {0, 0};
     for (int d = 0; d < 2; ++d) {
         if (frag[0][d] != 0 && frag[1][d] != 0) {
-            ++stats_.merges_attempted;
             merged[d] = planMerge(frag[0][d], frag[1][d], place[d]);
-            if (merged[d]) {
-                ++stats_.merges_succeeded;
+            if (merged[d])
                 merged_id[d] = next_merged_id_++;
-            }
         }
         outputs[d] = merged[d] ? 1
                                : (frag[0][d] != 0 ? 1 : 0) +
@@ -264,7 +240,6 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
         ++in_flight_[s][unit];
         if (last_stage) {
             ++delivered_;
-            ++stats_.ejected;
         } else {
             ++live_;
             ++stage_live_[s + 1];
@@ -274,7 +249,7 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
         if (merged[d]) {
             ShuffleVector &out = emit(d, 0);
             const ShuffleVector &other = ins[1]->front();
-            std::uint32_t lanes = frag[1][d] & lane_mask_;
+            std::uint32_t lanes = frag[1][d];
             while (lanes != 0) {
                 int l = std::countr_zero(lanes);
                 lanes &= lanes - 1;

@@ -40,19 +40,6 @@ struct ShuffleVector
     std::uint64_t id = 0;
     /** Merge units traversed, for inverse-permutation FIFO credits. */
     std::vector<std::pair<std::int8_t, std::int8_t>> path;
-
-    int validCount() const;
-};
-
-/** Aggregate shuffle-network statistics. */
-struct ShuffleStats
-{
-    std::uint64_t injected = 0;
-    std::uint64_t ejected = 0;
-    std::uint64_t merges_attempted = 0;
-    std::uint64_t merges_succeeded = 0;
-    std::uint64_t bypassed = 0;
-    Cycle cycles = 0;
 };
 
 /**
@@ -66,7 +53,7 @@ struct ShuffleStats
 class ShuffleNetwork
 {
   public:
-    explicit ShuffleNetwork(const ShuffleConfig &cfg, int lanes = kMaxLanes);
+    explicit ShuffleNetwork(const ShuffleConfig &cfg);
 
     int ports() const { return cfg_.ports; }
     int stages() const { return stages_; }
@@ -88,13 +75,6 @@ class ShuffleNetwork
         return empty() ? kNoEventCycle : now;
     }
 
-    /**
-     * Stand in for @p cycles step() calls on a drained network: only the
-     * cycle statistic advances (an empty step moves nothing). Only legal
-     * while empty().
-     */
-    void skipCycles(Cycle cycles) { stats_.cycles += cycles; }
-
     /** Pop a delivered vector at output @p port, if any. */
     std::optional<ShuffleVector> tryEject(int port);
 
@@ -115,8 +95,6 @@ class ShuffleNetwork
 
     /** True when some output port holds a vector for tryEject(). */
     bool hasDelivered() const { return delivered_ > 0; }
-
-    const ShuffleStats &stats() const { return stats_; }
 
   private:
     using Fifo = common::RingQueue<ShuffleVector>;
@@ -145,9 +123,6 @@ class ShuffleNetwork
     int shiftLimit() const;
 
     ShuffleConfig cfg_;
-    int lanes_;
-    /** Lanes the network routes: bits [0, lanes_). */
-    std::uint32_t lane_mask_;
     int stages_;
     /** channels_[stage][port]: buffering entering each stage. */
     std::vector<std::vector<Fifo>> channels_;
@@ -159,7 +134,6 @@ class ShuffleNetwork
     std::unordered_map<std::uint64_t,
                        std::vector<std::pair<std::int8_t, std::int8_t>>>
         paths_;
-    ShuffleStats stats_;
     /** Vectors buffered between stages; 0 makes step() an O(1) no-op. */
     int live_ = 0;
     /** Vectors in each stage's channels; step() skips stages at 0. */

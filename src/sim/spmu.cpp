@@ -34,9 +34,8 @@ isReadOnly(AccessOp op)
 
 SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg)
     : cfg_(cfg),
-      alloc_(cfg.lanes * cfg.input_speedup, cfg.banks,
-             cfg.allocator == AllocatorKind::Weak ? 1
-                                                  : cfg.alloc_iterations),
+      alloc_(kMaxLanes * cfg.input_speedup, kSpmuBanks,
+             cfg.allocator == AllocatorKind::Weak ? 1 : kAllocIterations),
       // A machine dequeues every cycle, and one step completes at most
       // a queue's worth of vectors, so neither ring outgrows the depth
       // (an unusually deep queue grows its rings on demand instead).
@@ -44,10 +43,8 @@ SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg)
           std::min(cfg.queue_depth, kMaxPreallocatedDepth))),
       ready_(static_cast<std::size_t>(
           std::min(cfg.queue_depth, kMaxPreallocatedDepth))),
-      bloom_(cfg.bloom_entries, 0)
+      bloom_(kBloomEntries, 0)
 {
-    CAPSTAN_CHECK(cfg.lanes > 0 && cfg.lanes <= kMaxLanes);
-    CAPSTAN_CHECK(cfg.banks > 0 && cfg.banks <= 32);
     CAPSTAN_CHECK(cfg.input_speedup == 1 || cfg.input_speedup == 2);
 }
 
@@ -55,12 +52,12 @@ int
 SparseMemoryUnit::bankOf(std::uint32_t addr) const
 {
     if (cfg_.hash == BankHash::Linear)
-        return static_cast<int>(addr % cfg_.banks);
-    // Nibble fold: a[0:3] ^ a[4:7] ^ a[8:11] ^ a[12:15], reduced to the
-    // bank count (16 banks use the full 4-bit result).
+        return static_cast<int>(addr % kSpmuBanks);
+    // Nibble fold: a[0:3] ^ a[4:7] ^ a[8:11] ^ a[12:15], whose 4-bit
+    // result names one of the 16 banks.
+    static_assert(kSpmuBanks == 16, "the nibble fold yields 4 bank bits");
     std::uint32_t folded = addr ^ (addr >> 8);
-    return static_cast<int>(((folded ^ (folded >> 4)) & 0xF) %
-                            cfg_.banks);
+    return static_cast<int>((folded ^ (folded >> 4)) & 0xF);
 }
 
 std::size_t
@@ -84,14 +81,15 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
 {
     bool capstan_mode = cfg_.ordering != Ordering::Arbitrated;
     bool split_mode = cfg_.ordering == Ordering::AddressOrdered;
+    bool program_order = cfg_.ordering == Ordering::FullyOrdered;
     plan.parts = 1;
     plan.valid[0] = 0;
     plan.dup = 0;
 
     // Per distinct address (at most one per lane): the part index of
-    // the last access touching it, and whether its first access is a
-    // part-0 read that later reads can be elided onto. A linear scan
-    // over <= 16 entries beats a hash map on this hot path.
+    // the last access touching it, and whether later reads can still be
+    // elided onto its first access, a part-0 read. A linear scan over
+    // <= 16 entries beats a hash map on this hot path.
     struct SeenAddr
     {
         std::uint32_t addr;
@@ -101,7 +99,7 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
     std::array<SeenAddr, kMaxLanes> seen;
     int n_seen = 0;
 
-    for (int l = 0; l < cfg_.lanes; ++l) {
+    for (int l = 0; l < kMaxLanes; ++l) {
         const LaneRequest &lr = av.lane[l];
         if (!lr.valid)
             continue;
@@ -119,8 +117,12 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
                               capstan_mode && isReadOnly(lr.op)};
             continue;
         }
-        // Repeated-read elision: only legal when every prior access to
-        // this address is the part-0 read (no intervening write).
+        // Repeated-read elision onto the address's first access, a
+        // part-0 read. A modification in between ends it where order is
+        // promised: under address ordering it moves to a later part
+        // (last_part > 0), and under full ordering it clears
+        // read_master. Unordered accesses may complete in any order
+        // (Table 3), so a read there is still elided past a write.
         if (capstan_mode && isReadOnly(lr.op) && sa->read_master &&
             sa->last_part == 0) {
             plan.valid[0] |= bit;
@@ -131,6 +133,8 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
             // Unordered / fully-ordered / arbitrated keep same-address
             // lanes in one vector; the bank serializes them.
             plan.valid[0] |= bit;
+            if (program_order && !isReadOnly(lr.op))
+                sa->read_master = false;
             continue;
         }
         // Address-ordered: defer to the part after the last one touching
@@ -220,7 +224,7 @@ SparseMemoryUnit::issueLane(Slot &slot, int lane, int bank)
         CAPSTAN_DCHECK(bloom_[idx] > 0);
         --bloom_[idx];
     }
-    slot.done_at[lane] = now_ + cfg_.pipeline_latency;
+    slot.done_at[lane] = now_ + kSpmuPipelineLatency;
     ++stats_.grants;
     if (trace_enabled_)
         trace_.push_back({now_, lane, bank, slot.av.id});
@@ -255,8 +259,8 @@ SparseMemoryUnit::rowsMatchPending() const
 int
 SparseMemoryUnit::oldestRequesterScan(int v, int bank) const
 {
-    int group = v / cfg_.lanes;
-    int lane = v % cfg_.lanes;
+    int group = v / kMaxLanes;
+    int lane = v % kMaxLanes;
     for (std::size_t s = 0; s < queue_.size(); ++s) {
         const Slot &slot = queue_[s];
         if (static_cast<int>(s) % cfg_.input_speedup == group &&
@@ -274,7 +278,7 @@ SparseMemoryUnit::allocateScheduled()
     if (n == 0)
         return;
     // With input speedup 2, slot parity selects the virtual lane group
-    // (virtual lanes [g * lanes, (g + 1) * lanes) for group g),
+    // (virtual lanes [16g, 16g + 16) for group g),
     // modelling the banked input queue. Each group ORs its slots' rows
     // into its own accumulator, a local array so the compiler
     // vectorizes the fixed 16-wide loop.
@@ -298,11 +302,9 @@ SparseMemoryUnit::allocateScheduled()
             for (int l = 0; l < kMaxLanes; ++l)
                 acc[g][l] |= slot.req[l];
         }
-        // Whole 16-entry copies, in group order: a group's entries past
-        // `lanes` are zero, and the next group's copy overwrites them.
         RequestMatrix &mat = mats_scratch_.emplace_back();
         for (int g = 0; g < groups; ++g)
-            std::copy_n(acc[g], kMaxLanes, mat.begin() + g * cfg_.lanes);
+            std::copy_n(acc[g], kMaxLanes, mat.begin() + g * kMaxLanes);
         if (limit == n)
             break;
     }
@@ -315,8 +317,8 @@ SparseMemoryUnit::allocateScheduled()
         // 7): the oldest slot of v's group whose row holds the bank.
         // Some slot does, or the lane would not have bid for it; grants
         // to other virtual lanes cannot clear that bit.
-        int group = v >= cfg_.lanes ? 1 : 0;
-        int lane = v - group * cfg_.lanes;
+        int group = v >= kMaxLanes ? 1 : 0;
+        int lane = v - group * kMaxLanes;
         std::uint32_t bit = 1u << bank;
         int s = group;
         while ((queue_[static_cast<std::size_t>(s)].req[lane] & bit) == 0)
@@ -403,8 +405,8 @@ SparseMemoryUnit::allocateArbitrated()
 void
 SparseMemoryUnit::allocateIdeal()
 {
-    // No bank conflicts: up to `lanes` accesses issue per cycle.
-    int budget = cfg_.lanes;
+    // No bank conflicts: up to one access per lane issues per cycle.
+    int budget = kMaxLanes;
     for (std::size_t s = 0; s < queue_.size() && budget > 0; ++s) {
         Slot &slot = queue_[s];
         std::uint32_t lanes = slot.pending;

@@ -90,12 +90,12 @@ struct SpmuStats
     std::uint64_t splits = 0;  //!< Vector splits (address ordering).
 
     /** Fraction of bank slots doing useful work per busy cycle. */
-    double bankUtilization(int banks) const
+    double bankUtilization() const
     {
         if (cycles == 0)
             return 0.0;
         return static_cast<double>(grants) /
-               (static_cast<double>(cycles) * banks);
+               (static_cast<double>(cycles) * kSpmuBanks);
     }
 };
 
@@ -111,7 +111,7 @@ struct SpmuStats
 class SparseMemoryUnit
 {
   public:
-    /** @param cfg SpMU parameters (depth, banks, ordering, ...). */
+    /** @param cfg SpMU parameters (depth, ordering, hash, ...). */
     explicit SparseMemoryUnit(const SpmuConfig &cfg);
 
     /**

@@ -60,13 +60,11 @@ TEST(Area, ChipTotalsMatchTable8)
 
 TEST(Area, WeightedFractionScalesWithUnits)
 {
-    CapstanConfig cfg = CapstanConfig::capstan();
-    double f_all = weightedAreaFraction(200, 200, cfg);
-    double f_half = weightedAreaFraction(100, 100, cfg);
+    double f_all = weightedAreaFraction(200, 200);
+    double f_half = weightedAreaFraction(100, 100);
     EXPECT_NEAR(f_all, 1.0, 1e-9);
     EXPECT_NEAR(f_half, 0.5, 1e-9);
-    EXPECT_GT(weightedAreaFraction(100, 50, cfg),
-              weightedAreaFraction(50, 50, cfg));
+    EXPECT_GT(weightedAreaFraction(100, 50), weightedAreaFraction(50, 50));
 }
 
 TEST(Stats, BreakdownPercentagesSumTo100)

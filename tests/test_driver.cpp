@@ -452,7 +452,7 @@ TEST_F(DriverRun, JsonStatsRoundTripMatchesTheRun)
         static_cast<double>(r.timing.spmu.grants));
     EXPECT_DOUBLE_EQ(
         back.at("spmu").at("bank_utilization").asNumber(),
-        r.timing.spmu.bankUtilization(r.config.spmu.banks));
+        r.timing.spmu.bankUtilization());
     double occupancy = back.at("lanes").at("occupancy").asNumber();
     EXPECT_GT(occupancy, 0.0);
     EXPECT_LE(occupancy, 1.0);

@@ -150,8 +150,9 @@ TEST(RingQueueProperty, GrowthRelinearizesAcrossWrap)
 // SpMU event-horizon contract: dense stepping vs. random fast-forward.
 // ---------------------------------------------------------------------------
 
+/** A vector of 1-16 lanes of mixed ops on words [0, @p words). */
 sim::AccessVector
-randomVector(std::mt19937 &rng, std::uint64_t id)
+randomVector(std::mt19937 &rng, std::uint64_t id, std::uint32_t words = 512)
 {
     static const sim::AccessOp kOps[] = {
         sim::AccessOp::Read, sim::AccessOp::AddF32, sim::AccessOp::Min,
@@ -161,7 +162,7 @@ randomVector(std::mt19937 &rng, std::uint64_t id)
     int lanes = 1 + static_cast<int>(rng() % kMaxLanes);
     for (int l = 0; l < lanes; ++l) {
         av.lane[static_cast<std::size_t>(l)].valid = true;
-        av.lane[static_cast<std::size_t>(l)].addr = rng() % 512;
+        av.lane[static_cast<std::size_t>(l)].addr = rng() % words;
         av.lane[static_cast<std::size_t>(l)].op =
             kOps[rng() % (sizeof(kOps) / sizeof(kOps[0]))];
     }
@@ -203,9 +204,6 @@ horizonRound(std::uint32_t seed)
     std::mt19937 rng(seed);
     sim::SpmuConfig cfg;
     cfg.queue_depth = 4;
-    // Small bank count raises conflict pressure (more interesting
-    // issue schedules); ordering stays at the config default.
-    cfg.banks = 8;
     sim::SparseMemoryUnit dense(cfg);
     sim::SparseMemoryUnit skip(cfg);
     dense.enableGrantTrace(true);
@@ -221,7 +219,10 @@ horizonRound(std::uint32_t seed)
     std::vector<Feed> feeds;
     Cycle c = 0;
     for (std::uint64_t id = 1; id <= 60; ++id) {
-        feeds.push_back({c, randomVector(rng, id)});
+        // Eight words fold onto eight of the 16 banks, so two lanes
+        // conflict one time in eight (more interesting issue
+        // schedules); ordering stays at the config default.
+        feeds.push_back({c, randomVector(rng, id, 8)});
         c += (rng() % 3 == 0) ? (rng() % 40) : (rng() % 2);
     }
     const Cycle kEnd = c + 2000; // Watchdog bound on the drain.

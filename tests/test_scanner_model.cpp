@@ -101,31 +101,14 @@ TEST(ScannerModel, ScalarScannerIsDramaticallySlower)
     BitVector frontier(4096);
     for (Index i = 0; i < 4096; i += 97)
         frontier.set(i);
-    Cycle cv = ScannerModel(vec).scanBitVector(frontier).cycles;
-    Cycle cs = ScannerModel(scalar).scanBitVector(frontier).cycles;
+    // Union of the frontier with itself: the frontier alone.
+    Cycle cv = ScannerModel(vec)
+                   .scanBitVectors(frontier, frontier, ScanMode::Union)
+                   .cycles;
+    Cycle cs = ScannerModel(scalar)
+                   .scanBitVectors(frontier, frontier, ScanMode::Union)
+                   .cycles;
     EXPECT_GE(cs, 64 * cv);
-}
-
-TEST(ScannerModel, DataScanAdvanceLimited)
-{
-    ScannerConfig cfg;
-    cfg.data_elements = 16;
-    ScannerModel m(cfg);
-    // Dense non-zeros: one output per cycle dominates.
-    EXPECT_EQ(m.dataScanCycles(64, 60), 60u);
-    // Sparse non-zeros: advance rate dominates.
-    EXPECT_EQ(m.dataScanCycles(64, 2), 4u);
-    EXPECT_EQ(m.dataScanCycles(0, 0), 0u);
-}
-
-TEST(ScannerModel, DataScanNarrowerIsSlower)
-{
-    ScannerConfig w16;
-    w16.data_elements = 16;
-    ScannerConfig w1;
-    w1.data_elements = 1;
-    EXPECT_LT(ScannerModel(w16).dataScanCycles(160, 10),
-              ScannerModel(w1).dataScanCycles(160, 10));
 }
 
 /** Property: total outputs equal total set bits regardless of config. */

@@ -30,6 +30,15 @@ makeVector(int src_port, std::uint64_t id,
     return v;
 }
 
+int
+validLanes(const ShuffleVector &v)
+{
+    int n = 0;
+    for (bool valid : v.valid)
+        n += valid ? 1 : 0;
+    return n;
+}
+
 /** Step until every port has drained; returns ejections per port. */
 std::map<int, std::vector<ShuffleVector>>
 drain(ShuffleNetwork &net, int max_cycles = 10000)
@@ -55,9 +64,11 @@ TEST(Shuffle, LocalVectorBypasses)
     ShuffleNetwork net(cfg);
     auto v = makeVector(2, 1, {{0, 2}, {5, 2}});
     ASSERT_TRUE(net.tryInject(2, v));
+    // Ejectable before any step: the vector never entered the butterfly.
     auto got = net.tryEject(2);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(net.stats().bypassed, 1u);
+    EXPECT_EQ(got->id, 1u);
+    EXPECT_TRUE(net.empty());
 }
 
 TEST(Shuffle, RoutesEachLaneToItsDestination)
@@ -98,8 +109,9 @@ TEST(Shuffle, MergesNonConflictingVectors)
     ASSERT_TRUE(net.tryInject(1, makeVector(1, 2, {{1, 3}, {3, 3}})));
     auto out = drain(net);
     ASSERT_EQ(out[3].size(), 1u) << "fragments should merge";
-    EXPECT_EQ(out[3][0].validCount(), 4);
-    EXPECT_EQ(net.stats().merges_succeeded, net.stats().merges_attempted);
+    EXPECT_EQ(validLanes(out[3][0]), 4);
+    EXPECT_NE(out[3][0].id, 1u) << "a merged vector takes a fresh id";
+    EXPECT_NE(out[3][0].id, 2u);
 }
 
 TEST(Shuffle, Mrg0CannotResolveLaneCollisions)
@@ -121,7 +133,7 @@ TEST(Shuffle, Mrg0CannotResolveLaneCollisions)
     ASSERT_TRUE(net1.tryInject(1, makeVector(1, 2, {{5, 3}})));
     auto out1 = drain(net1);
     EXPECT_EQ(out1[3].size(), 1u) << "one-lane shift resolves collision";
-    EXPECT_EQ(out1[3][0].validCount(), 2);
+    EXPECT_EQ(validLanes(out1[3][0]), 2);
 }
 
 TEST(Shuffle, Mrg1ShiftRespectsLimit)
@@ -141,7 +153,7 @@ TEST(Shuffle, Mrg1ShiftRespectsLimit)
     // each arrives whole.
     ASSERT_EQ(out[0].size(), 1u);
     ASSERT_EQ(out[1].size(), 1u);
-    EXPECT_EQ(out[0][0].validCount(), 3);
+    EXPECT_EQ(validLanes(out[0][0]), 3);
 }
 
 TEST(Shuffle, Mrg16PacksAnything)
@@ -161,7 +173,7 @@ TEST(Shuffle, Mrg16PacksAnything)
     ASSERT_TRUE(net.tryInject(1, makeVector(1, 2, low)));
     auto out = drain(net);
     ASSERT_EQ(out[3].size(), 1u);
-    EXPECT_EQ(out[3][0].validCount(), 16);
+    EXPECT_EQ(validLanes(out[3][0]), 16);
 }
 
 TEST(Shuffle, SplitsVectorsWithMixedDestinations)

@@ -87,7 +87,7 @@ randomTraceUtilization(const SpmuConfig &cfg, int vectors = 3000,
         if (injected < vectors) {
             AccessVector av;
             av.id = next_id++;
-            for (int l = 0; l < cfg.lanes; ++l) {
+            for (int l = 0; l < kMaxLanes; ++l) {
                 av.lane[l].valid = true;
                 av.lane[l].addr = rng();
                 av.lane[l].op = AccessOp::Read;
@@ -99,7 +99,7 @@ randomTraceUtilization(const SpmuConfig &cfg, int vectors = 3000,
         while (spmu.tryDequeue()) {
         }
     }
-    return spmu.stats().bankUtilization(cfg.banks);
+    return spmu.stats().bankUtilization();
 }
 
 } // namespace
@@ -124,6 +124,36 @@ TEST(Spmu, RepeatedReadsAreElided)
     EXPECT_EQ(spmu.stats().grants, 1u);
     ASSERT_EQ(spmu.grantTrace().size(), 1u);
     EXPECT_EQ(spmu.grantTrace()[0].lane, 0);
+}
+
+TEST(Spmu, FullOrderingIssuesAReadAfterAWrite)
+{
+    // [Read a, AddF32 a, Read a]: program order puts the second read
+    // after the update, so under full ordering it issues rather than
+    // being elided onto the first. Unordered may still elide it.
+    auto issued = [](Ordering mode) {
+        SpmuConfig cfg;
+        cfg.ordering = mode;
+        SparseMemoryUnit spmu(cfg);
+        spmu.enableGrantTrace(true);
+        AccessVector av;
+        av.id = 1;
+        const AccessOp ops[] = {AccessOp::Read, AccessOp::AddF32,
+                                AccessOp::Read};
+        for (int l = 0; l < 3; ++l) {
+            av.lane[l].valid = true;
+            av.lane[l].addr = 7;
+            av.lane[l].op = ops[l];
+        }
+        EXPECT_TRUE(spmu.tryEnqueue(av));
+        EXPECT_EQ(drain(spmu).size(), 1u);
+        std::vector<int> lanes;
+        for (const auto &g : spmu.grantTrace())
+            lanes.push_back(g.lane);
+        return lanes;
+    };
+    EXPECT_EQ(issued(Ordering::FullyOrdered), (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(issued(Ordering::Unordered), (std::vector<int>{0, 1}));
 }
 
 TEST(Spmu, ArbitratedModeDoesNotElide)
@@ -459,16 +489,15 @@ namespace {
  * Issues the documented rules require of each valid lane of @p av: a
  * read is elided (never issued) when the first earlier lane of the
  * vector with its address is a read, except in the arbitrated baseline,
- * and under address ordering only while no earlier lane modifies that
- * address (the modification goes to a later part). A modification
- * issues twice under rmw_blocks (the read, then the write); every other
- * valid lane issues once.
+ * and under address and full ordering only while no earlier lane
+ * modifies that address. A modification issues twice under rmw_blocks
+ * (the read, then the write); every other valid lane issues once.
  */
 std::array<int, kMaxLanes>
 requiredIssues(const AccessVector &av, const SpmuConfig &cfg)
 {
     std::array<int, kMaxLanes> n{};
-    for (int l = 0; l < cfg.lanes; ++l) {
+    for (int l = 0; l < kMaxLanes; ++l) {
         const LaneRequest &lr = av.lane[l];
         if (!lr.valid)
             continue;
@@ -485,8 +514,10 @@ requiredIssues(const AccessVector &av, const SpmuConfig &cfg)
                 first = e;
             modified |= av.lane[e].op != AccessOp::Read;
         }
+        bool ordered = cfg.ordering == Ordering::AddressOrdered ||
+                       cfg.ordering == Ordering::FullyOrdered;
         if (first >= 0 && av.lane[first].op == AccessOp::Read &&
-            !(cfg.ordering == Ordering::AddressOrdered && modified)) {
+            !(ordered && modified)) {
             n[l] = 0;
         }
     }
@@ -518,7 +549,7 @@ checkGrantTrace(const std::string &name, const SpmuConfig &cfg,
         if (static_cast<int>(offered.size()) < vectors) {
             AccessVector av;
             av.id = offered.size();
-            for (int l = 0; l < cfg.lanes; ++l) {
+            for (int l = 0; l < kMaxLanes; ++l) {
                 av.lane[l].valid = (rng() % 4) != 0;
                 av.lane[l].addr = rng() % 64;
                 av.lane[l].op =

@@ -201,6 +201,24 @@ TEST(SweepExpand, DeduplicatesAliasedAndRepeatedPoints)
     EXPECT_EQ(expandSweep(close).size(), 4u);
 }
 
+TEST(SweepExpand, PointsThatSimulateAlikeRunOnce)
+{
+    // The ideal design point fixes its own memory, so a memtech axis
+    // spells one simulation twice; it expands to one point, as the
+    // report planner's driver::simulationKey merges it.
+    SweepSpec spec;
+    spec.base = tinyBase();
+    spec.set("config", {"ideal"});
+    spec.set("memtech", {"ddr4", "hbm2"});
+    std::vector<DriverOptions> points = expandSweep(spec);
+    ASSERT_EQ(points.size(), 1u);
+    EXPECT_EQ(points[0].memtech, sim::MemTech::DDR4); // First wins.
+
+    // Under the capstan point the axis changes the machine.
+    spec.set("config", {"capstan"});
+    EXPECT_EQ(expandSweep(spec).size(), 2u);
+}
+
 TEST(SweepExpand, RejectsInvalidAxisValues)
 {
     SweepSpec spec;
