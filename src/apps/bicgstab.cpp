@@ -27,6 +27,43 @@ norm(const DenseVector &a)
     return std::sqrt(dot(a, a));
 }
 
+/**
+ * Tile @p t's rows of one SpMV: each row's non-zeros in 16-lane
+ * gathers of the vector from its owners (row blocks of
+ * @p rows_per_tile), the last closing the row's reduction group.
+ */
+TokenStream
+spmvRowTokens(const MatrixView &m, const Tiling &tiling, int t,
+              Index rows_per_tile)
+{
+    int tiles = tiling.tiles();
+    for (Index r : tiling.rowsOf(t)) {
+        auto idx = m.indices(r);
+        Index len = static_cast<Index>(idx.size());
+        if (len == 0) {
+            Token tok;
+            tok.valid_mask = 0;
+            tok.bytes = 4;
+            tok.end_group = true;
+            co_yield tok;
+            continue;
+        }
+        for (Index base = 0; base < len; base += sim::kMaxLanes) {
+            int lanes = chunkLanes(len, base);
+            Token tok = Token::compute(lanes);
+            tok.bytes = 8 * lanes + (base == 0 ? 4 : 0);
+            tok.end_group = base + lanes >= len;
+            for (int l = 0; l < lanes; ++l) {
+                Index c = idx[base + l];
+                tok.addr[l] = static_cast<std::uint32_t>(c % rows_per_tile);
+                tok.lane_tile[l] = static_cast<std::int8_t>(
+                    std::min<Index>(tiles - 1, c / rows_per_tile));
+            }
+            co_yield tok;
+        }
+    }
+}
+
 } // namespace
 
 DenseVector
@@ -104,34 +141,8 @@ runBicgstab(const MatrixView &m, int iterations, const CapstanConfig &cfg,
             mach.addStage(t, {StageKind::Map, kMapLatency});
             mach.addStage(t, {StageKind::Sink});
         }
-        for (int t = 0; t < tiles; ++t) {
-            for (Index r : tiling.rowsOf(t)) {
-                auto idx = m.indices(r);
-                Index len = static_cast<Index>(idx.size());
-                if (len == 0) {
-                    Token tok;
-                    tok.valid_mask = 0;
-                    tok.bytes = 4;
-                    tok.end_group = true;
-                    mach.feed(t, tok);
-                    continue;
-                }
-                emitChunks(len, [&](Index base, int lanes) {
-                    Token tok = Token::compute(lanes);
-                    tok.bytes = 8 * lanes + (base == 0 ? 4 : 0);
-                    tok.end_group = base + lanes >= len;
-                    for (int l = 0; l < lanes; ++l) {
-                        Index c = idx[base + l];
-                        tok.addr[l] = static_cast<std::uint32_t>(
-                            c % rows_per_tile);
-                        tok.lane_tile[l] = static_cast<std::int8_t>(
-                            std::min<Index>(tiles - 1,
-                                            c / rows_per_tile));
-                    }
-                    mach.feed(t, tok);
-                });
-            }
-        }
+        for (int t = 0; t < tiles; ++t)
+            mach.feed(t, spmvRowTokens(m, tiling, t, rows_per_tile));
         mach.runPhase();
     };
 
@@ -147,11 +158,7 @@ runBicgstab(const MatrixView &m, int iterations, const CapstanConfig &cfg,
         for (int t = 0; t < tiles; ++t) {
             Index rows_here =
                 static_cast<Index>(tiling.rowsOf(t).size());
-            emitChunks(rows_here, [&](Index base, int lanes) {
-                Token tok = Token::compute(lanes);
-                tok.end_group = base + lanes >= rows_here;
-                mach.feed(t, tok);
-            });
+            mach.feed(t, laneChunks(rows_here, 0, true));
         }
         mach.runPhase();
     };

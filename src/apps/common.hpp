@@ -5,10 +5,11 @@
  * Every application has two halves. A golden `*Reference` function
  * computes its functional result on the host, and is what tests and
  * examples read. A `run*` function lowers each tile's work to a linear
- * stage chain fed with vector-granularity tokens, and returns the
- * timing the Machine supplies. Only BFS and SSSP also return a
- * functional result from their runs: their frontier expansion is the
- * run's own execution and drives their token streams.
+ * stage chain fed by a stream of vector-granularity tokens (one
+ * lang::TokenStream per tile and phase, which the Machine pulls as it
+ * consumes), and returns the timing the Machine supplies. Only BFS and
+ * SSSP also return a functional result from their runs: their frontier
+ * expansion is the run's own execution and drives their token streams.
  */
 
 #pragma once
@@ -30,6 +31,7 @@ using lang::Machine;
 using lang::StageKind;
 using lang::StageSpec;
 using lang::Token;
+using lang::TokenStream;
 using sim::CapstanConfig;
 using sim::Cycle;
 
@@ -40,19 +42,27 @@ constexpr int kDefaultTiles = 16;
 constexpr Cycle kMapLatency = 4;
 
 /**
- * Chunk @p count work items into 16-lane tokens and hand each to
- * @p emit. The last token may be partial.
+ * Live lanes of the 16-lane chunk at item @p base of @p count work
+ * items: apps chunk items with `base += sim::kMaxLanes`, and the last
+ * chunk may be partial.
  */
-template <typename EmitFn>
-void
-emitChunks(Index count, EmitFn &&emit)
+inline int
+chunkLanes(Index64 count, Index64 base)
 {
-    for (Index base = 0; base < count; base += sim::kMaxLanes) {
-        int lanes = static_cast<int>(
-            std::min<Index>(sim::kMaxLanes, count - base));
-        emit(base, lanes);
-    }
+    return static_cast<int>(
+        std::min<Index64>(sim::kMaxLanes, count - base));
 }
+
+/**
+ * @p count work items in 16-lane compute tokens, each carrying
+ * @p bytes_per_lane DRAM bytes per live lane; with @p close_group the
+ * last token closes a reduction group.
+ */
+TokenStream laneChunks(Index count, std::uint32_t bytes_per_lane,
+                       bool close_group = false);
+
+/** @p bytes of DRAM transfer in full-lane tokens of at most 4 KiB. */
+TokenStream dramBursts(Index64 bytes);
 
 /**
  * Effective whole-stream compression ratio when @p pointer_fraction of

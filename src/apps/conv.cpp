@@ -4,6 +4,78 @@
 
 namespace capstan::apps {
 
+namespace {
+
+/** One stored kernel weight of an input channel. */
+struct KernelNz
+{
+    Index kr, kc, oc;
+};
+
+/**
+ * Tile @p t's band of rows @p rows_per_tile high: the data scanner
+ * sweeps each input channel's activations, and every non-zero scatters
+ * its products with the channel's stored weights @p knz to the output
+ * pixels' owners, 16 weights per token.
+ */
+TokenStream
+activationTokens(const ConvLayer &layer,
+                 const std::vector<std::vector<KernelNz>> &knz, int t,
+                 Index rows_per_tile)
+{
+    Index dim = layer.dim;
+    Index pad = layer.kdim / 2;
+    Index r_begin = t * rows_per_tile;
+    Index r_end = std::min<Index>(dim, r_begin + rows_per_tile);
+    Index gap = 0; // Activation elements scanned since last nnz.
+    for (Index ic = 0; ic < layer.in_channels; ++ic) {
+        const auto &ks = knz[ic];
+        Index len = static_cast<Index>(ks.size());
+        for (Index r = r_begin; r < r_end; ++r) {
+            for (Index c = 0; c < dim; ++c) {
+                ++gap;
+                Value a = layer.activations(ic, r, c);
+                if (a == Value{0})
+                    continue;
+                Index this_gap = gap;
+                gap = 0;
+                for (Index base = 0; base < len; base += sim::kMaxLanes) {
+                    int lanes = chunkLanes(len, base);
+                    Token tok = Token::compute(lanes);
+                    // The activation value + coordinates stream in with
+                    // the first chunk.
+                    tok.bytes = base == 0 ? 8 : 0;
+                    tok.scan_elems =
+                        base == 0 ? static_cast<std::int32_t>(this_gap)
+                                  : 0;
+                    for (int l = 0; l < lanes; ++l) {
+                        const KernelNz &k = ks[base + l];
+                        Index orow = r + k.kr - pad;
+                        Index ocol = c + k.kc - pad;
+                        if (orow < 0 || orow >= dim || ocol < 0 ||
+                            ocol >= dim) {
+                            // Edge contributions fall off the plane;
+                            // lane still occupies a slot.
+                            tok.addr[l] = 0;
+                            tok.lane_tile[l] = static_cast<std::int8_t>(t);
+                            continue;
+                        }
+                        int owner = static_cast<int>(orow / rows_per_tile);
+                        Index local_row = orow % rows_per_tile;
+                        tok.addr[l] = static_cast<std::uint32_t>(
+                            (k.oc * rows_per_tile + local_row) * dim +
+                            ocol);
+                        tok.lane_tile[l] = static_cast<std::int8_t>(owner);
+                    }
+                    co_yield tok;
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
 sparse::DenseTensor3
 convReference(const ConvLayer &layer)
 {
@@ -42,15 +114,10 @@ AppTiming
 runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
 {
     Index dim = layer.dim;
-    Index pad = layer.kdim / 2;
     Index rows_per_tile = (dim + tiles - 1) / tiles;
 
     // Pre-collect the kernel's non-zeros per input channel (loop 2 is
     // dense over nnz(K[iC])).
-    struct KernelNz
-    {
-        Index kr, kc, oc;
-    };
     std::vector<std::vector<KernelNz>> knz(layer.in_channels);
     for (Index kr = 0; kr < layer.kdim; ++kr) {
         for (Index kc = 0; kc < layer.kdim; ++kc) {
@@ -71,14 +138,7 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
     for (int t = 0; t < tiles; ++t) {
         mach.addStage(t, {StageKind::DramStream, 1});
         mach.addStage(t, {StageKind::Sink});
-        Index64 share = kernel_bytes / tiles;
-        while (share > 0) {
-            Token tok = Token::compute(16);
-            tok.bytes = static_cast<std::uint32_t>(
-                std::min<Index64>(share, 4096));
-            share -= tok.bytes;
-            mach.feed(t, tok);
-        }
+        mach.feed(t, dramBursts(kernel_bytes / tiles));
     }
     mach.runPhase();
 
@@ -99,63 +159,8 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
 
     // Each tile owns a band of input (= output) rows; scan positions are
     // in the tile's local flattened activation space.
-    for (int t = 0; t < tiles; ++t) {
-        Index r_begin = t * rows_per_tile;
-        Index r_end = std::min<Index>(dim, r_begin + rows_per_tile);
-        Index gap = 0; // Activation elements scanned since last nnz.
-        for (Index ic = 0; ic < layer.in_channels; ++ic) {
-            const auto &ks = knz[ic];
-            for (Index r = r_begin; r < r_end; ++r) {
-                for (Index c = 0; c < dim; ++c) {
-                    ++gap;
-                    Value a = layer.activations(ic, r, c);
-                    if (a == Value{0})
-                        continue;
-                    Index this_gap = gap;
-                    gap = 0;
-                    if (ks.empty())
-                        continue;
-                    bool first = true;
-                    emitChunks(static_cast<Index>(ks.size()),
-                               [&](Index base, int lanes) {
-                        Token tok = Token::compute(lanes);
-                        // The activation value + coordinates stream in
-                        // with the first chunk.
-                        tok.bytes = first ? 8 : 0;
-                        tok.scan_elems =
-                            first
-                                ? static_cast<std::int32_t>(this_gap)
-                                : 0;
-                        first = false;
-                        for (int l = 0; l < lanes; ++l) {
-                            const KernelNz &k = ks[base + l];
-                            Index orow = r + k.kr - pad;
-                            Index ocol = c + k.kc - pad;
-                            if (orow < 0 || orow >= dim || ocol < 0 ||
-                                ocol >= dim) {
-                                // Edge contributions fall off the
-                                // plane; lane still occupies a slot.
-                                tok.addr[l] = 0;
-                                tok.lane_tile[l] =
-                                    static_cast<std::int8_t>(t);
-                                continue;
-                            }
-                            int owner = static_cast<int>(
-                                orow / rows_per_tile);
-                            Index local_row = orow % rows_per_tile;
-                            tok.addr[l] = static_cast<std::uint32_t>(
-                                (k.oc * rows_per_tile + local_row) *
-                                    dim +
-                                ocol);
-                            tok.lane_tile[l] =
-                                static_cast<std::int8_t>(owner);
-                        }
-                        mach.feed(t, tok);
-                    });
-                }
-            }
-        }
-    }
+    for (int t = 0; t < tiles; ++t)
+        mach.feed(t, activationTokens(layer, knz, t, rows_per_tile));
     mach.runPhase();
 
     // Phase 2: stream the dense output plane back to DRAM.
@@ -166,15 +171,8 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
         Index r_begin = t * rows_per_tile;
         Index rows_here = std::max<Index>(
             0, std::min<Index>(dim, r_begin + rows_per_tile) - r_begin);
-        Index64 bytes = Index64{4} * layer.out_channels * rows_here *
-                        dim;
-        while (bytes > 0) {
-            Token tok = Token::compute(16);
-            tok.bytes = static_cast<std::uint32_t>(
-                std::min<Index64>(bytes, 4096));
-            bytes -= tok.bytes;
-            mach.feed(t, tok);
-        }
+        mach.feed(t, dramBursts(Index64{4} * layer.out_channels *
+                                rows_here * dim));
     }
     mach.runPhase();
     return AppTiming::snapshot(mach);

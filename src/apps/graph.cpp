@@ -18,76 +18,82 @@ constexpr std::uint32_t kPtrBase = 1u << 16;
 constexpr std::uint32_t kFrontierBase = 1u << 17;
 
 /**
- * Feed one traversal level: scan the tile-local frontier bitset, then
- * stream each frontier vertex's adjacency list as address tokens whose
- * lanes point at the destination owners.
+ * Tile @p t's share of one traversal level: scan the tile-local
+ * frontier bitset, then stream each frontier vertex's adjacency list as
+ * address tokens whose lanes point at the destination owners. @p local
+ * holds the tile's frontier vertices, sorted.
+ */
+TokenStream
+levelTokens(const MatrixView &graph, const Tiling &tiling, int t,
+            std::vector<Index> local, int window_bits)
+{
+    // Every level, every tile scans its whole local frontier
+    // bit-vector: empty windows before, between, and after the set bits
+    // all burn scanner cycles (the Scan class of Fig. 7).
+    Index local_count = static_cast<Index>(tiling.rowsOf(t).size());
+    Index total_windows = (local_count + window_bits - 1) / window_bits;
+    Index prev_window = -1;
+    for (Index v : local) {
+        Index lv = tiling.localIndex(v);
+        Index window = lv / window_bits;
+        // Empty windows between the previous frontier vertex and this
+        // one cost scanner cycles.
+        Index skipped = prev_window < 0 ? window : window - prev_window - 1;
+        prev_window = window;
+
+        auto dsts = graph.indices(v);
+        Index len = static_cast<Index>(dsts.size());
+        if (len == 0) {
+            Token tok;
+            tok.valid_mask = 0;
+            tok.scan_skip = static_cast<std::int32_t>(skipped);
+            co_yield tok;
+            continue;
+        }
+        for (Index base = 0; base < len; base += sim::kMaxLanes) {
+            int lanes = chunkLanes(len, base);
+            Token tok = Token::compute(lanes);
+            // Destination pointer + weight per edge.
+            tok.bytes = 8 * lanes + (base == 0 ? 8 : 0);
+            tok.scan_skip =
+                base == 0 ? static_cast<std::int32_t>(skipped) : 0;
+            for (int l = 0; l < lanes; ++l) {
+                Index d = dsts[base + l];
+                tok.addr[l] =
+                    static_cast<std::uint32_t>(tiling.localIndex(d));
+                tok.lane_tile[l] =
+                    static_cast<std::int8_t>(tiling.tileOf(d));
+            }
+            co_yield tok;
+        }
+    }
+    // Trailing empty windows after the last frontier vertex (or the
+    // whole bit-vector for tiles with an empty frontier).
+    Index trailing = total_windows - (prev_window + 1);
+    if (trailing > 0) {
+        Token tok;
+        tok.valid_mask = 0;
+        tok.scan_skip = static_cast<std::int32_t>(trailing);
+        co_yield tok;
+    }
+}
+
+/**
+ * Feed one traversal level: each tile streams its share of @p frontier,
+ * which moves into the tile's stream in local order.
  */
 void
 feedLevel(Machine &mach, const MatrixView &graph, const Tiling &tiling,
           const std::vector<Index> &frontier, int window_bits)
 {
     int tiles = tiling.tiles();
-    // Per tile, frontier vertices in local order.
     std::vector<std::vector<Index>> local(tiles);
     for (Index v : frontier)
         local[tiling.tileOf(v)].push_back(v);
-    for (int t = 0; t < tiles; ++t)
-        std::sort(local[t].begin(), local[t].end());
-
     for (int t = 0; t < tiles; ++t) {
-        // Every level, every tile scans its whole local frontier
-        // bit-vector: empty windows before, between, and after the set
-        // bits all burn scanner cycles (the Scan class of Fig. 7).
-        Index local_count =
-            static_cast<Index>(tiling.rowsOf(t).size());
-        Index total_windows =
-            (local_count + window_bits - 1) / window_bits;
-        Index prev_window = -1;
-        for (Index v : local[t]) {
-            Index lv = tiling.localIndex(v);
-            Index window = lv / window_bits;
-            // Empty windows between the previous frontier vertex and
-            // this one cost scanner cycles.
-            Index skipped =
-                prev_window < 0 ? window : window - prev_window - 1;
-            prev_window = window;
-
-            auto dsts = graph.indices(v);
-            Index len = static_cast<Index>(dsts.size());
-            if (len == 0) {
-                Token tok;
-                tok.valid_mask = 0;
-                tok.scan_skip = static_cast<std::int32_t>(skipped);
-                mach.feed(t, tok);
-                continue;
-            }
-            bool first = true;
-            emitChunks(len, [&](Index base, int lanes) {
-                Token tok = Token::compute(lanes);
-                // Destination pointer + weight per edge.
-                tok.bytes = 8 * lanes + (base == 0 ? 8 : 0);
-                tok.scan_skip =
-                    first ? static_cast<std::int32_t>(skipped) : 0;
-                first = false;
-                for (int l = 0; l < lanes; ++l) {
-                    Index d = dsts[base + l];
-                    tok.addr[l] = static_cast<std::uint32_t>(
-                        tiling.localIndex(d));
-                    tok.lane_tile[l] =
-                        static_cast<std::int8_t>(tiling.tileOf(d));
-                }
-                mach.feed(t, tok);
-            });
-        }
-        // Trailing empty windows after the last frontier vertex (or
-        // the whole bit-vector for tiles with an empty frontier).
-        Index trailing = total_windows - (prev_window + 1);
-        if (trailing > 0) {
-            Token tok;
-            tok.valid_mask = 0;
-            tok.scan_skip = static_cast<std::int32_t>(trailing);
-            mach.feed(t, tok);
-        }
+        std::sort(local[t].begin(), local[t].end());
+        mach.feed(t, levelTokens(graph, tiling, t, std::move(local[t]),
+                                 window_bits));
     }
 }
 

@@ -24,6 +24,80 @@ requireSameShape(const MatrixView &a, const MatrixView &b,
                                     ": operand dimensions differ");
 }
 
+/**
+ * Tile @p t's rows of A + B: each row's union scan, in 16-lane tokens
+ * per scanner window of the union (a flat bit-vector row) or per
+ * occupied bit-tree leaf (@p use_bittree).
+ */
+TokenStream
+unionRowTokens(const MatrixView &a, const MatrixView &b,
+               const Tiling &tiling, int t, bool use_bittree,
+               int window_bits)
+{
+    const Index leaf_bits = 256;
+    // Pass one of the bit-tree scan: union-scan the rows' top-level
+    // vectors (one bit per leaf slot). Its windows are charged as skip
+    // cycles on each row's first token.
+    Index top_bits = (a.cols() + leaf_bits - 1) / leaf_bits;
+    Index top_windows = (top_bits + window_bits - 1) / window_bits;
+    // One row's union population per window (or per occupied leaf).
+    std::vector<Index> pops;
+    for (Index r : tiling.rowsOf(t)) {
+        auto ai = a.indices(r);
+        auto bi = b.indices(r);
+        if (ai.empty() && bi.empty())
+            continue;
+        pops.clear();
+        std::int32_t skip = 0;
+        if (use_bittree) {
+            // Rows stream from DRAM in compressed form (8 B per stored
+            // entry); the format-conversion hardware builds the
+            // bit-trees on-chip (Section 3.4). Pass two: union-scan
+            // each occupied leaf pair.
+            sparse::forEachUnionLeaf(
+                ai, bi, leaf_bits,
+                [&pops](Index, Index pop) { pops.push_back(pop); });
+            skip = static_cast<std::int32_t>(top_windows);
+        } else {
+            // Flat bit-vector rows: every zero window burns a scanner
+            // cycle.
+            BitVector u = sparse::pointersToBitVector(ai, a.cols()) |
+                          sparse::pointersToBitVector(bi, b.cols());
+            for (Index base = 0; base < u.size(); base += window_bits) {
+                Index end = std::min<Index>(base + window_bits, u.size());
+                pops.push_back(u.countRange(base, end));
+            }
+        }
+        // Bytes: occupancy bits + 4 B per stored value, for both
+        // inputs, on the row's first token, plus the output row (union
+        // values + occupancy).
+        auto row_bytes =
+            static_cast<std::uint32_t>(8 * (ai.size() + bi.size()));
+        bool first = true;
+        for (Index pop : pops) {
+            if (pop == 0) {
+                ++skip;
+                continue;
+            }
+            for (Index base = 0; base < pop; base += sim::kMaxLanes) {
+                int lanes = chunkLanes(pop, base);
+                Token tok = Token::compute(lanes);
+                tok.scan_skip = skip;
+                skip = 0;
+                tok.bytes = (first ? row_bytes : 0) + 8 * lanes;
+                first = false;
+                co_yield tok;
+            }
+        }
+        if (skip > 0) {
+            Token tok;
+            tok.valid_mask = 0;
+            tok.scan_skip = skip;
+            co_yield tok;
+        }
+    }
+}
+
 } // namespace
 
 CsrMatrix
@@ -73,13 +147,6 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
     Machine mach(cfg, tiles);
     Tiling tiling = Tiling::roundRobin(a.rows(), tiles);
     int window_bits = std::max(1, cfg.scanner.window_bits);
-    const Index leaf_bits = 256;
-    // Pass one of the bit-tree scan: union-scan the rows' top-level
-    // vectors (one bit per leaf slot). Its windows are charged as skip
-    // cycles on each row's first token.
-    Index top_bits = (a.cols() + leaf_bits - 1) / leaf_bits;
-    Index top_windows = (top_bits + window_bits - 1) / window_bits;
-
     for (int t = 0; t < tiles; ++t) {
         // Stream both rows' occupancy + values -> union scan -> add ->
         // stream the result row out.
@@ -89,79 +156,9 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
         mach.addStage(t, {StageKind::DramStream, 1});
         mach.addStage(t, {StageKind::Sink});
     }
-
     for (int t = 0; t < tiles; ++t) {
-        for (Index r : tiling.rowsOf(t)) {
-            auto ai = a.indices(r);
-            auto bi = b.indices(r);
-            if (ai.empty() && bi.empty())
-                continue;
-            // Bytes: occupancy bits + 4 B per stored value, for both
-            // inputs, plus the output row (union values + occupancy).
-            if (use_bittree) {
-                // Rows stream from DRAM in compressed form (8 B per
-                // stored entry); the format-conversion hardware builds
-                // the bit-trees on-chip (Section 3.4).
-                std::uint32_t row_bytes = static_cast<std::uint32_t>(
-                    8 * (ai.size() + bi.size()));
-                bool first = true;
-                // Pass two: union-scan each occupied leaf pair.
-                sparse::forEachUnionLeaf(ai, bi, leaf_bits,
-                                         [&](Index, Index pop) {
-                    emitChunks(pop, [&](Index, int lanes) {
-                        Token tok = Token::compute(lanes);
-                        tok.scan_skip =
-                            first ? static_cast<std::int32_t>(
-                                        top_windows)
-                                  : 0;
-                        tok.bytes = first ? row_bytes : 0;
-                        tok.bytes += 8 * lanes; // store C entries
-                        first = false;
-                        mach.feed(t, tok);
-                    });
-                });
-            } else {
-                // Flat bit-vector rows: every zero window burns a
-                // scanner cycle.
-                BitVector va =
-                    sparse::pointersToBitVector(ai, a.cols());
-                BitVector vb =
-                    sparse::pointersToBitVector(bi, b.cols());
-                BitVector u = va | vb;
-                std::vector<Index> pops;
-                for (Index base = 0; base < u.size();
-                     base += window_bits) {
-                    Index end =
-                        std::min<Index>(base + window_bits, u.size());
-                    pops.push_back(u.countRange(base, end));
-                }
-                std::uint32_t row_bytes = static_cast<std::uint32_t>(
-                    8 * (ai.size() + bi.size()));
-                std::int32_t skip = 0;
-                bool first = true;
-                for (Index pop : pops) {
-                    if (pop == 0) {
-                        ++skip;
-                        continue;
-                    }
-                    emitChunks(pop, [&](Index, int lanes) {
-                        Token tok = Token::compute(lanes);
-                        tok.scan_skip = skip;
-                        skip = 0;
-                        tok.bytes =
-                            (first ? row_bytes : 0) + 8 * lanes;
-                        first = false;
-                        mach.feed(t, tok);
-                    });
-                }
-                if (skip > 0) {
-                    Token tok;
-                    tok.valid_mask = 0;
-                    tok.scan_skip = skip;
-                    mach.feed(t, tok);
-                }
-            }
-        }
+        mach.feed(t, unionRowTokens(a, b, tiling, t, use_bittree,
+                                    window_bits));
     }
     mach.runPhase();
     return AppTiming::snapshot(mach);

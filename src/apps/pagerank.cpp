@@ -8,6 +8,77 @@ namespace capstan::apps {
 
 using workloads::Tiling;
 
+namespace {
+
+/**
+ * Tile @p t's vertices for pull PageRank: each vertex's in-edges in
+ * 16-lane gathers of the sources' ranks from their owners, the last
+ * closing the vertex's reduction group.
+ */
+TokenStream
+pullVertexTokens(const MatrixView &in_edges, const Tiling &tiling, int t)
+{
+    for (Index v : tiling.rowsOf(t)) {
+        auto sources = in_edges.indices(v);
+        Index len = static_cast<Index>(sources.size());
+        if (len == 0) {
+            Token tok;
+            tok.valid_mask = 0;
+            tok.bytes = 16;
+            tok.end_group = true;
+            co_yield tok;
+            continue;
+        }
+        for (Index base = 0; base < len; base += sim::kMaxLanes) {
+            int lanes = chunkLanes(len, base);
+            Token tok = Token::compute(lanes);
+            // Edge pointers, plus the row pointer and the rank and
+            // degree loads / rank store for this vertex (all data
+            // round-trips DRAM each iteration).
+            tok.bytes = 4 * lanes + (base == 0 ? 16 : 0);
+            tok.end_group = base + lanes >= len;
+            for (int l = 0; l < lanes; ++l) {
+                Index u = sources[base + l];
+                tok.addr[l] =
+                    static_cast<std::uint32_t>(tiling.localIndex(u));
+                tok.lane_tile[l] =
+                    static_cast<std::int8_t>(tiling.tileOf(u));
+            }
+            co_yield tok;
+        }
+    }
+}
+
+/**
+ * Tile @p t's edges for edge-centric PageRank, in source order: 16-lane
+ * atomic scatters to the destinations' owners.
+ */
+TokenStream
+edgeTokens(const MatrixView &graph, const Tiling &tiling, int t)
+{
+    for (Index u : tiling.rowsOf(t)) {
+        auto dsts = graph.indices(u);
+        Index len = static_cast<Index>(dsts.size());
+        for (Index base = 0; base < len; base += sim::kMaxLanes) {
+            int lanes = chunkLanes(len, base);
+            Token tok = Token::compute(lanes);
+            // Source + destination pointers per edge; source pointers
+            // repeat and compress well (Fig. 5c).
+            tok.bytes = 8 * lanes;
+            for (int l = 0; l < lanes; ++l) {
+                Index d = dsts[base + l];
+                tok.addr[l] =
+                    static_cast<std::uint32_t>(tiling.localIndex(d));
+                tok.lane_tile[l] =
+                    static_cast<std::int8_t>(tiling.tileOf(d));
+            }
+            co_yield tok;
+        }
+    }
+}
+
+} // namespace
+
 DenseVector
 pageRankReference(const MatrixView &graph, int iterations, Value damping)
 {
@@ -58,36 +129,8 @@ runPageRankPull(const MatrixView &graph, int iterations,
             mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Write});
             mach.addStage(t, {StageKind::Sink});
         }
-        for (int t = 0; t < tiles; ++t) {
-            for (Index v : tiling.rowsOf(t)) {
-                auto sources = in_edges.indices(v);
-                Index len = static_cast<Index>(sources.size());
-                if (len == 0) {
-                    Token tok;
-                    tok.valid_mask = 0;
-                    tok.bytes = 16;
-                    tok.end_group = true;
-                    mach.feed(t, tok);
-                    continue;
-                }
-                emitChunks(len, [&](Index base, int lanes) {
-                    Token tok = Token::compute(lanes);
-                    // Edge pointers, plus the row pointer and the rank
-                    // and degree loads / rank store for this vertex
-                    // (all data round-trips DRAM each iteration).
-                    tok.bytes = 4 * lanes + (base == 0 ? 16 : 0);
-                    tok.end_group = base + lanes >= len;
-                    for (int l = 0; l < lanes; ++l) {
-                        Index u = sources[base + l];
-                        tok.addr[l] = static_cast<std::uint32_t>(
-                            tiling.localIndex(u));
-                        tok.lane_tile[l] = static_cast<std::int8_t>(
-                            tiling.tileOf(u));
-                    }
-                    mach.feed(t, tok);
-                });
-            }
-        }
+        for (int t = 0; t < tiles; ++t)
+            mach.feed(t, pullVertexTokens(in_edges, tiling, t));
         mach.runPhase();
     }
     return AppTiming::snapshot(mach);
@@ -125,26 +168,8 @@ runPageRankEdge(const MatrixView &graph, int iterations,
                 t, {StageKind::SpmuCross, 1, sim::AccessOp::AddF32});
             mach.addStage(t, {StageKind::Sink});
         }
-        for (int t = 0; t < tiles; ++t) {
-            for (Index u : tiling.rowsOf(t)) {
-                auto dsts = graph.indices(u);
-                emitChunks(static_cast<Index>(dsts.size()),
-                           [&](Index base, int lanes) {
-                    Token tok = Token::compute(lanes);
-                    // Source + destination pointers per edge; source
-                    // pointers repeat and compress well (Fig. 5c).
-                    tok.bytes = 8 * lanes;
-                    for (int l = 0; l < lanes; ++l) {
-                        Index d = dsts[base + l];
-                        tok.addr[l] = static_cast<std::uint32_t>(
-                            tiling.localIndex(d));
-                        tok.lane_tile[l] = static_cast<std::int8_t>(
-                            tiling.tileOf(d));
-                    }
-                    mach.feed(t, tok);
-                });
-            }
-        }
+        for (int t = 0; t < tiles; ++t)
+            mach.feed(t, edgeTokens(graph, tiling, t));
         mach.runPhase();
 
         // Stream the updated rank vector back to DRAM (and reload it
@@ -155,11 +180,7 @@ runPageRankEdge(const MatrixView &graph, int iterations,
             mach.addStage(t, {StageKind::Sink});
             Index rows_here =
                 static_cast<Index>(tiling.rowsOf(t).size());
-            emitChunks(rows_here, [&](Index, int lanes) {
-                Token tok = Token::compute(lanes);
-                tok.bytes = 8 * lanes;
-                mach.feed(t, tok);
-            });
+            mach.feed(t, laneChunks(rows_here, 8));
         }
         mach.runPhase();
     }

@@ -13,6 +13,79 @@ using sparse::BitVector;
 using sparse::Triplet;
 using workloads::Tiling;
 
+namespace {
+
+/**
+ * Tile @p t's rows of A: for each stored a(i, j), the on-chip row j of
+ * B in 16-lane accumulations into the row's dense tile.
+ */
+TokenStream
+accumulateTokens(const MatrixView &a, const MatrixView &b,
+                 const Tiling &tiling, int t)
+{
+    for (Index i : tiling.rowsOf(t)) {
+        for (Index j : a.indices(i)) {
+            auto bi = b.indices(j);
+            Index len = static_cast<Index>(bi.size());
+            for (Index base = 0; base < len; base += sim::kMaxLanes) {
+                int lanes = chunkLanes(len, base);
+                Token tok = Token::compute(lanes);
+                // The A entry (8 B) rides on the first chunk; B data is
+                // already on-chip.
+                tok.bytes = base == 0 ? 8 : 0;
+                for (int l = 0; l < lanes; ++l)
+                    tok.addr[l] = static_cast<std::uint32_t>(bi[base + l]);
+                co_yield tok;
+            }
+        }
+    }
+}
+
+/**
+ * Tile @p t's rows of the product C: a sparse iteration over each
+ * row's Val bitset (@p cols bits) extracts the stored entries, one
+ * token per 16 of a scanner window's set bits.
+ */
+TokenStream
+writeOutTokens(const CsrMatrix &product, Index cols, const Tiling &tiling,
+               int t, int window_bits)
+{
+    for (Index i : tiling.rowsOf(t)) {
+        auto ci = product.rowIndices(i);
+        if (ci.empty())
+            continue;
+        BitVector val = sparse::pointersToBitVector(ci, cols);
+        std::int32_t skip = 0;
+        for (Index base = 0; base < val.size(); base += window_bits) {
+            Index end = std::min<Index>(base + window_bits, val.size());
+            Index pop = val.countRange(base, end);
+            if (pop == 0) {
+                ++skip;
+                continue;
+            }
+            for (Index chunk = 0; chunk < pop; chunk += sim::kMaxLanes) {
+                int lanes = chunkLanes(pop, chunk);
+                Token tok = Token::compute(lanes);
+                tok.scan_skip = skip;
+                skip = 0;
+                tok.bytes = 8 * lanes; // store (index, value).
+                for (int l = 0; l < lanes; ++l)
+                    tok.addr[l] =
+                        static_cast<std::uint32_t>(base + chunk + l);
+                co_yield tok;
+            }
+        }
+        if (skip > 0) {
+            Token tok;
+            tok.valid_mask = 0;
+            tok.scan_skip = skip;
+            co_yield tok;
+        }
+    }
+}
+
+} // namespace
+
 CsrMatrix
 spmspmReference(const MatrixView &a, const MatrixView &b)
 {
@@ -74,13 +147,7 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
                     bytes += 8 * b.length(j);
             }
         }
-        while (bytes > 0) {
-            Token tok = Token::compute(16);
-            tok.bytes = static_cast<std::uint32_t>(
-                std::min<Index64>(bytes, 4096));
-            bytes -= tok.bytes;
-            mach.feed(t, tok);
-        }
+        mach.feed(t, dramBursts(bytes));
     }
     mach.runPhase();
 
@@ -96,28 +163,8 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
         mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::AddF32});
         mach.addStage(t, {StageKind::Sink});
     }
-    for (int t = 0; t < tiles; ++t) {
-        for (Index i : tiling.rowsOf(t)) {
-            auto ai = a.indices(i);
-            for (std::size_t x = 0; x < ai.size(); ++x) {
-                Index j = ai[x];
-                auto bi = b.indices(j);
-                Index len = static_cast<Index>(bi.size());
-                bool first = true;
-                emitChunks(len, [&](Index base, int lanes) {
-                    Token tok = Token::compute(lanes);
-                    // The A entry (8 B) rides on the first chunk; B
-                    // data is already on-chip.
-                    tok.bytes = first ? 8 : 0;
-                    first = false;
-                    for (int l = 0; l < lanes; ++l)
-                        tok.addr[l] = static_cast<std::uint32_t>(
-                            bi[base + l]);
-                    mach.feed(t, tok);
-                });
-            }
-        }
-    }
+    for (int t = 0; t < tiles; ++t)
+        mach.feed(t, accumulateTokens(a, b, tiling, t));
     mach.runPhase();
 
     // Phase 2: sparse-iterate each row's Val bitset to extract the
@@ -130,40 +177,8 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
         mach.addStage(t, {StageKind::Sink});
     }
     for (int t = 0; t < tiles; ++t) {
-        for (Index i : tiling.rowsOf(t)) {
-            auto ci = product.rowIndices(i);
-            if (ci.empty())
-                continue;
-            BitVector val =
-                sparse::pointersToBitVector(ci, b.cols());
-            std::int32_t skip = 0;
-            for (Index base = 0; base < val.size();
-                 base += window_bits) {
-                Index end =
-                    std::min<Index>(base + window_bits, val.size());
-                Index pop = val.countRange(base, end);
-                if (pop == 0) {
-                    ++skip;
-                    continue;
-                }
-                emitChunks(pop, [&](Index chunk_base, int lanes) {
-                    Token tok = Token::compute(lanes);
-                    tok.scan_skip = skip;
-                    skip = 0;
-                    tok.bytes = 8 * lanes; // store (index, value).
-                    for (int l = 0; l < lanes; ++l)
-                        tok.addr[l] = static_cast<std::uint32_t>(
-                            base + chunk_base + l);
-                    mach.feed(t, tok);
-                });
-            }
-            if (skip > 0) {
-                Token tok;
-                tok.valid_mask = 0;
-                tok.scan_skip = skip;
-                mach.feed(t, tok);
-            }
-        }
+        mach.feed(t, writeOutTokens(product, b.cols(), tiling, t,
+                                    window_bits));
     }
     mach.runPhase();
     return AppTiming::snapshot(mach);

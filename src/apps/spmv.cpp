@@ -8,6 +8,109 @@ namespace capstan::apps {
 
 using workloads::Tiling;
 
+namespace {
+
+/**
+ * Tile @p t's CSR rows: each row's non-zeros in 16-lane gathers of the
+ * input vector, the last closing the row's reduction group.
+ */
+TokenStream
+csrRowTokens(const MatrixView &m, const Tiling &tiling, int t)
+{
+    for (Index r : tiling.rowsOf(t)) {
+        auto idx = m.indices(r);
+        Index len = static_cast<Index>(idx.size());
+        if (len == 0) {
+            // Empty row: the row pointer still streams and the
+            // reduction still closes a group.
+            Token tok;
+            tok.valid_mask = 0;
+            tok.bytes = 4;
+            tok.end_group = true;
+            co_yield tok;
+            continue;
+        }
+        for (Index base = 0; base < len; base += sim::kMaxLanes) {
+            int lanes = chunkLanes(len, base);
+            Token tok = Token::compute(lanes);
+            for (int l = 0; l < lanes; ++l)
+                tok.addr[l] = static_cast<std::uint32_t>(idx[base + l]);
+            // 8 B per non-zero (index + value); the row pointer rides
+            // on the first chunk.
+            tok.bytes = 8 * lanes + (base == 0 ? 4 : 0);
+            tok.end_group = base + lanes >= len;
+            co_yield tok;
+        }
+    }
+}
+
+/**
+ * COO entries [@p begin, @p end) in 16-lane tokens whose lanes update
+ * the output row's owner (row blocks of @p rows_per_tile).
+ */
+TokenStream
+cooTokens(const CooMatrix &coo, Index64 begin, Index64 end,
+          Index rows_per_tile)
+{
+    for (Index64 base = begin; base < end; base += sim::kMaxLanes) {
+        int lanes = chunkLanes(end, base);
+        Token tok = Token::compute(lanes);
+        tok.bytes = 12 * lanes; // row + col + value per entry.
+        for (int l = 0; l < lanes; ++l) {
+            const sparse::Triplet &e = coo.entries()[base + l];
+            tok.addr[l] = static_cast<std::uint32_t>(e.col);
+            tok.lane_tile[l] =
+                static_cast<std::int8_t>(e.row / rows_per_tile);
+        }
+        co_yield tok;
+    }
+}
+
+/**
+ * Columns [@p c_begin, @p c_end) of @p csc scaled by the input vector:
+ * the data scanner sweeps @p v, and each non-zero's column streams in
+ * 16-lane scatters to the output rows' owners.
+ */
+TokenStream
+cscColumnTokens(const CscMatrix &csc, const DenseVector &v, Index c_begin,
+                Index c_end, Index rows_per_tile)
+{
+    Index gap = 0; // Elements scanned since the last non-zero.
+    for (Index c = c_begin; c < c_end; ++c) {
+        ++gap;
+        if (v[c] == Value{0})
+            continue;
+        auto rows = csc.colIndices(c);
+        Index len = static_cast<Index>(rows.size());
+        Index this_gap = gap;
+        gap = 0;
+        for (Index base = 0; base < len; base += sim::kMaxLanes) {
+            int lanes = chunkLanes(len, base);
+            Token tok = Token::compute(lanes);
+            tok.bytes = 8 * lanes + (base == 0 ? 8 : 0);
+            tok.scan_elems =
+                base == 0 ? static_cast<std::int32_t>(this_gap) : 0;
+            for (int l = 0; l < lanes; ++l) {
+                Index r = rows[base + l];
+                tok.addr[l] = static_cast<std::uint32_t>(r);
+                tok.lane_tile[l] =
+                    static_cast<std::int8_t>(r / rows_per_tile);
+            }
+            co_yield tok;
+        }
+    }
+}
+
+/** Output rows tile @p t owns in blocks of @p rows_per_tile. */
+Index
+blockRows(Index rows, Index rows_per_tile, int t)
+{
+    return std::min<Index>(rows_per_tile,
+                           std::max<Index>(0, rows - t * rows_per_tile));
+}
+
+} // namespace
+
 DenseVector
 spmvReference(const MatrixView &m, const DenseVector &v)
 {
@@ -41,33 +144,8 @@ runSpmvCsr(const MatrixView &m, const CapstanConfig &cfg, int tiles)
         mach.addStage(t, {StageKind::DramStream, 1});
         mach.addStage(t, {StageKind::Sink});
     }
-    for (int t = 0; t < tiles; ++t) {
-        for (Index r : tiling.rowsOf(t)) {
-            auto idx = m.indices(r);
-            Index len = static_cast<Index>(idx.size());
-            if (len == 0) {
-                // Empty row: the row pointer still streams and the
-                // reduction still closes a group.
-                Token tok;
-                tok.valid_mask = 0;
-                tok.bytes = 4;
-                tok.end_group = true;
-                mach.feed(t, tok);
-                continue;
-            }
-            emitChunks(len, [&](Index base, int lanes) {
-                Token tok = Token::compute(lanes);
-                for (int l = 0; l < lanes; ++l)
-                    tok.addr[l] =
-                        static_cast<std::uint32_t>(idx[base + l]);
-                // 8 B per non-zero (index + value); the row pointer
-                // rides on the first chunk.
-                tok.bytes = 8 * lanes + (base == 0 ? 4 : 0);
-                tok.end_group = base + lanes >= len;
-                mach.feed(t, tok);
-            });
-        }
-    }
+    for (int t = 0; t < tiles; ++t)
+        mach.feed(t, csrRowTokens(m, tiling, t));
     mach.runPhase();
     return AppTiming::snapshot(mach);
 }
@@ -105,20 +183,7 @@ runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg, int tiles)
     for (int t = 0; t < tiles; ++t) {
         Index64 begin = t * per_tile;
         Index64 end = std::min<Index64>(nnz, begin + per_tile);
-        for (Index64 base = begin; base < end;
-             base += sim::kMaxLanes) {
-            int lanes = static_cast<int>(
-                std::min<Index64>(sim::kMaxLanes, end - base));
-            Token tok = Token::compute(lanes);
-            tok.bytes = 12 * lanes; // row + col + value per entry.
-            for (int l = 0; l < lanes; ++l) {
-                const sparse::Triplet &e = coo.entries()[base + l];
-                tok.addr[l] = static_cast<std::uint32_t>(e.col);
-                tok.lane_tile[l] =
-                    static_cast<std::int8_t>(e.row / rows_per_tile);
-            }
-            mach.feed(t, tok);
-        }
+        mach.feed(t, cooTokens(coo, begin, end, rows_per_tile));
     }
     mach.runPhase();
 
@@ -127,14 +192,7 @@ runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg, int tiles)
     for (int t = 0; t < tiles; ++t) {
         mach.addStage(t, {StageKind::DramStream, 1});
         mach.addStage(t, {StageKind::Sink});
-        Index rows_here = std::min<Index>(
-            rows_per_tile, std::max<Index>(0, m.rows() -
-                                                  t * rows_per_tile));
-        emitChunks(rows_here, [&](Index, int lanes) {
-            Token tok = Token::compute(lanes);
-            tok.bytes = 4 * lanes;
-            mach.feed(t, tok);
-        });
+        mach.feed(t, laneChunks(blockRows(m.rows(), rows_per_tile, t), 4));
     }
     mach.runPhase();
     return AppTiming::snapshot(mach);
@@ -164,31 +222,8 @@ runSpmvCsc(const MatrixView &m, const DenseVector &v,
     for (int t = 0; t < tiles; ++t) {
         Index c_begin = t * cols_per_tile;
         Index c_end = std::min<Index>(m.cols(), c_begin + cols_per_tile);
-        Index gap = 0; // Elements scanned since the last non-zero.
-        for (Index c = c_begin; c < c_end; ++c) {
-            ++gap;
-            if (v[c] == Value{0})
-                continue;
-            auto rows = csc.colIndices(c);
-            Index len = static_cast<Index>(rows.size());
-            Index this_gap = gap;
-            gap = 0;
-            if (len == 0)
-                continue;
-            emitChunks(len, [&](Index base, int lanes) {
-                Token tok = Token::compute(lanes);
-                tok.bytes = 8 * lanes + (base == 0 ? 8 : 0);
-                tok.scan_elems =
-                    base == 0 ? static_cast<std::int32_t>(this_gap) : 0;
-                for (int l = 0; l < lanes; ++l) {
-                    Index r = rows[base + l];
-                    tok.addr[l] = static_cast<std::uint32_t>(r);
-                    tok.lane_tile[l] =
-                        static_cast<std::int8_t>(r / rows_per_tile);
-                }
-                mach.feed(t, tok);
-            });
-        }
+        mach.feed(t, cscColumnTokens(csc, v, c_begin, c_end,
+                                     rows_per_tile));
     }
     mach.runPhase();
 
@@ -197,14 +232,7 @@ runSpmvCsc(const MatrixView &m, const DenseVector &v,
     for (int t = 0; t < tiles; ++t) {
         mach.addStage(t, {StageKind::DramStream, 1});
         mach.addStage(t, {StageKind::Sink});
-        Index rows_here = std::min<Index>(
-            rows_per_tile,
-            std::max<Index>(0, m.rows() - t * rows_per_tile));
-        emitChunks(rows_here, [&](Index, int lanes) {
-            Token tok = Token::compute(lanes);
-            tok.bytes = 4 * lanes;
-            mach.feed(t, tok);
-        });
+        mach.feed(t, laneChunks(blockRows(m.rows(), rows_per_tile, t), 4));
     }
     mach.runPhase();
     return AppTiming::snapshot(mach);

@@ -84,7 +84,7 @@ const char *kUsage =
     "                     data/paper_reference.json are calibrated\n"
     "                     here) or full (bench-default scales)\n"
     "  --scale F          override the preset's dataset scale\n"
-    "  --tiles N          override the preset's tile count\n"
+    "  --tiles N          override the preset's tile count (1 to 128)\n"
     "  --iterations N     override the preset's PR/BiCGStab iterations\n"
     "  --jobs N           sweep worker threads (default: all cores)\n"
     "  --dataset-dir DIR  resolve Table 6 names to real dataset files\n"
@@ -150,9 +150,9 @@ parseReportArgs(const std::vector<std::string> &args)
                 a.scale <= 0)
                 return fail("--scale requires a positive number");
         } else if (arg == "--tiles") {
-            if (!value(v) || !capstan::driver::parseInt(v, a.tiles) ||
-                a.tiles < 1)
-                return fail("--tiles requires a positive integer");
+            if (!value(v) || !capstan::driver::parseTiles(v, a.tiles))
+                return fail("--tiles requires an integer from 1 to " +
+                            std::to_string(capstan::sim::kMaxTiles));
         } else if (arg == "--iterations") {
             if (!value(v) ||
                 !capstan::driver::parseInt(v, a.iterations) ||

@@ -176,6 +176,16 @@ parseJobs(const std::string &v, int &out)
     return true;
 }
 
+bool
+parseTiles(const std::string &v, int &out)
+{
+    int tiles = 0;
+    if (!parseInt(v, tiles) || tiles < 1 || tiles > sim::kMaxTiles)
+        return false;
+    out = tiles;
+    return true;
+}
+
 const std::vector<std::string> &
 optionKeys()
 {
@@ -202,8 +212,9 @@ applyOption(DriverOptions &o, const std::string &key,
         if (!parseNumber(v, o.scale) || o.scale <= 0)
             return "scale requires a positive number";
     } else if (key == "tiles") {
-        if (!parseInt(v, o.tiles) || o.tiles < 1)
-            return "tiles requires a positive integer";
+        if (!parseTiles(v, o.tiles))
+            return "tiles requires an integer from 1 to " +
+                   std::to_string(sim::kMaxTiles);
     } else if (key == "iterations") {
         if (!parseInt(v, o.iterations) || o.iterations < 1)
             return "iterations requires a positive integer";
@@ -449,7 +460,8 @@ usageText()
         "                     synthetic stand-in (with a note)\n"
         "  --scale F          dataset scale multiplier (default: 1;\n"
         "                     synthetic generation only)\n"
-        "  --tiles N          outer-parallel tiles (default: 16)\n"
+        "  --tiles N          outer-parallel tiles, 1 to 128\n"
+        "                     (default: 16)\n"
         "  --iterations N     PR/BiCGStab iterations (default: 2)\n"
         "\n"
         "Machine configuration:\n"

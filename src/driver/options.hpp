@@ -135,6 +135,16 @@ inline constexpr int kMaxJobs = 4096;
 bool parseJobs(const std::string &value, int &out);
 
 /**
+ * Strictly parse a tile count: an integer in [1, sim::kMaxTiles].
+ * @p out is left unchanged on failure. The tile-count check of
+ * applyOption (capstan-run, sweep axes, a wire job's "options") and of
+ * capstan-report's `--tiles`; a wire study's `"tiles"` is held to the
+ * same sim::kMaxTiles. A lane's owning tile is an int8_t, so a larger
+ * machine would misroute lanes or index out of bounds.
+ */
+bool parseTiles(const std::string &value, int &out);
+
+/**
  * The run-defining option keys settable by name: "app", "dataset",
  * "scale", "tiles", "iterations", "config", "memtech", "ordering",
  * "merge", "hash", "allocator", "queue-depth", "bandwidth-gbps",

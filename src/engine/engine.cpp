@@ -12,14 +12,19 @@ namespace capstan::engine {
 
 namespace {
 
+/** Largest integer a wire member takes where nothing tighter holds. */
+constexpr int kMaxWireInt = 1'000'000'000;
+
 int
-requireInt(const JsonValue &v, const std::string &what, int min)
+requireInt(const JsonValue &v, const std::string &what, int min, int max)
 {
     if (!v.isNumber() || v.asNumber() != std::floor(v.asNumber()))
         throw std::invalid_argument(what + " must be an integer");
     double n = v.asNumber();
-    if (n < min || n > 1e9)
-        throw std::invalid_argument(what + " is out of range");
+    if (n < min || n > max)
+        throw std::invalid_argument(what + " must be from " +
+                                    std::to_string(min) + " to " +
+                                    std::to_string(max));
     return static_cast<int>(n);
 }
 
@@ -215,10 +220,11 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
             req.scale = doc.at("scale").asNumber();
         }
         if (doc.contains("tiles"))
-            req.tiles = requireInt(doc.at("tiles"), "\"tiles\"", 1);
+            req.tiles = requireInt(doc.at("tiles"), "\"tiles\"", 1,
+                                   sim::kMaxTiles);
         if (doc.contains("iterations"))
-            req.iterations =
-                requireInt(doc.at("iterations"), "\"iterations\"", 1);
+            req.iterations = requireInt(doc.at("iterations"),
+                                        "\"iterations\"", 1, kMaxWireInt);
         if (doc.contains("check")) {
             if (!doc.at("check").isBool())
                 throw std::invalid_argument(

@@ -45,7 +45,10 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
       // in-process runs.
       dense_stepping_(std::getenv(common::env::kNoFastForward) != nullptr)
 {
-    CAPSTAN_CHECK(tiles > 0);
+    // Tile, port and merge-unit indices travel as int8_t
+    // (Token::lane_tile, the shuffle's paths).
+    CAPSTAN_CHECK(tiles > 0 && tiles <= sim::kMaxTiles,
+                  "a machine has 1 to sim::kMaxTiles tiles");
     tiles_.resize(tiles);
     spmus_.reserve(tiles);
     ags_.reserve(tiles);
@@ -79,49 +82,14 @@ Machine::addStage(int tile, const StageSpec &spec)
 }
 
 void
-Machine::feed(int tile, const Token &token)
+Machine::feed(int tile, TokenStream stream)
 {
     CAPSTAN_CHECK(tile >= 0 && tile < tiles());
-    CAPSTAN_CHECK(!tiles_[tile].stages.empty(),
-                  "feed() before any addStage()");
-    pushInput(tile, 0, token);
-}
-
-void
-Machine::feedScanWindows(int tile, const std::vector<Index> &window_pops,
-                         std::uint32_t bytes_per_window)
-{
-    // Convert window popcounts into body tokens annotated with the
-    // number of preceding all-zero windows (the Scan stage burns one
-    // cycle per empty window; see sim::ScannerModel).
-    std::int32_t empty_run = 0;
-    std::uint32_t pending_bytes = 0;
-    for (Index pop : window_pops) {
-        pending_bytes += bytes_per_window;
-        if (pop <= 0) {
-            ++empty_run;
-            continue;
-        }
-        Index remaining = pop;
-        while (remaining > 0) {
-            int v = std::min<Index>(remaining, sim::kMaxLanes);
-            Token t = Token::compute(v);
-            t.scan_skip = empty_run;
-            t.bytes = pending_bytes;
-            pending_bytes = 0;
-            empty_run = 0;
-            feed(tile, t);
-            remaining -= v;
-        }
-    }
-    if (empty_run > 0 || pending_bytes > 0) {
-        // Trailing empty windows still cost scanner cycles.
-        Token t = Token::compute(0);
-        t.valid_mask = 0;
-        t.scan_skip = empty_run;
-        t.bytes = pending_bytes;
-        feed(tile, t);
-    }
+    Tile &tl = tiles_[tile];
+    CAPSTAN_CHECK(!tl.stages.empty(), "feed() before any addStage()");
+    CAPSTAN_CHECK(!tl.source, "feed() before the tile's stream ran dry");
+    tl.source = std::move(stream);
+    pull(tl);
 }
 
 void
@@ -139,6 +107,18 @@ Machine::popInput(Tile &tile, Stage &st)
     st.in.pop_front();
     --tile.work;
     --tile_work_;
+    if (&st == tile.stages.data())
+        pull(tile);
+}
+
+void
+Machine::pull(Tile &tile)
+{
+    if (const Token *token = tile.source.next()) {
+        tile.stages.front().in.push_back(*token);
+        ++tile.work;
+        ++tile_work_;
+    }
 }
 
 void
@@ -627,6 +607,11 @@ Machine::countersMatchScan() const
                 ++in_flight;
             }
         }
+        // The source ring holds the token a live stream last yielded.
+        if (!tile.stages.empty() &&
+            tile.stages.front().in.size() != (tile.source ? 1u : 0u)) {
+            return false;
+        }
         for (std::size_t s = 0; s < tile.stages.size(); ++s) {
             const Stage &st = tile.stages[s];
             work += static_cast<std::int64_t>(st.in.size()) +
@@ -922,6 +907,7 @@ Machine::resetChains()
             std::swap(tile.stages[s].in, tile.spare_rings[s]);
         }
         tile.stages.clear();
+        tile.source = {};
         // The dropped chain takes its tokens, burns and groups along.
         tile_work_ -= tile.work;
         reducing_ -= tile.reducing;

@@ -41,6 +41,7 @@
 
 #include "common/ring.hpp"
 #include "lang/token.hpp"
+#include "lang/token_stream.hpp"
 #include "sim/config.hpp"
 #include "sim/dram.hpp"
 #include "sim/shuffle.hpp"
@@ -100,9 +101,12 @@ struct RunTotals
 /**
  * Cycle-stepped executor over a set of tile chains.
  *
- * Usage: construct, addStage() per tile to build chains, feed() tokens,
- * runPhase(); repeat (chains and feeds reset each phase, components,
- * totals and the stage rings' buffers persist), then read totals().
+ * Usage: construct, addStage() per tile to build chains, feed() each
+ * tile one TokenStream, runPhase(); repeat after resetChains() (chains
+ * and streams reset each phase; components, totals and the stage
+ * rings' buffers persist), then read totals(). The source stage holds
+ * one token at a time and pulls the next from its stream as it
+ * consumes one.
  */
 class Machine
 {
@@ -114,21 +118,28 @@ class Machine
     /** Append a stage to @p tile's chain; returns the stage index. */
     int addStage(int tile, const StageSpec &spec);
 
-    /** Feed a source token into @p tile's chain (before runPhase). */
-    void feed(int tile, const Token &token);
-
-    /** Convenience: window the bit-vector @p pops into scan tokens. */
-    void feedScanWindows(int tile, const std::vector<Index> &window_pops,
-                         std::uint32_t bytes_per_window = 0);
+    /**
+     * Make @p stream the source of @p tile's chain (after addStage(),
+     * before runPhase()) and pull its first token. The tile's previous
+     * stream must have run dry.
+     */
+    void feed(int tile, TokenStream stream);
 
     /**
-     * Run until every chain drains.
+     * Run until every chain drains and every stream has run dry.
+     * A producer's exception propagates out of the pull that resumed
+     * it; runPhase() rethrows it.
      * @param max_cycles Watchdog; the phase aborts (and asserts in
      *        debug builds) if exceeded.
      */
     PhaseStats runPhase(Cycle max_cycles = 1ull << 34);
 
-    /** Clear chains (but not totals) to build the next phase. */
+    /**
+     * Clear chains and destroy unfinished streams (but not totals) to
+     * build the next phase. No memory access may be in flight: true
+     * after a phase that drained, and after one that threw with no
+     * access outstanding.
+     */
     void resetChains();
 
     /**
@@ -202,9 +213,17 @@ class Machine
     {
         std::vector<Stage> stages;
         /**
+         * Producer of stage 0's tokens: stage 0's ring holds the one
+         * token it last yielded while the stream is live, and is empty
+         * once it has run dry.
+         */
+        TokenStream source;
+        /**
          * Input rings of earlier chains' stages, by position: addStage()
          * hands position s the ring position s had before, so a ring's
-         * buffer survives resetChains().
+         * buffer survives resetChains(). Without it, many-phase runs
+         * (sssp at scale 4 on 64 tiles runs 413 phases) regrow every
+         * downstream ring each phase and take about a quarter longer.
          */
         std::vector<common::RingQueue<Token>> spare_rings;
         /**
@@ -256,8 +275,13 @@ class Machine
 
     /** Queue @p token at stage @p s of tile @p t. */
     void pushInput(int t, int s, const Token &token);
-    /** Drop the head token of @p st, a stage of @p tile. */
+    /**
+     * Drop the head token of @p st, a stage of @p tile; a pop from the
+     * source stage pulls the next token.
+     */
     void popInput(Tile &tile, Stage &st);
+    /** Queue @p tile's next source token, if its stream has one. */
+    void pull(Tile &tile);
     /** Count a burn starting (+1) or ending (-1) on @p tile. */
     void addBurn(Tile &tile, int delta);
     /** Set a Reduce stage's partial group count. */
@@ -305,7 +329,8 @@ class Machine
     /**
      * The full scans the counters replace, for the Debug cross-checks:
      * workRemains() recomputed from the rings, stages and units, and
-     * whether every counter equals its scan.
+     * whether every counter equals its scan and every source ring holds
+     * exactly the token of a live stream.
      */
     bool workRemainsScan() const;
     bool countersMatchScan() const;

@@ -36,6 +36,13 @@ constexpr Cycle kNoEventCycle = ~Cycle{0};
 /** SIMD lanes per compute/memory unit; Table 7 fixes l = 16. */
 constexpr int kMaxLanes = 16;
 
+/**
+ * Most tiles a machine (and so a --tiles option) can have: a lane's
+ * owning tile (lang::Token::lane_tile) and a shuffle path's stage and
+ * merge unit are int8_t, so indices stop at 127.
+ */
+constexpr int kMaxTiles = 128;
+
 /** SRAM banks per SpMU (1R1W each); Table 7 fixes b = 16. */
 constexpr int kSpmuBanks = 16;
 

@@ -204,6 +204,23 @@ TEST(DriverOptions, ApplyOptionIsTheSingleValidationPath)
     EXPECT_FALSE(applyOption(o, "memtech", "hbm9").empty());
     EXPECT_FALSE(applyOption(o, "frobnicate", "1").empty());
     EXPECT_FALSE(applyOption(o, "tiles", "0").empty());
+    // A lane's owning tile is an int8_t: 128 tiles is the most a
+    // machine can address, and a refused value leaves the option alone.
+    EXPECT_EQ(applyOption(o, "tiles", "128"), "");
+    EXPECT_EQ(o.tiles, 128);
+    EXPECT_NE(applyOption(o, "tiles", "129").find("1 to 128"),
+              std::string::npos);
+    EXPECT_FALSE(applyOption(o, "tiles", "300").empty());
+    EXPECT_EQ(o.tiles, 128);
+    EXPECT_FALSE(parseArgs({"--app", "pagerank", "--tiles", "257"}).ok());
+    // parseTiles is the check applyOption and capstan-report share.
+    int tiles = 7;
+    EXPECT_FALSE(parseTiles("129", tiles));
+    EXPECT_FALSE(parseTiles("0", tiles));
+    EXPECT_FALSE(parseTiles("4.5", tiles));
+    EXPECT_EQ(tiles, 7); // Unchanged on failure.
+    EXPECT_TRUE(parseTiles("128", tiles));
+    EXPECT_EQ(tiles, sim::kMaxTiles);
     // Every advertised key is dispatched (none falls through to the
     // unknown-option branch).
     for (const auto &key : optionKeys()) {

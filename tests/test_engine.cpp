@@ -133,6 +133,19 @@ TEST(EngineRequest, FromJsonValidatesShapeAndValues)
            "\"scale\": -1}");
     reject("{\"type\": \"study\", \"study\": \"table12\", "
            "\"check\": \"yes\"}");
+    // A study's tiles obey the same cap as a run's: a lane's owning
+    // tile is an int8_t, so 129 tiles would misroute lanes.
+    reject("{\"type\": \"study\", \"study\": \"table12\", "
+           "\"tiles\": 129}");
+    reject("{\"type\": \"study\", \"study\": \"table12\", "
+           "\"tiles\": 300}");
+    EXPECT_EQ(*engine::JobRequest::fromJson(
+                   JsonValue::parse("{\"type\": \"study\", "
+                                    "\"study\": \"table12\", "
+                                    "\"tiles\": 128}"),
+                   cfg)
+                   .tiles,
+              128);
 }
 
 TEST(EngineRequest, WireOptionsUseTheDriverValidationPath)

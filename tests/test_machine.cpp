@@ -7,12 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "lang/machine.hpp"
+#include "token_streams.hpp"
 
 using namespace capstan::lang;
 using capstan::Index;
+using capstan::test::repeated;
+using capstan::test::scanWindows;
+using capstan::test::tokenStream;
 namespace sim = capstan::sim;
 using sim::AccessOp;
 using sim::CapstanConfig;
@@ -80,12 +88,14 @@ runCrossTileProgram(Machine &m, std::uint32_t seed)
         m.addStage(t, {StageKind::Sink});
         int n = tokensFor(t);
         int groups = 0;
+        std::vector<Token> toks;
         for (int i = 0; i < n; ++i) {
             Token tok = crossToken();
             tok.end_group = i % 3 == 2 || i == n - 1;
             groups += tok.end_group ? 1 : 0;
-            m.feed(t, tok);
+            toks.push_back(tok);
         }
+        m.feed(t, tokenStream(std::move(toks)));
         expected += static_cast<std::uint64_t>((groups + 15) / 16);
     }
     m.runPhase();
@@ -96,11 +106,13 @@ runCrossTileProgram(Machine &m, std::uint32_t seed)
         m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32});
         m.addStage(t, {StageKind::Sink});
         int n = tokensFor(t);
+        std::vector<Token> toks;
         for (int i = 0; i < n; ++i) {
             Token tok = crossToken();
             tok.scan_skip = static_cast<std::int32_t>(rng() % 6);
-            m.feed(t, tok);
+            toks.push_back(tok);
         }
+        m.feed(t, tokenStream(std::move(toks)));
         expected += static_cast<std::uint64_t>(n);
     }
     m.runPhase();
@@ -114,12 +126,46 @@ runCrossTileProgram(Machine &m, std::uint32_t seed)
         m.addStage(t, {StageKind::Map, 1});
         m.addStage(t, {StageKind::Sink});
         int n = tokensFor(t);
+        std::vector<Token> toks;
         for (int i = 0; i < n; ++i)
-            m.feed(t, crossToken());
+            toks.push_back(crossToken());
+        m.feed(t, tokenStream(std::move(toks)));
         expected += static_cast<std::uint64_t>(n);
     }
     m.runPhase();
     return expected;
+}
+
+/**
+ * @p n full tokens, counting each one yielded in @p yielded; the frame
+ * holds a copy of the pointer until the stream is destroyed.
+ */
+TokenStream
+countedTokens(std::shared_ptr<int> yielded, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        ++*yielded;
+        co_yield Token::compute(16);
+    }
+}
+
+/** @p n full tokens, then the producer throws. */
+TokenStream
+failingTokens(int n)
+{
+    for (int i = 0; i < n; ++i)
+        co_yield Token::compute(16);
+    throw std::runtime_error("producer failed");
+}
+
+/** A Map -> Sink chain on every tile of @p m. */
+void
+mapChains(Machine &m)
+{
+    for (int t = 0; t < m.tiles(); ++t) {
+        m.addStage(t, {StageKind::Map, 1});
+        m.addStage(t, {StageKind::Sink});
+    }
 }
 
 } // namespace
@@ -139,8 +185,7 @@ TEST(Machine, MapChainIsFullyPipelined)
     m.addStage(0, {StageKind::Map, 3});
     m.addStage(0, {StageKind::Sink});
     const int n = 1000;
-    for (int i = 0; i < n; ++i)
-        m.feed(0, Token::compute(16));
+    m.feed(0, repeated(Token::compute(16), n));
     PhaseStats ps = m.runPhase();
     // II = 1: makespan ~ n + pipeline fill.
     EXPECT_GE(ps.cycles, static_cast<Cycle>(n));
@@ -154,8 +199,7 @@ TEST(Machine, PartialVectorsCountVectorLengthIdle)
     Machine m(idealConfig(), 1);
     m.addStage(0, {StageKind::Map, 1});
     m.addStage(0, {StageKind::Sink});
-    m.feed(0, Token::compute(4));
-    m.feed(0, Token::compute(16));
+    m.feed(0, tokenStream({Token::compute(4), Token::compute(16)}));
     m.runPhase();
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 20.0);
     EXPECT_DOUBLE_EQ(m.totals().vector_idle_lane_cycles, 12.0);
@@ -168,19 +212,19 @@ TEST(Machine, ScanSkipBurnsScannerCycles)
     m.addStage(0, {StageKind::Sink});
     Token t = Token::compute(16);
     t.scan_skip = 10;
-    m.feed(0, t);
+    m.feed(0, tokenStream({t}));
     PhaseStats ps = m.runPhase();
     EXPECT_DOUBLE_EQ(m.totals().scan_empty_cycles, 10.0);
     EXPECT_GE(ps.cycles, 11u);
 }
 
-TEST(Machine, FeedScanWindowsSplitsWideWindows)
+TEST(Machine, ScanWindowsSplitWideWindows)
 {
     Machine m(idealConfig(), 1);
     m.addStage(0, {StageKind::Scan, 1});
     m.addStage(0, {StageKind::Sink});
     // Windows: 0, 0, 40 bits, 0, 5 bits.
-    m.feedScanWindows(0, {0, 0, 40, 0, 5});
+    m.feed(0, scanWindows({0, 0, 40, 0, 5}));
     m.runPhase();
     // 40 bits -> tokens of 16/16/8; 5 bits -> one token of 5.
     EXPECT_EQ(m.totals().tokens, 4u);
@@ -197,8 +241,7 @@ TEST(Machine, NarrowScannerOutputsThrottle)
     for (Machine *m : {&m4, &m16}) {
         m->addStage(0, {StageKind::Scan, 1});
         m->addStage(0, {StageKind::Sink});
-        for (int i = 0; i < 200; ++i)
-            m->feed(0, Token::compute(16));
+        m->feed(0, repeated(Token::compute(16), 200));
     }
     Cycle c4 = m4.runPhase().cycles;
     Cycle c16 = m16.runPhase().cycles;
@@ -217,11 +260,9 @@ TEST(Machine, DataScanAdvancesDataElementsPerCycle)
         Machine m(cfg, 1);
         m.addStage(0, {StageKind::DataScan, 1});
         m.addStage(0, {StageKind::Sink});
-        for (int i = 0; i < 100; ++i) {
-            Token t = Token::compute(2);
-            t.scan_elems = elems;
-            m.feed(0, t);
-        }
+        Token t = Token::compute(2);
+        t.scan_elems = elems;
+        m.feed(0, repeated(t, 100));
         return m.runPhase().cycles;
     };
     Cycle c16 = run(16, 64);
@@ -246,12 +287,14 @@ TEST(Machine, SpmuStageRoundTripsTokens)
     m.addStage(0, {StageKind::Sink});
     std::mt19937 rng(3);
     const int n = 300;
+    std::vector<Token> toks;
     for (int i = 0; i < n; ++i) {
         std::vector<std::uint32_t> addrs;
         for (int l = 0; l < 16; ++l)
             addrs.push_back(rng() % 65536);
-        m.feed(0, addrToken(addrs));
+        toks.push_back(addrToken(addrs));
     }
+    m.feed(0, tokenStream(std::move(toks)));
     PhaseStats ps = m.runPhase();
     EXPECT_EQ(m.totals().tokens, static_cast<std::uint64_t>(n));
     // Random banking cannot be faster than 1 vector/cycle and should be
@@ -272,14 +315,15 @@ TEST(Machine, ArbitratedSpmuIsSlower)
         m->addStage(0, {StageKind::Spmu, 1, AccessOp::Read});
         m->addStage(0, {StageKind::Sink});
     }
+    std::vector<Token> toks;
     for (int i = 0; i < 300; ++i) {
         std::vector<std::uint32_t> addrs;
         for (int l = 0; l < 16; ++l)
             addrs.push_back(rng() % 65536);
-        Token t = addrToken(addrs);
-        mf.feed(0, t);
-        ms.feed(0, t);
+        toks.push_back(addrToken(addrs));
     }
+    mf.feed(0, tokenStream(toks));
+    ms.feed(0, tokenStream(toks));
     Cycle cf = mf.runPhase().cycles;
     Cycle cs = ms.runPhase().cycles;
     EXPECT_GT(cs, 2 * cf);
@@ -295,6 +339,7 @@ TEST(Machine, CrossTileAccessesRouteThroughShuffle)
     std::mt19937 rng(7);
     const int n = 100;
     for (int t = 0; t < 4; ++t) {
+        std::vector<Token> toks;
         for (int i = 0; i < n; ++i) {
             Token tok = addrToken({});
             tok.valid_mask = 0xFFFF;
@@ -302,8 +347,9 @@ TEST(Machine, CrossTileAccessesRouteThroughShuffle)
                 tok.addr[l] = rng() % 65536;
                 tok.lane_tile[l] = static_cast<std::int8_t>(rng() % 4);
             }
-            m.feed(t, tok);
+            toks.push_back(tok);
         }
+        m.feed(t, tokenStream(std::move(toks)));
     }
     PhaseStats ps = m.runPhase();
     EXPECT_EQ(m.totals().tokens, static_cast<std::uint64_t>(4 * n));
@@ -322,11 +368,9 @@ TEST(Machine, DramStreamIsBandwidthLimited)
     m.addStage(0, {StageKind::Sink});
     const int n = 500;
     const std::uint32_t bytes_per_token = 256;
-    for (int i = 0; i < n; ++i) {
-        Token t = Token::compute(16);
-        t.bytes = bytes_per_token;
-        m.feed(0, t);
-    }
+    Token t = Token::compute(16);
+    t.bytes = bytes_per_token;
+    m.feed(0, repeated(t, n));
     PhaseStats ps = m.runPhase();
     double bpc = sim::memTechBandwidth(MemTech::DDR4) /
                  sim::kClockGhz; // 42.5 B/cycle.
@@ -342,11 +386,9 @@ TEST(Machine, HigherBandwidthDrainsStreamsFaster)
         Machine m(cfg, 1);
         m.addStage(0, {StageKind::DramStream, 1});
         m.addStage(0, {StageKind::Sink});
-        for (int i = 0; i < 400; ++i) {
-            Token t = Token::compute(16);
-            t.bytes = 1024;
-            m.feed(0, t);
-        }
+        Token t = Token::compute(16);
+        t.bytes = 1024;
+        m.feed(0, repeated(t, 400));
         return m.runPhase().cycles;
     };
     EXPECT_GT(run(MemTech::DDR4), 5 * run(MemTech::HBM2E));
@@ -358,13 +400,15 @@ TEST(Machine, ReducePacksSixteenGroups)
     m.addStage(0, {StageKind::Reduce, 2});
     m.addStage(0, {StageKind::Sink});
     // 32 groups of 3 tokens each.
+    std::vector<Token> toks;
     for (int g = 0; g < 32; ++g) {
         for (int i = 0; i < 3; ++i) {
             Token t = Token::compute(16);
             t.end_group = (i == 2);
-            m.feed(0, t);
+            toks.push_back(t);
         }
     }
+    m.feed(0, tokenStream(std::move(toks)));
     m.runPhase();
     // 32 groups pack into two 16-lane result vectors.
     EXPECT_EQ(m.totals().tokens, 2u);
@@ -376,11 +420,9 @@ TEST(Machine, ReduceFlushesPartialGroupsAtDrain)
     Machine m(idealConfig(), 1);
     m.addStage(0, {StageKind::Reduce, 2});
     m.addStage(0, {StageKind::Sink});
-    for (int g = 0; g < 5; ++g) {
-        Token t = Token::compute(16);
-        t.end_group = true;
-        m.feed(0, t);
-    }
+    Token t = Token::compute(16);
+    t.end_group = true;
+    m.feed(0, repeated(t, 5));
     m.runPhase();
     EXPECT_EQ(m.totals().tokens, 1u);
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 5.0);
@@ -395,10 +437,8 @@ TEST(Machine, ImbalanceCountsIdleTileTails)
     }
     // Tile 0 gets 10x the work of tile 1, so tile 1 idles for about
     // 900 of the phase's cycles, each charged for all 16 lanes.
-    for (int i = 0; i < 1000; ++i)
-        m.feed(0, Token::compute(16));
-    for (int i = 0; i < 100; ++i)
-        m.feed(1, Token::compute(16));
+    m.feed(0, repeated(Token::compute(16), 1000));
+    m.feed(1, repeated(Token::compute(16), 100));
     m.runPhase();
     EXPECT_GE(m.totals().imbalance_lane_cycles, 16.0 * 890);
     EXPECT_LE(m.totals().imbalance_lane_cycles, 16.0 * 910);
@@ -409,8 +449,7 @@ TEST(Machine, ImbalanceCountsIdleTileTails)
     for (int t = 0; t < 2; ++t) {
         even.addStage(t, {StageKind::Map, 1});
         even.addStage(t, {StageKind::Sink});
-        for (int i = 0; i < 100; ++i)
-            even.feed(t, Token::compute(16));
+        even.feed(t, repeated(Token::compute(16), 100));
     }
     even.runPhase();
     EXPECT_LE(even.totals().imbalance_lane_cycles, 16.0 * 2);
@@ -421,14 +460,12 @@ TEST(Machine, MultiPhaseAccumulatesCycles)
     Machine m(idealConfig(), 1);
     m.addStage(0, {StageKind::Map, 1});
     m.addStage(0, {StageKind::Sink});
-    for (int i = 0; i < 100; ++i)
-        m.feed(0, Token::compute(16));
+    m.feed(0, repeated(Token::compute(16), 100));
     Cycle c1 = m.runPhase().cycles;
     m.resetChains();
     m.addStage(0, {StageKind::Map, 1});
     m.addStage(0, {StageKind::Sink});
-    for (int i = 0; i < 100; ++i)
-        m.feed(0, Token::compute(16));
+    m.feed(0, repeated(Token::compute(16), 100));
     Cycle c2 = m.runPhase().cycles;
     EXPECT_EQ(m.totals().cycles, c1 + c2);
 }
@@ -446,6 +483,7 @@ TEST(Machine, MergeModeNoneForcesDramRoundTrips)
             m.addStage(t, {StageKind::Sink});
         }
         for (int t = 0; t < 4; ++t) {
+            std::vector<Token> toks;
             for (int i = 0; i < 200; ++i) {
                 Token tok;
                 tok.valid_mask = 0xFFFF;
@@ -454,8 +492,9 @@ TEST(Machine, MergeModeNoneForcesDramRoundTrips)
                     tok.lane_tile[l] =
                         static_cast<std::int8_t>(rng() % 4);
                 }
-                m.feed(t, tok);
+                toks.push_back(tok);
             }
+            m.feed(t, tokenStream(std::move(toks)));
         }
         m.runPhase();
         return m.dram().stats().bursts;
@@ -480,6 +519,7 @@ TEST(MachineProperty, TokensConserved)
         int fed = 0;
         for (int t = 0; t < 2; ++t) {
             int n = 50 + static_cast<int>(rng() % 100);
+            std::vector<Token> toks;
             for (int i = 0; i < n; ++i) {
                 Token tok;
                 int lanes = 1 + static_cast<int>(rng() % 16);
@@ -488,9 +528,10 @@ TEST(MachineProperty, TokensConserved)
                 tok.bytes = 64;
                 for (int l = 0; l < lanes; ++l)
                     tok.addr[l] = rng() % 65536;
-                m.feed(t, tok);
+                toks.push_back(tok);
                 ++fed;
             }
+            m.feed(t, tokenStream(std::move(toks)));
         }
         m.runPhase();
         ASSERT_EQ(m.totals().tokens, static_cast<std::uint64_t>(fed));
@@ -563,14 +604,84 @@ TEST(Machine, SteppedCyclesVisitOnlyTilesWithWork)
     m.addStage(0, {StageKind::Map, 3});
     m.addStage(0, {StageKind::DramStream, 1});
     m.addStage(0, {StageKind::Sink});
+    std::vector<Token> toks;
     for (int i = 0; i < 50; ++i) {
         Token t = Token::compute(16);
         t.scan_skip = i % 4;
         t.bytes = 64;
-        m.feed(0, t);
+        toks.push_back(t);
     }
+    m.feed(0, tokenStream(std::move(toks)));
     m.runPhase();
     EXPECT_EQ(m.totals().tokens, 50u);
     EXPECT_GT(m.steppedCycles(), 0u);
     EXPECT_EQ(m.steppedTiles(), m.steppedCycles());
+}
+
+TEST(MachineStream, FeedPullsOneTokenAheadOfTheSource)
+{
+    // The source ring holds one token: feed() pulls the first, and each
+    // token the source stage consumes pulls the next. A drained stream's
+    // frame is gone when the phase ends.
+    auto yielded = std::make_shared<int>(0);
+    Machine m(idealConfig(), 1);
+    mapChains(m);
+    m.feed(0, countedTokens(yielded, 1000));
+    EXPECT_EQ(*yielded, 1);
+    EXPECT_EQ(yielded.use_count(), 2);
+    m.runPhase();
+    EXPECT_EQ(*yielded, 1000);
+    EXPECT_EQ(m.totals().tokens, 1000u);
+    EXPECT_EQ(yielded.use_count(), 1);
+    // An empty stream feeds nothing, and the tile can take another.
+    m.resetChains();
+    mapChains(m);
+    m.feed(0, TokenStream());
+    m.feed(0, countedTokens(yielded, 0));
+    EXPECT_EQ(m.runPhase().cycles, 0u);
+}
+
+TEST(MachineStream, ProducerExceptionPropagatesAndTheMachineRunsOn)
+{
+    Machine m(idealConfig(), 2);
+    mapChains(m);
+    m.feed(0, failingTokens(20));
+    m.feed(1, repeated(Token::compute(16), 100));
+    try {
+        m.runPhase();
+        FAIL() << "runPhase() swallowed the producer's exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "producer failed");
+    }
+    // resetChains() drops the aborted chains and the unfinished stream;
+    // the next phase runs to completion and counts only its own tokens.
+    std::uint64_t before = m.totals().tokens;
+    Cycle cycles_before = m.totals().cycles;
+    m.resetChains();
+    mapChains(m);
+    m.feed(0, repeated(Token::compute(16), 10));
+    m.feed(1, repeated(Token::compute(16), 10));
+    PhaseStats ps = m.runPhase();
+    EXPECT_EQ(m.totals().tokens, before + 20);
+    EXPECT_EQ(m.totals().cycles, cycles_before + ps.cycles);
+}
+
+TEST(MachineStream, UnfinishedStreamsAreDestroyed)
+{
+    // A frame holds a copy of the guard: the use count drops when
+    // resetChains() or ~Machine destroys a stream that has tokens left.
+    auto guard = std::make_shared<int>(0);
+    {
+        Machine m(idealConfig(), 1);
+        mapChains(m);
+        m.feed(0, countedTokens(guard, 100));
+        EXPECT_EQ(guard.use_count(), 2);
+        m.resetChains();
+        EXPECT_EQ(guard.use_count(), 1) << "resetChains() kept the frame";
+        mapChains(m);
+        m.feed(0, countedTokens(guard, 100));
+        EXPECT_EQ(guard.use_count(), 2);
+    }
+    EXPECT_EQ(guard.use_count(), 1) << "~Machine kept the frame";
+    EXPECT_EQ(*guard, 2) << "each stream yields only when pulled";
 }

@@ -12,9 +12,9 @@
  * be reproduced densely with CAPSTAN_NO_FF=1 to bisect a failure; one
  * test flips that switch in-process and byte-compares the stats.
  *
- * Also covers the trailing-empty-window token of
- * Machine::feedScanWindows (valid_mask = 0), which must burn scanner
- * cycles without ever retiring at the sink.
+ * Also covers the trailing-empty-window token of a scanner-window
+ * stream (valid_mask = 0), which must burn scanner cycles without ever
+ * retiring at the sink.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "driver/options.hpp"
 #include "driver/runner.hpp"
 #include "lang/machine.hpp"
+#include "token_streams.hpp"
 
 using namespace capstan;
 using namespace capstan::driver;
@@ -37,6 +38,8 @@ using capstan::lang::PhaseStats;
 using capstan::lang::RunTotals;
 using capstan::lang::StageKind;
 using capstan::lang::Token;
+using capstan::test::scanWindows;
+using capstan::test::tokenStream;
 
 namespace {
 
@@ -219,7 +222,7 @@ idleLatencyPhase()
     Machine m(sim::CapstanConfig::ideal(), 1);
     m.addStage(0, {StageKind::Map, 500});
     m.addStage(0, {StageKind::Sink});
-    m.feed(0, Token::compute(4));
+    m.feed(0, tokenStream({Token::compute(4)}));
     PhaseStats ps = m.runPhase();
     return {m.steppedCycles(), ps.cycles};
 }
@@ -303,7 +306,7 @@ TEST(MachineGolden, TrailingEmptyWindowsBurnScannerCycles)
     Machine m(sim::CapstanConfig::ideal(), 1);
     m.addStage(0, {StageKind::Scan, 1});
     m.addStage(0, {StageKind::Sink});
-    m.feedScanWindows(0, {3, 0, 0});
+    m.feed(0, scanWindows({3, 0, 0}));
     m.runPhase();
     const RunTotals &t = m.totals();
     EXPECT_EQ(t.tokens, 1u);
@@ -319,7 +322,7 @@ TEST(MachineGolden, AllEmptyWindowsStillCostScannerTime)
     Machine m(sim::CapstanConfig::ideal(), 1);
     m.addStage(0, {StageKind::Scan, 1});
     m.addStage(0, {StageKind::Sink});
-    m.feedScanWindows(0, {0, 0, 0, 0, 0});
+    m.feed(0, scanWindows({0, 0, 0, 0, 0}));
     auto ps = m.runPhase();
     EXPECT_EQ(m.totals().tokens, 0u);
     EXPECT_EQ(m.totals().scan_empty_cycles, 5.0);
@@ -334,7 +337,7 @@ TEST(MachineGolden, TrailingEmptyWindowCarriesPendingBytes)
     m.addStage(0, {StageKind::DramStream, 1});
     m.addStage(0, {StageKind::Scan, 1});
     m.addStage(0, {StageKind::Sink});
-    m.feedScanWindows(0, {0, 0}, 64);
+    m.feed(0, scanWindows({0, 0}, 64));
     m.runPhase();
     EXPECT_EQ(m.totals().tokens, 0u);
     EXPECT_EQ(m.totals().scan_empty_cycles, 2.0);
@@ -355,11 +358,10 @@ TEST(MachineGolden, ReduceFlushGatedByTrailingBurnIsCycleExact)
     m.addStage(0, {StageKind::Sink});
     Token body = Token::compute(3);
     body.end_group = true;
-    m.feed(0, body);
     Token trailing = Token::compute(0);
     trailing.valid_mask = 0;
     trailing.scan_skip = 40;
-    m.feed(0, trailing);
+    m.feed(0, tokenStream({body, trailing}));
     auto ps = m.runPhase();
     EXPECT_EQ(ps.cycles, 43u);
     EXPECT_EQ(m.totals().tokens, 1u);

@@ -349,6 +349,40 @@ TEST(ServeSocket, MalformedRequestGetsErrorAndConnectionSurvives)
     EXPECT_EQ(pong->at("id").asNumber(), 7);
 }
 
+TEST(ServeSocket, TooManyTilesIsABadRequestAndTheDaemonRunsOn)
+{
+    Harness h("tiles");
+    ASSERT_TRUE(h.started());
+    Client c(h.socketPath());
+    ASSERT_TRUE(c.ok());
+
+    // More tiles than a lane's int8_t owner can name: refused at
+    // submit, before any machine is built.
+    c.send(submitLine(1, "{\"type\": \"run\", \"options\": "
+                         "{\"app\": \"pagerank\", \"scale\": 0.3, "
+                         "\"tiles\": 300}}"));
+    std::optional<JsonValue> bad = c.read();
+    ASSERT_TRUE(bad.has_value());
+    EXPECT_EQ(bad->at("event").asString(), "error");
+    EXPECT_EQ(bad->at("code").asString(), "bad_request");
+    EXPECT_EQ(bad->at("id").asNumber(), 1);
+
+    // A study job's own "tiles" member is held to the same cap.
+    c.send(submitLine(2, "{\"type\": \"study\", \"study\": "
+                         "\"table10\", \"tiles\": 300}"));
+    bad = c.read();
+    ASSERT_TRUE(bad.has_value());
+    EXPECT_EQ(bad->at("event").asString(), "error");
+    EXPECT_EQ(bad->at("code").asString(), "bad_request");
+    EXPECT_EQ(bad->at("id").asNumber(), 2);
+
+    // The daemon is alive and still runs a valid job to its result.
+    c.send(submitLine(3, kQuickRunJob));
+    std::optional<JsonValue> result = c.readEvent("result");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->at("ok").asBool());
+}
+
 TEST(ServeSocket, RunJobStreamsEventsAndMatchesCliBytes)
 {
     Harness h("run");
