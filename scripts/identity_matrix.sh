@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# identity_matrix: fingerprint 184 single runs for byte-identity checks.
+# identity_matrix: fingerprint 195 single runs for byte-identity checks.
 #
 # Runs `capstan-run <flags> --json --compact` for every point of a
 # fixed matrix and prints one `sha256  flags` line per point, in a
-# fixed order. The matrix is the 11 apps under 16 configurations at
-# scale 0.3 on 16 tiles (a configuration may set its own tile count),
+# fixed order. The matrix is the 11 apps under 17 configurations at
+# scale 0.3 on 16 tiles (a configuration may set its own tile count;
+# `--tiles 128` drives every port of the largest shuffle network),
 # followed by the 8 points of the benchmark's sim-long workload.
 #
 # The expected output is checked in as scripts/identity_matrix.expected,
@@ -50,6 +51,7 @@ configs=(
     "--queue-depth 8 --bandwidth-gbps 200"
     "--tiles 1"
     "--spmu-ideal --tiles 64"
+    "--tiles 128"
 )
 
 sim_long=(

@@ -16,6 +16,34 @@ using workloads::Tiling;
 namespace {
 
 /**
+ * Row @p i of A * B: add each product a(i, j) * b(j, k) into @p acc
+ * (zero on entry) and set @p cols to the row's columns, sorted and
+ * distinct: every k a nonzero product reached while acc[k] read zero.
+ * The caller reads the row's sums at @p cols and zeroes them.
+ */
+void
+productRow(const MatrixView &a, const MatrixView &b, Index i,
+           std::vector<Value> &acc, std::vector<Index> &cols)
+{
+    cols.clear();
+    auto ai = a.indices(i);
+    auto av = a.values(i);
+    for (std::size_t x = 0; x < ai.size(); ++x) {
+        Index j = ai[x];
+        Value aij = av[x];
+        auto bi = b.indices(j);
+        auto bv = b.values(j);
+        for (std::size_t y = 0; y < bi.size(); ++y) {
+            if (acc[bi[y]] == Value{0} && aij * bv[y] != Value{0})
+                cols.push_back(bi[y]);
+            acc[bi[y]] += aij * bv[y];
+        }
+    }
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+}
+
+/**
  * Tile @p t's rows of A: for each stored a(i, j), the on-chip row j of
  * B in 16-lane accumulations into the row's dense tile.
  */
@@ -42,19 +70,24 @@ accumulateTokens(const MatrixView &a, const MatrixView &b,
 }
 
 /**
- * Tile @p t's rows of the product C: a sparse iteration over each
- * row's Val bitset (@p cols bits) extracts the stored entries, one
- * token per 16 of a scanner window's set bits.
+ * Tile @p t's rows of the product C = A * B: a sparse iteration over
+ * each row's Val bitset extracts the stored entries, one token per 16
+ * of a scanner window's set bits. Each row's columns are computed when
+ * the stream reaches the row, so the product never exists whole.
  */
 TokenStream
-writeOutTokens(const CsrMatrix &product, Index cols, const Tiling &tiling,
-               int t, int window_bits)
+writeOutTokens(const MatrixView &a, const MatrixView &b,
+               const Tiling &tiling, int t, int window_bits)
 {
+    std::vector<Value> acc(b.cols(), 0);
+    std::vector<Index> ci;
     for (Index i : tiling.rowsOf(t)) {
-        auto ci = product.rowIndices(i);
+        productRow(a, b, i, acc, ci);
         if (ci.empty())
             continue;
-        BitVector val = sparse::pointersToBitVector(ci, cols);
+        for (Index k : ci)
+            acc[k] = 0;
+        BitVector val = sparse::pointersToBitVector(ci, b.cols());
         std::int32_t skip = 0;
         for (Index base = 0; base < val.size(); base += window_bits) {
             Index end = std::min<Index>(base + window_bits, val.size());
@@ -91,24 +124,10 @@ spmspmReference(const MatrixView &a, const MatrixView &b)
 {
     std::vector<Triplet> trip;
     std::vector<Value> acc(b.cols(), 0);
-    std::vector<Index> touched;
+    std::vector<Index> cols;
     for (Index i = 0; i < a.rows(); ++i) {
-        touched.clear();
-        auto ai = a.indices(i);
-        auto av = a.values(i);
-        for (std::size_t x = 0; x < ai.size(); ++x) {
-            Index j = ai[x];
-            Value aij = av[x];
-            auto bi = b.indices(j);
-            auto bv = b.values(j);
-            for (std::size_t y = 0; y < bi.size(); ++y) {
-                if (acc[bi[y]] == Value{0} && aij * bv[y] != Value{0})
-                    touched.push_back(bi[y]);
-                acc[bi[y]] += aij * bv[y];
-            }
-        }
-        std::sort(touched.begin(), touched.end());
-        for (Index k : touched) {
+        productRow(a, b, i, acc, cols);
+        for (Index k : cols) {
             trip.push_back({i, k, acc[k]});
             acc[k] = 0;
         }
@@ -120,10 +139,6 @@ AppTiming
 runSpmspm(const MatrixView &a, const MatrixView &b,
           const CapstanConfig &cfg, int tiles)
 {
-    // The write-out phase streams the product's rows, so their
-    // structure comes from the reference product.
-    CsrMatrix product = spmspmReference(a, b);
-
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
@@ -176,10 +191,8 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
         mach.addStage(t, {StageKind::DramStream, 1});
         mach.addStage(t, {StageKind::Sink});
     }
-    for (int t = 0; t < tiles; ++t) {
-        mach.feed(t, writeOutTokens(product, b.cols(), tiling, t,
-                                    window_bits));
-    }
+    for (int t = 0; t < tiles; ++t)
+        mach.feed(t, writeOutTokens(a, b, tiling, t, window_bits));
     mach.runPhase();
     return AppTiming::snapshot(mach);
 }

@@ -39,7 +39,6 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
     : cfg_(cfg),
       dram_(cfg.dram),
       shuffle_(shuffleConfigFor(cfg, tiles)),
-      eject_hold_(portCount(tiles)),
       // Bisecting switch: results must be identical either way. Read
       // per construction, not cached, so a test can flip it between
       // in-process runs.
@@ -97,16 +96,14 @@ Machine::pushInput(int t, int s, const Token &token)
 {
     Tile &tile = tiles_[t];
     tile.stages[s].in.push_back(token);
-    ++tile.work;
-    ++tile_work_;
+    addWork(tile, 1);
 }
 
 void
 Machine::popInput(Tile &tile, Stage &st)
 {
     st.in.pop_front();
-    --tile.work;
-    --tile_work_;
+    addWork(tile, -1);
     if (&st == tile.stages.data())
         pull(tile);
 }
@@ -116,16 +113,19 @@ Machine::pull(Tile &tile)
 {
     if (const Token *token = tile.source.next()) {
         tile.stages.front().in.push_back(*token);
-        ++tile.work;
-        ++tile_work_;
+        addWork(tile, 1);
     }
 }
 
 void
-Machine::addBurn(Tile &tile, int delta)
+Machine::addWork(Tile &tile, std::int64_t delta)
 {
+    bool was_busy = tile.work != 0;
     tile.work += delta;
     tile_work_ += delta;
+    if (was_busy != (tile.work != 0))
+        busy_tiles_.assign(static_cast<int>(&tile - tiles_.data()),
+                           tile.work != 0);
 }
 
 void
@@ -179,6 +179,7 @@ Machine::enqueue(int t, const sim::AccessVector &av,
                  std::span<const std::uint64_t> uids)
 {
     if (spmus_[t]->tryEnqueue(av)) {
+        busy_spmus_.set(t);
         Completion &done = completions_[t].push_back_slot();
         done.vec_id = av.id;
         done.count = static_cast<int>(uids.size());
@@ -322,7 +323,7 @@ Machine::stepTile(int t)
                 // the fast-forward engine must not jump over it.
                 if (!st.burning()) {
                     cycle_progress_ = true;
-                    addBurn(tile, -1);
+                    addWork(tile, -1);
                 }
                 break;
             }
@@ -333,7 +334,7 @@ Machine::stepTile(int t)
                 tile.last_active = now_;
                 if (st.scan_occupied == 0) {
                     cycle_progress_ = true;
-                    addBurn(tile, -1);
+                    addWork(tile, -1);
                 }
                 break;
             }
@@ -365,7 +366,7 @@ Machine::stepTile(int t)
                 st.scan_occupied += static_cast<std::int64_t>(
                     occupancy - 1);
             if (st.burning())
-                addBurn(tile, 1);
+                addWork(tile, 1);
             if (tok.validLanes() > 0) {
                 advance(t, s, tok, st.spec.latency);
                 ++st.tokens_out;
@@ -563,7 +564,7 @@ bool
 Machine::workRemains() const
 {
     return tile_work_ > 0 || reducing_ > 0 || in_flight_ > 0 ||
-           held_ > 0 || !shuffle_.empty();
+           !shuffle_.empty();
 }
 
 bool
@@ -571,10 +572,6 @@ Machine::workRemainsScan() const
 {
     if (!shuffle_.empty())
         return true;
-    for (const auto &hold : eject_hold_) {
-        if (!hold.empty())
-            return true;
-    }
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
         if (!spmus_[t]->empty())
             return true;
@@ -620,19 +617,18 @@ Machine::countersMatchScan() const
             if (st.in_flight != stage_in_flight[s])
                 return false;
         }
+        auto i = static_cast<int>(t);
         if (tile.work != work || tile.reducing != tile_reducing ||
-            completions_[t].empty() != spmus_[t]->empty()) {
+            completions_[t].empty() != spmus_[t]->empty() ||
+            busy_tiles_.test(i) != (work != 0) ||
+            busy_spmus_.test(i) != !completions_[t].empty()) {
             return false;
         }
         tile_work += work;
         reducing += tile_reducing;
     }
-    std::uint64_t held = 0;
-    for (const auto &hold : eject_hold_)
-        held += hold.size();
     return tile_work_ == tile_work && reducing_ == reducing &&
-           in_flight_ == in_flight && held_ == held &&
-           workRemains() == workRemainsScan();
+           in_flight_ == in_flight && workRemains() == workRemainsScan();
 }
 
 PhaseStats
@@ -661,37 +657,32 @@ Machine::runPhase(Cycle max_cycles)
         // the machine fast-forward to the next event horizon below.
         cycle_progress_ = false;
         // A tile with no queued token and no burn would step as a no-op.
-        for (int t = 0; t < tiles(); ++t) {
-            if (tiles_[t].work == 0)
-                continue;
+        // Stepping a tile changes only its own work, so the busy mask
+        // visits exactly the tiles an ascending scan would.
+        busy_tiles_.forEach([&](int t) {
             ++stepped_tiles_;
             stepTile(t);
-        }
+        });
 
-        // Shuffle network: move vectors a stage, then hand ejected
-        // vectors to the owning tile's SpMU.
+        // Shuffle network: move vectors a stage, return the credits of
+        // this step's deliveries (as ejecting them would), then hand
+        // each port's delivered vectors, read in place, to the owning
+        // tile's SpMU. A vector the SpMU refuses waits at its output.
         shuffle_.step();
-        if (shuffle_.hasDelivered()) {
-            for (int p = 0; p < shuffle_.ports(); ++p) {
-                while (auto v = shuffle_.tryEject(p)) {
-                    eject_hold_[p].push_back(std::move(*v));
-                    ++held_;
-                }
-            }
-        }
-        for (int p = 0; held_ > 0 && p < shuffle_.ports() && p < tiles();
-             ++p) {
+        shuffle_.retireDelivered();
+        shuffle_.deliveredPorts().forEach([&](int p) {
+            CAPSTAN_DCHECK(p < tiles(), "a vector delivered past the tiles");
             // A full SpMU refuses before the vector is built, so a
             // refused attempt takes no vector id.
-            while (!eject_hold_[p].empty() && !refuseIfFull(p)) {
-                const sim::ShuffleVector &sv = eject_hold_[p].front();
+            while (shuffle_.deliveredPorts().test(p) && !refuseIfFull(p)) {
+                const sim::ShuffleVector &sv = shuffle_.front(p);
                 sim::AccessVector av;
                 av.id = next_vec_id_++;
                 std::array<std::uint64_t, sim::kMaxLanes> uids{};
                 std::size_t n = 0;
-                for (int l = 0; l < sim::kMaxLanes; ++l) {
-                    if (!sv.valid[l])
-                        continue;
+                auto lanes = static_cast<std::uint32_t>(sv.valid.to_ulong());
+                for (; lanes != 0; lanes &= lanes - 1) {
+                    int l = std::countr_zero(lanes);
                     std::uint64_t uid = sv.tag[l];
                     const Tile &origin =
                         tiles_[(uid >> kUidTileShift) - 1];
@@ -704,17 +695,15 @@ Machine::runPhase(Cycle max_cycles)
                 }
                 if (!enqueue(p, av, std::span(uids.data(), n)))
                     break;
-                eject_hold_[p].pop_front();
-                --held_;
+                shuffle_.pop(p);
                 cycle_progress_ = true;
             }
-        }
+        });
 
         // SpMUs: advance and resolve completions. An empty SpMU (no
-        // completion record) would step as a no-op.
-        for (int t = 0; t < tiles(); ++t) {
-            if (completions_[t].empty())
-                continue;
+        // completion record) would step as a no-op; a SpMU's dequeues
+        // change only its own record FIFO.
+        busy_spmus_.forEach([&](int t) {
             sim::SparseMemoryUnit &spmu = *spmus_[t];
             std::uint64_t grants_before = spmu.stats().grants;
             spmu.step();
@@ -729,7 +718,9 @@ Machine::runPhase(Cycle max_cycles)
                     deliverPending(done.uid[i]);
                 completions_[t].pop_front();
             }
-        }
+            if (completions_[t].empty())
+                busy_spmus_.reset(t);
+        });
 
         // Flush partially filled reductions once their upstream drained:
         // no token or burn up to the Reduce, no access in flight before it.
@@ -795,18 +786,17 @@ Machine::runPhase(Cycle max_cycles)
 Cycle
 Machine::nextEventCycle() const
 {
-    // A busy shuffle network pins the clock (its horizon is `now_`):
-    // vectors move every cycle, so never jump over it. (Network
-    // transits are a few cycles; the long waits this function exists
-    // for are DRAM latency and scanner burns.)
+    // A busy butterfly pins the clock (its horizon is `now_`): vectors
+    // between its stages move every cycle, so never jump over it.
+    // (Network transits are a few cycles; the long waits this function
+    // exists for are DRAM latency and scanner burns.)
     if (shuffle_.nextEventCycle(now_) != sim::kNoEventCycle)
         return now_;
 
     Cycle target = sim::kNoEventCycle;
-    for (const Tile &tile : tiles_) {
-        // Without a queued token or a burn the tile has no wake-up.
-        if (tile.work == 0)
-            continue;
+    // Without a queued token or a burn a tile has no wake-up.
+    busy_tiles_.forEach([&](int t) {
+        const Tile &tile = tiles_[t];
         // A reduction holding a partial group can flush in the very
         // iteration an upstream burn drains (reduce_groups only changes
         // on progress, so this is frozen during a jump). In that case
@@ -828,10 +818,8 @@ Machine::nextEventCycle() const
             if (!st.in.empty() && st.in.front().ready_at >= now_)
                 target = std::min(target, st.in.front().ready_at);
         }
-    }
-    for (int t = 0; t < tiles(); ++t) {
-        if (completions_[t].empty())
-            continue;
+    });
+    busy_spmus_.forEach([&](int t) {
         // The SpMU horizon is on its local clock, which advances once
         // per machine cycle while the unit is busy.
         const sim::SparseMemoryUnit &spmu = *spmus_[t];
@@ -839,24 +827,24 @@ Machine::nextEventCycle() const
         CAPSTAN_DCHECK(wake != sim::kNoEventCycle,
                        "a non-empty SpMU must publish a horizon");
         target = std::min(target, now_ + (wake - spmu.now()));
-    }
+    });
     return target;
 }
 
 void
 Machine::fastForwardTo(Cycle target)
 {
-    // Jumps must move time forward, and only ever happen with the
-    // shuffle network drained: a busy network pins the horizon to
-    // `now_`, so a jump past in-flight vectors would skip their
-    // per-cycle movement and corrupt the cycle counts.
+    // Jumps must move time forward, and only ever happen with no
+    // vector between shuffle stages: a busy butterfly pins the horizon
+    // to `now_`, so a jump past in-flight vectors would skip their
+    // per-cycle movement and corrupt the cycle counts. Delivered
+    // vectors waiting on a full SpMU replay through its refusals.
     CAPSTAN_CHECK(target > now_, "fast-forward must move time forward");
     CAPSTAN_DCHECK(shuffle_.nextEventCycle(now_) == sim::kNoEventCycle,
-                   "fast-forward with vectors in the shuffle network");
+                   "fast-forward with vectors between shuffle stages");
     Cycle skipped = target - now_;
-    for (Tile &tile : tiles_) {
-        if (tile.work == 0)
-            continue;
+    busy_tiles_.forEach([&](int t) {
+        Tile &tile = tiles_[t];
         for (Stage &st : tile.stages) {
             if (!st.burning())
                 continue;
@@ -879,9 +867,9 @@ Machine::fastForwardTo(Cycle target)
                     std::max(tile.last_active,
                              now_ + static_cast<Cycle>(burned) - 1);
             if (!st.burning())
-                addBurn(tile, -1);
+                addWork(tile, -1);
         }
-    }
+    });
     for (int t = 0; t < tiles(); ++t) {
         // Refused enqueues retry (and re-count) every skipped cycle:
         // those of the cycle just stepped, now_ - 1.
@@ -909,9 +897,8 @@ Machine::resetChains()
         tile.stages.clear();
         tile.source = {};
         // The dropped chain takes its tokens, burns and groups along.
-        tile_work_ -= tile.work;
+        addWork(tile, -tile.work);
         reducing_ -= tile.reducing;
-        tile.work = 0;
         tile.reducing = 0;
         tile.lane_count_stage = -1;
     }

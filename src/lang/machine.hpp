@@ -8,11 +8,14 @@
  * address generator per tile, a shared DRAM model, and a shared shuffle
  * network; each cycle it steps the components that have work (a tile
  * with a queued token or a burning scanner, a SpMU holding vectors, a
- * merge unit with input) until all chains drain. The address generators
- * carry remote updates when there is no shuffle network (`--merge
- * none`). Iterative applications run a *sequence of phases*
- * (one per loop level or kernel); the machine accumulates cycles and the
- * stall statistics behind Fig. 7.
+ * merge unit with input) until all chains drain. Busy tiles and SpMUs
+ * are bitmasks kept as their counts leave and reach zero, visited in
+ * ascending order; vectors the shuffle delivers are read in place from
+ * its output queues and wait there while their SpMU is full. The
+ * address generators carry remote updates when there is no shuffle
+ * network (`--merge none`). Iterative applications run a *sequence of
+ * phases* (one per loop level or kernel); the machine accumulates
+ * cycles and the stall statistics behind Fig. 7.
  *
  * Stepping is cycle-exact but not cycle-by-cycle: when a cycle makes no
  * observable progress (every stage is waiting on a token's ready_at, a
@@ -46,6 +49,7 @@
 #include "sim/dram.hpp"
 #include "sim/shuffle.hpp"
 #include "sim/spmu.hpp"
+#include "sim/tile_mask.hpp"
 
 namespace capstan::lang {
 
@@ -282,8 +286,11 @@ class Machine
     void popInput(Tile &tile, Stage &st);
     /** Queue @p tile's next source token, if its stream has one. */
     void pull(Tile &tile);
-    /** Count a burn starting (+1) or ending (-1) on @p tile. */
-    void addBurn(Tile &tile, int delta);
+    /**
+     * Add @p delta to @p tile's work (tokens queued, or a burn starting
+     * at +1 or ending at -1), keeping busy_tiles_ in step.
+     */
+    void addWork(Tile &tile, std::int64_t delta);
     /** Set a Reduce stage's partial group count. */
     void setReduceGroups(Tile &tile, Stage &st, int groups);
 
@@ -367,14 +374,18 @@ class Machine
     std::vector<common::RingQueue<Completion>> completions_;
     /** Per-SpMU refusals of the last cycle that had any. */
     std::vector<Refusals> refusals_;
-    /** Vectors ejected from the shuffle but refused by a busy SpMU. */
-    std::vector<common::RingQueue<sim::ShuffleVector>> eject_hold_;
+    /**
+     * The tiles with work and the SpMUs with a completion record: the
+     * ones a cycle steps, set and cleared as the counts leave and
+     * reach zero.
+     */
+    sim::TileMask busy_tiles_;
+    sim::TileMask busy_spmus_;
     // Counters behind workRemains(): the sums of Tile::work and
-    // Tile::reducing, live pending slots, and vectors in eject_hold_.
+    // Tile::reducing, and live pending slots.
     std::int64_t tile_work_ = 0;
     int reducing_ = 0;
     std::uint64_t in_flight_ = 0;
-    std::uint64_t held_ = 0;
     /** Whether the current cycle did observable work (gates jumps). */
     bool cycle_progress_ = false;
     /** CAPSTAN_NO_FF=1 at construction: never fast-forward. */

@@ -12,34 +12,31 @@ namespace {
 /** Per-channel staging buffer depth between butterfly stages. */
 constexpr std::size_t kChannelDepth = 4;
 
-/**
- * Move @p head into @p out without copying or freeing a path buffer:
- * out takes head's path, and head's slot keeps out's old buffer for
- * its next occupant.
- */
-void
-moveInto(ShuffleVector &out, ShuffleVector &head)
+/** Lane mask of @p v's valid lanes. */
+std::uint32_t
+laneMask(const ShuffleVector &v)
 {
-    auto path = std::move(head.path);
-    out = head; // Every field but the path, which is now empty.
-    out.path.swap(path);
-    head.path.swap(path);
+    return static_cast<std::uint32_t>(v.valid.to_ulong());
 }
 
 } // namespace
 
 ShuffleNetwork::ShuffleNetwork(const ShuffleConfig &cfg) : cfg_(cfg)
 {
-    CAPSTAN_CHECK(cfg.ports >= 2 && std::has_single_bit(unsigned(cfg.ports)));
+    // Ports travel as int8_t lanes and a stage's units fit one 64-bit
+    // occupancy mask, so a network has at most kMaxTiles ports.
+    CAPSTAN_CHECK(cfg.ports >= 2 && cfg.ports <= kMaxTiles &&
+                  std::has_single_bit(unsigned(cfg.ports)));
     stages_ = std::countr_zero(unsigned(cfg.ports));
     // Stage buffers never hold more than kChannelDepth vectors. Outputs
-    // are unbounded, but a caller that ejects every cycle finds at most
-    // a failed merge's two vectors plus a bypass there.
+    // are unbounded: a delivered vector waits there until its consumer
+    // takes it.
     channels_.assign(stages_,
                      std::vector<Fifo>(cfg.ports, Fifo(kChannelDepth)));
+    occupied_.assign(stages_, 0);
     outputs_.assign(cfg.ports, Fifo(kChannelDepth));
+    unretired_.assign(cfg.ports, 0);
     in_flight_.assign(stages_, std::vector<int>(cfg.ports / 2, 0));
-    stage_live_.assign(stages_, 0);
 }
 
 int
@@ -58,27 +55,64 @@ ShuffleNetwork::shiftLimit() const
     }
 }
 
+int
+ShuffleNetwork::unitOf(int s, int port) const
+{
+    // Stage s pairs ports half apart within groups of 2 * half; units
+    // are numbered group by group, so unit order is port order.
+    int half = cfg_.ports >> (s + 1);
+    return ((port >> 1) & ~(half - 1)) | (port & (half - 1));
+}
+
+ShuffleNetwork::Slot
+ShuffleNetwork::acquire()
+{
+    if (free_.empty()) {
+        pool_.emplace_back();
+        return static_cast<Slot>(pool_.size() - 1);
+    }
+    Slot v = free_.back();
+    free_.pop_back();
+    return v;
+}
+
+void
+ShuffleNetwork::pushChannel(int s, int port, Slot v)
+{
+    channels_[s][port].push_back(v);
+    occupied_[s] |= std::uint64_t{1} << unitOf(s, port);
+    ++live_;
+}
+
+void
+ShuffleNetwork::deliver(int port, Slot v)
+{
+    outputs_[port].push_back(v);
+    delivered_ports_.set(port);
+    ++unretired_[port];
+    unretired_ports_.set(port);
+    ++delivered_;
+}
+
 bool
 ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
 {
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
     // Pure bypass: every lane already destined for this port's memory.
     bool all_local = true;
-    for (int l = 0; l < kMaxLanes; ++l) {
-        if (v.valid[l] && v.dst_port[l] != port)
-            all_local = false;
-    }
+    for (std::uint32_t lanes = laneMask(v); lanes != 0; lanes &= lanes - 1)
+        all_local = all_local && v.dst_port[std::countr_zero(lanes)] == port;
     if (all_local) {
-        outputs_[port].push_back(v);
-        ++delivered_;
+        Slot slot = acquire();
+        pool_[slot] = v;
+        deliver(port, slot);
         return true;
     }
-    Fifo &ch = channels_[0][port];
-    if (ch.size() >= kChannelDepth)
+    if (channels_[0][port].size() >= kChannelDepth)
         return false;
-    ch.push_back(v);
-    ++live_;
-    ++stage_live_[0];
+    Slot slot = acquire();
+    pool_[slot] = v;
+    pushChannel(0, port, slot);
     return true;
 }
 
@@ -115,37 +149,57 @@ ShuffleNetwork::step()
 {
     if (live_ == 0)
         return; // Nothing buffered between stages: stepping moves nothing.
+    CAPSTAN_DCHECK(bookkeepingMatchesScan(),
+                   "a shuffle count or mask disagrees with its scan");
     // Walk stages from last to first so a vector advances one stage per
     // cycle (moving the later stages first frees room for earlier ones).
-    // A stage without input, and a merge unit whose two inputs are both
-    // empty, would move nothing: skip them.
+    // Only merge units with input move anything; they are visited in
+    // ascending unit order, the order merge ids are drawn in. A unit
+    // changes only its own inputs' occupancy, so the stage's mask is
+    // read once.
     for (int s = stages_ - 1; s >= 0; --s) {
-        CAPSTAN_DCHECK(stage_live_[s] == bufferedScan(s));
-        if (stage_live_[s] == 0)
-            continue;
         int bit = stages_ - 1 - s; // MSB first (Fig. 3e).
-        int group = cfg_.ports >> s;
-        int half = group / 2;
-        const std::vector<Fifo> &in = channels_[s];
-        for (int base = 0; base < cfg_.ports; base += group) {
-            for (int off = 0; off < half; ++off) {
-                int p0 = base + off;
-                if (in[p0].empty() && in[p0 + half].empty())
-                    continue;
-                stepUnit(s, (base / group) * half + off, p0, p0 + half,
-                         bit);
-            }
+        int half = cfg_.ports >> (s + 1);
+        for (std::uint64_t units = occupied_[s]; units != 0;
+             units &= units - 1) {
+            int unit = std::countr_zero(units);
+            int p0 = ((unit & ~(half - 1)) << 1) | (unit & (half - 1));
+            stepUnit(s, unit, p0, p0 + half, bit);
         }
     }
 }
 
-int
-ShuffleNetwork::bufferedScan(int s) const
+bool
+ShuffleNetwork::bookkeepingMatchesScan() const
 {
-    int n = 0;
-    for (const Fifo &ch : channels_[s])
-        n += static_cast<int>(ch.size());
-    return n;
+    int live = 0;
+    for (int s = 0; s < stages_; ++s) {
+        std::uint64_t occupied = 0;
+        for (int p = 0; p < cfg_.ports; ++p) {
+            const Fifo &ch = channels_[s][p];
+            live += static_cast<int>(ch.size());
+            if (!ch.empty())
+                occupied |= std::uint64_t{1} << unitOf(s, p);
+        }
+        if (occupied != occupied_[s])
+            return false;
+    }
+    int delivered = 0;
+    TileMask ports;
+    TileMask unretired_ports;
+    for (int p = 0; p < cfg_.ports; ++p) {
+        const Fifo &out = outputs_[p];
+        delivered += static_cast<int>(out.size());
+        ports.assign(p, !out.empty());
+        unretired_ports.assign(p, unretired_[p] > 0);
+        if (unretired_[p] > out.size())
+            return false;
+    }
+    // Every pool slot in use holds exactly one buffered vector.
+    return live == live_ && delivered == delivered_ &&
+           ports == delivered_ports_ && unretired_ports == unretired_ports_ &&
+           pool_.size() - free_.size() ==
+               static_cast<std::size_t>(live_ + delivered_);
 }
 
 void
@@ -158,24 +212,22 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
 
     // Plan: split each head on this stage's bit. frag[i][d] holds the
     // lanes head i sends low (d = 0, port p0) or high (d = 1, p1).
+    Slot head[2] = {0, 0};
     std::uint32_t frag[2][2] = {{0, 0}, {0, 0}};
     std::uint64_t frag_id[2][2] = {{0, 0}, {0, 0}};
     bool split[2] = {false, false};
     for (int i = 0; i < 2; ++i) {
         if (ins[i]->empty())
             continue;
-        const ShuffleVector &head = ins[i]->front();
-        std::uint32_t valid = 0;
+        head[i] = ins[i]->front();
+        const ShuffleVector &v = pool_[head[i]];
         std::uint32_t high = 0;
-        for (int l = 0; l < kMaxLanes; ++l) {
-            if (!head.valid[l])
-                continue;
-            valid |= 1u << l;
-            if ((head.dst_port[l] >> bit) & 1)
-                high |= 1u << l;
-        }
+        for (int l = 0; l < kMaxLanes; ++l)
+            high |= static_cast<std::uint32_t>((v.dst_port[l] >> bit) & 1)
+                    << l;
+        std::uint32_t valid = laneMask(v);
         frag[i][0] = valid & ~high;
-        frag[i][1] = high;
+        frag[i][1] = valid & high;
         split[i] = frag[i][0] != 0 && frag[i][1] != 0;
         if (split[i]) {
             // A real split: both halves need distinct ids so reply
@@ -183,7 +235,7 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
             frag_id[i][0] = next_merged_id_++;
             frag_id[i][1] = next_merged_id_++;
         } else {
-            frag_id[i][0] = frag_id[i][1] = head.id;
+            frag_id[i][0] = frag_id[i][1] = v.id;
         }
     }
 
@@ -215,40 +267,40 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
         }
     }
 
-    // Commit: build each output in its sink slot, low side first. A
-    // head whose lanes all go one way is moved into its fragment; a
-    // split head is copied for its low fragment and moved into its
-    // high one, its last use. Fragments keep the head's fields on
-    // their invalid lanes.
-    auto emit = [&](int d, int from) -> ShuffleVector & {
-        Fifo &sink = last_stage ? outputs_[out_port[d]]
-                                : channels_[s + 1][out_port[d]];
-        ShuffleVector &out = sink.push_back_slot();
-        ShuffleVector &head = ins[from]->front();
-        if (split[from] && d == 0)
-            out = head;
-        else
-            moveInto(out, head);
-        for (int l = 0; l < kMaxLanes; ++l)
-            out.valid[l] = (frag[from][d] >> l) & 1;
-        out.id = frag_id[from][d];
-        return out;
-    };
-    auto finish = [&](ShuffleVector &out) {
-        out.path.emplace_back(static_cast<std::int8_t>(s),
-                              static_cast<std::int8_t>(unit));
-        ++in_flight_[s][unit];
-        if (last_stage) {
-            ++delivered_;
+    // Commit, low side first. A head whose lanes all go one way becomes
+    // its fragment in its own slot; a split head's low fragment is a
+    // copy in a fresh slot and its high fragment keeps the head's slot.
+    // Fragments keep the head's fields on their invalid lanes.
+    bool reused[2] = {false, false};
+    auto fragment = [&](int d, int i) -> Slot {
+        Slot slot = head[i];
+        if (split[i] && d == 0) {
+            slot = acquire();
+            pool_[slot] = pool_[head[i]];
         } else {
-            ++live_;
-            ++stage_live_[s + 1];
+            reused[i] = true;
         }
+        ShuffleVector &out = pool_[slot];
+        out.valid = frag[i][d];
+        out.id = frag_id[i][d];
+        return slot;
+    };
+    auto send = [&](int d, Slot slot) {
+        pool_[slot].path.emplace_back(static_cast<std::int8_t>(s),
+                                      static_cast<std::int8_t>(unit));
+        ++in_flight_[s][unit];
+        if (last_stage)
+            deliver(out_port[d], slot);
+        else
+            pushChannel(s + 1, out_port[d], slot);
     };
     for (int d = 0; d < 2; ++d) {
         if (merged[d]) {
-            ShuffleVector &out = emit(d, 0);
-            const ShuffleVector &other = ins[1]->front();
+            // Head 1's lanes join head 0's fragment; head 1's own
+            // fragment this way is never built.
+            Slot slot = fragment(d, 0);
+            ShuffleVector &out = pool_[slot];
+            const ShuffleVector &other = pool_[head[1]];
             std::uint32_t lanes = frag[1][d];
             while (lanes != 0) {
                 int l = std::countr_zero(lanes);
@@ -263,41 +315,86 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
             out.id = merged_id[d];
             out.path.insert(out.path.end(), other.path.begin(),
                             other.path.end());
-            finish(out);
+            send(d, slot);
             continue;
         }
         for (int i = 0; i < 2; ++i) {
             if (frag[i][d] != 0)
-                finish(emit(d, i));
+                send(d, fragment(d, i));
         }
     }
-    for (Fifo *in : ins) {
-        if (!in->empty()) {
-            in->pop_front();
-            --live_;
-            --stage_live_[s];
-        }
+    for (int i = 0; i < 2; ++i) {
+        if (ins[i]->empty())
+            continue;
+        // A head none of whose fragments kept its slot (head 1, merged
+        // whole into head 0's fragment) returns the slot to the pool.
+        if (!reused[i])
+            free_.push_back(head[i]);
+        ins[i]->pop_front();
+        --live_;
     }
+    if (ins[0]->empty() && ins[1]->empty())
+        occupied_[s] &= ~(std::uint64_t{1} << unit);
+}
+
+void
+ShuffleNetwork::retireSlot(Slot v)
+{
+    ShuffleVector &sv = pool_[v];
+    if (auto_retire_) {
+        for (auto [s, u] : sv.path)
+            --in_flight_[s][u];
+        sv.path.clear(); // The slot keeps the capacity for reuse.
+    } else {
+        paths_[sv.id] = sv.path;
+    }
+}
+
+void
+ShuffleNetwork::retireDelivered()
+{
+    unretired_ports_.forEach([&](int p) {
+        Fifo &out = outputs_[p];
+        for (std::size_t i = out.size() - unretired_[p]; i < out.size(); ++i)
+            retireSlot(out[i]);
+        unretired_[p] = 0;
+    });
+    unretired_ports_.clear();
+}
+
+void
+ShuffleNetwork::retireFront(int port)
+{
+    Fifo &out = outputs_[port];
+    if (unretired_[port] != out.size())
+        return; // Retired by retireDelivered() already.
+    retireSlot(out.front());
+    if (--unretired_[port] == 0)
+        unretired_ports_.reset(port);
+}
+
+void
+ShuffleNetwork::pop(int port)
+{
+    CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
+    retireFront(port);
+    Fifo &out = outputs_[port];
+    free_.push_back(out.front());
+    out.pop_front();
+    --delivered_;
+    if (out.empty())
+        delivered_ports_.reset(port);
 }
 
 std::optional<ShuffleVector>
 ShuffleNetwork::tryEject(int port)
 {
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
-    Fifo &out = outputs_[port];
-    if (out.empty())
+    if (outputs_[port].empty())
         return std::nullopt;
-    ShuffleVector &v = out.front();
-    if (auto_retire_) {
-        for (auto [s, u] : v.path)
-            --in_flight_[s][u];
-        v.path.clear(); // The slot keeps the capacity for reuse.
-    } else {
-        paths_[v.id] = v.path;
-    }
-    std::optional<ShuffleVector> ejected(v);
-    out.pop_front();
-    --delivered_;
+    retireFront(port);
+    std::optional<ShuffleVector> ejected(front(port));
+    pop(port);
     return ejected;
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -24,16 +25,21 @@
 
 #include "common/ring.hpp"
 #include "sim/config.hpp"
+#include "sim/tile_mask.hpp"
 
 namespace capstan::sim {
 
-/** A vector of requests travelling through the shuffle network. */
+/**
+ * A vector of requests travelling through the shuffle network. Lanes
+ * are stored compactly (272 bytes): ports and lanes fit an int8_t,
+ * since a network has at most kMaxTiles ports.
+ */
 struct ShuffleVector
 {
-    std::array<bool, kMaxLanes> valid{};
+    std::bitset<kMaxLanes> valid;
     std::array<std::uint32_t, kMaxLanes> addr{};
-    std::array<int, kMaxLanes> dst_port{};
-    std::array<int, kMaxLanes> src_lane{}; //!< For inverse permutation.
+    std::array<std::int8_t, kMaxLanes> dst_port{};
+    std::array<std::int8_t, kMaxLanes> src_lane{}; //!< For inverse permutation.
     /** Opaque per-lane tag (e.g. originating token id) carried along. */
     std::array<std::uint64_t, kMaxLanes> tag{};
     int src_port = 0;
@@ -45,10 +51,20 @@ struct ShuffleVector
 /**
  * Cycle-stepped butterfly shuffle network.
  *
- * Ports must be a power of two. Usage per cycle: tryInject() work at the
- * input ports, step(), then tryEject() delivered vectors at the output
- * ports. retire() returns inverse-permutation FIFO credits once the
- * memory reply has been consumed.
+ * Ports must be a power of two, at most kMaxTiles. Usage per cycle:
+ * tryInject() work at the input ports, step(), then take delivered
+ * vectors at the output ports: either tryEject() a copy, or call
+ * retireDelivered() and read each port's vectors in place with
+ * front() and pop(). retire() returns inverse-permutation FIFO credits
+ * once the memory reply has been consumed.
+ *
+ * Each vector lives in one slot of a network-owned pool from
+ * tryInject() until it is consumed; stage channels and output queues
+ * carry 4-byte slot handles. A merge unit moves its heads' handles
+ * on, and only a split's low fragment is copied, into a fresh slot.
+ * Each stage keeps an occupancy mask of its merge units (bit u set
+ * while one of unit u's two input channels holds a vector), so step()
+ * visits only occupied units, in ascending unit order.
  */
 class ShuffleNetwork
 {
@@ -65,18 +81,39 @@ class ShuffleNetwork
     void step();
 
     /**
-     * Event horizon for the fast-forward engine: a busy network must be
-     * stepped every cycle (vectors move, merge, or serialize each step),
-     * so this returns @p now while anything is buffered and
-     * kNoEventCycle once the network has drained.
+     * Event horizon for the fast-forward engine: vectors between
+     * stages move, merge or serialize every step, so this returns
+     * @p now while any is in the butterfly. A delivered vector waits
+     * on its consumer, not on the network, so outputs alone leave it
+     * kNoEventCycle.
      */
     Cycle nextEventCycle(Cycle now) const
     {
-        return empty() ? kNoEventCycle : now;
+        return live_ == 0 ? kNoEventCycle : now;
     }
 
-    /** Pop a delivered vector at output @p port, if any. */
+    /** Pop a copy of the oldest delivered vector at @p port, if any. */
     std::optional<ShuffleVector> tryEject(int port);
+
+    /**
+     * Retire every vector delivered since the last call, as tryEject()
+     * would at their ejection: with auto-retire on, return their FIFO
+     * credits; with it off, record their paths for retire(). Call right
+     * after step(), before reading the outputs with front() and pop().
+     */
+    void retireDelivered();
+
+    /** Output ports holding delivered vectors. */
+    const TileMask &deliveredPorts() const { return delivered_ports_; }
+
+    /** The oldest vector delivered at @p port, which must hold one. */
+    const ShuffleVector &front(int port) const
+    {
+        return pool_[outputs_[static_cast<std::size_t>(port)].front()];
+    }
+
+    /** Consume front(@p port), retiring it first if still unretired. */
+    void pop(int port);
 
     /**
      * Return one in-flight credit to every merge unit a delivered vector
@@ -93,11 +130,10 @@ class ShuffleNetwork
     /** True when nothing is buffered anywhere in the network. */
     bool empty() const { return live_ == 0 && delivered_ == 0; }
 
-    /** True when some output port holds a vector for tryEject(). */
-    bool hasDelivered() const { return delivered_ > 0; }
-
   private:
-    using Fifo = common::RingQueue<ShuffleVector>;
+    /** Index of a vector's pool slot. */
+    using Slot = std::uint32_t;
+    using Fifo = common::RingQueue<Slot>;
 
     /**
      * Move, split and merge the heads of one merge unit's two inputs
@@ -107,8 +143,32 @@ class ShuffleNetwork
      */
     void stepUnit(int s, int unit, int p0, int p1, int bit);
 
-    /** Vectors in stage @p s's channels, counted (Debug cross-check). */
-    int bufferedScan(int s) const;
+    /** Stage @p s's merge unit fed by input @p port. */
+    int unitOf(int s, int port) const;
+
+    /** Queue slot @p v in stage @p s's channel @p port. */
+    void pushChannel(int s, int port, Slot v);
+
+    /** Queue slot @p v at output @p port, unretired. */
+    void deliver(int port, Slot v);
+
+    /** A free pool slot (its buffers kept from earlier occupants). */
+    Slot acquire();
+
+    /**
+     * Return slot @p v's FIFO credits (auto-retire) or record its path
+     * for retire().
+     */
+    void retireSlot(Slot v);
+
+    /** Retire the front of output @p port if it is still unretired. */
+    void retireFront(int port);
+
+    /**
+     * Whether every count and mask equals the channel, output and pool
+     * scan it summarizes (Debug cross-check).
+     */
+    bool bookkeepingMatchesScan() const;
 
     /**
      * Pack fragment @p b into fragment @p a (lane masks) with the
@@ -124,10 +184,23 @@ class ShuffleNetwork
 
     ShuffleConfig cfg_;
     int stages_;
+    /** Every vector in the network, by slot; free_ lists the unused. */
+    std::vector<ShuffleVector> pool_;
+    std::vector<Slot> free_;
     /** channels_[stage][port]: buffering entering each stage. */
     std::vector<std::vector<Fifo>> channels_;
-    /** Delivered vectors per output port. */
+    /** occupied_[stage]: bit u set while merge unit u has input. */
+    std::vector<std::uint64_t> occupied_;
+    /** Delivered vectors per output port, oldest first. */
     std::vector<Fifo> outputs_;
+    /** Ports whose outputs_ are non-empty. */
+    TileMask delivered_ports_;
+    /**
+     * Vectors at the back of each output not yet retired, and the ports
+     * with any: retireDelivered() retires them.
+     */
+    std::vector<std::uint32_t> unretired_;
+    TileMask unretired_ports_;
     /** In-flight counts per (stage, merge unit) for FIFO credits. */
     std::vector<std::vector<int>> in_flight_;
     /** id -> traversed (stage, unit) pairs, for retire(). */
@@ -136,13 +209,10 @@ class ShuffleNetwork
         paths_;
     /** Vectors buffered between stages; 0 makes step() an O(1) no-op. */
     int live_ = 0;
-    /** Vectors in each stage's channels; step() skips stages at 0. */
-    std::vector<int> stage_live_;
-    /** Vectors waiting in outputs_ for tryEject(). */
+    /** Vectors waiting in outputs_. */
     int delivered_ = 0;
     bool auto_retire_ = true;
     std::uint64_t next_merged_id_ = 1ull << 48;
 };
 
 } // namespace capstan::sim
-

@@ -164,6 +164,17 @@ manyTileGoldens()
          {"--app", "spmv", "--scale", "0.3", "--tiles", "5", "--merge",
           "mrg16"},
          885, 24682, 35030, 0, 304, 235, 3752, 24682, 0},
+        // The 128-port network: ports 64-127 and the upper half of
+        // every port and tile mask. Captured before the shuffle pooled
+        // its vectors; identical under CAPSTAN_NO_FF=1.
+        {"bfs-128-tiles",
+         {"--app", "bfs", "--scale", "0.5", "--tiles", "128"},
+         20712, 12582, 64298, 14596, 406608, 4805, 42393, 37746, 0},
+        // 100 tiles on 128 ports: the upper 28 ports stay idle.
+        {"pagerank-100-tiles-mrg1",
+         {"--app", "pagerank", "--scale", "0.5", "--tiles", "100",
+          "--merge", "mrg1"},
+         656, 25536, 135936, 0, 187424, 740, 25772, 35438, 6},
     };
     return g;
 }
