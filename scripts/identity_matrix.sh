@@ -9,13 +9,11 @@
 # followed by the 8 points of the benchmark's sim-long workload.
 #
 # The expected output is checked in as scripts/identity_matrix.expected,
-# and CI fails unless a fresh run equals it, with and without dense
-# stepping:
+# and CI fails unless a fresh run equals it, from the Release build and
+# from the ASan+UBSan Debug build:
 #
 #   scripts/identity_matrix.sh build > matrix.txt
 #   diff scripts/identity_matrix.expected matrix.txt
-#   CAPSTAN_NO_FF=1 scripts/identity_matrix.sh build > matrix-dense.txt
-#   diff matrix.txt matrix-dense.txt
 #
 # A change that moves simulated results re-records the expected file in
 # the same commit, as it re-records the goldens. Exits non-zero if any

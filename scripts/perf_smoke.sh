@@ -5,10 +5,9 @@
 # reproduction at bench-smoke scales, single-threaded so the number
 # tracks the stepping engine rather than the host's core count) and
 # fails when it regresses more than 2x against the reference recorded
-# in BENCH_sweep.json — the value measured with the fast-forward
-# stepping engine. The 2x headroom absorbs CI-runner noise; a real hot
-# path regression (losing fast-forward coverage, reintroducing
-# per-token allocation) blows well past it.
+# in BENCH_sweep.json. The 2x headroom absorbs CI-runner noise; a real
+# hot path regression (stepping idle tiles or SpMUs again,
+# reintroducing per-token allocation) blows well past it.
 #
 # On hosts that cannot produce a reference number — no python3, or a
 # BENCH_sweep.json without a report_quick benchmark — the check skips

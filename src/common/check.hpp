@@ -4,7 +4,7 @@
  *
  * `CAPSTAN_CHECK(cond, ...)` is *always on*, in every build type. Use
  * it at subsystem boundaries where a violated precondition would turn
- * into silent corruption of simulation results: fast-forward horizons,
+ * into silent corruption of simulation results: the phase watchdog,
  * cache-header consistency, constructor parameter ranges. A failure
  * prints the expression, location, and optional message to stderr and
  * aborts — a reproduction that would produce wrong numbers must die
@@ -18,7 +18,7 @@
  *
  * Both accept an optional message after the condition:
  *
- *     CAPSTAN_CHECK(target > now_, "fast-forward must move time");
+ *     CAPSTAN_CHECK(now_ - start <= max_cycles, "phase not draining");
  *     CAPSTAN_DCHECK(!empty());
  *
  * docs/STATIC_ANALYSIS.md documents when to reach for which.

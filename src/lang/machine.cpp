@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <span>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/interrupt.hpp"
 
 namespace capstan::lang {
@@ -38,11 +36,7 @@ shuffleConfigFor(const CapstanConfig &cfg, int tiles)
 Machine::Machine(const CapstanConfig &cfg, int tiles)
     : cfg_(cfg),
       dram_(cfg.dram),
-      shuffle_(shuffleConfigFor(cfg, tiles)),
-      // Bisecting switch: results must be identical either way. Read
-      // per construction, not cached, so a test can flip it between
-      // in-process runs.
-      dense_stepping_(std::getenv(common::env::kNoFastForward) != nullptr)
+      shuffle_(shuffleConfigFor(cfg, tiles))
 {
     // Tile, port and merge-unit indices travel as int8_t
     // (Token::lane_tile, the shuffle's paths).
@@ -56,7 +50,6 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
     int ag_entries = cfg.sparse_support ? 64 : 1;
     ag_busy_until_.assign(tiles, 0);
     completions_.resize(tiles);
-    refusals_.resize(tiles);
     for (int t = 0; t < tiles; ++t) {
         spmus_.push_back(
             std::make_unique<sim::SparseMemoryUnit>(cfg.spmu));
@@ -171,7 +164,6 @@ Machine::issue(int t, int s, std::uint64_t uid, int parts,
     ++in_flight_;
     popInput(tile, st);
     tile.last_active = now_;
-    cycle_progress_ = true;
 }
 
 bool
@@ -186,26 +178,7 @@ Machine::enqueue(int t, const sim::AccessVector &av,
         std::copy(uids.begin(), uids.end(), done.uid.begin());
         return true;
     }
-    countRefusal(t);
     return false;
-}
-
-bool
-Machine::refuseIfFull(int t)
-{
-    if (!spmus_[t]->refuseIfFull())
-        return false;
-    countRefusal(t);
-    return true;
-}
-
-void
-Machine::countRefusal(int t)
-{
-    Refusals &r = refusals_[t];
-    if (r.cycle != now_)
-        r = Refusals{now_, 0};
-    ++r.count;
 }
 
 bool
@@ -222,7 +195,6 @@ Machine::advance(int t, int s, Token token, Cycle extra_latency)
 {
     Tile &tile = tiles_[t];
     tile.last_active = now_;
-    cycle_progress_ = true;
     token.ready_at = now_ + extra_latency + cfg_.network_hop_latency;
     if (s + 1 < static_cast<int>(tile.stages.size()))
         pushInput(t, s + 1, token);
@@ -280,7 +252,6 @@ Machine::stepTile(int t)
             Token tok = st.in.front();
             popInput(tile, st);
             tile.last_active = now_;
-            cycle_progress_ = true;
             ++st.tokens_out;
             ++totals_.tokens;
             // Lane-occupancy stats are taken at the loop body (the
@@ -318,13 +289,8 @@ Machine::stepTile(int t)
                 --st.scan_skip_remaining;
                 totals_.scan_empty_cycles += 1;
                 tile.last_active = now_;
-                // Finishing the burn is an event: next cycle this stage
-                // can consume again (or unblock a reduction flush), so
-                // the fast-forward engine must not jump over it.
-                if (!st.burning()) {
-                    cycle_progress_ = true;
+                if (!st.burning())
                     addWork(tile, -1);
-                }
                 break;
             }
             if (st.scan_occupied > 0) {
@@ -332,10 +298,8 @@ Machine::stepTile(int t)
                 // (or a slow data-scan sweep): busy, not a Scan stall.
                 --st.scan_occupied;
                 tile.last_active = now_;
-                if (st.scan_occupied == 0) {
-                    cycle_progress_ = true;
+                if (st.scan_occupied == 0)
                     addWork(tile, -1);
-                }
                 break;
             }
             if (st.in.empty() || st.in.front().ready_at > now_ ||
@@ -344,7 +308,6 @@ Machine::stepTile(int t)
             }
             Token tok = st.in.front();
             popInput(tile, st);
-            cycle_progress_ = true;
             // Empty windows preceding this token cost a cycle each.
             if (tok.scan_skip > 0)
                 st.scan_skip_remaining += tok.scan_skip;
@@ -377,7 +340,7 @@ Machine::stepTile(int t)
           }
           case StageKind::Spmu: {
             if (st.in.empty() || st.in.front().ready_at > now_ ||
-                refuseIfFull(t)) {
+                spmus_[t]->refuseIfFull()) {
                 break;
             }
             const Token &tok = st.in.front();
@@ -545,7 +508,6 @@ Machine::stepTile(int t)
             Token tok = st.in.front();
             popInput(tile, st);
             tile.last_active = now_;
-            cycle_progress_ = true;
             if (tok.end_group)
                 setReduceGroups(tile, st, st.reduce_groups + 1);
             if (st.reduce_groups >= sim::kMaxLanes) {
@@ -652,10 +614,6 @@ Machine::runPhase(Cycle max_cycles)
                       "Machine::runPhase exceeded its watchdog: the "
                       "phase is not draining");
 
-        // Arm the progress detector: a cycle that consumes, issues, or
-        // delivers nothing (scanner burns and latency waits only) lets
-        // the machine fast-forward to the next event horizon below.
-        cycle_progress_ = false;
         // A tile with no queued token and no burn would step as a no-op.
         // Stepping a tile changes only its own work, so the busy mask
         // visits exactly the tiles an ascending scan would.
@@ -674,7 +632,8 @@ Machine::runPhase(Cycle max_cycles)
             CAPSTAN_DCHECK(p < tiles(), "a vector delivered past the tiles");
             // A full SpMU refuses before the vector is built, so a
             // refused attempt takes no vector id.
-            while (shuffle_.deliveredPorts().test(p) && !refuseIfFull(p)) {
+            while (shuffle_.deliveredPorts().test(p) &&
+                   !spmus_[p]->refuseIfFull()) {
                 const sim::ShuffleVector &sv = shuffle_.front(p);
                 sim::AccessVector av;
                 av.id = next_vec_id_++;
@@ -696,7 +655,6 @@ Machine::runPhase(Cycle max_cycles)
                 if (!enqueue(p, av, std::span(uids.data(), n)))
                     break;
                 shuffle_.pop(p);
-                cycle_progress_ = true;
             }
         });
 
@@ -705,12 +663,8 @@ Machine::runPhase(Cycle max_cycles)
         // change only its own record FIFO.
         busy_spmus_.forEach([&](int t) {
             sim::SparseMemoryUnit &spmu = *spmus_[t];
-            std::uint64_t grants_before = spmu.stats().grants;
             spmu.step();
-            if (spmu.stats().grants != grants_before)
-                cycle_progress_ = true;
             while (auto cv = spmu.tryDequeue()) {
-                cycle_progress_ = true;
                 const Completion &done = completions_[t].front();
                 CAPSTAN_DCHECK(done.vec_id == cv->id,
                                "a SpMU dequeued out of enqueue order");
@@ -751,19 +705,6 @@ Machine::runPhase(Cycle max_cycles)
         }
 
         ++now_;
-        ++stepped_cycles_;
-
-        if (!cycle_progress_ && !dense_stepping_) {
-            // Nothing observable happened: every cycle from here to the
-            // horizon would be identical. Jump straight to it (capped so
-            // the watchdog still fires at the same simulated cycle).
-            Cycle target = nextEventCycle();
-            if (target != sim::kNoEventCycle) {
-                target = std::min(target, start + max_cycles + 1);
-                if (target > now_)
-                    fastForwardTo(target);
-            }
-        }
     }
 
     PhaseStats ps;
@@ -781,105 +722,6 @@ Machine::runPhase(Cycle max_cycles)
     }
     totals_.cycles += ps.cycles;
     return ps;
-}
-
-Cycle
-Machine::nextEventCycle() const
-{
-    // A busy butterfly pins the clock (its horizon is `now_`): vectors
-    // between its stages move every cycle, so never jump over it.
-    // (Network transits are a few cycles; the long waits this function
-    // exists for are DRAM latency and scanner burns.)
-    if (shuffle_.nextEventCycle(now_) != sim::kNoEventCycle)
-        return now_;
-
-    Cycle target = sim::kNoEventCycle;
-    // Without a queued token or a burn a tile has no wake-up.
-    busy_tiles_.forEach([&](int t) {
-        const Tile &tile = tiles_[t];
-        // A reduction holding a partial group can flush in the very
-        // iteration an upstream burn drains (reduce_groups only changes
-        // on progress, so this is frozen during a jump). In that case
-        // the final burn cycle must execute densely — the bulk replay
-        // would miss the same-iteration flush — so the burn horizon
-        // stops one cycle short of the burn's end.
-        Cycle early = tile.reducing > 0 ? 1 : 0;
-        for (const Stage &st : tile.stages) {
-            // A burning scanner reaches its next decision (consume the
-            // next window token, or unblock a reduction flush) once its
-            // skip and occupancy counters drain.
-            std::int64_t burn = st.scan_skip_remaining + st.scan_occupied;
-            if (burn > 0)
-                target = std::min(target,
-                                  now_ + static_cast<Cycle>(burn) - early);
-            // A stage whose head token ripens in the future wakes then.
-            // Heads already ripe (ready_at < now_) are blocked on
-            // capacity and wake via whichever unit frees it.
-            if (!st.in.empty() && st.in.front().ready_at >= now_)
-                target = std::min(target, st.in.front().ready_at);
-        }
-    });
-    busy_spmus_.forEach([&](int t) {
-        // The SpMU horizon is on its local clock, which advances once
-        // per machine cycle while the unit is busy.
-        const sim::SparseMemoryUnit &spmu = *spmus_[t];
-        Cycle wake = spmu.nextEventCycle();
-        CAPSTAN_DCHECK(wake != sim::kNoEventCycle,
-                       "a non-empty SpMU must publish a horizon");
-        target = std::min(target, now_ + (wake - spmu.now()));
-    });
-    return target;
-}
-
-void
-Machine::fastForwardTo(Cycle target)
-{
-    // Jumps must move time forward, and only ever happen with no
-    // vector between shuffle stages: a busy butterfly pins the horizon
-    // to `now_`, so a jump past in-flight vectors would skip their
-    // per-cycle movement and corrupt the cycle counts. Delivered
-    // vectors waiting on a full SpMU replay through its refusals.
-    CAPSTAN_CHECK(target > now_, "fast-forward must move time forward");
-    CAPSTAN_DCHECK(shuffle_.nextEventCycle(now_) == sim::kNoEventCycle,
-                   "fast-forward with vectors between shuffle stages");
-    Cycle skipped = target - now_;
-    busy_tiles_.forEach([&](int t) {
-        Tile &tile = tiles_[t];
-        for (Stage &st : tile.stages) {
-            if (!st.burning())
-                continue;
-            // Replay the per-cycle burn in bulk: empty windows first
-            // (one Scan-stall cycle each), then occupancy. The stage is
-            // "active" through its final burn cycle, exactly as the
-            // dense loop would have recorded.
-            auto budget = static_cast<std::int64_t>(skipped);
-            std::int64_t burn_skip =
-                std::min(budget, st.scan_skip_remaining);
-            st.scan_skip_remaining -= burn_skip;
-            totals_.scan_empty_cycles +=
-                static_cast<double>(burn_skip);
-            std::int64_t burn_occ =
-                std::min(budget - burn_skip, st.scan_occupied);
-            st.scan_occupied -= burn_occ;
-            std::int64_t burned = burn_skip + burn_occ;
-            if (burned > 0)
-                tile.last_active =
-                    std::max(tile.last_active,
-                             now_ + static_cast<Cycle>(burned) - 1);
-            if (!st.burning())
-                addWork(tile, -1);
-        }
-    });
-    for (int t = 0; t < tiles(); ++t) {
-        // Refused enqueues retry (and re-count) every skipped cycle:
-        // those of the cycle just stepped, now_ - 1.
-        const Refusals &r = refusals_[t];
-        std::uint64_t stalls = r.cycle == now_ - 1 ? r.count : 0;
-        Cycle busy = completions_[t].empty() ? 0 : skipped;
-        if (busy > 0 || stalls > 0)
-            spmus_[t]->skipCycles(busy, stalls * skipped);
-    }
-    now_ = target;
 }
 
 void

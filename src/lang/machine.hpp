@@ -6,28 +6,17 @@
  * pipeline stages (scan headers, vectorized map/reduce bodies, SpMU
  * accesses, DRAM streams). The Machine owns one SpMU and one DRAM
  * address generator per tile, a shared DRAM model, and a shared shuffle
- * network; each cycle it steps the components that have work (a tile
- * with a queued token or a burning scanner, a SpMU holding vectors, a
- * merge unit with input) until all chains drain. Busy tiles and SpMUs
- * are bitmasks kept as their counts leave and reach zero, visited in
+ * network. runPhase() steps every cycle, one at a time, until all
+ * chains drain; a cycle visits only the components that have work (a
+ * tile with a queued token or a burning scanner, a SpMU holding
+ * vectors, a merge unit with input). Busy tiles and SpMUs are
+ * bitmasks kept as their counts leave and reach zero, visited in
  * ascending order; vectors the shuffle delivers are read in place from
  * its output queues and wait there while their SpMU is full. The
  * address generators carry remote updates when there is no shuffle
  * network (`--merge none`). Iterative applications run a *sequence of
  * phases* (one per loop level or kernel); the machine accumulates
  * cycles and the stall statistics behind Fig. 7.
- *
- * Stepping is cycle-exact but not cycle-by-cycle: when a cycle makes no
- * observable progress (every stage is waiting on a token's ready_at, a
- * scanner burn, or an in-flight memory access), the machine takes the
- * earliest event of its stages, SpMUs and shuffle network (the units'
- * nextEventCycle() horizons) and jumps straight to it,
- * attributing the skipped cycles to the same stall classes the dense
- * loop would have (see docs/ARCHITECTURE.md, "Stepping engine"). Results
- * and statistics are bit-identical to one-cycle-at-a-time stepping.
- *
- * CAPSTAN_NO_FF=1 forces dense one-cycle stepping; it is read at
- * construction, not cached, so tests can bisect in-process.
  *
  * This mirrors the paper's methodology: a custom cycle-level simulator at
  * vector granularity with a loosely-timed network (Section 4).
@@ -133,8 +122,8 @@ class Machine
      * Run until every chain drains and every stream has run dry.
      * A producer's exception propagates out of the pull that resumed
      * it; runPhase() rethrows it.
-     * @param max_cycles Watchdog; the phase aborts (and asserts in
-     *        debug builds) if exceeded.
+     * @param max_cycles Watchdog: a phase still holding work after
+     *        this many cycles aborts, in every build.
      */
     PhaseStats runPhase(Cycle max_cycles = 1ull << 34);
 
@@ -158,17 +147,9 @@ class Machine
     const RunTotals &totals() const { return totals_; }
 
     /**
-     * Cycles runPhase() stepped one at a time; the remaining phase
-     * cycles were fast-forwarded. It differs under CAPSTAN_NO_FF=1
-     * (where it equals the phase cycles), so it is a host-side counter
-     * and never part of the stats.
-     */
-    std::uint64_t steppedCycles() const { return stepped_cycles_; }
-
-    /**
-     * stepTile() calls runPhase() made: a stepped cycle visits only the
-     * tiles with a queued token or a burning scanner. Host-side, like
-     * steppedCycles(), and never part of the stats.
+     * stepTile() calls runPhase() made: a cycle visits only the tiles
+     * with a queued token or a burning scanner. A host-side counter,
+     * never part of the stats.
      */
     std::uint64_t steppedTiles() const { return stepped_tiles_; }
 
@@ -263,13 +244,6 @@ class Machine
         std::array<std::uint64_t, sim::kMaxLanes> uid{};
     };
 
-    /** Enqueues one SpMU refused during one cycle. */
-    struct Refusals
-    {
-        Cycle cycle = sim::kNoEventCycle;
-        std::uint64_t count = 0;
-    };
-
     /** Resolve (and cache) the lane-accounting stage for tile @p t. */
     int laneCountStage(int t);
 
@@ -313,22 +287,11 @@ class Machine
     void deliverPending(std::uint64_t uid);
 
     /**
-     * tryEnqueue() @p av at SpMU @p t. Accepted: record the accesses
-     * @p uids to credit when the vector dequeues. Refused: count the
-     * refusal for fastForwardTo().
+     * tryEnqueue() @p av at SpMU @p t; when it is accepted, record the
+     * accesses @p uids to credit when the vector dequeues.
      */
     bool enqueue(int t, const sim::AccessVector &av,
                  std::span<const std::uint64_t> uids);
-
-    /**
-     * Refusal before build: when SpMU @p t's queue is full, count the
-     * refusal exactly as a refused enqueue() would and return true, so
-     * the caller skips building the vector.
-     */
-    bool refuseIfFull(int t);
-
-    /** Count one refused enqueue at SpMU @p t for fastForwardTo(). */
-    void countRefusal(int t);
 
     /** True while a token, burn, group, access or vector is in flight. */
     bool workRemains() const;
@@ -342,26 +305,6 @@ class Machine
     bool workRemainsScan() const;
     bool countersMatchScan() const;
 
-    /**
-     * Earliest cycle >= now_ at which any stage or unit can do
-     * observable work (consume a token, issue a memory access, finish a
-     * scanner burn, complete a vector), or sim::kNoEventCycle when no
-     * time-triggered event is pending. Only meaningful right after a
-     * cycle that made no such progress: the machine state is then
-     * frozen except for clocks and burn counters, so every cycle before
-     * the returned horizon is provably identical.
-     */
-    Cycle nextEventCycle() const;
-
-    /**
-     * Jump the clock to @p target (a cycle <= nextEventCycle()),
-     * emulating the skipped cycles exactly: scanner skip/occupancy
-     * counters burn (attributed to the Scan stall class and to
-     * last_active), busy SpMUs advance, and refused enqueues replay
-     * into the stall statistics.
-     */
-    void fastForwardTo(Cycle target);
-
     CapstanConfig cfg_;
     sim::DramModel dram_;
     sim::ShuffleNetwork shuffle_;
@@ -372,8 +315,6 @@ class Machine
     std::vector<Tile> tiles_;
     /** Per-SpMU completion records, in enqueue order. */
     std::vector<common::RingQueue<Completion>> completions_;
-    /** Per-SpMU refusals of the last cycle that had any. */
-    std::vector<Refusals> refusals_;
     /**
      * The tiles with work and the SpMUs with a completion record: the
      * ones a cycle steps, set and cleared as the counts leave and
@@ -386,15 +327,10 @@ class Machine
     std::int64_t tile_work_ = 0;
     int reducing_ = 0;
     std::uint64_t in_flight_ = 0;
-    /** Whether the current cycle did observable work (gates jumps). */
-    bool cycle_progress_ = false;
-    /** CAPSTAN_NO_FF=1 at construction: never fast-forward. */
-    bool dense_stepping_ = false;
     Cycle now_ = 0;
     std::uint64_t next_vec_id_ = 1;
     double stream_compression_ = 1.0;
     RunTotals totals_;
-    std::uint64_t stepped_cycles_ = 0;
     std::uint64_t stepped_tiles_ = 0;
 };
 

@@ -25,14 +25,6 @@ namespace capstan::sim {
 /** Simulation time, in core clock cycles (kClockGhz). */
 using Cycle = std::uint64_t;
 
-/**
- * Sentinel returned by the SpMU's and the shuffle network's
- * nextEventCycle() horizons when no future event is pending (the unit
- * is drained). The fast-forward engine (lang::Machine) treats it as
- * "no constraint".
- */
-constexpr Cycle kNoEventCycle = ~Cycle{0};
-
 /** SIMD lanes per compute/memory unit; Table 7 fixes l = 16. */
 constexpr int kMaxLanes = 16;
 

@@ -80,18 +80,6 @@ class ShuffleNetwork
     /** Advance one cycle: each stage moves/merges/splits vectors. */
     void step();
 
-    /**
-     * Event horizon for the fast-forward engine: vectors between
-     * stages move, merge or serialize every step, so this returns
-     * @p now while any is in the butterfly. A delivered vector waits
-     * on its consumer, not on the network, so outputs alone leave it
-     * kNoEventCycle.
-     */
-    Cycle nextEventCycle(Cycle now) const
-    {
-        return live_ == 0 ? kNoEventCycle : now;
-    }
-
     /** Pop a copy of the oldest delivered vector at @p port, if any. */
     std::optional<ShuffleVector> tryEject(int port);
 

@@ -484,53 +484,6 @@ SparseMemoryUnit::step()
     completeLanes();
 }
 
-Cycle
-SparseMemoryUnit::nextEventCycle() const
-{
-    if (!ready_.empty() || queue_.empty())
-        return now_;
-    // RMW second passes re-arbitrate only in the (non-ideal) arbitrated
-    // baseline; any other configuration carrying one is treated as
-    // always-active so the caller never skips over it.
-    bool arb = !cfg_.ideal && cfg_.ordering == Ordering::Arbitrated;
-    Cycle wake = kNoEventCycle;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const Slot &s = queue_[i];
-        if (s.pending == 0 && s.rmw_second_pass == 0)
-            continue;
-        if (s.pending != 0 || !arb)
-            return now_; // A lane may issue on the very next step.
-        // Arbitrated RMW write pass: blocked until every read returns;
-        // younger slots cannot overtake it, so only this one matters.
-        Cycle reads_back = 0;
-        forEachSetBit(s.rmw_second_pass, [&](int l) {
-            reads_back = std::max(reads_back, s.done_at[l]);
-        });
-        wake = std::min(wake, std::max(reads_back, now_));
-        break;
-    }
-    // Head completion: completeLanes() runs after the step's clock
-    // increment, so the head drains in the step that starts one cycle
-    // before its last lane's done_at.
-    const Slot &head = queue_.front();
-    if (head.pending == 0 && head.rmw_second_pass == 0) {
-        Cycle last = 0;
-        forEachSetBit(
-            head.valid & ~std::uint32_t{head.dup},
-            [&](int l) { last = std::max(last, head.done_at[l]); });
-        wake = std::min(wake, last > now_ ? last - 1 : now_);
-    }
-    return wake == kNoEventCycle ? now_ : wake;
-}
-
-void
-SparseMemoryUnit::skipCycles(Cycle cycles, std::uint64_t repeated_enqueue_stalls)
-{
-    now_ += cycles;
-    stats_.cycles += cycles;
-    stats_.enqueue_stalls += repeated_enqueue_stalls;
-}
-
 std::optional<CompletedVector>
 SparseMemoryUnit::tryDequeue()
 {

@@ -133,26 +133,6 @@ class SparseMemoryUnit
     void step();
 
     /**
-     * Earliest local cycle at which a step() can do observable work:
-     * issue a lane, convert an RMW second pass, or complete the head
-     * vector. Returns now() when the very next step may make progress
-     * (or when a completed vector is waiting to be dequeued); any step
-     * strictly before the returned cycle is guaranteed to be a no-op.
-     * The fast-forward engine uses this to jump over latency waits.
-     */
-    Cycle nextEventCycle() const;
-
-    /**
-     * Stand in for @p cycles consecutive no-op step() calls: advance the
-     * local clock and the busy-cycle statistic without touching any
-     * queue state. Only legal when nextEventCycle() >= now() + cycles.
-     * @p repeated_enqueue_stalls additionally accounts the enqueue
-     * refusals the skipped cycles would have recorded (the machine
-     * replays one refused tryEnqueue() per blocked requester per cycle).
-     */
-    void skipCycles(Cycle cycles, std::uint64_t repeated_enqueue_stalls = 0);
-
-    /**
      * Pop the oldest fully-completed vector, if any.
      * Guarantee: vectors leave in the order tryEnqueue() accepted them,
      * under every ordering mode and variant (ideal, input speedup, the
@@ -170,8 +150,6 @@ class SparseMemoryUnit
     int occupancy() const { return static_cast<int>(queue_.size()); }
 
     const SpmuStats &stats() const { return stats_; }
-
-    Cycle now() const { return now_; }
 
     /** Map a word address to its bank under the configured hash. */
     int bankOf(std::uint32_t addr) const;

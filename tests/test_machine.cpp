@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -135,6 +134,14 @@ runCrossTileProgram(Machine &m, std::uint32_t seed)
     m.runPhase();
     return expected;
 }
+
+/** The statistics one run of runCrossTileProgram() exposes. */
+struct CrossTileStats
+{
+    RunTotals totals;
+    sim::SpmuStats spmu;
+    sim::DramStats dram;
+};
 
 /**
  * @p n full tokens, counting each one yielded in @p yielded; the frame
@@ -539,59 +546,60 @@ TEST(MachineProperty, TokensConserved)
 }
 
 /**
- * Property: a multi-phase cross-tile program on 64 tiles conserves
- * tokens, and its stats equal dense one-cycle stepping (CAPSTAN_NO_FF=1,
- * read per Machine): the work counters behind the jump horizons and the
- * refusal replay stay exact while rings change hands. Runs through the
- * shuffle (Mrg-1) and without it (two-leg reads, DRAM-atomic updates).
+ * Property and golden: a multi-phase cross-tile program on 64 tiles
+ * conserves tokens, and its stats stay pinned while rings change hands
+ * between phases and the busy masks skip idle tiles and SpMUs. Runs
+ * through the shuffle (Mrg-1) and without it (two-leg reads,
+ * DRAM-atomic updates). Recorded on a build where these runs equalled
+ * one-cycle-at-a-time stepping in every field.
  */
-TEST(MachineProperty, CrossTilePhasesMatchDenseStepping)
+TEST(MachineProperty, CrossTilePhasesMatchTheirGoldens)
 {
-    ASSERT_EQ(std::getenv("CAPSTAN_NO_FF"), nullptr);
-    for (sim::MergeMode mode : {sim::MergeMode::Mrg1, sim::MergeMode::None}) {
+    const std::pair<sim::MergeMode, CrossTileStats> goldens[] = {
+        {sim::MergeMode::Mrg1,
+         {{485, 27069, 23843, 2728, 122144, 2120},
+          {16772, 43417, 14329, 14329, 95, 0, 0},
+          {970, 970, 0, 0, 0, 62080}}},
+        {sim::MergeMode::None,
+         {{26719, 27069, 23843, 2728, 8747312, 2120},
+          {7483, 43456, 6787, 6787, 500, 0, 0},
+          {23780, 13976, 9804, 548, 22262, 1521920}}},
+    };
+    for (const auto &[mode, want] : goldens) {
         SCOPED_TRACE(sim::mergeModeName(mode));
         CapstanConfig cfg = hbmConfig();
         cfg.shuffle.mode = mode;
-        Machine fast(cfg, 64);
-        std::uint64_t expected = runCrossTileProgram(fast, 41);
-        ::setenv("CAPSTAN_NO_FF", "1", 1);
-        Machine dense(cfg, 64);
-        runCrossTileProgram(dense, 41);
-        ::unsetenv("CAPSTAN_NO_FF");
+        Machine m(cfg, 64);
+        std::uint64_t expected = runCrossTileProgram(m, 41);
+        EXPECT_EQ(m.totals().tokens, expected);
+        EXPECT_LT(m.steppedTiles(), 64 * m.totals().cycles);
 
-        EXPECT_EQ(fast.totals().tokens, expected);
-        EXPECT_EQ(dense.steppedCycles(), dense.totals().cycles);
-        EXPECT_LT(fast.steppedTiles(), 64 * fast.steppedCycles());
+        const RunTotals &a = m.totals();
+        EXPECT_EQ(a.cycles, want.totals.cycles);
+        EXPECT_EQ(a.active_lane_cycles, want.totals.active_lane_cycles);
+        EXPECT_EQ(a.vector_idle_lane_cycles,
+                  want.totals.vector_idle_lane_cycles);
+        EXPECT_EQ(a.scan_empty_cycles, want.totals.scan_empty_cycles);
+        EXPECT_EQ(a.imbalance_lane_cycles,
+                  want.totals.imbalance_lane_cycles);
+        EXPECT_EQ(a.tokens, want.totals.tokens);
 
-        const RunTotals &a = fast.totals();
-        const RunTotals &b = dense.totals();
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.active_lane_cycles, b.active_lane_cycles);
-        EXPECT_EQ(a.vector_idle_lane_cycles, b.vector_idle_lane_cycles);
-        EXPECT_EQ(a.scan_empty_cycles, b.scan_empty_cycles);
-        EXPECT_EQ(a.imbalance_lane_cycles, b.imbalance_lane_cycles);
-        EXPECT_EQ(a.tokens, b.tokens);
+        sim::SpmuStats sa = m.spmuTotals();
+        EXPECT_EQ(sa.cycles, want.spmu.cycles);
+        EXPECT_EQ(sa.grants, want.spmu.grants);
+        EXPECT_EQ(sa.vectors_in, want.spmu.vectors_in);
+        EXPECT_EQ(sa.vectors_out, want.spmu.vectors_out);
+        EXPECT_EQ(sa.enqueue_stalls, want.spmu.enqueue_stalls);
+        EXPECT_EQ(sa.elided_reads, want.spmu.elided_reads);
+        EXPECT_EQ(sa.splits, want.spmu.splits);
 
-        sim::SpmuStats sa = fast.spmuTotals();
-        sim::SpmuStats sb = dense.spmuTotals();
-        EXPECT_GT(sa.vectors_in, 0u);
-        EXPECT_EQ(sa.cycles, sb.cycles);
-        EXPECT_EQ(sa.grants, sb.grants);
-        EXPECT_EQ(sa.vectors_in, sb.vectors_in);
-        EXPECT_EQ(sa.vectors_out, sb.vectors_out);
-        EXPECT_EQ(sa.enqueue_stalls, sb.enqueue_stalls);
-        EXPECT_EQ(sa.elided_reads, sb.elided_reads);
-        EXPECT_EQ(sa.splits, sb.splits);
-
-        const sim::DramStats &da = fast.dram().stats();
-        const sim::DramStats &db = dense.dram().stats();
-        EXPECT_GT(da.bytes, 0u);
-        EXPECT_EQ(da.bursts, db.bursts);
-        EXPECT_EQ(da.reads, db.reads);
-        EXPECT_EQ(da.writes, db.writes);
-        EXPECT_EQ(da.row_hits, db.row_hits);
-        EXPECT_EQ(da.row_misses, db.row_misses);
-        EXPECT_EQ(da.bytes, db.bytes);
+        const sim::DramStats &da = m.dram().stats();
+        EXPECT_EQ(da.bursts, want.dram.bursts);
+        EXPECT_EQ(da.reads, want.dram.reads);
+        EXPECT_EQ(da.writes, want.dram.writes);
+        EXPECT_EQ(da.row_hits, want.dram.row_hits);
+        EXPECT_EQ(da.row_misses, want.dram.row_misses);
+        EXPECT_EQ(da.bytes, want.dram.bytes);
     }
 }
 
@@ -614,8 +622,23 @@ TEST(Machine, SteppedCyclesVisitOnlyTilesWithWork)
     m.feed(0, tokenStream(std::move(toks)));
     m.runPhase();
     EXPECT_EQ(m.totals().tokens, 50u);
-    EXPECT_GT(m.steppedCycles(), 0u);
-    EXPECT_EQ(m.steppedTiles(), m.steppedCycles());
+    EXPECT_GT(m.totals().cycles, 0u);
+    EXPECT_EQ(m.steppedTiles(), m.totals().cycles);
+}
+
+TEST(MachineDeathTest, WatchdogAbortsAPhasePastItsBound)
+{
+    // One token through a 500-cycle Map: the phase needs about 500
+    // cycles, inside a 600-cycle watchdog and far past a 100-cycle one.
+    auto latencyPhase = [](Cycle max_cycles) {
+        Machine m(idealConfig(), 1);
+        m.addStage(0, {StageKind::Map, 500});
+        m.addStage(0, {StageKind::Sink});
+        m.feed(0, tokenStream({Token::compute(4)}));
+        return m.runPhase(max_cycles).cycles;
+    };
+    EXPECT_EQ(latencyPhase(600), 501u);
+    EXPECT_DEATH(latencyPhase(100), "exceeded its watchdog");
 }
 
 TEST(MachineStream, FeedPullsOneTokenAheadOfTheSource)

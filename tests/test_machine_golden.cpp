@@ -1,16 +1,14 @@
 /**
  * @file
- * Golden timing tests for the fast-forward stepping engine.
+ * Golden timing tests for the machine's stepping loop.
  *
- * The Machine jumps over provably-idle cycles (lang/machine.hpp); these
- * tests pin whole-run cycle counts and Fig. 7 stall breakdowns for
- * representative (app x dataset x machine) points, captured from the
- * dense one-cycle-at-a-time executor before the fast-forward refactor.
- * Any behavioral drift in the stepping engine — overshooting an event
- * horizon, mis-attributing a skipped cycle, dropping a stall-counter
- * replay — shows up here as an exact-value mismatch. The same runs can
- * be reproduced densely with CAPSTAN_NO_FF=1 to bisect a failure; one
- * test flips that switch in-process and byte-compares the stats.
+ * The Machine steps every cycle and visits only the units with work
+ * (lang/machine.hpp); these tests pin whole-run cycle counts and Fig. 7
+ * stall breakdowns for representative (app x dataset x machine)
+ * points, each captured from one-cycle-at-a-time stepping. Any
+ * behavioral drift in the loop — a tile or SpMU with work left
+ * unstepped, a stall cycle charged to the wrong class, a lost enqueue
+ * refusal — shows up here as an exact-value mismatch.
  *
  * Also covers the trailing-empty-window token of a scanner-window
  * stream (valid_mask = 0), which must burn scanner cycles without ever
@@ -19,9 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -34,7 +30,6 @@ using namespace capstan;
 using namespace capstan::driver;
 using capstan::lang::Machine;
 using capstan::common::RingQueue;
-using capstan::lang::PhaseStats;
 using capstan::lang::RunTotals;
 using capstan::lang::StageKind;
 using capstan::lang::Token;
@@ -60,16 +55,14 @@ struct Golden
 };
 
 /**
- * Captured on the pre-fast-forward dense executor (PR 3 tree) via
- * `capstan-run <args> --json`; scales are bench-smoke sized so the
- * whole table runs in seconds. The bfs-scanbits1 and pagerank rows
- * were recaptured when dataset scaling switched from truncation to
- * round-to-nearest (their generated dimensions moved by one); both
- * were re-verified bit-identical against the dense executor with
- * CAPSTAN_NO_FF=1. The two matadd-scan-bits rows were captured while
- * M+M still built bit-trees for every row pair, before it counted the
- * union populations from the sorted pointer lists; identical under
- * CAPSTAN_NO_FF=1.
+ * Captured from one-cycle-at-a-time stepping via `capstan-run <args>
+ * --json`; scales are bench-smoke sized so the whole table runs in
+ * seconds. The bfs-scanbits1 and pagerank rows were recaptured when
+ * dataset scaling switched from truncation to round-to-nearest (their
+ * generated dimensions moved by one). The two matadd-scan-bits rows
+ * were captured while M+M still built bit-trees for every row pair,
+ * before it counted the union populations from the sorted pointer
+ * lists.
  */
 const std::vector<Golden> &
 goldens()
@@ -101,8 +94,8 @@ goldens()
          {"--app", "bfs", "--scale", "0.1", "--tiles", "4", "--merge",
           "none"},
          12022, 2442, 12422, 149, 118576, 929, 3433, 6924, 2},
-        // Burn-heavy scanner geometry (1-bit windows): the fast-forward
-        // engine must stop at every burn completion, not jump past it.
+        // Burn-heavy scanner geometry (1-bit windows): a burn ends every
+        // few cycles and re-arms the scanner.
         {"bfs-scanbits1",
          {"--app", "bfs", "--scale", "0.02", "--tiles", "4",
           "--scan-bits", "1"},
@@ -135,7 +128,7 @@ goldens()
 /**
  * The many-tile regime: idle tiles, more shuffle ports than tiles, and
  * the no-shuffle paths. Captured before runPhase() skipped idle tiles
- * and merge units; identical under CAPSTAN_NO_FF=1.
+ * and merge units.
  */
 const std::vector<Golden> &
 manyTileGoldens()
@@ -166,7 +159,7 @@ manyTileGoldens()
          885, 24682, 35030, 0, 304, 235, 3752, 24682, 0},
         // The 128-port network: ports 64-127 and the upper half of
         // every port and tile mask. Captured before the shuffle pooled
-        // its vectors; identical under CAPSTAN_NO_FF=1.
+        // its vectors.
         {"bfs-128-tiles",
          {"--app", "bfs", "--scale", "0.5", "--tiles", "128"},
          20712, 12582, 64298, 14596, 406608, 4805, 42393, 37746, 0},
@@ -183,8 +176,7 @@ manyTileGoldens()
  * Saturated SpMUs: Conv keeps every issue queue full, so the Spmu stage
  * and the eject-hold loop are refused tens of thousands of times (27,817
  * to 194,400 refusals across the rows). Captured before a full queue
- * refused an enqueue without building its vector; identical under
- * CAPSTAN_NO_FF=1.
+ * refused an enqueue without building its vector.
  */
 const std::vector<Golden> &
 saturatedSpmuGoldens()
@@ -212,30 +204,6 @@ saturatedSpmuGoldens()
          7444, 50518, 171578, 0, 5984, 13881, 27694, 99884, 27817},
     };
     return g;
-}
-
-/** JSON stats of one in-process `capstan-run <args>`. */
-std::string
-runJson(const std::vector<std::string> &args)
-{
-    ParseResult pr = parseArgs(args);
-    EXPECT_TRUE(pr.ok()) << pr.error;
-    return statsToJson(runDriver(pr.options)).dump(2);
-}
-
-/**
- * One token through a 500-cycle Map: almost every cycle is an idle
- * latency wait. Returns (cycles stepped one at a time, phase cycles).
- */
-std::pair<std::uint64_t, std::uint64_t>
-idleLatencyPhase()
-{
-    Machine m(sim::CapstanConfig::ideal(), 1);
-    m.addStage(0, {StageKind::Map, 500});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, tokenStream({Token::compute(4)}));
-    PhaseStats ps = m.runPhase();
-    return {m.steppedCycles(), ps.cycles};
 }
 
 } // namespace
@@ -269,46 +237,6 @@ TEST(MachineGolden, CycleCountsAndStallBreakdownsAreBitIdentical)
     }
 }
 
-TEST(MachineGolden, NoFastForwardSwitchIsReadPerMachineAndExact)
-{
-    // CAPSTAN_NO_FF=1 is read at Machine construction, so flipping it
-    // between in-process runs takes effect: a machine built before the
-    // flip jumps over the idle wait, one built after steps every
-    // cycle. Simulations run earlier in this process must not latch it.
-    ASSERT_EQ(std::getenv("CAPSTAN_NO_FF"), nullptr);
-    std::vector<std::vector<std::string>> points = {
-        {"--app", "pagerank", "--scale", "0.02", "--tiles", "4",
-         "--iterations", "1"},
-        {"--app", "bfs", "--scale", "0.02", "--tiles", "4",
-         "--iterations", "1"},
-        {"--app", "spmspm", "--scale", "0.02", "--tiles", "4",
-         "--iterations", "1"},
-    };
-    for (const Golden &g : manyTileGoldens())
-        points.push_back(g.args);
-    for (const Golden &g : saturatedSpmuGoldens())
-        points.push_back(g.args);
-    std::vector<std::string> fast;
-    for (const auto &p : points)
-        fast.push_back(runJson(p));
-    auto [ff_stepped, ff_cycles] = idleLatencyPhase();
-
-    ::setenv("CAPSTAN_NO_FF", "1", 1);
-    auto [dense_stepped, dense_cycles] = idleLatencyPhase();
-    std::vector<std::string> dense;
-    for (const auto &p : points)
-        dense.push_back(runJson(p));
-    ::unsetenv("CAPSTAN_NO_FF");
-
-    EXPECT_LT(ff_stepped, ff_cycles) << "fast-forward never engaged";
-    EXPECT_EQ(dense_stepped, dense_cycles)
-        << "CAPSTAN_NO_FF=1 did not force dense stepping";
-    EXPECT_EQ(dense_cycles, ff_cycles);
-    // Fast-forward is exact: the stats match byte for byte.
-    for (std::size_t i = 0; i < points.size(); ++i)
-        EXPECT_EQ(fast[i], dense[i]) << points[i][1];
-}
-
 TEST(MachineGolden, TrailingEmptyWindowsBurnScannerCycles)
 {
     // pops = {3, 0, 0}: one 3-lane body token, then a valid_mask = 0
@@ -327,9 +255,9 @@ TEST(MachineGolden, TrailingEmptyWindowsBurnScannerCycles)
 
 TEST(MachineGolden, AllEmptyWindowsStillCostScannerTime)
 {
-    // Only empty windows: the phase is pure scanner burn. The
-    // fast-forward engine must attribute every skipped cycle to the
-    // Scan stall class and still account the phase makespan.
+    // Only empty windows: the phase is pure scanner burn. Every burn
+    // cycle is charged to the Scan stall class and counts in the phase
+    // makespan.
     Machine m(sim::CapstanConfig::ideal(), 1);
     m.addStage(0, {StageKind::Scan, 1});
     m.addStage(0, {StageKind::Sink});
@@ -358,11 +286,8 @@ TEST(MachineGolden, TrailingEmptyWindowCarriesPendingBytes)
 TEST(MachineGolden, ReduceFlushGatedByTrailingBurnIsCycleExact)
 {
     // A partial reduction whose flush is gated only by a trailing
-    // scanner burn: the dense loop fires the flush in the very
-    // iteration the burn counter reaches zero, so the fast-forward
-    // engine must execute that final burn cycle densely instead of
-    // bulk-replaying it (its horizon stops one cycle short). The cycle
-    // count is pinned from dense stepping (CAPSTAN_NO_FF=1).
+    // scanner burn: the flush fires in the very cycle the burn counter
+    // reaches zero.
     Machine m(sim::CapstanConfig::ideal(), 1);
     m.addStage(0, {StageKind::Scan, 1});
     m.addStage(0, {StageKind::Reduce, 1});
@@ -398,50 +323,4 @@ TEST(MachineGolden, RingQueueGrowsAndKeepsFifoOrder)
         q.pop_front();
     }
     EXPECT_TRUE(q.empty());
-}
-
-TEST(MachineGolden, ShuffleHorizonPinsTheClockWhileBuffered)
-{
-    sim::ShuffleConfig cfg = sim::CapstanConfig::capstan().shuffle;
-    cfg.ports = 4;
-    sim::ShuffleNetwork net(cfg);
-    EXPECT_EQ(net.nextEventCycle(17), sim::kNoEventCycle);
-    sim::ShuffleVector v;
-    v.id = 1;
-    v.valid[0] = true;
-    v.dst_port[0] = 2; // Remote: buffers in the butterfly.
-    ASSERT_TRUE(net.tryInject(0, v));
-    EXPECT_EQ(net.nextEventCycle(17), 17u); // Busy: step every cycle.
-    while (!net.tryEject(2).has_value())
-        net.step();
-    EXPECT_EQ(net.nextEventCycle(17), sim::kNoEventCycle);
-}
-
-TEST(MachineGolden, SpmuNextEventCycleBoundsIdleSteps)
-{
-    // Enqueue one vector, let every lane issue, and check the horizon
-    // points at the head-completion step: stepping to it (but not past
-    // it) completes the vector, exactly as dense stepping would.
-    sim::SpmuConfig cfg = sim::CapstanConfig::capstan().spmu;
-    sim::SparseMemoryUnit spmu(cfg);
-    sim::AccessVector av;
-    av.id = 7;
-    for (int l = 0; l < 4; ++l) {
-        av.lane[l].valid = true;
-        av.lane[l].addr = static_cast<std::uint32_t>(l); // 4 banks.
-    }
-    ASSERT_TRUE(spmu.tryEnqueue(av));
-    ASSERT_EQ(spmu.nextEventCycle(), spmu.now()); // Issuable now.
-    spmu.step(); // All four lanes issue (conflict-free banks).
-    // With everything issued, the horizon points at the head-completion
-    // step (equal to now() when the bank pipeline is already drained).
-    sim::Cycle wake = spmu.nextEventCycle();
-    ASSERT_GE(wake, spmu.now());
-    // Skip the idle wait, then one step must complete the vector.
-    spmu.skipCycles(wake - spmu.now());
-    spmu.step();
-    auto cv = spmu.tryDequeue();
-    ASSERT_TRUE(cv.has_value());
-    EXPECT_EQ(cv->id, 7u);
-    EXPECT_TRUE(spmu.empty());
 }

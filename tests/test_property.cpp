@@ -1,11 +1,8 @@
 /**
  * @file
- * Seeded property tests for the structures the stepping engine leans
- * on hardest: common::RingQueue (checked against a std::deque model
- * under random operation streams, front and indexed reads alike), the
- * SpMU's event-horizon contract (random traffic stepped densely vs.
- * fast-forwarded with random skip lengths must agree exactly — the
- * property the cycle fast-forward engine relies on), and the
+ * Seeded property tests for the structures the simulator leans on
+ * hardest: common::RingQueue (checked against a std::deque model under
+ * random operation streams, front and indexed reads alike), the
  * compressed sparse codec (random round trips plus
  * truncation/bit-flip fuzz of the encoded buffers and the .cbin
  * cache, which must reject corruption with a clean error, never crash
@@ -30,12 +27,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/ring.hpp"
-#include "sim/config.hpp"
-#include "sim/spmu.hpp"
 #include "sparse/compressed.hpp"
 #include "sparse/matrix.hpp"
 #include "workloads/io.hpp"
@@ -43,8 +37,6 @@
 namespace {
 
 using namespace capstan;
-using sim::Cycle;
-using sim::kMaxLanes;
 
 // ---------------------------------------------------------------------------
 // RingQueue vs. a std::deque model.
@@ -144,195 +136,6 @@ TEST(RingQueueProperty, GrowthRelinearizesAcrossWrap)
         ring.pop_front();
         model.pop_front();
     }
-}
-
-// ---------------------------------------------------------------------------
-// SpMU event-horizon contract: dense stepping vs. random fast-forward.
-// ---------------------------------------------------------------------------
-
-/** A vector of 1-16 lanes of mixed ops on words [0, @p words). */
-sim::AccessVector
-randomVector(std::mt19937 &rng, std::uint64_t id, std::uint32_t words = 512)
-{
-    static const sim::AccessOp kOps[] = {
-        sim::AccessOp::Read, sim::AccessOp::AddF32, sim::AccessOp::Min,
-        sim::AccessOp::TestAndSet, sim::AccessOp::Write};
-    sim::AccessVector av;
-    av.id = id;
-    int lanes = 1 + static_cast<int>(rng() % kMaxLanes);
-    for (int l = 0; l < lanes; ++l) {
-        av.lane[static_cast<std::size_t>(l)].valid = true;
-        av.lane[static_cast<std::size_t>(l)].addr = rng() % words;
-        av.lane[static_cast<std::size_t>(l)].op =
-            kOps[rng() % (sizeof(kOps) / sizeof(kOps[0]))];
-    }
-    return av;
-}
-
-struct Completion
-{
-    std::uint64_t id;
-    Cycle completed_at;
-
-    bool operator==(const Completion &) const = default;
-};
-
-void
-drain(sim::SparseMemoryUnit &u, std::vector<Completion> &log)
-{
-    while (auto cv = u.tryDequeue())
-        log.push_back({cv->id, cv->completed_at});
-}
-
-/** One grant-trace entry as a comparable tuple. */
-std::tuple<Cycle, int, int, std::uint64_t>
-grantKey(const sim::SparseMemoryUnit::GrantRecord &g)
-{
-    return {g.cycle, g.lane, g.bank, g.vector_id};
-}
-
-/**
- * Drive two identical SpMUs with the same enqueue schedule: one steps
- * every cycle; the other fast-forwards idle gaps with random-length
- * skipCycles() bounded by nextEventCycle(). If the horizon ever
- * overshoots (claims a no-op where observable work existed), the
- * skipping unit diverges from the dense one and the comparison fails.
- */
-void
-horizonRound(std::uint32_t seed)
-{
-    std::mt19937 rng(seed);
-    sim::SpmuConfig cfg;
-    cfg.queue_depth = 4;
-    sim::SparseMemoryUnit dense(cfg);
-    sim::SparseMemoryUnit skip(cfg);
-    dense.enableGrantTrace(true);
-    skip.enableGrantTrace(true);
-
-    // Precompute the enqueue schedule: (cycle, vector) with random
-    // bursts and idle gaps long enough for skips to matter.
-    struct Feed
-    {
-        Cycle at;
-        sim::AccessVector av;
-    };
-    std::vector<Feed> feeds;
-    Cycle c = 0;
-    for (std::uint64_t id = 1; id <= 60; ++id) {
-        // Eight words fold onto eight of the 16 banks, so two lanes
-        // conflict one time in eight (more interesting issue
-        // schedules); ordering stays at the config default.
-        feeds.push_back({c, randomVector(rng, id, 8)});
-        c += (rng() % 3 == 0) ? (rng() % 40) : (rng() % 2);
-    }
-    const Cycle kEnd = c + 2000; // Watchdog bound on the drain.
-
-    std::vector<Completion> dense_log, skip_log;
-    std::size_t feed_i = 0;
-
-    // Dense reference: step every cycle, retry refused enqueues each
-    // cycle (the machine's replay rule).
-    std::vector<sim::AccessVector> backlog;
-    for (Cycle now = 0; now < kEnd; ++now) {
-        while (feed_i < feeds.size() && feeds[feed_i].at == now)
-            backlog.push_back(feeds[feed_i++].av);
-        // The SpMU contract is at most one enqueue per cycle.
-        if (!backlog.empty() && dense.tryEnqueue(backlog.front()))
-            backlog.erase(backlog.begin());
-        dense.step();
-        drain(dense, dense_log);
-        if (feed_i == feeds.size() && backlog.empty() && dense.empty())
-            break;
-    }
-    ASSERT_TRUE(dense.empty()) << "seed " << seed << ": watchdog";
-
-    // Skipping run: same schedule, but idle stretches (no pending
-    // enqueue and nextEventCycle() in the future) are jumped in
-    // random-length chunks that never pass the horizon or the next
-    // feed cycle.
-    feed_i = 0;
-    backlog.clear();
-    while (skip.now() < kEnd) {
-        Cycle now = skip.now();
-        while (feed_i < feeds.size() && feeds[feed_i].at == now)
-            backlog.push_back(feeds[feed_i++].av);
-        if (!backlog.empty() && skip.tryEnqueue(backlog.front()))
-            backlog.erase(backlog.begin());
-
-        Cycle horizon = skip.nextEventCycle();
-        ASSERT_GE(horizon, now) << "seed " << seed;
-        Cycle limit = feed_i < feeds.size() ? feeds[feed_i].at : kEnd;
-        // A refused enqueue must retry every cycle, which pins the
-        // clock to dense stepping while the backlog waits.
-        if (!backlog.empty())
-            limit = now;
-        Cycle jump = std::min(horizon, limit);
-        if (jump > now) {
-            // Random partial skip: any prefix of a no-op stretch must
-            // also be a no-op (the "never overshoot" property).
-            Cycle len = 1 + rng() % (jump - now);
-            skip.skipCycles(len);
-            continue;
-        }
-        skip.step();
-        drain(skip, skip_log);
-        if (feed_i == feeds.size() && backlog.empty() && skip.empty())
-            break;
-    }
-    ASSERT_TRUE(skip.empty()) << "seed " << seed << ": watchdog";
-
-    // Exact agreement: same completions, same cycles, same grants,
-    // same aggregate stats.
-    ASSERT_EQ(dense_log.size(), skip_log.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < dense_log.size(); ++i) {
-        EXPECT_TRUE(dense_log[i] == skip_log[i])
-            << "seed " << seed << " completion " << i << ": id "
-            << dense_log[i].id << "@" << dense_log[i].completed_at
-            << " vs id " << skip_log[i].id << "@"
-            << skip_log[i].completed_at;
-    }
-    ASSERT_EQ(dense.grantTrace().size(), skip.grantTrace().size())
-        << "seed " << seed;
-    for (std::size_t i = 0; i < dense.grantTrace().size(); ++i) {
-        EXPECT_EQ(grantKey(dense.grantTrace()[i]),
-                  grantKey(skip.grantTrace()[i]))
-            << "seed " << seed << " grant " << i;
-    }
-    EXPECT_EQ(dense.stats().grants, skip.stats().grants);
-    EXPECT_EQ(dense.stats().vectors_in, skip.stats().vectors_in);
-    EXPECT_EQ(dense.stats().vectors_out, skip.stats().vectors_out);
-    EXPECT_EQ(dense.stats().splits, skip.stats().splits);
-}
-
-TEST(SpmuHorizonProperty, RandomSkipsNeverOvershootTheHorizon)
-{
-    for (std::uint32_t seed : {3u, 11u, 99u, 2026u, 0xBEEFu})
-        horizonRound(seed);
-}
-
-TEST(SpmuHorizonProperty, HorizonIsNowWhenACompletionIsWaiting)
-{
-    // nextEventCycle() must never hide a dequeue-able vector behind a
-    // future horizon: the machine would fast-forward past the cycle
-    // where the result should have been delivered.
-    std::mt19937 rng(5);
-    sim::SpmuConfig cfg;
-    cfg.queue_depth = 4;
-    sim::SparseMemoryUnit u(cfg);
-    ASSERT_TRUE(u.tryEnqueue(randomVector(rng, 1)));
-    for (int i = 0; i < 1000 && u.stats().vectors_out == 0; ++i) {
-        u.step();
-        if (u.nextEventCycle() == u.now()) {
-            if (auto cv = u.tryDequeue()) {
-                SUCCEED();
-                return;
-            }
-        } else {
-            // Horizon in the future: a dequeue must not be possible.
-            EXPECT_FALSE(u.tryDequeue().has_value());
-        }
-    }
-    FAIL() << "vector never completed";
 }
 
 // ---------------------------------------------------------------------------

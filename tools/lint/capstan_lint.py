@@ -16,7 +16,8 @@ Classes (docs/STATIC_ANALYSIS.md states each one's full contract)
 -----------------------------------------------------------------
 unordered-iter     Iterating a std::unordered_map/unordered_set.
 nondet-source      rand()/srand() (unqualified, std:: or ::),
-                   std::random_device, time(), a chrono clock's now().
+                   std::random_device, time(), a chrono clock's now(),
+                   getenv().
 pointer-print      Streaming or printf-ing a pointer value.
 raw-parse          stoi/stod/atoi/strtol-family calls outside
                    src/driver/options.cpp.
@@ -30,8 +31,6 @@ layer-dag          An `#include` outside the DAG in
                    docs/ARCHITECTURE.md out of sync with it.
 flag-plumbing      A DriverOptions field not plumbed as
                    tools/lint/plumbing.json declares.
-env-registry       A getenv() not routed through src/common/env.hpp,
-                   or a registry entry unread or undocumented.
 thread-escape      A lambda run on per-call worker threads writing
                    shared state, directly or through the member
                    functions it calls.
@@ -73,7 +72,6 @@ CLASSES = (
     "schema-sync",
     "layer-dag",
     "flag-plumbing",
-    "env-registry",
     "thread-escape",
     "bad-suppression",
     "stale-suppression",
@@ -91,7 +89,7 @@ DETERMINISM_CLASSES = frozenset(
 # files. A fixture tree seeded for another class lacks those inputs,
 # so the self-test ignores their findings there.
 REPO_CLASSES = frozenset(
-    {"schema-sync", "layer-dag", "flag-plumbing", "env-registry"})
+    {"schema-sync", "layer-dag", "flag-plumbing"})
 
 UNSUPPRESSIBLE = ("bad-suppression", "stale-suppression")
 
@@ -111,7 +109,6 @@ STUDY_REGISTRY = "src/report/study.cpp"
 
 LAYERS_JSON = "tools/lint/layers.json"
 PLUMBING_JSON = "tools/lint/plumbing.json"
-ENV_REGISTRY = "src/common/env.hpp"
 ARCHITECTURE_MD = "docs/ARCHITECTURE.md"
 
 DIAGRAM_BEGIN = "<!-- capstan-lint:layers:begin -->"
@@ -131,6 +128,8 @@ NONDET_PATTERNS = (
     (re.compile(r"(?<![\w_])time\s*\(\s*(?:NULL|nullptr|0|&)"),
      "time()"),
     (re.compile(r"_clock\s*::\s*now\s*\("), "chrono clock now()"),
+    # An environment variable is an input no report records.
+    (re.compile(r"\bgetenv\s*\("), "getenv()"),
 )
 
 POINTER_PRINT_PATTERNS = (
@@ -425,8 +424,8 @@ def check_lines(tree, source):
         for rx, what in NONDET_PATTERNS:
             if rx.search(text):
                 add(idx, "nondet-source",
-                    f"{what}: entropy/wall-clock must not flow into "
-                    f"results")
+                    f"{what}: entropy, wall-clock and environment "
+                    f"must not flow into results")
         for rx, what in POINTER_PRINT_PATTERNS:
             if rx.search(text):
                 add(idx, "pointer-print",
@@ -866,73 +865,6 @@ def check_flag_plumbing(tree):
 
 
 # ---------------------------------------------------------------------
-# env-registry
-# ---------------------------------------------------------------------
-
-def parse_env_registry(tokens):
-    """{constant name: env var} from src/common/env.hpp."""
-    entries = {}
-    for i in range(len(tokens) - 2):
-        if (tokens[i].kind == "id" and tokens[i].text.startswith("k")
-                and tokens[i + 1].kind == "punct"
-                and tokens[i + 1].text == "="
-                and tokens[i + 2].kind == "str"):
-            entries[tokens[i].text] = tokens[i + 2].text.strip('"')
-    return entries
-
-
-def check_env_registry(tree):
-    if ENV_REGISTRY not in tree.files:
-        tree.add(ENV_REGISTRY, 1, "env-registry",
-                 "env registry header is missing")
-        return
-    registry = parse_env_registry(tree.tokens(ENV_REGISTRY))
-
-    docs_blob = tree.read("README.md") or ""
-    for doc in sorted((tree.root / "docs").glob("*.md")):
-        docs_blob += doc.read_text(encoding="utf-8")
-
-    used_constants = set()
-    for source in tree.src:
-        tokens = source.tokens
-        if source.rel != ENV_REGISTRY:
-            for t in tokens:
-                if t.kind == "id" and t.text in registry:
-                    used_constants.add(t.text)
-        for i, t in enumerate(tokens):
-            if not (t.kind == "id" and t.text == "getenv"):
-                continue
-            if i + 1 >= len(tokens) or tokens[i + 1].text != "(":
-                continue
-            close = cpplex.match_forward(tokens, i + 1, "(", ")")
-            args = tokens[i + 2:close]
-            str_args = [a for a in args if a.kind == "str"]
-            if str_args:
-                var = str_args[0].text.strip('"')
-                tree.add(source.rel, t.line, "env-registry",
-                         f"getenv(\"{var}\") uses a raw string literal; "
-                         f"declare the switch in {ENV_REGISTRY} and "
-                         f"reference the constant")
-                continue
-            ids = [a.text for a in args if a.kind == "id"]
-            name = ids[-1] if ids else None
-            if name is None or name not in registry:
-                tree.add(source.rel, t.line, "env-registry",
-                         f"getenv({name or '<expr>'}) does not reference "
-                         f"a constant declared in {ENV_REGISTRY}")
-
-    for const, var in sorted(registry.items()):
-        if const not in used_constants:
-            tree.add(ENV_REGISTRY, 1, "env-registry",
-                     f"registry entry {const} (\"{var}\") is never read "
-                     f"in src/ (stale kill switch)")
-        if var not in docs_blob:
-            tree.add(ENV_REGISTRY, 1, "env-registry",
-                     f"env var {var} is not documented in README.md or "
-                     f"docs/")
-
-
-# ---------------------------------------------------------------------
 # thread-escape
 # ---------------------------------------------------------------------
 
@@ -1306,7 +1238,6 @@ def lint_tree(root, dot_path=None, write_diagram=False):
     check_schema_sync(tree)
     check_layer_dag(tree, dot_path, write_diagram)
     check_flag_plumbing(tree)
-    check_env_registry(tree)
     check_thread_escape(tree)
     return tree.supp.malformed + tree.findings + tree.supp.stale()
 

@@ -1,6 +1,7 @@
 // Fixture: std::random_device is a per-run entropy source; results
 // seeded from it can never be byte-compared across machines. The C
-// library's rand() is one too, however it is qualified.
+// library's rand() is one too, however it is qualified, and an
+// environment variable is an input no report records.
 #include <cstdlib>
 #include <random>
 
@@ -18,4 +19,10 @@ rollTwice()
     int a = std::rand();
     int b = ::rand();
     return a + b;
+}
+
+bool
+verbose()
+{
+    return std::getenv("CAPSTAN_VERBOSE") != nullptr;
 }
