@@ -152,7 +152,6 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
 {
     BfsResult res;
     res.level.assign(graph.rows(), -1);
-    res.parent.assign(graph.rows(), -1);
 
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
@@ -171,7 +170,6 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
             for (Index d : graph.indices(v)) {
                 if (res.level[d] < 0) {
                     res.level[d] = depth + 1;
-                    res.parent[d] = v; // write-if-zero: first wins.
                     next.push_back(d);
                 }
             }
@@ -212,7 +210,6 @@ runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
     constexpr Value inf = std::numeric_limits<Value>::infinity();
     SsspResult res;
     res.dist.assign(graph.rows(), inf);
-    res.parent.assign(graph.rows(), -1);
 
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
@@ -235,7 +232,6 @@ runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
                 Value nd = res.dist[v] + val[i];
                 if (nd < res.dist[idx[i]]) {
                     res.dist[idx[i]] = nd;
-                    res.parent[idx[i]] = v;
                     if (!queued[idx[i]]) {
                         queued[idx[i]] = true;
                         next.push_back(idx[i]);

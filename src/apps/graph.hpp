@@ -23,19 +23,20 @@ namespace capstan::apps {
 
 using sparse::MatrixView;
 
-/** BFS result: levels and parent pointers plus timing. */
+/**
+ * BFS result: levels plus timing. The back-pointer writes are timed
+ * (the Ptr stage) but their values are not kept.
+ */
 struct BfsResult
 {
     std::vector<Index> level;   //!< -1 if unreachable.
-    std::vector<Index> parent;  //!< -1 for source/unreachable.
     AppTiming timing;
 };
 
-/** SSSP result: distances and parent pointers plus timing. */
+/** SSSP result: distances plus timing (back pointers as in BfsResult). */
 struct SsspResult
 {
     std::vector<Value> dist;    //!< Infinity if unreachable.
-    std::vector<Index> parent;
     AppTiming timing;
 };
 

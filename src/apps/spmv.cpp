@@ -67,12 +67,13 @@ cooTokens(const CooMatrix &coo, Index64 begin, Index64 end,
 }
 
 /**
- * Columns [@p c_begin, @p c_end) of @p csc scaled by the input vector:
- * the data scanner sweeps @p v, and each non-zero's column streams in
- * 16-lane scatters to the output rows' owners.
+ * Columns [@p c_begin, @p c_end) of the matrix scaled by the input
+ * vector: the data scanner sweeps @p v, and each non-zero's column (a
+ * row of @p csc, the CSR of the transpose) streams in 16-lane scatters
+ * to the output rows' owners.
  */
 TokenStream
-cscColumnTokens(const CscMatrix &csc, const DenseVector &v, Index c_begin,
+cscColumnTokens(const CsrMatrix &csc, const DenseVector &v, Index c_begin,
                 Index c_end, Index rows_per_tile)
 {
     Index gap = 0; // Elements scanned since the last non-zero.
@@ -80,7 +81,7 @@ cscColumnTokens(const CscMatrix &csc, const DenseVector &v, Index c_begin,
         ++gap;
         if (v[c] == Value{0})
             continue;
-        auto rows = csc.colIndices(c);
+        auto rows = csc.rowIndices(c);
         Index len = static_cast<Index>(rows.size());
         Index this_gap = gap;
         gap = 0;
@@ -202,11 +203,11 @@ AppTiming
 runSpmvCsc(const MatrixView &m, const DenseVector &v,
            const CapstanConfig &cfg, int tiles)
 {
-    CscMatrix csc = CscMatrix::adoptTranspose(m.transposed());
+    CsrMatrix csc = m.transposed();
     Machine mach(cfg, tiles);
     if (cfg.dram.compression)
         mach.setStreamCompression(
-            streamCompressionRatio(csc.rowIdx(), 0.5));
+            streamCompressionRatio(csc.colIdx(), 0.5));
     Index rows_per_tile = (m.rows() + tiles - 1) / tiles;
     Index cols_per_tile = (m.cols() + tiles - 1) / tiles;
     for (int t = 0; t < tiles; ++t) {

@@ -22,7 +22,6 @@
 namespace capstan::apps {
 
 using sparse::CooMatrix;
-using sparse::CscMatrix;
 using sparse::CsrMatrix;
 using sparse::DenseVector;
 using sparse::MatrixView;

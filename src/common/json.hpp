@@ -104,10 +104,6 @@ class JsonValue
     /** Array access. */
     JsonValue &push(JsonValue v);
     std::size_t size() const { return items_.size(); }
-    const JsonValue &operator[](std::size_t i) const
-    {
-        return items_.at(i);
-    }
     const std::vector<JsonValue> &items() const { return items_; }
 
     /** Serialize; @p indent > 0 pretty-prints with that step. */

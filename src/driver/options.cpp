@@ -95,38 +95,66 @@ parseMemTech(const std::string &v, sim::MemTech &out)
     return true;
 }
 
+/**
+ * The spellings of one enum option's values, for both directions:
+ * parsing accepts any of them (case-insensitively), and the first
+ * entry for a value is its token (optionToken()).
+ */
+template <typename E> struct Spelling
+{
+    const char *token;
+    E value;
+};
+
+constexpr Spelling<sim::Ordering> kOrderings[] = {
+    {"unordered", sim::Ordering::Unordered},
+    {"address", sim::Ordering::AddressOrdered},
+    {"fully", sim::Ordering::FullyOrdered},
+    {"arbitrated", sim::Ordering::Arbitrated},
+    {"address-ordered", sim::Ordering::AddressOrdered},
+    {"fully-ordered", sim::Ordering::FullyOrdered},
+};
+
+constexpr Spelling<sim::MergeMode> kMerges[] = {
+    {"none", sim::MergeMode::None},
+    {"mrg0", sim::MergeMode::Mrg0},
+    {"mrg1", sim::MergeMode::Mrg1},
+    {"mrg16", sim::MergeMode::Mrg16},
+};
+
+constexpr Spelling<sim::BankHash> kHashes[] = {
+    {"linear", sim::BankHash::Linear},
+    {"xor", sim::BankHash::Xor},
+};
+
+constexpr Spelling<sim::AllocatorKind> kAllocators[] = {
+    {"full", sim::AllocatorKind::Full},
+    {"weak", sim::AllocatorKind::Weak},
+};
+
+template <typename E, std::size_t N>
 bool
-parseOrdering(const std::string &v, sim::Ordering &out)
+parseSpelling(const Spelling<E> (&table)[N], const std::string &v, E &out)
 {
     std::string n = lower(v);
-    if (n == "unordered")
-        out = sim::Ordering::Unordered;
-    else if (n == "address" || n == "address-ordered")
-        out = sim::Ordering::AddressOrdered;
-    else if (n == "fully" || n == "fully-ordered")
-        out = sim::Ordering::FullyOrdered;
-    else if (n == "arbitrated")
-        out = sim::Ordering::Arbitrated;
-    else
-        return false;
-    return true;
+    for (const Spelling<E> &s : table) {
+        if (n == s.token) {
+            out = s.value;
+            return true;
+        }
+    }
+    return false;
 }
 
-bool
-parseMerge(const std::string &v, sim::MergeMode &out)
+template <typename E, std::size_t N>
+const char *
+tokenOf(const Spelling<E> (&table)[N], E value)
 {
-    std::string n = lower(v);
-    if (n == "none")
-        out = sim::MergeMode::None;
-    else if (n == "mrg0")
-        out = sim::MergeMode::Mrg0;
-    else if (n == "mrg1")
-        out = sim::MergeMode::Mrg1;
-    else if (n == "mrg16")
-        out = sim::MergeMode::Mrg16;
-    else
-        return false;
-    return true;
+    for (const Spelling<E> &s : table) {
+        if (s.value == value)
+            return s.token;
+    }
+    return table[0].token;
 }
 
 bool
@@ -186,6 +214,30 @@ parseTiles(const std::string &v, int &out)
     return true;
 }
 
+const char *
+optionToken(sim::Ordering mode)
+{
+    return tokenOf(kOrderings, mode);
+}
+
+const char *
+optionToken(sim::MergeMode mode)
+{
+    return tokenOf(kMerges, mode);
+}
+
+const char *
+optionToken(sim::BankHash hash)
+{
+    return tokenOf(kHashes, hash);
+}
+
+const char *
+optionToken(sim::AllocatorKind kind)
+{
+    return tokenOf(kAllocators, kind);
+}
+
 const std::vector<std::string> &
 optionKeys()
 {
@@ -234,31 +286,25 @@ applyOption(DriverOptions &o, const std::string &key,
             return "memtech requires ddr4|hbm2|hbm2e|ideal";
     } else if (key == "ordering") {
         sim::Ordering ord;
-        if (!parseOrdering(v, ord))
+        if (!parseSpelling(kOrderings, v, ord))
             return "ordering requires unordered|address|fully|"
                    "arbitrated";
         o.ordering = ord;
     } else if (key == "merge") {
         sim::MergeMode m;
-        if (!parseMerge(v, m))
+        if (!parseSpelling(kMerges, v, m))
             return "merge requires none|mrg0|mrg1|mrg16";
         o.merge = m;
     } else if (key == "hash") {
-        std::string n = lower(v);
-        if (n == "linear")
-            o.hash = sim::BankHash::Linear;
-        else if (n == "xor")
-            o.hash = sim::BankHash::Xor;
-        else
+        sim::BankHash h;
+        if (!parseSpelling(kHashes, v, h))
             return "hash requires linear|xor";
+        o.hash = h;
     } else if (key == "allocator") {
-        std::string n = lower(v);
-        if (n == "full")
-            o.allocator = sim::AllocatorKind::Full;
-        else if (n == "weak")
-            o.allocator = sim::AllocatorKind::Weak;
-        else
+        sim::AllocatorKind a;
+        if (!parseSpelling(kAllocators, v, a))
             return "allocator requires full|weak";
+        o.allocator = a;
     } else if (key == "queue-depth") {
         int d;
         if (!parseInt(v, d) || d < 1)

@@ -163,6 +163,17 @@ const std::vector<std::string> &optionKeys();
 std::string applyOption(DriverOptions &opts, const std::string &key,
                         const std::string &value);
 
+/**
+ * The spelling applyOption() parses for an enum option's value
+ * ("address", "mrg1", "xor", "weak"); the sim display names ("Address
+ * Ordered", "Mrg-1") are not in its vocabulary. Parsing and these
+ * share one table per enum.
+ */
+const char *optionToken(sim::Ordering mode);
+const char *optionToken(sim::MergeMode mode);
+const char *optionToken(sim::BankHash hash);
+const char *optionToken(sim::AllocatorKind kind);
+
 /** Build the machine configuration an option set describes. */
 sim::CapstanConfig buildConfig(const DriverOptions &opts);
 

@@ -47,34 +47,6 @@ applyOptionsObject(driver::DriverOptions &opts, const JsonValue &doc)
     }
 }
 
-/**
- * Wire tokens for the enum options whose sim display names
- * ("Address Ordered", "Mrg-0") are not in applyOption's vocabulary.
- */
-const char *
-orderingToken(sim::Ordering mode)
-{
-    switch (mode) {
-    case sim::Ordering::Unordered: return "unordered";
-    case sim::Ordering::AddressOrdered: return "address";
-    case sim::Ordering::FullyOrdered: return "fully";
-    case sim::Ordering::Arbitrated: return "arbitrated";
-    }
-    return "unordered";
-}
-
-const char *
-mergeToken(sim::MergeMode mode)
-{
-    switch (mode) {
-    case sim::MergeMode::None: return "none";
-    case sim::MergeMode::Mrg0: return "mrg0";
-    case sim::MergeMode::Mrg1: return "mrg1";
-    case sim::MergeMode::Mrg16: return "mrg16";
-    }
-    return "none";
-}
-
 /** The wire form of a run/sweep-base option set (round-trips
  * applyOptionsObject). */
 JsonValue
@@ -90,16 +62,13 @@ optionsToJson(const driver::DriverOptions &o)
     out.set("config", driver::configPointName(o.config));
     out.set("memtech", sim::memTechName(o.memtech));
     if (o.ordering)
-        out.set("ordering", orderingToken(*o.ordering));
+        out.set("ordering", driver::optionToken(*o.ordering));
     if (o.merge)
-        out.set("merge", mergeToken(*o.merge));
+        out.set("merge", driver::optionToken(*o.merge));
     if (o.hash)
-        out.set("hash",
-                o.hash == sim::BankHash::Xor ? "xor" : "linear");
+        out.set("hash", driver::optionToken(*o.hash));
     if (o.allocator)
-        out.set("allocator",
-                o.allocator == sim::AllocatorKind::Weak ? "weak"
-                                                        : "full");
+        out.set("allocator", driver::optionToken(*o.allocator));
     if (o.queue_depth)
         out.set("queue-depth", *o.queue_depth);
     if (o.bandwidth_gbps)

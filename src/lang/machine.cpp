@@ -453,7 +453,6 @@ Machine::stepTile(int t)
             }
             std::uint64_t uid = nextUid(t);
             sim::ShuffleVector sv;
-            sv.src_port = t;
             sv.id = uid;
             int valid = 0;
             for (int l = 0; l < sim::kMaxLanes; ++l) {
@@ -463,7 +462,6 @@ Machine::stepTile(int t)
                     int dst = tok.lane_tile[l];
                     sv.dst_port[l] = (dst >= 0 && dst < tiles()) ? dst
                                                                  : t;
-                    sv.src_lane[l] = l;
                     sv.tag[l] = uid;
                     ++valid;
                 }

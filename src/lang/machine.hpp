@@ -154,7 +154,6 @@ class Machine
     std::uint64_t steppedTiles() const { return stepped_tiles_; }
 
     sim::DramModel &dram() { return dram_; }
-    sim::SparseMemoryUnit &spmu(int tile) { return *spmus_[tile]; }
 
     /** Aggregate SpMU statistics over all tiles. */
     sim::SpmuStats spmuTotals() const;

@@ -86,12 +86,6 @@ Reference::entry(const std::string &study,
     return m->second;
 }
 
-bool
-Reference::hasStudy(const std::string &study) const
-{
-    return studies_.count(study) > 0;
-}
-
 StudyCheck
 Reference::check(
     const std::string &study,

@@ -93,9 +93,6 @@ class Reference
         const std::vector<std::pair<std::string, double>> &metrics)
         const;
 
-    /** True when the reference names this study at all. */
-    bool hasStudy(const std::string &study) const;
-
   private:
     std::map<std::string, std::map<std::string, RefEntry>> studies_;
 };

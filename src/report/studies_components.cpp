@@ -387,15 +387,14 @@ deriveMicroComponents(const StudyContext &, const Timings &)
         const int cycles = 2000;
         std::uint64_t id = 0, delivered = 0;
         for (int cyc = 0; cyc < cycles; ++cyc) {
+            int port = static_cast<int>(id % 16);
             sim::ShuffleVector v;
-            v.src_port = static_cast<int>(id % 16);
             v.id = id++;
             for (int l = 0; l < 16; ++l) {
                 v.valid[l] = true;
                 v.dst_port[l] = static_cast<int>(rng() % 16);
-                v.src_lane[l] = l;
             }
-            net.tryInject(v.src_port, v);
+            net.tryInject(port, v);
             net.step();
             for (int p = 0; p < 16; ++p) {
                 while (net.tryEject(p))

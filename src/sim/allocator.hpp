@@ -80,7 +80,6 @@ class SeparableAllocator
     SeparableAllocator(int lanes, int banks, int iterations);
 
     int lanes() const { return lanes_; }
-    int banks() const { return banks_; }
     int iterations() const { return iterations_; }
 
     /**

@@ -16,11 +16,10 @@ constexpr std::uint64_t kRowBytes = 2048;
 
 DramModel::DramModel(const DramConfig &cfg)
     : cfg_(cfg),
-      bytes_per_cycle_((cfg.bandwidth_override_gbps > 0
-                            ? cfg.bandwidth_override_gbps
-                            : memTechBandwidth(cfg.tech)) /
-                       kClockGhz),
-      channel_bytes_per_cycle_(bytes_per_cycle_ / cfg.channels),
+      channel_bytes_per_cycle_((cfg.bandwidth_override_gbps > 0
+                                    ? cfg.bandwidth_override_gbps
+                                    : memTechBandwidth(cfg.tech)) /
+                               kClockGhz / cfg.channels),
       channel_free_(cfg.channels, 0),
       banks_(static_cast<std::size_t>(cfg.channels) *
              kDramBanksPerChannel)

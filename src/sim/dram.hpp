@@ -59,9 +59,6 @@ class DramModel
     /** Bandwidths convert to bytes per core cycle at kClockGhz. */
     explicit DramModel(const DramConfig &cfg);
 
-    /** Total bytes the system can move per core cycle. */
-    double bytesPerCycle() const { return bytes_per_cycle_; }
-
     /** Completion cycle for a burst at @p byte_addr submitted at @p now. */
     Cycle access(std::uint64_t byte_addr, bool write, Cycle now);
 
@@ -82,7 +79,6 @@ class DramModel
     };
 
     DramConfig cfg_;
-    double bytes_per_cycle_;        //!< Aggregate.
     double channel_bytes_per_cycle_;
     double burst_cycles_;           //!< Channel occupancy per burst.
     std::vector<double> channel_free_;

@@ -341,13 +341,9 @@ void
 ShuffleNetwork::retireSlot(Slot v)
 {
     ShuffleVector &sv = pool_[v];
-    if (auto_retire_) {
-        for (auto [s, u] : sv.path)
-            --in_flight_[s][u];
-        sv.path.clear(); // The slot keeps the capacity for reuse.
-    } else {
-        paths_[sv.id] = sv.path;
-    }
+    for (auto [s, u] : sv.path)
+        --in_flight_[s][u];
+    sv.path.clear(); // The slot keeps the capacity for reuse.
 }
 
 void
@@ -396,17 +392,6 @@ ShuffleNetwork::tryEject(int port)
     std::optional<ShuffleVector> ejected(front(port));
     pop(port);
     return ejected;
-}
-
-void
-ShuffleNetwork::retire(std::uint64_t id)
-{
-    auto it = paths_.find(id);
-    if (it == paths_.end())
-        return;
-    for (auto [s, u] : it->second)
-        --in_flight_[s][u];
-    paths_.erase(it);
 }
 
 } // namespace capstan::sim

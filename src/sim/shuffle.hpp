@@ -19,7 +19,6 @@
 #include <bitset>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,14 +31,15 @@ namespace capstan::sim {
 /**
  * A vector of requests travelling through the shuffle network. Lanes
  * are stored compactly (272 bytes): ports and lanes fit an int8_t,
- * since a network has at most kMaxTiles ports.
+ * since a network has at most kMaxTiles ports. src_lane and src_port
+ * are carried along but read by no model; lang::Machine leaves them 0.
  */
 struct ShuffleVector
 {
     std::bitset<kMaxLanes> valid;
     std::array<std::uint32_t, kMaxLanes> addr{};
     std::array<std::int8_t, kMaxLanes> dst_port{};
-    std::array<std::int8_t, kMaxLanes> src_lane{}; //!< For inverse permutation.
+    std::array<std::int8_t, kMaxLanes> src_lane{};
     /** Opaque per-lane tag (e.g. originating token id) carried along. */
     std::array<std::uint64_t, kMaxLanes> tag{};
     int src_port = 0;
@@ -55,8 +55,11 @@ struct ShuffleVector
  * tryInject() work at the input ports, step(), then take delivered
  * vectors at the output ports: either tryEject() a copy, or call
  * retireDelivered() and read each port's vectors in place with
- * front() and pop(). retire() returns inverse-permutation FIFO credits
- * once the memory reply has been consumed.
+ * front() and pop(). A delivered vector returns its
+ * inverse-permutation FIFO credits when it is retired: at
+ * retireDelivered(), or at tryEject() or pop() if not retired yet.
+ * lang::Machine models a reply as a fixed latency outside the network,
+ * so delivery is the last event the network sees of a vector.
  *
  * Each vector lives in one slot of a network-owned pool from
  * tryInject() until it is consumed; stage channels and output queues
@@ -71,9 +74,6 @@ class ShuffleNetwork
   public:
     explicit ShuffleNetwork(const ShuffleConfig &cfg);
 
-    int ports() const { return cfg_.ports; }
-    int stages() const { return stages_; }
-
     /** Inject a request vector at input @p port. */
     bool tryInject(int port, const ShuffleVector &v);
 
@@ -85,8 +85,7 @@ class ShuffleNetwork
 
     /**
      * Retire every vector delivered since the last call, as tryEject()
-     * would at their ejection: with auto-retire on, return their FIFO
-     * credits; with it off, record their paths for retire(). Call right
+     * would at their ejection: return their FIFO credits. Call right
      * after step(), before reading the outputs with front() and pop().
      */
     void retireDelivered();
@@ -102,18 +101,6 @@ class ShuffleNetwork
 
     /** Consume front(@p port), retiring it first if still unretired. */
     void pop(int port);
-
-    /**
-     * Return one in-flight credit to every merge unit a delivered vector
-     * traversed (identified by its id). Call when the reply completes.
-     */
-    void retire(std::uint64_t id);
-
-    /**
-     * Automatically retire vectors as they are ejected. Convenient for
-     * callers that model reply latency externally; on by default.
-     */
-    void setAutoRetire(bool on) { auto_retire_ = on; }
 
     /** True when nothing is buffered anywhere in the network. */
     bool empty() const { return live_ == 0 && delivered_ == 0; }
@@ -143,10 +130,7 @@ class ShuffleNetwork
     /** A free pool slot (its buffers kept from earlier occupants). */
     Slot acquire();
 
-    /**
-     * Return slot @p v's FIFO credits (auto-retire) or record its path
-     * for retire().
-     */
+    /** Return slot @p v's FIFO credits to the merge units on its path. */
     void retireSlot(Slot v);
 
     /** Retire the front of output @p port if it is still unretired. */
@@ -191,15 +175,10 @@ class ShuffleNetwork
     TileMask unretired_ports_;
     /** In-flight counts per (stage, merge unit) for FIFO credits. */
     std::vector<std::vector<int>> in_flight_;
-    /** id -> traversed (stage, unit) pairs, for retire(). */
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::pair<std::int8_t, std::int8_t>>>
-        paths_;
     /** Vectors buffered between stages; 0 makes step() an O(1) no-op. */
     int live_ = 0;
     /** Vectors waiting in outputs_. */
     int delivered_ = 0;
-    bool auto_retire_ = true;
     std::uint64_t next_merged_id_ = 1ull << 48;
 };
 

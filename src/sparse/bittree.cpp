@@ -106,15 +106,13 @@ BitTree::storageBytes() const
     return total;
 }
 
-namespace {
-
 std::vector<AlignedLeafPair>
-alignImpl(const BitTree &a, const BitTree &b, bool is_union)
+alignUnion(const BitTree &a, const BitTree &b)
 {
     CAPSTAN_DCHECK(a.size() == b.size() && a.leafBits() == b.leafBits());
     const BitVector &ta = a.topLevel();
     const BitVector &tb = b.topLevel();
-    BitVector merged = is_union ? (ta | tb) : (ta & tb);
+    BitVector merged = ta | tb;
 
     std::vector<AlignedLeafPair> out;
     out.reserve(merged.count());
@@ -135,20 +133,6 @@ alignImpl(const BitTree &a, const BitTree &b, bool is_union)
         out.push_back(pair);
     }
     return out;
-}
-
-} // namespace
-
-std::vector<AlignedLeafPair>
-alignIntersect(const BitTree &a, const BitTree &b)
-{
-    return alignImpl(a, b, false);
-}
-
-std::vector<AlignedLeafPair>
-alignUnion(const BitTree &a, const BitTree &b)
-{
-    return alignImpl(a, b, true);
 }
 
 } // namespace capstan::sparse

@@ -91,8 +91,8 @@ class BitTree
 /**
  * Result of realigning two bit-trees for streaming iteration (pass one of
  * the paper's two-pass algorithm). Each entry pairs leaf slots from the
- * two operands; kNoIndex marks an unmatched side (union mode inserts a
- * zero leaf, intersection mode drops unmatched leaves entirely).
+ * two operands; kNoIndex marks an unmatched side, which the union
+ * stands in with a zero leaf.
  */
 struct AlignedLeafPair
 {
@@ -100,10 +100,6 @@ struct AlignedLeafPair
     Index leaf_a;    //!< Compressed leaf index in A, or kNoIndex.
     Index leaf_b;    //!< Compressed leaf index in B, or kNoIndex.
 };
-
-/** Pass-one realignment in intersection mode: only leaves present in both. */
-std::vector<AlignedLeafPair> alignIntersect(const BitTree &a,
-                                            const BitTree &b);
 
 /** Pass-one realignment in union mode: every leaf present in either. */
 std::vector<AlignedLeafPair> alignUnion(const BitTree &a, const BitTree &b);

@@ -24,13 +24,6 @@ BitVector::BitVector(Index size)
     CAPSTAN_CHECK(size >= 0);
 }
 
-BitVector::BitVector(Index size, const std::vector<Index> &set_positions)
-    : BitVector(size)
-{
-    for (Index pos : set_positions)
-        set(pos);
-}
-
 bool
 BitVector::test(Index pos) const
 {
@@ -43,28 +36,6 @@ BitVector::set(Index pos)
 {
     CAPSTAN_DCHECK(pos >= 0 && pos < size_);
     words_[pos / kWordBits] |= std::uint64_t{1} << (pos % kWordBits);
-}
-
-void
-BitVector::reset(Index pos)
-{
-    CAPSTAN_DCHECK(pos >= 0 && pos < size_);
-    words_[pos / kWordBits] &= ~(std::uint64_t{1} << (pos % kWordBits));
-}
-
-void
-BitVector::assign(Index pos, bool value)
-{
-    if (value)
-        set(pos);
-    else
-        reset(pos);
-}
-
-void
-BitVector::clear()
-{
-    std::fill(words_.begin(), words_.end(), 0);
 }
 
 Index
@@ -100,27 +71,6 @@ BitVector::countRange(Index begin, Index end) const
     for (Index wi = first + 1; wi < last; ++wi)
         total += std::popcount(words_[wi]);
     return total + std::popcount(words_[last] & tail);
-}
-
-Index
-BitVector::select(Index k) const
-{
-    if (k < 0)
-        return kNoIndex;
-    Index remaining = k;
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-        std::uint64_t w = words_[wi];
-        Index pc = std::popcount(w);
-        if (remaining < pc) {
-            // Peel set bits until the remaining-th one is exposed.
-            for (Index i = 0; i < remaining; ++i)
-                w &= w - 1;
-            return static_cast<Index>(wi) * kWordBits +
-                   std::countr_zero(w);
-        }
-        remaining -= pc;
-    }
-    return kNoIndex;
 }
 
 Index
@@ -171,22 +121,6 @@ BitVector::operator|(const BitVector &other) const
     return out;
 }
 
-BitVector
-BitVector::andNot(const BitVector &other) const
-{
-    CAPSTAN_DCHECK(size_ == other.size_);
-    BitVector out(size_);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        out.words_[i] = words_[i] & ~other.words_[i];
-    return out;
-}
-
-bool
-BitVector::operator==(const BitVector &other) const
-{
-    return size_ == other.size_ && words_ == other.words_;
-}
-
 std::uint64_t
 BitVector::window64(Index pos) const
 {
@@ -199,14 +133,6 @@ BitVector::window64(Index pos) const
     if (shift != 0 && wi + 1 < static_cast<Index>(words_.size()))
         lo |= words_[wi + 1] << (kWordBits - shift);
     return lo;
-}
-
-void
-BitVector::maskTail()
-{
-    Index rem = size_ % kWordBits;
-    if (rem != 0 && !words_.empty())
-        words_.back() &= (std::uint64_t{1} << rem) - 1;
 }
 
 } // namespace capstan::sparse

@@ -19,7 +19,7 @@
 namespace capstan::sparse {
 
 /**
- * Fixed-length packed bit-vector with rank/select support.
+ * Fixed-length packed bit-vector with rank support.
  *
  * Backing storage is a vector of 64-bit words; the tail word is kept
  * zero-padded beyond size() so popcount-style scans never see stray bits.
@@ -32,9 +32,6 @@ class BitVector
     /** Construct an all-zero bit-vector of @p size bits. */
     explicit BitVector(Index size);
 
-    /** Construct from a list of set-bit positions. */
-    BitVector(Index size, const std::vector<Index> &set_positions);
-
     /** Number of addressable bits. */
     Index size() const { return size_; }
 
@@ -43,15 +40,6 @@ class BitVector
 
     /** Set bit @p pos. @pre 0 <= pos < size(). */
     void set(Index pos);
-
-    /** Clear bit @p pos. @pre 0 <= pos < size(). */
-    void reset(Index pos);
-
-    /** Set or clear bit @p pos according to @p value. */
-    void assign(Index pos, bool value);
-
-    /** Clear every bit, keeping the size. */
-    void clear();
 
     /** Total number of set bits. */
     Index count() const;
@@ -67,12 +55,6 @@ class BitVector
      */
     Index countRange(Index begin, Index end) const;
 
-    /**
-     * Position of the @p k-th set bit (k counts from zero).
-     * @return the position, or kNoIndex if fewer than k+1 bits are set.
-     */
-    Index select(Index k) const;
-
     /** Position of the first set bit at or after @p pos, or kNoIndex. */
     Index nextSet(Index pos) const;
 
@@ -85,20 +67,12 @@ class BitVector
     /** Bitwise union; sizes must match. */
     BitVector operator|(const BitVector &other) const;
 
-    /** Bits set in *this but not in @p other; sizes must match. */
-    BitVector andNot(const BitVector &other) const;
-
-    bool operator==(const BitVector &other) const;
-
     /**
      * Extract a window of up to 64 bits starting at @p pos.
      * Bits past size() read as zero. Used by the scanner model, which
      * consumes fixed-width windows per cycle.
      */
     std::uint64_t window64(Index pos) const;
-
-    /** Raw words (little-endian bit order within each word). */
-    const std::vector<std::uint64_t> &words() const { return words_; }
 
     /** Storage footprint in bytes (what a DRAM transfer would move). */
     Index64 storageBytes() const
@@ -107,8 +81,6 @@ class BitVector
     }
 
   private:
-    void maskTail();
-
     Index size_ = 0;
     std::vector<std::uint64_t> words_;
 };

@@ -2,17 +2,6 @@
 
 namespace capstan::sparse {
 
-Index
-DenseVector::nnz() const
-{
-    Index n = 0;
-    for (Value v : data_) {
-        if (v != Value{0})
-            ++n;
-    }
-    return n;
-}
-
 Index64
 DenseTensor3::nnz() const
 {

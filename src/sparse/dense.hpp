@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "sparse/types.hpp"
@@ -24,7 +23,6 @@ class DenseVector
   public:
     DenseVector() = default;
     explicit DenseVector(Index size, Value fill = 0) : data_(size, fill) {}
-    explicit DenseVector(std::vector<Value> data) : data_(std::move(data)) {}
 
     Index size() const { return static_cast<Index>(data_.size()); }
 
@@ -39,14 +37,6 @@ class DenseVector
         return data_[i];
     }
 
-    const std::vector<Value> &data() const { return data_; }
-    std::vector<Value> &data() { return data_; }
-
-    /** Number of non-zero elements (exact zero test). */
-    Index nnz() const;
-
-    Index64 storageBytes() const { return Index64{4} * size(); }
-
   private:
     std::vector<Value> data_;
 };
@@ -60,10 +50,6 @@ class DenseTensor3
         : d0_(d0), d1_(d1), d2_(d2), data_(Index64(d0) * d1 * d2, fill)
     {
     }
-
-    Index dim0() const { return d0_; }
-    Index dim1() const { return d1_; }
-    Index dim2() const { return d2_; }
 
     Value operator()(Index i, Index j, Index k) const
     {
@@ -81,8 +67,6 @@ class DenseTensor3
     /** Number of non-zero elements. */
     Index64 nnz() const;
 
-    Index64 storageBytes() const { return Index64{4} * d0_ * d1_ * d2_; }
-
   private:
     bool inBounds(Index i, Index j, Index k) const
     {
@@ -99,15 +83,9 @@ class DenseTensor4
   public:
     DenseTensor4() = default;
     DenseTensor4(Index d0, Index d1, Index d2, Index d3, Value fill = 0)
-        : d0_(d0), d1_(d1), d2_(d2), d3_(d3),
-          data_(Index64(d0) * d1 * d2 * d3, fill)
+        : d1_(d1), d2_(d2), d3_(d3), data_(Index64(d0) * d1 * d2 * d3, fill)
     {
     }
-
-    Index dim0() const { return d0_; }
-    Index dim1() const { return d1_; }
-    Index dim2() const { return d2_; }
-    Index dim3() const { return d3_; }
 
     Value operator()(Index i, Index j, Index k, Index l) const
     {
@@ -122,13 +100,8 @@ class DenseTensor4
 
     Index64 nnz() const;
 
-    Index64 storageBytes() const
-    {
-        return Index64{4} * d0_ * d1_ * d2_ * d3_;
-    }
-
   private:
-    Index d0_ = 0, d1_ = 0, d2_ = 0, d3_ = 0;
+    Index d1_ = 0, d2_ = 0, d3_ = 0;
     std::vector<Value> data_;
 };
 

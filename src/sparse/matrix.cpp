@@ -237,29 +237,4 @@ CsrMatrix::transpose() const
     return t;
 }
 
-CscMatrix
-CscMatrix::fromTriplets(Index rows, Index cols,
-                        std::vector<Triplet> triplets)
-{
-    for (Triplet &t : triplets)
-        std::swap(t.row, t.col);
-    CscMatrix csc;
-    csc.t_ = CsrMatrix::fromTriplets(cols, rows, std::move(triplets));
-    return csc;
-}
-
-CscMatrix
-CscMatrix::fromCsr(const CsrMatrix &csr)
-{
-    CscMatrix csc;
-    csc.t_ = csr.transpose();
-    return csc;
-}
-
-CsrMatrix
-CscMatrix::toCsr() const
-{
-    return t_.transpose();
-}
-
 } // namespace capstan::sparse

@@ -1,12 +1,12 @@
 /**
  * @file
- * Compressed sparse matrix formats (Table 1): COO, CSR, CSC.
+ * Compressed sparse matrix formats (Table 1): COO and CSR.
  *
  * Any multi-dimensional format is a hierarchy of per-dimension formats
  * (Section 2.1); these classes store the conventional array-of-arrays
  * layouts and provide lossless conversions between one another. Values are
- * kept in iteration order for the owning format (row-major for CSR/COO,
- * column-major for CSC).
+ * kept in row-major iteration order. CSC is the CSR of the transpose
+ * (CsrMatrix::transpose()): its rows are the original's columns.
  */
 
 #pragma once
@@ -48,9 +48,6 @@ class CooMatrix
     Index nnz() const { return static_cast<Index>(entries_.size()); }
 
     const std::vector<Triplet> &entries() const { return entries_; }
-
-    /** Bytes a DRAM stream of this matrix moves (2 pointers + 1 value). */
-    Index64 storageBytes() const { return Index64{12} * nnz(); }
 
   private:
     friend class CsrMatrix;
@@ -114,72 +111,12 @@ class CsrMatrix
     /** Transpose; turns CSR of A into CSR of A^T (= CSC of A). */
     CsrMatrix transpose() const;
 
-    /** Bytes for streaming: row pointers + column indices + values. */
-    Index64 storageBytes() const
-    {
-        return Index64{4} * (rows_ + 1) + Index64{8} * nnz();
-    }
-
   private:
     Index rows_ = 0;
     Index cols_ = 0;
     std::vector<Index> row_ptr_;
     std::vector<Index> col_idx_;
     std::vector<Value> values_;
-};
-
-/**
- * Compressed sparse column (CSC): dense along columns, compressed rows.
- * Stored as the CSR of the transpose, with accessors named for columns.
- */
-class CscMatrix
-{
-  public:
-    CscMatrix() = default;
-
-    static CscMatrix fromTriplets(Index rows, Index cols,
-                                  std::vector<Triplet> triplets);
-    static CscMatrix fromCsr(const CsrMatrix &csr);
-
-    /**
-     * Adopt an already-transposed CSR (CSC of the original matrix)
-     * without re-transposing — what MatrixView::transposed() hands a
-     * column-major consumer.
-     */
-    static CscMatrix adoptTranspose(CsrMatrix t)
-    {
-        CscMatrix c;
-        c.t_ = std::move(t);
-        return c;
-    }
-
-    Index rows() const { return t_.cols(); }
-    Index cols() const { return t_.rows(); }
-    Index nnz() const { return t_.nnz(); }
-
-    Index colLength(Index c) const { return t_.rowLength(c); }
-    std::span<const Index> colIndices(Index c) const
-    {
-        return t_.rowIndices(c);
-    }
-    std::span<const Value> colValues(Index c) const
-    {
-        return t_.rowValues(c);
-    }
-
-    const std::vector<Index> &colPtr() const { return t_.rowPtr(); }
-    const std::vector<Index> &rowIdx() const { return t_.colIdx(); }
-    const std::vector<Value> &values() const { return t_.values(); }
-
-    Value at(Index r, Index c) const { return t_.at(c, r); }
-
-    CsrMatrix toCsr() const;
-
-    Index64 storageBytes() const { return t_.storageBytes(); }
-
-  private:
-    /** CSR view of the transpose. */
-    CsrMatrix t_;
 };
 
 } // namespace capstan::sparse

@@ -204,7 +204,7 @@ realDatasetPath(const std::string &name,
 
 MatrixDataset
 resolveMatrixDataset(const std::string &name, double scale,
-                     const std::string &dataset_dir, CacheMode cache)
+                     const std::string &dataset_dir)
 {
     validateScale(scale);
     bool is_scheme = name.starts_with("file:") ||
@@ -220,7 +220,7 @@ resolveMatrixDataset(const std::string &name, double scale,
                          "': scale does not apply to real dataset "
                          "files; using '" +
                          *path + "' as-is");
-        return {name, loadRealStore(*path, cache), *path};
+        return {name, loadRealStore(*path), *path};
     }
     if (name.starts_with("file:")) {
         std::string path = name.substr(5);

@@ -33,9 +33,6 @@ struct MatrixDataset
     sparse::MatrixStore matrix;
     /** Source file of a real dataset; empty for synthetic stand-ins. */
     std::string source = {};
-
-    Index rows() const { return matrix.rows(); }
-    Index nnz() const { return matrix.nnz(); }
 };
 
 /** Datasets used for SpMV, M+M, and BiCGStab (Table 6, top). */
@@ -79,8 +76,7 @@ MatrixDataset loadMatrixDataset(const std::string &name,
  */
 MatrixDataset
 resolveMatrixDataset(const std::string &name, double scale = 1.0,
-                     const std::string &dataset_dir = "",
-                     CacheMode cache = CacheMode::Auto);
+                     const std::string &dataset_dir = "");
 
 /**
  * The real file resolveMatrixDataset would load for @p name (probing

@@ -37,9 +37,6 @@ class Tiling
     /** Rows/vertices owned by tile @p t, in local order. */
     const std::vector<Index> &rowsOf(int t) const { return rows_of_[t]; }
 
-    /** Total weight (edge count) assigned to tile @p t. */
-    Index64 weightOf(int t) const { return weight_of_[t]; }
-
     /** Largest tile weight divided by the mean (1.0 = perfect). */
     double imbalance() const;
 

@@ -159,7 +159,10 @@ TEST(SpmvApp, ReferenceMatchesManualComputation)
 {
     auto m = sparse::CsrMatrix::fromTriplets(
         2, 3, {{0, 0, 2.0f}, {0, 2, 1.0f}, {1, 1, 3.0f}});
-    DenseVector v(std::vector<Value>{1.0f, 2.0f, 3.0f});
+    DenseVector v(3);
+    v[0] = 1.0f;
+    v[1] = 2.0f;
+    v[2] = 3.0f;
     auto out = spmvReference(m, v);
     EXPECT_FLOAT_EQ(out[0], 5.0f);
     EXPECT_FLOAT_EQ(out[1], 6.0f);
@@ -198,6 +201,25 @@ TEST(SpmvApp, PlasticineCollapsesOnCooRmw)
     EXPECT_GT(plasticine.cycles, 2 * capstan.cycles);
 }
 
+/**
+ * SpMV-CSC on a 48x80 matrix: on 4 tiles its output rows split into
+ * blocks of 12 and its columns (and the scanned 80-entry vector) into
+ * blocks of 20, so a CSC that swapped rows and columns, or scanned a
+ * vector of the wrong length, moves these numbers. Every Table 6
+ * stand-in is square, so the machine goldens would not notice. Recorded
+ * on the last build that read the transpose through a CSC wrapper
+ * class.
+ */
+TEST(SpmvApp, CscOnARectangularMatrixIsPinned)
+{
+    auto m = uniformRandomMatrix(48, 80, 0.1, 41);
+    auto v = sparseVector(80, 0.3, 43);
+    AppTiming t = runSpmvCsc(m, v, hbm(), 4);
+    EXPECT_EQ(t.cycles, 233u);
+    EXPECT_EQ(t.dram.bytes, 1240u);
+    EXPECT_EQ(t.totals.tokens, 27u);
+}
+
 TEST(PageRankApp, ReferenceSumsToOne)
 {
     auto g = roadGraph(400, 7);
@@ -227,22 +249,6 @@ TEST(BfsApp, LevelsMatchReference)
     ASSERT_EQ(res.level.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
         ASSERT_EQ(res.level[i], want[i]) << "vertex " << i;
-}
-
-TEST(BfsApp, ParentsFormValidTree)
-{
-    auto g = rmatGraph(512, 4000, 13);
-    auto res = runBfs(g, 1, hbm(), 4);
-    for (Index v = 0; v < static_cast<Index>(res.level.size()); ++v) {
-        if (res.level[v] <= 0)
-            continue;
-        Index p = res.parent[v];
-        ASSERT_GE(p, 0);
-        ASSERT_EQ(res.level[p], res.level[v] - 1);
-        // p must actually have an edge to v.
-        auto idx = g.rowIndices(p);
-        ASSERT_TRUE(std::find(idx.begin(), idx.end(), v) != idx.end());
-    }
 }
 
 TEST(SsspApp, DistancesMatchDijkstra)
@@ -275,9 +281,9 @@ TEST(ConvApp, ReferenceMatchesDirectConvolution)
                                    convLayer(8, 1, 4, 4, 0.5, 0.5, 23)}) {
         auto got = convReference(layer);
         auto want = directConvolution(layer);
-        ASSERT_EQ(got.dim0(), layer.out_channels);
-        ASSERT_EQ(got.dim1(), layer.dim);
-        ASSERT_EQ(got.dim2(), layer.dim);
+        ASSERT_EQ(got.data().size(),
+                  static_cast<std::size_t>(layer.out_channels) *
+                      layer.dim * layer.dim);
         EXPECT_LT(relativeError(got.data(), want.data()), 1e-6)
             << layer.kdim << "x" << layer.kdim;
     }

@@ -789,17 +789,17 @@ TEST(Cache, CorruptCacheFallsBackToTheText)
 TEST(Resolve, FileSchemeLoadsMtxAndEdgeLists)
 {
     auto d = resolveMatrixDataset("file:" + fixture("tiny.mtx"));
-    EXPECT_EQ(d.rows(), 64);
-    EXPECT_EQ(d.nnz(), 128);
+    EXPECT_EQ(d.matrix.rows(), 64);
+    EXPECT_EQ(d.matrix.nnz(), 128);
     EXPECT_EQ(d.source, fixture("tiny.mtx"));
 
     auto g = resolveMatrixDataset("file:" + fixture("tiny.el"));
-    EXPECT_EQ(g.rows(), 64);
-    EXPECT_EQ(g.nnz(), 128);
+    EXPECT_EQ(g.matrix.rows(), 64);
+    EXPECT_EQ(g.matrix.nnz(), 128);
 
     auto s = resolveMatrixDataset("file:" + fixture("tiny_sym.mtx"));
-    EXPECT_EQ(s.rows(), 16);
-    EXPECT_EQ(s.nnz(), 46); // 16 diagonal + 2 * 15 mirrored.
+    EXPECT_EQ(s.matrix.rows(), 16);
+    EXPECT_EQ(s.matrix.nnz(), 46); // 16 diagonal + 2 * 15 mirrored.
     EXPECT_FLOAT_EQ(s.matrix.at(0, 1), 1.0f);
 }
 
@@ -809,10 +809,10 @@ TEST(Resolve, RelativeFileAndMtxSchemesUseTheDatasetDir)
     writeFile(dir / "demo.mtx", kTinyGeneral);
 
     auto rel = resolveMatrixDataset("file:demo.mtx", 1.0, dir.string());
-    EXPECT_EQ(rel.nnz(), 5);
+    EXPECT_EQ(rel.matrix.nnz(), 5);
 
     auto named = resolveMatrixDataset("mtx:demo", 1.0, dir.string());
-    EXPECT_EQ(named.nnz(), 5);
+    EXPECT_EQ(named.matrix.nnz(), 5);
     EXPECT_EQ(named.source, (dir / "demo.mtx").string());
 
     EXPECT_THROW(resolveMatrixDataset("mtx:demo"), DatasetError);
@@ -831,20 +831,20 @@ TEST(Resolve, Table6NamesPreferRealFilesAndFallBackToSynthetic)
     // Present: the real file wins, whatever the scale.
     auto real = resolveMatrixDataset("Trefethen_20000", 0.05,
                                      dir.string());
-    EXPECT_EQ(real.rows(), 3);
+    EXPECT_EQ(real.matrix.rows(), 3);
     EXPECT_FALSE(real.source.empty());
 
     // Absent: the synthetic stand-in at the requested scale.
     auto synth = resolveMatrixDataset("bcsstk30", 0.05, dir.string());
     EXPECT_TRUE(synth.source.empty());
     auto direct = loadMatrixDataset("bcsstk30", 0.05);
-    EXPECT_EQ(synth.rows(), direct.rows());
-    EXPECT_EQ(synth.nnz(), direct.nnz());
+    EXPECT_EQ(synth.matrix.rows(), direct.matrix.rows());
+    EXPECT_EQ(synth.matrix.nnz(), direct.matrix.nnz());
 
     // No dataset dir at all: always synthetic.
     auto plain = resolveMatrixDataset("bcsstk30", 0.05);
     EXPECT_TRUE(plain.source.empty());
-    EXPECT_EQ(plain.nnz(), direct.nnz());
+    EXPECT_EQ(plain.matrix.nnz(), direct.matrix.nnz());
 
     // Unknown names still fail, dir or not.
     EXPECT_THROW(resolveMatrixDataset("nope", 1.0, dir.string()),
@@ -877,10 +877,11 @@ TEST(Resolve, ScaledDimensionsRoundToNearest)
     // 20000 * 0.0125 = 250 exactly; truncation used to hit 249 on
     // nearby scales — 0.01251 * 20000 = 250.2 must stay 250, and
     // 0.012475 * 20000 = 249.5 rounds up rather than down.
-    EXPECT_EQ(loadMatrixDataset("Trefethen_20000", 0.0125).rows(), 250);
-    EXPECT_EQ(loadMatrixDataset("Trefethen_20000", 0.01251).rows(), 250);
-    EXPECT_EQ(loadMatrixDataset("Trefethen_20000", 0.012475).rows(),
-              250);
+    for (double scale : {0.0125, 0.01251, 0.012475}) {
+        EXPECT_EQ(loadMatrixDataset("Trefethen_20000", scale).matrix.rows(),
+                  250)
+            << scale;
+    }
 }
 
 TEST(Resolve, RejectsInvalidScales)

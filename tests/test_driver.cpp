@@ -335,9 +335,10 @@ TEST(DriverJson, DumpAndParseRoundTripsAllKinds)
         EXPECT_FALSE(back.at("no").asBool());
         EXPECT_TRUE(back.at("nothing").isNull());
         ASSERT_EQ(back.at("arr").size(), 3u);
-        EXPECT_DOUBLE_EQ(back.at("arr")[0].asNumber(), 1);
-        EXPECT_EQ(back.at("arr")[1].asString(), "two");
-        EXPECT_DOUBLE_EQ(back.at("arr")[2].at("k").asNumber(), 3);
+        const auto &items = back.at("arr").items();
+        EXPECT_DOUBLE_EQ(items.at(0).asNumber(), 1);
+        EXPECT_EQ(items.at(1).asString(), "two");
+        EXPECT_DOUBLE_EQ(items.at(2).at("k").asNumber(), 3);
     }
 }
 
@@ -395,7 +396,7 @@ TEST(DriverJson, NonFiniteNumbersSerializeAsNull)
     // The emitted document round-trips through our own parser.
     JsonValue back = JsonValue::parse(doc.dump());
     EXPECT_TRUE(back.at("bad").isNull());
-    EXPECT_TRUE(back.at("arr")[0].isNull());
+    EXPECT_TRUE(back.at("arr").items().at(0).isNull());
 }
 
 // ---------------------------------------------------------------------------

@@ -205,6 +205,35 @@ TEST(EngineRequest, ToJsonRoundTrips)
     engine::JobRequest sback =
         engine::JobRequest::fromJson(sreq.toJson(), cfg);
     EXPECT_EQ(sreq.toJson().dump(), sback.toJson().dump());
+
+    // Every value of every enum option serializes as the spelling
+    // applyOption() parses, and reads back as itself; the aliases and
+    // other cases ("in:out") serialize as their value's one spelling.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        spellings = {
+            {"ordering",
+             {"unordered", "address", "fully", "arbitrated",
+              "address-ordered:address", "fully-ordered:fully",
+              "Arbitrated:arbitrated"}},
+            {"merge", {"none", "mrg0", "mrg1", "mrg16", "MRG16:mrg16"}},
+            {"hash", {"linear", "xor", "XOR:xor"}},
+            {"allocator", {"full", "weak", "Weak:weak"}},
+        };
+    for (const auto &[key, values] : spellings) {
+        for (const std::string &value : values) {
+            std::string in = value.substr(0, value.find(':'));
+            std::string out = value.substr(value.find(':') + 1);
+            engine::JobRequest run = engine::JobRequest::fromJson(
+                JsonValue::parse("{\"type\": \"run\", \"options\": {\"" +
+                                 key + "\": \"" + in + "\"}}"),
+                cfg);
+            JsonValue wire = run.toJson();
+            EXPECT_EQ(wire.at("options").at(key).asString(), out) << in;
+            EXPECT_EQ(engine::JobRequest::fromJson(wire, cfg).toJson().dump(),
+                      wire.dump())
+                << in;
+        }
+    }
 }
 
 TEST(EngineRequest, UnknownStudyIsAUsageError)
@@ -365,7 +394,7 @@ TEST(EngineCancel, MidSweepCancelFinishesClaimedPointAndSkipsRest)
 
     // The flushed report marks the skips but keeps the completed
     // point's stats — the "partial JSON" the interrupted CLIs emit.
-    const JsonValue &results = res.document.at("results");
+    const auto &results = res.document.at("results").items();
     ASSERT_EQ(results.size(), 4u);
     EXPECT_FALSE(results[0].contains("skipped"));
     ASSERT_TRUE(results[1].contains("skipped"));
@@ -386,9 +415,9 @@ TEST(EngineStudy, QuickStudyRunsAndRendersOneStudyReport)
     const JsonValue &header = res.document.at("report");
     EXPECT_EQ(header.at("preset").asString(), "quick");
     EXPECT_FALSE(header.contains("interrupted"));
-    ASSERT_EQ(res.document.at("results").size(), 1u);
-    EXPECT_EQ(res.document.at("results")[0].at("name").asString(),
-              "micro_components");
+    const auto &results = res.document.at("results").items();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].at("name").asString(), "micro_components");
 }
 
 TEST(EngineStudy, StudyJobReportsEveryPlannedPoint)

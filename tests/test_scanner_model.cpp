@@ -79,8 +79,12 @@ TEST(ScannerModel, UnionModeCountsEitherInput)
     ScannerConfig cfg;
     cfg.window_bits = 64;
     ScannerModel m(cfg);
-    BitVector a(64, {0, 1});
-    BitVector b(64, {62, 63});
+    BitVector a(64);
+    BitVector b(64);
+    a.set(0);
+    a.set(1);
+    b.set(62);
+    b.set(63);
     ScanTiming inter = m.scanBitVectors(a, b, ScanMode::Intersect);
     ScanTiming uni = m.scanBitVectors(a, b, ScanMode::Union);
     EXPECT_EQ(inter.outputs, 0u);

@@ -46,10 +46,10 @@ drain(ShuffleNetwork &net, int max_cycles = 10000)
     std::map<int, std::vector<ShuffleVector>> out;
     for (int i = 0; i < max_cycles && !net.empty(); ++i) {
         net.step();
-        for (int p = 0; p < net.ports(); ++p) {
+        net.deliveredPorts().forEach([&](int p) {
             while (auto v = net.tryEject(p))
                 out[p].push_back(*v);
-        }
+        });
     }
     EXPECT_TRUE(net.empty()) << "network failed to drain";
     return out;
@@ -316,131 +316,104 @@ TEST(ShuffleProperty, ShiftingImprovesThroughput)
  * retireDelivered() after each step and reads its outputs in place with
  * front() and pop(). Each cycle both take the same seeded number of
  * vectors per port, so a busy port leaves vectors waiting across
- * cycles. The injection answers, the vectors taken (lanes, tags, ids,
- * paths) and their order and cycles must match. The inverse-permutation
+ * cycles. The injection answers, the vectors taken (lanes, tags and
+ * ids) and their order and cycles must match. The inverse-permutation
  * FIFOs are shallow, so the credits gate the merge units: a credit
  * returned at another time than tryEject() returns it moves a vector.
- * With auto-retire off each taken id is retired 0-7 cycles later on
- * both networks.
  */
 TEST(ShuffleProperty, InPlaceDeliveryMatchesTryEject)
 {
-    for (bool auto_retire : {true, false}) {
-        for (MergeMode mode :
-             {MergeMode::Mrg0, MergeMode::Mrg1, MergeMode::Mrg16}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "auto_retire " << auto_retire << " mode "
-                         << static_cast<int>(mode));
-            ShuffleConfig cfg;
-            cfg.ports = 16;
-            cfg.mode = mode;
-            cfg.fifo_depth = 3;
-            ShuffleNetwork ejecting(cfg);
-            ShuffleNetwork in_place(cfg);
-            ejecting.setAutoRetire(auto_retire);
-            in_place.setAutoRetire(auto_retire);
-            std::mt19937 rng(2029);
-            std::vector<std::deque<ShuffleVector>> hold(cfg.ports);
-            std::deque<std::pair<int, std::uint64_t>> retire_at;
-            std::uint64_t next_id = 1;
-            int taken = 0;
-            int split = 0;
-            int merged = 0;
-            auto drained = [&] {
-                for (const auto &h : hold) {
-                    if (!h.empty())
-                        return false;
+    for (MergeMode mode :
+         {MergeMode::Mrg0, MergeMode::Mrg1, MergeMode::Mrg16}) {
+        SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode));
+        ShuffleConfig cfg;
+        cfg.ports = 16;
+        cfg.mode = mode;
+        cfg.fifo_depth = 3;
+        ShuffleNetwork ejecting(cfg);
+        ShuffleNetwork in_place(cfg);
+        std::mt19937 rng(2029);
+        std::vector<std::deque<ShuffleVector>> hold(cfg.ports);
+        std::uint64_t next_id = 1;
+        int taken = 0;
+        int split = 0;
+        int merged = 0;
+        auto drained = [&] {
+            for (const auto &h : hold) {
+                if (!h.empty())
+                    return false;
+            }
+            return ejecting.empty() && in_place.empty();
+        };
+        for (int cycle = 0; cycle < 50000; ++cycle) {
+            if (cycle >= 400 && drained())
+                break;
+            int offers = cycle < 400 ? static_cast<int>(rng() % 6) : 0;
+            for (int k = 0; k < offers; ++k) {
+                int port = static_cast<int>(rng() % cfg.ports);
+                ShuffleVector v;
+                v.src_port = port;
+                v.id = next_id;
+                for (int l = 0; l < kMaxLanes; ++l) {
+                    if (rng() % 4 == 0)
+                        continue;
+                    v.valid[l] = true;
+                    v.addr[l] = rng();
+                    v.dst_port[l] =
+                        rng() % 2 == 0
+                            ? static_cast<int>(14 + rng() % 2)
+                            : static_cast<int>(rng() % cfg.ports);
+                    v.src_lane[l] = l;
+                    v.tag[l] = next_id * kMaxLanes + l;
                 }
-                return ejecting.empty() && in_place.empty() &&
-                       retire_at.empty();
-            };
-            for (int cycle = 0; cycle < 50000; ++cycle) {
-                if (cycle >= 400 && drained())
-                    break;
-                int offers = cycle < 400 ? static_cast<int>(rng() % 6) : 0;
-                for (int k = 0; k < offers; ++k) {
-                    int port = static_cast<int>(rng() % cfg.ports);
-                    ShuffleVector v;
-                    v.src_port = port;
-                    v.id = next_id;
+                bool ok = ejecting.tryInject(port, v);
+                ASSERT_EQ(in_place.tryInject(port, v), ok);
+                if (ok)
+                    ++next_id;
+            }
+            ejecting.step();
+            in_place.step();
+            for (int p = 0; p < cfg.ports; ++p) {
+                while (auto v = ejecting.tryEject(p))
+                    hold[p].push_back(*v);
+            }
+            in_place.retireDelivered();
+            for (int p = 0; p < cfg.ports; ++p) {
+                int take = static_cast<int>(rng() % 3);
+                for (; take > 0 && !hold[p].empty(); --take) {
+                    ASSERT_TRUE(in_place.deliveredPorts().test(p));
+                    const ShuffleVector &want = hold[p].front();
+                    const ShuffleVector &got = in_place.front(p);
+                    ASSERT_EQ(got.id, want.id) << "cycle " << cycle;
+                    ASSERT_EQ(got.valid, want.valid);
+                    std::set<std::uint64_t> sources;
                     for (int l = 0; l < kMaxLanes; ++l) {
-                        if (rng() % 4 == 0)
+                        if (!want.valid[l])
                             continue;
-                        v.valid[l] = true;
-                        v.addr[l] = rng();
-                        v.dst_port[l] =
-                            rng() % 2 == 0
-                                ? static_cast<int>(14 + rng() % 2)
-                                : static_cast<int>(rng() % cfg.ports);
-                        v.src_lane[l] = l;
-                        v.tag[l] = next_id * kMaxLanes + l;
+                        ASSERT_EQ(got.addr[l], want.addr[l]);
+                        ASSERT_EQ(got.dst_port[l], want.dst_port[l]);
+                        ASSERT_EQ(got.dst_port[l], p);
+                        ASSERT_EQ(got.src_lane[l], want.src_lane[l]);
+                        ASSERT_EQ(got.tag[l], want.tag[l]);
+                        sources.insert(want.tag[l] / kMaxLanes);
                     }
-                    bool ok = ejecting.tryInject(port, v);
-                    ASSERT_EQ(in_place.tryInject(port, v), ok);
-                    if (ok)
-                        ++next_id;
+                    if (sources.size() > 1)
+                        ++merged;
+                    else if (want.id >= (1ull << 48))
+                        ++split;
+                    hold[p].pop_front();
+                    in_place.pop(p);
+                    ++taken;
                 }
-                ejecting.step();
-                in_place.step();
-                for (int p = 0; p < cfg.ports; ++p) {
-                    while (auto v = ejecting.tryEject(p))
-                        hold[p].push_back(*v);
-                }
-                in_place.retireDelivered();
-                for (int p = 0; p < cfg.ports; ++p) {
-                    int take = static_cast<int>(rng() % 3);
-                    for (; take > 0 && !hold[p].empty(); --take) {
-                        ASSERT_TRUE(in_place.deliveredPorts().test(p));
-                        const ShuffleVector &want = hold[p].front();
-                        const ShuffleVector &got = in_place.front(p);
-                        ASSERT_EQ(got.id, want.id) << "cycle " << cycle;
-                        ASSERT_EQ(got.valid, want.valid);
-                        std::set<std::uint64_t> sources;
-                        for (int l = 0; l < kMaxLanes; ++l) {
-                            if (!want.valid[l])
-                                continue;
-                            ASSERT_EQ(got.addr[l], want.addr[l]);
-                            ASSERT_EQ(got.dst_port[l], want.dst_port[l]);
-                            ASSERT_EQ(got.dst_port[l], p);
-                            ASSERT_EQ(got.src_lane[l], want.src_lane[l]);
-                            ASSERT_EQ(got.tag[l], want.tag[l]);
-                            sources.insert(want.tag[l] / kMaxLanes);
-                        }
-                        ASSERT_EQ(got.path, want.path);
-                        if (sources.size() > 1)
-                            ++merged;
-                        else if (want.id >= (1ull << 48))
-                            ++split;
-                        if (!auto_retire) {
-                            retire_at.emplace_back(
-                                cycle + static_cast<int>(rng() % 8),
-                                want.id);
-                        }
-                        hold[p].pop_front();
-                        in_place.pop(p);
-                        ++taken;
-                    }
-                    ASSERT_EQ(in_place.deliveredPorts().test(p),
-                              !hold[p].empty());
-                }
-                for (std::size_t i = 0; i < retire_at.size();) {
-                    if (retire_at[i].first <= cycle) {
-                        ejecting.retire(retire_at[i].second);
-                        in_place.retire(retire_at[i].second);
-                        retire_at.erase(retire_at.begin() +
-                                        static_cast<std::ptrdiff_t>(i));
-                    } else {
-                        ++i;
-                    }
-                }
+                ASSERT_EQ(in_place.deliveredPorts().test(p),
+                          !hold[p].empty());
             }
-            EXPECT_TRUE(drained()) << "the networks failed to drain";
-            EXPECT_GT(taken, 1000);
-            EXPECT_GT(split, 100) << "the traffic should split vectors";
-            if (mode != MergeMode::Mrg0) {
-                EXPECT_GT(merged, 100)
-                    << "the traffic should merge vectors";
-            }
+        }
+        EXPECT_TRUE(drained()) << "the networks failed to drain";
+        EXPECT_GT(taken, 1000);
+        EXPECT_GT(split, 100) << "the traffic should split vectors";
+        if (mode != MergeMode::Mrg0) {
+            EXPECT_GT(merged, 100) << "the traffic should merge vectors";
         }
     }
 }

@@ -314,9 +314,9 @@ TEST(SweepRun, CapturesPerPointErrorsWithoutSinkingTheSweep)
     spec.base = good;
     JsonValue report = sweepReportToJson(spec, results);
     EXPECT_EQ(report.at("sweep").at("failed").asNumber(), 1);
-    EXPECT_EQ(report.at("results")[0].at("error").asString(),
-              results[0].error);
-    EXPECT_EQ(report.at("results")[1].at("app").asString(), "CSR");
+    const auto &points = report.at("results").items();
+    EXPECT_EQ(points.at(0).at("error").asString(), results[0].error);
+    EXPECT_EQ(points.at(1).at("app").asString(), "CSR");
 }
 
 TEST(SweepRun, ProgressReportsEveryPointOnce)

@@ -16,29 +16,27 @@
  *    timing-only, so that is all it exposes.
  *  - Shuffle: tryInject answers and the ejection sequence (cycle,
  *    port, id, source port, and per valid lane its index, address,
- *    destination, src_lane and tag; with auto-retire off also the
- *    traversed path). That is all the network exposes.
+ *    destination, src_lane and tag). That is all the network exposes.
  *
  * The shuffle table was recorded with these definitions on the last
  * build whose SpmuConfig still carried the lane, bank,
  * allocator-iteration, Bloom and latency fields (set to Table 7's
  * values, now the constants in sim/config.hpp) and whose shuffle still
- * kept statistics. The SpMU table was recorded on the last build whose
- * SpMU still published an event horizon for a fast-forwarding machine,
- * with that horizon left out of the digest. A mismatch means a
- * simulated bit moved. The failure message prints the
- * new digest, so an intended behaviour change re-records by pasting it
- * into the table.
+ * kept statistics; its two 6-entry FIFO rows on the last build whose
+ * shuffle could also hold credits until a caller retired an id. The
+ * SpMU table was recorded on the last build whose SpMU still published
+ * an event horizon for a fast-forwarding machine, with that horizon
+ * left out of the digest. A mismatch means a simulated bit moved. The
+ * failure message prints the new digest, so an intended behaviour
+ * change re-records by pasting it into the table.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <random>
 #include <string>
-#include <utility>
 
 #include "sim/config.hpp"
 #include "sim/shuffle.hpp"
@@ -238,29 +236,24 @@ TEST(UnitGolden, SpmuTrafficDigestsPerMode)
  * Drive one butterfly with seeded random traffic and digest every
  * ejection. Several vectors are offered per cycle and many lanes head
  * for a two-port hotspot, so stages back up (refused injections,
- * abandoned commits) and merges fail as well as succeed. With
- * auto-retire off, each ejected id is retired a random 0-15 cycles
- * later and the inverse-permutation FIFOs are shallow, so credits gate
- * the merge units.
+ * abandoned commits) and merges fail as well as succeed. With a
+ * shallow inverse-permutation FIFO (@p fifo_depth well below the
+ * default 64), credits gate the merge units.
  */
 std::uint64_t
-shuffleDigest(MergeMode mode, int ports, bool auto_retire,
-              std::uint32_t seed)
+shuffleDigest(MergeMode mode, int ports, int fifo_depth, std::uint32_t seed)
 {
     constexpr int kInjectCycles = 300;
     ShuffleConfig cfg;
     cfg.mode = mode;
     cfg.ports = ports;
-    if (!auto_retire)
-        cfg.fifo_depth = 6;
+    cfg.fifo_depth = fifo_depth;
     ShuffleNetwork net(cfg);
-    net.setAutoRetire(auto_retire);
     std::mt19937 rng(seed);
     Digest d;
     std::uint64_t next_id = 1;
-    std::deque<std::pair<int, std::uint64_t>> retire_at;
     for (int cycle = 0; cycle < 100000; ++cycle) {
-        if (cycle >= kInjectCycles && net.empty() && retire_at.empty())
+        if (cycle >= kInjectCycles && net.empty())
             break;
         int offers = cycle < kInjectCycles
                          ? static_cast<int>(rng() % (ports / 2 + 2))
@@ -310,26 +303,6 @@ shuffleDigest(MergeMode mode, int ports, bool auto_retire,
                     d.add(static_cast<std::uint64_t>(v->src_lane[l]));
                     d.add(v->tag[l]);
                 }
-                if (!auto_retire) {
-                    d.add(v->path.size());
-                    for (auto [s, u] : v->path) {
-                        d.add(static_cast<std::uint64_t>(s));
-                        d.add(static_cast<std::uint64_t>(u));
-                    }
-                    retire_at.emplace_back(
-                        cycle + static_cast<int>(rng() % 16), v->id);
-                }
-            }
-        }
-        // Retire due ids in ejection order (the queue is not sorted by
-        // due cycle; each entry is checked in turn).
-        for (std::size_t i = 0; i < retire_at.size();) {
-            if (retire_at[i].first <= cycle) {
-                net.retire(retire_at[i].second);
-                retire_at.erase(retire_at.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
             }
         }
     }
@@ -342,29 +315,28 @@ struct ShuffleGolden
     const char *name;
     MergeMode mode;
     int ports;
-    bool auto_retire;
+    int fifo_depth;
     std::uint64_t digest;
 };
 
 TEST(UnitGolden, ShuffleTrafficDigestsPerMode)
 {
+    const int fifo = ShuffleConfig{}.fifo_depth;
     const ShuffleGolden goldens[] = {
-        {"mrg0/4", MergeMode::Mrg0, 4, true, 0xcf888f2e3afc1546},
-        {"mrg0/16", MergeMode::Mrg0, 16, true, 0x6004c0698f6645ab},
-        {"mrg0/64", MergeMode::Mrg0, 64, true, 0x457c8d896beb1d2d},
-        {"mrg1/4", MergeMode::Mrg1, 4, true, 0xfb0701e1ac2442b6},
-        {"mrg1/16", MergeMode::Mrg1, 16, true, 0x6058ad6122e1753e},
-        {"mrg1/64", MergeMode::Mrg1, 64, true, 0x86f632832057ac97},
-        {"mrg16/4", MergeMode::Mrg16, 4, true, 0xc65d7de003c73d43},
-        {"mrg16/16", MergeMode::Mrg16, 16, true, 0xf7e70beaa49d9a81},
-        {"mrg16/64", MergeMode::Mrg16, 64, true, 0xfb3c157d72350761},
-        {"mrg1/16 retire()", MergeMode::Mrg1, 16, false,
-         0x281343e50ff4fc7b},
-        {"mrg16/64 retire()", MergeMode::Mrg16, 64, false,
-         0xd8f28e64ac9f0f9d},
+        {"mrg0/4", MergeMode::Mrg0, 4, fifo, 0xcf888f2e3afc1546},
+        {"mrg0/16", MergeMode::Mrg0, 16, fifo, 0x6004c0698f6645ab},
+        {"mrg0/64", MergeMode::Mrg0, 64, fifo, 0x457c8d896beb1d2d},
+        {"mrg1/4", MergeMode::Mrg1, 4, fifo, 0xfb0701e1ac2442b6},
+        {"mrg1/16", MergeMode::Mrg1, 16, fifo, 0x6058ad6122e1753e},
+        {"mrg1/64", MergeMode::Mrg1, 64, fifo, 0x86f632832057ac97},
+        {"mrg16/4", MergeMode::Mrg16, 4, fifo, 0xc65d7de003c73d43},
+        {"mrg16/16", MergeMode::Mrg16, 16, fifo, 0xf7e70beaa49d9a81},
+        {"mrg16/64", MergeMode::Mrg16, 64, fifo, 0xfb3c157d72350761},
+        {"mrg1/16 fifo6", MergeMode::Mrg1, 16, 6, 0x8e866f6b8f0d14af},
+        {"mrg16/64 fifo6", MergeMode::Mrg16, 64, 6, 0x18df1b4d37471e9f},
     };
     for (const ShuffleGolden &g : goldens) {
-        std::uint64_t got = shuffleDigest(g.mode, g.ports, g.auto_retire, 7);
+        std::uint64_t got = shuffleDigest(g.mode, g.ports, g.fifo_depth, 7);
         EXPECT_EQ(got, g.digest) << g.name << ": digest " << hex(got);
     }
 }

@@ -113,7 +113,10 @@ TEST(Synth, UniformRandomMatrixHitsDensity)
 TEST(Synth, SparseVectorHitsDensity)
 {
     auto v = sparseVector(10000, 0.3, 7);
-    EXPECT_NEAR(v.nnz() / 10000.0, 0.3, 0.02);
+    int nonzero = 0;
+    for (Index i = 0; i < v.size(); ++i)
+        nonzero += v[i] != 0;
+    EXPECT_NEAR(nonzero / 10000.0, 0.3, 0.02);
 }
 
 TEST(Synth, ConvLayerDensities)
@@ -141,21 +144,21 @@ TEST(Datasets, AllTable6NamesLoad)
 {
     for (const auto &name : linearAlgebraDatasetNames()) {
         auto d = loadMatrixDataset(name, 0.05);
-        EXPECT_GT(d.nnz(), 0) << name;
+        EXPECT_GT(d.matrix.nnz(), 0) << name;
     }
     for (const auto &name : graphDatasetNames()) {
         auto d = loadMatrixDataset(name, 0.02);
-        EXPECT_GT(d.nnz(), 0) << name;
+        EXPECT_GT(d.matrix.nnz(), 0) << name;
     }
     for (const auto &name : spmspmDatasetNames()) {
         auto d = loadMatrixDataset(name, 1.0);
-        EXPECT_GT(d.nnz(), 0) << name;
+        EXPECT_GT(d.matrix.nnz(), 0) << name;
     }
     for (const auto &name : convDatasetNames()) {
         auto d = loadConvDataset(name, 0.25);
         EXPECT_GT(d.layer.kernel.nnz(), 0) << name;
     }
-    EXPECT_GT(loadMatrixDataset("p2p-Gnutella31", 0.25).nnz(), 0);
+    EXPECT_GT(loadMatrixDataset("p2p-Gnutella31", 0.25).matrix.nnz(), 0);
     EXPECT_THROW(loadMatrixDataset("nope"), std::invalid_argument);
     EXPECT_THROW(loadConvDataset("nope"), std::invalid_argument);
 }
@@ -272,8 +275,8 @@ TEST(Datasets, ScaleShrinksProportionally)
 {
     auto full = loadMatrixDataset("Trefethen_20000", 0.5);
     auto small = loadMatrixDataset("Trefethen_20000", 0.25);
-    EXPECT_NEAR(static_cast<double>(full.rows()) / small.rows(), 2.0,
-                0.1);
+    EXPECT_NEAR(static_cast<double>(full.matrix.rows()) / small.matrix.rows(),
+                2.0, 0.1);
 }
 
 TEST(Tiling, ByWeightBalancesEdges)
