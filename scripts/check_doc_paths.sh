@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs hygiene, two checks:
+# Docs hygiene, three checks:
 #
 # 1. Path check (always): fail if any markdown doc references a repo
 #    file path that no longer exists. Keeps docs/ARCHITECTURE.md's
@@ -12,7 +12,13 @@
 #    every *.md a comment under src/, tests/, or examples/ names must
 #    exist, resolved from the repo root.
 #
-# 2. Command check (with `--commands [build_dir]`): extract every
+# 2. Name check (always): fail if a markdown doc names deleted code.
+#    Every backtick-quoted C++ name in docs/*.md and README.md that is
+#    qualified (`a::b`) or called (`f()`, `f(args)`) must have its
+#    last component (`b`, `f`) appear as a whole word somewhere under
+#    src/, benchmark/ or tools/.
+#
+# 3. Command check (with `--commands [build_dir]`): extract every
 #    documented capstan-run / capstan-report command line (a code
 #    line whose first token is one of the binaries, optionally
 #    prefixed ./build/, with backslash continuations joined) and
@@ -52,6 +58,23 @@ missing="$(
             fi
         done
     done
+    words="$(mktemp)"
+    grep -rhoIE '[A-Za-z_][A-Za-z0-9_]*' \
+        "$repo/src" "$repo/benchmark" "$repo/tools" | sort -u > "$words"
+    for doc in "$repo"/docs/*.md "$repo"/README.md; do
+        [ -f "$doc" ] || continue
+        grep -o '`[^`]*`' "$doc" | sed 's/^`//; s/`$//' | sort -u |
+        grep -E '^~?[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)*(\([^()]*\))?$' |
+        grep -E '::|\(' |
+        while IFS= read -r token; do
+            name="${token%%(*}"
+            name="${name##*::}"
+            name="${name#\~}"
+            grep -qxF -- "$name" "$words" ||
+                echo "UNKNOWN NAME: $token (named by ${doc#"$repo"/})"
+        done
+    done
+    rm -f "$words"
     cd "$repo" &&
     grep -rnE --include='*.cpp' --include='*.hpp' '\.md\b' \
         src tests examples |
@@ -69,10 +92,10 @@ missing="$(
 
 if [ -n "$missing" ]; then
     echo "$missing"
-    echo "check_doc_paths: stale file references found" >&2
+    echo "check_doc_paths: stale file or code references found" >&2
     exit 1
 fi
-echo "check_doc_paths: all referenced paths exist"
+echo "check_doc_paths: all referenced paths and code names exist"
 
 [ "$check_commands" = 1 ] || exit 0
 

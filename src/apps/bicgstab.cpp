@@ -128,46 +128,38 @@ runBicgstab(const MatrixView &m, int iterations, const CapstanConfig &cfg,
     // The fused pipeline streams the matrix from DRAM twice per
     // iteration (v = A*p and t = A*s); every vector op and reduction
     // stays on-chip, chained behind the SpMV in the same phase.
-    auto feedSpmvPhase = [&]() {
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            mach.addStage(t, {StageKind::DramStream, 1});
-            mach.addStage(
-                t, {StageKind::SpmuCross, 1, sim::AccessOp::Read});
-            mach.addStage(t, {StageKind::Map, kMapLatency});
-            mach.addStage(t, {StageKind::Reduce, kMapLatency});
-            // Fused vector updates consume the SpMV output in place of
-            // a DRAM round-trip.
-            mach.addStage(t, {StageKind::Map, kMapLatency});
-            mach.addStage(t, {StageKind::Sink});
-        }
-        for (int t = 0; t < tiles; ++t)
-            mach.feed(t, spmvRowTokens(m, tiling, t, rows_per_tile));
-        mach.runPhase();
+    auto spmvPhase = [&]() {
+        mach.runPhase({{StageKind::DramStream, 1},
+                       {StageKind::SpmuCross, 1, sim::AccessOp::Read},
+                       {StageKind::Map, kMapLatency},
+                       {StageKind::Reduce, kMapLatency},
+                       // Fused vector updates consume the SpMV output
+                       // in place of a DRAM round-trip.
+                       {StageKind::Map, kMapLatency},
+                       {StageKind::Sink}},
+                      [&](int t) {
+                          return spmvRowTokens(m, tiling, t,
+                                               rows_per_tile);
+                      });
     };
 
     // On-chip vector phase: dots and axpys over the tile's rows.
-    auto feedVectorPhase = [&](int chained_ops) {
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            for (int k = 0; k < chained_ops; ++k)
-                mach.addStage(t, {StageKind::Map, kMapLatency});
-            mach.addStage(t, {StageKind::Reduce, kMapLatency});
-            mach.addStage(t, {StageKind::Sink});
-        }
-        for (int t = 0; t < tiles; ++t) {
-            Index rows_here =
-                static_cast<Index>(tiling.rowsOf(t).size());
-            mach.feed(t, laneChunks(rows_here, 0, true));
-        }
-        mach.runPhase();
+    auto vectorPhase = [&](int chained_ops) {
+        std::vector<StageSpec> chain(chained_ops,
+                                     {StageKind::Map, kMapLatency});
+        chain.push_back({StageKind::Reduce, kMapLatency});
+        chain.push_back({StageKind::Sink});
+        mach.runPhase(chain, [&](int t) {
+            return laneChunks(static_cast<Index>(tiling.rowsOf(t).size()),
+                              0, true);
+        });
     };
 
     for (int it = 0; it < iterations; ++it) {
-        feedSpmvPhase();   // v = A p (+ alpha reduction).
-        feedVectorPhase(2); // s = r - alpha v, partial dots.
-        feedSpmvPhase();   // t = A s.
-        feedVectorPhase(3); // omega dots, x and r updates, next p.
+        spmvPhase();      // v = A p (+ alpha reduction).
+        vectorPhase(2);   // s = r - alpha v, partial dots.
+        spmvPhase();      // t = A s.
+        vectorPhase(3);   // omega dots, x and r updates, next p.
     }
     return AppTiming::snapshot(mach);
 }

@@ -35,7 +35,7 @@ double residualNorm(const MatrixView &m, const DenseVector &b,
  * does not depend on the right-hand side, so none is passed.
  */
 AppTiming runBicgstab(const MatrixView &m, int iterations,
-                      const CapstanConfig &cfg, int tiles = kDefaultTiles);
+                      const CapstanConfig &cfg, int tiles);
 
 } // namespace capstan::apps
 

@@ -4,12 +4,13 @@
  *
  * Every application has two halves. A golden `*Reference` function
  * computes its functional result on the host, and is what tests and
- * examples read. A `run*` function lowers each tile's work to a linear
- * stage chain fed by a stream of vector-granularity tokens (one
- * lang::TokenStream per tile and phase, which the Machine pulls as it
- * consumes), and returns the timing the Machine supplies. Only BFS and
- * SSSP also return a functional result from their runs: their frontier
- * expansion is the run's own execution and drives their token streams.
+ * examples read. A `run*` function lowers each phase's loop body to one
+ * linear stage chain that every tile runs, fed by a stream of
+ * vector-granularity tokens (one lang::TokenStream per tile and phase,
+ * which the Machine pulls as it consumes), and returns the timing the
+ * Machine supplies. Only BFS and SSSP also return a functional result
+ * from their runs: their frontier expansion is the run's own execution
+ * and drives their token streams.
  */
 
 #pragma once
@@ -35,11 +36,17 @@ using lang::TokenStream;
 using sim::CapstanConfig;
 using sim::Cycle;
 
-/** Default outer parallelism when the caller does not specify one. */
-constexpr int kDefaultTiles = 16;
-
 /** Latency of a vectorized arithmetic stage (CU pipeline depth). */
 constexpr Cycle kMapLatency = 4;
+
+/**
+ * The chain of a phase that only moves data between DRAM and the
+ * chip: a load ahead of a kernel, or a write-back after one.
+ */
+inline const std::vector<StageSpec> kDramOnlyChain = {
+    {StageKind::DramStream, 1},
+    {StageKind::Sink},
+};
 
 /**
  * Live lanes of the 16-lane chunk at item @p base of @p count work

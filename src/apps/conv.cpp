@@ -135,46 +135,34 @@ runConv(const ConvLayer &layer, const CapstanConfig &cfg, int tiles)
     // Phase 0: broadcast the pruned kernel on-chip (8 B per stored
     // weight, split across tiles by the multicast network).
     Index64 kernel_bytes = 8 * layer.kernel.nnz();
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-        mach.feed(t, dramBursts(kernel_bytes / tiles));
-    }
-    mach.runPhase();
+    mach.runPhase(kDramOnlyChain,
+                  [&](int) { return dramBursts(kernel_bytes / tiles); });
 
-    mach.resetChains();
-    for (int t = 0; t < tiles; ++t) {
-        // Stream + data-scan activations (loop 1 is an outer loop,
-        // where the one-output data scanner suffices, Section 3.3) ->
-        // read kernel non-zeros on-chip -> multiply -> scatter atomic
-        // accumulations (halo lanes cross tiles).
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::DataScan, 1});
-        mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Read});
-        mach.addStage(t, {StageKind::Map, kMapLatency});
-        mach.addStage(t,
-                      {StageKind::SpmuCross, 1, sim::AccessOp::AddF32});
-        mach.addStage(t, {StageKind::Sink});
-    }
-
-    // Each tile owns a band of input (= output) rows; scan positions are
-    // in the tile's local flattened activation space.
-    for (int t = 0; t < tiles; ++t)
-        mach.feed(t, activationTokens(layer, knz, t, rows_per_tile));
-    mach.runPhase();
+    // Stream + data-scan activations (loop 1 is an outer loop, where
+    // the one-output data scanner suffices, Section 3.3) -> read kernel
+    // non-zeros on-chip -> multiply -> scatter atomic accumulations
+    // (halo lanes cross tiles). Each tile owns a band of input (=
+    // output) rows; scan positions are in the tile's local flattened
+    // activation space.
+    mach.runPhase({{StageKind::DramStream, 1},
+                   {StageKind::DataScan, 1},
+                   {StageKind::Spmu, 1, sim::AccessOp::Read},
+                   {StageKind::Map, kMapLatency},
+                   {StageKind::SpmuCross, 1, sim::AccessOp::AddF32},
+                   {StageKind::Sink}},
+                  [&](int t) {
+                      return activationTokens(layer, knz, t,
+                                              rows_per_tile);
+                  });
 
     // Phase 2: stream the dense output plane back to DRAM.
-    mach.resetChains();
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
+    mach.runPhase(kDramOnlyChain, [&](int t) {
         Index r_begin = t * rows_per_tile;
         Index rows_here = std::max<Index>(
             0, std::min<Index>(dim, r_begin + rows_per_tile) - r_begin);
-        mach.feed(t, dramBursts(Index64{4} * layer.out_channels *
-                                rows_here * dim));
-    }
-    mach.runPhase();
+        return dramBursts(Index64{4} * layer.out_channels * rows_here *
+                          dim);
+    });
     return AppTiming::snapshot(mach);
 }
 

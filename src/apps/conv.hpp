@@ -28,7 +28,7 @@ sparse::DenseTensor3 convReference(const ConvLayer &layer);
 
 /** Sparse convolution on Capstan. */
 AppTiming runConv(const ConvLayer &layer, const CapstanConfig &cfg,
-                  int tiles = kDefaultTiles);
+                  int tiles);
 
 } // namespace capstan::apps
 

@@ -79,22 +79,22 @@ levelTokens(const MatrixView &graph, const Tiling &tiling, int t,
 }
 
 /**
- * Feed one traversal level: each tile streams its share of @p frontier,
- * which moves into the tile's stream in local order.
+ * Run one traversal level through @p chain: each tile streams its share
+ * of @p frontier, which moves into the tile's stream in local order.
  */
 void
-feedLevel(Machine &mach, const MatrixView &graph, const Tiling &tiling,
-          const std::vector<Index> &frontier, int window_bits)
+runLevel(Machine &mach, const std::vector<StageSpec> &chain,
+         const MatrixView &graph, const Tiling &tiling,
+         const std::vector<Index> &frontier, int window_bits)
 {
-    int tiles = tiling.tiles();
-    std::vector<std::vector<Index>> local(tiles);
+    std::vector<std::vector<Index>> local(tiling.tiles());
     for (Index v : frontier)
         local[tiling.tileOf(v)].push_back(v);
-    for (int t = 0; t < tiles; ++t) {
+    mach.runPhase(chain, [&](int t) {
         std::sort(local[t].begin(), local[t].end());
-        mach.feed(t, levelTokens(graph, tiling, t, std::move(local[t]),
-                                 window_bits));
-    }
+        return levelTokens(graph, tiling, t, std::move(local[t]),
+                           window_bits);
+    });
 }
 
 } // namespace
@@ -159,6 +159,22 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
             streamCompressionRatio(graph.columnStream(), 0.5));
     Tiling tiling = Tiling::byWeight(graph, tiles);
     int window_bits = std::max(1, cfg.scanner.window_bits);
+    // Timing, per level: scan frontier -> stream adjacency -> RMW chain.
+    std::vector<StageSpec> chain = {
+        {StageKind::Scan, 1},
+        {StageKind::DramStream, 1},
+        // Rch[d] test-and-set.
+        {StageKind::SpmuCross, 1, sim::AccessOp::TestAndSet, kDistBase},
+    };
+    if (write_pointers) {
+        // Ptr[d] write-if-zero (keep the first parent).
+        chain.push_back({StageKind::SpmuCross, 1,
+                         sim::AccessOp::WriteIfZero, kPtrBase});
+    }
+    // Fr[d] |= !Rch[d].
+    chain.push_back(
+        {StageKind::SpmuCross, 1, sim::AccessOp::BitOr, kFrontierBase});
+    chain.push_back({StageKind::Sink});
 
     std::vector<Index> frontier = {source};
     res.level[source] = 0;
@@ -175,27 +191,7 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
             }
         }
 
-        // Timing: scan frontier -> stream adjacency -> RMW chain.
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            mach.addStage(t, {StageKind::Scan, 1});
-            mach.addStage(t, {StageKind::DramStream, 1});
-            // Rch[d] test-and-set.
-            mach.addStage(t, {StageKind::SpmuCross, 1,
-                              sim::AccessOp::TestAndSet, kDistBase});
-            if (write_pointers) {
-                // Ptr[d] write-if-zero (keep the first parent).
-                mach.addStage(t, {StageKind::SpmuCross, 1,
-                                  sim::AccessOp::WriteIfZero, kPtrBase});
-            }
-            // Fr[d] |= !Rch[d].
-            mach.addStage(t, {StageKind::SpmuCross, 1,
-                              sim::AccessOp::BitOr, kFrontierBase});
-            mach.addStage(t, {StageKind::Sink});
-        }
-        feedLevel(mach, graph, tiling, frontier, window_bits);
-        mach.runPhase();
-
+        runLevel(mach, chain, graph, tiling, frontier, window_bits);
         frontier = std::move(next);
         ++depth;
     }
@@ -217,6 +213,22 @@ runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
             streamCompressionRatio(graph.columnStream(), 0.5));
     Tiling tiling = Tiling::byWeight(graph, tiles);
     int window_bits = std::max(1, cfg.scanner.window_bits);
+    std::vector<StageSpec> chain = {
+        {StageKind::Scan, 1},
+        {StageKind::DramStream, 1},
+        // nd = Dist[s] + w.
+        {StageKind::Map, kMapLatency},
+        // Dist[d] = min(Dist[d], nd), reporting changes.
+        {StageKind::SpmuCross, 1, sim::AccessOp::MinReportChanged,
+         kDistBase},
+    };
+    if (write_pointers) {
+        chain.push_back(
+            {StageKind::SpmuCross, 1, sim::AccessOp::Write, kPtrBase});
+    }
+    chain.push_back(
+        {StageKind::SpmuCross, 1, sim::AccessOp::BitOr, kFrontierBase});
+    chain.push_back({StageKind::Sink});
 
     // Frontier-driven Bellman-Ford: relax out-edges of improved
     // vertices until no distance changes (min-report-changed).
@@ -240,27 +252,7 @@ runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
             }
         }
 
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            mach.addStage(t, {StageKind::Scan, 1});
-            mach.addStage(t, {StageKind::DramStream, 1});
-            // nd = Dist[s] + w.
-            mach.addStage(t, {StageKind::Map, kMapLatency});
-            // Dist[d] = min(Dist[d], nd), reporting changes.
-            mach.addStage(t,
-                          {StageKind::SpmuCross, 1,
-                           sim::AccessOp::MinReportChanged, kDistBase});
-            if (write_pointers) {
-                mach.addStage(t, {StageKind::SpmuCross, 1,
-                                  sim::AccessOp::Write, kPtrBase});
-            }
-            mach.addStage(t, {StageKind::SpmuCross, 1,
-                              sim::AccessOp::BitOr, kFrontierBase});
-            mach.addStage(t, {StageKind::Sink});
-        }
-        feedLevel(mach, graph, tiling, frontier, window_bits);
-        mach.runPhase();
-
+        runLevel(mach, chain, graph, tiling, frontier, window_bits);
         frontier = std::move(next);
     }
     res.timing = AppTiming::snapshot(mach);

@@ -52,12 +52,12 @@ std::vector<Value> ssspReference(const MatrixView &graph, Index source);
  *        fairer Graphicionado comparison, Section 4.4).
  */
 BfsResult runBfs(const MatrixView &graph, Index source,
-                 const CapstanConfig &cfg, int tiles = kDefaultTiles,
+                 const CapstanConfig &cfg, int tiles,
                  bool write_pointers = true);
 
 /** Frontier-based SSSP (Bellman-Ford style) on Capstan. */
 SsspResult runSssp(const MatrixView &graph, Index source,
-                   const CapstanConfig &cfg, int tiles = kDefaultTiles,
+                   const CapstanConfig &cfg, int tiles,
                    bool write_pointers = true);
 
 } // namespace capstan::apps

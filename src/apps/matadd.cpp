@@ -147,20 +147,17 @@ runMatAdd(const MatrixView &a, const MatrixView &b,
     Machine mach(cfg, tiles);
     Tiling tiling = Tiling::roundRobin(a.rows(), tiles);
     int window_bits = std::max(1, cfg.scanner.window_bits);
-    for (int t = 0; t < tiles; ++t) {
-        // Stream both rows' occupancy + values -> union scan -> add ->
-        // stream the result row out.
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Scan, 1});
-        mach.addStage(t, {StageKind::Map, kMapLatency});
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-    }
-    for (int t = 0; t < tiles; ++t) {
-        mach.feed(t, unionRowTokens(a, b, tiling, t, use_bittree,
-                                    window_bits));
-    }
-    mach.runPhase();
+    // Stream both rows' occupancy + values -> union scan -> add ->
+    // stream the result row out.
+    mach.runPhase({{StageKind::DramStream, 1},
+                   {StageKind::Scan, 1},
+                   {StageKind::Map, kMapLatency},
+                   {StageKind::DramStream, 1},
+                   {StageKind::Sink}},
+                  [&](int t) {
+                      return unionRowTokens(a, b, tiling, t, use_bittree,
+                                            window_bits);
+                  });
     return AppTiming::snapshot(mach);
 }
 

@@ -32,7 +32,7 @@ CsrMatrix matAddReference(const MatrixView &a, const MatrixView &b);
  * @throws std::invalid_argument when the operands' shapes differ.
  */
 AppTiming runMatAdd(const MatrixView &a, const MatrixView &b,
-                    const CapstanConfig &cfg, int tiles = kDefaultTiles,
+                    const CapstanConfig &cfg, int tiles,
                     bool use_bittree = true);
 
 } // namespace capstan::apps

@@ -116,22 +116,18 @@ runPageRankPull(const MatrixView &graph, int iterations,
     Tiling tiling = Tiling::byWeight(in_edges, tiles);
 
     for (int it = 0; it < iterations; ++it) {
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            // Stream in-edge lists -> gather neighbour ranks (remote
-            // tiles own most sources) -> scale -> reduce per vertex ->
-            // write the new rank locally.
-            mach.addStage(t, {StageKind::DramStream, 1});
-            mach.addStage(
-                t, {StageKind::SpmuCross, 1, sim::AccessOp::Read});
-            mach.addStage(t, {StageKind::Map, kMapLatency});
-            mach.addStage(t, {StageKind::Reduce, kMapLatency});
-            mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Write});
-            mach.addStage(t, {StageKind::Sink});
-        }
-        for (int t = 0; t < tiles; ++t)
-            mach.feed(t, pullVertexTokens(in_edges, tiling, t));
-        mach.runPhase();
+        // Stream in-edge lists -> gather neighbour ranks (remote tiles
+        // own most sources) -> scale -> reduce per vertex -> write the
+        // new rank locally.
+        mach.runPhase({{StageKind::DramStream, 1},
+                       {StageKind::SpmuCross, 1, sim::AccessOp::Read},
+                       {StageKind::Map, kMapLatency},
+                       {StageKind::Reduce, kMapLatency},
+                       {StageKind::Spmu, 1, sim::AccessOp::Write},
+                       {StageKind::Sink}},
+                      [&](int t) {
+                          return pullVertexTokens(in_edges, tiling, t);
+                      });
     }
     return AppTiming::snapshot(mach);
 }
@@ -157,32 +153,21 @@ runPageRankEdge(const MatrixView &graph, int iterations,
     Tiling tiling = Tiling::byWeight(graph, tiles);
 
     for (int it = 0; it < iterations; ++it) {
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            // Stream edges in source order -> read the (local) source
-            // rank -> scale -> atomic scatter to destination owners.
-            mach.addStage(t, {StageKind::DramStream, 1});
-            mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Read});
-            mach.addStage(t, {StageKind::Map, kMapLatency});
-            mach.addStage(
-                t, {StageKind::SpmuCross, 1, sim::AccessOp::AddF32});
-            mach.addStage(t, {StageKind::Sink});
-        }
-        for (int t = 0; t < tiles; ++t)
-            mach.feed(t, edgeTokens(graph, tiling, t));
-        mach.runPhase();
+        // Stream edges in source order -> read the (local) source rank
+        // -> scale -> atomic scatter to destination owners.
+        mach.runPhase({{StageKind::DramStream, 1},
+                       {StageKind::Spmu, 1, sim::AccessOp::Read},
+                       {StageKind::Map, kMapLatency},
+                       {StageKind::SpmuCross, 1, sim::AccessOp::AddF32},
+                       {StageKind::Sink}},
+                      [&](int t) { return edgeTokens(graph, tiling, t); });
 
         // Stream the updated rank vector back to DRAM (and reload it
         // next iteration): 8 B per vertex.
-        mach.resetChains();
-        for (int t = 0; t < tiles; ++t) {
-            mach.addStage(t, {StageKind::DramStream, 1});
-            mach.addStage(t, {StageKind::Sink});
-            Index rows_here =
-                static_cast<Index>(tiling.rowsOf(t).size());
-            mach.feed(t, laneChunks(rows_here, 8));
-        }
-        mach.runPhase();
+        mach.runPhase(kDramOnlyChain, [&](int t) {
+            return laneChunks(static_cast<Index>(tiling.rowsOf(t).size()),
+                              8);
+        });
     }
     return AppTiming::snapshot(mach);
 }

@@ -28,13 +28,11 @@ DenseVector pageRankReference(const MatrixView &graph, int iterations,
 
 /** Pull-based PageRank on Capstan. */
 AppTiming runPageRankPull(const MatrixView &graph, int iterations,
-                          const CapstanConfig &cfg,
-                          int tiles = kDefaultTiles);
+                          const CapstanConfig &cfg, int tiles);
 
 /** Edge-streaming PageRank on Capstan. */
 AppTiming runPageRankEdge(const MatrixView &graph, int iterations,
-                          const CapstanConfig &cfg,
-                          int tiles = kDefaultTiles);
+                          const CapstanConfig &cfg, int tiles);
 
 } // namespace capstan::apps
 

@@ -149,11 +149,7 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
     // Phase 0: load each tile's working set of B rows on-chip once
     // (the evaluated SpMSpM datasets fit in SpMU SRAM, so B rows are
     // fetched from DRAM a single time and reused across A entries).
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-    }
-    for (int t = 0; t < tiles; ++t) {
+    mach.runPhase(kDramOnlyChain, [&](int t) {
         std::unordered_set<Index> needed;
         Index64 bytes = 0;
         for (Index i : tiling.rowsOf(t)) {
@@ -162,38 +158,29 @@ runSpmspm(const MatrixView &a, const MatrixView &b,
                     bytes += 8 * b.length(j);
             }
         }
-        mach.feed(t, dramBursts(bytes));
-    }
-    mach.runPhase();
+        return dramBursts(bytes);
+    });
 
     // Phase 1: accumulate scaled B rows into the per-row dense tile.
-    mach.resetChains();
-    for (int t = 0; t < tiles; ++t) {
-        // Stream A row entries -> union/intersect scan against the Val
-        // bitset -> read the on-chip B row (sequential SRAM stream) ->
-        // accumulate into the compressed local tile.
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Scan, 1});
-        mach.addStage(t, {StageKind::Map, 1});
-        mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::AddF32});
-        mach.addStage(t, {StageKind::Sink});
-    }
-    for (int t = 0; t < tiles; ++t)
-        mach.feed(t, accumulateTokens(a, b, tiling, t));
-    mach.runPhase();
+    // Stream A row entries -> union/intersect scan against the Val
+    // bitset -> read the on-chip B row (sequential SRAM stream) ->
+    // accumulate into the compressed local tile.
+    mach.runPhase({{StageKind::DramStream, 1},
+                   {StageKind::Scan, 1},
+                   {StageKind::Map, 1},
+                   {StageKind::Spmu, 1, sim::AccessOp::AddF32},
+                   {StageKind::Sink}},
+                  [&](int t) { return accumulateTokens(a, b, tiling, t); });
 
     // Phase 2: sparse-iterate each row's Val bitset to extract the
     // compressed output row and write it to DRAM.
-    mach.resetChains();
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::Scan, 1});
-        mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Swap});
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-    }
-    for (int t = 0; t < tiles; ++t)
-        mach.feed(t, writeOutTokens(a, b, tiling, t, window_bits));
-    mach.runPhase();
+    mach.runPhase({{StageKind::Scan, 1},
+                   {StageKind::Spmu, 1, sim::AccessOp::Swap},
+                   {StageKind::DramStream, 1},
+                   {StageKind::Sink}},
+                  [&](int t) {
+                      return writeOutTokens(a, b, tiling, t, window_bits);
+                  });
     return AppTiming::snapshot(mach);
 }
 

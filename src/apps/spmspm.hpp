@@ -26,7 +26,7 @@ CsrMatrix spmspmReference(const MatrixView &a, const MatrixView &b);
 
 /** SpMSpM on Capstan. */
 AppTiming runSpmspm(const MatrixView &a, const MatrixView &b,
-                    const CapstanConfig &cfg, int tiles = kDefaultTiles);
+                    const CapstanConfig &cfg, int tiles);
 
 } // namespace capstan::apps
 

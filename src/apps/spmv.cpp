@@ -135,19 +135,15 @@ runSpmvCsr(const MatrixView &m, const CapstanConfig &cfg, int tiles)
         mach.setStreamCompression(
             streamCompressionRatio(m.columnStream(), 0.5));
     Tiling tiling = Tiling::roundRobin(m.rows(), tiles);
-    for (int t = 0; t < tiles; ++t) {
-        // Stream matrix -> gather V[c] on-chip -> multiply -> reduce per
-        // row -> stream results out.
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Read});
-        mach.addStage(t, {StageKind::Map, kMapLatency});
-        mach.addStage(t, {StageKind::Reduce, kMapLatency});
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-    }
-    for (int t = 0; t < tiles; ++t)
-        mach.feed(t, csrRowTokens(m, tiling, t));
-    mach.runPhase();
+    // Stream matrix -> gather V[c] on-chip -> multiply -> reduce per
+    // row -> stream results out.
+    mach.runPhase({{StageKind::DramStream, 1},
+                   {StageKind::Spmu, 1, sim::AccessOp::Read},
+                   {StageKind::Map, kMapLatency},
+                   {StageKind::Reduce, kMapLatency},
+                   {StageKind::DramStream, 1},
+                   {StageKind::Sink}},
+                  [&](int t) { return csrRowTokens(m, tiling, t); });
     return AppTiming::snapshot(mach);
 }
 
@@ -171,31 +167,24 @@ runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg, int tiles)
         mach.setStreamCompression(
             streamCompressionRatio(ptrs, 2.0 / 3.0));
     }
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Spmu, 1, sim::AccessOp::Read});
-        mach.addStage(t, {StageKind::Map, kMapLatency});
-        mach.addStage(t,
-                      {StageKind::SpmuCross, 1, sim::AccessOp::AddF32});
-        mach.addStage(t, {StageKind::Sink});
-    }
     Index64 nnz = coo.nnz();
     Index64 per_tile = (nnz + tiles - 1) / tiles;
-    for (int t = 0; t < tiles; ++t) {
-        Index64 begin = t * per_tile;
-        Index64 end = std::min<Index64>(nnz, begin + per_tile);
-        mach.feed(t, cooTokens(coo, begin, end, rows_per_tile));
-    }
-    mach.runPhase();
+    mach.runPhase({{StageKind::DramStream, 1},
+                   {StageKind::Spmu, 1, sim::AccessOp::Read},
+                   {StageKind::Map, kMapLatency},
+                   {StageKind::SpmuCross, 1, sim::AccessOp::AddF32},
+                   {StageKind::Sink}},
+                  [&](int t) {
+                      Index64 begin = t * per_tile;
+                      Index64 end =
+                          std::min<Index64>(nnz, begin + per_tile);
+                      return cooTokens(coo, begin, end, rows_per_tile);
+                  });
 
     // Final pass: stream the accumulated output back to DRAM.
-    mach.resetChains();
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-        mach.feed(t, laneChunks(blockRows(m.rows(), rows_per_tile, t), 4));
-    }
-    mach.runPhase();
+    mach.runPhase(kDramOnlyChain, [&](int t) {
+        return laneChunks(blockRows(m.rows(), rows_per_tile, t), 4);
+    });
     return AppTiming::snapshot(mach);
 }
 
@@ -210,32 +199,25 @@ runSpmvCsc(const MatrixView &m, const DenseVector &v,
             streamCompressionRatio(csc.colIdx(), 0.5));
     Index rows_per_tile = (m.rows() + tiles - 1) / tiles;
     Index cols_per_tile = (m.cols() + tiles - 1) / tiles;
-    for (int t = 0; t < tiles; ++t) {
-        // Data-scan the input vector -> stream the matched column ->
-        // multiply -> scatter atomic updates into Out across tiles.
-        mach.addStage(t, {StageKind::DataScan, 1});
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Map, kMapLatency});
-        mach.addStage(t,
-                      {StageKind::SpmuCross, 1, sim::AccessOp::AddF32});
-        mach.addStage(t, {StageKind::Sink});
-    }
-    for (int t = 0; t < tiles; ++t) {
-        Index c_begin = t * cols_per_tile;
-        Index c_end = std::min<Index>(m.cols(), c_begin + cols_per_tile);
-        mach.feed(t, cscColumnTokens(csc, v, c_begin, c_end,
-                                     rows_per_tile));
-    }
-    mach.runPhase();
+    // Data-scan the input vector -> stream the matched column ->
+    // multiply -> scatter atomic updates into Out across tiles.
+    mach.runPhase({{StageKind::DataScan, 1},
+                   {StageKind::DramStream, 1},
+                   {StageKind::Map, kMapLatency},
+                   {StageKind::SpmuCross, 1, sim::AccessOp::AddF32},
+                   {StageKind::Sink}},
+                  [&](int t) {
+                      Index c_begin = t * cols_per_tile;
+                      Index c_end = std::min<Index>(
+                          m.cols(), c_begin + cols_per_tile);
+                      return cscColumnTokens(csc, v, c_begin, c_end,
+                                             rows_per_tile);
+                  });
 
     // Stream Out back to DRAM.
-    mach.resetChains();
-    for (int t = 0; t < tiles; ++t) {
-        mach.addStage(t, {StageKind::DramStream, 1});
-        mach.addStage(t, {StageKind::Sink});
-        mach.feed(t, laneChunks(blockRows(m.rows(), rows_per_tile, t), 4));
-    }
-    mach.runPhase();
+    mach.runPhase(kDramOnlyChain, [&](int t) {
+        return laneChunks(blockRows(m.rows(), rows_per_tile, t), 4);
+    });
     return AppTiming::snapshot(mach);
 }
 

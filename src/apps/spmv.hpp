@@ -34,14 +34,14 @@ DenseVector spmvReference(const MatrixView &m, const DenseVector &v);
  * depend on the vector's values, so none is passed.
  */
 AppTiming runSpmvCsr(const MatrixView &m, const CapstanConfig &cfg,
-                     int tiles = kDefaultTiles);
+                     int tiles);
 
 /**
  * COO SpMV on Capstan (matrix streamed in coordinate form) with a
  * dense input vector; see runSpmvCsr.
  */
 AppTiming runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg,
-                     int tiles = kDefaultTiles);
+                     int tiles);
 
 /**
  * CSC SpMV on Capstan; @p v is expected to be sparse (the paper uses a
@@ -49,7 +49,7 @@ AppTiming runSpmvCoo(const MatrixView &m, const CapstanConfig &cfg,
  * drive the data scanner.
  */
 AppTiming runSpmvCsc(const MatrixView &m, const DenseVector &v,
-                     const CapstanConfig &cfg, int tiles = kDefaultTiles);
+                     const CapstanConfig &cfg, int tiles);
 
 } // namespace capstan::apps
 

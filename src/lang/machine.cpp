@@ -26,6 +26,11 @@ portCount(int tiles)
 sim::ShuffleConfig
 shuffleConfigFor(const CapstanConfig &cfg, int tiles)
 {
+    // Tile, port and merge-unit indices travel as int8_t
+    // (Token::lane_tile, the shuffle's paths). Checked before the
+    // shuffle is built, whose own port check would fire first.
+    CAPSTAN_CHECK(tiles > 0 && tiles <= sim::kMaxTiles,
+                  "a machine has 1 to sim::kMaxTiles tiles");
     sim::ShuffleConfig sc = cfg.shuffle;
     sc.ports = portCount(tiles);
     return sc;
@@ -38,10 +43,6 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
       dram_(cfg.dram),
       shuffle_(shuffleConfigFor(cfg, tiles))
 {
-    // Tile, port and merge-unit indices travel as int8_t
-    // (Token::lane_tile, the shuffle's paths).
-    CAPSTAN_CHECK(tiles > 0 && tiles <= sim::kMaxTiles,
-                  "a machine has 1 to sim::kMaxTiles tiles");
     tiles_.resize(tiles);
     spmus_.reserve(tiles);
     ags_.reserve(tiles);
@@ -56,32 +57,6 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
         ags_.push_back(
             std::make_unique<sim::AddressGenerator>(dram_, ag_entries));
     }
-}
-
-int
-Machine::addStage(int tile, const StageSpec &spec)
-{
-    CAPSTAN_CHECK(tile >= 0 && tile < tiles());
-    Tile &tl = tiles_[tile];
-    std::size_t s = tl.stages.size();
-    Stage &st = tl.stages.emplace_back();
-    st.spec = spec;
-    // Take the ring this position had in an earlier chain: its buffer is
-    // already grown, so the next phase's tokens allocate nothing.
-    if (s < tl.spare_rings.size())
-        std::swap(st.in, tl.spare_rings[s]);
-    return static_cast<int>(s);
-}
-
-void
-Machine::feed(int tile, TokenStream stream)
-{
-    CAPSTAN_CHECK(tile >= 0 && tile < tiles());
-    Tile &tl = tiles_[tile];
-    CAPSTAN_CHECK(!tl.stages.empty(), "feed() before any addStage()");
-    CAPSTAN_CHECK(!tl.source, "feed() before the tile's stream ran dry");
-    tl.source = std::move(stream);
-    pull(tl);
 }
 
 void
@@ -184,10 +159,9 @@ Machine::enqueue(int t, const sim::AccessVector &av,
 bool
 Machine::stageHasRoom(int t, int s) const
 {
-    const Tile &tile = tiles_[t];
-    if (s + 1 >= static_cast<int>(tile.stages.size()))
+    if (s + 1 >= static_cast<int>(chain_.size()))
         return true; // Sink output is the void.
-    return tile.stages[s + 1].in.size() < kQueueCap;
+    return tiles_[t].stages[s + 1].in.size() < kQueueCap;
 }
 
 void
@@ -196,7 +170,7 @@ Machine::advance(int t, int s, Token token, Cycle extra_latency)
     Tile &tile = tiles_[t];
     tile.last_active = now_;
     token.ready_at = now_ + extra_latency + cfg_.network_hop_latency;
-    if (s + 1 < static_cast<int>(tile.stages.size()))
+    if (s + 1 < static_cast<int>(chain_.size()))
         pushInput(t, s + 1, token);
 }
 
@@ -220,32 +194,16 @@ Machine::deliverPending(std::uint64_t uid)
     advance(t, p.stage, p.token, extra);
 }
 
-int
-Machine::laneCountStage(int t)
-{
-    Tile &tile = tiles_[t];
-    if (tile.lane_count_stage >= 0)
-        return tile.lane_count_stage;
-    int stage = static_cast<int>(tile.stages.size()) - 1; // Sink.
-    for (int s = 0; s < static_cast<int>(tile.stages.size()); ++s) {
-        if (tile.stages[s].spec.kind == StageKind::Map) {
-            stage = s;
-            break;
-        }
-    }
-    tile.lane_count_stage = stage;
-    return stage;
-}
-
 void
 Machine::stepTile(int t)
 {
     Tile &tile = tiles_[t];
-    int n = static_cast<int>(tile.stages.size());
+    int n = static_cast<int>(chain_.size());
     // Walk sink -> source so a token advances at most one stage/cycle.
     for (int s = n - 1; s >= 0; --s) {
         Stage &st = tile.stages[s];
-        switch (st.spec.kind) {
+        const StageSpec &spec = chain_[s];
+        switch (spec.kind) {
           case StageKind::Sink: {
             if (st.in.empty() || st.in.front().ready_at > now_)
                 break;
@@ -256,7 +214,7 @@ Machine::stepTile(int t)
             ++totals_.tokens;
             // Lane-occupancy stats are taken at the loop body (the
             // first Map stage); chains without one count here.
-            if (s == laneCountStage(t)) {
+            if (s == lane_stage_) {
                 int lanes = tok.validLanes();
                 totals_.active_lane_cycles += lanes;
                 totals_.vector_idle_lane_cycles +=
@@ -271,13 +229,13 @@ Machine::stepTile(int t)
             }
             Token tok = st.in.front();
             popInput(tile, st);
-            if (s == laneCountStage(t)) {
+            if (s == lane_stage_) {
                 int lanes = tok.validLanes();
                 totals_.active_lane_cycles += lanes;
                 totals_.vector_idle_lane_cycles +=
                     sim::kMaxLanes - lanes;
             }
-            advance(t, s, tok, st.spec.latency);
+            advance(t, s, tok, spec.latency);
             ++st.tokens_out;
             break;
           }
@@ -312,7 +270,7 @@ Machine::stepTile(int t)
             if (tok.scan_skip > 0)
                 st.scan_skip_remaining += tok.scan_skip;
             Cycle occupancy = 1;
-            if (st.spec.kind == StageKind::Scan) {
+            if (spec.kind == StageKind::Scan) {
                 int v = std::max(1, cfg_.scanner.outputs);
                 occupancy = (tok.validLanes() + v - 1) / v;
             } else {
@@ -331,7 +289,7 @@ Machine::stepTile(int t)
             if (st.burning())
                 addWork(tile, 1);
             if (tok.validLanes() > 0) {
-                advance(t, s, tok, st.spec.latency);
+                advance(t, s, tok, spec.latency);
                 ++st.tokens_out;
             } else {
                 tile.last_active = now_;
@@ -349,8 +307,8 @@ Machine::stepTile(int t)
             for (int l = 0; l < sim::kMaxLanes; ++l) {
                 if (tok.valid_mask & (1u << l)) {
                     av.lane[l].valid = true;
-                    av.lane[l].addr = tok.addr[l] + st.spec.addr_offset;
-                    av.lane[l].op = st.spec.op;
+                    av.lane[l].addr = tok.addr[l] + spec.addr_offset;
+                    av.lane[l].op = spec.op;
                 }
             }
             if (!enqueue(t, av, std::span(&av.id, 1)))
@@ -363,7 +321,7 @@ Machine::stepTile(int t)
                 break;
             const Token &tok = st.in.front();
             if (cfg_.shuffle.mode == sim::MergeMode::None &&
-                sim::isReadOnly(st.spec.op)) {
+                sim::isReadOnly(spec.op)) {
                 // Without a shuffle network, remote *reads* stay
                 // on-chip over the static network (duplication and
                 // buffering, Section 5), but pay a serialized
@@ -379,8 +337,8 @@ Machine::stepTile(int t)
                     if (!(tok.valid_mask & (1u << l)))
                         continue;
                     av.lane[l].valid = true;
-                    av.lane[l].addr = tok.addr[l] + st.spec.addr_offset;
-                    av.lane[l].op = st.spec.op;
+                    av.lane[l].addr = tok.addr[l] + spec.addr_offset;
+                    av.lane[l].op = spec.op;
                     int dst = tok.lane_tile[l];
                     if (dst >= 0 && dst != t) {
                         reply.lane[l] = av.lane[l];
@@ -416,8 +374,8 @@ Machine::stepTile(int t)
                     if (dst < 0 || dst == t) {
                         av.lane[l].valid = true;
                         av.lane[l].addr =
-                            tok.addr[l] + st.spec.addr_offset;
-                        av.lane[l].op = st.spec.op;
+                            tok.addr[l] + spec.addr_offset;
+                        av.lane[l].op = spec.op;
                         ++local;
                     } else {
                         remote[n_remote++] =
@@ -425,7 +383,7 @@ Machine::stepTile(int t)
                                  static_cast<std::uint8_t>(dst))
                              << 26) |
                             (static_cast<std::uint64_t>(
-                                 tok.addr[l] + st.spec.addr_offset) *
+                                 tok.addr[l] + spec.addr_offset) *
                              4);
                     }
                 }
@@ -458,7 +416,7 @@ Machine::stepTile(int t)
             for (int l = 0; l < sim::kMaxLanes; ++l) {
                 if (tok.valid_mask & (1u << l)) {
                     sv.valid[l] = true;
-                    sv.addr[l] = tok.addr[l] + st.spec.addr_offset;
+                    sv.addr[l] = tok.addr[l] + spec.addr_offset;
                     int dst = tok.lane_tile[l];
                     sv.dst_port[l] = (dst >= 0 && dst < tiles()) ? dst
                                                                  : t;
@@ -484,7 +442,7 @@ Machine::stepTile(int t)
             }
             Token tok = st.in.front();
             popInput(tile, st);
-            Cycle extra = st.spec.latency;
+            Cycle extra = spec.latency;
             if (tok.bytes > 0) {
                 std::uint64_t bytes = tok.bytes;
                 if (cfg_.dram.compression && stream_compression_ > 1.0)
@@ -511,7 +469,7 @@ Machine::stepTile(int t)
             if (st.reduce_groups >= sim::kMaxLanes) {
                 Token out = Token::compute(st.reduce_groups);
                 setReduceGroups(tile, st, 0);
-                advance(t, s, out, st.spec.latency);
+                advance(t, s, out, spec.latency);
                 ++st.tokens_out;
             }
             break;
@@ -591,9 +549,47 @@ Machine::countersMatchScan() const
            in_flight_ == in_flight && workRemains() == workRemainsScan();
 }
 
-PhaseStats
-Machine::runPhase(Cycle max_cycles)
+Cycle
+Machine::runPhase(const std::vector<StageSpec> &chain,
+                  const PhaseSource &source, Cycle max_cycles)
 {
+    CAPSTAN_CHECK(!chain.empty(), "runPhase() needs a chain of stages");
+    // Each phase counts its own stage outputs. A phase that threw may
+    // also have left tokens, burns, groups and unfinished streams:
+    // clear them, keeping each ring's buffer. An
+    // access it left in flight cannot be cleared (a SpMU or the shuffle
+    // holds it), so there must be none; a cancelled job, which unwinds
+    // with some, drops its machine.
+    CAPSTAN_DCHECK(in_flight_ == 0, "a phase started with accesses in flight");
+    chain_ = chain;
+    auto map = std::find_if(chain_.begin(), chain_.end(),
+                            [](const StageSpec &spec) {
+                                return spec.kind == StageKind::Map;
+                            });
+    lane_stage_ = static_cast<int>(
+        (map != chain_.end() ? map : chain_.end() - 1) - chain_.begin());
+    for (Tile &tile : tiles_) {
+        if (tile.stages.size() < chain_.size())
+            tile.stages.resize(chain_.size());
+        for (Stage &st : tile.stages) {
+            st.in.clear();
+            st.scan_skip_remaining = 0;
+            st.scan_occupied = 0;
+            st.reduce_groups = 0;
+            st.tokens_out = 0;
+        }
+        tile.source = {};
+        addWork(tile, -tile.work);
+        reducing_ -= tile.reducing;
+        tile.reducing = 0;
+    }
+    // Make and prime the streams in tile order: a source may draw on
+    // shared state (a seeded RNG) as it makes each one.
+    for (int t = 0; t < tiles(); ++t) {
+        tiles_[t].source = source(t);
+        pull(tiles_[t]);
+    }
+
     Cycle start = now_;
     for (;;) {
         // Every counter is cross-checked against the scan it replaced.
@@ -620,12 +616,11 @@ Machine::runPhase(Cycle max_cycles)
             stepTile(t);
         });
 
-        // Shuffle network: move vectors a stage, return the credits of
-        // this step's deliveries (as ejecting them would), then hand
-        // each port's delivered vectors, read in place, to the owning
-        // tile's SpMU. A vector the SpMU refuses waits at its output.
+        // Shuffle network: move vectors a stage (returning the credits
+        // of the vectors it delivers), then hand each port's delivered
+        // vectors, read in place, to the owning tile's SpMU. A vector
+        // the SpMU refuses waits at its output.
         shuffle_.step();
-        shuffle_.retireDelivered();
         shuffle_.deliveredPorts().forEach([&](int p) {
             CAPSTAN_DCHECK(p < tiles(), "a vector delivered past the tiles");
             // A full SpMU refuses before the vector is built, so a
@@ -647,7 +642,7 @@ Machine::runPhase(Cycle max_cycles)
                     CAPSTAN_DCHECK(pend.remaining > 0);
                     av.lane[l].valid = true;
                     av.lane[l].addr = sv.addr[l];
-                    av.lane[l].op = origin.stages[pend.stage].spec.op;
+                    av.lane[l].op = chain_[pend.stage].op;
                     uids[n++] = uid;
                 }
                 if (!enqueue(p, av, std::span(uids.data(), n)))
@@ -681,10 +676,10 @@ Machine::runPhase(Cycle max_cycles)
             if (tile.reducing == 0)
                 continue;
             int upstream_in_flight = 0;
-            for (int s = 0;
-                 s < static_cast<int>(tile.stages.size()); ++s) {
+            for (int s = 0; s < static_cast<int>(chain_.size()); ++s) {
                 Stage &st = tile.stages[s];
-                bool flush = st.spec.kind == StageKind::Reduce &&
+                const StageSpec &spec = chain_[s];
+                bool flush = spec.kind == StageKind::Reduce &&
                              st.reduce_groups > 0 && st.in.empty() &&
                              upstream_in_flight == 0;
                 for (int u = 0; u <= s && flush; ++u) {
@@ -695,7 +690,7 @@ Machine::runPhase(Cycle max_cycles)
                 if (flush && stageHasRoom(t, s)) {
                     Token out = Token::compute(st.reduce_groups);
                     setReduceGroups(tile, st, 0);
-                    advance(t, s, out, st.spec.latency);
+                    advance(t, s, out, spec.latency);
                     ++st.tokens_out;
                 }
                 upstream_in_flight += st.in_flight;
@@ -705,8 +700,7 @@ Machine::runPhase(Cycle max_cycles)
         ++now_;
     }
 
-    PhaseStats ps;
-    ps.cycles = now_ - start;
+    Cycle cycles = now_ - start;
     for (const Tile &tile : tiles_) {
         Cycle finish = std::max(tile.last_active, start);
         bool had_work = false;
@@ -714,34 +708,12 @@ Machine::runPhase(Cycle max_cycles)
             had_work = had_work || st.tokens_out > 0;
         if (had_work) {
             totals_.imbalance_lane_cycles +=
-                static_cast<double>(ps.cycles - (finish - start)) *
+                static_cast<double>(cycles - (finish - start)) *
                 sim::kMaxLanes;
         }
     }
-    totals_.cycles += ps.cycles;
-    return ps;
-}
-
-void
-Machine::resetChains()
-{
-    CAPSTAN_DCHECK(in_flight_ == 0, "resetChains() with accesses in flight");
-    for (Tile &tile : tiles_) {
-        // Keep each position's ring (emptied) for the next chain.
-        if (tile.spare_rings.size() < tile.stages.size())
-            tile.spare_rings.resize(tile.stages.size());
-        for (std::size_t s = 0; s < tile.stages.size(); ++s) {
-            tile.stages[s].in.clear();
-            std::swap(tile.stages[s].in, tile.spare_rings[s]);
-        }
-        tile.stages.clear();
-        tile.source = {};
-        // The dropped chain takes its tokens, burns and groups along.
-        addWork(tile, -tile.work);
-        reducing_ -= tile.reducing;
-        tile.reducing = 0;
-        tile.lane_count_stage = -1;
-    }
+    totals_.cycles += cycles;
+    return cycles;
 }
 
 void

@@ -2,12 +2,13 @@
  * @file
  * The Capstan machine: a cycle-stepped executor for tile pipelines.
  *
- * Applications lower each outer-parallel tile to a *linear chain* of
- * pipeline stages (scan headers, vectorized map/reduce bodies, SpMU
- * accesses, DRAM streams). The Machine owns one SpMU and one DRAM
- * address generator per tile, a shared DRAM model, and a shared shuffle
- * network. runPhase() steps every cycle, one at a time, until all
- * chains drain; a cycle visits only the components that have work (a
+ * Applications lower each phase's outer-parallel loop body to one
+ * *linear chain* of pipeline stages (scan headers, vectorized
+ * map/reduce bodies, SpMU accesses, DRAM streams), which every tile
+ * runs over its own token stream. The Machine owns one SpMU and one
+ * DRAM address generator per tile, a shared DRAM model, and a shared
+ * shuffle network. runPhase() steps every cycle, one at a time, until
+ * all chains drain; a cycle visits only the components that have work (a
  * tile with a queued token or a burning scanner, a SpMU holding
  * vectors, a merge unit with input). Busy tiles and SpMUs are
  * bitmasks kept as their counts leave and reach zero, visited in
@@ -26,8 +27,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -74,11 +75,8 @@ struct StageSpec
     std::uint32_t addr_offset = 0;
 };
 
-/** Timing results of one phase (all chains run to completion). */
-struct PhaseStats
-{
-    Cycle cycles = 0; //!< Phase makespan.
-};
+/** Makes tile @p tile's source stream for one phase. */
+using PhaseSource = std::function<TokenStream(int tile)>;
 
 /** Accumulated statistics across phases (inputs to Fig. 7). */
 struct RunTotals
@@ -94,12 +92,10 @@ struct RunTotals
 /**
  * Cycle-stepped executor over a set of tile chains.
  *
- * Usage: construct, addStage() per tile to build chains, feed() each
- * tile one TokenStream, runPhase(); repeat after resetChains() (chains
- * and streams reset each phase; components, totals and the stage
- * rings' buffers persist), then read totals(). The source stage holds
- * one token at a time and pulls the next from its stream as it
- * consumes one.
+ * Usage: construct, call runPhase() once per phase, then read
+ * totals(). Components, totals and the stage rings' buffers persist
+ * across phases. A source stage holds one token at a time and pulls
+ * the next from its tile's stream as it consumes one.
  */
 class Machine
 {
@@ -108,32 +104,21 @@ class Machine
 
     int tiles() const { return static_cast<int>(tiles_.size()); }
 
-    /** Append a stage to @p tile's chain; returns the stage index. */
-    int addStage(int tile, const StageSpec &spec);
-
     /**
-     * Make @p stream the source of @p tile's chain (after addStage(),
-     * before runPhase()) and pull its first token. The tile's previous
-     * stream must have run dry.
-     */
-    void feed(int tile, TokenStream stream);
-
-    /**
-     * Run until every chain drains and every stream has run dry.
-     * A producer's exception propagates out of the pull that resumed
-     * it; runPhase() rethrows it.
+     * Run one phase: every tile runs @p chain (which must not be
+     * empty), fed by the stream @p source makes for it. The streams
+     * are made, and each one's first token pulled, in tile order; the
+     * phase runs until every chain drains and every stream has run
+     * dry, and returns its makespan. A producer's exception
+     * propagates out of runPhase(); the next phase clears what the
+     * aborted one left (tokens, burns, groups, unfinished streams),
+     * which must not include an access in flight.
      * @param max_cycles Watchdog: a phase still holding work after
      *        this many cycles aborts, in every build.
      */
-    PhaseStats runPhase(Cycle max_cycles = 1ull << 34);
-
-    /**
-     * Clear chains and destroy unfinished streams (but not totals) to
-     * build the next phase. No memory access may be in flight: true
-     * after a phase that drained, and after one that threw with no
-     * access outstanding.
-     */
-    void resetChains();
+    Cycle runPhase(const std::vector<StageSpec> &chain,
+                   const PhaseSource &source,
+                   Cycle max_cycles = 1ull << 34);
 
     /**
      * Effective read-compression ratio applied to DramStream bytes
@@ -159,9 +144,9 @@ class Machine
     sim::SpmuStats spmuTotals() const;
 
   private:
+    /** A tile's state for one position of the chain. */
     struct Stage
     {
-        StageSpec spec;
         common::RingQueue<Token> in;
         // Scan state: zero windows left to traverse, busy cycles left.
         std::int64_t scan_skip_remaining = 0;
@@ -195,6 +180,13 @@ class Machine
 
     struct Tile
     {
+        /**
+         * One per chain position, grown to the longest chain run so far
+         * and never shrunk, so a ring's buffer survives the phases.
+         * Without that, many-phase runs (sssp at scale 4 on 64 tiles
+         * runs 413 phases) regrow every downstream ring each phase and
+         * take about a quarter longer.
+         */
         std::vector<Stage> stages;
         /**
          * Producer of stage 0's tokens: stage 0's ring holds the one
@@ -202,14 +194,6 @@ class Machine
          * once it has run dry.
          */
         TokenStream source;
-        /**
-         * Input rings of earlier chains' stages, by position: addStage()
-         * hands position s the ring position s had before, so a ring's
-         * buffer survives resetChains(). Without it, many-phase runs
-         * (sssp at scale 4 on 64 tiles runs 413 phases) regrow every
-         * downstream ring each phase and take about a quarter longer.
-         */
-        std::vector<common::RingQueue<Token>> spare_rings;
         /**
          * Tokens queued in the stage rings plus burning Scan stages. Every
          * stepTile() case needs one or the other, so at zero the tile is
@@ -226,8 +210,6 @@ class Machine
         std::vector<Pending> pending;
         std::vector<std::uint32_t> free_slots;
         Cycle last_active = 0;
-        /** Stage where lane occupancy is counted (first Map or sink). */
-        int lane_count_stage = -1;
     };
 
     /**
@@ -242,9 +224,6 @@ class Machine
         int count = 0;
         std::array<std::uint64_t, sim::kMaxLanes> uid{};
     };
-
-    /** Resolve (and cache) the lane-accounting stage for tile @p t. */
-    int laneCountStage(int t);
 
     void stepTile(int t);
     bool stageHasRoom(int t, int s) const;
@@ -305,6 +284,10 @@ class Machine
     bool countersMatchScan() const;
 
     CapstanConfig cfg_;
+    /** The running phase's chain, shared by every tile. */
+    std::vector<StageSpec> chain_;
+    /** Where chain_ counts lane occupancy: its first Map, else its end. */
+    int lane_stage_ = 0;
     sim::DramModel dram_;
     sim::ShuffleNetwork shuffle_;
     std::vector<std::unique_ptr<sim::SparseMemoryUnit>> spmus_;

@@ -3,10 +3,11 @@
  * A lazy producer of one tile's source tokens for one phase.
  *
  * An application writes each tile's phase input as a coroutine that
- * `co_yield`s Tokens and hands it to Machine::feed(). The machine pulls
- * one token when it is fed and one more each time its source stage
- * consumes a token, so a phase's tokens never exist all at once: token
- * memory scales with the pipeline's queues, not with the work fed.
+ * `co_yield`s Tokens, made by the PhaseSource it hands to
+ * Machine::runPhase(). The machine pulls one token when it makes the
+ * stream and one more each time its source stage consumes a token, so
+ * a phase's tokens never exist all at once: token memory scales with
+ * the pipeline's queues, not with the work fed.
  *
  * Lifetimes: a coroutine frame copies the stream function's parameters,
  * but not what a reference parameter (or a lambda's `[&]` capture)

@@ -35,7 +35,6 @@ ShuffleNetwork::ShuffleNetwork(const ShuffleConfig &cfg) : cfg_(cfg)
                      std::vector<Fifo>(cfg.ports, Fifo(kChannelDepth)));
     occupied_.assign(stages_, 0);
     outputs_.assign(cfg.ports, Fifo(kChannelDepth));
-    unretired_.assign(cfg.ports, 0);
     in_flight_.assign(stages_, std::vector<int>(cfg.ports / 2, 0));
 }
 
@@ -89,8 +88,6 @@ ShuffleNetwork::deliver(int port, Slot v)
 {
     outputs_[port].push_back(v);
     delivered_ports_.set(port);
-    ++unretired_[port];
-    unretired_ports_.set(port);
     ++delivered_;
 }
 
@@ -167,6 +164,11 @@ ShuffleNetwork::step()
             stepUnit(s, unit, p0, p0 + half, bit);
         }
     }
+    // The vectors this step delivered return their credits only now:
+    // units stepped after a delivery still see those vectors in flight.
+    for (Slot v : arrived_)
+        retireSlot(v);
+    arrived_.clear();
 }
 
 bool
@@ -186,18 +188,14 @@ ShuffleNetwork::bookkeepingMatchesScan() const
     }
     int delivered = 0;
     TileMask ports;
-    TileMask unretired_ports;
     for (int p = 0; p < cfg_.ports; ++p) {
         const Fifo &out = outputs_[p];
         delivered += static_cast<int>(out.size());
         ports.assign(p, !out.empty());
-        unretired_ports.assign(p, unretired_[p] > 0);
-        if (unretired_[p] > out.size())
-            return false;
     }
     // Every pool slot in use holds exactly one buffered vector.
     return live == live_ && delivered == delivered_ &&
-           ports == delivered_ports_ && unretired_ports == unretired_ports_ &&
+           ports == delivered_ports_ &&
            pool_.size() - free_.size() ==
                static_cast<std::size_t>(live_ + delivered_);
 }
@@ -289,10 +287,12 @@ ShuffleNetwork::stepUnit(int s, int unit, int p0, int p1, int bit)
         pool_[slot].path.emplace_back(static_cast<std::int8_t>(s),
                                       static_cast<std::int8_t>(unit));
         ++in_flight_[s][unit];
-        if (last_stage)
+        if (last_stage) {
             deliver(out_port[d], slot);
-        else
+            arrived_.push_back(slot);
+        } else {
             pushChannel(s + 1, out_port[d], slot);
+        }
     };
     for (int d = 0; d < 2; ++d) {
         if (merged[d]) {
@@ -347,33 +347,9 @@ ShuffleNetwork::retireSlot(Slot v)
 }
 
 void
-ShuffleNetwork::retireDelivered()
-{
-    unretired_ports_.forEach([&](int p) {
-        Fifo &out = outputs_[p];
-        for (std::size_t i = out.size() - unretired_[p]; i < out.size(); ++i)
-            retireSlot(out[i]);
-        unretired_[p] = 0;
-    });
-    unretired_ports_.clear();
-}
-
-void
-ShuffleNetwork::retireFront(int port)
-{
-    Fifo &out = outputs_[port];
-    if (unretired_[port] != out.size())
-        return; // Retired by retireDelivered() already.
-    retireSlot(out.front());
-    if (--unretired_[port] == 0)
-        unretired_ports_.reset(port);
-}
-
-void
 ShuffleNetwork::pop(int port)
 {
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
-    retireFront(port);
     Fifo &out = outputs_[port];
     free_.push_back(out.front());
     out.pop_front();
@@ -388,7 +364,6 @@ ShuffleNetwork::tryEject(int port)
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
     if (outputs_[port].empty())
         return std::nullopt;
-    retireFront(port);
     std::optional<ShuffleVector> ejected(front(port));
     pop(port);
     return ejected;

@@ -53,13 +53,12 @@ struct ShuffleVector
  *
  * Ports must be a power of two, at most kMaxTiles. Usage per cycle:
  * tryInject() work at the input ports, step(), then take delivered
- * vectors at the output ports: either tryEject() a copy, or call
- * retireDelivered() and read each port's vectors in place with
- * front() and pop(). A delivered vector returns its
- * inverse-permutation FIFO credits when it is retired: at
- * retireDelivered(), or at tryEject() or pop() if not retired yet.
- * lang::Machine models a reply as a fixed latency outside the network,
- * so delivery is the last event the network sees of a vector.
+ * vectors at the output ports: either tryEject() a copy, or read each
+ * port's vectors in place with front() and pop(). The vectors a step()
+ * delivers return their inverse-permutation FIFO credits at the end of
+ * that step(), once every merge unit has stepped. lang::Machine models
+ * a reply as a fixed latency outside the network, so delivery is the
+ * last event the network sees of a vector.
  *
  * Each vector lives in one slot of a network-owned pool from
  * tryInject() until it is consumed; stage channels and output queues
@@ -77,18 +76,14 @@ class ShuffleNetwork
     /** Inject a request vector at input @p port. */
     bool tryInject(int port, const ShuffleVector &v);
 
-    /** Advance one cycle: each stage moves/merges/splits vectors. */
+    /**
+     * Advance one cycle: each stage moves/merges/splits vectors, then
+     * the vectors delivered return their FIFO credits.
+     */
     void step();
 
     /** Pop a copy of the oldest delivered vector at @p port, if any. */
     std::optional<ShuffleVector> tryEject(int port);
-
-    /**
-     * Retire every vector delivered since the last call, as tryEject()
-     * would at their ejection: return their FIFO credits. Call right
-     * after step(), before reading the outputs with front() and pop().
-     */
-    void retireDelivered();
 
     /** Output ports holding delivered vectors. */
     const TileMask &deliveredPorts() const { return delivered_ports_; }
@@ -99,7 +94,7 @@ class ShuffleNetwork
         return pool_[outputs_[static_cast<std::size_t>(port)].front()];
     }
 
-    /** Consume front(@p port), retiring it first if still unretired. */
+    /** Consume front(@p port). */
     void pop(int port);
 
     /** True when nothing is buffered anywhere in the network. */
@@ -124,7 +119,7 @@ class ShuffleNetwork
     /** Queue slot @p v in stage @p s's channel @p port. */
     void pushChannel(int s, int port, Slot v);
 
-    /** Queue slot @p v at output @p port, unretired. */
+    /** Queue slot @p v at output @p port. */
     void deliver(int port, Slot v);
 
     /** A free pool slot (its buffers kept from earlier occupants). */
@@ -132,9 +127,6 @@ class ShuffleNetwork
 
     /** Return slot @p v's FIFO credits to the merge units on its path. */
     void retireSlot(Slot v);
-
-    /** Retire the front of output @p port if it is still unretired. */
-    void retireFront(int port);
 
     /**
      * Whether every count and mask equals the channel, output and pool
@@ -167,12 +159,8 @@ class ShuffleNetwork
     std::vector<Fifo> outputs_;
     /** Ports whose outputs_ are non-empty. */
     TileMask delivered_ports_;
-    /**
-     * Vectors at the back of each output not yet retired, and the ports
-     * with any: retireDelivered() retires them.
-     */
-    std::vector<std::uint32_t> unretired_;
-    TileMask unretired_ports_;
+    /** Slots the running step() delivered, retired as it ends. */
+    std::vector<Slot> arrived_;
     /** In-flight counts per (stage, merge unit) for FIFO credits. */
     std::vector<std::vector<int>> in_flight_;
     /** Vectors buffered between stages; 0 makes step() an O(1) no-op. */

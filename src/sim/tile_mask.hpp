@@ -27,7 +27,6 @@ class TileMask
     void reset(int i) { words_[word(i)] &= ~bit(i); }
     void assign(int i, bool on) { on ? set(i) : reset(i); }
     bool test(int i) const { return (words_[word(i)] & bit(i)) != 0; }
-    void clear() { words_ = {}; }
 
     bool operator==(const TileMask &) const = default;
 

@@ -50,13 +50,14 @@ addrToken(const std::vector<std::uint32_t> &addrs)
 }
 
 /**
- * Three phases on one machine, rebuilt through resetChains() with 4, 3
- * and 6 stages, so each chain takes over rings an earlier one grew:
- * cross-tile reads reduced in groups; scanner burns ahead of cross-tile
- * AddF32 updates; and a DRAM stream, a local SpMU read, a cross-tile
- * read and a cross-tile AddF32 in one chain. Every fifth tile idles;
- * a quarter of the lanes stay local. Returns the tokens the sinks must
- * retire.
+ * Three phases on one machine, with chains of 4, 3 and 6 stages, so
+ * each chain takes over rings an earlier one grew: cross-tile reads
+ * reduced in groups; scanner burns ahead of cross-tile AddF32 updates;
+ * and a DRAM stream, a local SpMU read, a cross-tile read and a
+ * cross-tile AddF32 in one chain. Every fifth tile idles; a quarter of
+ * the lanes stay local. The sources draw their tokens from one RNG as
+ * the machine makes each tile's stream, in tile order. Returns the
+ * tokens the sinks must retire.
  */
 std::uint64_t
 runCrossTileProgram(Machine &m, std::uint32_t seed)
@@ -80,58 +81,53 @@ runCrossTileProgram(Machine &m, std::uint32_t seed)
     };
     std::uint64_t expected = 0;
 
-    for (int t = 0; t < tiles; ++t) {
-        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::Read});
-        m.addStage(t, {StageKind::Map, 2});
-        m.addStage(t, {StageKind::Reduce, 1});
-        m.addStage(t, {StageKind::Sink});
-        int n = tokensFor(t);
-        int groups = 0;
-        std::vector<Token> toks;
-        for (int i = 0; i < n; ++i) {
-            Token tok = crossToken();
-            tok.end_group = i % 3 == 2 || i == n - 1;
-            groups += tok.end_group ? 1 : 0;
-            toks.push_back(tok);
-        }
-        m.feed(t, tokenStream(std::move(toks)));
-        expected += static_cast<std::uint64_t>((groups + 15) / 16);
-    }
-    m.runPhase();
-    m.resetChains();
+    m.runPhase({{StageKind::SpmuCross, 1, AccessOp::Read},
+                {StageKind::Map, 2},
+                {StageKind::Reduce, 1},
+                {StageKind::Sink}},
+               [&](int t) {
+                   int n = tokensFor(t);
+                   int groups = 0;
+                   std::vector<Token> toks;
+                   for (int i = 0; i < n; ++i) {
+                       Token tok = crossToken();
+                       tok.end_group = i % 3 == 2 || i == n - 1;
+                       groups += tok.end_group ? 1 : 0;
+                       toks.push_back(tok);
+                   }
+                   expected += static_cast<std::uint64_t>((groups + 15) / 16);
+                   return tokenStream(std::move(toks));
+               });
 
-    for (int t = 0; t < tiles; ++t) {
-        m.addStage(t, {StageKind::Scan, 1});
-        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32});
-        m.addStage(t, {StageKind::Sink});
-        int n = tokensFor(t);
-        std::vector<Token> toks;
-        for (int i = 0; i < n; ++i) {
-            Token tok = crossToken();
-            tok.scan_skip = static_cast<std::int32_t>(rng() % 6);
-            toks.push_back(tok);
-        }
-        m.feed(t, tokenStream(std::move(toks)));
-        expected += static_cast<std::uint64_t>(n);
-    }
-    m.runPhase();
-    m.resetChains();
+    m.runPhase({{StageKind::Scan, 1},
+                {StageKind::SpmuCross, 1, AccessOp::AddF32},
+                {StageKind::Sink}},
+               [&](int t) {
+                   int n = tokensFor(t);
+                   std::vector<Token> toks;
+                   for (int i = 0; i < n; ++i) {
+                       Token tok = crossToken();
+                       tok.scan_skip = static_cast<std::int32_t>(rng() % 6);
+                       toks.push_back(tok);
+                   }
+                   expected += static_cast<std::uint64_t>(n);
+                   return tokenStream(std::move(toks));
+               });
 
-    for (int t = 0; t < tiles; ++t) {
-        m.addStage(t, {StageKind::DramStream, 1});
-        m.addStage(t, {StageKind::Spmu, 1, AccessOp::Read});
-        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::Read, 1024});
-        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32, 2048});
-        m.addStage(t, {StageKind::Map, 1});
-        m.addStage(t, {StageKind::Sink});
-        int n = tokensFor(t);
-        std::vector<Token> toks;
-        for (int i = 0; i < n; ++i)
-            toks.push_back(crossToken());
-        m.feed(t, tokenStream(std::move(toks)));
-        expected += static_cast<std::uint64_t>(n);
-    }
-    m.runPhase();
+    m.runPhase({{StageKind::DramStream, 1},
+                {StageKind::Spmu, 1, AccessOp::Read},
+                {StageKind::SpmuCross, 1, AccessOp::Read, 1024},
+                {StageKind::SpmuCross, 1, AccessOp::AddF32, 2048},
+                {StageKind::Map, 1},
+                {StageKind::Sink}},
+               [&](int t) {
+                   int n = tokensFor(t);
+                   std::vector<Token> toks;
+                   for (int i = 0; i < n; ++i)
+                       toks.push_back(crossToken());
+                   expected += static_cast<std::uint64_t>(n);
+                   return tokenStream(std::move(toks));
+               });
     return expected;
 }
 
@@ -165,38 +161,30 @@ failingTokens(int n)
     throw std::runtime_error("producer failed");
 }
 
-/** A Map -> Sink chain on every tile of @p m. */
-void
-mapChains(Machine &m)
-{
-    for (int t = 0; t < m.tiles(); ++t) {
-        m.addStage(t, {StageKind::Map, 1});
-        m.addStage(t, {StageKind::Sink});
-    }
-}
+/** A Map -> Sink chain. */
+const std::vector<StageSpec> kMapChain = {{StageKind::Map, 1},
+                                          {StageKind::Sink}};
 
 } // namespace
 
 TEST(Machine, EmptyPhaseCostsNothing)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Sink});
-    PhaseStats ps = m.runPhase();
-    EXPECT_EQ(ps.cycles, 0u);
+    EXPECT_EQ(m.runPhase({{StageKind::Sink}},
+                         [](int) { return TokenStream(); }),
+              0u);
 }
 
 TEST(Machine, MapChainIsFullyPipelined)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Map, 3});
-    m.addStage(0, {StageKind::Map, 3});
-    m.addStage(0, {StageKind::Sink});
     const int n = 1000;
-    m.feed(0, repeated(Token::compute(16), n));
-    PhaseStats ps = m.runPhase();
+    Cycle cycles = m.runPhase(
+        {{StageKind::Map, 3}, {StageKind::Map, 3}, {StageKind::Sink}},
+        [](int) { return repeated(Token::compute(16), n); });
     // II = 1: makespan ~ n + pipeline fill.
-    EXPECT_GE(ps.cycles, static_cast<Cycle>(n));
-    EXPECT_LT(ps.cycles, static_cast<Cycle>(n + 32));
+    EXPECT_GE(cycles, static_cast<Cycle>(n));
+    EXPECT_LT(cycles, static_cast<Cycle>(n + 32));
     EXPECT_EQ(m.totals().tokens, static_cast<std::uint64_t>(n));
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 16.0 * n);
 }
@@ -204,10 +192,9 @@ TEST(Machine, MapChainIsFullyPipelined)
 TEST(Machine, PartialVectorsCountVectorLengthIdle)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Map, 1});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, tokenStream({Token::compute(4), Token::compute(16)}));
-    m.runPhase();
+    m.runPhase(kMapChain, [](int) {
+        return tokenStream({Token::compute(4), Token::compute(16)});
+    });
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 20.0);
     EXPECT_DOUBLE_EQ(m.totals().vector_idle_lane_cycles, 12.0);
 }
@@ -215,24 +202,20 @@ TEST(Machine, PartialVectorsCountVectorLengthIdle)
 TEST(Machine, ScanSkipBurnsScannerCycles)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Sink});
     Token t = Token::compute(16);
     t.scan_skip = 10;
-    m.feed(0, tokenStream({t}));
-    PhaseStats ps = m.runPhase();
+    Cycle cycles = m.runPhase({{StageKind::Scan, 1}, {StageKind::Sink}},
+                              [&](int) { return tokenStream({t}); });
     EXPECT_DOUBLE_EQ(m.totals().scan_empty_cycles, 10.0);
-    EXPECT_GE(ps.cycles, 11u);
+    EXPECT_GE(cycles, 11u);
 }
 
 TEST(Machine, ScanWindowsSplitWideWindows)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Sink});
     // Windows: 0, 0, 40 bits, 0, 5 bits.
-    m.feed(0, scanWindows({0, 0, 40, 0, 5}));
-    m.runPhase();
+    m.runPhase({{StageKind::Scan, 1}, {StageKind::Sink}},
+               [](int) { return scanWindows({0, 0, 40, 0, 5}); });
     // 40 bits -> tokens of 16/16/8; 5 bits -> one token of 5.
     EXPECT_EQ(m.totals().tokens, 4u);
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 45.0);
@@ -241,18 +224,16 @@ TEST(Machine, ScanWindowsSplitWideWindows)
 
 TEST(Machine, NarrowScannerOutputsThrottle)
 {
+    auto run = [](const CapstanConfig &cfg) {
+        Machine m(cfg, 1);
+        return m.runPhase({{StageKind::Scan, 1}, {StageKind::Sink}},
+                          [](int) {
+                              return repeated(Token::compute(16), 200);
+                          });
+    };
     CapstanConfig narrow = idealConfig();
     narrow.scanner.outputs = 4;
-    Machine m4(narrow, 1);
-    Machine m16(idealConfig(), 1);
-    for (Machine *m : {&m4, &m16}) {
-        m->addStage(0, {StageKind::Scan, 1});
-        m->addStage(0, {StageKind::Sink});
-        m->feed(0, repeated(Token::compute(16), 200));
-    }
-    Cycle c4 = m4.runPhase().cycles;
-    Cycle c16 = m16.runPhase().cycles;
-    EXPECT_GT(c4, 3 * c16);
+    EXPECT_GT(run(narrow), 3 * run(idealConfig()));
 }
 
 TEST(Machine, DataScanAdvancesDataElementsPerCycle)
@@ -265,12 +246,10 @@ TEST(Machine, DataScanAdvancesDataElementsPerCycle)
         CapstanConfig cfg = idealConfig();
         cfg.scanner.data_elements = data_elements;
         Machine m(cfg, 1);
-        m.addStage(0, {StageKind::DataScan, 1});
-        m.addStage(0, {StageKind::Sink});
         Token t = Token::compute(2);
         t.scan_elems = elems;
-        m.feed(0, repeated(t, 100));
-        return m.runPhase().cycles;
+        return m.runPhase({{StageKind::DataScan, 1}, {StageKind::Sink}},
+                          [&](int) { return repeated(t, 100); });
     };
     Cycle c16 = run(16, 64);
     EXPECT_GE(c16, 100u * 4);
@@ -290,8 +269,6 @@ TEST(Machine, DataScanAdvancesDataElementsPerCycle)
 TEST(Machine, SpmuStageRoundTripsTokens)
 {
     Machine m(hbmConfig(), 1);
-    m.addStage(0, {StageKind::Spmu, 1, AccessOp::Read});
-    m.addStage(0, {StageKind::Sink});
     std::mt19937 rng(3);
     const int n = 300;
     std::vector<Token> toks;
@@ -301,27 +278,19 @@ TEST(Machine, SpmuStageRoundTripsTokens)
             addrs.push_back(rng() % 65536);
         toks.push_back(addrToken(addrs));
     }
-    m.feed(0, tokenStream(std::move(toks)));
-    PhaseStats ps = m.runPhase();
+    Cycle cycles = m.runPhase(
+        {{StageKind::Spmu, 1, AccessOp::Read}, {StageKind::Sink}},
+        [&](int) { return tokenStream(std::move(toks)); });
     EXPECT_EQ(m.totals().tokens, static_cast<std::uint64_t>(n));
     // Random banking cannot be faster than 1 vector/cycle and should be
     // near the SpMU's ~80% bank utilization bound.
-    EXPECT_GE(ps.cycles, static_cast<Cycle>(n));
-    EXPECT_LT(ps.cycles, static_cast<Cycle>(2.2 * n));
+    EXPECT_GE(cycles, static_cast<Cycle>(n));
+    EXPECT_LT(cycles, static_cast<Cycle>(2.2 * n));
 }
 
 TEST(Machine, ArbitratedSpmuIsSlower)
 {
-    CapstanConfig fast = hbmConfig();
-    CapstanConfig slow = hbmConfig();
-    slow.spmu.ordering = sim::Ordering::Arbitrated;
-    Machine mf(fast, 1);
-    Machine ms(slow, 1);
     std::mt19937 rng(17);
-    for (Machine *m : {&mf, &ms}) {
-        m->addStage(0, {StageKind::Spmu, 1, AccessOp::Read});
-        m->addStage(0, {StageKind::Sink});
-    }
     std::vector<Token> toks;
     for (int i = 0; i < 300; ++i) {
         std::vector<std::uint32_t> addrs;
@@ -329,61 +298,61 @@ TEST(Machine, ArbitratedSpmuIsSlower)
             addrs.push_back(rng() % 65536);
         toks.push_back(addrToken(addrs));
     }
-    mf.feed(0, tokenStream(toks));
-    ms.feed(0, tokenStream(toks));
-    Cycle cf = mf.runPhase().cycles;
-    Cycle cs = ms.runPhase().cycles;
-    EXPECT_GT(cs, 2 * cf);
+    auto run = [&](const CapstanConfig &cfg) {
+        Machine m(cfg, 1);
+        return m.runPhase(
+            {{StageKind::Spmu, 1, AccessOp::Read}, {StageKind::Sink}},
+            [&](int) { return tokenStream(toks); });
+    };
+    CapstanConfig slow = hbmConfig();
+    slow.spmu.ordering = sim::Ordering::Arbitrated;
+    EXPECT_GT(run(slow), 2 * run(hbmConfig()));
 }
 
 TEST(Machine, CrossTileAccessesRouteThroughShuffle)
 {
     Machine m(hbmConfig(), 4);
-    for (int t = 0; t < 4; ++t) {
-        m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32});
-        m.addStage(t, {StageKind::Sink});
-    }
     std::mt19937 rng(7);
     const int n = 100;
-    for (int t = 0; t < 4; ++t) {
-        std::vector<Token> toks;
-        for (int i = 0; i < n; ++i) {
-            Token tok = addrToken({});
-            tok.valid_mask = 0xFFFF;
-            for (int l = 0; l < 16; ++l) {
-                tok.addr[l] = rng() % 65536;
-                tok.lane_tile[l] = static_cast<std::int8_t>(rng() % 4);
+    Cycle cycles = m.runPhase(
+        {{StageKind::SpmuCross, 1, AccessOp::AddF32}, {StageKind::Sink}},
+        [&](int) {
+            std::vector<Token> toks;
+            for (int i = 0; i < n; ++i) {
+                Token tok = addrToken({});
+                tok.valid_mask = 0xFFFF;
+                for (int l = 0; l < 16; ++l) {
+                    tok.addr[l] = rng() % 65536;
+                    tok.lane_tile[l] = static_cast<std::int8_t>(rng() % 4);
+                }
+                toks.push_back(tok);
             }
-            toks.push_back(tok);
-        }
-        m.feed(t, tokenStream(std::move(toks)));
-    }
-    PhaseStats ps = m.runPhase();
+            return tokenStream(std::move(toks));
+        });
     EXPECT_EQ(m.totals().tokens, static_cast<std::uint64_t>(4 * n));
     // Every lane reaches its owner's SpMU through the network (AddF32
     // is never elided), and none goes through DRAM.
     EXPECT_EQ(m.spmuTotals().grants, static_cast<std::uint64_t>(4 * n * 16));
     EXPECT_EQ(m.dram().stats().bursts, 0u);
-    EXPECT_GT(ps.cycles, 0u);
+    EXPECT_GT(cycles, 0u);
 }
 
 TEST(Machine, DramStreamIsBandwidthLimited)
 {
     CapstanConfig ddr = CapstanConfig::capstan(MemTech::DDR4);
     Machine m(ddr, 1);
-    m.addStage(0, {StageKind::DramStream, 1});
-    m.addStage(0, {StageKind::Sink});
     const int n = 500;
     const std::uint32_t bytes_per_token = 256;
     Token t = Token::compute(16);
     t.bytes = bytes_per_token;
-    m.feed(0, repeated(t, n));
-    PhaseStats ps = m.runPhase();
+    Cycle cycles =
+        m.runPhase({{StageKind::DramStream, 1}, {StageKind::Sink}},
+                   [&](int) { return repeated(t, n); });
     double bpc = sim::memTechBandwidth(MemTech::DDR4) /
                  sim::kClockGhz; // 42.5 B/cycle.
     double min_cycles = n * bytes_per_token / bpc;
-    EXPECT_GT(ps.cycles, static_cast<Cycle>(0.9 * min_cycles));
-    EXPECT_LT(ps.cycles, static_cast<Cycle>(1.5 * min_cycles));
+    EXPECT_GT(cycles, static_cast<Cycle>(0.9 * min_cycles));
+    EXPECT_LT(cycles, static_cast<Cycle>(1.5 * min_cycles));
 }
 
 TEST(Machine, HigherBandwidthDrainsStreamsFaster)
@@ -391,12 +360,10 @@ TEST(Machine, HigherBandwidthDrainsStreamsFaster)
     auto run = [](MemTech tech) {
         CapstanConfig cfg = CapstanConfig::capstan(tech);
         Machine m(cfg, 1);
-        m.addStage(0, {StageKind::DramStream, 1});
-        m.addStage(0, {StageKind::Sink});
         Token t = Token::compute(16);
         t.bytes = 1024;
-        m.feed(0, repeated(t, 400));
-        return m.runPhase().cycles;
+        return m.runPhase({{StageKind::DramStream, 1}, {StageKind::Sink}},
+                          [&](int) { return repeated(t, 400); });
     };
     EXPECT_GT(run(MemTech::DDR4), 5 * run(MemTech::HBM2E));
 }
@@ -404,8 +371,6 @@ TEST(Machine, HigherBandwidthDrainsStreamsFaster)
 TEST(Machine, ReducePacksSixteenGroups)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Reduce, 2});
-    m.addStage(0, {StageKind::Sink});
     // 32 groups of 3 tokens each.
     std::vector<Token> toks;
     for (int g = 0; g < 32; ++g) {
@@ -415,8 +380,8 @@ TEST(Machine, ReducePacksSixteenGroups)
             toks.push_back(t);
         }
     }
-    m.feed(0, tokenStream(std::move(toks)));
-    m.runPhase();
+    m.runPhase({{StageKind::Reduce, 2}, {StageKind::Sink}},
+               [&](int) { return tokenStream(std::move(toks)); });
     // 32 groups pack into two 16-lane result vectors.
     EXPECT_EQ(m.totals().tokens, 2u);
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 32.0);
@@ -425,12 +390,10 @@ TEST(Machine, ReducePacksSixteenGroups)
 TEST(Machine, ReduceFlushesPartialGroupsAtDrain)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Reduce, 2});
-    m.addStage(0, {StageKind::Sink});
     Token t = Token::compute(16);
     t.end_group = true;
-    m.feed(0, repeated(t, 5));
-    m.runPhase();
+    m.runPhase({{StageKind::Reduce, 2}, {StageKind::Sink}},
+               [&](int) { return repeated(t, 5); });
     EXPECT_EQ(m.totals().tokens, 1u);
     EXPECT_DOUBLE_EQ(m.totals().active_lane_cycles, 5.0);
 }
@@ -438,42 +401,28 @@ TEST(Machine, ReduceFlushesPartialGroupsAtDrain)
 TEST(Machine, ImbalanceCountsIdleTileTails)
 {
     Machine m(idealConfig(), 2);
-    for (int t = 0; t < 2; ++t) {
-        m.addStage(t, {StageKind::Map, 1});
-        m.addStage(t, {StageKind::Sink});
-    }
     // Tile 0 gets 10x the work of tile 1, so tile 1 idles for about
     // 900 of the phase's cycles, each charged for all 16 lanes.
-    m.feed(0, repeated(Token::compute(16), 1000));
-    m.feed(1, repeated(Token::compute(16), 100));
-    m.runPhase();
+    m.runPhase(kMapChain, [](int t) {
+        return repeated(Token::compute(16), t == 0 ? 1000 : 100);
+    });
     EXPECT_GE(m.totals().imbalance_lane_cycles, 16.0 * 890);
     EXPECT_LE(m.totals().imbalance_lane_cycles, 16.0 * 910);
 
     // Equal work finishes together: only the phase's last cycle, after
     // the final sink, is charged.
     Machine even(idealConfig(), 2);
-    for (int t = 0; t < 2; ++t) {
-        even.addStage(t, {StageKind::Map, 1});
-        even.addStage(t, {StageKind::Sink});
-        even.feed(t, repeated(Token::compute(16), 100));
-    }
-    even.runPhase();
+    even.runPhase(kMapChain,
+                  [](int) { return repeated(Token::compute(16), 100); });
     EXPECT_LE(even.totals().imbalance_lane_cycles, 16.0 * 2);
 }
 
 TEST(Machine, MultiPhaseAccumulatesCycles)
 {
     Machine m(idealConfig(), 1);
-    m.addStage(0, {StageKind::Map, 1});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, repeated(Token::compute(16), 100));
-    Cycle c1 = m.runPhase().cycles;
-    m.resetChains();
-    m.addStage(0, {StageKind::Map, 1});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, repeated(Token::compute(16), 100));
-    Cycle c2 = m.runPhase().cycles;
+    auto source = [](int) { return repeated(Token::compute(16), 100); };
+    Cycle c1 = m.runPhase(kMapChain, source);
+    Cycle c2 = m.runPhase(kMapChain, source);
     EXPECT_EQ(m.totals().cycles, c1 + c2);
 }
 
@@ -485,25 +434,22 @@ TEST(Machine, MergeModeNoneForcesDramRoundTrips)
     auto run = [](const CapstanConfig &cfg) {
         Machine m(cfg, 4);
         std::mt19937 rng(5);
-        for (int t = 0; t < 4; ++t) {
-            m.addStage(t, {StageKind::SpmuCross, 1, AccessOp::AddF32});
-            m.addStage(t, {StageKind::Sink});
-        }
-        for (int t = 0; t < 4; ++t) {
-            std::vector<Token> toks;
-            for (int i = 0; i < 200; ++i) {
-                Token tok;
-                tok.valid_mask = 0xFFFF;
-                for (int l = 0; l < 16; ++l) {
-                    tok.addr[l] = rng() % 65536;
-                    tok.lane_tile[l] =
-                        static_cast<std::int8_t>(rng() % 4);
-                }
-                toks.push_back(tok);
-            }
-            m.feed(t, tokenStream(std::move(toks)));
-        }
-        m.runPhase();
+        m.runPhase({{StageKind::SpmuCross, 1, AccessOp::AddF32},
+                    {StageKind::Sink}},
+                   [&](int) {
+                       std::vector<Token> toks;
+                       for (int i = 0; i < 200; ++i) {
+                           Token tok;
+                           tok.valid_mask = 0xFFFF;
+                           for (int l = 0; l < 16; ++l) {
+                               tok.addr[l] = rng() % 65536;
+                               tok.lane_tile[l] =
+                                   static_cast<std::int8_t>(rng() % 4);
+                           }
+                           toks.push_back(tok);
+                       }
+                       return tokenStream(std::move(toks));
+                   });
         return m.dram().stats().bursts;
     };
     EXPECT_EQ(run(with_net), 0u) << "shuffle keeps accesses on-chip";
@@ -516,31 +462,28 @@ TEST(MachineProperty, TokensConserved)
     std::mt19937 rng(99);
     for (int trial = 0; trial < 5; ++trial) {
         Machine m(hbmConfig(), 2);
-        for (int t = 0; t < 2; ++t) {
-            m.addStage(t, {StageKind::DramStream, 1});
-            m.addStage(t, {StageKind::Spmu, 1, AccessOp::Read});
-            m.addStage(t, {StageKind::Map, 2});
-            m.addStage(t, {StageKind::Spmu, 1, AccessOp::AddF32});
-            m.addStage(t, {StageKind::Sink});
-        }
         int fed = 0;
-        for (int t = 0; t < 2; ++t) {
-            int n = 50 + static_cast<int>(rng() % 100);
-            std::vector<Token> toks;
-            for (int i = 0; i < n; ++i) {
-                Token tok;
-                int lanes = 1 + static_cast<int>(rng() % 16);
-                tok.valid_mask =
-                    static_cast<std::uint16_t>((1u << lanes) - 1);
-                tok.bytes = 64;
-                for (int l = 0; l < lanes; ++l)
-                    tok.addr[l] = rng() % 65536;
-                toks.push_back(tok);
-                ++fed;
-            }
-            m.feed(t, tokenStream(std::move(toks)));
-        }
-        m.runPhase();
+        m.runPhase({{StageKind::DramStream, 1},
+                    {StageKind::Spmu, 1, AccessOp::Read},
+                    {StageKind::Map, 2},
+                    {StageKind::Spmu, 1, AccessOp::AddF32},
+                    {StageKind::Sink}},
+                   [&](int) {
+                       int n = 50 + static_cast<int>(rng() % 100);
+                       std::vector<Token> toks;
+                       for (int i = 0; i < n; ++i) {
+                           Token tok;
+                           int lanes = 1 + static_cast<int>(rng() % 16);
+                           tok.valid_mask = static_cast<std::uint16_t>(
+                               (1u << lanes) - 1);
+                           tok.bytes = 64;
+                           for (int l = 0; l < lanes; ++l)
+                               tok.addr[l] = rng() % 65536;
+                           toks.push_back(tok);
+                           ++fed;
+                       }
+                       return tokenStream(std::move(toks));
+                   });
         ASSERT_EQ(m.totals().tokens, static_cast<std::uint64_t>(fed));
     }
 }
@@ -605,13 +548,10 @@ TEST(MachineProperty, CrossTilePhasesMatchTheirGoldens)
 
 TEST(Machine, SteppedCyclesVisitOnlyTilesWithWork)
 {
-    // Work on tile 0 only, and a token or a burn in its chain on every
-    // cycle: each stepped cycle steps that one tile, not all 64.
+    // Every tile runs the chain, but tiles 1-63 get empty streams, and
+    // tile 0 has a token or a burn in its chain on every cycle: each
+    // stepped cycle steps that one tile, not all 64.
     Machine m(hbmConfig(), 64);
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Map, 3});
-    m.addStage(0, {StageKind::DramStream, 1});
-    m.addStage(0, {StageKind::Sink});
     std::vector<Token> toks;
     for (int i = 0; i < 50; ++i) {
         Token t = Token::compute(16);
@@ -619,8 +559,14 @@ TEST(Machine, SteppedCyclesVisitOnlyTilesWithWork)
         t.bytes = 64;
         toks.push_back(t);
     }
-    m.feed(0, tokenStream(std::move(toks)));
-    m.runPhase();
+    m.runPhase({{StageKind::Scan, 1},
+                {StageKind::Map, 3},
+                {StageKind::DramStream, 1},
+                {StageKind::Sink}},
+               [&](int t) {
+                   return t == 0 ? tokenStream(std::move(toks))
+                                 : TokenStream();
+               });
     EXPECT_EQ(m.totals().tokens, 50u);
     EXPECT_GT(m.totals().cycles, 0u);
     EXPECT_EQ(m.steppedTiles(), m.totals().cycles);
@@ -632,77 +578,103 @@ TEST(MachineDeathTest, WatchdogAbortsAPhasePastItsBound)
     // cycles, inside a 600-cycle watchdog and far past a 100-cycle one.
     auto latencyPhase = [](Cycle max_cycles) {
         Machine m(idealConfig(), 1);
-        m.addStage(0, {StageKind::Map, 500});
-        m.addStage(0, {StageKind::Sink});
-        m.feed(0, tokenStream({Token::compute(4)}));
-        return m.runPhase(max_cycles).cycles;
+        return m.runPhase(
+            {{StageKind::Map, 500}, {StageKind::Sink}},
+            [](int) { return tokenStream({Token::compute(4)}); },
+            max_cycles);
     };
     EXPECT_EQ(latencyPhase(600), 501u);
     EXPECT_DEATH(latencyPhase(100), "exceeded its watchdog");
 }
 
-TEST(MachineStream, FeedPullsOneTokenAheadOfTheSource)
+TEST(MachineDeathTest, TileCountOutsideItsRangeAborts)
 {
-    // The source ring holds one token: feed() pulls the first, and each
-    // token the source stage consumes pulls the next. A drained stream's
-    // frame is gone when the phase ends.
-    auto yielded = std::make_shared<int>(0);
+    // 129 tiles would need a 256-port shuffle; the machine's own check
+    // must fire before the shuffle's.
+    for (int tiles : {0, sim::kMaxTiles + 1}) {
+        SCOPED_TRACE(tiles);
+        EXPECT_DEATH(Machine(idealConfig(), tiles),
+                     "1 to sim::kMaxTiles tiles");
+    }
+}
+
+TEST(MachineDeathTest, EmptyChainAborts)
+{
     Machine m(idealConfig(), 1);
-    mapChains(m);
-    m.feed(0, countedTokens(yielded, 1000));
-    EXPECT_EQ(*yielded, 1);
-    EXPECT_EQ(yielded.use_count(), 2);
-    m.runPhase();
-    EXPECT_EQ(*yielded, 1000);
-    EXPECT_EQ(m.totals().tokens, 1000u);
+    EXPECT_DEATH(m.runPhase({}, [](int) { return TokenStream(); }),
+                 "needs a chain of stages");
+}
+
+TEST(MachineStream, StreamsAreMadeAndPrimedInTileOrder)
+{
+    // The machine makes tile t's stream once tiles 0..t-1 have made
+    // theirs and pulled exactly their first token; then each token a
+    // source stage consumes pulls the next. A drained stream's frame
+    // is gone when the phase ends.
+    auto yielded = std::make_shared<int>(0);
+    Machine m(idealConfig(), 4);
+    std::vector<int> yielded_before;
+    m.runPhase(kMapChain, [&](int) {
+        yielded_before.push_back(*yielded);
+        return countedTokens(yielded, 1000);
+    });
+    EXPECT_EQ(yielded_before, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(*yielded, 4000);
+    EXPECT_EQ(m.totals().tokens, 4000u);
     EXPECT_EQ(yielded.use_count(), 1);
-    // An empty stream feeds nothing, and the tile can take another.
-    m.resetChains();
-    mapChains(m);
-    m.feed(0, TokenStream());
-    m.feed(0, countedTokens(yielded, 0));
-    EXPECT_EQ(m.runPhase().cycles, 0u);
+    // Empty streams feed nothing.
+    EXPECT_EQ(m.runPhase(kMapChain,
+                         [&](int t) {
+                             return t % 2 == 0 ? TokenStream()
+                                               : countedTokens(yielded, 0);
+                         }),
+              0u);
 }
 
 TEST(MachineStream, ProducerExceptionPropagatesAndTheMachineRunsOn)
 {
     Machine m(idealConfig(), 2);
-    mapChains(m);
-    m.feed(0, failingTokens(20));
-    m.feed(1, repeated(Token::compute(16), 100));
     try {
-        m.runPhase();
+        m.runPhase(kMapChain, [](int t) {
+            return t == 0 ? failingTokens(20)
+                          : repeated(Token::compute(16), 100);
+        });
         FAIL() << "runPhase() swallowed the producer's exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "producer failed");
     }
-    // resetChains() drops the aborted chains and the unfinished stream;
-    // the next phase runs to completion and counts only its own tokens.
+    // The next phase clears what the aborted one left (tile 1's queued
+    // tokens and unfinished stream), runs to completion, and counts
+    // only its own tokens.
     std::uint64_t before = m.totals().tokens;
     Cycle cycles_before = m.totals().cycles;
-    m.resetChains();
-    mapChains(m);
-    m.feed(0, repeated(Token::compute(16), 10));
-    m.feed(1, repeated(Token::compute(16), 10));
-    PhaseStats ps = m.runPhase();
+    Cycle cycles = m.runPhase(
+        kMapChain, [](int) { return repeated(Token::compute(16), 10); });
     EXPECT_EQ(m.totals().tokens, before + 20);
-    EXPECT_EQ(m.totals().cycles, cycles_before + ps.cycles);
+    EXPECT_EQ(m.totals().cycles, cycles_before + cycles);
 }
 
 TEST(MachineStream, UnfinishedStreamsAreDestroyed)
 {
-    // A frame holds a copy of the guard: the use count drops when
-    // resetChains() or ~Machine destroys a stream that has tokens left.
+    // Tile 1's producer throws on its first pull, leaving tile 0's
+    // stream unfinished. Its frame holds a copy of the guard: the use
+    // count drops when the next phase or ~Machine destroys it.
     auto guard = std::make_shared<int>(0);
+    auto abortedPhase = [&](Machine &m) {
+        EXPECT_THROW(m.runPhase(kMapChain,
+                                [&](int t) {
+                                    return t == 0 ? countedTokens(guard, 100)
+                                                  : failingTokens(0);
+                                }),
+                     std::runtime_error);
+    };
     {
-        Machine m(idealConfig(), 1);
-        mapChains(m);
-        m.feed(0, countedTokens(guard, 100));
+        Machine m(idealConfig(), 2);
+        abortedPhase(m);
         EXPECT_EQ(guard.use_count(), 2);
-        m.resetChains();
-        EXPECT_EQ(guard.use_count(), 1) << "resetChains() kept the frame";
-        mapChains(m);
-        m.feed(0, countedTokens(guard, 100));
+        m.runPhase(kMapChain, [](int) { return TokenStream(); });
+        EXPECT_EQ(guard.use_count(), 1) << "the next phase kept the frame";
+        abortedPhase(m);
         EXPECT_EQ(guard.use_count(), 2);
     }
     EXPECT_EQ(guard.use_count(), 1) << "~Machine kept the frame";

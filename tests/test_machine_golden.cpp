@@ -243,10 +243,8 @@ TEST(MachineGolden, TrailingEmptyWindowsBurnScannerCycles)
     // trailing token carrying scan_skip = 2. The trailing token burns
     // two Scan-stall cycles and must never retire at the sink.
     Machine m(sim::CapstanConfig::ideal(), 1);
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, scanWindows({3, 0, 0}));
-    m.runPhase();
+    m.runPhase({{StageKind::Scan, 1}, {StageKind::Sink}},
+               [](int) { return scanWindows({3, 0, 0}); });
     const RunTotals &t = m.totals();
     EXPECT_EQ(t.tokens, 1u);
     EXPECT_EQ(t.scan_empty_cycles, 2.0);
@@ -259,13 +257,12 @@ TEST(MachineGolden, AllEmptyWindowsStillCostScannerTime)
     // cycle is charged to the Scan stall class and counts in the phase
     // makespan.
     Machine m(sim::CapstanConfig::ideal(), 1);
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, scanWindows({0, 0, 0, 0, 0}));
-    auto ps = m.runPhase();
+    sim::Cycle cycles =
+        m.runPhase({{StageKind::Scan, 1}, {StageKind::Sink}},
+                   [](int) { return scanWindows({0, 0, 0, 0, 0}); });
     EXPECT_EQ(m.totals().tokens, 0u);
     EXPECT_EQ(m.totals().scan_empty_cycles, 5.0);
-    EXPECT_GE(ps.cycles, 5u);
+    EXPECT_GE(cycles, 5u);
 }
 
 TEST(MachineGolden, TrailingEmptyWindowCarriesPendingBytes)
@@ -273,11 +270,10 @@ TEST(MachineGolden, TrailingEmptyWindowCarriesPendingBytes)
     // A region ending in empty windows still streams those windows'
     // occupancy words from DRAM: the trailing token carries the bytes.
     Machine m(sim::CapstanConfig::capstan(sim::MemTech::HBM2E), 1);
-    m.addStage(0, {StageKind::DramStream, 1});
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Sink});
-    m.feed(0, scanWindows({0, 0}, 64));
-    m.runPhase();
+    m.runPhase({{StageKind::DramStream, 1},
+                {StageKind::Scan, 1},
+                {StageKind::Sink}},
+               [](int) { return scanWindows({0, 0}, 64); });
     EXPECT_EQ(m.totals().tokens, 0u);
     EXPECT_EQ(m.totals().scan_empty_cycles, 2.0);
     EXPECT_EQ(m.dram().stats().bytes, 128u);
@@ -289,17 +285,15 @@ TEST(MachineGolden, ReduceFlushGatedByTrailingBurnIsCycleExact)
     // scanner burn: the flush fires in the very cycle the burn counter
     // reaches zero.
     Machine m(sim::CapstanConfig::ideal(), 1);
-    m.addStage(0, {StageKind::Scan, 1});
-    m.addStage(0, {StageKind::Reduce, 1});
-    m.addStage(0, {StageKind::Sink});
     Token body = Token::compute(3);
     body.end_group = true;
     Token trailing = Token::compute(0);
     trailing.valid_mask = 0;
     trailing.scan_skip = 40;
-    m.feed(0, tokenStream({body, trailing}));
-    auto ps = m.runPhase();
-    EXPECT_EQ(ps.cycles, 43u);
+    sim::Cycle cycles = m.runPhase(
+        {{StageKind::Scan, 1}, {StageKind::Reduce, 1}, {StageKind::Sink}},
+        [&](int) { return tokenStream({body, trailing}); });
+    EXPECT_EQ(cycles, 43u);
     EXPECT_EQ(m.totals().tokens, 1u);
     EXPECT_EQ(m.totals().scan_empty_cycles, 40.0);
 }

@@ -312,14 +312,13 @@ TEST(ShuffleProperty, ShiftingImprovesThroughput)
  * Property: reading delivered vectors in place matches tryEject(). Two
  * networks take the same seeded split- and merge-heavy traffic (lanes
  * to random ports and to a two-port hotspot). One consumer ejects every
- * delivered vector into per-port holds; the other calls
- * retireDelivered() after each step and reads its outputs in place with
- * front() and pop(). Each cycle both take the same seeded number of
- * vectors per port, so a busy port leaves vectors waiting across
- * cycles. The injection answers, the vectors taken (lanes, tags and
- * ids) and their order and cycles must match. The inverse-permutation
- * FIFOs are shallow, so the credits gate the merge units: a credit
- * returned at another time than tryEject() returns it moves a vector.
+ * delivered vector into per-port holds; the other reads its outputs in
+ * place with front() and pop(). Each cycle both take the same seeded
+ * number of vectors per port, so a busy port leaves vectors waiting
+ * across cycles. The injection answers, the vectors taken (lanes, tags
+ * and ids) and their order and cycles must match. The
+ * inverse-permutation FIFOs are shallow, so the credits gate the merge
+ * units.
  */
 TEST(ShuffleProperty, InPlaceDeliveryMatchesTryEject)
 {
@@ -377,7 +376,6 @@ TEST(ShuffleProperty, InPlaceDeliveryMatchesTryEject)
                 while (auto v = ejecting.tryEject(p))
                     hold[p].push_back(*v);
             }
-            in_place.retireDelivered();
             for (int p = 0; p < cfg.ports; ++p) {
                 int take = static_cast<int>(rng() % 3);
                 for (; take > 0 && !hold[p].empty(); --take) {
