@@ -14,7 +14,11 @@ client (docs/SERVE_PROTOCOL.md):
      (observable in the stats op) with identical bytes;
   5. a small sweep streams one progress event per point;
   6. SIGTERM drains cleanly: shutdown event, EOF, exit code 0, and
-     the socket file is removed.
+     the socket file is removed;
+  7. connection churn: a second daemon, started with RLIMIT_NOFILE
+     128, answers 400 clients that each connect, ping and close (a
+     daemon that kept closed connections' fds would run out near the
+     124th), then the `shutdown` op exits it with code 0.
 
 Exits non-zero with a diagnostic on the first failed check. Run by
 ctest as `serve_smoke` (and under TSan in CI); needs only the build
@@ -24,6 +28,7 @@ tree, no network.
 import argparse
 import json
 import os
+import resource
 import signal
 import socket
 import subprocess
@@ -47,6 +52,10 @@ SWEEP_JOB = {
     "options": {"scale": 0.02, "tiles": 4, "iterations": 1},
     "axes": {"app": ["spmv", "bfs"]},
 }
+
+# Phase 7: more clients than the daemon's fd limit, one at a time.
+CHURN_CLIENTS = 400
+CHURN_FD_LIMIT = 128
 
 RUN_CLI_FLAGS = [
     "--app", "spmv", "--config", "capstan", "--scale", "0.02",
@@ -133,6 +142,44 @@ def wait_for_socket(path, proc, budget=60.0):
                 pass
         time.sleep(0.05)
     fail(f"daemon socket {path} never became connectable")
+
+
+def limit_fds():
+    """Runs in the daemon's child process, before exec."""
+    resource.setrlimit(resource.RLIMIT_NOFILE,
+                       (CHURN_FD_LIMIT, CHURN_FD_LIMIT))
+
+
+def churn(serve_bin, workdir):
+    """Phase 7: every closed connection gives its fd back."""
+    sock_path = os.path.join(workdir, "churn.sock")
+    proc = subprocess.Popen(
+        [serve_bin, "--socket", sock_path, "--jobs", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        preexec_fn=limit_fds)
+    try:
+        wait_for_socket(sock_path, proc)
+        for i in range(CHURN_CLIENTS):
+            client = Client(sock_path, timeout=10.0)
+            client.send({"op": "ping", "id": i})
+            line = client.read_line()
+            if line is None or json.loads(line).get("id") != i:
+                fail(f"churn client {i} of {CHURN_CLIENTS} got no pong "
+                     f"(fd limit {CHURN_FD_LIMIT}): {line}")
+            client.close()
+        client = Client(sock_path, timeout=60.0)
+        client.send({"op": "shutdown", "id": 1})
+        client.read_event("shutdown")
+        code = proc.wait(timeout=60)
+        if code != 0:
+            fail(f"daemon exited {code} after the shutdown op")
+        client.close()
+        print(f"serve_smoke: {CHURN_CLIENTS} clients under an fd limit "
+              f"of {CHURN_FD_LIMIT}, shutdown op -> exit 0")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def main():
@@ -252,11 +299,14 @@ def main():
             fail("socket file survived the drain")
         client.close()
         print("serve_smoke: SIGTERM -> clean drain, exit 0")
-        print("serve_smoke: PASS")
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+    # 7. Connection churn under a small fd limit.
+    churn(serve_bin, workdir)
+    print("serve_smoke: PASS")
 
 
 if __name__ == "__main__":

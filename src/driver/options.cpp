@@ -452,7 +452,7 @@ buildConfig(const DriverOptions &o)
     if (o.ordering)
         cfg.spmu.ordering = *o.ordering;
     if (o.merge)
-        cfg.shuffle.mode = *o.merge;
+        cfg.merge = *o.merge;
     if (o.hash)
         cfg.spmu.hash = *o.hash;
     if (o.allocator)

@@ -327,7 +327,7 @@ statsToJson(const RunResult &r)
     cfg.set("iterations", r.iterations);
     cfg.set("clock_ghz", sim::kClockGhz);
     cfg.set("ordering", sim::orderingName(r.config.spmu.ordering));
-    cfg.set("merge", sim::mergeModeName(r.config.shuffle.mode));
+    cfg.set("merge", sim::mergeModeName(r.config.merge));
     cfg.set("hash", sim::bankHashName(r.config.spmu.hash));
     cfg.set("allocator",
             sim::allocatorKindName(r.config.spmu.allocator));

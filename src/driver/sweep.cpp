@@ -369,7 +369,7 @@ sweepReportToCsv(const std::vector<SweepPointResult> &results)
             << sim::memTechName(res.config.dram.tech) << ','
             << csvField(sim::orderingName(res.config.spmu.ordering))
             << ','
-            << csvField(sim::mergeModeName(res.config.shuffle.mode))
+            << csvField(sim::mergeModeName(res.config.merge))
             << ',' << sim::bankHashName(res.config.spmu.hash) << ','
             << sim::allocatorKindName(res.config.spmu.allocator) << ','
             << res.config.spmu.queue_depth << ','

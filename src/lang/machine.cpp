@@ -31,9 +31,7 @@ shuffleConfigFor(const CapstanConfig &cfg, int tiles)
     // shuffle is built, whose own port check would fire first.
     CAPSTAN_CHECK(tiles > 0 && tiles <= sim::kMaxTiles,
                   "a machine has 1 to sim::kMaxTiles tiles");
-    sim::ShuffleConfig sc = cfg.shuffle;
-    sc.ports = portCount(tiles);
-    return sc;
+    return {.mode = cfg.merge, .ports = portCount(tiles)};
 }
 
 } // namespace
@@ -48,7 +46,7 @@ Machine::Machine(const CapstanConfig &cfg, int tiles)
     ags_.reserve(tiles);
     // Without Capstan's sparse extensions the AGs have no pending-burst
     // tracking: every remote update round-trips to DRAM individually.
-    int ag_entries = cfg.sparse_support ? 64 : 1;
+    int ag_entries = cfg.spmu.sparse_support ? 64 : 1;
     ag_busy_until_.assign(tiles, 0);
     completions_.resize(tiles);
     for (int t = 0; t < tiles; ++t) {
@@ -320,7 +318,7 @@ Machine::stepTile(int t)
             if (st.in.empty() || st.in.front().ready_at > now_)
                 break;
             const Token &tok = st.in.front();
-            if (cfg_.shuffle.mode == sim::MergeMode::None &&
+            if (cfg_.merge == sim::MergeMode::None &&
                 sim::isReadOnly(spec.op)) {
                 // Without a shuffle network, remote *reads* stay
                 // on-chip over the static network (duplication and
@@ -356,7 +354,7 @@ Machine::stepTile(int t)
                 issue(t, s, av.id, parts);
                 break;
             }
-            if (cfg_.shuffle.mode == sim::MergeMode::None) {
+            if (cfg_.merge == sim::MergeMode::None) {
                 // No shuffle network: lanes owned by this tile still
                 // hit the local memory; only genuinely remote updates
                 // round-trip through DRAM atomics (Table 11, "None"
@@ -390,11 +388,11 @@ Machine::stepTile(int t)
                 Cycle done = now_;
                 if (n_remote > 0) {
                     Cycle start = now_;
-                    if (!cfg_.sparse_support)
+                    if (!cfg_.spmu.sparse_support)
                         start = std::max(start, ag_busy_until_[t]);
                     done = ags_[t]->atomicVector(
                         std::span(remote.data(), n_remote), start);
-                    if (!cfg_.sparse_support)
+                    if (!cfg_.spmu.sparse_support)
                         ag_busy_until_[t] = done;
                 }
                 if (local > 0) {

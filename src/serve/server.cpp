@@ -13,12 +13,20 @@
 
 namespace capstan::serve {
 
+namespace {
+
+/** How long the accept loop waits before re-checking its stop flags. */
+constexpr int kPollTickMs = 200;
+
+} // namespace
+
 /** One client connection; shared by its reader and the executor. */
 struct Server::Connection
 {
     int fd = -1;
     std::mutex write_mu;          //!< Serializes whole event lines.
     std::atomic<bool> alive{true};
+    std::atomic<bool> reader_done{false}; //!< The reader has returned.
 
     ~Connection()
     {
@@ -47,9 +55,9 @@ Server::~Server()
     requestStop();
     if (executor_.joinable())
         executor_.join();
-    for (auto &t : readers_) {
-        if (t.joinable())
-            t.join();
+    for (Reader &r : readers_) {
+        if (r.thread.joinable())
+            r.thread.join();
     }
     if (listen_fd_ >= 0)
         ::close(listen_fd_);
@@ -114,23 +122,33 @@ Server::run()
             requestStop();
             break;
         }
+        // Reap ended connections: their fds close once no job holds
+        // them, so a long-lived daemon keeps only live clients.
+        for (auto it = readers_.begin(); it != readers_.end();) {
+            if (it->conn->reader_done.load(std::memory_order_acquire)) {
+                it->thread.join();
+                it = readers_.erase(it);
+            } else {
+                ++it;
+            }
+        }
         pollfd pfd{};
         pfd.fd = listen_fd_;
         pfd.events = POLLIN;
-        int ready = ::poll(&pfd, 1, 200);
+        int ready = ::poll(&pfd, 1, kPollTickMs);
         if (ready <= 0)
             continue; // Timeout or EINTR: re-check the stop flags.
         int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
+        if (fd < 0) {
+            // A failed accept (out of fds) leaves the socket readable:
+            // wait a tick for connections to end, not spin on poll.
+            ::poll(nullptr, 0, kPollTickMs);
             continue;
+        }
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(conns_mu_);
-            conns_.push_back(conn);
-            readers_.emplace_back(
-                [this, conn] { readerLoop(conn); });
-        }
+        Reader &reader = readers_.emplace_back(Reader{conn, {}});
+        reader.thread = std::thread([this, conn] { readerLoop(conn); });
     }
 
     // Drain: the executor finishes the running job plus everything
@@ -142,18 +160,14 @@ Server::run()
 
     // Tell every client, then wake the readers by shutting their
     // sockets down so run() can join them.
-    {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        for (const auto &conn : conns_) {
-            if (conn->alive.load(std::memory_order_acquire))
-                sendLine(conn, eventShutdown(std::nullopt));
-            ::shutdown(conn->fd, SHUT_RDWR);
-        }
+    for (const Reader &r : readers_) {
+        if (r.conn->alive.load(std::memory_order_acquire))
+            sendLine(r.conn, eventShutdown(std::nullopt));
+        ::shutdown(r.conn->fd, SHUT_RDWR);
     }
-    for (auto &t : readers_) {
-        if (t.joinable())
-            t.join();
-    }
+    for (Reader &r : readers_)
+        r.thread.join();
+    readers_.clear();
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -207,6 +221,7 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
     ::shutdown(conn->fd, SHUT_RDWR);
     // A vanished client should not keep burning the executor.
     dropConnectionJobs(conn.get());
+    conn->reader_done.store(true, std::memory_order_release);
 }
 
 void
@@ -316,15 +331,13 @@ Server::handleCancel(const std::shared_ptr<Connection> &conn,
         if (it != queue_.end()) {
             // Still queued: it will simply never run (no result
             // event follows).
-            finished_ids_.push_back(req.job_id);
             queue_.erase(it);
             state = "queued";
         } else if (running_ && running_->job_id == req.job_id) {
             running_->cancel.store(true, std::memory_order_release);
             state = "running";
-        } else if (std::find(finished_ids_.begin(),
-                             finished_ids_.end(),
-                             req.job_id) != finished_ids_.end()) {
+        } else if (req.job_id >= 1 && req.job_id < next_job_id_) {
+            // Admitted, and neither queued nor running.
             state = "finished";
         }
     }
@@ -354,7 +367,6 @@ Server::executorLoop()
         {
             std::lock_guard<std::mutex> lock(mu_);
             running_.reset();
-            finished_ids_.push_back(job->job_id);
         }
     }
 }
@@ -382,7 +394,6 @@ Server::dropConnectionJobs(const Connection *conn)
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = queue_.begin(); it != queue_.end();) {
         if ((*it)->conn.get() == conn) {
-            finished_ids_.push_back((*it)->job_id);
             cancelled_.fetch_add(1, std::memory_order_relaxed);
             it = queue_.erase(it);
         } else {

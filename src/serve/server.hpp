@@ -5,7 +5,9 @@
  *
  * Architecture (docs/ARCHITECTURE.md, "Engine and service"):
  *  - The accept loop (run(), on the caller's thread) polls the listen
- *    socket and spawns one reader thread per connection.
+ *    socket and spawns one reader thread per connection. Each tick it
+ *    joins and drops the readers of ended connections, so a closed
+ *    connection's fd closes once no job holds it.
  *  - Readers split the byte stream into newline-delimited request
  *    lines, parse them under strict wire JsonLimits
  *    (serve/protocol.hpp), and answer control ops (ping/stats/cancel/
@@ -118,13 +120,17 @@ class Server
     std::condition_variable cv_;
     std::deque<std::shared_ptr<Job>> queue_;
     std::shared_ptr<Job> running_;
-    std::vector<std::int64_t> finished_ids_;
-    std::int64_t next_job_id_ = 1;
+    std::int64_t next_job_id_ = 1; //!< Every lower id was admitted.
 
     std::thread executor_;
-    std::vector<std::thread> readers_;
-    std::vector<std::shared_ptr<Connection>> conns_;
-    std::mutex conns_mu_;
+
+    /** A connection and its reader; only run() and ~Server() touch them. */
+    struct Reader
+    {
+        std::shared_ptr<Connection> conn;
+        std::thread thread;
+    };
+    std::vector<Reader> readers_;
 
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> rejected_{0};

@@ -95,22 +95,6 @@ CapstanConfig::capstan(MemTech tech)
 {
     CapstanConfig cfg;
     cfg.dram.tech = tech;
-    switch (tech) {
-      case MemTech::DDR4:
-        cfg.dram.channels = 4;
-        break;
-      case MemTech::HBM2:
-        cfg.dram.channels = 16;
-        break;
-      case MemTech::HBM2E:
-        cfg.dram.channels = 32;
-        break;
-      case MemTech::Ideal:
-        cfg.dram.channels = 64;
-        cfg.dram.base_latency = 0;
-        cfg.dram.row_miss_penalty = 0;
-        break;
-    }
     return cfg;
 }
 
@@ -118,12 +102,10 @@ CapstanConfig
 CapstanConfig::plasticine(MemTech tech)
 {
     CapstanConfig cfg = capstan(tech);
-    cfg.sparse_support = false;
+    cfg.spmu.sparse_support = false;
     cfg.spmu.ordering = Ordering::Arbitrated;
     cfg.spmu.allocator = AllocatorKind::Weak;
-    cfg.spmu.rmw_blocks = true;
-    cfg.spmu.single_access = true;
-    cfg.shuffle.mode = MergeMode::None;
+    cfg.merge = MergeMode::None;
     // Plasticine has no sparse loop headers: sparse iteration degrades to
     // one control-flow decision per cycle.
     cfg.scanner.window_bits = 1;

@@ -4,12 +4,12 @@
  *
  * The paper evaluates one machine shape, so the parameters Table 7 fixes
  * (lanes, SRAM banks, clock, grid size, DRAM burst and banking) are
- * named constants here. A CapstanConfig captures every tunable the paper
- * sweeps: SpMU issue-queue depth, crossbar speedup, allocator priorities,
- * bank hashing, memory ordering mode, scanner width and output
- * vectorization, shuffle merge mode and memory technology. The named
- * constructors (capstan(), plasticine(), ...) produce the paper's design
- * points.
+ * named constants here. A CapstanConfig holds only what a preset, option
+ * or study varies: SpMU queue depth, crossbar speedup, priorities, bank
+ * hashing, ordering and sparse extensions; scanner width and output
+ * vectorization; shuffle merge mode; memory technology. What follows
+ * from these (DRAM channels and timing, shuffle ports) is derived where
+ * it is used. The named constructors produce the paper's design points.
  */
 
 #pragma once
@@ -122,19 +122,12 @@ struct SpmuConfig
     Ordering ordering = Ordering::Unordered;
     bool ideal = false;       //!< Ideal SpMU: no bank conflicts (Table 9).
     /**
-     * Plasticine handicap: the memory has no RMW pipeline, so every
-     * read-modify-write lane issues twice (read, then write) and a
-     * vector containing modifications blocks younger vectors until it
-     * fully completes (Section 5, "Plasticine & Spatial").
+     * False for the Plasticine baseline (Section 5): a read-modify-write
+     * lane issues twice (read, then write), an arbitrated memory serves
+     * one access per cycle, and the DRAM address generators track no
+     * pending bursts.
      */
-    bool rmw_blocks = false;
-    /**
-     * Plasticine handicap: statically banked memories serve ONE
-     * random-indexed access per cycle ("in the worst banking cases,
-     * each memory only supports one access per cycle, leaving 15 banks
-     * inactive", Section 5).
-     */
-    bool single_access = false;
+    bool sparse_support = true;
 
     auto operator<=>(const SpmuConfig &) const = default;
 };
@@ -149,7 +142,7 @@ struct ScannerConfig
     auto operator<=>(const ScannerConfig &) const = default;
 };
 
-/** Shuffle-network parameters (Section 3.2). */
+/** Shuffle-network parameters (Section 3.2); a Machine derives its own. */
 struct ShuffleConfig
 {
     MergeMode mode = MergeMode::Mrg1;
@@ -159,13 +152,10 @@ struct ShuffleConfig
     auto operator<=>(const ShuffleConfig &) const = default;
 };
 
-/** DRAM system parameters (Section 3.4). */
+/** DRAM parameters (Section 3.4); channels and timing follow `tech`. */
 struct DramConfig
 {
     MemTech tech = MemTech::HBM2E;
-    int channels = 16;        //!< Independent channels.
-    Cycle base_latency = 96;  //!< Closed-page access latency (cycles).
-    Cycle row_miss_penalty = 32;
     bool compression = false; //!< Read-only pointer-tile compression.
     /** When positive, overrides the technology bandwidth (Fig. 5a). */
     double bandwidth_override_gbps = 0.0;
@@ -180,11 +170,8 @@ struct CapstanConfig
 
     SpmuConfig spmu;
     ScannerConfig scanner;
-    ShuffleConfig shuffle;
+    MergeMode merge = MergeMode::Mrg1; //!< Shuffle-network merge mode.
     DramConfig dram;
-
-    /** True when the unit has Capstan's sparse extensions at all. */
-    bool sparse_support = true;
 
     /**
      * Memberwise comparison: equal configs simulate identically, which
@@ -197,8 +184,8 @@ struct CapstanConfig
 
     /**
      * The Plasticine baseline: no SpMU scheduling (arbitrated, one vector
-     * at a time), no scanner (scalar sparse iteration), no RMW support
-     * (read blocks on preceding write), no shuffle network.
+     * at a time), no scanner (scalar sparse iteration), no sparse
+     * extensions (SpmuConfig::sparse_support), no shuffle network.
      */
     static CapstanConfig plasticine(MemTech tech = MemTech::HBM2E);
 

@@ -12,21 +12,39 @@ namespace {
 /** Row size in bytes: what one activate opens in a bank. */
 constexpr std::uint64_t kRowBytes = 2048;
 
+/** A technology's channel count and closed-page timing (cycles). */
+struct TechTiming
+{
+    int channels;
+    Cycle latency;
+    Cycle row_miss_penalty;
+};
+
+/** Indexed by MemTech. */
+constexpr TechTiming kTechTiming[] = {
+    {4, 96, 32},  // DDR4
+    {16, 96, 32}, // HBM2
+    {32, 96, 32}, // HBM2E
+    {64, 0, 0},   // Ideal
+};
+
 } // namespace
 
-DramModel::DramModel(const DramConfig &cfg)
-    : cfg_(cfg),
-      channel_bytes_per_cycle_((cfg.bandwidth_override_gbps > 0
+DramModel::DramModel(const DramConfig &cfg) : cfg_(cfg)
+{
+    const TechTiming &t = kTechTiming[static_cast<int>(cfg.tech)];
+    channels_ = t.channels;
+    latency_ = t.latency;
+    row_miss_penalty_ = t.row_miss_penalty;
+    channel_bytes_per_cycle_ = (cfg.bandwidth_override_gbps > 0
                                     ? cfg.bandwidth_override_gbps
                                     : memTechBandwidth(cfg.tech)) /
-                               kClockGhz / cfg.channels),
-      channel_free_(cfg.channels, 0),
-      banks_(static_cast<std::size_t>(cfg.channels) *
-             kDramBanksPerChannel)
-{
-    CAPSTAN_CHECK(cfg.channels > 0);
+                               kClockGhz / channels_;
     burst_cycles_ = std::max(1.0, kDramBurstBytes /
                                       channel_bytes_per_cycle_);
+    channel_free_.assign(channels_, 0);
+    banks_.resize(static_cast<std::size_t>(channels_) *
+                  kDramBanksPerChannel);
 }
 
 Cycle
@@ -43,18 +61,18 @@ DramModel::access(std::uint64_t byte_addr, bool write, Cycle now)
         return now;
 
     std::uint64_t burst = byte_addr / kDramBurstBytes;
-    int channel = static_cast<int>(burst % cfg_.channels);
-    std::uint64_t per_channel = burst / cfg_.channels;
+    int channel = static_cast<int>(burst % channels_);
+    std::uint64_t per_channel = burst / channels_;
     int bank = static_cast<int>(per_channel % kDramBanksPerChannel);
     std::uint64_t row =
-        byte_addr / (kRowBytes * cfg_.channels * kDramBanksPerChannel);
+        byte_addr / (kRowBytes * channels_ * kDramBanksPerChannel);
 
     BankState &bs = banks_[static_cast<std::size_t>(channel) *
                                kDramBanksPerChannel +
                            bank];
     double service = burst_cycles_;
     if (bs.open_row != row) {
-        service += static_cast<double>(cfg_.row_miss_penalty);
+        service += static_cast<double>(row_miss_penalty_);
         bs.open_row = row;
         ++stats_.row_misses;
     } else {
@@ -64,7 +82,7 @@ DramModel::access(std::uint64_t byte_addr, bool write, Cycle now)
     double start = std::max(static_cast<double>(now),
                             channel_free_[channel]);
     channel_free_[channel] = start + service;
-    return static_cast<Cycle>(start + service) + cfg_.base_latency;
+    return static_cast<Cycle>(start + service) + latency_;
 }
 
 Cycle
@@ -77,14 +95,14 @@ DramModel::streamAccess(std::uint64_t bytes, Cycle now)
         return now;
     // Spread the transfer over every channel so streams and random
     // bursts contend for the same bandwidth.
-    double per_channel = static_cast<double>(bytes) / cfg_.channels /
+    double per_channel = static_cast<double>(bytes) / channels_ /
                          channel_bytes_per_cycle_;
     double done = 0.0;
     for (double &free : channel_free_) {
         free = std::max(static_cast<double>(now), free) + per_channel;
         done = std::max(done, free);
     }
-    return static_cast<Cycle>(done) + cfg_.base_latency;
+    return static_cast<Cycle>(done) + latency_;
 }
 
 AddressGenerator::AddressGenerator(DramModel &dram, int table_entries)

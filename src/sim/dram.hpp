@@ -7,8 +7,8 @@
  * available offline, so this is a compact banked-DRAM substitute:
  * per-channel service queues at the technology's per-channel
  * bandwidth, a row-buffer hit/miss model per bank, 64 B bursts, and a
- * fixed pipeline latency. The three technology points are
- * DDR4-2133 (68 GB/s), HBM2 (900 GB/s), and HBM2E (1800 GB/s).
+ * fixed pipeline latency, all set by the technology: DDR4-2133 (68 GB/s),
+ * HBM2 (900 GB/s) or HBM2E (1800 GB/s); dram.cpp holds the timing table.
  *
  * The AddressGenerator layers Capstan's atomic-DRAM support on top: it
  * tracks outstanding bursts, coalesces accesses that hit a pending or
@@ -79,6 +79,9 @@ class DramModel
     };
 
     DramConfig cfg_;
+    int channels_;                  //!< From the technology.
+    Cycle latency_;                 //!< Closed-page access latency.
+    Cycle row_miss_penalty_;
     double channel_bytes_per_cycle_;
     double burst_cycles_;           //!< Channel occupancy per burst.
     std::vector<double> channel_free_;

@@ -170,9 +170,9 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
             int bank = bankOf(lr.addr);
             slot.bank[l] = static_cast<std::int8_t>(bank);
             slot.req[l] = 1u << bank;
-            // Plasticine RMW handicap: modifications need a second
-            // (write) pass after the read returns.
-            if (cfg_.rmw_blocks && !isReadOnly(lr.op))
+            // Without the sparse extensions (Plasticine) a modification
+            // needs a second (write) pass after the read returns.
+            if (!cfg_.sparse_support && !isReadOnly(lr.op))
                 slot.rmw_second_pass |= static_cast<std::uint16_t>(1u << l);
             if (bloom)
                 ++bloom_[bloomIndex(lr.addr)];
@@ -395,7 +395,7 @@ SparseMemoryUnit::allocateArbitrated()
                 continue;
             banks_used |= 1u << bank;
             issueLane(slot, l, bank);
-            if (cfg_.single_access)
+            if (!cfg_.sparse_support)
                 return; // Static banking: one access per cycle.
         }
         return;

@@ -35,7 +35,7 @@ namespace capstan::sim {
  * Read-modify-write operations supported by the bank FPU (Section 3.1).
  * The timing model tells only reads from modifications (isReadOnly()):
  * reads may be elided, and modifications split a vector under address
- * ordering and take a second pass under rmw_blocks.
+ * ordering and take a second pass without the sparse extensions.
  */
 enum class AccessOp : std::uint8_t {
     Read,             //!< Plain load; returns the stored word.
@@ -180,7 +180,7 @@ class SparseMemoryUnit
         std::uint16_t valid = 0;   //!< Lanes carrying an access.
         std::uint16_t dup = 0;     //!< Valid lanes elided onto a master.
         std::uint16_t pending = 0; //!< Valid, not elided, not yet issued.
-        std::uint16_t rmw_second_pass = 0; //!< Write pass (rmw_blocks).
+        std::uint16_t rmw_second_pass = 0; //!< Plasticine write pass.
         /**
          * Parts of the vector from this slot to its last (1: the vector
          * completes with this slot).

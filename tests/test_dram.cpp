@@ -15,28 +15,6 @@ using namespace capstan::sim;
 
 namespace {
 
-DramConfig
-techConfig(MemTech tech)
-{
-    DramConfig cfg;
-    cfg.tech = tech;
-    switch (tech) {
-      case MemTech::DDR4:
-        cfg.channels = 4;
-        break;
-      case MemTech::HBM2:
-        cfg.channels = 16;
-        break;
-      case MemTech::HBM2E:
-        cfg.channels = 32;
-        break;
-      case MemTech::Ideal:
-        cfg.channels = 64;
-        break;
-    }
-    return cfg;
-}
-
 /** Random-burst completion time for a fixed number of bursts. */
 Cycle
 randomBurstDrain(DramModel &dram, int bursts, std::uint32_t seed)
@@ -57,7 +35,7 @@ TEST(Dram, StreamThroughputApproachesPeakBandwidth)
     // A long stream moves the technology's bandwidth per core cycle;
     // only the access latency comes on top.
     for (MemTech tech : {MemTech::DDR4, MemTech::HBM2, MemTech::HBM2E}) {
-        DramModel dram(techConfig(tech));
+        DramModel dram({.tech = tech});
         std::uint64_t bytes = 64ull << 20;
         Cycle done = dram.streamAccess(bytes, 0);
         double achieved = static_cast<double>(bytes) / done;
@@ -69,8 +47,8 @@ TEST(Dram, StreamThroughputApproachesPeakBandwidth)
 
 TEST(Dram, RandomBurstsAreSlowerThanStreaming)
 {
-    DramModel d1(techConfig(MemTech::DDR4));
-    DramModel d2(techConfig(MemTech::DDR4));
+    DramModel d1({.tech = MemTech::DDR4});
+    DramModel d2({.tech = MemTech::DDR4});
     int bursts = 4000;
     Cycle random_done = randomBurstDrain(d1, bursts, 42);
     Cycle stream_done = d2.streamAccess(
@@ -82,7 +60,7 @@ TEST(Dram, RandomBurstsAreSlowerThanStreaming)
 
 TEST(Dram, SequentialBurstsHitOpenRows)
 {
-    DramModel dram(techConfig(MemTech::HBM2E));
+    DramModel dram({.tech = MemTech::HBM2E});
     // Enough bursts that the 32 channels x 16 banks of cold first
     // touches amortize away.
     for (int i = 0; i < 16384; ++i)
@@ -92,8 +70,8 @@ TEST(Dram, SequentialBurstsHitOpenRows)
 
 TEST(Dram, MoreBandwidthDrainsFaster)
 {
-    DramModel ddr4(techConfig(MemTech::DDR4));
-    DramModel hbm2e(techConfig(MemTech::HBM2E));
+    DramModel ddr4({.tech = MemTech::DDR4});
+    DramModel hbm2e({.tech = MemTech::HBM2E});
     Cycle slow = randomBurstDrain(ddr4, 2000, 7);
     Cycle fast = randomBurstDrain(hbm2e, 2000, 7);
     EXPECT_LT(4 * fast, slow);
@@ -101,14 +79,58 @@ TEST(Dram, MoreBandwidthDrainsFaster)
 
 TEST(Dram, IdealMemoryIsInstant)
 {
-    DramModel dram(techConfig(MemTech::Ideal));
+    DramModel dram({.tech = MemTech::Ideal});
     EXPECT_EQ(dram.access(12345 * 64, false, 77), 77u);
     EXPECT_EQ(dram.streamAccess(1 << 20, 99), 99u);
 }
 
+/**
+ * Each technology's channel count and closed-page timing, as bursts
+ * show them: the first burst on a closed row completes after one
+ * burst's service time and the 32-cycle row-miss penalty, truncated to
+ * a whole cycle, plus the 96-cycle access latency. Consecutive bursts
+ * interleave over the channels, so one burst per channel completes at
+ * once and the next waits behind channel 0.
+ */
+TEST(Dram, TechnologyTimingIsPinned)
+{
+    struct TechPoint
+    {
+        MemTech tech;
+        int channels;
+        Cycle first_burst;
+    };
+    const TechPoint points[] = {
+        {MemTech::DDR4, 4, 6 + 32 + 96},   // 64 B at 10.6 B/cycle.
+        {MemTech::HBM2, 16, 1 + 32 + 96},  // 64 B at 35.2 B/cycle.
+        {MemTech::HBM2E, 32, 1 + 32 + 96}, // 64 B at 35.2 B/cycle.
+    };
+    const Cycle now = 1000;
+    for (const TechPoint &p : points) {
+        DramModel dram({.tech = p.tech});
+        for (int c = 0; c < p.channels; ++c) {
+            EXPECT_EQ(dram.access(static_cast<std::uint64_t>(c) * 64,
+                                  false, now),
+                      now + p.first_burst)
+                << memTechName(p.tech) << " channel " << c;
+        }
+        EXPECT_GT(dram.access(static_cast<std::uint64_t>(p.channels) * 64,
+                              false, now),
+                  now + p.first_burst)
+            << memTechName(p.tech);
+        EXPECT_EQ(dram.stats().row_misses,
+                  static_cast<std::uint64_t>(p.channels) + 1);
+    }
+}
+
+TEST(Dram, DefaultConfigIsThePrimaryDesignPoint)
+{
+    EXPECT_TRUE(CapstanConfig{} == CapstanConfig::capstan());
+}
+
 TEST(Dram, StatsCountReadsAndWrites)
 {
-    DramModel dram(techConfig(MemTech::DDR4));
+    DramModel dram({.tech = MemTech::DDR4});
     dram.access(0, false, 0);
     dram.access(64, true, 0);
     dram.access(128, true, 0);
@@ -120,7 +142,7 @@ TEST(Dram, StatsCountReadsAndWrites)
 
 TEST(AddressGenerator, CoalescesAccessesWithinABurst)
 {
-    DramModel dram(techConfig(MemTech::DDR4));
+    DramModel dram({.tech = MemTech::DDR4});
     AddressGenerator ag(dram);
     // 16 words, all within one 64 B burst.
     std::vector<std::uint64_t> addrs;
@@ -134,7 +156,7 @@ TEST(AddressGenerator, CoalescesAccessesWithinABurst)
 
 TEST(AddressGenerator, ReusedBurstsStayBuffered)
 {
-    DramModel dram(techConfig(MemTech::DDR4));
+    DramModel dram({.tech = MemTech::DDR4});
     AddressGenerator ag(dram);
     std::vector<std::uint64_t> addrs = {4096};
     Cycle first = ag.atomicVector(addrs, 0);
@@ -146,7 +168,7 @@ TEST(AddressGenerator, ReusedBurstsStayBuffered)
 
 TEST(AddressGenerator, EvictionWritesBackDirtyBursts)
 {
-    DramModel dram(techConfig(MemTech::DDR4));
+    DramModel dram({.tech = MemTech::DDR4});
     AddressGenerator ag(dram, /*table_entries=*/4);
     Cycle now = 0;
     for (int i = 0; i < 8; ++i) {
@@ -162,7 +184,7 @@ TEST(AddressGenerator, EvictionWritesBackDirtyBursts)
 
 TEST(AddressGenerator, FlushOnEmptyTableIsANoOp)
 {
-    DramModel dram(techConfig(MemTech::DDR4));
+    DramModel dram({.tech = MemTech::DDR4});
     AddressGenerator ag(dram);
     EXPECT_EQ(ag.flush(5), 5u);
     EXPECT_EQ(dram.stats().bursts, 0u);
@@ -171,7 +193,7 @@ TEST(AddressGenerator, FlushOnEmptyTableIsANoOp)
 /** Property: completion cycles are monotone in submission time. */
 TEST(DramProperty, CompletionMonotoneInTime)
 {
-    DramModel dram(techConfig(MemTech::HBM2));
+    DramModel dram({.tech = MemTech::HBM2});
     std::mt19937_64 rng(11);
     Cycle prev_done = 0;
     Cycle now = 0;
@@ -194,7 +216,7 @@ TEST(DramProperty, CompletionMonotoneInTime)
  */
 TEST(AddressGeneratorProperty, BufferedBurstsAreFetchedOnce)
 {
-    DramModel dram(techConfig(MemTech::HBM2E));
+    DramModel dram({.tech = MemTech::HBM2E});
     AddressGenerator ag(dram, 32);
     std::mt19937_64 rng(23);
     std::set<std::uint64_t> bursts;

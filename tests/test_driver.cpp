@@ -291,14 +291,14 @@ TEST(DriverOptions, BuildConfigAppliesOverrides)
     sim::CapstanConfig cfg = buildConfig(r.options);
     EXPECT_EQ(cfg.dram.tech, sim::MemTech::HBM2);
     EXPECT_EQ(cfg.spmu.ordering, sim::Ordering::FullyOrdered);
-    EXPECT_EQ(cfg.shuffle.mode, sim::MergeMode::None);
+    EXPECT_EQ(cfg.merge, sim::MergeMode::None);
     EXPECT_EQ(cfg.spmu.queue_depth, 8);
     EXPECT_DOUBLE_EQ(cfg.dram.bandwidth_override_gbps, 123.0);
     EXPECT_TRUE(cfg.dram.compression);
 
     ParseResult p = parseArgs({"--config", "plasticine"});
     ASSERT_TRUE(p.ok());
-    EXPECT_FALSE(buildConfig(p.options).sparse_support);
+    EXPECT_FALSE(buildConfig(p.options).spmu.sparse_support);
 
     ParseResult i = parseArgs({"--config", "ideal"});
     ASSERT_TRUE(i.ok());

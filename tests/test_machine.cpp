@@ -430,7 +430,7 @@ TEST(Machine, MergeModeNoneForcesDramRoundTrips)
 {
     CapstanConfig with_net = hbmConfig();
     CapstanConfig without = hbmConfig();
-    without.shuffle.mode = sim::MergeMode::None;
+    without.merge = sim::MergeMode::None;
     auto run = [](const CapstanConfig &cfg) {
         Machine m(cfg, 4);
         std::mt19937 rng(5);
@@ -511,7 +511,7 @@ TEST(MachineProperty, CrossTilePhasesMatchTheirGoldens)
     for (const auto &[mode, want] : goldens) {
         SCOPED_TRACE(sim::mergeModeName(mode));
         CapstanConfig cfg = hbmConfig();
-        cfg.shuffle.mode = mode;
+        cfg.merge = mode;
         Machine m(cfg, 64);
         std::uint64_t expected = runCrossTileProgram(m, 41);
         EXPECT_EQ(m.totals().tokens, expected);

@@ -281,14 +281,14 @@ INSTANTIATE_TEST_SUITE_P(
                     [] {
                         auto c = sim::CapstanConfig::capstan(
                             sim::MemTech::HBM2E);
-                        c.shuffle.mode = sim::MergeMode::None;
+                        c.merge = sim::MergeMode::None;
                         return c;
                     }()},
         MachineCase{"mrg16",
                     [] {
                         auto c = sim::CapstanConfig::capstan(
                             sim::MemTech::HBM2E);
-                        c.shuffle.mode = sim::MergeMode::Mrg16;
+                        c.merge = sim::MergeMode::Mrg16;
                         return c;
                     }()}),
     [](const ::testing::TestParamInfo<MachineCase> &case_info) {

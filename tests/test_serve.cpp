@@ -5,12 +5,15 @@
  * tests against an in-process Server — structured errors for
  * malformed requests, queue-full admission control, cancellation of a
  * running sweep, the byte-identity of streamed results with CLI
- * output, warm-cache sharing across clients, and a clean drain.
+ * output, warm-cache sharing across clients, closed connections giving
+ * their fds back, and a clean drain.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -498,6 +501,21 @@ TEST(ServeSocket, QueueFullRejectsAndCancelInterruptsRunningSweep)
     ASSERT_TRUE(pong.has_value());
     EXPECT_EQ(pong->at("id").asNumber(), 9);
 
+    // Both admitted jobs have finished; an id never admitted is unknown.
+    const std::int64_t second_id =
+        static_cast<std::int64_t>(second->at("job_id").asNumber());
+    for (std::int64_t job_id : {sweep_id, second_id, second_id + 1,
+                                std::int64_t{0}}) {
+        c.send("{\"op\": \"cancel\", \"id\": 11, \"job_id\": " +
+               std::to_string(job_id) + "}");
+        std::optional<JsonValue> reply = c.readEvent("cancelled");
+        ASSERT_TRUE(reply.has_value());
+        EXPECT_EQ(reply->at("state").asString(),
+                  job_id == sweep_id || job_id == second_id ? "finished"
+                                                            : "unknown")
+            << "job " << job_id;
+    }
+
     c.send("{\"op\": \"stats\", \"id\": 10}");
     std::optional<JsonValue> stats = c.readEvent("stats");
     ASSERT_TRUE(stats.has_value());
@@ -547,6 +565,36 @@ TEST(ServeSocket, ConcurrentClientsShareOneWarmCache)
               hits_before + 1);
     EXPECT_EQ(after->at("jobs").at("completed").asNumber(),
               done_before + 2);
+}
+
+/** Open file descriptors of this process. */
+int
+openFds()
+{
+    namespace fs = std::filesystem;
+    return static_cast<int>(std::distance(
+        fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
+}
+
+TEST(ServeSocket, ClosedConnectionsReleaseTheirFds)
+{
+    Harness h("churn");
+    ASSERT_TRUE(h.started());
+    const int before = openFds();
+    for (int i = 0; i < 200; ++i) {
+        Client c(h.socketPath());
+        ASSERT_TRUE(c.ok()) << "client " << i;
+        c.send("{\"op\": \"ping\", \"id\": " + std::to_string(i) + "}");
+        ASSERT_TRUE(c.readEvent("pong").has_value()) << "client " << i;
+    }
+    // The accept loop reaps ended connections once per poll tick; allow
+    // it 100 slices of 100 ms.
+    int after = openFds();
+    for (int slice = 0; slice < 100 && after != before; ++slice) {
+        ::poll(nullptr, 0, 100);
+        after = openFds();
+    }
+    EXPECT_EQ(after, before);
 }
 
 TEST(ServeSocket, ShutdownOpDrainsQueuedJobsThenExits)

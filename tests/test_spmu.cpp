@@ -446,7 +446,7 @@ TEST(SpmuProperty, ConservationOfVectors)
     SpmuConfig speedup;
     speedup.input_speedup = 2;
     variants.emplace_back("input_speedup=2", speedup);
-    // Arbitrated, weak allocator, rmw_blocks and single_access.
+    // Arbitrated, weak allocator, no sparse extensions.
     variants.emplace_back("plasticine", CapstanConfig::plasticine().spmu);
     for (const auto &[name, cfg] : variants) {
         SparseMemoryUnit spmu(cfg);
@@ -490,8 +490,9 @@ namespace {
  * read is elided (never issued) when the first earlier lane of the
  * vector with its address is a read, except in the arbitrated baseline,
  * and under address and full ordering only while no earlier lane
- * modifies that address. A modification issues twice under rmw_blocks
- * (the read, then the write); every other valid lane issues once.
+ * modifies that address. A modification issues twice without the sparse
+ * extensions (the read, then the write); every other valid lane issues
+ * once.
  */
 std::array<int, kMaxLanes>
 requiredIssues(const AccessVector &av, const SpmuConfig &cfg)
@@ -502,7 +503,7 @@ requiredIssues(const AccessVector &av, const SpmuConfig &cfg)
         if (!lr.valid)
             continue;
         bool read = lr.op == AccessOp::Read;
-        n[l] = !read && cfg.rmw_blocks ? 2 : 1;
+        n[l] = !read && !cfg.sparse_support ? 2 : 1;
         if (!read || cfg.ordering == Ordering::Arbitrated)
             continue;
         int first = -1;
@@ -604,9 +605,9 @@ checkGrantTrace(const std::string &name, const SpmuConfig &cfg,
 
 /**
  * Property: every valid, non-elided access issues exactly once (twice
- * for a modification under Plasticine's rmw_blocks), elided reads never
- * issue, and same-address accesses keep the order their ordering mode
- * promises.
+ * for a modification without the sparse extensions, as in Plasticine),
+ * elided reads never issue, and same-address accesses keep the order
+ * their ordering mode promises.
  */
 TEST(SpmuProperty, AccessesIssueOnceAndInOrder)
 {

@@ -79,7 +79,7 @@ hex(std::uint64_t v)
 
 /**
  * Every lane op the bank FPU names. The timing model tells reads from
- * modifications (elision, splits, the rmw_blocks second pass).
+ * modifications (elision, splits, the Plasticine second pass).
  */
 constexpr AccessOp kOps[] = {
     AccessOp::Read,   AccessOp::Write,  AccessOp::AddF32,
