@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import signal
 import socket
 import subprocess
@@ -182,19 +183,8 @@ def churn(serve_bin, workdir):
             proc.wait()
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--build-dir", required=True,
-                        help="CMake build tree with the capstan binaries")
-    args = parser.parse_args()
-
-    serve_bin = os.path.join(args.build_dir, "capstan-serve")
-    run_bin = os.path.join(args.build_dir, "capstan-run")
-    for binary in (serve_bin, run_bin):
-        if not os.access(binary, os.X_OK):
-            fail(f"missing binary {binary}")
-
-    workdir = tempfile.mkdtemp(prefix="capstan-serve-smoke-")
+def serve(serve_bin, run_bin, workdir):
+    """Phases 1-6 against one daemon, from first ping to SIGTERM."""
     sock_path = os.path.join(workdir, "serve.sock")
 
     proc = subprocess.Popen(
@@ -304,8 +294,28 @@ def main():
             proc.kill()
             proc.wait()
 
-    # 7. Connection churn under a small fd limit.
-    churn(serve_bin, workdir)
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--build-dir", required=True,
+                        help="CMake build tree with the capstan binaries")
+    args = parser.parse_args()
+
+    serve_bin = os.path.join(args.build_dir, "capstan-serve")
+    run_bin = os.path.join(args.build_dir, "capstan-run")
+    for binary in (serve_bin, run_bin):
+        if not os.access(binary, os.X_OK):
+            fail(f"missing binary {binary}")
+
+    # Both daemons' sockets live here; it goes whether the run passes
+    # or fails.
+    workdir = tempfile.mkdtemp(prefix="capstan-serve-smoke-")
+    try:
+        serve(serve_bin, run_bin, workdir)
+        # 7. Connection churn under a small fd limit.
+        churn(serve_bin, workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
     print("serve_smoke: PASS")
 
 

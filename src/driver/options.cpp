@@ -307,8 +307,9 @@ applyOption(DriverOptions &o, const std::string &key,
         o.allocator = a;
     } else if (key == "queue-depth") {
         int d;
-        if (!parseInt(v, d) || d < 1)
-            return "queue-depth requires a positive integer";
+        if (!parseInt(v, d) || d < 1 || d > sim::kMaxQueueDepth)
+            return "queue-depth requires an integer from 1 to " +
+                   std::to_string(sim::kMaxQueueDepth);
         o.queue_depth = d;
     } else if (key == "bandwidth-gbps") {
         double b;
@@ -517,7 +518,7 @@ usageText()
         "  --merge M          none|mrg0|mrg1|mrg16\n"
         "  --hash H           linear|xor\n"
         "  --allocator A      full|weak\n"
-        "  --queue-depth N    SpMU issue-queue depth\n"
+        "  --queue-depth N    SpMU issue-queue depth, 1 to 64\n"
         "  --bandwidth-gbps B DRAM bandwidth override\n"
         "  --compression      enable pointer-tile DRAM compression\n"
         "  --spmu-ideal       conflict-free SpMU (Table 9 'Ideal')\n"

@@ -407,6 +407,18 @@ Machine::stepTile(int t)
                 }
                 break;
             }
+            // A vector with a lane bound for another tile enters the
+            // butterfly, so a full input channel refuses it; refuse
+            // before building it. An all-local one bypasses the channel.
+            bool all_local = true;
+            for (std::uint32_t lanes = tok.valid_mask; lanes != 0;
+                 lanes &= lanes - 1) {
+                int dst = tok.lane_tile[std::countr_zero(lanes)];
+                all_local = all_local && (dst < 0 || dst >= tiles() ||
+                                          dst == t);
+            }
+            if (!all_local && shuffle_.inputFull(t))
+                break;
             std::uint64_t uid = nextUid(t);
             sim::ShuffleVector sv;
             sv.id = uid;

@@ -364,10 +364,6 @@ Server::executorLoop()
             running_ = job;
         }
         executeJob(job);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            running_.reset();
-        }
     }
 }
 
@@ -385,6 +381,12 @@ Server::executeJob(const std::shared_ptr<Job> &job)
     };
     engine::JobResult result = engine_.execute(job->request, hooks);
     completed_.fetch_add(1, std::memory_order_relaxed);
+    {
+        // Finished before its result goes out, so a cancel sent after
+        // the client reads the result finds it finished, not running.
+        std::lock_guard<std::mutex> lock(mu_);
+        running_.reset();
+    }
     sendLine(job->conn, eventResult(job->job_id, result));
 }
 

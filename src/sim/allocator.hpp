@@ -13,8 +13,9 @@
  * Later iterations consider only requests that do not conflict with
  * already-established grants, so each iteration can add grants that the
  * greedy first pass missed. The model evaluates both stages in one
- * ascending pass over the lanes: a lane's bid goes to the lowest bank
- * free at the start of the iteration, and the first bidder wins it. The caller expresses age-based priority
+ * ascending pass over the ungranted lanes that request a bank: a lane's
+ * bid goes to the lowest bank free at the start of the iteration, and
+ * the first bidder wins it. The caller expresses age-based priority
  * classes by passing a *different request matrix per iteration*: older
  * queue slots appear in early iterations, younger ones only later
  * (Capstan's 16-slot queue: slots 0-4 bid in round one, 0-9 in round two,
@@ -26,7 +27,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/config.hpp"
 
@@ -59,6 +60,8 @@ struct AllocResult
 {
     std::array<int, kMaxVirtualLanes> bank_for_lane;
     int grant_count = 0;
+    /** Bit l set when virtual lane l holds a grant. */
+    std::uint32_t granted = 0;
 
     AllocResult() { bank_for_lane.fill(-1); }
 };
@@ -79,7 +82,6 @@ class SeparableAllocator
      */
     SeparableAllocator(int lanes, int banks, int iterations);
 
-    int lanes() const { return lanes_; }
     int iterations() const { return iterations_; }
 
     /**
@@ -90,13 +92,13 @@ class SeparableAllocator
      *        supersets of their predecessors (expanding priority window).
      * @return grants: at most one bank per lane and one lane per bank.
      */
-    AllocResult allocate(const std::vector<RequestMatrix> &iter_requests)
-        const;
+    AllocResult allocate(std::span<const RequestMatrix> iter_requests) const;
 
   private:
     int lanes_;
-    int banks_;
     int iterations_;
+    /** Bit b set for each bank b below the bank count. */
+    std::uint32_t bank_mask_;
 };
 
 } // namespace capstan::sim

@@ -38,6 +38,13 @@ constexpr int kMaxTiles = 128;
 /** SRAM banks per SpMU (1R1W each); Table 7 fixes b = 16. */
 constexpr int kSpmuBanks = 16;
 
+/**
+ * Deepest SpMU issue queue (a --queue-depth option's upper bound): the
+ * SpMU finds a grant's slot in a 64-bit mask of queue positions.
+ * Table 4 sweeps depths 8-32.
+ */
+constexpr int kMaxQueueDepth = 64;
+
 /** Separable-allocator iterations of the full allocator (Table 4). */
 constexpr int kAllocIterations = 3;
 

@@ -92,6 +92,12 @@ ShuffleNetwork::deliver(int port, Slot v)
 }
 
 bool
+ShuffleNetwork::inputFull(int port) const
+{
+    return channels_[0][port].size() >= kChannelDepth;
+}
+
+bool
 ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
 {
     CAPSTAN_DCHECK(port >= 0 && port < cfg_.ports);
@@ -105,7 +111,7 @@ ShuffleNetwork::tryInject(int port, const ShuffleVector &v)
         deliver(port, slot);
         return true;
     }
-    if (channels_[0][port].size() >= kChannelDepth)
+    if (inputFull(port))
         return false;
     Slot slot = acquire();
     pool_[slot] = v;

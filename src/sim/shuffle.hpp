@@ -73,8 +73,15 @@ class ShuffleNetwork
   public:
     explicit ShuffleNetwork(const ShuffleConfig &cfg);
 
-    /** Inject a request vector at input @p port. */
+    /**
+     * Inject a request vector at input @p port. A vector whose every
+     * valid lane is bound for @p port bypasses the butterfly and is
+     * delivered at once; any other one is refused while inputFull().
+     */
     bool tryInject(int port, const ShuffleVector &v);
+
+    /** True while input @p port's first-stage channel has no room. */
+    bool inputFull(int port) const;
 
     /**
      * Advance one cycle: each stage moves/merges/splits vectors, then

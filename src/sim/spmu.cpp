@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -9,8 +10,14 @@ namespace capstan::sim {
 
 namespace {
 
-/** Deepest issue queue whose rings are allocated whole up front. */
-constexpr int kMaxPreallocatedDepth = 64;
+/** @p depth as a ring size, once it is a depth the ring masks can hold. */
+std::size_t
+checkedDepth(int depth)
+{
+    CAPSTAN_CHECK(depth >= 1 && depth <= kMaxQueueDepth,
+                  "queue depth outside the 64-bit ring masks");
+    return static_cast<std::size_t>(depth);
+}
 
 /** Multiplicative hash for Bloom indexing. */
 std::uint32_t
@@ -37,15 +44,22 @@ SparseMemoryUnit::SparseMemoryUnit(const SpmuConfig &cfg)
       alloc_(kMaxLanes * cfg.input_speedup, kSpmuBanks,
              cfg.allocator == AllocatorKind::Weak ? 1 : kAllocIterations),
       // A machine dequeues every cycle, and one step completes at most
-      // a queue's worth of vectors, so neither ring outgrows the depth
-      // (an unusually deep queue grows its rings on demand instead).
-      queue_(static_cast<std::size_t>(
-          std::min(cfg.queue_depth, kMaxPreallocatedDepth))),
-      ready_(static_cast<std::size_t>(
-          std::min(cfg.queue_depth, kMaxPreallocatedDepth))),
+      // a queue's worth of vectors, so neither ring outgrows the depth.
+      queue_(checkedDepth(cfg.queue_depth)),
+      ready_(static_cast<std::size_t>(cfg.queue_depth)),
       bloom_(kBloomEntries, 0)
 {
     CAPSTAN_CHECK(cfg.input_speedup == 1 || cfg.input_speedup == 2);
+    // Priority windows: with p classes, iteration i < p - 1 sees the
+    // oldest d * (i + 1) / p slots (at least one) and later ones the
+    // whole queue. The weak allocator's one iteration sees every slot.
+    int p = std::max(1, cfg.priorities);
+    int d = cfg.queue_depth;
+    for (int i = 0; i < alloc_.iterations(); ++i) {
+        windows_[i] = cfg.allocator != AllocatorKind::Weak && i < p - 1
+                          ? std::max(1, d * (i + 1) / p)
+                          : d;
+    }
 }
 
 int
@@ -86,6 +100,24 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
     plan.valid[0] = 0;
     plan.dup = 0;
 
+    std::uint16_t valid = 0;
+    std::uint16_t reads = 0;
+    for (int l = 0; l < kMaxLanes; ++l) {
+        const auto bit = static_cast<std::uint16_t>(1u << l);
+        if (av.lane[l].valid) {
+            valid |= bit;
+            if (isReadOnly(av.lane[l].op))
+                reads |= bit;
+        }
+    }
+    // Only a read can be elided (and not under arbitration), and only
+    // address ordering splits: otherwise every lane goes to part 0,
+    // and the duplicate-address scan below is skipped.
+    if (!split_mode && (!capstan_mode || reads == 0)) {
+        plan.valid[0] = valid;
+        return plan.parts;
+    }
+
     // Per distinct address (at most one per lane): the part index of
     // the last access touching it, and whether later reads can still be
     // elided onto its first access, a part-0 read. A linear scan over
@@ -99,10 +131,9 @@ SparseMemoryUnit::planSlots(const AccessVector &av, SplitPlan &plan) const
     std::array<SeenAddr, kMaxLanes> seen;
     int n_seen = 0;
 
-    for (int l = 0; l < kMaxLanes; ++l) {
+    for (std::uint32_t lanes = valid; lanes != 0; lanes &= lanes - 1) {
+        const int l = std::countr_zero(lanes);
         const LaneRequest &lr = av.lane[l];
-        if (!lr.valid)
-            continue;
         const auto bit = static_cast<std::uint16_t>(1u << l);
         SeenAddr *sa = nullptr;
         for (int i = 0; i < n_seen; ++i) {
@@ -156,7 +187,10 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
         // The ring slot still holds an older vector: reset every field a
         // later reader uses. The others are read only for lanes written
         // below (av.lane, bank) or once a lane issues (done_at).
+        const auto pos =
+            static_cast<std::uint8_t>((head_pos_ + queue_.size()) % 64);
         Slot &slot = queue_.push_back_slot();
+        slot.pos = pos;
         slot.req.fill(0);
         slot.av.id = av.id;
         slot.valid = plan.valid[p];
@@ -164,12 +198,12 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
         slot.pending = slot.valid & static_cast<std::uint16_t>(~slot.dup);
         slot.rmw_second_pass = 0;
         slot.parts_left = static_cast<std::uint8_t>(plan.parts - p);
+        slot.last_done = 0;
         forEachSetBit(slot.pending, [&](int l) {
             const LaneRequest &lr = av.lane[l];
             slot.av.lane[l] = lr;
-            int bank = bankOf(lr.addr);
-            slot.bank[l] = static_cast<std::int8_t>(bank);
-            slot.req[l] = 1u << bank;
+            slot.bank[l] = static_cast<std::int8_t>(bankOf(lr.addr));
+            armLane(slot, l);
             // Without the sparse extensions (Plasticine) a modification
             // needs a second (write) pass after the read returns.
             if (!cfg_.sparse_support && !isReadOnly(lr.op))
@@ -177,6 +211,8 @@ SparseMemoryUnit::fillSlots(const AccessVector &av, const SplitPlan &plan)
             if (bloom)
                 ++bloom_[bloomIndex(lr.addr)];
         });
+        unissued_ += std::popcount(slot.pending) +
+                     std::popcount(slot.rmw_second_pass);
         stats_.elided_reads +=
             static_cast<std::uint64_t>(std::popcount(slot.dup));
     }
@@ -212,11 +248,20 @@ SparseMemoryUnit::refuseIfFull()
 }
 
 void
+SparseMemoryUnit::armLane(Slot &slot, int lane)
+{
+    int bank = slot.bank[lane];
+    slot.req[lane] = 1u << bank;
+    pending_at_[lane][bank] |= std::uint64_t{1} << slot.pos;
+}
+
+void
 SparseMemoryUnit::issueLane(Slot &slot, int lane, int bank)
 {
     CAPSTAN_DCHECK(slot.pending & (1u << lane));
     slot.pending &= static_cast<std::uint16_t>(~(1u << lane));
     slot.req[lane] = 0;
+    pending_at_[lane][bank] &= ~(std::uint64_t{1} << slot.pos);
     if (cfg_.ordering == Ordering::AddressOrdered) {
         // Ordering is locked in once an access issues (same address =>
         // same bank => in-order completion), so it stops conflicting.
@@ -225,35 +270,45 @@ SparseMemoryUnit::issueLane(Slot &slot, int lane, int bank)
         --bloom_[idx];
     }
     slot.done_at[lane] = now_ + kSpmuPipelineLatency;
+    slot.last_done = slot.done_at[lane];
+    --unissued_;
     ++stats_.grants;
     if (trace_enabled_)
         trace_.push_back({now_, lane, bank, slot.av.id});
 }
 
-int
-SparseMemoryUnit::priorityWindow(int iter) const
-{
-    int p = std::max(1, cfg_.priorities);
-    int d = cfg_.queue_depth;
-    if (iter < p - 1)
-        return std::max(1, d * (iter + 1) / p);
-    return d;
-}
-
 bool
 SparseMemoryUnit::rowsMatchPending() const
 {
+    std::array<std::array<std::uint64_t, kSpmuBanks>, kMaxLanes> masks{};
+    int unissued = 0;
     for (std::size_t s = 0; s < queue_.size(); ++s) {
         const Slot &slot = queue_[s];
+        if (slot.pos != (head_pos_ + s) % 64)
+            return false;
         for (int l = 0; l < kMaxLanes; ++l) {
             std::uint32_t row = (slot.pending & (1u << l))
                                     ? 1u << slot.bank[l]
                                     : 0;
             if (slot.req[l] != row)
                 return false;
+            if (row != 0)
+                masks[l][slot.bank[l]] |= std::uint64_t{1} << slot.pos;
         }
+        unissued += std::popcount(slot.pending) +
+                    std::popcount(slot.rmw_second_pass);
     }
-    return true;
+    return masks == pending_at_ && unissued == unissued_;
+}
+
+Cycle
+SparseMemoryUnit::latestDoneScan(const Slot &slot) const
+{
+    Cycle latest = 0;
+    std::uint32_t issued = slot.valid & ~std::uint32_t{slot.dup};
+    forEachSetBit(issued,
+                  [&](int l) { latest = std::max(latest, slot.done_at[l]); });
+    return latest;
 }
 
 int
@@ -275,8 +330,6 @@ void
 SparseMemoryUnit::allocateScheduled()
 {
     const int n = static_cast<int>(queue_.size());
-    if (n == 0)
-        return;
     // With input speedup 2, slot parity selects the virtual lane group
     // (virtual lanes [16g, 16g + 16) for group g),
     // modelling the banked input queue. Each group ORs its slots' rows
@@ -289,44 +342,45 @@ SparseMemoryUnit::allocateScheduled()
     // window covers the whole queue every later matrix is identical,
     // and the allocator reuses the last one (a common case: short
     // queues collapse to a single matrix).
-    mats_scratch_.clear();
     int built = 0;
+    int mats = 0;
     for (int i = 0; i < alloc_.iterations(); ++i) {
-        int window = cfg_.allocator == AllocatorKind::Weak
-                         ? cfg_.queue_depth
-                         : priorityWindow(i);
-        int limit = std::min(window, n);
+        int limit = std::min(windows_[i], n);
         for (; built < limit; ++built) {
             const Slot &slot = queue_[static_cast<std::size_t>(built)];
             int g = groups > 1 ? built & 1 : 0;
             for (int l = 0; l < kMaxLanes; ++l)
                 acc[g][l] |= slot.req[l];
         }
-        RequestMatrix &mat = mats_scratch_.emplace_back();
+        // Lanes of a group this SpMU lacks stay 0 from construction.
+        RequestMatrix &mat = mats_[static_cast<std::size_t>(mats++)];
         for (int g = 0; g < groups; ++g)
             std::copy_n(acc[g], kMaxLanes, mat.begin() + g * kMaxLanes);
         if (limit == n)
             break;
     }
-    AllocResult res = alloc_.allocate(mats_scratch_);
-    for (int v = 0; v < alloc_.lanes(); ++v) {
-        int bank = res.bank_for_lane[v];
-        if (bank < 0)
-            continue;
+    AllocResult res =
+        alloc_.allocate(std::span(mats_.data(), static_cast<std::size_t>(mats)));
+    // Queue slot s of the group's parity; every slot with one group.
+    constexpr std::uint64_t kEvenSlots = 0x5555555555555555;
+    const auto head = static_cast<int>(head_pos_ % 64);
+    forEachSetBit(res.granted, [&](int v) {
         // Oldest-first priority encoder within the lane (Fig. 3, step
-        // 7): the oldest slot of v's group whose row holds the bank.
-        // Some slot does, or the lane would not have bid for it; grants
-        // to other virtual lanes cannot clear that bit.
+        // 7): the oldest slot of v's group with the lane pending on the
+        // granted bank. Some slot has it, or the lane would not have
+        // bid for the bank; grants to other virtual lanes cannot clear
+        // it.
         int group = v >= kMaxLanes ? 1 : 0;
         int lane = v - group * kMaxLanes;
-        std::uint32_t bit = 1u << bank;
-        int s = group;
-        while ((queue_[static_cast<std::size_t>(s)].req[lane] & bit) == 0)
-            s += groups;
+        int bank = res.bank_for_lane[v];
+        std::uint64_t slots = std::rotr(pending_at_[lane][bank], head);
+        if (groups > 1)
+            slots &= kEvenSlots << group;
+        int s = std::countr_zero(slots);
         CAPSTAN_DCHECK(s == oldestRequesterScan(v, bank),
                        "a grant resolved to the wrong slot");
         issueLane(queue_[static_cast<std::size_t>(s)], lane, bank);
-    }
+    });
 }
 
 void
@@ -381,9 +435,7 @@ SparseMemoryUnit::allocateArbitrated()
             }
             slot.pending = slot.rmw_second_pass;
             slot.rmw_second_pass = 0;
-            forEachSetBit(slot.pending, [&](int l) {
-                slot.req[l] = 1u << slot.bank[l];
-            });
+            forEachSetBit(slot.pending, [&](int l) { armLane(slot, l); });
         }
         std::uint32_t banks_used = 0;
         std::uint32_t lanes = slot.pending;
@@ -430,13 +482,10 @@ SparseMemoryUnit::completeLanes()
         // master, which is an issued lane of the same slot.
         if ((head.pending | head.rmw_second_pass) != 0)
             return;
-        std::uint32_t issued = head.valid & ~std::uint32_t{head.dup};
-        while (issued != 0) {
-            int l = std::countr_zero(issued);
-            issued &= issued - 1;
-            if (head.done_at[l] > now_)
-                return;
-        }
+        CAPSTAN_DCHECK(head.last_done == latestDoneScan(head),
+                       "a slot's last_done disagrees with its lanes");
+        if (head.last_done > now_)
+            return;
         // A split vector's parts are queued back to back and only the
         // head completes, so the vector completes with its last part.
         if (head.parts_left == 1) {
@@ -444,6 +493,7 @@ SparseMemoryUnit::completeLanes()
             ++stats_.vectors_out;
         }
         queue_.pop_front();
+        ++head_pos_;
     }
 }
 
@@ -452,18 +502,10 @@ SparseMemoryUnit::step()
 {
     CAPSTAN_DCHECK(rowsMatchPending(),
                    "a request row disagrees with its pending lanes");
-    // Drain-only cycles (every lane issued, waiting on the bank
-    // pipeline) skip the allocators entirely.
-    bool can_issue = false;
-    for (std::size_t s = 0; s < queue_.size() && !can_issue; ++s)
-        can_issue = (queue_[s].pending | queue_[s].rmw_second_pass) != 0;
-    if (!can_issue) {
-        ++now_;
-        ++stats_.cycles;
-        completeLanes();
-        return;
-    }
-    if (cfg_.ideal) {
+    if (unissued_ == 0) {
+        // A drain-only cycle (every lane issued, waiting on the bank
+        // pipeline) skips the allocators entirely.
+    } else if (cfg_.ideal) {
         allocateIdeal();
     } else {
         switch (cfg_.ordering) {

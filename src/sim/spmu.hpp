@@ -174,7 +174,8 @@ class SparseMemoryUnit
     {
         /**
          * Request row: 1 << bank for each pending lane, 0 elsewhere.
-         * First, so a grant's owner scan reads one cache line per slot.
+         * First, so the priority windows' OR reads one cache line per
+         * slot.
          */
         std::array<std::uint32_t, kMaxLanes> req{};
         std::uint16_t valid = 0;   //!< Lanes carrying an access.
@@ -186,6 +187,10 @@ class SparseMemoryUnit
          * completes with this slot).
          */
         std::uint8_t parts_left = 1;
+        /** Ring position: the slot's enqueue index mod 64. */
+        std::uint8_t pos = 0;
+        /** The latest done_at of an issued lane (0 before any issue). */
+        Cycle last_done = 0;
         /** bankOf(addr) per pending lane, hashed once at enqueue. */
         std::array<std::int8_t, kMaxLanes> bank{};
         std::array<Cycle, kMaxLanes> done_at{};
@@ -214,20 +219,21 @@ class SparseMemoryUnit
     void allocateFullyOrdered();
     void allocateArbitrated();
     void allocateIdeal();
+    /** Make @p slot's @p lane pending on its bank again. */
+    void armLane(Slot &slot, int lane);
     void issueLane(Slot &slot, int lane, int bank);
     void completeLanes();
 
     /**
-     * The scans the request rows replace, for the Debug cross-checks:
-     * whether every slot's row matches its pending lanes and banks, and
-     * the oldest slot of virtual lane @p v's group with that lane
-     * pending on @p bank (-1 if none).
+     * The scans the request rows, ring masks and counts replace, for the
+     * Debug cross-checks: whether every slot's row, every ring mask and
+     * unissued_ match the pending lanes and banks; the oldest slot of
+     * virtual lane @p v's group with that lane pending on @p bank (-1 if
+     * none); and the latest done_at of @p slot's issued lanes.
      */
     bool rowsMatchPending() const;
     int oldestRequesterScan(int v, int bank) const;
-
-    /** Priority window (slot count) for allocator iteration @p iter. */
-    int priorityWindow(int iter) const;
+    Cycle latestDoneScan(const Slot &slot) const;
 
     // Address-ordered support.
     bool bloomMayConflict(const AccessVector &av) const;
@@ -235,9 +241,23 @@ class SparseMemoryUnit
 
     SpmuConfig cfg_;
     SeparableAllocator alloc_;
-    /** Reused per-iteration request matrices (no per-step allocation). */
-    std::vector<RequestMatrix> mats_scratch_;
-    /** Issue queue; admit() bounds it at the queue depth. */
+    /** Priority window (slot count) of each allocator iteration. */
+    std::array<int, kAllocIterations> windows_{};
+    /** Per-iteration request matrices, rebuilt by each scheduled step. */
+    std::array<RequestMatrix, kAllocIterations> mats_{};
+    /**
+     * pending_at_[lane][bank]: bit p set while the slot at ring
+     * position p has @p lane pending on @p bank. Rotated by the head's
+     * position, bit s stands for queue slot s, so a grant's oldest
+     * slot is one count of trailing zeros away.
+     */
+    std::array<std::array<std::uint64_t, kSpmuBanks>, kMaxLanes>
+        pending_at_{};
+    /** Enqueue index of the queue's front slot (its position mod 64). */
+    std::uint64_t head_pos_ = 0;
+    /** Lanes pending or awaiting an RMW second pass, over all slots. */
+    int unissued_ = 0;
+    /** Issue queue; tryEnqueue() bounds it at the queue depth. */
     common::RingQueue<Slot> queue_;
     /** Completed vectors awaiting tryDequeue(). */
     common::RingQueue<CompletedVector> ready_;

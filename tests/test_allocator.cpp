@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "sim/allocator.hpp"
@@ -103,7 +104,7 @@ TEST(Allocator, GrantsAreConflictFree)
     // Everyone wants bank 0 and their own bank.
     for (int l = 0; l < 16; ++l)
         m[l] = (1u << 0) | (1u << l);
-    AllocResult res = alloc.allocate({m});
+    AllocResult res = alloc.allocate(std::span(&m, 1));
     std::uint32_t banks_seen = 0;
     int grants = 0;
     for (int l = 0; l < 16; ++l) {
@@ -132,8 +133,8 @@ TEST(Allocator, SingleIterationMissesSomeMatches)
     RequestMatrix m = emptyMatrix();
     m[0] = 0b01;
     m[1] = 0b11;
-    AllocResult weak = one_iter.allocate({m});
-    AllocResult full = three_iter.allocate({m});
+    AllocResult weak = one_iter.allocate(std::span(&m, 1));
+    AllocResult full = three_iter.allocate(std::span(&m, 1));
     EXPECT_EQ(weak.grant_count, 1);
     EXPECT_EQ(full.grant_count, 2);
     EXPECT_EQ(full.bank_for_lane[0], 0);
@@ -149,7 +150,7 @@ TEST(Allocator, LaterIterationsRespectEarlierGrants)
     rest[0] = 0b0001;
     rest[1] = 0b0001; // Lane 1 also wants bank 0, appears later.
     rest[2] = 0b0100;
-    AllocResult res = alloc.allocate({first, rest, rest});
+    AllocResult res = alloc.allocate(std::array{first, rest, rest});
     EXPECT_EQ(res.bank_for_lane[0], 0) << "older lane keeps its grant";
     EXPECT_EQ(res.bank_for_lane[1], -1) << "bank 0 already taken";
     EXPECT_EQ(res.bank_for_lane[2], 2);
@@ -159,7 +160,8 @@ TEST(Allocator, LaterIterationsRespectEarlierGrants)
 TEST(Allocator, EmptyRequestsYieldNoGrants)
 {
     SeparableAllocator alloc(16, 16, 3);
-    AllocResult res = alloc.allocate({emptyMatrix()});
+    RequestMatrix m = emptyMatrix();
+    AllocResult res = alloc.allocate(std::span(&m, 1));
     EXPECT_EQ(res.grant_count, 0);
 }
 
@@ -169,7 +171,7 @@ TEST(Allocator, FullPermutationIsPerfectlyMatched)
     RequestMatrix m = emptyMatrix();
     for (int l = 0; l < 16; ++l)
         m[l] = 1u << ((l + 5) % 16);
-    AllocResult res = alloc.allocate({m});
+    AllocResult res = alloc.allocate(std::span(&m, 1));
     EXPECT_EQ(res.grant_count, 16);
 }
 
@@ -182,7 +184,7 @@ TEST(AllocatorProperty, AlwaysAPartialMatching)
         RequestMatrix m = emptyMatrix();
         for (int l = 0; l < 16; ++l)
             m[l] = rng() & 0xFFFF;
-        AllocResult res = alloc.allocate({m});
+        AllocResult res = alloc.allocate(std::span(&m, 1));
         std::uint32_t banks = 0;
         for (int l = 0; l < 16; ++l) {
             int b = res.bank_for_lane[l];
@@ -207,9 +209,9 @@ TEST(AllocatorProperty, IterationsMonotonicallyImprove)
         RequestMatrix m = emptyMatrix();
         for (int l = 0; l < 16; ++l)
             m[l] = rng() & 0xFFFF;
-        int g1 = a1.allocate({m}).grant_count;
-        int g2 = a2.allocate({m}).grant_count;
-        int g3 = a3.allocate({m}).grant_count;
+        int g1 = a1.allocate(std::span(&m, 1)).grant_count;
+        int g2 = a2.allocate(std::span(&m, 1)).grant_count;
+        int g3 = a3.allocate(std::span(&m, 1)).grant_count;
         ASSERT_LE(g1, g2);
         ASSERT_LE(g2, g3);
         total1 += g1;

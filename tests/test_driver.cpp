@@ -221,6 +221,16 @@ TEST(DriverOptions, ApplyOptionIsTheSingleValidationPath)
     EXPECT_EQ(tiles, 7); // Unchanged on failure.
     EXPECT_TRUE(parseTiles("128", tiles));
     EXPECT_EQ(tiles, sim::kMaxTiles);
+    // The SpMU finds a grant's slot in a 64-bit mask of queue
+    // positions: 64 is the deepest queue, and a refused depth leaves
+    // the option alone.
+    EXPECT_EQ(applyOption(o, "queue-depth", "64"), "");
+    EXPECT_EQ(o.queue_depth, sim::kMaxQueueDepth);
+    EXPECT_NE(applyOption(o, "queue-depth", "65").find("1 to 64"),
+              std::string::npos);
+    EXPECT_FALSE(applyOption(o, "queue-depth", "0").empty());
+    EXPECT_EQ(o.queue_depth, 64);
+    EXPECT_FALSE(parseArgs({"--app", "spmv", "--queue-depth", "65"}).ok());
     // Every advertised key is dispatched (none falls through to the
     // unknown-option branch).
     for (const auto &key : optionKeys()) {

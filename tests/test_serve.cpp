@@ -306,9 +306,13 @@ const char *const kQuickRunJob =
     "\"config\": \"capstan\", \"scale\": 0.02, \"tiles\": 4, "
     "\"iterations\": 1}}";
 
-/** An 8-point sweep slow enough to still be running mid-test. */
+/**
+ * An 8-point sweep slow enough to still be running mid-test: about
+ * 0.16 s on one thread, where the test's cancel follows its start by
+ * three round trips.
+ */
 const char *const kSlowSweepJob =
-    "{\"type\": \"sweep\", \"options\": {\"scale\": 0.05, "
+    "{\"type\": \"sweep\", \"options\": {\"scale\": 1, "
     "\"tiles\": 4, \"iterations\": 2}, \"axes\": {\"app\": "
     "[\"spmv\", \"bfs\", \"matadd\", \"pagerank\"], "
     "\"memtech\": [\"hbm2e\", \"ddr4\"]}}";
@@ -379,8 +383,19 @@ TEST(ServeSocket, TooManyTilesIsABadRequestAndTheDaemonRunsOn)
     EXPECT_EQ(bad->at("code").asString(), "bad_request");
     EXPECT_EQ(bad->at("id").asNumber(), 2);
 
+    // A queue deeper than the SpMU's 64 ring positions is refused the
+    // same way.
+    c.send(submitLine(3, "{\"type\": \"run\", \"options\": "
+                         "{\"app\": \"spmv\", \"scale\": 0.3, "
+                         "\"queue-depth\": 65}}"));
+    bad = c.read();
+    ASSERT_TRUE(bad.has_value());
+    EXPECT_EQ(bad->at("event").asString(), "error");
+    EXPECT_EQ(bad->at("code").asString(), "bad_request");
+    EXPECT_EQ(bad->at("id").asNumber(), 3);
+
     // The daemon is alive and still runs a valid job to its result.
-    c.send(submitLine(3, kQuickRunJob));
+    c.send(submitLine(4, kQuickRunJob));
     std::optional<JsonValue> result = c.readEvent("result");
     ASSERT_TRUE(result.has_value());
     EXPECT_TRUE(result->at("ok").asBool());

@@ -223,6 +223,38 @@ TEST(Spmu, QueueDepthBoundsOccupancy)
     drain(spmu);
 }
 
+TEST(Spmu, FullDeepestQueueGrantsOldestFirstAcrossTheRing)
+{
+    // Every vector holds one access to bank 0, so each cycle grants one
+    // access, to the oldest slot. The queue stays full at the deepest
+    // depth while 300 vectors wrap its 64 ring positions several times,
+    // so a slot found by ring position rather than age would issue out
+    // of enqueue order.
+    SpmuConfig cfg;
+    cfg.queue_depth = kMaxQueueDepth;
+    SparseMemoryUnit spmu(cfg);
+    spmu.enableGrantTrace(true);
+    constexpr std::uint64_t kVectors = 300;
+    std::uint64_t next_id = 0;
+    int full_cycles = 0;
+    for (int cycle = 0; cycle < 10000 && !(next_id == kVectors &&
+                                            spmu.empty());
+         ++cycle) {
+        while (next_id < kVectors &&
+               spmu.tryEnqueue(makeVector(next_id, {{0, 0, AccessOp::Read}})))
+            ++next_id;
+        full_cycles += spmu.occupancy() == kMaxQueueDepth;
+        spmu.step();
+        while (spmu.tryDequeue()) {
+        }
+    }
+    ASSERT_TRUE(spmu.empty());
+    EXPECT_GT(full_cycles, 100);
+    ASSERT_EQ(spmu.grantTrace().size(), kVectors);
+    for (std::uint64_t i = 0; i < kVectors; ++i)
+        EXPECT_EQ(spmu.grantTrace()[i].vector_id, i);
+}
+
 TEST(Spmu, XorHashSpreadsPowerOfTwoStrides)
 {
     SpmuConfig hash_cfg;

@@ -26,7 +26,9 @@
  * shuffle could also hold credits until a caller retired an id. The
  * SpMU table was recorded on the last build whose SpMU still published
  * an event horizon for a fast-forwarding machine, with that horizon
- * left out of the digest. A mismatch means a simulated bit moved. The
+ * left out of the digest; its six input-speedup-2 queue-depth rows on
+ * the last build whose SpMU walked its slots to find a grant's oldest
+ * requester. A mismatch means a simulated bit moved. The
  * failure message prints the new digest, so an intended behaviour
  * change re-records by pasting it into the table.
  */
@@ -221,6 +223,48 @@ TEST(UnitGolden, SpmuTrafficDigestsPerMode)
              c.priorities = 2;
          }),
          0x4c2a58a141abcca9},
+        // The issue queue's extremes under input speedup 2, where queue
+        // position parity picks each slot's lane group: a single slot,
+        // and 63 and 64 slots that 700 vectors wrap many times.
+        {"speedup-2-depth-1",
+         spmuWith([](SpmuConfig &c) {
+             c.input_speedup = 2;
+             c.queue_depth = 1;
+         }),
+         0xe95eed09266329a8},
+        {"speedup-2-depth-1-address-ordered",
+         spmuWith([](SpmuConfig &c) {
+             c.input_speedup = 2;
+             c.queue_depth = 1;
+             c.ordering = Ordering::AddressOrdered;
+         }),
+         0x9b8cdfb67b8b5ef8},
+        {"speedup-2-depth-63",
+         spmuWith([](SpmuConfig &c) {
+             c.input_speedup = 2;
+             c.queue_depth = 63;
+         }),
+         0xbdb0b81f931a5de7},
+        {"speedup-2-depth-63-address-ordered",
+         spmuWith([](SpmuConfig &c) {
+             c.input_speedup = 2;
+             c.queue_depth = 63;
+             c.ordering = Ordering::AddressOrdered;
+         }),
+         0xd2fd98e2f7a4ed15},
+        {"speedup-2-depth-64",
+         spmuWith([](SpmuConfig &c) {
+             c.input_speedup = 2;
+             c.queue_depth = 64;
+         }),
+         0xbdb0b81f931a5de7},
+        {"speedup-2-depth-64-address-ordered",
+         spmuWith([](SpmuConfig &c) {
+             c.input_speedup = 2;
+             c.queue_depth = 64;
+             c.ordering = Ordering::AddressOrdered;
+         }),
+         0xd2fd98e2f7a4ed15},
     };
     for (const SpmuGolden &g : goldens) {
         std::uint64_t got = spmuDigest(g.cfg, 2024);
