@@ -2,8 +2,15 @@
 # identity_matrix: fingerprint 195 single runs for byte-identity checks.
 #
 # Runs `capstan-run <flags> --json --compact` for every point of a
-# fixed matrix and prints one `sha256  flags` line per point, in a
-# fixed order. The matrix is the 11 apps under 17 configurations at
+# fixed matrix and prints one line per point, in a fixed order:
+#
+#   sha256  cycles=N dram.bytes=N spmu.grants=N spmu.enqueue_stalls=N  flags
+#
+# The hash covers the whole JSON document; the four headline stats
+# beside it are read from that same document (`timing.cycles`,
+# `dram.bytes`, `spmu.grants`, `spmu.enqueue_stalls`), so a diff of two
+# outputs shows what moved, not only that a point moved. The matrix is
+# the 11 apps under 17 configurations at
 # scale 0.3 on 16 tiles (a configuration may set its own tile count;
 # `--tiles 128` drives every port of the largest shuffle network),
 # followed by the 8 points of the benchmark's sim-long workload.
@@ -63,22 +70,37 @@ sim_long=(
     "--app bfs --scale 4 --tiles 64"
 )
 
-# Prints `sha256  flags` for one point; the flags are word-split.
+# Prints `flags<TAB>document` for one point; the flags are word-split.
 point() {
     local out
     # shellcheck disable=SC2086
     out=$("$run" $1 --json --compact)
-    printf '%s  %s\n' "$(printf '%s' "$out" | sha256sum | cut -d' ' -f1)" \
-        "$1"
+    printf '%s\t%s\n' "$1" "$out"
 }
 
-for app in $apps; do
-    for cfg in "${configs[@]}"; do
-        tiles="--tiles 16"
-        case "$cfg" in *--tiles*) tiles="" ;; esac
-        point "--app $app --scale 0.3 $tiles $cfg"
+points() {
+    for app in $apps; do
+        for cfg in "${configs[@]}"; do
+            tiles="--tiles 16"
+            case "$cfg" in *--tiles*) tiles="" ;; esac
+            point "--app $app --scale 0.3 $tiles $cfg"
+        done
     done
-done
-for flags in "${sim_long[@]}"; do
-    point "$flags"
-done
+    for flags in "${sim_long[@]}"; do
+        point "$flags"
+    done
+}
+
+# One process formats every line: the hash of the document's bytes,
+# then the headline stats read from that document, then the flags.
+points | python3 -c '
+import hashlib, json, sys
+for line in sys.stdin.buffer:
+    flags, doc = line.rstrip(b"\n").split(b"\t", 1)
+    d = json.loads(doc)
+    print("%s  cycles=%s dram.bytes=%s spmu.grants=%s "
+          "spmu.enqueue_stalls=%s  %s" % (
+              hashlib.sha256(doc).hexdigest(), d["timing"]["cycles"],
+              d["dram"]["bytes"], d["spmu"]["grants"],
+              d["spmu"]["enqueue_stalls"], flags.decode()))
+'

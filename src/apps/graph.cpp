@@ -148,7 +148,7 @@ ssspReference(const MatrixView &graph, Index source)
 
 BfsResult
 runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
-       int tiles, bool write_pointers)
+       int tiles, bool back_pointers)
 {
     BfsResult res;
     res.level.assign(graph.rows(), -1);
@@ -166,7 +166,7 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
         // Rch[d] test-and-set.
         {StageKind::SpmuCross, 1, sim::AccessOp::TestAndSet, kDistBase},
     };
-    if (write_pointers) {
+    if (back_pointers) {
         // Ptr[d] write-if-zero (keep the first parent).
         chain.push_back({StageKind::SpmuCross, 1,
                          sim::AccessOp::WriteIfZero, kPtrBase});
@@ -201,7 +201,7 @@ runBfs(const MatrixView &graph, Index source, const CapstanConfig &cfg,
 
 SsspResult
 runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
-        int tiles, bool write_pointers)
+        int tiles, bool back_pointers)
 {
     constexpr Value inf = std::numeric_limits<Value>::infinity();
     SsspResult res;
@@ -222,7 +222,7 @@ runSssp(const MatrixView &graph, Index source, const CapstanConfig &cfg,
         {StageKind::SpmuCross, 1, sim::AccessOp::MinReportChanged,
          kDistBase},
     };
-    if (write_pointers) {
+    if (back_pointers) {
         chain.push_back(
             {StageKind::SpmuCross, 1, sim::AccessOp::Write, kPtrBase});
     }

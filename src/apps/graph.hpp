@@ -48,17 +48,17 @@ std::vector<Value> ssspReference(const MatrixView &graph, Index source);
 
 /**
  * BFS on Capstan.
- * @param write_pointers Emit back-pointer updates (disabled for the
+ * @param back_pointers Emit back-pointer updates (disabled for the
  *        fairer Graphicionado comparison, Section 4.4).
  */
 BfsResult runBfs(const MatrixView &graph, Index source,
                  const CapstanConfig &cfg, int tiles,
-                 bool write_pointers = true);
+                 bool back_pointers = true);
 
 /** Frontier-based SSSP (Bellman-Ford style) on Capstan. */
 SsspResult runSssp(const MatrixView &graph, Index source,
                    const CapstanConfig &cfg, int tiles,
-                   bool write_pointers = true);
+                   bool back_pointers = true);
 
 } // namespace capstan::apps
 

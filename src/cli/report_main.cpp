@@ -13,7 +13,7 @@
  * Engine::executeStudies call on the shared engine layer
  * (src/engine/) — every study's points in one deduplicated sweep, the
  * path a `capstan-serve` study job takes for one study, with the same
- * presets (engine::presetKnobs). SIGINT/SIGTERM cancel cooperatively:
+ * presets (report::presetOptions). SIGINT/SIGTERM cancel cooperatively:
  * in-flight points finish, unclaimed ones are skipped, every study
  * whose points all ran still derives, the partial report is flushed
  * with `"interrupted": true`, and the process exits 130.
@@ -26,17 +26,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/interrupt.hpp"
 #include "driver/options.hpp"
 #include "engine/engine.hpp"
-#include "report/catalog.hpp"
 #include "report/render.hpp"
 #include "report/study.hpp"
 
@@ -53,9 +52,8 @@ struct ReportArgs
     bool all = false;
     std::vector<std::string> studies;
     std::string preset = "quick"; //!< "quick" or "full".
-    double scale = 0.0;           //!< >0 overrides the preset's scale.
-    int tiles = 0;
-    int iterations = 0;
+    /** The preset's point with --scale/--tiles/--iterations applied. */
+    capstan::driver::DriverOptions knobs;
     int jobs = 0;
     bool check = false;
     bool list = false;
@@ -115,6 +113,9 @@ parseReportArgs(const std::vector<std::string> &args)
         a.error = why;
         return a;
     };
+    // Applied to the preset once every flag is read, whatever the
+    // order: presetOptions runs each through driver::applyOption.
+    std::vector<std::pair<std::string, std::string>> overrides;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         auto value = [&](std::string &out) {
@@ -139,25 +140,14 @@ parseReportArgs(const std::vector<std::string> &args)
                 return fail("--study requires a name (see --list)");
             a.studies.push_back(v);
         } else if (arg == "--preset") {
-            if (!value(v) || (v != "quick" && v != "full"))
+            if (!value(v))
                 return fail("--preset requires quick|full");
             a.preset = v;
-        } else if (arg == "--scale") {
-            // Numeric flags go through the driver's strict parse
-            // helpers (driver/options.hpp): "foo" or "4x" is a usage
-            // error, never an uncaught exception or a silent zero.
-            if (!value(v) || !capstan::driver::parseNumber(v, a.scale) ||
-                a.scale <= 0)
-                return fail("--scale requires a positive number");
-        } else if (arg == "--tiles") {
-            if (!value(v) || !capstan::driver::parseTiles(v, a.tiles))
-                return fail("--tiles requires an integer from 1 to " +
-                            std::to_string(capstan::sim::kMaxTiles));
-        } else if (arg == "--iterations") {
-            if (!value(v) ||
-                !capstan::driver::parseInt(v, a.iterations) ||
-                a.iterations < 1)
-                return fail("--iterations requires a positive integer");
+        } else if (arg == "--scale" || arg == "--tiles" ||
+                   arg == "--iterations") {
+            if (!value(v))
+                return fail(arg + " requires a value");
+            overrides.emplace_back(arg.substr(2), v);
         } else if (arg == "--jobs") {
             // Same check as capstan-run and capstan-serve; 0 (the
             // default) means "all cores", resolved inside the engine.
@@ -186,6 +176,11 @@ parseReportArgs(const std::vector<std::string> &args)
         } else {
             return fail("unknown flag '" + arg + "' (see --help)");
         }
+    }
+    try {
+        a.knobs = presetOptions(a.preset, overrides);
+    } catch (const std::invalid_argument &e) {
+        return fail(e.what());
     }
     if (!a.help && !a.list && !a.all && a.studies.empty())
         return fail("nothing to run: pass --all or --study NAME "
@@ -221,19 +216,14 @@ writeFile(const std::string &path, const std::string &content)
     return true;
 }
 
-/** The study knobs the selection runs under. */
+/** The study request the selection runs under. */
 engine::JobRequest
 studyRequest(const ReportArgs &args)
 {
     engine::JobRequest req;
     req.kind = engine::JobRequest::Kind::Study;
     req.preset = args.preset;
-    if (args.scale > 0)
-        req.scale = args.scale;
-    if (args.tiles > 0)
-        req.tiles = args.tiles;
-    if (args.iterations > 0)
-        req.iterations = args.iterations;
+    req.options = args.knobs;
     req.check = args.check;
     return req;
 }
@@ -283,14 +273,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!args.dataset_dir.empty()) {
-        std::error_code ec;
-        if (!std::filesystem::is_directory(args.dataset_dir, ec)) {
-            std::cerr << "capstan-report: --dataset-dir '"
-                      << args.dataset_dir
-                      << "' is not a directory\n";
-            return 2;
-        }
+    std::string dir_error =
+        capstan::driver::datasetDirError(args.dataset_dir);
+    if (!dir_error.empty()) {
+        std::cerr << "capstan-report: " << dir_error << "\n";
+        return 2;
     }
 
     engine::EngineConfig cfg;

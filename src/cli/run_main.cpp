@@ -18,12 +18,10 @@
 
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "common/interrupt.hpp"
@@ -212,14 +210,10 @@ main(int argc, char **argv)
     // defeat the flag's purpose; same contract as capstan-report.
     // (Dry runs validate flags only: documented commands reference
     // directories the user has not fetched yet.)
-    if (!parsed.options.dataset_dir.empty() &&
-        !parsed.options.dry_run) {
-        std::error_code ec;
-        if (!std::filesystem::is_directory(parsed.options.dataset_dir,
-                                           ec)) {
-            std::cerr << kProg << ": --dataset-dir '"
-                      << parsed.options.dataset_dir
-                      << "' is not a directory\n";
+    if (!parsed.options.dry_run) {
+        std::string dir_error = datasetDirError(parsed.options.dataset_dir);
+        if (!dir_error.empty()) {
+            std::cerr << kProg << ": " << dir_error << "\n";
             return 2;
         }
     }

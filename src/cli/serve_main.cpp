@@ -3,8 +3,8 @@
  * `capstan-serve` — the long-running job daemon (docs/SERVE_PROTOCOL.md).
  *
  * Front-end only: flags resolve to an engine::EngineConfig (the shared
- * execution environment) plus a serve::ServeConfig (socket + wire
- * limits), and everything else lives in src/serve/. Runs until
+ * execution environment) plus a serve::ServeConfig (socket + queue
+ * capacity), and everything else lives in src/serve/. Runs until
  * SIGINT/SIGTERM or a `shutdown` op, then drains the queue and exits 0.
  */
 
@@ -36,10 +36,6 @@ const char *const kUsage =
     "                          are rejected (default: 8)\n"
     "  --dataset-dir DIR       real dataset directory (as capstan-run)\n"
     "  --reference PATH        paper reference for study --check\n"
-    "  --max-request-bytes N   wire limit per request line\n"
-    "                          (default: 1048576)\n"
-    "  --max-request-depth N   wire limit on JSON nesting\n"
-    "                          (default: 32)\n"
     "  --help                  print this help\n";
 
 int
@@ -95,26 +91,17 @@ main(int argc, char **argv)
             if (!value(v))
                 return usageError("--reference requires a path");
             ecfg.reference = v;
-        } else if (a == "--max-request-bytes") {
-            int bytes = 0;
-            if (!value(v) || !driver::parseInt(v, bytes) ||
-                bytes < 64)
-                return usageError(
-                    "--max-request-bytes requires an integer >= 64");
-            scfg.max_request_bytes =
-                static_cast<std::size_t>(bytes);
-        } else if (a == "--max-request-depth") {
-            if (!value(v) ||
-                !driver::parseInt(v, scfg.max_request_depth) ||
-                scfg.max_request_depth < 1)
-                return usageError(
-                    "--max-request-depth requires an integer >= 1");
         } else {
             return usageError("unknown option '" + a + "'");
         }
     }
     if (scfg.socket_path.empty())
         return usageError("--socket is required");
+    // Checked before the socket exists: a mistyped directory would
+    // serve every Table 6 name from its synthetic stand-in.
+    std::string dir_error = driver::datasetDirError(ecfg.dataset_dir);
+    if (!dir_error.empty())
+        return usageError(dir_error);
 
     engine::Engine engine(ecfg);
     serve::Server server(engine, scfg);

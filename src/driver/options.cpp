@@ -4,8 +4,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <system_error>
 
 #include "workloads/datasets.hpp"
 
@@ -22,15 +25,63 @@ lower(std::string s)
     return s;
 }
 
+/** One Table 2 application: its names and its Table 6 family. */
+struct AppEntry
+{
+    std::string key;   //!< Canonical bench key ("CSR"); allApps().
+    std::string name;  //!< The capstan-run name ("spmv"); appNames().
+    std::string alias; //!< One more accepted spelling; may be empty.
+    std::vector<std::string> (*datasets)(); //!< The family, paper order.
+};
+
+/** The eleven applications, in Table 2 and Table 12 order. */
+const std::vector<AppEntry> &
+apps()
+{
+    using namespace workloads;
+    static const std::vector<AppEntry> table = {
+        {"CSR", "spmv", "spmv-csr", linearAlgebraDatasetNames},
+        {"COO", "spmv-coo", "", linearAlgebraDatasetNames},
+        {"CSC", "spmv-csc", "", linearAlgebraDatasetNames},
+        {"Conv", "conv", "", convDatasetNames},
+        {"PR-Pull", "pagerank", "pagerank-pull", graphDatasetNames},
+        {"PR-Edge", "pagerank-edge", "", graphDatasetNames},
+        {"BFS", "bfs", "graph", graphDatasetNames},
+        {"SSSP", "sssp", "", graphDatasetNames},
+        {"M+M", "matadd", "", linearAlgebraDatasetNames},
+        {"SpMSpM", "spmspm", "", spmspmDatasetNames},
+        {"BiCGStab", "bicgstab", "", linearAlgebraDatasetNames},
+    };
+    return table;
+}
+
+const AppEntry *
+findApp(const std::string &key)
+{
+    for (const AppEntry &app : apps()) {
+        if (app.key == key)
+            return &app;
+    }
+    return nullptr;
+}
+
+/** One column of the app table, in its order. */
+std::vector<std::string>
+appColumn(std::string AppEntry::*field)
+{
+    std::vector<std::string> out;
+    for (const AppEntry &app : apps())
+        out.push_back(app.*field);
+    return out;
+}
+
 } // namespace
 
 const std::vector<std::string> &
 appNames()
 {
-    static const std::vector<std::string> names = {
-        "spmv",     "spmv-coo", "spmv-csc", "conv",
-        "pagerank", "pagerank-edge", "bfs", "sssp",
-        "matadd",   "spmspm",   "bicgstab"};
+    static const std::vector<std::string> names =
+        appColumn(&AppEntry::name);
     return names;
 }
 
@@ -38,42 +89,38 @@ std::optional<std::string>
 canonicalApp(const std::string &name)
 {
     std::string n = lower(name);
-    if (n == "spmv" || n == "spmv-csr" || n == "csr")
-        return "CSR";
-    if (n == "spmv-coo" || n == "coo")
-        return "COO";
-    if (n == "spmv-csc" || n == "csc")
-        return "CSC";
-    if (n == "conv")
-        return "Conv";
-    if (n == "pagerank" || n == "pagerank-pull" || n == "pr-pull")
-        return "PR-Pull";
-    if (n == "pagerank-edge" || n == "pr-edge")
-        return "PR-Edge";
-    if (n == "graph" || n == "bfs")
-        return "BFS";
-    if (n == "sssp")
-        return "SSSP";
-    if (n == "matadd" || n == "m+m")
-        return "M+M";
-    if (n == "spmspm")
-        return "SpMSpM";
-    if (n == "bicgstab")
-        return "BiCGStab";
+    for (const AppEntry &app : apps()) {
+        if (n == lower(app.key) || n == app.name ||
+            (!app.alias.empty() && n == app.alias))
+            return app.key;
+    }
     return std::nullopt;
+}
+
+const std::vector<std::string> &
+allApps()
+{
+    static const std::vector<std::string> keys =
+        appColumn(&AppEntry::key);
+    return keys;
+}
+
+std::vector<std::string>
+datasetsFor(const std::string &app)
+{
+    const AppEntry *entry = findApp(app);
+    if (!entry)
+        throw std::invalid_argument("unknown app: " + app);
+    return entry->datasets();
 }
 
 std::string
 defaultDataset(const std::string &canonical_app)
 {
-    if (canonical_app == "Conv")
-        return workloads::convDatasetNames().front();
-    if (canonical_app == "PR-Pull" || canonical_app == "PR-Edge" ||
-        canonical_app == "BFS" || canonical_app == "SSSP")
-        return workloads::graphDatasetNames().front();
-    if (canonical_app == "SpMSpM")
-        return workloads::spmspmDatasetNames().front();
-    return workloads::linearAlgebraDatasetNames().front();
+    const AppEntry *entry = findApp(canonical_app);
+    return (entry ? entry->datasets()
+                  : workloads::linearAlgebraDatasetNames())
+        .front();
 }
 
 namespace {
@@ -214,6 +261,15 @@ parseTiles(const std::string &v, int &out)
     return true;
 }
 
+std::string
+datasetDirError(const std::string &dir)
+{
+    std::error_code ec;
+    if (dir.empty() || std::filesystem::is_directory(dir, ec))
+        return "";
+    return "--dataset-dir '" + dir + "' is not a directory";
+}
+
 const char *
 optionToken(sim::Ordering mode)
 {
@@ -261,15 +317,20 @@ applyOption(DriverOptions &o, const std::string &key,
     } else if (key == "dataset") {
         o.dataset = v;
     } else if (key == "scale") {
-        if (!parseNumber(v, o.scale) || o.scale <= 0)
+        double scale;
+        if (!parseNumber(v, scale) || scale <= 0)
             return "scale requires a positive number";
+        o.scale = scale;
     } else if (key == "tiles") {
         if (!parseTiles(v, o.tiles))
             return "tiles requires an integer from 1 to " +
                    std::to_string(sim::kMaxTiles);
     } else if (key == "iterations") {
-        if (!parseInt(v, o.iterations) || o.iterations < 1)
-            return "iterations requires a positive integer";
+        int n;
+        if (!parseInt(v, n) || n < 1 || n > kMaxIterations)
+            return "iterations requires an integer from 1 to " +
+                   std::to_string(kMaxIterations);
+        o.iterations = n;
     } else if (key == "config") {
         std::string n = lower(v);
         if (n == "capstan")
@@ -584,7 +645,7 @@ datasetHint()
         out << ' ' << d;
     for (const auto &d : workloads::graphDatasetNames())
         out << ' ' << d;
-    out << " p2p-Gnutella31";
+    out << ' ' << workloads::sensitivityGraphDatasetName();
     for (const auto &d : workloads::spmspmDatasetNames())
         out << ' ' << d;
     for (const auto &d : workloads::convDatasetNames())

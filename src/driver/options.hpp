@@ -93,7 +93,11 @@ struct ParseResult
     bool ok() const { return error.empty(); }
 };
 
-/** The driver's application names, in Table 2 order. */
+/**
+ * The driver's application names ("spmv", "spmv-coo", ...), in Table
+ * 2 order. This list, canonicalApp(), allApps(), datasetsFor() and
+ * defaultDataset() read one table of the eleven applications.
+ */
 const std::vector<std::string> &appNames();
 
 /**
@@ -103,7 +107,19 @@ const std::vector<std::string> &appNames();
  */
 std::optional<std::string> canonicalApp(const std::string &name);
 
-/** Default Table 6 dataset for a canonical app key. */
+/** The eleven canonical app keys ("CSR", ...), in Table 12 order. */
+const std::vector<std::string> &allApps();
+
+/**
+ * The Table 6 datasets of canonical app @p app's family, in paper
+ * order. Throws std::invalid_argument for an unknown key.
+ */
+std::vector<std::string> datasetsFor(const std::string &app);
+
+/**
+ * Default Table 6 dataset for a canonical app key: the first of its
+ * family (the linear-algebra family's for an unknown key).
+ */
 std::string defaultDataset(const std::string &canonical_app);
 
 /** Parse arguments (excluding argv[0]). Never throws. */
@@ -137,12 +153,22 @@ bool parseJobs(const std::string &value, int &out);
 /**
  * Strictly parse a tile count: an integer in [1, sim::kMaxTiles].
  * @p out is left unchanged on failure. The tile-count check of
- * applyOption (capstan-run, sweep axes, a wire job's "options") and of
- * capstan-report's `--tiles`; a wire study's `"tiles"` is held to the
- * same sim::kMaxTiles. A lane's owning tile is an int8_t, so a larger
- * machine would misroute lanes or index out of bounds.
+ * applyOption, and through it of every path that sets tiles. A lane's
+ * owning tile is an int8_t, so a larger machine would misroute lanes
+ * or index out of bounds.
  */
 bool parseTiles(const std::string &value, int &out);
+
+/** Most PageRank / BiCGStab iterations applyOption() accepts. */
+inline constexpr int kMaxIterations = 1'000'000'000;
+
+/**
+ * The `--dataset-dir` check of every CLI (`capstan-run`,
+ * `capstan-report`, `capstan-serve`): a diagnostic when @p dir is set
+ * but names no directory, empty otherwise. Unchecked, a mistyped
+ * directory would run every Table 6 name on its synthetic stand-in.
+ */
+std::string datasetDirError(const std::string &dir);
 
 /**
  * The run-defining option keys settable by name: "app", "dataset",
@@ -157,8 +183,10 @@ const std::vector<std::string> &optionKeys();
 
 /**
  * Apply one named option value (e.g. "memtech", "ddr4") to @p opts.
- * Returns an empty string on success, a diagnostic otherwise. This is
- * the single validation path behind parseArgs() and sweep axes.
+ * Returns an empty string on success, a diagnostic otherwise, and
+ * leaves @p opts unchanged on failure. This is the single validation
+ * path behind parseArgs(), sweep axes, a wire job's options and study
+ * members, and capstan-report's --scale/--tiles/--iterations.
  */
 std::string applyOption(DriverOptions &opts, const std::string &key,
                         const std::string &value);

@@ -157,32 +157,26 @@ datasetCacheStats()
             g_cache_misses.load(std::memory_order_relaxed)};
 }
 
-double
-effectiveScale(const std::string &dataset, const RunKnobs &knobs)
-{
-    return defaultScale(dataset) * knobs.scale_mult;
-}
-
 Workload
-workload(const std::string &app, const std::string &dataset,
-         const RunKnobs &knobs)
+workload(const SimulationKey &key)
 {
-    double scale = effectiveScale(dataset, knobs);
     Workload w;
-    if (app == "Conv")
-        w.layer = &cachedConv(dataset, scale).layer;
+    if (key.app == "Conv")
+        w.layer = &cachedConv(key.dataset, key.scale).layer;
     else
-        w.matrix = &cachedMatrix(dataset, scale, knobs.dataset_dir);
+        w.matrix = &cachedMatrix(key.dataset, key.scale, key.dataset_dir);
     return w;
 }
 
 AppTiming
-runApp(const std::string &app, const std::string &dataset,
-       const CapstanConfig &cfg, const RunKnobs &knobs)
+runApp(const SimulationKey &key, bool back_pointers)
 {
-    Workload w = workload(app, dataset, knobs);
+    const std::string &app = key.app;
+    const CapstanConfig &cfg = key.config;
+    const int tiles = key.tiles;
+    Workload w = workload(key);
     if (w.layer)
-        return runConv(*w.layer, cfg, knobs.tiles);
+        return runConv(*w.layer, cfg, tiles);
     const sparse::MatrixStore &m = w.matrix->matrix;
     // Graph traversals, M+M (A + A^T), SpMSpM (A x A), and BiCGStab
     // index one dimension with the other's indices, so a rectangular
@@ -192,68 +186,60 @@ runApp(const std::string &app, const std::string &dataset,
         m.rows() != m.cols()) {
         throw workloads::DatasetError(
             "app " + app + " requires a square matrix; dataset '" +
-            dataset + "' is " + std::to_string(m.rows()) + "x" +
+            key.dataset + "' is " + std::to_string(m.rows()) + "x" +
             std::to_string(m.cols()));
     }
     if (app == "CSR")
-        return runSpmvCsr(m, cfg, knobs.tiles);
+        return runSpmvCsr(m, cfg, tiles);
     if (app == "COO")
-        return runSpmvCoo(m, cfg, knobs.tiles);
+        return runSpmvCoo(m, cfg, tiles);
     if (app == "CSC") {
         // The paper uses a 30%-dense input vector for CSC SpMV.
         auto v = sparseVector(m.cols(), 0.30, 0xCEC);
-        return runSpmvCsc(m, v, cfg, knobs.tiles);
+        return runSpmvCsc(m, v, cfg, tiles);
     }
     if (app == "PR-Pull")
-        return runPageRankPull(m, knobs.iterations, cfg, knobs.tiles);
+        return runPageRankPull(m, key.iterations, cfg, tiles);
     if (app == "PR-Edge")
-        return runPageRankEdge(m, knobs.iterations, cfg, knobs.tiles);
+        return runPageRankEdge(m, key.iterations, cfg, tiles);
     if (app == "BFS")
-        return runBfs(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
+        return runBfs(m, 0, cfg, tiles, back_pointers).timing;
     if (app == "SSSP")
-        return runSssp(m, 0, cfg, knobs.tiles, knobs.write_pointers).timing;
+        return runSssp(m, 0, cfg, tiles, back_pointers).timing;
     if (app == "M+M") {
         // Add the dataset to its transpose: same dimensions and
         // density, different (but correlated) occupancy.
         static GenerateOnceCache<sparse::MatrixStore> tcache;
         const sparse::MatrixStore &mt = tcache.get(
-            datasetKey(dataset, effectiveScale(dataset, knobs),
-                       knobs.dataset_dir),
+            datasetKey(key.dataset, key.scale, key.dataset_dir),
             [&] { return sparse::MatrixStore(m.transpose()); });
-        return runMatAdd(m, mt, cfg, knobs.tiles);
+        return runMatAdd(m, mt, cfg, tiles);
     }
     if (app == "SpMSpM")
-        return runSpmspm(m, m, cfg, knobs.tiles);
+        return runSpmspm(m, m, cfg, tiles);
     if (app == "BiCGStab")
-        return runBicgstab(m, knobs.iterations, cfg, knobs.tiles);
+        return runBicgstab(m, key.iterations, cfg, tiles);
     throw std::invalid_argument("unknown app: " + app);
 }
 
 RunResult
 runDriver(const DriverOptions &opts)
 {
-    auto canonical = canonicalApp(opts.app);
-    if (!canonical)
+    if (!canonicalApp(opts.app))
         throw std::invalid_argument("unknown app: " + opts.app);
+    const SimulationKey key = simulationKey(opts);
 
     RunResult r;
-    r.app = *canonical;
-    r.dataset = opts.dataset.empty() ? defaultDataset(*canonical)
-                                     : opts.dataset;
+    r.app = key.app;
+    r.dataset = key.dataset;
     r.config_name = configPointName(opts.config);
-    r.tiles = opts.tiles;
-    r.iterations = opts.iterations;
-    r.config = buildConfig(opts);
+    r.scale = key.scale;
+    r.tiles = key.tiles;
+    r.iterations = key.iterations;
+    r.config = key.config;
+    r.timing = runApp(key, /*back_pointers=*/true);
 
-    RunKnobs knobs;
-    knobs.tiles = opts.tiles;
-    knobs.iterations = opts.iterations;
-    knobs.scale_mult = opts.scale;
-    knobs.dataset_dir = opts.dataset_dir;
-    r.scale = effectiveScale(r.dataset, knobs);
-    r.timing = runApp(r.app, r.dataset, r.config, knobs);
-
-    Workload w = workload(r.app, r.dataset, knobs);
+    Workload w = workload(key);
     if (w.layer) {
         r.info.rows = w.layer->dim;
         r.info.cols = w.layer->dim;
@@ -278,7 +264,7 @@ simulationKey(const DriverOptions &opts)
     key.dataset =
         opts.dataset.empty() ? defaultDataset(key.app) : opts.dataset;
     key.dataset_dir = opts.dataset_dir;
-    key.scale = opts.scale;
+    key.scale = defaultScale(key.dataset) * opts.scale;
     key.tiles = opts.tiles;
     key.iterations = opts.iterations;
     key.config = buildConfig(opts);

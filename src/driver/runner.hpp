@@ -31,33 +31,11 @@ using common::JsonParseError;
 using common::JsonValue;
 using sim::CapstanConfig;
 
-/** Per-run knobs shared by the CLI and the report studies. */
-struct RunKnobs
-{
-    int tiles = 16;
-    int iterations = 2;  //!< PageRank / BiCGStab iterations.
-    double scale_mult = 1.0;
-    bool write_pointers = true; //!< BFS/SSSP back pointers.
-    /**
-     * Directory of real dataset files (--dataset-dir); empty keeps
-     * every dataset synthetic. See workloads::resolveMatrixDataset.
-     */
-    std::string dataset_dir;
-};
-
 /**
  * Default generation scale for a dataset in bench runs (relative to the
- * published size; multiplied by the knobs' scale factor).
+ * published size; DriverOptions::scale multiplies it).
  */
 double defaultScale(const std::string &dataset);
-
-/**
- * The generation scale a run actually uses:
- * defaultScale(dataset) * knobs.scale_mult. The single definition the
- * dispatch and the reporting layer both key the dataset cache on.
- */
-double effectiveScale(const std::string &dataset,
-                      const RunKnobs &knobs);
 
 /** Workload dimensions, for reporting. */
 struct DatasetInfo
@@ -77,11 +55,29 @@ struct DatasetInfo
 };
 
 /**
- * Run canonical app @p app ("CSR", "PR-Pull", ...) on @p dataset under
- * @p cfg. Throws std::invalid_argument for unknown names.
+ * The simulation runDriver(opts) performs, independent of how the
+ * options spell it: the canonical app, the resolved dataset, the
+ * generation scale (defaultScale(dataset) times the options' scale,
+ * the one definition the dataset caches key on), the tile and
+ * iteration counts, and the whole machine config buildConfig()
+ * produces. Equal keys yield identical RunResults, so "scan-bits 256"
+ * equals an unset scan-bits and "config=ideal" equals "config=ideal
+ * memtech=ideal". The report planner merges points on it
+ * (report/study.hpp).
  */
-AppTiming runApp(const std::string &app, const std::string &dataset,
-                 const CapstanConfig &cfg, const RunKnobs &knobs = {});
+struct SimulationKey
+{
+    std::string app;
+    std::string dataset;
+    std::string dataset_dir;
+    double scale = 1.0;
+    int tiles = 0;
+    int iterations = 0;
+    CapstanConfig config;
+
+    auto operator<=>(const SimulationKey &) const = default;
+};
+SimulationKey simulationKey(const DriverOptions &opts);
 
 /** The input a run simulates: exactly one member is set. */
 struct Workload
@@ -91,14 +87,23 @@ struct Workload
 };
 
 /**
- * The workload runApp(@p app, @p dataset, ..., @p knobs) simulates,
- * from the same generate-once cache. Analytic models that read a
- * run's inputs (the report's CPU/GPU and ASIC baselines) go through
- * here, so a report generates, or reads from --dataset-dir, each
- * dataset once. Throws workloads::DatasetError like runApp.
+ * The workload @p key simulates, from the generate-once cache.
+ * Analytic models that read a run's inputs (the report's CPU/GPU and
+ * ASIC baselines) go through here, so a report generates, or reads
+ * from --dataset-dir, each dataset once. Throws workloads::DatasetError
+ * like runApp.
  */
-Workload workload(const std::string &app, const std::string &dataset,
-                  const RunKnobs &knobs);
+Workload workload(const SimulationKey &key);
+
+/**
+ * Simulate @p key: the one dispatch over the Table 2 applications.
+ * @p back_pointers makes BFS and SSSP write their back pointers, as
+ * every run does but Table 13's Graphicionado rows, which no option
+ * key can describe. Throws std::invalid_argument for an unknown app,
+ * workloads::DatasetError for a dataset that cannot be resolved or a
+ * rectangular matrix under a square-only app.
+ */
+AppTiming runApp(const SimulationKey &key, bool back_pointers);
 
 /** Result of one driver invocation. */
 struct RunResult
@@ -116,28 +121,6 @@ struct RunResult
 
 /** Execute the run an option set describes. */
 RunResult runDriver(const DriverOptions &opts);
-
-/**
- * The simulation runDriver(opts) performs, independent of how the
- * options spell it: the canonical app, the resolved dataset, the
- * knobs, and the whole machine config buildConfig() produces. Equal
- * keys yield identical RunResults, so "scan-bits 256" equals an unset
- * scan-bits and "config=ideal" equals "config=ideal memtech=ideal".
- * The report planner merges points on it (report/study.hpp).
- */
-struct SimulationKey
-{
-    std::string app;
-    std::string dataset;
-    std::string dataset_dir;
-    double scale = 1.0;
-    int tiles = 0;
-    int iterations = 0;
-    CapstanConfig config;
-
-    auto operator<=>(const SimulationKey &) const = default;
-};
-SimulationKey simulationKey(const DriverOptions &opts);
 
 /**
  * Process-lifetime counters over the generate-once dataset caches

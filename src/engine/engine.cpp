@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <initializer_list>
 #include <stdexcept>
@@ -11,22 +10,6 @@
 namespace capstan::engine {
 
 namespace {
-
-/** Largest integer a wire member takes where nothing tighter holds. */
-constexpr int kMaxWireInt = 1'000'000'000;
-
-int
-requireInt(const JsonValue &v, const std::string &what, int min, int max)
-{
-    if (!v.isNumber() || v.asNumber() != std::floor(v.asNumber()))
-        throw std::invalid_argument(what + " must be an integer");
-    double n = v.asNumber();
-    if (n < min || n > max)
-        throw std::invalid_argument(what + " must be from " +
-                                    std::to_string(min) + " to " +
-                                    std::to_string(max));
-    return static_cast<int>(n);
-}
 
 /** Apply a wire "options" object through the driver's single
  * validation path (driver::applyOption). */
@@ -102,28 +85,6 @@ interruptedRunDoc(const driver::DriverOptions &o)
 
 } // namespace
 
-driver::RunKnobs
-presetKnobs(const std::string &preset)
-{
-    // Mirrors what capstan-report always wired inline: quick runs the
-    // bench-smoke scales the reference tolerances are calibrated
-    // against; full runs the bench defaults.
-    driver::RunKnobs knobs;
-    if (preset == "quick") {
-        knobs.scale_mult = 0.02;
-        knobs.tiles = 4;
-        knobs.iterations = 1;
-    } else if (preset == "full") {
-        knobs.scale_mult = 1.0;
-        knobs.tiles = 16;
-        knobs.iterations = 2;
-    } else {
-        throw std::invalid_argument("unknown preset '" + preset +
-                                    "' (quick|full)");
-    }
-    return knobs;
-}
-
 JobRequest
 JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
 {
@@ -179,21 +140,17 @@ JobRequest::fromJson(const JsonValue &doc, const EngineConfig &defaults)
                 throw std::invalid_argument(
                     "\"preset\" must be quick|full");
             req.preset = doc.at("preset").asString();
-            presetKnobs(req.preset); // Validates the name.
         }
-        if (doc.contains("scale")) {
-            if (!doc.at("scale").isNumber() ||
-                doc.at("scale").asNumber() <= 0)
-                throw std::invalid_argument(
-                    "\"scale\" must be a positive number");
-            req.scale = doc.at("scale").asNumber();
+        std::vector<std::pair<std::string, std::string>> overrides;
+        for (const char *key : {"scale", "tiles", "iterations"}) {
+            if (doc.contains(key))
+                overrides.emplace_back(
+                    key, driver::scalarToString(
+                             doc.at(key),
+                             std::string("\"").append(key).append("\"")));
         }
-        if (doc.contains("tiles"))
-            req.tiles = requireInt(doc.at("tiles"), "\"tiles\"", 1,
-                                   sim::kMaxTiles);
-        if (doc.contains("iterations"))
-            req.iterations = requireInt(doc.at("iterations"),
-                                        "\"iterations\"", 1, kMaxWireInt);
+        req.options = report::presetOptions(req.preset, overrides);
+        req.options.dataset_dir = defaults.dataset_dir;
         if (doc.contains("check")) {
             if (!doc.at("check").isBool())
                 throw std::invalid_argument(
@@ -225,12 +182,9 @@ JobRequest::toJson() const
         doc.set("type", "study");
         doc.set("study", study);
         doc.set("preset", preset);
-        if (scale)
-            doc.set("scale", *scale);
-        if (tiles)
-            doc.set("tiles", *tiles);
-        if (iterations)
-            doc.set("iterations", *iterations);
+        doc.set("scale", options.scale);
+        doc.set("tiles", options.tiles);
+        doc.set("iterations", options.iterations);
         if (check)
             doc.set("check", true);
         break;
@@ -268,16 +222,10 @@ Engine::reference()
     return reference_ ? &*reference_ : nullptr;
 }
 
-driver::RunKnobs
+driver::DriverOptions
 Engine::studyKnobs(const JobRequest &req) const
 {
-    driver::RunKnobs knobs = presetKnobs(req.preset);
-    if (req.scale)
-        knobs.scale_mult = *req.scale;
-    if (req.tiles)
-        knobs.tiles = *req.tiles;
-    if (req.iterations)
-        knobs.iterations = *req.iterations;
+    driver::DriverOptions knobs = req.options;
     knobs.dataset_dir = cfg_.dataset_dir;
     return knobs;
 }

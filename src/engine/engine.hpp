@@ -79,7 +79,11 @@ struct JobRequest
 
     Kind kind = Kind::Run;
 
-    /** Run: the full option set. Sweep: the base point. */
+    /**
+     * Run: the full option set. Sweep: the base point. Study: the
+     * studies' base point, report::presetOptions(preset, the request's
+     * scale/tiles/iterations); a request built in code sets it there.
+     */
     driver::DriverOptions options;
 
     /** Sweep: base + axes (spec.base mirrors `options`). */
@@ -87,12 +91,8 @@ struct JobRequest
 
     /** Study: registered study name (report/study.hpp). */
     std::string study;
-    /** Study: "quick" or "full" preset. */
+    /** Study: the preset `options` starts from, for the report header. */
     std::string preset = "quick";
-    /** Study: preset overrides; unset = the preset's values. */
-    std::optional<double> scale;
-    std::optional<int> tiles;
-    std::optional<int> iterations;
     /** Study: request a reference check (CLI --check). */
     bool check = false;
 
@@ -101,7 +101,8 @@ struct JobRequest
      *   {"type": "run", "options": {"app": "spmv", "scale": 0.2}}
      *   {"type": "sweep", "options": {...}, "axes": {"app": [...]}}
      *   {"type": "study", "study": "table10", "preset": "quick"}
-     * The host knob (the dataset dir) comes from
+     * A study's scale/tiles/iterations members take what an "options"
+     * member takes. The host knob (the dataset dir) comes from
      * @p defaults — the daemon's environment — never from the wire.
      * Throws std::invalid_argument with a diagnostic on any unknown
      * member, unknown option key, or invalid value.
@@ -165,9 +166,6 @@ struct EngineStats
     driver::DatasetCacheStats dataset_cache;
 };
 
-/** RunKnobs for a report preset ("quick" or "full"). */
-driver::RunKnobs presetKnobs(const std::string &preset);
-
 class Engine
 {
   public:
@@ -187,22 +185,26 @@ class Engine
      */
     const report::Reference *reference();
 
-    /** The study knobs a Study request resolves to (for ReportMeta). */
-    driver::RunKnobs studyKnobs(const JobRequest &req) const;
+    /**
+     * The base point a Study request's studies run under (and its
+     * ReportMeta renders): the request's options with the engine's
+     * dataset dir.
+     */
+    driver::DriverOptions studyKnobs(const JobRequest &req) const;
 
     /** Execute one job; never throws (failures land in the result). */
     JobResult execute(const JobRequest &req,
                       const ExecHooks &hooks = {});
 
     /**
-     * Execute @p studies as one report under @p req's preset and knob
-     * overrides (its `study` is ignored): every study's planned points
-     * run as one deduplicated sweep, then each study derives in the
-     * given order (report::runPlan). One job under one hold of the
-     * exec mutex; `capstan-report` runs its whole selection here, and
-     * a Study job is the one-study case.
-     * Study failures land in the StudyRuns; only studyKnobs() and
-     * reference() errors (unknown preset, unparsable reference) throw.
+     * Execute @p studies as one report under studyKnobs(@p req) (its
+     * `study` is ignored): every study's planned points run as one
+     * deduplicated sweep, then each study derives in the given order
+     * (report::runPlan). One job under one hold of the exec mutex;
+     * `capstan-report` runs its whole selection here, and a Study job
+     * is the one-study case.
+     * Study failures land in the StudyRuns; only a reference() error
+     * (an unparsable reference) throws.
      */
     std::vector<report::StudyRun>
     executeStudies(const std::vector<const report::Study *> &studies,

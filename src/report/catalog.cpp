@@ -1,48 +1,19 @@
 #include "report/catalog.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
+#include "driver/options.hpp"
 #include "workloads/datasets.hpp"
 
 namespace capstan::report {
 
-using namespace capstan::workloads;
-
-const std::vector<std::string> &
-allApps()
-{
-    static const std::vector<std::string> apps = {
-        "CSR", "COO", "CSC", "Conv", "PR-Pull", "PR-Edge",
-        "BFS", "SSSP", "M+M", "SpMSpM", "BiCGStab"};
-    return apps;
-}
-
-std::vector<std::string>
-datasetsFor(const std::string &app)
-{
-    if (app == "CSR" || app == "COO" || app == "CSC" || app == "M+M" ||
-        app == "BiCGStab") {
-        return linearAlgebraDatasetNames();
-    }
-    if (app == "PR-Pull" || app == "PR-Edge" || app == "BFS" ||
-        app == "SSSP") {
-        return graphDatasetNames();
-    }
-    if (app == "SpMSpM")
-        return spmspmDatasetNames();
-    if (app == "Conv")
-        return convDatasetNames();
-    throw std::invalid_argument("unknown app: " + app);
-}
-
 std::string
 sensitivityDataset(const std::string &app)
 {
-    std::string ds = datasetsFor(app)[0];
-    if (ds == "usroads-48")
-        return "p2p-Gnutella31";
-    return ds;
+    std::vector<std::string> family = driver::datasetsFor(app);
+    if (family == workloads::graphDatasetNames())
+        return workloads::sensitivityGraphDatasetName();
+    return family.front();
 }
 
 double

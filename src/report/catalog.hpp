@@ -1,8 +1,9 @@
 /**
  * @file
- * Paper-order application and dataset catalog of the study registry
- * (src/report/study.hpp). Table 12 orders the eleven applications;
- * each application evaluates the Table 6 datasets of its family.
+ * Helpers the paper studies (src/report/study.hpp) share: Figure 5's
+ * per-app dataset, the geometric mean, and a timing in seconds. The
+ * applications and their Table 6 datasets are the driver's
+ * (driver::allApps, driver::datasetsFor).
  */
 
 #pragma once
@@ -14,16 +15,10 @@
 
 namespace capstan::report {
 
-/** The eleven application columns, in Table 12 order. */
-const std::vector<std::string> &allApps();
-
-/** Table 6 datasets evaluated for @p app (paper order). */
-std::vector<std::string> datasetsFor(const std::string &app);
-
 /**
  * The dataset Figure 5's per-app sensitivity series use: graph apps
- * substitute p2p-Gnutella31 for flickr (Section 4); every other app
- * uses the first dataset of its family.
+ * run workloads::sensitivityGraphDatasetName() (Section 4); every
+ * other app uses the first dataset of its family.
  */
 std::string sensitivityDataset(const std::string &app);
 
@@ -34,4 +29,3 @@ double gmean(const std::vector<double> &values);
 double seconds(const lang::AppTiming &t);
 
 } // namespace capstan::report
-

@@ -91,7 +91,7 @@ renderMarkdown(const std::vector<StudyRun> &runs,
     std::ostringstream out;
     out << "# Capstan paper-reproduction results\n\n";
     out << "Generated by `capstan-report` (preset `" << meta.preset
-        << "`: scale " << num(meta.knobs.scale_mult, 2) << ", "
+        << "`: scale " << num(meta.knobs.scale, 2) << ", "
         << meta.knobs.tiles << " tiles, " << meta.knobs.iterations
         << " iterations";
     if (!meta.knobs.dataset_dir.empty())
@@ -203,7 +203,7 @@ reportToJson(const std::vector<StudyRun> &runs,
 {
     JsonValue header = JsonValue::object();
     header.set("preset", meta.preset);
-    header.set("scale", meta.knobs.scale_mult);
+    header.set("scale", meta.knobs.scale);
     header.set("tiles", meta.knobs.tiles);
     header.set("iterations", meta.knobs.iterations);
     std::size_t deviations = 0, errors = 0;

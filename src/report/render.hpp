@@ -29,7 +29,8 @@ std::string oursPaper(double ours, std::optional<double> paper,
 struct ReportMeta
 {
     std::string preset; //!< "quick", "full", or "custom".
-    driver::RunKnobs knobs;
+    /** The studies' base point: scale, tiles, iterations, dataset dir. */
+    driver::DriverOptions knobs;
     bool checked = false; //!< --check was requested.
 };
 

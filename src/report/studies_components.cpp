@@ -67,7 +67,7 @@ StudyResult
 deriveTable4(const StudyContext &ctx, const Timings &)
 {
     int vectors = static_cast<int>(
-        6000 * std::max(0.1, ctx.knobs.scale_mult));
+        6000 * std::max(0.1, ctx.knobs.scale));
 
     StudyResult result;
     StudyTable table;

@@ -11,7 +11,7 @@
  * 7's layered configurations and Table 13's ASIC design points are
  * option keys too; only Table 13's two Graphicionado runs without back
  * pointers (BFS, SSSP) call the shared dispatch (driver::runApp)
- * directly from the derive, as no option key sets that knob.
+ * directly from the derive, as no option key describes them.
  */
 
 #include <array>
@@ -33,8 +33,18 @@ namespace capstan::report {
 
 namespace {
 
+using driver::allApps;
+using driver::datasetsFor;
 using driver::DriverOptions;
 using driver::SweepSpec;
+
+/** The inputs @p app simulates on @p dataset at the study's base. */
+driver::Workload
+inputs(const StudyContext &ctx, const std::string &app,
+       const std::string &dataset)
+{
+    return driver::workload(driver::simulationKey(ctx.base(app, dataset)));
+}
 
 /** Apply a named option to a base point; throws on invalid values. */
 void
@@ -380,7 +390,7 @@ deriveTable12(const StudyContext &ctx, const Timings &t)
     auto baselineSeconds = [&](const std::string &app, bool gpu) {
         std::vector<double> times;
         for (const auto &ds : datasetsFor(app)) {
-            driver::Workload w = driver::workload(app, ds, ctx.knobs);
+            driver::Workload w = inputs(ctx, app, ds);
             KernelProfile p;
             if (w.layer) {
                 // cuDNN runs the dense convolution; the CPU tensor
@@ -498,8 +508,6 @@ StudyResult
 deriveTable13(const StudyContext &ctx, const Timings &t)
 {
     using namespace capstan::baselines;
-    using sim::CapstanConfig;
-    using sim::MemTech;
 
     StudyResult result;
     StudyTable table;
@@ -519,7 +527,7 @@ deriveTable13(const StudyContext &ctx, const Timings &t)
     };
     auto matrix = [&](const std::string &app, const std::string &ds)
         -> const sparse::MatrixStore & {
-        return driver::workload(app, ds, ctx.knobs).matrix->matrix;
+        return inputs(ctx, app, ds).matrix->matrix;
     };
 
     // EIE: CSC SpMV compute throughput.
@@ -532,7 +540,7 @@ deriveTable13(const StudyContext &ctx, const Timings &t)
     // by the same fraction.
     {
         const workloads::ConvLayer &layer =
-            *driver::workload("Conv", "ResNet-50 #2", ctx.knobs).layer;
+            *inputs(ctx, "Conv", "ResNet-50 #2").layer;
         double fraction = std::min(1.0, ctx.knobs.tiles / 200.0);
         addRow("scnn", "SCNN", "Conv",
                scnnSeconds(layer) / fraction / seconds(t[1]));
@@ -540,7 +548,7 @@ deriveTable13(const StudyContext &ctx, const Timings &t)
 
     // Graphicionado: PR / BFS / SSSP with DDR4, no back pointers.
     // PageRank writes none, so its planned run serves; BFS and SSSP
-    // turn them off through the dispatch's knobs.
+    // turn them off through the dispatch's argument.
     {
         const std::vector<std::pair<std::string, std::string>> rows = {
             {"PR-Pull", "graphicionado_pr"},
@@ -550,11 +558,10 @@ deriveTable13(const StudyContext &ctx, const Timings &t)
             std::string ds = "flickr";
             double cap = seconds(t[2]);
             if (app != "PR-Pull") {
-                driver::RunKnobs knobs = ctx.knobs;
-                knobs.write_pointers = false;
-                cap = seconds(driver::runApp(
-                    app, ds, CapstanConfig::capstan(MemTech::DDR4),
-                    knobs));
+                DriverOptions run = ctx.base(app, ds);
+                apply(run, "memtech", "ddr4");
+                cap = seconds(driver::runApp(driver::simulationKey(run),
+                                             /*back_pointers=*/false));
             }
             int iterations = ctx.knobs.iterations;
             double passes = app == "PR-Pull" ? iterations : 6;

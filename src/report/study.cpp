@@ -11,16 +11,40 @@
 namespace capstan::report {
 
 driver::DriverOptions
+presetOptions(const std::string &preset,
+              const std::vector<std::pair<std::string, std::string>>
+                  &overrides)
+{
+    // quick runs the bench-smoke scales the reference tolerances are
+    // calibrated against; full runs the bench defaults.
+    driver::DriverOptions options;
+    if (preset == "quick") {
+        options.scale = 0.02;
+        options.tiles = 4;
+        options.iterations = 1;
+    } else if (preset == "full") {
+        options.scale = 1.0;
+        options.tiles = 16;
+        options.iterations = 2;
+    } else {
+        throw std::invalid_argument("unknown preset '" + preset +
+                                    "' (quick|full)");
+    }
+    for (const auto &[key, value] : overrides) {
+        std::string err = driver::applyOption(options, key, value);
+        if (!err.empty())
+            throw std::invalid_argument(err);
+    }
+    return options;
+}
+
+driver::DriverOptions
 StudyContext::base(const std::string &app,
                    const std::string &dataset) const
 {
-    driver::DriverOptions base;
+    driver::DriverOptions base = knobs;
     base.app = app;
     base.dataset = dataset;
-    base.dataset_dir = knobs.dataset_dir;
-    base.scale = knobs.scale_mult;
-    base.tiles = knobs.tiles;
-    base.iterations = knobs.iterations;
     return base;
 }
 

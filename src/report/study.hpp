@@ -18,7 +18,7 @@
  * job are the one-study case.
  *
  * Study results are deterministic: simulated cycles depend only on the
- * preset knobs, never on the host, thread count, claim order, or
+ * report's base point, never on the host, thread count, claim order, or
  * wall-clock, so rendered reports are byte-identical across runs (the
  * same property the sweep reports guarantee, docs/OUTPUT_SCHEMA.md).
  */
@@ -72,10 +72,29 @@ struct StudyResult
 /** The planned points' timings, index-aligned with Study::plan(). */
 using Timings = std::vector<driver::AppTiming>;
 
+/**
+ * The point a report runs under: @p preset's scale, tiles and
+ * iterations ("quick": 0.02, 4, 1, the scales the reference tolerances
+ * are calibrated at; "full": 1, 16, 2), then each (key, value) of
+ * @p overrides through driver::applyOption. The one path from a
+ * preset name and `--scale`/`--tiles`/`--iterations` (or a wire
+ * study's members) to a StudyContext's knobs. Throws
+ * std::invalid_argument for an unknown preset, or with applyOption's
+ * diagnostic for a bad value.
+ */
+driver::DriverOptions
+presetOptions(const std::string &preset,
+              const std::vector<std::pair<std::string, std::string>>
+                  &overrides = {});
+
 /** Execution environment a study runs under. */
 struct StudyContext
 {
-    driver::RunKnobs knobs;      //!< Preset scale/tiles/iterations.
+    /**
+     * The report's base point (presetOptions): scale, tiles,
+     * iterations and the dataset dir every planned point starts from.
+     */
+    driver::DriverOptions knobs;
     int jobs = 0;                //!< Sweep workers; 0 = all cores.
     const Reference *reference = nullptr; //!< May be null.
     /**
@@ -87,7 +106,7 @@ struct StudyContext
 
     /**
      * The point every study axis varies around: @p app on @p dataset
-     * (empty = the app's default) under the preset knobs.
+     * (empty = the app's default) under the knobs.
      */
     driver::DriverOptions base(const std::string &app,
                                const std::string &dataset) const;

@@ -204,14 +204,13 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
                 handleLine(conn, line);
         }
         buffer.erase(0, start);
-        if (buffer.size() > cfg_.max_request_bytes) {
+        if (buffer.size() > kMaxRequestBytes) {
             // No newline within the wire size limit: the stream can
             // never re-synchronize, so report and hang up.
             sendLine(conn,
                      eventError("parse_error",
                                 "request line exceeds limit (" +
-                                    std::to_string(
-                                        cfg_.max_request_bytes) +
+                                    std::to_string(kMaxRequestBytes) +
                                     " bytes)",
                                 std::nullopt));
             break;
@@ -229,8 +228,8 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
                    const std::string &line)
 {
     common::JsonLimits limits;
-    limits.max_bytes = cfg_.max_request_bytes;
-    limits.max_depth = cfg_.max_request_depth;
+    limits.max_bytes = kMaxRequestBytes;
+    limits.max_depth = kMaxRequestDepth;
 
     Request req;
     try {

@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -51,6 +52,11 @@
 
 namespace capstan::serve {
 
+/** Wire limit: max bytes in one request line (1 MiB). */
+inline constexpr std::size_t kMaxRequestBytes = 1 << 20;
+/** Wire limit: max JSON nesting depth in one request. */
+inline constexpr int kMaxRequestDepth = 32;
+
 /** Daemon configuration (`capstan-serve` flags). */
 struct ServeConfig
 {
@@ -58,10 +64,6 @@ struct ServeConfig
     std::string socket_path;
     /** Max jobs waiting (the running job is not counted). */
     int queue_capacity = 8;
-    /** Wire limit: max bytes in one request line. */
-    std::size_t max_request_bytes = 1 << 20;
-    /** Wire limit: max JSON nesting depth in one request. */
-    int max_request_depth = 32;
 };
 
 class Server

@@ -80,6 +80,12 @@ convDatasetNames()
     return {"ResNet-50 #1", "ResNet-50 #2", "ResNet-50 #29"};
 }
 
+std::string
+sensitivityGraphDatasetName()
+{
+    return "p2p-Gnutella31";
+}
+
 MatrixDataset
 loadMatrixDataset(const std::string &name, double scale)
 {

@@ -48,6 +48,12 @@ std::vector<std::string> spmspmDatasetNames();
 std::vector<std::string> convDatasetNames();
 
 /**
+ * The graph the sensitivity studies run in place of the graph family
+ * (Fig. 5): as in the paper, p2p-Gnutella31 substitutes for flickr.
+ */
+std::string sensitivityGraphDatasetName();
+
+/**
  * Generate a matrix/graph dataset by Table 6 name at @p scale.
  * Throws DatasetError (a std::invalid_argument) for unknown names and
  * for non-positive or non-finite scales.

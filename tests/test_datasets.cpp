@@ -937,16 +937,18 @@ TEST(Resolve, RectangularMatricesAreRejectedBySquareOnlyApps)
     // reject them instead of reading out of bounds.
     fs::path dir = scratchDir("capstan_rect");
     writeFile(dir / "rect.mtx", kTinyGeneral); // 3x4.
-    std::string name = "file:" + (dir / "rect.mtx").string();
+    auto key = [&](const std::string &app) {
+        driver::DriverOptions o;
+        o.app = app;
+        o.dataset = "file:" + (dir / "rect.mtx").string();
+        return driver::simulationKey(o);
+    };
     for (const char *app : {"PR-Pull", "PR-Edge", "BFS", "SSSP",
                             "M+M", "SpMSpM", "BiCGStab"})
-        EXPECT_THROW(driver::runApp(app, name, sim::CapstanConfig(),
-                                    {}),
-                     DatasetError)
+        EXPECT_THROW(driver::runApp(key(app), true), DatasetError)
             << app;
     // Rectangular SpMV variants are fine.
-    EXPECT_NO_THROW(
-        driver::runApp("CSR", name, sim::CapstanConfig(), {}));
+    EXPECT_NO_THROW(driver::runApp(key("CSR"), true));
 }
 
 TEST(Resolve, SweepMarksDatasetFailuresAsUsageErrors)

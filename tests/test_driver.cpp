@@ -265,9 +265,21 @@ TEST(DriverOptions, CanonicalAppNamesCoverTable2)
     EXPECT_EQ(canonicalApp("spmspm"), "SpMSpM");
     EXPECT_EQ(canonicalApp("bicgstab"), "BiCGStab");
     EXPECT_FALSE(canonicalApp("gemm").has_value());
-    // Every advertised app name resolves.
-    for (const auto &name : appNames())
-        EXPECT_TRUE(canonicalApp(name).has_value()) << name;
+    EXPECT_FALSE(canonicalApp("").has_value());
+    // Every advertised app name resolves, in the canonical keys' order,
+    // and every key names a dataset family whose first is its default.
+    ASSERT_EQ(appNames().size(), 11u);
+    ASSERT_EQ(allApps().size(), 11u);
+    for (std::size_t i = 0; i < appNames().size(); ++i) {
+        EXPECT_EQ(canonicalApp(appNames()[i]), allApps()[i]);
+        EXPECT_EQ(canonicalApp(allApps()[i]), allApps()[i]);
+        ASSERT_FALSE(datasetsFor(allApps()[i]).empty()) << allApps()[i];
+        EXPECT_EQ(defaultDataset(allApps()[i]),
+                  datasetsFor(allApps()[i]).front());
+    }
+    EXPECT_EQ(datasetsFor("SSSP"), workloads::graphDatasetNames());
+    EXPECT_EQ(datasetsFor("Conv"), workloads::convDatasetNames());
+    EXPECT_THROW(datasetsFor("GEMM"), std::invalid_argument);
 }
 
 TEST(DriverOptions, DatasetDefaultsFollowTheApp)

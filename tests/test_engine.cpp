@@ -19,6 +19,7 @@
 #include "driver/runner.hpp"
 #include "driver/sweep.hpp"
 #include "engine/engine.hpp"
+#include "report/study.hpp"
 
 namespace {
 
@@ -139,13 +140,78 @@ TEST(EngineRequest, FromJsonValidatesShapeAndValues)
            "\"tiles\": 129}");
     reject("{\"type\": \"study\", \"study\": \"table12\", "
            "\"tiles\": 300}");
-    EXPECT_EQ(*engine::JobRequest::fromJson(
-                   JsonValue::parse("{\"type\": \"study\", "
-                                    "\"study\": \"table12\", "
-                                    "\"tiles\": 128}"),
-                   cfg)
-                   .tiles,
+    EXPECT_EQ(engine::JobRequest::fromJson(
+                  JsonValue::parse("{\"type\": \"study\", "
+                                   "\"study\": \"table12\", "
+                                   "\"tiles\": 128}"),
+                  cfg)
+                  .options.tiles,
               128);
+}
+
+TEST(EngineRequest, ScaleTilesAndIterationsHaveOneValidationPath)
+{
+    // capstan-run's flags, a wire study's members and capstan-report's
+    // flags (report::presetOptions) all check these three values with
+    // driver::applyOption, so each path refuses every bad value with
+    // applyOption's own diagnostic and reads a good one as the same
+    // number. The wire's iteration cap lives there too.
+    const engine::EngineConfig cfg;
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        bad = {{"scale", {"0", "-1", "abc", "nan"}},
+               {"tiles", {"0", "129", "4.5"}},
+               {"iterations", {"0", "1.5", "1000000001"}}};
+    for (const auto &[key, values] : bad) {
+        for (const std::string &value : values) {
+            SCOPED_TRACE(key + "=" + value);
+            driver::DriverOptions scratch;
+            const std::string diagnostic =
+                driver::applyOption(scratch, key, value);
+            ASSERT_FALSE(diagnostic.empty());
+
+            driver::ParseResult flags =
+                driver::parseArgs({"--" + key, value});
+            EXPECT_EQ(flags.error, diagnostic);
+
+            // As a JSON string, and as a JSON number where it is one.
+            std::vector<std::string> members = {"\"" + value + "\""};
+            double number = 0;
+            if (driver::parseNumber(value, number))
+                members.push_back(value);
+            for (const std::string &member : members) {
+                try {
+                    engine::JobRequest::fromJson(
+                        JsonValue::parse("{\"type\": \"study\", "
+                                         "\"study\": \"table12\", \"" +
+                                         key + "\": " + member + "}"),
+                        cfg);
+                    ADD_FAILURE() << member << " was accepted";
+                } catch (const std::invalid_argument &e) {
+                    EXPECT_EQ(std::string(e.what()), diagnostic) << member;
+                }
+            }
+
+            EXPECT_THROW(report::presetOptions("quick", {{key, value}}),
+                         std::invalid_argument);
+        }
+    }
+
+    driver::ParseResult flags = driver::parseArgs(
+        {"--scale", "0.02", "--tiles", "128", "--iterations", "3"});
+    ASSERT_TRUE(flags.ok()) << flags.error;
+    engine::JobRequest wire = engine::JobRequest::fromJson(
+        JsonValue::parse("{\"type\": \"study\", \"study\": \"table12\", "
+                         "\"preset\": \"full\", \"scale\": 0.02, "
+                         "\"tiles\": \"128\", \"iterations\": 3}"),
+        cfg);
+    driver::DriverOptions report = report::presetOptions(
+        "full", {{"scale", "0.02"}, {"tiles", "128"}, {"iterations", "3"}});
+    for (const driver::DriverOptions *o :
+         {&flags.options, &wire.options, &report}) {
+        EXPECT_EQ(o->scale, 0.02);
+        EXPECT_EQ(o->tiles, 128);
+        EXPECT_EQ(o->iterations, 3);
+    }
 }
 
 TEST(EngineRequest, WireOptionsUseTheDriverValidationPath)

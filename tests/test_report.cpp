@@ -53,15 +53,37 @@ TEST(StudyRegistry, FindStudyByName)
     EXPECT_EQ(findStudy(""), nullptr);
 }
 
-TEST(StudyRegistry, CatalogMatchesDriverNaming)
+TEST(StudyRegistry, SensitivitySeriesSubstituteGnutellaForGraphs)
 {
-    EXPECT_EQ(allApps().size(), 11u);
-    for (const auto &app : allApps())
-        EXPECT_FALSE(datasetsFor(app).empty()) << app;
-    EXPECT_THROW(datasetsFor("GEMM"), std::invalid_argument);
     // Graph apps substitute Gnutella for the sensitivity series.
-    EXPECT_EQ(sensitivityDataset("BFS"), "p2p-Gnutella31");
-    EXPECT_EQ(sensitivityDataset("CSR"), datasetsFor("CSR")[0]);
+    for (const char *app : {"PR-Pull", "PR-Edge", "BFS", "SSSP"})
+        EXPECT_EQ(sensitivityDataset(app), "p2p-Gnutella31") << app;
+    for (const char *app : {"CSR", "Conv", "SpMSpM", "BiCGStab"})
+        EXPECT_EQ(sensitivityDataset(app), driver::datasetsFor(app)[0])
+            << app;
+    EXPECT_THROW(sensitivityDataset("GEMM"), std::invalid_argument);
+}
+
+TEST(StudyRegistry, PresetsAreBaseOptions)
+{
+    // A preset is a base point; overrides go through applyOption in
+    // order, whatever order the caller read them in.
+    driver::DriverOptions quick = presetOptions("quick");
+    EXPECT_DOUBLE_EQ(quick.scale, 0.02);
+    EXPECT_EQ(quick.tiles, 4);
+    EXPECT_EQ(quick.iterations, 1);
+    driver::DriverOptions full = presetOptions("full");
+    EXPECT_DOUBLE_EQ(full.scale, 1.0);
+    EXPECT_EQ(full.tiles, 16);
+    EXPECT_EQ(full.iterations, 2);
+    driver::DriverOptions tiled =
+        presetOptions("full", {{"tiles", "8"}, {"scale", "0.5"}});
+    EXPECT_EQ(tiled.tiles, 8);
+    EXPECT_DOUBLE_EQ(tiled.scale, 0.5);
+    EXPECT_EQ(tiled.iterations, 2);
+    EXPECT_THROW(presetOptions("huge"), std::invalid_argument);
+    EXPECT_THROW(presetOptions("quick", {{"dataset-dir", "/tmp"}}),
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,9 +271,7 @@ TEST(Render, MarkdownGolden)
     StudyRun run = demoRun();
     ReportMeta meta;
     meta.preset = "quick";
-    meta.knobs.scale_mult = 0.02;
-    meta.knobs.tiles = 4;
-    meta.knobs.iterations = 1;
+    meta.knobs = presetOptions("quick");
     std::string md = renderMarkdown({run}, meta);
     EXPECT_NE(md.find("# Capstan paper-reproduction results"),
               std::string::npos);
@@ -320,7 +340,7 @@ TEST(Render, JsonReportShape)
     StudyRun run = demoRun();
     ReportMeta meta;
     meta.preset = "quick";
-    meta.knobs.scale_mult = 0.02;
+    meta.knobs = presetOptions("quick");
     JsonValue doc = reportToJson({run}, meta);
     EXPECT_EQ(doc.at("report").at("studies").asNumber(), 1.0);
     const JsonValue &first = doc.at("results").items().at(0);
@@ -359,14 +379,12 @@ TEST(Render, ErrorRunsRenderAsErrors)
 
 namespace {
 
-/** The quick preset's knobs (engine::presetKnobs("quick")). */
+/** The quick preset's base point, on one worker. */
 StudyContext
 quickContext()
 {
     StudyContext ctx;
-    ctx.knobs.scale_mult = 0.02;
-    ctx.knobs.tiles = 4;
-    ctx.knobs.iterations = 1;
+    ctx.knobs = presetOptions("quick");
     ctx.jobs = 1;
     return ctx;
 }

@@ -226,17 +226,22 @@ class Client
 
     bool ok() const { return fd_ >= 0; }
 
-    void send(const std::string &line)
+    void send(const std::string &line) { sendRaw(line + "\n"); }
+
+    /** Send @p bytes as they are, with or without a newline. */
+    void sendRaw(const std::string &bytes)
     {
-        std::string out = line + "\n";
         std::size_t sent = 0;
-        while (sent < out.size()) {
-            ssize_t n = ::send(fd_, out.data() + sent,
-                               out.size() - sent, MSG_NOSIGNAL);
+        while (sent < bytes.size()) {
+            ssize_t n = ::send(fd_, bytes.data() + sent,
+                               bytes.size() - sent, MSG_NOSIGNAL);
             ASSERT_TRUE_OR_RETURN(n > 0);
             sent += static_cast<std::size_t>(n);
         }
     }
+
+    /** A read saw the daemon close the connection. */
+    bool closed() const { return closed_; }
 
     /**
      * Next raw event line, or std::nullopt on EOF/timeout. The budget
@@ -261,8 +266,10 @@ class Client
                 continue;
             char chunk[4096];
             ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-            if (n <= 0)
+            if (n <= 0) {
+                closed_ = true;
                 return std::nullopt;
+            }
             buffer_.append(chunk, static_cast<std::size_t>(n));
         }
     }
@@ -292,6 +299,7 @@ class Client
   private:
     int fd_ = -1;
     std::string buffer_;
+    bool closed_ = false;
 };
 
 std::string
@@ -354,6 +362,51 @@ TEST(ServeSocket, MalformedRequestGetsErrorAndConnectionSurvives)
     ASSERT_TRUE(pong.has_value());
     EXPECT_EQ(pong->at("event").asString(), "pong");
     EXPECT_EQ(pong->at("id").asNumber(), 7);
+}
+
+TEST(ServeSocket, WireLimitsAnswerParseErrorsAndOthersAreServed)
+{
+    Harness h("limits");
+    ASSERT_TRUE(h.started());
+    Client other(h.socketPath());
+    ASSERT_TRUE(other.ok());
+
+    // JSON nested past serve::kMaxRequestDepth is a parse_error; at
+    // the limit it parses (and its unknown member is a bad_request).
+    // The line-synchronized connection stays usable either way.
+    Client c(h.socketPath());
+    ASSERT_TRUE(c.ok());
+    auto nested = [](int arrays) {
+        return "{\"op\": \"ping\", \"pad\": " +
+               std::string(static_cast<std::size_t>(arrays), '[') +
+               std::string(static_cast<std::size_t>(arrays), ']') + "}";
+    };
+    c.send(nested(serve::kMaxRequestDepth));
+    std::optional<JsonValue> deep = c.read();
+    ASSERT_TRUE(deep.has_value());
+    EXPECT_EQ(deep->at("code").asString(), "parse_error");
+    c.send(nested(serve::kMaxRequestDepth - 1));
+    std::optional<JsonValue> at_limit = c.read();
+    ASSERT_TRUE(at_limit.has_value());
+    EXPECT_EQ(at_limit->at("code").asString(), "bad_request");
+
+    // A line with no newline within serve::kMaxRequestBytes can never
+    // re-synchronize: one parse_error, then the daemon hangs up.
+    c.sendRaw(std::string(serve::kMaxRequestBytes + 1, 'x'));
+    std::optional<JsonValue> long_line = c.read();
+    ASSERT_TRUE(long_line.has_value());
+    EXPECT_EQ(long_line->at("event").asString(), "error");
+    EXPECT_EQ(long_line->at("code").asString(), "parse_error");
+    EXPECT_FALSE(c.readLine().has_value());
+    EXPECT_TRUE(c.closed());
+
+    // Every other client is still served, old and new.
+    other.send("{\"op\": \"ping\", \"id\": 1}");
+    EXPECT_TRUE(other.readEvent("pong").has_value());
+    Client late(h.socketPath());
+    ASSERT_TRUE(late.ok());
+    late.send("{\"op\": \"ping\", \"id\": 2}");
+    EXPECT_TRUE(late.readEvent("pong").has_value());
 }
 
 TEST(ServeSocket, TooManyTilesIsABadRequestAndTheDaemonRunsOn)

@@ -474,11 +474,10 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
 {
     // An unusual scale keys fresh cache entries, so every thread
     // races on first-time generation rather than hitting warm data.
-    RunKnobs knobs;
-    knobs.tiles = 2;
-    knobs.iterations = 1;
-    knobs.scale_mult = 0.017;
-    sim::CapstanConfig cfg = sim::CapstanConfig::capstan();
+    DriverOptions base;
+    base.tiles = 2;
+    base.iterations = 1;
+    base.scale = 0.017;
 
     constexpr int kThreads = 8;
     std::vector<sim::Cycle> cycles(kThreads, 0);
@@ -494,8 +493,11 @@ TEST(SweepCache, ConcurrentGenerationIsRaceFreeAndConsistent)
             const char *dataset = (t == kThreads - 1)
                                       ? "ResNet-50 #1"
                                       : "ckt11752_dc_1";
+            DriverOptions point = base;
+            point.app = app;
+            point.dataset = dataset;
             cycles[static_cast<std::size_t>(t)] =
-                runApp(app, dataset, cfg, knobs).cycles;
+                runApp(simulationKey(point), /*back_pointers=*/true).cycles;
         });
     }
     for (auto &t : pool)

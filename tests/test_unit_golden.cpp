@@ -28,13 +28,17 @@
  * an event horizon for a fast-forwarding machine, with that horizon
  * left out of the digest; its six input-speedup-2 queue-depth rows on
  * the last build whose SpMU walked its slots to find a grant's oldest
- * requester. A mismatch means a simulated bit moved. The
+ * requester; four of those, the depth-63 and depth-64 rows, were
+ * re-recorded under traffic that fills the ring (Traffic::FillRing) on
+ * the first build whose SpMU finds a grant's slot with ring-position
+ * masks. A mismatch means a simulated bit moved. The
  * failure message prints the new digest, so an intended behaviour
  * change re-records by pasting it into the table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <random>
@@ -92,6 +96,14 @@ constexpr AccessOp kOps[] = {
 };
 
 /**
+ * The seeded traffic a digest row offers.
+ */
+enum class Traffic {
+    Mixed,    //!< spmuDigest's mix of densities and bank spreads.
+    FillRing, //!< A dense two-word vector offered every cycle.
+};
+
+/**
  * Drive one SpMU with seeded random traffic and digest everything it
  * exposes. Addresses mix a 24-word hot set (duplicates inside a vector:
  * elision, same-address splits, bank conflicts) with a wide range, and
@@ -99,11 +111,17 @@ constexpr AccessOp kOps[] = {
  * vectors are read-only, so most repeated reads are elided.
  * Offered load exceeds the bank throughput, so the queue fills and
  * enqueues are refused. Dequeues are sometimes skipped so completed
- * vectors pile up.
+ * vectors pile up. Traffic::FillRing offers a vector every cycle with
+ * all sixteen lanes on two words of one bank, the first two lanes'
+ * (an address-ordered vector splits into many parts behind two Bloom
+ * entries), so the queue holds every slot it has; the digest fails
+ * unless it did.
  */
 std::uint64_t
-spmuDigest(const SpmuConfig &cfg, std::uint32_t seed)
+spmuDigest(const SpmuConfig &cfg, std::uint32_t seed,
+           Traffic traffic = Traffic::Mixed)
 {
+    const bool fill = traffic == Traffic::FillRing;
     constexpr int kVectors = 700;
     constexpr std::uint32_t kWords = 4096;
     SparseMemoryUnit spmu(cfg);
@@ -112,24 +130,29 @@ spmuDigest(const SpmuConfig &cfg, std::uint32_t seed)
     Digest d;
     std::uint64_t next_id = 1;
     int sent = 0;
+    int most_held = 0;
     for (int cycle = 0; cycle < 400000; ++cycle) {
         if (sent >= kVectors && spmu.empty())
             break;
-        if (sent < kVectors && rng() % 8 != 0) {
+        if (sent < kVectors && (fill || rng() % 8 != 0)) {
             AccessVector av;
             av.id = next_id;
             bool read_only = rng() % 2 == 0;
-            bool one_bank = rng() % 4 == 0;
+            bool one_bank = fill || rng() % 4 == 0;
             int bank = static_cast<int>(rng() % kSpmuBanks);
-            int density = 2 + static_cast<int>(rng() % 7);
+            int density = fill ? 8 : 2 + static_cast<int>(rng() % 7);
             for (int l = 0; l < kMaxLanes; ++l) {
                 if (static_cast<int>(rng() % 8) >= density)
                     continue;
                 LaneRequest &lr = av.lane[l];
                 lr.valid = true;
-                lr.addr = rng() % 3 == 0 ? rng() % 24 : rng() % kWords;
-                while (one_bank && spmu.bankOf(lr.addr) != bank)
-                    lr.addr = rng() % kWords;
+                if (fill && l >= 2) {
+                    lr.addr = av.lane[rng() % 2].addr;
+                } else {
+                    lr.addr = rng() % 3 == 0 ? rng() % 24 : rng() % kWords;
+                    while (one_bank && spmu.bankOf(lr.addr) != bank)
+                        lr.addr = rng() % kWords;
+                }
                 lr.op = read_only ? AccessOp::Read
                                   : kOps[rng() % std::size(kOps)];
             }
@@ -141,6 +164,7 @@ spmuDigest(const SpmuConfig &cfg, std::uint32_t seed)
             }
         }
         d.add(static_cast<std::uint64_t>(spmu.occupancy()));
+        most_held = std::max(most_held, spmu.occupancy());
         spmu.step();
         if (rng() % 3 == 0)
             continue; // Leave completed vectors waiting this cycle.
@@ -151,6 +175,9 @@ spmuDigest(const SpmuConfig &cfg, std::uint32_t seed)
         }
     }
     EXPECT_TRUE(spmu.empty()) << "SpMU failed to drain";
+    if (fill) {
+        EXPECT_EQ(most_held, cfg.queue_depth) << "the ring never filled";
+    }
     for (const auto &g : spmu.grantTrace()) {
         d.add(g.cycle);
         d.add(static_cast<std::uint64_t>(g.lane));
@@ -171,6 +198,7 @@ struct SpmuGolden
     const char *name;
     SpmuConfig cfg;
     std::uint64_t digest;
+    Traffic traffic = Traffic::Mixed;
 };
 
 SpmuConfig
@@ -225,7 +253,8 @@ TEST(UnitGolden, SpmuTrafficDigestsPerMode)
          0x4c2a58a141abcca9},
         // The issue queue's extremes under input speedup 2, where queue
         // position parity picks each slot's lane group: a single slot,
-        // and 63 and 64 slots that 700 vectors wrap many times.
+        // and 63 and 64 slots that 700 vectors fill and wrap many
+        // times.
         {"speedup-2-depth-1",
          spmuWith([](SpmuConfig &c) {
              c.input_speedup = 2;
@@ -244,30 +273,34 @@ TEST(UnitGolden, SpmuTrafficDigestsPerMode)
              c.input_speedup = 2;
              c.queue_depth = 63;
          }),
-         0xbdb0b81f931a5de7},
+         0xd44083d2712af163,
+         Traffic::FillRing},
         {"speedup-2-depth-63-address-ordered",
          spmuWith([](SpmuConfig &c) {
              c.input_speedup = 2;
              c.queue_depth = 63;
              c.ordering = Ordering::AddressOrdered;
          }),
-         0xd2fd98e2f7a4ed15},
+         0x8f28c65030d0a9e0,
+         Traffic::FillRing},
         {"speedup-2-depth-64",
          spmuWith([](SpmuConfig &c) {
              c.input_speedup = 2;
              c.queue_depth = 64;
          }),
-         0xbdb0b81f931a5de7},
+         0x6a846ba92d77c230,
+         Traffic::FillRing},
         {"speedup-2-depth-64-address-ordered",
          spmuWith([](SpmuConfig &c) {
              c.input_speedup = 2;
              c.queue_depth = 64;
              c.ordering = Ordering::AddressOrdered;
          }),
-         0xd2fd98e2f7a4ed15},
+         0xa7898f66ddad480f,
+         Traffic::FillRing},
     };
     for (const SpmuGolden &g : goldens) {
-        std::uint64_t got = spmuDigest(g.cfg, 2024);
+        std::uint64_t got = spmuDigest(g.cfg, 2024, g.traffic);
         EXPECT_EQ(got, g.digest) << g.name << ": digest " << hex(got);
     }
 }

@@ -760,8 +760,6 @@ def check_flag_plumbing(tree):
     opts_hpp = "src/driver/options.hpp"
     opts_cpp = "src/driver/options.cpp"
     sweep_cpp = "src/driver/sweep.cpp"
-    runner_hpp = "src/driver/runner.hpp"
-    runner_cpp = "src/driver/runner.cpp"
 
     for req in (opts_hpp, opts_cpp, PLUMBING_JSON):
         if not (tree.root / req).is_file():
@@ -793,12 +791,6 @@ def check_flag_plumbing(tree):
         for s, _ in logical_strings(tree.tokens(sweep_cpp)):
             if "app,dataset" in s:
                 csv_columns |= set(s.replace("\n", ",").split(","))
-
-    knob_fields = None
-    if runner_hpp in tree.files:
-        knob_fields = struct_fields(tree.tokens(runner_hpp), "RunKnobs")
-    runner_text = "\n".join(tree.files[runner_cpp].code) \
-        if runner_cpp in tree.files else ""
 
     def add(message):
         tree.add(opts_hpp, 1, "flag-plumbing", message)
@@ -848,14 +840,6 @@ def check_flag_plumbing(tree):
                     and f"`{flag.lstrip('-')}`" not in readme:
                 add(f"field '{field}': flag '{flag}' is not documented "
                     f"in README.md")
-        knob = spec.get("knob")
-        if knob:
-            if knob_fields is not None and knob not in knob_fields:
-                add(f"field '{field}': declared knob '{knob}' is not "
-                    f"a RunKnobs member ({runner_hpp})")
-            if runner_text and f"knobs . {knob}" not in runner_text:
-                add(f"field '{field}': knob '{knob}' is never assigned "
-                    f"(knobs.{knob}) in {runner_cpp}")
 
     for field in declared:
         if field not in fields:
